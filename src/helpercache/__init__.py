@@ -50,6 +50,7 @@ from .partitioner import (
     greedy_assign,
     load_instance,
     lower_bound,
+    min_partition_counts,
     partition_rows,
     partitions_from_assignment,
     subnetworks_from_connectivity,

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -77,7 +77,6 @@ def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int
     counts = {p: partition_sets[p].count if p in partition_sets else 0 for p in range(1, num_profiles + 1)}
     total_rounds = max(counts.values(), default=0)
     rounds = []
-    idle = []
     for g in range(total_rounds):
         entries: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for profile in range(1, num_profiles + 1):
@@ -87,15 +86,35 @@ def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int
                 users = tuple(u for _, u in part)
                 entries[profile] = (helpers, users)
         rounds.append(entries)
-        idle.append(num_profiles - len(entries))
-    return RoundSchedule(num_profiles=num_profiles, rounds=tuple(rounds), idle_counts=tuple(idle))
+    return RoundSchedule(
+        num_profiles=num_profiles,
+        rounds=tuple(rounds),
+        idle_counts=round_idle_counts(list(counts.values())),
+    )
+
+
+def round_idle_counts(partition_counts: Sequence[int]) -> tuple[int, ...]:
+    """v(g) for every round g: the profiles whose partition count is at most g."""
+    return tuple(
+        sum(count <= g for count in partition_counts)
+        for g in range(max(partition_counts, default=0))
+    )
+
+
+def transmissions_from_idle(idle: Sequence[int], num_profiles: int, index_size: int) -> int:
+    """Closed-form count of the multicast groups with a nonempty effective set.
+
+    Round g sends one signal per size-(t + 1) profile group that is not
+    wholly idle: sum over g of C(L, t + 1) - C(v(g), t + 1).
+    """
+    size = index_size + 1
+    full = comb(num_profiles, size)
+    return sum(full - comb(v, size) for v in idle)
 
 
 def count_transmissions(schedule: RoundSchedule, index_size: int) -> int:
     """Closed-form count of the multicast groups with a nonempty effective set."""
-    size = index_size + 1
-    full = comb(schedule.num_profiles, size)
-    return sum(full - comb(v, size) for v in schedule.idle_counts)
+    return transmissions_from_idle(schedule.idle_counts, schedule.num_profiles, index_size)
 
 
 def enumerate_transmissions(
@@ -233,7 +252,8 @@ def verify_schedule(
     worst = 0.0
     for g, group, _ in enumerate_transmissions(schedule, index_size):
         record = compose_signal(channel, schedule, g, group, demands, symbols, precoders)
-        assert record is not None
+        if record is None:
+            raise RuntimeError(f"round {g} transmits group {group} with no active profile")
         residuals = verify_decode(record, channel, demands, symbols)
         if residuals:
             worst = max(worst, max(residuals.values()))
@@ -280,7 +300,8 @@ def trace_lines(
     precoders: dict[tuple[int, int], np.ndarray] = {}
     for g, group, _ in enumerate_transmissions(schedule, index_size):
         record = compose_signal(channel, schedule, g, group, demands, symbols, precoders)
-        assert record is not None
+        if record is None:
+            raise RuntimeError(f"round {g} transmits group {group} with no active profile")
         users = "+".join(str(u) for u, _, _ in record.intended)
         indices = "+".join(
             "{" + ",".join(str(p) for p in sorted(set(group) - {profile})) + "}"

@@ -9,9 +9,16 @@ that the largest per-helper load (single-homed stack plus routed users) is
 as small as possible; that bottleneck load equals the minimum number of
 partitions.
 
-Three independent solvers are provided: a least-cost branch and bound
-(`bb_assign`, exact), exhaustive enumeration (`brute_force_min_partitions`),
-and a capacity-bounded bipartite matching oracle (`flow_oracle`).  The
+By Hall's theorem that minimum is max over helper sets S of
+ceil(N_S / |S|), where N_S counts the users whose helpers all lie in S
+(Harvey, Ladner, Lovasz & Tamir, "Semi-matchings for bipartite graphs and
+load balancing", J. Algorithms 2006).  `min_partition_counts` evaluates it
+for every profile of a network at once; the sweep takes its exact counts
+from it.  The least-cost branch and bound `bb_assign` is the paper's
+algorithm: it builds the partitions that the decode check replays, and the
+sweep cross-checks its counts against Hall's formula whenever it runs.
+Exhaustive enumeration (`brute_force_min_partitions`) and a capacity-bounded
+bipartite matching (`flow_oracle`) are independent oracles.  The
 helper-scan of `greedy_assign` is the fast baseline the exact methods are
 measured against.
 """
@@ -28,6 +35,11 @@ import numpy as np
 
 from .cache_placement import ProfileAssignment
 from .topology import Connectivity
+
+
+# Helper count above which the L * 2^E table of `min_partition_counts` is
+# refused: at 20 helpers and 10 profiles it already holds 10M int32 entries.
+MAX_TABLE_HELPERS = 20
 
 
 class InstanceTooLargeError(ValueError):
@@ -97,23 +109,64 @@ class PartitionSet:
         return len(self.partitions)
 
 
+def _helper_masks(adjacency: np.ndarray) -> np.ndarray:
+    """Per user (column), the bitmask of its linked helpers; bit h is helper h."""
+    return (1 << np.arange(adjacency.shape[0], dtype=np.int64)) @ adjacency
+
+
 def subnetworks_from_connectivity(
     conn: Connectivity, assignment: ProfileAssignment
 ) -> dict[int, ProfileSubnetwork]:
     """Split the network by cache profile; users keep their connectivity column ids."""
-    subnets = {}
-    for profile in range(1, assignment.num_profiles + 1):
-        members = assignment.users_of(profile)
-        cands = tuple(
-            tuple(int(h) for h in np.flatnonzero(conn.adjacency[:, k])) for k in members
-        )
-        subnets[profile] = ProfileSubnetwork(
+    masks = _helper_masks(conn.adjacency).tolist()
+    helper_sets = {
+        m: tuple(h for h in range(conn.num_helpers) if m >> h & 1) for m in set(masks)
+    }
+    users: list[list[int]] = [[] for _ in range(assignment.num_profiles + 1)]
+    for k, profile in enumerate(assignment.profile_of.tolist()):
+        users[profile].append(k)
+    return {
+        profile: ProfileSubnetwork(
             profile=profile,
-            users=tuple(int(k) for k in members),
-            candidates=cands,
+            users=tuple(users[profile]),
+            candidates=tuple(helper_sets[masks[k]] for k in users[profile]),
             num_helpers=conn.num_helpers,
         )
-    return subnets
+        for profile in range(1, assignment.num_profiles + 1)
+    }
+
+
+def min_partition_counts(
+    adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int
+) -> np.ndarray:
+    """Minimum partition count of every profile by Hall's formula.
+
+    `adjacency` is the (E, K) helper-user link matrix and `profile_of` the
+    profile (1..L) of each of its user columns.  Entry p - 1 of the result
+    is max over nonempty helper sets S of ceil(N_S / |S|) for profile p,
+    where N_S counts the profile's users whose helpers all lie in S: the
+    bottleneck load of an optimal assignment, 0 for a profile with no user.
+    """
+    num_helpers = adjacency.shape[0]
+    if num_helpers > MAX_TABLE_HELPERS:
+        raise ValueError(
+            f"{num_helpers} helpers exceed the limit of {MAX_TABLE_HELPERS}: "
+            "the count table holds L * 2^E entries"
+        )
+    masks = _helper_masks(adjacency)
+    if np.any(masks == 0):
+        raise ValueError("every user needs at least one linked helper")
+    subsets = 1 << num_helpers
+    keys = (np.asarray(profile_of, dtype=np.int64) - 1) * subsets + masks
+    table = np.bincount(keys, minlength=num_profiles * subsets).astype(np.int32)
+    table = table.reshape(num_profiles, subsets)
+    sizes = np.zeros(subsets, dtype=np.int32)
+    for h in range(num_helpers):
+        # Subset sums over bit h: every set with h gains the count of the set without it.
+        halves = table.reshape(num_profiles, -1, 2, 1 << h)
+        halves[:, :, 1, :] += halves[:, :, 0, :]
+        sizes[1 << h : 2 << h] = sizes[: 1 << h] + 1
+    return (-(-table[:, 1:] // sizes[1:])).max(axis=1, initial=0)
 
 
 def build_tables(subnet: ProfileSubnetwork) -> DegreeTables:
@@ -230,7 +283,8 @@ def bb_assign(tables: DegreeTables) -> Assignment:
             if cutoff <= open_cost:
                 # The best completed vector is the cheapest state left; it is
                 # also the deepest, which is how equal costs are resolved.
-                assert best_done is not None
+                if best_done is None:
+                    raise RuntimeError("branch and bound stopped without a completed assignment")
                 return best_done
             bound, _, _, choices, loads = heapq.heappop(heap)
             continue
@@ -299,25 +353,41 @@ def brute_force_min_partitions(subnet: ProfileSubnetwork, guard: int = 10**7) ->
 
 
 def _all_served(subnet: ProfileSubnetwork, cap: int) -> bool:
-    """Can every user get a helper with no helper taking more than `cap` users?"""
+    """Can every user get a helper with no helper taking more than `cap` users?
+
+    Places users one at a time along augmenting paths.  The path search
+    keeps an explicit stack, so its depth is not bounded by Python's
+    recursion limit.
+    """
     holders: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
-
-    def place(pos: int, banned: set[int]) -> bool:
-        for h in subnet.candidates[pos]:
-            if h in banned:
-                continue
-            banned.add(h)
-            if len(holders[h]) < cap:
-                holders[h].append(pos)
-                return True
-            for other in holders[h]:
-                if place(other, banned):
-                    holders[h].remove(other)
-                    holders[h].append(pos)
-                    return True
-        return False
-
-    return all(place(pos, set()) for pos in range(subnet.num_users))
+    held_by = [-1] * subnet.num_users  # helper of each placed user
+    for start in range(subnet.num_users):
+        reached_from: dict[int, int] = {}  # helper -> user that reached it first
+        stack = [start]
+        free = -1
+        while stack and free < 0:
+            pos = stack.pop()
+            for h in subnet.candidates[pos]:
+                if h in reached_from:
+                    continue
+                reached_from[h] = pos
+                if len(holders[h]) < cap:
+                    free = h
+                    break
+                stack.extend(holders[h])
+        if free < 0:
+            return False
+        # Shift every user on the path one helper along, ending at the free slot.
+        helper = free
+        while helper >= 0:
+            pos = reached_from[helper]
+            previous = held_by[pos]
+            holders[helper].append(pos)
+            held_by[pos] = helper
+            if previous >= 0:
+                holders[previous].remove(pos)
+            helper = previous
+    return True
 
 
 def flow_oracle(subnet: ProfileSubnetwork) -> int:

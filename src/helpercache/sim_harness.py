@@ -19,16 +19,21 @@ from .cache_placement import (
 from .delivery import (
     DeliveryStats,
     build_schedule,
-    count_transmissions,
     coverage_check,
     delivery_time,
+    round_idle_counts,
     sum_dof,
+    transmissions_from_idle,
     verify_schedule,
 )
 from .partitioner import (
+    MAX_TABLE_HELPERS,
+    PartitionSet,
+    ProfileSubnetwork,
     bb_assign,
     build_tables,
     greedy_assign,
+    min_partition_counts,
     partitions_from_assignment,
     subnetworks_from_connectivity,
 )
@@ -53,6 +58,13 @@ class PointConfig:
     radius: float
     user_radius: float
     density: float
+
+    def __post_init__(self) -> None:
+        if self.helpers > MAX_TABLE_HELPERS:
+            raise ValueError(
+                f"at most {MAX_TABLE_HELPERS} helpers are supported, got {self.helpers}: "
+                "the exact partition counts use a table of L * 2^E entries"
+            )
 
 
 @dataclass(frozen=True)
@@ -153,6 +165,19 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
+def _partition_sets(
+    method: str, subnets: dict[int, ProfileSubnetwork]
+) -> dict[int, PartitionSet]:
+    """Every profile's partitions: greedy's scan, or the branch and bound's optimum."""
+    if method == "greedy":
+        return {profile: greedy_assign(subnet) for profile, subnet in subnets.items()}
+    psets = {}
+    for profile, subnet in subnets.items():
+        tables = build_tables(subnet)
+        psets[profile] = partitions_from_assignment(tables, bb_assign(tables))
+    return psets
+
+
 def run_trial(
     point: PointConfig,
     trial_seed: int,
@@ -161,9 +186,12 @@ def run_trial(
 ) -> TrialResult:
     """One end-to-end draw: topology, placement, partitioning, delivery accounting.
 
-    Fully determined by (point, trial_seed).  With `verify` set, every
-    transmission of every method is composed, decoded, and audited for
-    complete subfile coverage.
+    Fully determined by (point, trial_seed).  The `bb` partition counts come
+    from Hall's formula (`min_partition_counts`), and the transmission count
+    from the per-round idle profiles those counts imply.  With `verify` set,
+    `bb_assign` builds the partitions as well, its counts must equal Hall's,
+    and every transmission of every method is composed, decoded, and audited
+    for complete subfile coverage.
     """
     config = CacheConfig(num_profiles=point.profiles, gamma=point.gamma)
     ensure_valid(config)
@@ -174,28 +202,41 @@ def run_trial(
     conn = connect(layout, users, point.radius)
     channel = draw_channels(conn, rng)
     assignment = assign_profiles(conn.num_users, point.profiles, rng)
-    subnets = subnetworks_from_connectivity(conn, assignment)
     num_users = conn.num_users
+    subnets = (
+        subnetworks_from_connectivity(conn, assignment)
+        if verify or "greedy" in methods
+        else {}
+    )
 
     demands = symbols = None
     stats: dict[str, DeliveryStats] = {}
     partition_counts: dict[str, tuple[int, ...]] = {}
     for method in methods:
-        psets = {}
-        for profile, subnet in subnets.items():
-            if method == "greedy":
-                psets[profile] = greedy_assign(subnet)
-            else:
-                tables = build_tables(subnet)
-                psets[profile] = partitions_from_assignment(tables, bb_assign(tables))
-        schedule = build_schedule(psets, point.profiles)
-        transmissions = count_transmissions(schedule, index_size)
+        psets = None
+        if verify or method == "greedy":
+            psets = _partition_sets(method, subnets)
+            counts = tuple(psets[p].count for p in range(1, point.profiles + 1))
+        if method == "bb":
+            exact = tuple(
+                min_partition_counts(conn.adjacency, assignment.profile_of, point.profiles).tolist()
+            )
+            if psets is not None and counts != exact:
+                raise RuntimeError(
+                    f"bb_assign partition counts {counts} differ from Hall's formula "
+                    f"{exact} (seed {trial_seed})"
+                )
+            counts = exact
+        transmissions = transmissions_from_idle(
+            round_idle_counts(counts), point.profiles, index_size
+        )
         time = delivery_time(transmissions, point.profiles, index_size)
         dof = sum_dof(num_users, point.gamma, time) if num_users > 0 else None
         if verify and num_users > 0:
             if symbols is None:
                 demands = {k: k for k in range(num_users)}  # distinct worst-case demands
                 symbols = draw_subfile_symbols(assignment, demands, index_size, rng)
+            schedule = build_schedule(psets, point.profiles)
             verify_schedule(channel, schedule, demands, symbols, index_size)
             problems = coverage_check(schedule, index_size)
             if problems:
@@ -204,9 +245,7 @@ def run_trial(
                     + "; ".join(problems[:5])
                 )
         stats[method] = DeliveryStats(transmissions=transmissions, time=time, dof=dof)
-        partition_counts[method] = tuple(
-            psets[p].count for p in range(1, point.profiles + 1)
-        )
+        partition_counts[method] = counts
     return TrialResult(
         seed=trial_seed, num_users=num_users, stats=stats, partition_counts=partition_counts
     )

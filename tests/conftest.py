@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpercache.partitioner import ProfileSubnetwork
+from helpercache.partitioner import ProfileSubnetwork, min_partition_counts
 
 # Four helpers, twelve users; greedy needs four sets, the optimum three.
 _REFERENCE_CANDIDATES = {
@@ -56,3 +56,17 @@ def make_random_subnet():
                 )
 
     return factory
+
+
+@pytest.fixture(scope="session")
+def hall_count():
+    """Hall's-formula count of one instance, its users forming a single profile."""
+
+    def count(subnet: ProfileSubnetwork) -> int:
+        adjacency = np.zeros((subnet.num_helpers, subnet.num_users), dtype=bool)
+        for column, cand in enumerate(subnet.candidates):
+            adjacency[list(cand), column] = True
+        profile_of = np.ones(subnet.num_users, dtype=np.int64)
+        return int(min_partition_counts(adjacency, profile_of, 1)[0])
+
+    return count

@@ -168,7 +168,7 @@ def test_criterion_1_reference_instance(reference_subnet):
     assert elapsed < 1.0
 
 
-def test_criterion_2_oracle_suite(make_random_subnet):
+def test_criterion_2_oracle_suite(make_random_subnet, hall_count):
     rng = np.random.default_rng(77)
     start = time.perf_counter()
     for _ in range(1000):
@@ -177,11 +177,11 @@ def test_criterion_2_oracle_suite(make_random_subnet):
         exhaustive = brute_force_min_partitions(subnet)
         matching = flow_oracle(subnet)
         greedy = greedy_assign(subnet).count
-        assert best == exhaustive == matching
+        assert best == exhaustive == matching == hall_count(subnet)
         assert lower_bound(subnet) <= best <= greedy
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0
-    _report(ok, "criterion 2", f"1000 instances, all three solvers agree, {elapsed:.1f}s")
+    _report(ok, "criterion 2", f"1000 instances, all four exact solvers agree, {elapsed:.1f}s")
     assert elapsed < 60.0
 
 

@@ -1,7 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpercache.cache_placement import assign_profiles
 from helpercache.partitioner import (
@@ -17,6 +20,7 @@ from helpercache.partitioner import (
     greedy_assign,
     load_instance,
     lower_bound,
+    min_partition_counts,
     partition_rows,
     partitions_from_assignment,
     subnetworks_from_connectivity,
@@ -93,7 +97,7 @@ def test_bb_is_deterministic(reference_subnet):
     assert bb_assign(tables) == bb_assign(tables)
 
 
-def test_bb_against_exhaustive_oracles(make_random_subnet):
+def test_bb_against_exhaustive_oracles(make_random_subnet, hall_count):
     rng = np.random.default_rng(42)
     for _ in range(300):
         subnet = make_random_subnet(rng)
@@ -102,7 +106,7 @@ def test_bb_against_exhaustive_oracles(make_random_subnet):
         exhaustive = brute_force_min_partitions(subnet)
         matching = flow_oracle(subnet)
         greedy = greedy_assign(subnet).count
-        assert best.bound == exhaustive == matching
+        assert best.bound == exhaustive == matching == hall_count(subnet)
         assert lower_bound(subnet) <= best.bound <= greedy <= subnet.num_users
         pset = partitions_from_assignment(tables, best)
         assert pset.count == best.bound
@@ -150,6 +154,50 @@ def test_brute_force_respects_guard():
 def test_flow_oracle_serial_bottleneck():
     subnet = ProfileSubnetwork(1, (1, 2, 3), ((0,), (0,), (0,)), 2)
     assert flow_oracle(subnet) == 3
+
+
+def test_flow_oracle_long_augmenting_path():
+    # The last user's only helper is taken; freeing it shifts every other
+    # user one helper along, an augmenting path through all 3000 users.
+    n = 3000
+    cands = tuple((i, i + 1) for i in range(n - 1)) + ((0,),)
+    assert flow_oracle(ProfileSubnetwork(1, tuple(range(n)), cands, n)) == 1
+
+
+@st.composite
+def _candidate_sets(draw):
+    num_helpers = draw(st.integers(1, 5))
+    masks = draw(st.lists(st.integers(1, (1 << num_helpers) - 1), min_size=1, max_size=12))
+    cands = tuple(tuple(h for h in range(num_helpers) if m >> h & 1) for m in masks)
+    return ProfileSubnetwork(1, tuple(range(len(cands))), cands, num_helpers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_candidate_sets())
+def test_hall_counts_match_oracles(hall_count, subnet):
+    assume(math.prod(len(c) for c in subnet.candidates) <= 200_000)
+    hall = hall_count(subnet)
+    assert hall == flow_oracle(subnet) == brute_force_min_partitions(subnet)
+    assert hall <= greedy_assign(subnet).count
+
+
+def test_min_partition_counts_per_profile(reference_subnet):
+    adjacency = np.array(
+        [[h in cand for cand in reference_subnet.candidates] for h in range(4)]
+    )
+    # Profile 1 holds the reference users, profile 2 none, and profile 3
+    # the reference users plus one more on helper 0.
+    adjacency = np.hstack([adjacency, adjacency, [[True], [False], [False], [False]]])
+    profile_of = np.array([1] * 12 + [3] * 13)
+    counts = min_partition_counts(adjacency, profile_of, 3)
+    assert counts.tolist() == [3, 0, 4]
+
+
+def test_min_partition_counts_rejects_bad_input():
+    with pytest.raises(ValueError, match="at least one linked helper"):
+        min_partition_counts(np.array([[True, False]]), np.array([1, 1]), 1)
+    with pytest.raises(ValueError, match="limit of 20"):
+        min_partition_counts(np.zeros((21, 0), dtype=bool), np.zeros(0, dtype=np.int64), 1)
 
 
 def test_lower_bound_values(reference_subnet):

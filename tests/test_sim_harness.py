@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from helpercache import sim_harness
 from helpercache.cli import main
-from helpercache.partitioner import dump_instance
+from helpercache.partitioner import dump_instance, min_partition_counts
 from helpercache.sim_harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -73,10 +74,31 @@ def test_trial_without_reachable_users_skips_metric():
 
 
 def test_verified_trial_matches_unverified_stats():
-    seed = derive_trial_seed(2, 7)
-    plain = run_trial(_point(), seed)
-    checked = run_trial(_point(), seed, verify=True)
-    assert plain.stats == checked.stats
+    # Verified trials take bb's counts from bb_assign's partitions, plain
+    # ones from Hall's formula; both must give the same numbers.
+    for radius in (1.2, 2.2, 3.2, 4.2):
+        for index in range(3):
+            seed = derive_trial_seed(2, 7 + index)
+            plain = run_trial(_point(radius=radius), seed)
+            checked = run_trial(_point(radius=radius), seed, verify=True)
+            assert plain.stats == checked.stats
+            assert plain.partition_counts == checked.partition_counts
+
+
+def test_verified_trial_rejects_count_mismatch(monkeypatch):
+    def off_by_one(adjacency, profile_of, num_profiles):
+        return min_partition_counts(adjacency, profile_of, num_profiles) + 1
+
+    monkeypatch.setattr(sim_harness, "min_partition_counts", off_by_one)
+    with pytest.raises(RuntimeError, match="Hall's formula"):
+        run_trial(_point(), derive_trial_seed(2, 7), verify=True)
+
+
+def test_helper_count_is_capped():
+    config = _tiny_config(helpers=21)
+    with pytest.raises(ValueError, match="at most 20 helpers"):
+        config.points()
+    assert _tiny_config(helpers=20).points()
 
 
 def test_config_rejects_bad_setups():
