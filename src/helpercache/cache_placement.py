@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -24,12 +24,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Placement parameters: profile count L, cached fraction gamma, optional caps."""
+    """Placement parameters: profile count L and cached fraction gamma."""
 
     num_profiles: int
     gamma: float
-    subpacketization_cap: int | None = None  # max subfiles per file
-    library_size: int | None = None
 
     @property
     def index_size(self) -> int:
@@ -43,12 +41,8 @@ class CacheConfig:
             )
         return int(rounded)
 
-    @property
-    def subfiles_per_file(self) -> int:
-        return comb(self.num_profiles, self.index_size)
 
-
-def validate(config: CacheConfig, num_users: int | None = None) -> list[str]:
+def validate(config: CacheConfig) -> list[str]:
     """Collect every violated placement condition; an empty list means valid."""
     problems: list[str] = []
     if config.num_profiles < 1:
@@ -57,24 +51,14 @@ def validate(config: CacheConfig, num_users: int | None = None) -> list[str]:
     if not 0 < config.gamma < 1:
         problems.append(f"cache fraction must lie in (0, 1), got {config.gamma}")
     try:
-        t = config.index_size
+        config.index_size
     except ConfigError as exc:
         problems.append(str(exc))
-        return problems
-    cap = config.subpacketization_cap
-    if cap is not None and comb(config.num_profiles, t) > cap:
-        problems.append(
-            f"subpacketization {comb(config.num_profiles, t)} exceeds the cap {cap}"
-        )
-    if config.library_size is not None and num_users is not None and config.library_size < num_users:
-        problems.append(
-            f"library of {config.library_size} files cannot cover {num_users} distinct demands"
-        )
     return problems
 
 
-def ensure_valid(config: CacheConfig, num_users: int | None = None) -> None:
-    problems = validate(config, num_users)
+def ensure_valid(config: CacheConfig) -> None:
+    problems = validate(config)
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -89,10 +73,6 @@ class ProfileAssignment:
     @property
     def num_users(self) -> int:
         return self.profile_of.shape[0]
-
-    def users_of(self, profile: int) -> np.ndarray:
-        """Users carrying `profile`, in ascending user order."""
-        return np.flatnonzero(self.profile_of == profile)
 
     def counts(self) -> np.ndarray:
         """Per-profile user counts, index 0 holding profile 1."""

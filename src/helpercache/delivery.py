@@ -182,6 +182,8 @@ def compose_signal(
     effective = tuple(p for p in group if p in entries)
     if not effective:
         return None
+    if precoders is None:
+        precoders = {}
     num_helpers = channel.coefficients.shape[1]
     signal = np.zeros(num_helpers, dtype=complex)
     blocks: dict[int, np.ndarray] = {}
@@ -190,13 +192,9 @@ def compose_signal(
         helpers, users = entries[profile]
         index = tuple(sorted(set(group) - {profile}))
         messages = np.array([symbols[(demands[u], index)] for u in users])
-        if precoders is not None:
-            inverse = precoders.get((round_index, profile))
-            if inverse is None:
-                inverse = build_precoder(channel, helpers, users)
-                precoders[(round_index, profile)] = inverse
-        else:
-            inverse = build_precoder(channel, helpers, users)
+        inverse = precoders.get((round_index, profile))
+        if inverse is None:
+            inverse = precoders[(round_index, profile)] = build_precoder(channel, helpers, users)
         block = np.zeros(num_helpers, dtype=complex)
         block[list(helpers)] = inverse @ messages
         blocks[profile] = block
@@ -279,38 +277,9 @@ def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:
             times = got.get(index, 0)
             if times != 1:
                 problems.append(f"user {user}: index {index} delivered {times} times")
-        for index in got:
-            if index not in set(needed):
-                problems.append(f"user {user}: unneeded index {index} delivered")
+        unneeded = got.keys() - set(needed)
+        problems.extend(
+            f"user {user}: unneeded index {index} delivered" for index in got if index in unneeded
+        )
     return problems
 
-
-def trace_lines(
-    channel: ChannelMatrix,
-    schedule: RoundSchedule,
-    demands: Mapping[int, int],
-    symbols: Mapping[tuple[int, SubfileIndex], complex],
-    index_size: int,
-) -> Iterator[str]:
-    """Debug trace, one line per transmission.
-
-    Fields: round, group, profiles served, users served, per-profile subfile
-    index; multi-valued fields are '+'-joined.
-    """
-    precoders: dict[tuple[int, int], np.ndarray] = {}
-    for g, group, _ in enumerate_transmissions(schedule, index_size):
-        record = compose_signal(channel, schedule, g, group, demands, symbols, precoders)
-        if record is None:
-            raise RuntimeError(f"round {g} transmits group {group} with no active profile")
-        users = "+".join(str(u) for u, _, _ in record.intended)
-        indices = "+".join(
-            "{" + ",".join(str(p) for p in sorted(set(group) - {profile})) + "}"
-            for profile in record.effective
-        )
-        yield (
-            f"{record.round_index},"
-            + "+".join(str(p) for p in record.group)
-            + ","
-            + "+".join(str(p) for p in record.effective)
-            + f",{users},{indices}"
-        )

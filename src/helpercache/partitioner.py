@@ -409,11 +409,6 @@ def flow_oracle(subnet: ProfileSubnetwork) -> int:
     return lo
 
 
-def lower_bound(subnet: ProfileSubnetwork) -> int:
-    """Pigeonhole floor: ceil(users / helpers) partitions are always needed."""
-    return -(-subnet.num_users // subnet.num_helpers)
-
-
 def partition_rows(pset: PartitionSet) -> list[list[int | None]]:
     """Helper-slot view of the partitions; None marks an unassigned helper."""
     rows: list[list[int | None]] = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ CSV_HEADER = "sweep_var,sweep_value,method,mean_sum_dof,std_sum_dof,mean_K,trial
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Fully resolved parameters of one sweep point."""
+    """Fully resolved parameters of one sweep point, validated on construction."""
 
     helpers: int
     profiles: int
@@ -58,6 +58,7 @@ class PointConfig:
     radius: float
     user_radius: float
     density: float
+    index_size: int = field(init=False)  # gamma * L, profiles tagging each subfile
 
     def __post_init__(self) -> None:
         if self.helpers > MAX_TABLE_HELPERS:
@@ -65,6 +66,9 @@ class PointConfig:
                 f"at most {MAX_TABLE_HELPERS} helpers are supported, got {self.helpers}: "
                 "the exact partition counts use a table of L * 2^E entries"
             )
+        config = CacheConfig(num_profiles=self.profiles, gamma=self.gamma)
+        ensure_valid(config)
+        object.__setattr__(self, "index_size", config.index_size)
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,8 @@ class ExperimentConfig:
             raise ValueError("sweeping L requires a fixed radius")
         if self.sweep == "r" and self.profiles is None:
             raise ValueError("sweeping r requires a fixed profile count")
+        if self.sweep == "L" and not all(float(v).is_integer() for v in self.values):
+            raise ValueError(f"profile counts must be integers, got {self.values}")
         if self.trials < 1:
             raise ValueError(f"trial count must be positive, got {self.trials}")
         unknown = set(self.methods) - set(METHODS)
@@ -115,7 +121,6 @@ class ExperimentConfig:
                 if self.density is not None
                 else self.density_per_profile * profiles
             )
-            ensure_valid(CacheConfig(num_profiles=profiles, gamma=self.gamma))
             out.append(
                 (
                     value,
@@ -193,9 +198,7 @@ def run_trial(
     and every transmission of every method is composed, decoded, and audited
     for complete subfile coverage.
     """
-    config = CacheConfig(num_profiles=point.profiles, gamma=point.gamma)
-    ensure_valid(config)
-    index_size = config.index_size
+    index_size = point.index_size
     rng = np.random.default_rng(trial_seed)
     layout = hex_layout(point.helpers)
     users = sample_users(point.density, point.user_radius, rng)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -66,7 +65,6 @@ class ChannelMatrix:
     """Complex channel gains with zeros exactly on the out-of-range links."""
 
     coefficients: np.ndarray  # (K, E) complex
-    connectivity: Connectivity
 
 
 def hex_layout(count: int) -> HelperLayout:
@@ -124,20 +122,5 @@ def draw_channels(conn: Connectivity, rng: np.random.Generator) -> ChannelMatrix
     """
     support = conn.adjacency.T
     gains = (rng.standard_normal(support.shape) + 1j * rng.standard_normal(support.shape)) / SQRT2
-    return ChannelMatrix(coefficients=np.where(support, gains, 0), connectivity=conn)
+    return ChannelMatrix(coefficients=np.where(support, gains, 0))
 
-
-def dump_topology(layout: HelperLayout, users: UserField, conn: Connectivity, stream: IO[str]) -> None:
-    """Write a plain-text topology dump: helpers, kept users, then links.
-
-    One comma-separated record per line; coordinates carry 17 significant
-    digits so the dump round-trips float64 exactly.
-    """
-    for i, (x, y) in enumerate(layout.positions):
-        print(f"helper,{i},{x:.17g},{y:.17g}", file=stream)
-    for k in conn.reachable_users:
-        x, y = users.positions[k]
-        print(f"user,{int(k)},{x:.17g},{y:.17g}", file=stream)
-    for i in range(conn.num_helpers):
-        for col in np.flatnonzero(conn.adjacency[i]):
-            print(f"link,{i},{int(conn.reachable_users[col])}", file=stream)

@@ -28,7 +28,6 @@ from helpercache.partitioner import (
     flow_oracle,
     format_partition_set,
     greedy_assign,
-    lower_bound,
     partitions_from_assignment,
     subnetworks_from_connectivity,
 )
@@ -178,7 +177,7 @@ def test_criterion_2_oracle_suite(make_random_subnet, hall_count):
         matching = flow_oracle(subnet)
         greedy = greedy_assign(subnet).count
         assert best == exhaustive == matching == hall_count(subnet)
-        assert lower_bound(subnet) <= best <= greedy
+        assert best <= greedy
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0
     _report(ok, "criterion 2", f"1000 instances, all four exact solvers agree, {elapsed:.1f}s")

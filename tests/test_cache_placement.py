@@ -7,7 +7,6 @@ import pytest
 from helpercache.cache_placement import (
     CacheConfig,
     ConfigError,
-    ProfileAssignment,
     assign_profiles,
     cached_by,
     draw_subfile_symbols,
@@ -19,11 +18,11 @@ from helpercache.cache_placement import (
 
 
 def test_reference_config_is_valid():
-    assert validate(CacheConfig(num_profiles=10, gamma=0.1, subpacketization_cap=10)) == []
+    assert validate(CacheConfig(num_profiles=10, gamma=0.1)) == []
 
 
 def test_small_config_at_the_cap():
-    config = CacheConfig(num_profiles=3, gamma=1 / 3, subpacketization_cap=3)
+    config = CacheConfig(num_profiles=3, gamma=1 / 3)
     assert validate(config) == []
     assert config.index_size == 1
 
@@ -34,17 +33,6 @@ def test_fractional_share_is_rejected():
     assert "memory sharing" in problems[0]
     with pytest.raises(ConfigError):
         ensure_valid(CacheConfig(num_profiles=10, gamma=0.15))
-
-
-def test_cap_violation_reported():
-    problems = validate(CacheConfig(num_profiles=10, gamma=0.2, subpacketization_cap=40))
-    assert any("subpacketization" in p for p in problems)
-
-
-def test_library_must_cover_demands():
-    config = CacheConfig(num_profiles=10, gamma=0.1, library_size=5)
-    assert validate(config, num_users=9) != []
-    assert validate(config, num_users=5) == []
 
 
 def test_assign_profiles_empty_network():
@@ -71,11 +59,6 @@ def test_assignment_deterministic():
     a = assign_profiles(100, 5, np.random.default_rng(3))
     b = assign_profiles(100, 5, np.random.default_rng(3))
     np.testing.assert_array_equal(a.profile_of, b.profile_of)
-
-
-def test_users_of_preserves_order():
-    assignment = ProfileAssignment(profile_of=np.array([2, 1, 2, 2, 1]), num_profiles=2)
-    assert assignment.users_of(2).tolist() == [0, 2, 3]
 
 
 def test_indices_are_lexicographic():

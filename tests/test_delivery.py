@@ -16,7 +16,6 @@ from helpercache.delivery import (
     delivery_time,
     enumerate_transmissions,
     sum_dof,
-    trace_lines,
     verify_decode,
     verify_schedule,
 )
@@ -182,9 +181,7 @@ def test_precoder_identity_over_many_draws():
 
 def test_precoder_rejects_singular_submatrix():
     row = np.array([1.0 + 1.0j, 2.0 - 0.5j])
-    coeff = np.vstack([row, row])
-    conn = Connectivity(adjacency=np.ones((2, 2), dtype=bool), radius=1.0, reachable_users=np.arange(2))
-    channel = ChannelMatrix(coefficients=coeff, connectivity=conn)
+    channel = ChannelMatrix(coefficients=np.vstack([row, row]))
     with pytest.raises(SingularChannelError):
         build_precoder(channel, (0, 1), (0, 1))
 
@@ -283,12 +280,15 @@ def test_coverage_flags_duplicate_delivery():
     assert any("user 2" in p and "2 times" in p for p in problems)
 
 
-def test_trace_lines_format():
-    schedule, channel, demands, symbols = _two_profile_round()
-    lines = list(trace_lines(channel, schedule, demands, symbols, 1))
-    assert len(lines) == 3
-    assert lines[0] == "0,1+2,1+2,2+5+8+12+14+18,{2}+{1}"
-    assert lines[2] == "0,2+3,2,14+18,{3}"
+def test_coverage_flags_unneeded_delivery():
+    # user 2 served under both profiles is audited as profile 2, and the
+    # indices it got as a profile-1 user contain its own profile
+    psets = {
+        1: PartitionSet(partitions=(((0, 2),),), num_helpers=4),
+        2: PartitionSet(partitions=(((1, 2),),), num_helpers=4),
+    }
+    schedule = build_schedule(psets, 2)
+    assert coverage_check(schedule, 1) == ["user 2: unneeded index (2,) delivered"]
 
 
 def _uniform_trial(num_profiles: int, per_profile: int, num_helpers: int = 4):

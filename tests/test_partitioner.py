@@ -19,7 +19,6 @@ from helpercache.partitioner import (
     format_partition_set,
     greedy_assign,
     load_instance,
-    lower_bound,
     min_partition_counts,
     partition_rows,
     partitions_from_assignment,
@@ -107,7 +106,7 @@ def test_bb_against_exhaustive_oracles(make_random_subnet, hall_count):
         matching = flow_oracle(subnet)
         greedy = greedy_assign(subnet).count
         assert best.bound == exhaustive == matching == hall_count(subnet)
-        assert lower_bound(subnet) <= best.bound <= greedy <= subnet.num_users
+        assert best.bound <= greedy <= subnet.num_users
         pset = partitions_from_assignment(tables, best)
         assert pset.count == best.bound
         _check_partition_set(subnet, pset)
@@ -198,12 +197,6 @@ def test_min_partition_counts_rejects_bad_input():
         min_partition_counts(np.array([[True, False]]), np.array([1, 1]), 1)
     with pytest.raises(ValueError, match="limit of 20"):
         min_partition_counts(np.zeros((21, 0), dtype=bool), np.zeros(0, dtype=np.int64), 1)
-
-
-def test_lower_bound_values(reference_subnet):
-    assert lower_bound(reference_subnet) == 3
-    assert lower_bound(ProfileSubnetwork(1, (), (), 4)) == 0
-    assert lower_bound(_fully_connected(5)) == 2
 
 
 def test_matched_submatrices_stay_invertible(reference_subnet):

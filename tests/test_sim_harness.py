@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpercache import sim_harness
+from helpercache.cache_placement import ConfigError
 from helpercache.cli import main
 from helpercache.partitioner import dump_instance, min_partition_counts
 from helpercache.sim_harness import (
@@ -114,6 +115,10 @@ def test_config_rejects_bad_setups():
         _tiny_config(sweep="L", values=(2, 4), radius=None)
     with pytest.raises(ValueError):
         _tiny_config(methods=("bb", "annealing"))
+    with pytest.raises(ValueError, match="integers"):
+        _tiny_config(sweep="L", values=(10.5,), radius=1.0)
+    with pytest.raises(ConfigError, match="memory sharing"):
+        PointConfig(helpers=4, profiles=10, gamma=0.15, radius=1.0, user_radius=2.7, density=1.0)
 
 
 def test_sweep_points_resolve_density_per_profile():

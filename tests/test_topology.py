@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from helpercache.topology import (
     UserField,
     connect,
     draw_channels,
-    dump_topology,
     hex_layout,
     sample_users,
 )
@@ -172,19 +170,3 @@ def test_channel_gains_have_unit_variance():
     coeff = draw_channels(conn, np.random.default_rng(12)).coefficients
     assert np.mean(np.abs(coeff) ** 2) == pytest.approx(1.0, abs=0.05)
     assert abs(coeff.mean()) < 0.05
-
-
-def test_topology_dump_round_trips_coordinates():
-    layout = hex_layout(3)
-    users = sample_users(1.0, 2.0, np.random.default_rng(13))
-    conn = connect(layout, users, 1.8)
-    out = io.StringIO()
-    dump_topology(layout, users, conn, out)
-    lines = out.getvalue().splitlines()
-    helpers = [line for line in lines if line.startswith("helper,")]
-    assert len(helpers) == 3
-    _, idx, x, y = helpers[1].split(",")
-    assert float(x) == layout.positions[1][0]
-    assert float(y) == layout.positions[1][1]
-    links = [line for line in lines if line.startswith("link,")]
-    assert len(links) == int(conn.adjacency.sum())
