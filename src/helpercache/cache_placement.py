@@ -119,10 +119,16 @@ def draw_subfile_symbols(
     noiseless high-power regime is a per-symbol linear-algebra property, so
     one symbol per subfile is enough to exercise it.
     """
-    symbols: dict[tuple[int, SubfileIndex], complex] = {}
-    for user in range(assignment.num_users):
-        profile = int(assignment.profile_of[user])
-        for index in needed_subfiles(profile, assignment.num_profiles, index_size):
-            re, im = rng.standard_normal(2)
-            symbols[(demands[user], index)] = complex(re, im) / _SQRT2
-    return symbols
+    needed = {
+        profile: needed_subfiles(profile, assignment.num_profiles, index_size)
+        for profile in range(1, assignment.num_profiles + 1)
+    }
+    keys = [
+        (demands[user], index)
+        for user, profile in enumerate(assignment.profile_of.tolist())
+        for index in needed[profile]
+    ]
+    # one (re, im) pair per key, in key order: the stream of a per-pair loop;
+    # each part is divided by sqrt(2) on its own, as complex(re, im) / sqrt(2) does
+    parts = rng.standard_normal((len(keys), 2)) / _SQRT2
+    return dict(zip(keys, parts.view(complex).ravel().tolist()))

@@ -5,12 +5,13 @@ Within a round, one signal is transmitted per multicast group (a subset of
 profiles of size `index_size + 1` with at least one nonempty partition): the
 sum of the per-profile precoded blocks, zero-padded onto the helpers the
 partition does not use.  A served user cancels the other profiles' blocks
-from its cache and is left with exactly its own subfile symbol.
+from its cache and is left with exactly its own subfile symbol.  The
+verifier builds a round's signals as one matrix, a column per group.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -34,8 +35,10 @@ class DecodeFailure(RuntimeError):
     """A served user could not recover its subfile within tolerance."""
 
 
-# Per round: profile -> (helpers, users) of the partition served that round.
-RoundEntries = Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]
+Slot = tuple[tuple[int, ...], tuple[int, ...]]  # (helpers, users) of one partition
+
+# Per round: profile -> the slot of the partition served that round.
+RoundEntries = Mapping[int, Slot]
 
 
 @dataclass(frozen=True)
@@ -49,18 +52,6 @@ class RoundSchedule:
     @property
     def num_rounds(self) -> int:
         return len(self.rounds)
-
-
-@dataclass(frozen=True)
-class TransmissionRecord:
-    """One multicast signal: the summed blocks and who should decode what."""
-
-    round_index: int
-    group: tuple[int, ...]
-    effective: tuple[int, ...]  # group members that actually transmit a block
-    blocks: Mapping[int, np.ndarray]  # profile -> zero-padded length-E block
-    intended: tuple[tuple[int, int, SubfileIndex], ...]  # (user, profile, index)
-    signal: np.ndarray  # (E,)
 
 
 @dataclass(frozen=True)
@@ -78,7 +69,7 @@ def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int
     total_rounds = max(counts.values(), default=0)
     rounds = []
     for g in range(total_rounds):
-        entries: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        entries: dict[int, Slot] = {}
         for profile in range(1, num_profiles + 1):
             if counts[profile] > g:
                 part = partition_sets[profile].partitions[g]
@@ -142,100 +133,141 @@ def sum_dof(num_users: int, gamma: float, time: float) -> float:
     return num_users * (1.0 - gamma) / time
 
 
-def build_precoder(channel: ChannelMatrix, helpers: tuple[int, ...], users: tuple[int, ...]) -> np.ndarray:
-    """Invert the channel between a partition's helpers and its users.
+def matched_precoders(channel: ChannelMatrix, slots: Sequence[Slot]) -> list[np.ndarray]:
+    """Invert the channel between each slot's helpers and its users.
 
-    Row k of the submatrix is user k's channel restricted to the partition's
-    helpers; the matched diagonal is nonzero by construction, and random
-    continuous gains keep the matrix invertible almost surely.
+    Row k of a slot's submatrix is user k's channel restricted to the
+    partition's helpers; the matched diagonal is nonzero by construction, and
+    random continuous gains keep the matrix invertible almost surely.  Slots
+    of equal size are stacked, so each size costs one `cond` and one `inv`.
     """
-    if len(helpers) != len(users):
-        raise ValueError("a partition pairs equally many helpers and users")
-    sub = channel.coefficients[np.ix_(users, helpers)]
-    diag = np.abs(np.diagonal(sub))
-    if np.any(diag == 0):
-        raise ValueError("matched helper-user link is structurally zero")
-    if np.linalg.cond(sub) > CONDITION_LIMIT:
-        raise SingularChannelError(
-            f"channel submatrix for users {users} on helpers {helpers} is ill-conditioned"
-        )
-    return np.linalg.inv(sub)
+    by_size: dict[int, list[int]] = {}
+    for i, (helpers, users) in enumerate(slots):
+        if len(helpers) != len(users):
+            raise ValueError("a partition pairs equally many helpers and users")
+        by_size.setdefault(len(users), []).append(i)
+    inverses: dict[int, np.ndarray] = {}
+    for size, members in by_size.items():
+        helpers = np.array([slots[i][0] for i in members], dtype=np.intp).reshape(-1, size)
+        users = np.array([slots[i][1] for i in members], dtype=np.intp).reshape(-1, size)
+        subs = channel.coefficients[users[:, :, None], helpers[:, None, :]]
+        zero = (np.diagonal(subs, axis1=1, axis2=2) == 0).any(axis=1)
+        if zero.any():
+            helpers_k, users_k = slots[members[int(np.argmax(zero))]]
+            raise ValueError(
+                f"matched helper-user link is structurally zero for users {users_k} "
+                f"on helpers {helpers_k}"
+            )
+        singular = np.linalg.cond(subs) > CONDITION_LIMIT
+        if singular.any():
+            helpers_k, users_k = slots[members[int(np.argmax(singular))]]
+            raise SingularChannelError(
+                f"channel submatrix for users {users_k} on helpers {helpers_k} is ill-conditioned"
+            )
+        inverses.update(zip(members, np.linalg.inv(subs)))
+    return [inverses[i] for i in range(len(slots))]
 
 
-def compose_signal(
+@dataclass(frozen=True)
+class RoundSignal:
+    """One round's transmissions as matrices: column j is the signal of `groups[j]`.
+
+    Rows follow the served users, profile by profile in partition order.
+    """
+
+    round_index: int
+    groups: tuple[tuple[int, ...], ...]
+    users: tuple[int, ...]
+    profiles: np.ndarray  # (n,) each served user's profile
+    intended: np.ndarray  # (n, G) bool: the user's profile belongs to the group
+    messages: np.ndarray  # (n, G) M: the symbol each user should decode, 0 where not intended
+    precoder: np.ndarray  # (E, n) Q: each profile's inverse on its helpers and users, else 0
+    signal: np.ndarray  # (E, G) X = Q M, the sum of the zero-padded blocks P_p M_p
+
+
+def round_signals(
     channel: ChannelMatrix,
     schedule: RoundSchedule,
-    round_index: int,
-    group: tuple[int, ...],
     demands: Mapping[int, int],
     symbols: Mapping[tuple[int, SubfileIndex], complex],
-    precoders: dict[tuple[int, int], np.ndarray] | None = None,
-) -> TransmissionRecord | None:
-    """Superpose the zero-padded precoded block of every active profile in `group`.
+    index_size: int,
+) -> list[RoundSignal]:
+    """Compose every round's signal matrix from the groups it transmits.
 
-    Block k of profile `p` carries the subfile of index `group minus p` for
-    the k-th partition user.  Returns None when no group member has a
-    partition this round.  `precoders` caches inverses across the groups of
-    a round, keyed by (round, profile).
+    Round g sends the groups `enumerate_transmissions` yields for it, which
+    must number C(L, t + 1) - C(v(g), t + 1).  In the column of group S,
+    profile p's users carry the subfiles of index S minus p, precoded by the
+    inverse of their matched channel and zero-padded onto the other helpers.
     """
-    entries = schedule.rounds[round_index]
-    effective = tuple(p for p in group if p in entries)
-    if not effective:
-        return None
-    if precoders is None:
-        precoders = {}
-    num_helpers = channel.coefficients.shape[1]
-    signal = np.zeros(num_helpers, dtype=complex)
-    blocks: dict[int, np.ndarray] = {}
-    intended: list[tuple[int, int, SubfileIndex]] = []
-    for profile in effective:
-        helpers, users = entries[profile]
-        index = tuple(sorted(set(group) - {profile}))
-        messages = np.array([symbols[(demands[u], index)] for u in users])
-        inverse = precoders.get((round_index, profile))
-        if inverse is None:
-            inverse = precoders[(round_index, profile)] = build_precoder(channel, helpers, users)
-        block = np.zeros(num_helpers, dtype=complex)
-        block[list(helpers)] = inverse @ messages
-        blocks[profile] = block
-        signal += block
-        intended.extend((u, profile, index) for u in users)
-    return TransmissionRecord(
-        round_index=round_index,
-        group=group,
-        effective=effective,
-        blocks=blocks,
-        intended=tuple(intended),
-        signal=signal,
+    transmitted: list[list[tuple[int, ...]]] = [[] for _ in schedule.rounds]
+    for g, group, _ in enumerate_transmissions(schedule, index_size):
+        transmitted[g].append(group)
+    slots = [(g, p) for g, entries in enumerate(schedule.rounds) for p in entries]
+    inverses = dict(
+        zip(slots, matched_precoders(channel, [schedule.rounds[g][p] for g, p in slots]))
     )
-
-
-def verify_decode(
-    record: TransmissionRecord,
-    channel: ChannelMatrix,
-    demands: Mapping[int, int],
-    symbols: Mapping[tuple[int, SubfileIndex], complex],
-) -> dict[int, float]:
-    """Replay reception for every served user and return the decode residuals.
-
-    The user hears the full superposition, cancels the other profiles'
-    blocks (all their symbols sit in its cache), and should be left with its
-    own subfile symbol exactly; raises DecodeFailure past tolerance.
-    """
-    residuals: dict[int, float] = {}
-    for user, profile, index in record.intended:
-        row = channel.coefficients[user]
-        received = row @ record.signal
-        cached = sum(row @ block for p, block in record.blocks.items() if p != profile)
-        expected = symbols[(demands[user], index)]
-        residual = abs(received - cached - expected)
-        if residual >= DECODE_TOLERANCE * (abs(expected) + 1.0):
-            raise DecodeFailure(
-                f"user {user} failed to decode in round {record.round_index}, "
-                f"group {record.group}: residual {residual:.3e}"
+    full = comb(schedule.num_profiles, index_size + 1)
+    num_helpers = channel.coefficients.shape[1]
+    signals = []
+    for g, entries in enumerate(schedule.rounds):
+        groups = transmitted[g]
+        expected = full - comb(schedule.idle_counts[g], index_size + 1)
+        if len(groups) != expected:
+            raise RuntimeError(
+                f"round {g} transmits {len(groups)} groups, the idle count implies {expected}"
             )
-        residuals[user] = residual
-    return residuals
+        served = [u for _, users in entries.values() for u in users]
+        profiles = np.repeat(list(entries), [len(users) for _, users in entries.values()])
+        group_profiles = np.array(groups, dtype=np.intp).reshape(len(groups), index_size + 1)
+        intended = (profiles[:, None, None] == group_profiles).any(axis=2)
+        precoder = np.zeros((num_helpers, len(served)), dtype=complex)
+        # the intended symbols in row-major order: user by user, its groups in column order
+        symbols_sent = []
+        start = 0
+        for p, (helpers, users) in entries.items():
+            precoder[list(helpers), start : start + len(users)] = inverses[g, p]
+            start += len(users)
+            indices = [tuple(q for q in group if q != p) for group in groups if p in group]
+            symbols_sent.extend([symbols[(demands[u], index)] for u in users for index in indices])
+        messages = np.zeros((len(served), len(groups)), dtype=complex)
+        messages[intended] = symbols_sent
+        signals.append(
+            RoundSignal(
+                round_index=g,
+                groups=tuple(groups),
+                users=tuple(served),
+                profiles=profiles,
+                intended=intended,
+                messages=messages,
+                precoder=precoder,
+                signal=precoder @ messages,
+            )
+        )
+    return signals
+
+
+def decode_round(channel: ChannelMatrix, rs: RoundSignal) -> float:
+    """Replay reception of one round's signals; return the worst decode residual.
+
+    Each served user hears the full superposition H[served] X, cancels the
+    other profiles' blocks (every symbol in them sits in its cache), and
+    should be left with exactly its own subfile symbol; raises DecodeFailure
+    past tolerance, naming the first failure in transmission order.
+    """
+    heard = channel.coefficients[list(rs.users)]
+    received = heard @ rs.signal
+    # user i rebuilds from cache the part of the signal that carries other profiles' rows
+    other_profile = rs.profiles[:, None] != rs.profiles[None, :]
+    cached = ((heard @ rs.precoder) * other_profile) @ rs.messages
+    residual = np.abs(received - cached - rs.messages)
+    failed = rs.intended & ~(residual < DECODE_TOLERANCE * (np.abs(rs.messages) + 1.0))
+    if failed.any():
+        j, k = np.argwhere(failed.T)[0]
+        raise DecodeFailure(
+            f"user {rs.users[k]} failed to decode in round {rs.round_index}, "
+            f"group {rs.groups[j]}: residual {residual[k, j]:.3e}"
+        )
+    return float(residual[rs.intended].max()) if rs.intended.any() else 0.0
 
 
 def verify_schedule(
@@ -246,28 +278,31 @@ def verify_schedule(
     index_size: int,
 ) -> float:
     """Compose and decode every scheduled transmission; return the worst residual."""
-    precoders: dict[tuple[int, int], np.ndarray] = {}
-    worst = 0.0
-    for g, group, _ in enumerate_transmissions(schedule, index_size):
-        record = compose_signal(channel, schedule, g, group, demands, symbols, precoders)
-        if record is None:
-            raise RuntimeError(f"round {g} transmits group {group} with no active profile")
-        residuals = verify_decode(record, channel, demands, symbols)
-        if residuals:
-            worst = max(worst, max(residuals.values()))
-    return worst
+    signals = round_signals(channel, schedule, demands, symbols, index_size)
+    return max((decode_round(channel, rs) for rs in signals), default=0.0)
 
 
 def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:
-    """Audit that every scheduled user receives each needed index exactly once."""
-    delivered: dict[int, Counter] = {}
+    """Audit that every scheduled user receives each needed index exactly once.
+
+    A user holding one (round, profile) slot receives every group of that
+    round containing its profile p, since such a group always has an active
+    member, and S -> S minus p maps those groups one to one onto the size-t
+    subsets of the other profiles: each needed index once, nothing else.  So
+    the audit passes exactly when no user holds two slots; otherwise the
+    deliveries are enumerated to name every fault.
+    """
+    served = [u for entries in schedule.rounds for _, users in entries.values() for u in users]
+    if len(set(served)) == len(served):
+        return []
+    delivered: dict[int, Counter] = defaultdict(Counter)
     profile_of: dict[int, int] = {}
     for g, group, effective in enumerate_transmissions(schedule, index_size):
         for profile in effective:
             _, users = schedule.rounds[g][profile]
             index = tuple(sorted(set(group) - {profile}))
             for user in users:
-                delivered.setdefault(user, Counter())[index] += 1
+                delivered[user][index] += 1
                 profile_of[user] = profile
     problems = []
     for user in sorted(delivered):
@@ -282,4 +317,3 @@ def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:
             f"user {user}: unneeded index {index} delivered" for index in got if index in unneeded
         )
     return problems
-

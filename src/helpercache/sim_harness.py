@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ValueError("sweeping r requires a fixed profile count")
         if self.sweep == "L" and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"profile counts must be integers, got {self.values}")
+        if self.profiles is not None and not float(self.profiles).is_integer():
+            raise ValueError(f"the profile count must be an integer, got {self.profiles}")
         if self.trials < 1:
             raise ValueError(f"trial count must be positive, got {self.trials}")
         unknown = set(self.methods) - set(METHODS)

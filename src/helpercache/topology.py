@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,13 +68,14 @@ class ChannelMatrix:
     coefficients: np.ndarray  # (K, E) complex
 
 
+@lru_cache(maxsize=32)
 def hex_layout(count: int) -> HelperLayout:
     """Return `count` hexagon centers in spiral order, centroid moved to the origin.
 
     Centers lie on the triangular lattice with spacing sqrt(3), so adjacent
     hexagons of circumradius 1 share an edge.  The spiral picks the most
     compact cluster first (origin, then ring by ring) and is deterministic
-    in `count`.
+    in `count`, so each count is built once and its positions are read-only.
     """
     if count < 1:
         raise ValueError(f"helper count must be at least 1, got {count}")
@@ -88,7 +90,9 @@ def hex_layout(count: int) -> HelperLayout:
         ring += 1
     cells = cells[:count]
     pts = np.array([(SQRT3 * (q + r / 2.0), 1.5 * r) for q, r in cells], dtype=float)
-    return HelperLayout(positions=pts - pts.mean(axis=0))
+    positions = pts - pts.mean(axis=0)
+    positions.flags.writeable = False
+    return HelperLayout(positions=positions)
 
 
 def sample_users(density: float, disk_radius: float, rng: np.random.Generator) -> UserField:

@@ -119,3 +119,23 @@ def test_symbol_table_covers_every_needed_pair():
             assert (user, index) in symbols
     values = np.array(list(symbols.values()))
     assert np.mean(np.abs(values) ** 2) == pytest.approx(1.0, abs=0.35)
+
+
+def test_symbol_draw_matches_a_per_pair_loop():
+    # one standard_normal(2) per (user, needed index) pair, in that order
+    for seed in range(6):
+        setup = np.random.default_rng(seed)
+        num_profiles = int(setup.integers(2, 8))
+        index_size = int(setup.integers(0, num_profiles))
+        assignment = assign_profiles(int(setup.integers(0, 30)), num_profiles, setup)
+        demands = {k: 3 * k + 1 for k in range(assignment.num_users)}
+        rng, reference_rng = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+        expected = {}
+        for user in range(assignment.num_users):
+            for index in needed_subfiles(int(assignment.profile_of[user]), num_profiles, index_size):
+                re, im = reference_rng.standard_normal(2)
+                expected[(demands[user], index)] = complex(re, im) / math.sqrt(2.0)
+        symbols = draw_subfile_symbols(assignment, demands, index_size, rng)
+        assert list(symbols) == list(expected)
+        assert all(symbols[key] == value for key, value in expected.items())
+        assert rng.standard_normal() == reference_rng.standard_normal()

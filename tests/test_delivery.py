@@ -1,22 +1,26 @@
 import math
-from itertools import combinations
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delivery_reference import audit_deliveries, build_precoder, compose_signal, replay_schedule, verify_decode
 from helpercache.cache_placement import ProfileAssignment, assign_profiles, draw_subfile_symbols
 from helpercache.delivery import (
     DecodeFailure,
+    RoundSchedule,
     SingularChannelError,
-    build_precoder,
     build_schedule,
-    compose_signal,
     count_transmissions,
     coverage_check,
+    decode_round,
     delivery_time,
     enumerate_transmissions,
+    matched_precoders,
+    round_signals,
     sum_dof,
-    verify_decode,
     verify_schedule,
 )
 from helpercache.partitioner import (
@@ -153,7 +157,7 @@ def test_diagonal_matching_precoder_closed_form():
 def test_precoder_inverts_matched_submatrix():
     rng = np.random.default_rng(2)
     channel = _example_channel(rng)
-    inverse = build_precoder(channel, helpers=(0, 1, 2, 3), users=(0, 1, 2, 3))
+    (inverse,) = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
     sub = channel.coefficients
     np.testing.assert_allclose(sub @ inverse, np.eye(4), atol=1e-10)
 
@@ -161,7 +165,7 @@ def test_precoder_inverts_matched_submatrix():
 def test_precoder_scalar_case():
     conn = Connectivity(adjacency=np.array([[True]]), radius=1.0, reachable_users=np.arange(1))
     channel = draw_channels(conn, np.random.default_rng(3))
-    inverse = build_precoder(channel, helpers=(0,), users=(0,))
+    (inverse,) = matched_precoders(channel, [((0,), (0,))])
     assert inverse[0, 0] == pytest.approx(1 / channel.coefficients[0, 0])
 
 
@@ -173,24 +177,48 @@ def test_precoder_identity_over_many_draws():
             adjacency=np.ones((4, 4), dtype=bool), radius=2.0, reachable_users=np.arange(4)
         )
         channel = draw_channels(conn, rng)
-        inverse = build_precoder(channel, (0, 1, 2, 3), (0, 1, 2, 3))
+        (inverse,) = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
         gap = np.abs(channel.coefficients @ inverse - np.eye(4)).max()
         worst = max(worst, gap)
     assert worst < 1e-9
+
+
+def test_batched_precoders_match_single_inverses():
+    channel = draw_channels(_full_connectivity(8, 4), np.random.default_rng(12))
+    slots = [((0, 1), (0, 1)), ((2,), (2,)), ((3, 0, 1), (3, 4, 5)), ((1, 2), (6, 7)), ((0,), (5,))]
+    for slot, inverse in zip(slots, matched_precoders(channel, slots)):
+        np.testing.assert_allclose(inverse, build_precoder(channel, *slot), rtol=1e-12, atol=0)
 
 
 def test_precoder_rejects_singular_submatrix():
     row = np.array([1.0 + 1.0j, 2.0 - 0.5j])
     channel = ChannelMatrix(coefficients=np.vstack([row, row]))
     with pytest.raises(SingularChannelError):
-        build_precoder(channel, (0, 1), (0, 1))
+        matched_precoders(channel, [((0, 1), (0, 1))])
 
 
 def test_precoder_rejects_structural_zero_on_diagonal():
     conn = Connectivity(adjacency=np.array([[True, False], [True, True]]), radius=1.0, reachable_users=np.arange(2))
     channel = draw_channels(conn, np.random.default_rng(5))
     with pytest.raises(ValueError):
-        build_precoder(channel, (1, 0), (0, 1))
+        matched_precoders(channel, [((1, 0), (0, 1))])
+
+
+def test_singular_slot_in_a_schedule_is_rejected():
+    # users 4 and 5 hear helpers 2 and 3 identically, so their round-1 slot
+    # is singular while every other size-2 slot stacked with it is not
+    coefficients = draw_channels(_full_connectivity(6, 4), np.random.default_rng(13)).coefficients
+    coefficients[5] = coefficients[4]
+    channel = ChannelMatrix(coefficients=coefficients)
+    psets = {
+        1: PartitionSet(partitions=(((0, 0), (1, 1)), ((2, 4), (3, 5))), num_helpers=4),
+        2: PartitionSet(partitions=(((2, 2), (3, 3)),), num_helpers=4),
+    }
+    schedule = build_schedule(psets, 2)
+    demands = {u: u for u in range(6)}
+    symbols = {(u, index): 1.0 + 0j for u in range(6) for index in ((1,), (2,))}
+    with pytest.raises(SingularChannelError, match=r"users \(4, 5\) on helpers \(2, 3\)"):
+        verify_schedule(channel, schedule, demands, symbols, 1)
 
 
 def _two_profile_round():
@@ -216,22 +244,37 @@ def _two_profile_round():
     return schedule, channel, demands, symbols
 
 
+def _blocks(rs, group):
+    """Per active profile of `group`: its zero-padded block P_p M_p in that column."""
+    j = rs.groups.index(group)
+    return {
+        int(p): rs.precoder[:, rs.profiles == p] @ rs.messages[rs.profiles == p, j]
+        for p in np.unique(rs.profiles[rs.intended[:, j]])
+    }
+
+
 def test_zero_padding_leaves_unused_helpers_silent():
     schedule, channel, demands, symbols = _two_profile_round()
-    record = compose_signal(channel, schedule, 0, (2, 3), demands, symbols)
-    assert record.effective == (2,)
-    assert record.signal[0] == 0 and record.signal[2] == 0
-    assert record.signal[1] != 0 and record.signal[3] != 0
+    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+    assert list(_blocks(rs, (2, 3))) == [2]
+    signal = rs.signal[:, rs.groups.index((2, 3))]
+    assert signal[0] == 0 and signal[2] == 0
+    assert signal[1] != 0 and signal[3] != 0
+    reference = compose_signal(channel, schedule, 0, (2, 3), demands, symbols)
+    np.testing.assert_allclose(signal, reference.signal, atol=1e-12)
 
 
 def test_signal_superposes_profile_blocks():
     schedule, channel, demands, symbols = _two_profile_round()
-    record = compose_signal(channel, schedule, 0, (1, 2), demands, symbols)
-    assert record.effective == (1, 2)
-    np.testing.assert_allclose(record.signal, record.blocks[1] + record.blocks[2], atol=1e-12)
-    solo = compose_signal(channel, schedule, 0, (1, 3), demands, symbols)
-    assert solo.effective == (1,)
-    np.testing.assert_allclose(solo.signal, solo.blocks[1], atol=1e-12)
+    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+    for group, effective in (((1, 2), [1, 2]), ((1, 3), [1])):
+        blocks = _blocks(rs, group)
+        assert list(blocks) == effective
+        signal = rs.signal[:, rs.groups.index(group)]
+        np.testing.assert_allclose(signal, sum(blocks.values()), atol=1e-12)
+        reference = compose_signal(channel, schedule, 0, group, demands, symbols)
+        for profile in effective:
+            np.testing.assert_allclose(blocks[profile], reference.blocks[profile], atol=1e-12)
 
 
 def test_group_without_active_profiles_is_skipped():
@@ -242,26 +285,69 @@ def test_group_without_active_profiles_is_skipped():
     demands = {0: 0, 1: 1}
     symbols = {(0, (2,)): 1 + 0j, (1, (2,)): 1j}
     # profile 2 never transmits; the only group is (1, 2) and stays active via profile 1
-    record = compose_signal(channel, schedule, 0, (1, 2), demands, symbols)
-    assert record.effective == (1,)
+    signals = round_signals(channel, schedule, demands, symbols, 1)
+    assert [rs.groups for rs in signals] == [((1, 2),), ((1, 2),)]
+    assert [list(_blocks(rs, (1, 2))) for rs in signals] == [[1], [1]]
+    # with a third profile, the group of the two idle profiles sends nothing
+    psets[3] = PartitionSet(partitions=(), num_helpers=4)
+    schedule = build_schedule(psets, 3)
+    symbols.update({(0, (3,)): 1 + 1j, (1, (3,)): -1j})
+    signals = round_signals(channel, schedule, demands, symbols, 1)
+    assert [rs.groups for rs in signals] == [((1, 2), (1, 3))] * 2
+
+
+def test_round_with_the_wrong_group_count_is_rejected():
+    # profile 3 is idle, so the round sends C(3, 2) - C(1, 2) = 3 groups, not
+    # the C(3, 2) - C(2, 2) = 2 that two idle profiles would leave
+    schedule, channel, demands, symbols = _two_profile_round()
+    with pytest.raises(RuntimeError, match="transmits 3 groups, the idle count implies 2"):
+        round_signals(channel, replace(schedule, idle_counts=(2,)), demands, symbols, 1)
 
 
 def test_served_users_cancel_and_decode():
     schedule, channel, demands, symbols = _two_profile_round()
+    worst = 0.0
     for group in ((1, 2), (1, 3), (2, 3)):
         record = compose_signal(channel, schedule, 0, group, demands, symbols)
-        residuals = verify_decode(record, channel, demands, symbols)
-        assert max(residuals.values()) < 1e-9
+        worst = max(worst, *verify_decode(record, channel, demands, symbols).values())
+    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+    assert decode_round(channel, rs) == pytest.approx(worst, abs=1e-12)
+    assert worst < 1e-9
     assert coverage_check(schedule, 1) == []
 
 
 def test_decode_failure_is_reported():
+    # the transmitter sends user 14 a wrong symbol: user 14 misses its own
+    # symbol, and profile 1's users cancel the true one from cache and miss too
     schedule, channel, demands, symbols = _two_profile_round()
-    record = compose_signal(channel, schedule, 0, (1, 2), demands, symbols)
-    corrupted = {k: v for k, v in symbols.items()}
-    corrupted[(demands[14], (1,))] += 1.0
-    with pytest.raises(DecodeFailure, match="user 14"):
-        verify_decode(record, channel, demands, corrupted)
+    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+    sent = rs.messages.copy()
+    sent[rs.users.index(14), rs.groups.index((1, 2))] += 1.0
+    with pytest.raises(DecodeFailure, match=r"user 2 failed to decode in round 0, group \(1, 2\)"):
+        decode_round(channel, replace(rs, signal=rs.precoder @ sent))
+    # checking profile 2 alone, failures are named in transmission order:
+    # group (1, 2) for user 18 comes before group (2, 3) for user 14
+    sent = rs.messages.copy()
+    sent[rs.users.index(14), rs.groups.index((2, 3))] += 1.0
+    sent[rs.users.index(18), rs.groups.index((1, 2))] += 1.0
+    profile_2 = replace(
+        rs, signal=rs.precoder @ sent, intended=rs.intended & (rs.profiles == 2)[:, None]
+    )
+    with pytest.raises(DecodeFailure, match=r"user 18 failed .* group \(1, 2\): residual 1\.0"):
+        decode_round(channel, profile_2)
+
+
+def test_decode_failure_names_the_round():
+    psets = {1: _singleton_partitions(2), 2: _singleton_partitions(1, first_user=5)}
+    schedule = build_schedule(psets, 2)
+    channel = draw_channels(_full_connectivity(6, 4), np.random.default_rng(14))
+    demands = {0: 0, 1: 1, 5: 5}
+    symbols = {(0, (2,)): 1 + 0j, (1, (2,)): 1j, (5, (1,)): -1 + 0j}
+    first, second = round_signals(channel, schedule, demands, symbols, 1)
+    assert decode_round(channel, first) < 1e-9
+    sent = second.messages * 2.0
+    with pytest.raises(DecodeFailure, match=r"user 1 failed to decode in round 1, group \(1, 2\)"):
+        decode_round(channel, replace(second, signal=second.precoder @ sent))
 
 
 def test_whole_schedule_verifies():
@@ -313,10 +399,12 @@ def test_full_connectivity_recovers_single_round_structure():
     channel = draw_channels(conn, np.random.default_rng(9))
     demands = {k: k for k in range(conn.num_users)}
     symbols = draw_subfile_symbols(assignment, demands, 1, np.random.default_rng(10))
-    for g, group, _ in enumerate_transmissions(schedule, 1):
-        record = compose_signal(channel, schedule, g, group, demands, symbols)
-        assert record.effective == group
-        for block in record.blocks.values():
+    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+    assert rs.groups == tuple(group for _, group, _ in enumerate_transmissions(schedule, 1))
+    for group in rs.groups:
+        blocks = _blocks(rs, group)
+        assert tuple(blocks) == group
+        for block in blocks.values():
             assert np.all(block != 0)  # full partitions leave nothing to pad
     time = delivery_time(count_transmissions(schedule, 1), 5, 1)
     assert sum_dof(conn.num_users, gamma, time) == 8.0
@@ -352,3 +440,63 @@ def test_end_to_end_partial_connectivity_decodes():
     symbols = draw_subfile_symbols(assignment, demands, 1, rng)
     assert verify_schedule(channel, schedule, demands, symbols, 1) < 1e-9
     assert coverage_check(schedule, 1) == []
+
+
+@st.composite
+def _small_trials(draw):
+    """A random small topology with its partitions, channel and symbols."""
+    num_helpers = draw(st.integers(1, 4))
+    index_size = draw(st.integers(1, 2))
+    num_profiles = draw(st.integers(index_size + 1, 5))
+    masks = draw(st.lists(st.integers(1, (1 << num_helpers) - 1), max_size=14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adjacency = np.array(
+        [[m >> h & 1 for m in masks] for h in range(num_helpers)], dtype=bool
+    ).reshape(num_helpers, len(masks))
+    conn = Connectivity(adjacency=adjacency, radius=1.0, reachable_users=np.arange(len(masks)))
+    channel = draw_channels(conn, rng)
+    assignment = assign_profiles(conn.num_users, num_profiles, rng)
+    subnets = subnetworks_from_connectivity(conn, assignment)
+    if draw(st.booleans()):
+        psets = {p: greedy_assign(s) for p, s in subnets.items()}
+    else:
+        psets = {p: partitions_from_assignment(build_tables(s), bb_assign(build_tables(s))) for p, s in subnets.items()}
+    schedule = build_schedule(psets, num_profiles)
+    demands = {k: k for k in range(conn.num_users)}
+    symbols = draw_subfile_symbols(assignment, demands, index_size, rng)
+    return channel, schedule, demands, symbols, index_size
+
+
+def _served_twice(schedule: RoundSchedule, later_round: bool) -> RoundSchedule:
+    """Serve the first scheduled user again: in an added round under its own
+    profile, or in its own round under another profile."""
+    entries = schedule.rounds[0]
+    profile = next(iter(entries))
+    user = entries[profile][1][0]
+    rounds = [dict(r) for r in schedule.rounds]
+    idle = list(schedule.idle_counts)
+    if later_round:
+        rounds.append({profile: ((0,), (user,))})
+        idle.append(schedule.num_profiles - 1)
+    else:
+        other = profile % schedule.num_profiles + 1
+        helpers, users = rounds[0].get(other, ((), ()))
+        idle[0] -= other not in rounds[0]
+        rounds[0][other] = (helpers + (0,), users + (user,))
+    return replace(schedule, rounds=tuple(rounds), idle_counts=tuple(idle))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_trials())
+def test_round_matrices_match_the_per_transmission_replay(trial):
+    channel, schedule, demands, symbols, index_size = trial
+    vectorized = verify_schedule(channel, schedule, demands, symbols, index_size)
+    reference = replay_schedule(channel, schedule, demands, symbols, index_size)
+    assert abs(vectorized - reference) <= 1e-12
+    assert max(vectorized, reference) < 1e-9
+    assert coverage_check(schedule, index_size) == audit_deliveries(schedule, index_size) == []
+    if schedule.num_rounds:
+        for later_round in (True, False):
+            mutated = _served_twice(schedule, later_round)
+            problems = coverage_check(mutated, index_size)
+            assert problems and problems == audit_deliveries(mutated, index_size)

@@ -117,6 +117,8 @@ def test_config_rejects_bad_setups():
         _tiny_config(methods=("bb", "annealing"))
     with pytest.raises(ValueError, match="integers"):
         _tiny_config(sweep="L", values=(10.5,), radius=1.0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        _tiny_config(profiles=10.5, density=None, density_per_profile=1.0)
     with pytest.raises(ConfigError, match="memory sharing"):
         PointConfig(helpers=4, profiles=10, gamma=0.15, radius=1.0, user_radius=2.7, density=1.0)
 

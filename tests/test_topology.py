@@ -41,6 +41,15 @@ def test_layout_deterministic():
     np.testing.assert_array_equal(hex_layout(9).positions, hex_layout(9).positions)
 
 
+def test_layout_is_built_once_and_read_only():
+    first, again = hex_layout(7), hex_layout(7)
+    assert again.positions is first.positions
+    assert not first.positions.flags.writeable
+    with pytest.raises(ValueError):
+        first.positions[0, 0] = 1.0
+    np.testing.assert_array_equal(first.positions, hex_layout.__wrapped__(7).positions)
+
+
 def test_lattice_spacing_holds_for_larger_clusters():
     pts = hex_layout(19).positions
     dists = [
