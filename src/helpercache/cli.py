@@ -40,7 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--trials", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--method", choices=("bb", "greedy", "both"), default="both")
+    sim.add_argument(
+        "--method",
+        choices=("bb", "greedy", "fc", "both"),
+        default="both",
+        help="both = bb and greedy; fc = the fully connected optimum of the same draw",
+    )
     sim.add_argument(
         "--verify-decode", action="store_true", help="decode and audit every transmission"
     )

@@ -25,6 +25,7 @@ from .partitioner import PartitionSet
 
 CONDITION_LIMIT = 1e12
 DECODE_TOLERANCE = 1e-9
+_EXACT_FLOAT = 2**53  # integers below it convert to float64 exactly
 
 
 class SingularChannelError(RuntimeError):
@@ -119,16 +120,50 @@ def enumerate_transmissions(
                 yield g, group, effective
 
 
-def delivery_time(transmissions: int, num_profiles: int, index_size: int) -> float:
-    """Slots needed: each transmission moves one subfile (a 1/C(L,t) file share) per user."""
-    if transmissions < 0:
+def transmissions_from_counts(counts: np.ndarray, index_size: int) -> np.ndarray:
+    """Transmissions of every row of a (..., L) array of per-profile partition counts.
+
+    Summing C(L, t + 1) - C(v(g), t + 1) over the rounds g is, by the
+    hockey-stick identity, sum_j c_(j) C(L - j, t) with c_(1) >= c_(2) >= ...
+    the row's counts in descending order: one sort and one product for a
+    whole array of trials.  The totals are int64, or exact Python integers
+    once a total could reach 2^53.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    num_profiles = counts.shape[-1]
+    weights = [comb(num_profiles - j, index_size) for j in range(1, num_profiles + 1)]
+    largest = int(counts.max(initial=0))
+    dtype = np.int64 if largest * comb(num_profiles, index_size + 1) < _EXACT_FLOAT else object
+    descending = -np.sort(-counts, axis=-1)
+    return descending.astype(dtype) @ np.array(weights, dtype=dtype)
+
+
+def delivery_time(
+    transmissions: int | np.ndarray, num_profiles: int, index_size: int
+) -> float | np.ndarray:
+    """Slots needed: each transmission moves one subfile (a 1/C(L,t) file share) per user.
+
+    Works on one count or on a vector of them, rounding each as Python's
+    int / int does.
+    """
+    if np.any(np.less(transmissions, 0)):
         raise ValueError(f"transmission count must be nonnegative, got {transmissions}")
-    return transmissions / comb(num_profiles, index_size)
+    per_file = comb(num_profiles, index_size)
+    if isinstance(transmissions, np.ndarray) and (
+        transmissions.dtype == object
+        or per_file >= _EXACT_FLOAT
+        or np.any(transmissions >= _EXACT_FLOAT)
+    ):
+        # float64 division rounds like int / int only for operands below 2^53
+        return np.array([count / per_file for count in transmissions.tolist()], dtype=float)
+    return transmissions / per_file
 
 
-def sum_dof(num_users: int, gamma: float, time: float) -> float:
-    """Users served per slot at full rate: K (1 - gamma) / T."""
-    if time <= 0:
+def sum_dof(
+    num_users: int | np.ndarray, gamma: float, time: float | np.ndarray
+) -> float | np.ndarray:
+    """Users served per slot at full rate: K (1 - gamma) / T, elementwise on arrays."""
+    if np.any(np.less_equal(time, 0)):
         raise ValueError(f"delivery time must be positive to define sum-DoF, got {time}")
     return num_users * (1.0 - gamma) / time
 

@@ -169,6 +169,51 @@ def min_partition_counts(
     return (-(-table[:, 1:] // sizes[1:])).max(axis=1, initial=0)
 
 
+def greedy_counts(
+    adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int
+) -> np.ndarray:
+    """Partition count of `greedy_assign` for every profile at once.
+
+    Same arguments and result layout as `min_partition_counts`.  The users
+    of each profile fill the slots of one row of a (helper, profile, slot)
+    link array in column order.  A partition is one pass over the helpers
+    in index order, in which helper h takes, in every profile still
+    unfinished, the first free user it links to (`argmax` over the row):
+    exactly the order of `greedy_assign`'s scan.
+    """
+    num_helpers, num_users = adjacency.shape
+    labels = np.asarray(profile_of, dtype=np.int64) - 1
+    sizes = np.bincount(labels, minlength=num_profiles)
+    counts = np.zeros(num_profiles, dtype=np.int64)
+    if num_users == 0:
+        return counts
+    order = np.argsort(labels, kind="stable")
+    row = labels[order]
+    slot = np.arange(num_users) - (np.cumsum(sizes) - sizes)[row]
+    link = np.zeros((num_helpers, num_profiles, sizes.max()), dtype=bool)
+    link[:, row, slot] = adjacency[:, order]
+    free = np.zeros(link.shape[1:], dtype=bool)
+    free[row, slot] = True
+    if np.any(free & ~link.any(axis=0)):
+        raise ValueError("every user needs at least one linked helper")
+    active = np.flatnonzero(sizes)  # profiles with users still to place
+    link, free = link[:, active], free[active]
+    partitions = 0
+    while active.size:
+        partitions += 1
+        rows = np.arange(active.size)
+        for h in range(num_helpers):
+            open_links = link[h] & free
+            first = open_links.argmax(axis=1)
+            free[rows, first] ^= open_links[rows, first]  # h takes that user, if any
+        done = ~free.any(axis=1)
+        if done.any():
+            counts[active[done]] = partitions
+            keep = ~done
+            active, link, free = active[keep], link[:, keep], free[keep]
+    return counts
+
+
 def build_tables(subnet: ProfileSubnetwork) -> DegreeTables:
     """Stack degree-1 users under their only helper; list the rest in user order."""
     single: list[list[int]] = [[] for _ in range(subnet.num_helpers)]

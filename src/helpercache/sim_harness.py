@@ -1,4 +1,13 @@
-"""Monte Carlo experiment driver: configs, trials, sweeps, and result emission."""
+"""Monte Carlo experiment driver: configs, trials, sweeps, and result emission.
+
+A sweep point runs in two stages.  The draw stage gives every trial its own
+generator, seeded from (master seed, trial index), and draws users, links,
+channels and profiles from it in a fixed order.  The evaluate stage then
+takes a chunk of trials at once: profile p of the chunk's trial i becomes
+label i * L + p of one concatenated network, so one call per method yields
+every (trial, profile) partition count, and the delivery time of every
+trial follows from its sorted counts.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +21,7 @@ import numpy as np
 
 from .cache_placement import (
     CacheConfig,
+    ProfileAssignment,
     assign_profiles,
     draw_subfile_symbols,
     ensure_valid,
@@ -21,9 +31,8 @@ from .delivery import (
     build_schedule,
     coverage_check,
     delivery_time,
-    round_idle_counts,
     sum_dof,
-    transmissions_from_idle,
+    transmissions_from_counts,
     verify_schedule,
 )
 from .partitioner import (
@@ -33,17 +42,21 @@ from .partitioner import (
     bb_assign,
     build_tables,
     greedy_assign,
+    greedy_counts,
     min_partition_counts,
     partitions_from_assignment,
     subnetworks_from_connectivity,
 )
-from .topology import connect, draw_channels, hex_layout, sample_users
+from .topology import ChannelMatrix, Connectivity, connect, draw_channels, hex_layout, sample_users
 
-METHODS = ("bb", "greedy")
+METHODS = ("bb", "greedy")  # the default comparison, `--method both`
+# `fc` is the fully connected optimum of the same users and profiles: every
+# user linked to every helper, ceil(n_p / E) partitions per profile.
+ALL_METHODS = METHODS + ("fc",)
 
-# Optimal sum-DoF of the fully connected reference setup (4 helpers, 10
-# profiles, gamma 0.1, mean 60.75 users); measured means must stay below it.
-FULLY_CONNECTED_OPTIMUM = 6.797679694427262
+# A chunk of trials is evaluated together; its Hall table of L * 2^E entries
+# per trial holds at most this many, or one trial's table if that is larger.
+CHUNK_TABLE_ENTRIES = 2**20
 
 CSV_HEADER = "sweep_var,sweep_value,method,mean_sum_dof,std_sum_dof,mean_K,trials,seed"
 
@@ -106,9 +119,7 @@ class ExperimentConfig:
             raise ValueError(f"the profile count must be an integer, got {self.profiles}")
         if self.trials < 1:
             raise ValueError(f"trial count must be positive, got {self.trials}")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown or not self.methods:
-            raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        _check_methods(self.methods, self.verify)
 
     def points(self) -> list[tuple[float, PointConfig]]:
         """Resolve every sweep value into a runnable point, validating each."""
@@ -172,6 +183,83 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
+def _check_methods(methods: Sequence[str], verify: bool) -> None:
+    """Methods must be known and distinct; verifying needs a schedule from each."""
+    if not methods or set(methods) - set(ALL_METHODS):
+        raise ValueError(f"methods must be a nonempty subset of {ALL_METHODS}, got {methods}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat, got {methods}")
+    if verify and "fc" in methods:
+        raise ValueError("the fc bound builds no schedule, so it cannot be decode-verified")
+
+
+@dataclass(frozen=True)
+class TrialDraw:
+    """One trial's random network, drawn from its own generator."""
+
+    seed: int
+    conn: Connectivity
+    channel: ChannelMatrix
+    assignment: ProfileAssignment
+    rng: np.random.Generator  # positioned after the draws above
+
+
+def draw_trial(point: PointConfig, trial_seed: int) -> TrialDraw:
+    """Users, links, channels and profiles, in this order, from the trial's generator."""
+    rng = np.random.default_rng(trial_seed)
+    users = sample_users(point.density, point.user_radius, rng)
+    conn = connect(hex_layout(point.helpers), users, point.radius)
+    channel = draw_channels(conn, rng)
+    assignment = assign_profiles(conn.num_users, point.profiles, rng)
+    return TrialDraw(seed=trial_seed, conn=conn, channel=channel, assignment=assignment, rng=rng)
+
+
+def evaluate_counts(
+    adjacencies: Sequence[np.ndarray],
+    profiles: Sequence[np.ndarray],
+    num_profiles: int,
+    methods: Sequence[str],
+) -> dict[str, np.ndarray]:
+    """Per-profile partition counts of a chunk of trials: a (trials, L) array per method.
+
+    Trial i contributes its (E, K_i) adjacency and its users' profiles
+    (1..L); profile p of trial i is label i * L + p of the concatenated
+    network, so every count comes from one call per method.
+    """
+    adjacency = np.concatenate(adjacencies, axis=1)
+    labels = np.concatenate(
+        [np.asarray(p, dtype=np.int64) + i * num_profiles for i, p in enumerate(profiles)]
+    )
+    num_labels = len(adjacencies) * num_profiles
+    counts = {}
+    for method in methods:
+        if method == "bb":
+            flat = min_partition_counts(adjacency, labels, num_labels)
+        elif method == "greedy":
+            flat = greedy_counts(adjacency, labels, num_labels)
+        else:
+            # Hall's term for S = all helpers: ceil(n_p / E).
+            users = np.bincount(labels - 1, minlength=num_labels)
+            flat = -(-users // adjacency.shape[0])
+        counts[method] = flat.reshape(len(adjacencies), num_profiles)
+    return counts
+
+
+@dataclass(frozen=True)
+class PointOutcome:
+    """Per-trial results of one sweep point, trials in seed order."""
+
+    num_users: np.ndarray  # (T,) after pruning unreachable users
+    counts: dict[str, np.ndarray]  # per method, (T, L) partition counts
+    transmissions: dict[str, np.ndarray]  # per method, (T,)
+    time: dict[str, np.ndarray]  # per method, (T,) slots
+    dof: dict[str, np.ndarray]  # per method, (T,) sum-DoF; NaN without users
+
+
+# Who builds each verified method's partitions, and where its counts come from.
+_BUILDERS = {"bb": ("bb_assign", "Hall's formula"), "greedy": ("greedy_assign", "greedy_counts")}
+
+
 def _partition_sets(
     method: str, subnets: dict[int, ProfileSubnetwork]
 ) -> dict[int, PartitionSet]:
@@ -185,74 +273,104 @@ def _partition_sets(
     return psets
 
 
+def _verify_trial(point: PointConfig, draw: TrialDraw, counts: dict[str, np.ndarray]) -> None:
+    """Build each method's partitions, match their counts, decode and audit the schedule."""
+    subnets = subnetworks_from_connectivity(draw.conn, draw.assignment)
+    num_users = draw.conn.num_users
+    demands = symbols = None
+    for method, expected in counts.items():
+        psets = _partition_sets(method, subnets)
+        built = tuple(psets[p].count for p in range(1, point.profiles + 1))
+        if built != tuple(expected.tolist()):
+            builder, source = _BUILDERS[method]
+            raise RuntimeError(
+                f"{builder} partition counts {built} differ from {source} "
+                f"{tuple(expected.tolist())} (seed {draw.seed})"
+            )
+        if num_users == 0:
+            continue
+        if symbols is None:
+            demands = {k: k for k in range(num_users)}  # distinct worst-case demands
+            symbols = draw_subfile_symbols(draw.assignment, demands, point.index_size, draw.rng)
+        schedule = build_schedule(psets, point.profiles)
+        verify_schedule(draw.channel, schedule, demands, symbols, point.index_size)
+        problems = coverage_check(schedule, point.index_size)
+        if problems:
+            raise RuntimeError(
+                f"coverage audit failed (seed {draw.seed}, method {method}): "
+                + "; ".join(problems[:5])
+            )
+
+
+def run_point(
+    point: PointConfig,
+    trial_seeds: Sequence[int],
+    methods: Sequence[str] = METHODS,
+    verify: bool = False,
+) -> PointOutcome:
+    """Draw and evaluate the trials of a sweep point, a chunk of trials at a time.
+
+    Every partition count comes from `evaluate_counts`, and transmissions,
+    delivery time and sum-DoF from the counts in closed form.  With
+    `verify` set, each trial's partitions are also built (`bb_assign`,
+    `greedy_assign`), their counts must equal the evaluated ones, and every
+    transmission is composed, decoded, and audited for complete coverage.
+    """
+    _check_methods(methods, verify)
+    if not trial_seeds:
+        raise ValueError("a sweep point needs at least one trial")
+    step = max(1, CHUNK_TABLE_ENTRIES // (point.profiles << point.helpers))
+    users: list[int] = []
+    chunks: list[dict[str, np.ndarray]] = []
+    for first in range(0, len(trial_seeds), step):
+        adjacencies, profiles, draws = [], [], []
+        for seed in trial_seeds[first : first + step]:
+            draw = draw_trial(point, seed)
+            adjacencies.append(draw.conn.adjacency)
+            profiles.append(draw.assignment.profile_of)
+            users.append(draw.conn.num_users)
+            if verify:
+                draws.append(draw)
+        chunk = evaluate_counts(adjacencies, profiles, point.profiles, methods)
+        for i, draw in enumerate(draws):
+            _verify_trial(point, draw, {m: chunk[m][i] for m in methods})
+        chunks.append(chunk)
+
+    num_users = np.array(users, dtype=np.int64)
+    served = num_users > 0
+    counts, transmissions, time, dof = {}, {}, {}, {}
+    for method in methods:
+        counts[method] = np.concatenate([chunk[method] for chunk in chunks])
+        transmissions[method] = transmissions_from_counts(counts[method], point.index_size)
+        time[method] = delivery_time(transmissions[method], point.profiles, point.index_size)
+        dof[method] = np.full(num_users.shape, math.nan)
+        dof[method][served] = sum_dof(num_users[served], point.gamma, time[method][served])
+    return PointOutcome(
+        num_users=num_users, counts=counts, transmissions=transmissions, time=time, dof=dof
+    )
+
+
 def run_trial(
     point: PointConfig,
     trial_seed: int,
     methods: Sequence[str] = METHODS,
     verify: bool = False,
 ) -> TrialResult:
-    """One end-to-end draw: topology, placement, partitioning, delivery accounting.
-
-    Fully determined by (point, trial_seed).  The `bb` partition counts come
-    from Hall's formula (`min_partition_counts`), and the transmission count
-    from the per-round idle profiles those counts imply.  With `verify` set,
-    `bb_assign` builds the partitions as well, its counts must equal Hall's,
-    and every transmission of every method is composed, decoded, and audited
-    for complete subfile coverage.
-    """
-    index_size = point.index_size
-    rng = np.random.default_rng(trial_seed)
-    layout = hex_layout(point.helpers)
-    users = sample_users(point.density, point.user_radius, rng)
-    conn = connect(layout, users, point.radius)
-    channel = draw_channels(conn, rng)
-    assignment = assign_profiles(conn.num_users, point.profiles, rng)
-    num_users = conn.num_users
-    subnets = (
-        subnetworks_from_connectivity(conn, assignment)
-        if verify or "greedy" in methods
-        else {}
-    )
-
-    demands = symbols = None
-    stats: dict[str, DeliveryStats] = {}
-    partition_counts: dict[str, tuple[int, ...]] = {}
-    for method in methods:
-        psets = None
-        if verify or method == "greedy":
-            psets = _partition_sets(method, subnets)
-            counts = tuple(psets[p].count for p in range(1, point.profiles + 1))
-        if method == "bb":
-            exact = tuple(
-                min_partition_counts(conn.adjacency, assignment.profile_of, point.profiles).tolist()
-            )
-            if psets is not None and counts != exact:
-                raise RuntimeError(
-                    f"bb_assign partition counts {counts} differ from Hall's formula "
-                    f"{exact} (seed {trial_seed})"
-                )
-            counts = exact
-        transmissions = transmissions_from_idle(
-            round_idle_counts(counts), point.profiles, index_size
-        )
-        time = delivery_time(transmissions, point.profiles, index_size)
-        dof = sum_dof(num_users, point.gamma, time) if num_users > 0 else None
-        if verify and num_users > 0:
-            if symbols is None:
-                demands = {k: k for k in range(num_users)}  # distinct worst-case demands
-                symbols = draw_subfile_symbols(assignment, demands, index_size, rng)
-            schedule = build_schedule(psets, point.profiles)
-            verify_schedule(channel, schedule, demands, symbols, index_size)
-            problems = coverage_check(schedule, index_size)
-            if problems:
-                raise RuntimeError(
-                    f"coverage audit failed (seed {trial_seed}, method {method}): "
-                    + "; ".join(problems[:5])
-                )
-        stats[method] = DeliveryStats(transmissions=transmissions, time=time, dof=dof)
-        partition_counts[method] = counts
+    """One trial, fully determined by (point, trial_seed): a point of a single trial."""
+    outcome = run_point(point, [trial_seed], methods, verify)
+    num_users = int(outcome.num_users[0])
     return TrialResult(
-        seed=trial_seed, num_users=num_users, stats=stats, partition_counts=partition_counts
+        seed=trial_seed,
+        num_users=num_users,
+        stats={
+            m: DeliveryStats(
+                transmissions=int(outcome.transmissions[m][0]),
+                time=float(outcome.time[m][0]),
+                dof=float(outcome.dof[m][0]) if num_users > 0 else None,
+            )
+            for m in methods
+        },
+        partition_counts={m: tuple(outcome.counts[m][0].tolist()) for m in methods},
     )
 
 
@@ -262,21 +380,14 @@ def run_sweep(config: ExperimentConfig) -> list[AggregateResult]:
     Trials with no reachable user carry no metric and are excluded from the
     sum-DoF moments (they still count toward `trials` and the mean user count).
     """
+    seeds = [derive_trial_seed(config.seed, i) for i in range(config.trials)]
     results = []
     for value, point in config.points():
-        dofs: dict[str, list[float]] = {m: [] for m in config.methods}
-        users: list[int] = []
-        for i in range(config.trials):
-            trial = run_trial(
-                point, derive_trial_seed(config.seed, i), config.methods, config.verify
-            )
-            users.append(trial.num_users)
-            for method in config.methods:
-                dof = trial.stats[method].dof
-                if dof is not None:
-                    dofs[method].append(dof)
+        outcome = run_point(point, seeds, config.methods, config.verify)
+        served = outcome.num_users > 0
+        users = tuple(outcome.num_users.tolist())
         for method in config.methods:
-            values = np.array(dofs[method], dtype=float)
+            values = outcome.dof[method][served]
             results.append(
                 AggregateResult(
                     sweep_var=config.sweep,
@@ -284,11 +395,11 @@ def run_sweep(config: ExperimentConfig) -> list[AggregateResult]:
                     method=method,
                     mean_dof=float(values.mean()) if values.size else math.nan,
                     std_dof=float(values.std()) if values.size else math.nan,
-                    mean_users=float(np.mean(users)),
+                    mean_users=float(np.mean(outcome.num_users)),
                     trials=config.trials,
                     seed=config.seed,
-                    per_trial_dof=tuple(dofs[method]),
-                    per_trial_users=tuple(users),
+                    per_trial_dof=tuple(values.tolist()),
+                    per_trial_users=users,
                 )
             )
     return results

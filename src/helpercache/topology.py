@@ -112,8 +112,10 @@ def connect(layout: HelperLayout, users: UserField, radius: float) -> Connectivi
     """Link every helper-user pair within `radius`; prune users nobody reaches."""
     if radius < 0:
         raise ValueError(f"transmission radius must be nonnegative, got {radius}")
-    delta = layout.positions[:, None, :] - users.positions[None, :, :]
-    within = (delta**2).sum(axis=2) <= radius**2
+    # Squared helper-user distances, (E, N), from the two coordinate gaps.
+    dx = layout.positions[:, 0:1] - users.positions[:, 0]
+    dy = layout.positions[:, 1:2] - users.positions[:, 1]
+    within = dx * dx + dy * dy <= radius**2
     kept = np.flatnonzero(within.any(axis=0))
     return Connectivity(adjacency=within[:, kept], radius=radius, reachable_users=kept)
 

@@ -32,7 +32,6 @@ from helpercache.partitioner import (
     subnetworks_from_connectivity,
 )
 from helpercache.sim_harness import (
-    FULLY_CONNECTED_OPTIMUM,
     ExperimentConfig,
     PointConfig,
     derive_trial_seed,
@@ -124,13 +123,16 @@ def radius_sweep():
     config = ExperimentConfig(
         helpers=4, gamma=0.1, user_radius=2.7, trials=1000, seed=20240801,
         sweep="r", values=(1.2, 2.2, 3.2, 4.2), profiles=10, density=REFERENCE_DENSITY,
+        methods=("bb", "greedy", "fc"),
     )
     start = time.perf_counter()
     results = run_sweep(config)
     elapsed = time.perf_counter() - start
-    bb = {r.sweep_value: r for r in results if r.method == "bb"}
-    greedy = {r.sweep_value: r for r in results if r.method == "greedy"}
-    return bb, greedy, elapsed
+    by_method = {
+        method: {r.sweep_value: r for r in results if r.method == method}
+        for method in config.methods
+    }
+    return by_method["bb"], by_method["greedy"], by_method["fc"], elapsed
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +252,7 @@ def test_criterion_4_closed_form_dof():
 
 
 def test_criterion_5_fully_connected_point(radius_sweep):
-    bb, greedy, elapsed = radius_sweep
+    bb, greedy, _, elapsed = radius_sweep
     point_bb, point_greedy = bb[4.2], greedy[4.2]
     trialwise_equal = point_bb.per_trial_dof == point_greedy.per_trial_dof
     mean = point_bb.mean_dof
@@ -285,20 +287,29 @@ def test_criterion_5_fully_connected_point(radius_sweep):
 
 
 def test_criterion_6_radius_trend(radius_sweep):
-    bb, greedy, _ = radius_sweep
+    bb, greedy, fc, _ = radius_sweep
     values = (1.2, 2.2, 3.2, 4.2)
     means = [bb[v].mean_dof for v in values]
     monotone = all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
     dominates = all(bb[v].mean_dof >= greedy[v].mean_dof - 1e-12 for v in values)
     equal_at_saturation = bb[4.2].per_trial_dof == greedy[4.2].per_trial_dof
     r12_ok = abs(bb[1.2].mean_dof - REFERENCE_R12_MEAN) <= 0.6
-    ceiling_ok = all(m <= 6.80 for m in means) and FULLY_CONNECTED_OPTIMUM < 6.80
+    # Trial by trial, no partially connected network beats its fully connected optimum.
+    below_fc = all(
+        len(bb[v].per_trial_dof) == len(fc[v].per_trial_dof)
+        and all(a <= b for a, b in zip(bb[v].per_trial_dof, fc[v].per_trial_dof))
+        for v in values
+    )
+    ceiling_ok = all(m <= 6.80 for m in means) and below_fc
+    ratios = [float(np.mean(np.divide(bb[v].per_trial_dof, fc[v].per_trial_dof))) for v in values]
     ok = monotone and dominates and equal_at_saturation and r12_ok and ceiling_ok
     _report(
         ok,
         "criterion 6",
         "means " + ", ".join(f"{m:.4f}" for m in means)
-        + f"; monotone {monotone}, bb >= greedy {dominates}, r=1.2 within 3.96 +- 0.6: {r12_ok}",
+        + f"; monotone {monotone}, bb >= greedy {dominates}, r=1.2 within 3.96 +- 0.6: {r12_ok}"
+        + f", bb <= fc trialwise {below_fc}, mean bb/fc "
+        + ", ".join(f"{r:.4f}" for r in ratios),
     )
     assert monotone and dominates and equal_at_saturation and r12_ok and ceiling_ok
 

@@ -19,8 +19,11 @@ from helpercache.delivery import (
     delivery_time,
     enumerate_transmissions,
     matched_precoders,
+    round_idle_counts,
     round_signals,
     sum_dof,
+    transmissions_from_counts,
+    transmissions_from_idle,
     verify_schedule,
 )
 from helpercache.partitioner import (
@@ -105,6 +108,37 @@ def test_count_formula_matches_enumeration():
         schedule = build_schedule(psets, num_profiles)
         enumerated = sum(1 for _ in enumerate_transmissions(schedule, index_size))
         assert count_transmissions(schedule, index_size) == enumerated
+
+
+def test_sorted_counts_give_the_round_by_round_count():
+    rng = np.random.default_rng(41)
+    for _ in range(10_000):
+        num_profiles = int(rng.integers(1, 13))
+        index_size = int(rng.integers(0, num_profiles))
+        counts = rng.integers(0, 7, size=num_profiles)
+        by_rounds = transmissions_from_idle(
+            round_idle_counts(counts.tolist()), num_profiles, index_size
+        )
+        assert transmissions_from_counts(counts, index_size) == by_rounds
+    # A whole (trials, L) array at once, row by row the same.
+    batch = rng.integers(0, 7, size=(50, 10))
+    assert transmissions_from_counts(batch, 3).tolist() == [
+        transmissions_from_idle(round_idle_counts(row.tolist()), 10, 3) for row in batch
+    ]
+
+
+def test_sorted_counts_stay_exact_beyond_float_precision():
+    # C(60, 31) is above 2^53: totals are exact integers, and each delivery
+    # time is rounded as Python's int / int rounds it.
+    rng = np.random.default_rng(42)
+    batch = rng.integers(0, 9, size=(20, 60))
+    totals = transmissions_from_counts(batch, 30)
+    exact = [transmissions_from_idle(round_idle_counts(row.tolist()), 60, 30) for row in batch]
+    assert totals.tolist() == exact
+    assert delivery_time(totals, 60, 30).tolist() == [n / math.comb(60, 30) for n in exact]
+    small = transmissions_from_counts(batch[:, :10], 1)
+    assert small.dtype == np.int64
+    assert delivery_time(small, 10, 1).tolist() == [n / 10 for n in small.tolist()]
 
 
 def test_delivery_time_examples():

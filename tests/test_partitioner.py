@@ -18,6 +18,7 @@ from helpercache.partitioner import (
     flow_oracle,
     format_partition_set,
     greedy_assign,
+    greedy_counts,
     load_instance,
     min_partition_counts,
     partition_rows,
@@ -190,6 +191,20 @@ def test_min_partition_counts_per_profile(reference_subnet):
     profile_of = np.array([1] * 12 + [3] * 13)
     counts = min_partition_counts(adjacency, profile_of, 3)
     assert counts.tolist() == [3, 0, 4]
+
+
+def test_greedy_counts_per_profile(reference_subnet):
+    # The reference instance (greedy 4) as profile 1 and as profile 3, with
+    # one more user on helper 3 there; profile 2 is empty.
+    adjacency = np.array(
+        [[h in cand for cand in reference_subnet.candidates] for h in range(4)]
+    )
+    adjacency = np.hstack([adjacency, [[False], [False], [False], [True]], adjacency])
+    profile_of = np.array([1] * 12 + [3] * 13)
+    assert greedy_counts(adjacency, profile_of, 3).tolist() == [4, 0, 5]
+    assert greedy_counts(np.zeros((2, 0), dtype=bool), np.zeros(0, dtype=np.int64), 2).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="at least one linked helper"):
+        greedy_counts(np.array([[True, False]]), np.array([1, 1]), 1)
 
 
 def test_min_partition_counts_rejects_bad_input():

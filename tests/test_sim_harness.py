@@ -3,20 +3,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpercache import sim_harness
-from helpercache.cache_placement import ConfigError
+from helpercache import delivery, sim_harness
+from helpercache.cache_placement import ConfigError, ProfileAssignment
 from helpercache.cli import main
-from helpercache.partitioner import dump_instance, min_partition_counts
+from helpercache.partitioner import (
+    dump_instance,
+    greedy_assign,
+    greedy_counts,
+    min_partition_counts,
+    subnetworks_from_connectivity,
+)
 from helpercache.sim_harness import (
+    ALL_METHODS,
     CSV_HEADER,
     ExperimentConfig,
     PointConfig,
     derive_trial_seed,
     emit_results,
+    evaluate_counts,
     run_sweep,
     run_trial,
 )
+from helpercache.topology import Connectivity
 
 REFERENCE_DENSITY = 12 / (1.2**2 * math.pi)
 
@@ -87,12 +98,128 @@ def test_verified_trial_matches_unverified_stats():
 
 
 def test_verified_trial_rejects_count_mismatch(monkeypatch):
-    def off_by_one(adjacency, profile_of, num_profiles):
-        return min_partition_counts(adjacency, profile_of, num_profiles) + 1
+    # The batched Hall call is off by one on a single label: 2 * L + 2 is
+    # profile 3 of the third trial, which must be the trial that fails.
+    def off_by_one(adjacency, labels, num_labels):
+        counts = min_partition_counts(adjacency, labels, num_labels)
+        counts[2 * 10 + 2] += 1
+        return counts
 
     monkeypatch.setattr(sim_harness, "min_partition_counts", off_by_one)
-    with pytest.raises(RuntimeError, match="Hall's formula"):
+    config = ExperimentConfig(
+        helpers=4, gamma=0.1, user_radius=2.7, trials=4, seed=2, sweep="r", values=(1.2,),
+        profiles=10, density=REFERENCE_DENSITY, verify=True,
+    )
+    with pytest.raises(RuntimeError, match="Hall's formula") as failure:
+        run_sweep(config)
+    assert f"(seed {derive_trial_seed(2, 2)})" in str(failure.value)
+
+
+def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
+    def off_by_one(adjacency, labels, num_labels):
+        return greedy_counts(adjacency, labels, num_labels) + 1
+
+    monkeypatch.setattr(sim_harness, "greedy_counts", off_by_one)
+    with pytest.raises(RuntimeError, match="greedy_assign partition counts .* differ"):
         run_trial(_point(), derive_trial_seed(2, 7), verify=True)
+
+
+@st.composite
+def _trial_networks(draw):
+    """A chunk of trials: ragged profiles, some empty, and trials without users."""
+    num_helpers = draw(st.integers(1, 6))
+    num_profiles = draw(st.integers(1, 5))
+    trials = draw(st.integers(1, 4))
+    adjacencies, profiles = [], []
+    for _ in range(trials):
+        users = draw(st.lists(
+            st.tuples(st.integers(1, (1 << num_helpers) - 1), st.integers(1, num_profiles)),
+            max_size=14,
+        ))
+        masks = np.array([m for m, _ in users], dtype=np.int64)
+        adjacencies.append((masks[None, :] >> np.arange(num_helpers)[:, None] & 1).astype(bool))
+        profiles.append(np.array([p for _, p in users], dtype=np.int64))
+    return adjacencies, profiles, num_profiles
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trial_networks())
+def test_batched_counts_match_per_trial_solvers(network):
+    adjacencies, profiles, num_profiles = network
+    counts = evaluate_counts(adjacencies, profiles, num_profiles, ALL_METHODS)
+    for t, (adjacency, profile_of) in enumerate(zip(adjacencies, profiles)):
+        num_helpers, num_users = adjacency.shape
+        conn = Connectivity(adjacency=adjacency, radius=1.0, reachable_users=np.arange(num_users))
+        subnets = subnetworks_from_connectivity(conn, ProfileAssignment(profile_of, num_profiles))
+        greedy = [greedy_assign(subnets[p]).count for p in range(1, num_profiles + 1)]
+        hall = min_partition_counts(adjacency, profile_of, num_profiles).tolist()
+        full = [-(-subnets[p].num_users // num_helpers) for p in range(1, num_profiles + 1)]
+        assert counts["greedy"][t].tolist() == greedy
+        assert counts["bb"][t].tolist() == hall
+        assert counts["fc"][t].tolist() == full
+        assert all(f <= b <= g for f, b, g in zip(full, hall, greedy))
+
+
+def _sweep_bytes(config, tmp_path, name):
+    results = run_sweep(config)
+    emit_results(results, "csv", str(tmp_path / f"{name}.csv"))
+    emit_results(results, "json", str(tmp_path / f"{name}.json"), per_trial=True)
+    return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
+
+
+def test_results_do_not_depend_on_chunking(monkeypatch, tmp_path):
+    config = ExperimentConfig(
+        helpers=4, gamma=0.1, user_radius=2.7, trials=11, seed=8, sweep="r",
+        values=(1.2, 2.2, 4.2), profiles=10, density=REFERENCE_DENSITY,
+        methods=("greedy", "fc", "bb"),
+    )
+    whole = _sweep_bytes(config, tmp_path, "whole")
+    for trials_per_chunk in (1, 3):
+        monkeypatch.setattr(sim_harness, "CHUNK_TABLE_ENTRIES", trials_per_chunk * 10 * 2**4)
+        assert _sweep_bytes(config, tmp_path, f"chunks{trials_per_chunk}") == whole
+
+
+def test_run_trial_matches_its_sweep_entries():
+    config = ExperimentConfig(
+        helpers=3, gamma=0.5, user_radius=2.0, trials=12, seed=4, sweep="r",
+        values=(0.6,), profiles=2, density=0.3, methods=ALL_METHODS,
+    )
+    ((_, point),) = config.points()
+    results = {r.method: r for r in run_sweep(config)}
+    trials = [run_trial(point, derive_trial_seed(4, i), ALL_METHODS) for i in range(config.trials)]
+    assert any(t.num_users == 0 for t in trials)  # empty trials are skipped in the sweep
+    for method in ALL_METHODS:
+        assert results[method].per_trial_users == tuple(t.num_users for t in trials)
+        assert results[method].per_trial_dof == tuple(
+            t.stats[method].dof for t in trials if t.num_users > 0
+        )
+
+
+def test_unverified_sweep_builds_no_partitions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unverified sweep built partitions or a schedule")
+
+    monkeypatch.setattr(sim_harness, "subnetworks_from_connectivity", refuse)
+    monkeypatch.setattr(sim_harness, "greedy_assign", refuse)
+    monkeypatch.setattr(sim_harness, "bb_assign", refuse)
+    monkeypatch.setattr(delivery, "round_idle_counts", refuse)
+    results = run_sweep(_tiny_config(methods=ALL_METHODS, trials=6))
+    assert len(results) == 6
+
+
+def test_fc_is_the_fully_connected_optimum():
+    # At radius 4.2 every user reaches all four helpers, so the network is
+    # fully connected and Hall's count is ceil(n_p / E) for every profile.
+    for index in range(10):
+        seed = derive_trial_seed(6, index)
+        full = run_trial(_point(radius=4.2), seed, ("bb", "fc"))
+        assert full.partition_counts["bb"] == full.partition_counts["fc"]
+        assert full.stats["bb"] == full.stats["fc"]
+        partial = run_trial(_point(radius=1.2), seed, ("bb", "fc"))
+        assert all(f <= b for f, b in zip(partial.partition_counts["fc"], partial.partition_counts["bb"]))
+        assert partial.stats["bb"].dof <= partial.stats["fc"].dof
+    with pytest.raises(ValueError, match="cannot be decode-verified"):
+        run_trial(_point(), derive_trial_seed(6, 0), ("bb", "fc"), verify=True)
 
 
 def test_helper_count_is_capped():
@@ -115,6 +242,10 @@ def test_config_rejects_bad_setups():
         _tiny_config(sweep="L", values=(2, 4), radius=None)
     with pytest.raises(ValueError):
         _tiny_config(methods=("bb", "annealing"))
+    with pytest.raises(ValueError, match="must not repeat"):
+        _tiny_config(methods=("bb", "bb"))
+    with pytest.raises(ValueError, match="cannot be decode-verified"):
+        _tiny_config(methods=("bb", "fc"), verify=True)
     with pytest.raises(ValueError, match="integers"):
         _tiny_config(sweep="L", values=(10.5,), radius=1.0)
     with pytest.raises(ValueError, match="must be an integer"):
@@ -198,6 +329,20 @@ def test_cli_simulate_round_trip(tmp_path):
     assert main(args) == 0
     assert out.read_bytes() == first
     assert first.decode().splitlines()[0] == CSV_HEADER
+
+
+def test_cli_simulate_fc_method(tmp_path, capsys):
+    out = tmp_path / "fc.csv"
+    args = [
+        "simulate", "--sweep", "r", "--values", "1.0,2.5", "--helpers", "2",
+        "--profiles", "2", "--gamma", "0.5", "--user-radius", "1.5", "--density", "1.5",
+        "--trials", "4", "--seed", "3", "--method", "fc", "--out", str(out),
+    ]
+    assert main(args) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["fc", "fc"]
+    assert main(args + ["--verify-decode"]) == 1
+    assert "cannot be decode-verified" in capsys.readouterr().err
 
 
 def test_cli_simulate_rejects_fractional_share(tmp_path, capsys):

@@ -110,6 +110,28 @@ def test_user_at_helper_position_is_linked():
     assert conn.adjacency[1, col[0]]
 
 
+def test_links_follow_the_squared_distance_rule():
+    # Reference: squared distances summed over the coordinate axis.  Users
+    # placed one radius from a helper sit where rounding decides the link,
+    # and both forms must decide it alike.
+    rng = np.random.default_rng(12)
+    for helpers in (1, 4, 7, 19):
+        layout = hex_layout(helpers)
+        for radius in (0.5, 1.0, math.sqrt(3.0), 2.2):
+            users = sample_users(2.0, 3.0, rng)
+            on_circle = layout.positions[0] + radius * np.array([[1.0, 0.0], [0.0, -1.0]])
+            field = UserField(
+                positions=np.vstack([users.positions, on_circle]),
+                disk_radius=users.disk_radius,
+                density=users.density,
+            )
+            delta = layout.positions[:, None, :] - field.positions[None, :, :]
+            within = (delta**2).sum(axis=2) <= radius**2
+            conn = connect(layout, field, radius)
+            assert np.array_equal(conn.reachable_users, np.flatnonzero(within.any(axis=0)))
+            assert np.array_equal(conn.adjacency, within[:, conn.reachable_users])
+
+
 def test_large_radius_gives_full_connectivity():
     layout = hex_layout(4)
     users = sample_users(2.0, 2.7, np.random.default_rng(5))
