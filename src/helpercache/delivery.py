@@ -55,13 +55,6 @@ class RoundSchedule:
         return len(self.rounds)
 
 
-@dataclass(frozen=True)
-class DeliveryStats:
-    transmissions: int
-    time: float  # file-transmission time slots
-    dof: float | None  # K (1 - gamma) / time; None when no user was served
-
-
 def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int) -> RoundSchedule:
     """Consume every profile's partitions in order, one per round."""
     if any(p < 1 or p > num_profiles for p in partition_sets):

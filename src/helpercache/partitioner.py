@@ -14,13 +14,15 @@ ceil(N_S / |S|), where N_S counts the users whose helpers all lie in S
 (Harvey, Ladner, Lovasz & Tamir, "Semi-matchings for bipartite graphs and
 load balancing", J. Algorithms 2006).  `min_partition_counts` evaluates it
 for every profile of a network at once; the sweep takes its exact counts
-from it.  The least-cost branch and bound `bb_assign` is the paper's
-algorithm: it builds the partitions that the decode check replays, and the
-sweep cross-checks its counts against Hall's formula whenever it runs.
-Exhaustive enumeration (`brute_force_min_partitions`) and a capacity-bounded
-bipartite matching (`flow_oracle`) are independent oracles.  The
-helper-scan of `greedy_assign` is the fast baseline the exact methods are
-measured against.
+from it.  `optimal_partitions` builds the partitions that the decode check
+replays: one capacity-bounded matching at that count, certified by a
+failed matching one below it.  The least-cost branch and bound `bb_assign`
+is the paper's algorithm; it runs for `partition --method bb` and in the
+acceptance tests, not in the sweep.  Exhaustive enumeration
+(`brute_force_min_partitions`) is the oracle independent of both;
+`flow_oracle` binary-searches the same matching routine that
+`optimal_partitions` uses.  The helper-scan of `greedy_assign` is the fast
+baseline the exact methods are measured against.
 """
 
 from __future__ import annotations
@@ -350,11 +352,7 @@ def bb_assign(tables: DegreeTables) -> Assignment:
 
 
 def partitions_from_assignment(tables: DegreeTables, assignment: Assignment) -> PartitionSet:
-    """Materialize partitions: helper h serves its stack, then its routed users.
-
-    Partition g pairs every helper with the g-th user of its queue, so the
-    number of partitions equals the bottleneck load.
-    """
+    """Materialize partitions: helper h serves its stack, then its routed users."""
     if len(assignment.choices) != len(tables.multi):
         raise ValueError("assignment length does not match the multi-homed user count")
     queues = [list(col) for col in tables.single]
@@ -365,11 +363,16 @@ def partitions_from_assignment(tables: DegreeTables, assignment: Assignment) -> 
     loads = tuple(len(q) for q in queues)
     if loads != assignment.loads or max(loads) != assignment.bound:
         raise ValueError("assignment loads are inconsistent with the tables")
+    return _partitions_from_queues(queues, assignment.bound)
+
+
+def _partitions_from_queues(queues: list[list[int]], count: int) -> PartitionSet:
+    """Partition g < count pairs every helper with the g-th user of its queue."""
     partitions = tuple(
-        tuple((h, queues[h][g]) for h in range(tables.num_helpers) if len(queues[h]) > g)
-        for g in range(assignment.bound)
+        tuple((h, queue[g]) for h, queue in enumerate(queues) if len(queue) > g)
+        for g in range(count)
     )
-    return PartitionSet(partitions=partitions, num_helpers=tables.num_helpers)
+    return PartitionSet(partitions=partitions, num_helpers=len(queues))
 
 
 def brute_force_min_partitions(subnet: ProfileSubnetwork, guard: int = 10**7) -> int:
@@ -397,12 +400,13 @@ def brute_force_min_partitions(subnet: ProfileSubnetwork, guard: int = 10**7) ->
     return int(best)
 
 
-def _all_served(subnet: ProfileSubnetwork, cap: int) -> bool:
-    """Can every user get a helper with no helper taking more than `cap` users?
+def _place(subnet: ProfileSubnetwork, cap: int) -> list[int] | None:
+    """Each user's helper, with no helper taking more than `cap` users.
 
-    Places users one at a time along augmenting paths.  The path search
-    keeps an explicit stack, so its depth is not bounded by Python's
-    recursion limit.
+    Places users one at a time along augmenting paths and returns None as
+    soon as a user cannot be placed: then no placement at `cap` exists.
+    The path search keeps an explicit stack, so its depth is not bounded by
+    Python's recursion limit.
     """
     holders: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
     held_by = [-1] * subnet.num_users  # helper of each placed user
@@ -421,7 +425,7 @@ def _all_served(subnet: ProfileSubnetwork, cap: int) -> bool:
                     break
                 stack.extend(holders[h])
         if free < 0:
-            return False
+            return None
         # Shift every user on the path one helper along, ending at the free slot.
         helper = free
         while helper >= 0:
@@ -432,22 +436,41 @@ def _all_served(subnet: ProfileSubnetwork, cap: int) -> bool:
             if previous >= 0:
                 holders[previous].remove(pos)
             helper = previous
-    return True
+    return held_by
+
+
+def optimal_partitions(subnet: ProfileSubnetwork, count: int) -> PartitionSet:
+    """Partitions of an optimal assignment, given the minimum partition count.
+
+    Users are placed by capacity-`count` matching, and the count is
+    certified: placement must succeed at `count` and, for `count > 0`, fail
+    at `count - 1`.  A successful placement alone would also accept a count
+    above the minimum.  Raises ValueError if the count is not the minimum.
+    """
+    held_by = _place(subnet, count) if count >= 0 else None
+    if held_by is None or (count > 0 and _place(subnet, count - 1) is not None):
+        raise ValueError(f"profile {subnet.profile}: {count} is not the minimum partition count")
+    queues: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
+    for user, helper in zip(subnet.users, held_by):
+        queues[helper].append(user)
+    return _partitions_from_queues(queues, count)
 
 
 def flow_oracle(subnet: ProfileSubnetwork) -> int:
-    """Independent polynomial-time oracle for the minimum partition count.
+    """Polynomial-time oracle for the minimum partition count.
 
     Binary-search the smallest helper capacity q for which a matching serves
     every user with each helper used at most q times (feasibility checked by
-    augmenting paths); q matchings then cover all users and none fewer can.
+    the augmenting paths of `_place`); q matchings then cover all users and
+    none fewer can.  `optimal_partitions` shares `_place`, so this oracle is
+    independent of Hall's formula and `bb_assign`, not of verified trials.
     """
     if subnet.num_users == 0:
         return 0
     lo, hi = 1, subnet.num_users
     while lo < hi:
         mid = (lo + hi) // 2
-        if _all_served(subnet, mid):
+        if _place(subnet, mid) is not None:
             hi = mid
         else:
             lo = mid + 1

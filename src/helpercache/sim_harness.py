@@ -27,7 +27,6 @@ from .cache_placement import (
     ensure_valid,
 )
 from .delivery import (
-    DeliveryStats,
     build_schedule,
     coverage_check,
     delivery_time,
@@ -39,12 +38,10 @@ from .partitioner import (
     MAX_TABLE_HELPERS,
     PartitionSet,
     ProfileSubnetwork,
-    bb_assign,
-    build_tables,
     greedy_assign,
     greedy_counts,
     min_partition_counts,
-    partitions_from_assignment,
+    optimal_partitions,
     subnetworks_from_connectivity,
 )
 from .topology import ChannelMatrix, Connectivity, connect, draw_channels, hex_layout, sample_users
@@ -151,14 +148,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    seed: int
-    num_users: int  # after pruning unreachable users
-    stats: dict[str, DeliveryStats]
-    partition_counts: dict[str, tuple[int, ...]]  # per profile, per method
-
-
-@dataclass(frozen=True)
 class AggregateResult:
     sweep_var: str
     sweep_value: float
@@ -256,37 +245,40 @@ class PointOutcome:
     dof: dict[str, np.ndarray]  # per method, (T,) sum-DoF; NaN without users
 
 
-# Who builds each verified method's partitions, and where its counts come from.
-_BUILDERS = {"bb": ("bb_assign", "Hall's formula"), "greedy": ("greedy_assign", "greedy_counts")}
-
-
 def _partition_sets(
-    method: str, subnets: dict[int, ProfileSubnetwork]
+    method: str, subnets: dict[int, ProfileSubnetwork], counts: list[int], seed: int
 ) -> dict[int, PartitionSet]:
-    """Every profile's partitions: greedy's scan, or the branch and bound's optimum."""
+    """Every profile's partitions at its evaluated count (`counts[p - 1]`).
+
+    Greedy's scan must reproduce `greedy_counts`; bb's partitions come from
+    one matching at Hall's count, which must be the minimum.  Raises
+    RuntimeError, naming the trial seed, if either check fails.
+    """
     if method == "greedy":
-        return {profile: greedy_assign(subnet) for profile, subnet in subnets.items()}
-    psets = {}
-    for profile, subnet in subnets.items():
-        tables = build_tables(subnet)
-        psets[profile] = partitions_from_assignment(tables, bb_assign(tables))
-    return psets
+        psets = {profile: greedy_assign(subnet) for profile, subnet in subnets.items()}
+        built = [psets[profile].count for profile in sorted(psets)]
+        if built != counts:
+            raise RuntimeError(
+                f"greedy_assign partition counts {tuple(built)} differ from greedy_counts "
+                f"{tuple(counts)} (seed {seed})"
+            )
+        return psets
+    try:
+        return {
+            profile: optimal_partitions(subnet, counts[profile - 1])
+            for profile, subnet in subnets.items()
+        }
+    except ValueError as exc:
+        raise RuntimeError(f"count from Hall's formula rejected, {exc} (seed {seed})") from exc
 
 
 def _verify_trial(point: PointConfig, draw: TrialDraw, counts: dict[str, np.ndarray]) -> None:
-    """Build each method's partitions, match their counts, decode and audit the schedule."""
+    """Build each method's partitions at its counts, decode and audit the schedule."""
     subnets = subnetworks_from_connectivity(draw.conn, draw.assignment)
     num_users = draw.conn.num_users
     demands = symbols = None
     for method, expected in counts.items():
-        psets = _partition_sets(method, subnets)
-        built = tuple(psets[p].count for p in range(1, point.profiles + 1))
-        if built != tuple(expected.tolist()):
-            builder, source = _BUILDERS[method]
-            raise RuntimeError(
-                f"{builder} partition counts {built} differ from {source} "
-                f"{tuple(expected.tolist())} (seed {draw.seed})"
-            )
+        psets = _partition_sets(method, subnets, expected.tolist(), draw.seed)
         if num_users == 0:
             continue
         if symbols is None:
@@ -312,9 +304,13 @@ def run_point(
 
     Every partition count comes from `evaluate_counts`, and transmissions,
     delivery time and sum-DoF from the counts in closed form.  With
-    `verify` set, each trial's partitions are also built (`bb_assign`,
-    `greedy_assign`), their counts must equal the evaluated ones, and every
-    transmission is composed, decoded, and audited for complete coverage.
+    `verify` set, each trial's partitions are also built: greedy's by
+    `greedy_assign`, whose counts must equal the evaluated ones, and bb's
+    by `optimal_partitions` from one matching at the evaluated Hall counts,
+    which must pass its minimality certificate.  Every transmission is then
+    composed, decoded, and audited for complete coverage.  The branch and
+    bound `bb_assign` does not run here: on a 19-helper point its search
+    ran for more than 30 s on a single profile.
     """
     _check_methods(methods, verify)
     if not trial_seeds:
@@ -347,30 +343,6 @@ def run_point(
         dof[method][served] = sum_dof(num_users[served], point.gamma, time[method][served])
     return PointOutcome(
         num_users=num_users, counts=counts, transmissions=transmissions, time=time, dof=dof
-    )
-
-
-def run_trial(
-    point: PointConfig,
-    trial_seed: int,
-    methods: Sequence[str] = METHODS,
-    verify: bool = False,
-) -> TrialResult:
-    """One trial, fully determined by (point, trial_seed): a point of a single trial."""
-    outcome = run_point(point, [trial_seed], methods, verify)
-    num_users = int(outcome.num_users[0])
-    return TrialResult(
-        seed=trial_seed,
-        num_users=num_users,
-        stats={
-            m: DeliveryStats(
-                transmissions=int(outcome.transmissions[m][0]),
-                time=float(outcome.time[m][0]),
-                dof=float(outcome.dof[m][0]) if num_users > 0 else None,
-            )
-            for m in methods
-        },
-        partition_counts={m: tuple(outcome.counts[m][0].tolist()) for m in methods},
     )
 
 

@@ -21,6 +21,7 @@ from helpercache.partitioner import (
     greedy_counts,
     load_instance,
     min_partition_counts,
+    optimal_partitions,
     partition_rows,
     partitions_from_assignment,
     subnetworks_from_connectivity,
@@ -143,6 +144,10 @@ def test_empty_subnetwork_gives_empty_cover():
     assert greedy_assign(empty).count == 0
     tables = build_tables(empty)
     assert partitions_from_assignment(tables, bb_assign(tables)).count == 0
+    assert optimal_partitions(empty, 0).count == 0
+    for wrong in (-1, 1):
+        with pytest.raises(ValueError):
+            optimal_partitions(empty, wrong)
 
 
 def test_brute_force_respects_guard():
@@ -177,8 +182,15 @@ def _candidate_sets(draw):
 def test_hall_counts_match_oracles(hall_count, subnet):
     assume(math.prod(len(c) for c in subnet.candidates) <= 200_000)
     hall = hall_count(subnet)
-    assert hall == flow_oracle(subnet) == brute_force_min_partitions(subnet)
+    brute = brute_force_min_partitions(subnet)
+    assert hall == flow_oracle(subnet) == brute
     assert hall <= greedy_assign(subnet).count
+    pset = optimal_partitions(subnet, hall)
+    assert pset.count == hall == brute
+    _check_partition_set(subnet, pset)
+    for wrong in (hall - 1, hall + 1):
+        with pytest.raises(ValueError, match=f"profile {subnet.profile}: "):
+            optimal_partitions(subnet, wrong)
 
 
 def test_min_partition_counts_per_profile(reference_subnet):

@@ -24,8 +24,8 @@ from helpercache.sim_harness import (
     derive_trial_seed,
     emit_results,
     evaluate_counts,
+    run_point,
     run_sweep,
-    run_trial,
 )
 from helpercache.topology import Connectivity
 
@@ -54,11 +54,18 @@ def _tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def _assert_same_outcome(a, b):
+    assert np.array_equal(a.num_users, b.num_users)
+    for field in ("counts", "transmissions", "time", "dof"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.keys() == y.keys()
+        for method in x:
+            assert np.array_equal(x[method], y[method], equal_nan=True), (field, method)
+
+
 def test_trial_is_deterministic():
     seed = derive_trial_seed(0, 5)
-    a = run_trial(_point(), seed)
-    b = run_trial(_point(), seed)
-    assert a == b
+    _assert_same_outcome(run_point(_point(), [seed]), run_point(_point(), [seed]))
 
 
 def test_trial_seeds_are_stable_values():
@@ -68,51 +75,49 @@ def test_trial_seeds_are_stable_values():
 
 
 def test_exact_solver_never_loses_to_greedy():
-    for index in range(25):
-        trial = run_trial(_point(), derive_trial_seed(1, index))
-        assert trial.stats["bb"].dof >= trial.stats["greedy"].dof - 1e-12
-        for bb_count, greedy_count in zip(
-            trial.partition_counts["bb"], trial.partition_counts["greedy"]
-        ):
-            assert bb_count <= greedy_count
+    outcome = run_point(_point(), [derive_trial_seed(1, index) for index in range(25)])
+    assert np.all(outcome.num_users > 0)
+    assert np.all(outcome.dof["bb"] >= outcome.dof["greedy"] - 1e-12)
+    assert np.all(outcome.counts["bb"] <= outcome.counts["greedy"])
 
 
 def test_trial_without_reachable_users_skips_metric():
     point = PointConfig(helpers=1, profiles=2, gamma=0.5, radius=0.0, user_radius=1.0, density=0.5)
-    trial = run_trial(point, derive_trial_seed(0, 0))
-    assert trial.num_users == 0
-    assert trial.stats["bb"].dof is None
-    assert trial.stats["bb"].transmissions == 0
+    trial = run_point(point, [derive_trial_seed(0, 0)])
+    assert trial.num_users.tolist() == [0]
+    assert math.isnan(trial.dof["bb"][0])
+    assert trial.transmissions["bb"].tolist() == [0]
 
 
 def test_verified_trial_matches_unverified_stats():
-    # Verified trials take bb's counts from bb_assign's partitions, plain
-    # ones from Hall's formula; both must give the same numbers.
+    # Verified trials also build every partition and decode the schedule;
+    # the numbers must be those of the plain run.
+    seeds = [derive_trial_seed(2, 7 + index) for index in range(3)]
     for radius in (1.2, 2.2, 3.2, 4.2):
-        for index in range(3):
-            seed = derive_trial_seed(2, 7 + index)
-            plain = run_trial(_point(radius=radius), seed)
-            checked = run_trial(_point(radius=radius), seed, verify=True)
-            assert plain.stats == checked.stats
-            assert plain.partition_counts == checked.partition_counts
+        plain = run_point(_point(radius=radius), seeds)
+        _assert_same_outcome(plain, run_point(_point(radius=radius), seeds, verify=True))
 
 
 def test_verified_trial_rejects_count_mismatch(monkeypatch):
     # The batched Hall call is off by one on a single label: 2 * L + 2 is
     # profile 3 of the third trial, which must be the trial that fails.
-    def off_by_one(adjacency, labels, num_labels):
-        counts = min_partition_counts(adjacency, labels, num_labels)
-        counts[2 * 10 + 2] += 1
-        return counts
-
-    monkeypatch.setattr(sim_harness, "min_partition_counts", off_by_one)
+    # A count one too high still admits a matching, so only the failed
+    # matching one below the count rejects it.
     config = ExperimentConfig(
         helpers=4, gamma=0.1, user_radius=2.7, trials=4, seed=2, sweep="r", values=(1.2,),
         profiles=10, density=REFERENCE_DENSITY, verify=True,
     )
-    with pytest.raises(RuntimeError, match="Hall's formula") as failure:
-        run_sweep(config)
-    assert f"(seed {derive_trial_seed(2, 2)})" in str(failure.value)
+    for error in (1, -1):
+
+        def off_by_one(adjacency, labels, num_labels, error=error):
+            counts = min_partition_counts(adjacency, labels, num_labels)
+            counts[2 * 10 + 2] += error
+            return counts
+
+        monkeypatch.setattr(sim_harness, "min_partition_counts", off_by_one)
+        with pytest.raises(RuntimeError, match="Hall's formula") as failure:
+            run_sweep(config)
+        assert f"(seed {derive_trial_seed(2, 2)})" in str(failure.value)
 
 
 def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
@@ -121,7 +126,19 @@ def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
 
     monkeypatch.setattr(sim_harness, "greedy_counts", off_by_one)
     with pytest.raises(RuntimeError, match="greedy_assign partition counts .* differ"):
-        run_trial(_point(), derive_trial_seed(2, 7), verify=True)
+        run_point(_point(), [derive_trial_seed(2, 7)], verify=True)
+
+
+def test_verified_large_cluster_finishes():
+    # 19 helpers: on these two trials a single profile kept the branch and
+    # bound busy for seconds to minutes; one matching per count takes
+    # milliseconds.
+    point = PointConfig(
+        helpers=19, profiles=10, gamma=0.1, radius=1.3, user_radius=4.5, density=6.0
+    )
+    seeds = [derive_trial_seed(3, 9), derive_trial_seed(3, 15)]
+    plain = run_point(point, seeds, ("bb",))
+    _assert_same_outcome(plain, run_point(point, seeds, ("bb",), verify=True))
 
 
 @st.composite
@@ -179,19 +196,22 @@ def test_results_do_not_depend_on_chunking(monkeypatch, tmp_path):
         assert _sweep_bytes(config, tmp_path, f"chunks{trials_per_chunk}") == whole
 
 
-def test_run_trial_matches_its_sweep_entries():
+def test_single_trial_points_match_their_sweep_entries():
     config = ExperimentConfig(
         helpers=3, gamma=0.5, user_radius=2.0, trials=12, seed=4, sweep="r",
         values=(0.6,), profiles=2, density=0.3, methods=ALL_METHODS,
     )
     ((_, point),) = config.points()
     results = {r.method: r for r in run_sweep(config)}
-    trials = [run_trial(point, derive_trial_seed(4, i), ALL_METHODS) for i in range(config.trials)]
-    assert any(t.num_users == 0 for t in trials)  # empty trials are skipped in the sweep
+    trials = [
+        run_point(point, [derive_trial_seed(4, i)], ALL_METHODS) for i in range(config.trials)
+    ]
+    users = [int(t.num_users[0]) for t in trials]
+    assert 0 in users  # empty trials are skipped in the sweep
     for method in ALL_METHODS:
-        assert results[method].per_trial_users == tuple(t.num_users for t in trials)
+        assert results[method].per_trial_users == tuple(users)
         assert results[method].per_trial_dof == tuple(
-            t.stats[method].dof for t in trials if t.num_users > 0
+            float(t.dof[method][0]) for t, k in zip(trials, users) if k > 0
         )
 
 
@@ -201,7 +221,7 @@ def test_unverified_sweep_builds_no_partitions(monkeypatch):
 
     monkeypatch.setattr(sim_harness, "subnetworks_from_connectivity", refuse)
     monkeypatch.setattr(sim_harness, "greedy_assign", refuse)
-    monkeypatch.setattr(sim_harness, "bb_assign", refuse)
+    monkeypatch.setattr(sim_harness, "optimal_partitions", refuse)
     monkeypatch.setattr(delivery, "round_idle_counts", refuse)
     results = run_sweep(_tiny_config(methods=ALL_METHODS, trials=6))
     assert len(results) == 6
@@ -210,16 +230,15 @@ def test_unverified_sweep_builds_no_partitions(monkeypatch):
 def test_fc_is_the_fully_connected_optimum():
     # At radius 4.2 every user reaches all four helpers, so the network is
     # fully connected and Hall's count is ceil(n_p / E) for every profile.
-    for index in range(10):
-        seed = derive_trial_seed(6, index)
-        full = run_trial(_point(radius=4.2), seed, ("bb", "fc"))
-        assert full.partition_counts["bb"] == full.partition_counts["fc"]
-        assert full.stats["bb"] == full.stats["fc"]
-        partial = run_trial(_point(radius=1.2), seed, ("bb", "fc"))
-        assert all(f <= b for f, b in zip(partial.partition_counts["fc"], partial.partition_counts["bb"]))
-        assert partial.stats["bb"].dof <= partial.stats["fc"].dof
+    seeds = [derive_trial_seed(6, index) for index in range(10)]
+    full = run_point(_point(radius=4.2), seeds, ("bb", "fc"))
+    for field in ("counts", "transmissions", "time", "dof"):
+        assert np.array_equal(getattr(full, field)["bb"], getattr(full, field)["fc"])
+    partial = run_point(_point(radius=1.2), seeds, ("bb", "fc"))
+    assert np.all(partial.counts["fc"] <= partial.counts["bb"])
+    assert np.all(partial.dof["bb"] <= partial.dof["fc"])
     with pytest.raises(ValueError, match="cannot be decode-verified"):
-        run_trial(_point(), derive_trial_seed(6, 0), ("bb", "fc"), verify=True)
+        run_point(_point(), seeds[:1], ("bb", "fc"), verify=True)
 
 
 def test_helper_count_is_capped():
