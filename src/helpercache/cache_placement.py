@@ -42,23 +42,17 @@ class CacheConfig:
         return int(rounded)
 
 
-def validate(config: CacheConfig) -> list[str]:
-    """Collect every violated placement condition; an empty list means valid."""
-    problems: list[str] = []
+def ensure_valid(config: CacheConfig) -> None:
+    """Raise ConfigError naming every violated placement condition."""
     if config.num_profiles < 1:
-        problems.append(f"profile count must be at least 1, got {config.num_profiles}")
-        return problems
+        raise ConfigError(f"profile count must be at least 1, got {config.num_profiles}")
+    problems: list[str] = []
     if not 0 < config.gamma < 1:
         problems.append(f"cache fraction must lie in (0, 1), got {config.gamma}")
     try:
         config.index_size
     except ConfigError as exc:
         problems.append(str(exc))
-    return problems
-
-
-def ensure_valid(config: CacheConfig) -> None:
-    problems = validate(config)
     if problems:
         raise ConfigError("; ".join(problems))
 

@@ -67,6 +67,8 @@ def _parse_values(raw: str, sweep: str) -> tuple[float, ...]:
 
 
 def _run_simulate(args: argparse.Namespace) -> None:
+    if args.per_trial and args.format == "csv":
+        raise ValueError("--per-trial needs --format json")
     methods = sim_harness.METHODS if args.method == "both" else (args.method,)
     config = sim_harness.ExperimentConfig(
         helpers=args.helpers,

@@ -7,6 +7,11 @@ sum of the per-profile precoded blocks, zero-padded onto the helpers the
 partition does not use.  A served user cancels the other profiles' blocks
 from its cache and is left with exactly its own subfile symbol.  The
 verifier builds a round's signals as one matrix, a column per group.
+
+A schedule holds only its rounds; the rest follows from them.  Its
+transmission count is the sweep's closed form over its per-profile partition
+counts, and its coverage audit passes exactly when no user holds two
+(round, profile) slots.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cache_placement import SubfileIndex, needed_subfiles
+from .cache_placement import SubfileIndex
 from .topology import ChannelMatrix
 from .partitioner import PartitionSet
 
@@ -44,11 +49,10 @@ RoundEntries = Mapping[int, Slot]
 
 @dataclass(frozen=True)
 class RoundSchedule:
-    """Per-round service plan plus the count of profiles idle in each round."""
+    """Per-round service plan: round g maps each profile with a g-th partition to its slot."""
 
     num_profiles: int
     rounds: tuple[RoundEntries, ...]
-    idle_counts: tuple[int, ...]  # v(g): profiles with no partition in round g
 
     @property
     def num_rounds(self) -> int:
@@ -71,35 +75,18 @@ def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int
                 users = tuple(u for _, u in part)
                 entries[profile] = (helpers, users)
         rounds.append(entries)
-    return RoundSchedule(
-        num_profiles=num_profiles,
-        rounds=tuple(rounds),
-        idle_counts=round_idle_counts(list(counts.values())),
-    )
-
-
-def round_idle_counts(partition_counts: Sequence[int]) -> tuple[int, ...]:
-    """v(g) for every round g: the profiles whose partition count is at most g."""
-    return tuple(
-        sum(count <= g for count in partition_counts)
-        for g in range(max(partition_counts, default=0))
-    )
-
-
-def transmissions_from_idle(idle: Sequence[int], num_profiles: int, index_size: int) -> int:
-    """Closed-form count of the multicast groups with a nonempty effective set.
-
-    Round g sends one signal per size-(t + 1) profile group that is not
-    wholly idle: sum over g of C(L, t + 1) - C(v(g), t + 1).
-    """
-    size = index_size + 1
-    full = comb(num_profiles, size)
-    return sum(full - comb(v, size) for v in idle)
+    return RoundSchedule(num_profiles=num_profiles, rounds=tuple(rounds))
 
 
 def count_transmissions(schedule: RoundSchedule, index_size: int) -> int:
-    """Closed-form count of the multicast groups with a nonempty effective set."""
-    return transmissions_from_idle(schedule.idle_counts, schedule.num_profiles, index_size)
+    """Closed-form count of the multicast groups with a nonempty effective set.
+
+    The sweep's own formula, `transmissions_from_counts`, applied to the
+    schedule's per-profile partition counts.
+    """
+    served = Counter(p for entries in schedule.rounds for p in entries)
+    counts = [served[p] for p in range(1, schedule.num_profiles + 1)]
+    return int(transmissions_from_counts(np.array(counts, dtype=np.int64), index_size))
 
 
 def enumerate_transmissions(
@@ -116,7 +103,8 @@ def enumerate_transmissions(
 def transmissions_from_counts(counts: np.ndarray, index_size: int) -> np.ndarray:
     """Transmissions of every row of a (..., L) array of per-profile partition counts.
 
-    Summing C(L, t + 1) - C(v(g), t + 1) over the rounds g is, by the
+    Summing C(L, t + 1) - C(v(g), t + 1) over the rounds g, with v(g) the
+    profiles whose count is at most g (idle in round g), is, by the
     hockey-stick identity, sum_j c_(j) C(L - j, t) with c_(1) >= c_(2) >= ...
     the row's counts in descending order: one sort and one product for a
     whole array of trials.  The totals are int64, or exact Python integers
@@ -223,9 +211,11 @@ def round_signals(
     """Compose every round's signal matrix from the groups it transmits.
 
     Round g sends the groups `enumerate_transmissions` yields for it, which
-    must number C(L, t + 1) - C(v(g), t + 1).  In the column of group S,
-    profile p's users carry the subfiles of index S minus p, precoded by the
-    inverse of their matched channel and zero-padded onto the other helpers.
+    must number C(L, t + 1) - C(L - a(g), t + 1) with a(g) the profiles
+    served that round: every group except those of idle profiles only.  In
+    the column of group S, profile p's users carry the subfiles of index S
+    minus p, precoded by the inverse of their matched channel and
+    zero-padded onto the other helpers.
     """
     transmitted: list[list[tuple[int, ...]]] = [[] for _ in schedule.rounds]
     for g, group, _ in enumerate_transmissions(schedule, index_size):
@@ -239,10 +229,11 @@ def round_signals(
     signals = []
     for g, entries in enumerate(schedule.rounds):
         groups = transmitted[g]
-        expected = full - comb(schedule.idle_counts[g], index_size + 1)
+        expected = full - comb(schedule.num_profiles - len(entries), index_size + 1)
         if len(groups) != expected:
             raise RuntimeError(
-                f"round {g} transmits {len(groups)} groups, the idle count implies {expected}"
+                f"round {g} transmits {len(groups)} groups, its {len(entries)} active "
+                f"profiles imply {expected}"
             )
         served = [u for _, users in entries.values() for u in users]
         profiles = np.repeat(list(entries), [len(users) for _, users in entries.values()])
@@ -317,31 +308,20 @@ def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:
     round containing its profile p, since such a group always has an active
     member, and S -> S minus p maps those groups one to one onto the size-t
     subsets of the other profiles: each needed index once, nothing else.  So
-    the audit passes exactly when no user holds two slots; otherwise the
-    deliveries are enumerated to name every fault.
+    the audit passes exactly when no user holds two slots; otherwise it names
+    every such user with its slots.  `index_size` does not change the verdict.
     """
     served = [u for entries in schedule.rounds for _, users in entries.values() for u in users]
     if len(set(served)) == len(served):
         return []
-    delivered: dict[int, Counter] = defaultdict(Counter)
-    profile_of: dict[int, int] = {}
-    for g, group, effective in enumerate_transmissions(schedule, index_size):
-        for profile in effective:
-            _, users = schedule.rounds[g][profile]
-            index = tuple(sorted(set(group) - {profile}))
+    slots: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for g, entries in enumerate(schedule.rounds):
+        for profile, (_, users) in entries.items():
             for user in users:
-                delivered[user][index] += 1
-                profile_of[user] = profile
-    problems = []
-    for user in sorted(delivered):
-        needed = needed_subfiles(profile_of[user], schedule.num_profiles, index_size)
-        got = delivered[user]
-        for index in needed:
-            times = got.get(index, 0)
-            if times != 1:
-                problems.append(f"user {user}: index {index} delivered {times} times")
-        unneeded = got.keys() - set(needed)
-        problems.extend(
-            f"user {user}: unneeded index {index} delivered" for index in got if index in unneeded
-        )
-    return problems
+                slots[user].append((g, profile))
+    twice = sorted((user, held) for user, held in slots.items() if len(held) > 1)
+    return [
+        f"user {user}: served in {len(held)} slots (round, profile): "
+        + ", ".join(map(str, held))
+        for user, held in twice
+    ]

@@ -504,10 +504,14 @@ def dump_instance(subnet: ProfileSubnetwork, stream: IO[str]) -> None:
 
 
 def load_instance(lines: Iterable[str], profile: int = 1) -> ProfileSubnetwork:
-    """Parse the dump format; the `helpers:` header is optional."""
+    """Parse the dump format.
+
+    A `helpers: E` header, above or below the user lines, fixes E, and a
+    helper label above it is an error; without one, E is the largest label.
+    """
     users: list[int] = []
     cands: list[tuple[int, ...]] = []
-    num_helpers = 0
+    num_helpers: int | None = None
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -522,7 +526,14 @@ def load_instance(lines: Iterable[str], profile: int = 1) -> ProfileSubnetwork:
             raise ValueError(f"user {user} has no helpers listed")
         users.append(user)
         cands.append(helpers)
-        num_helpers = max(num_helpers, helpers[-1] + 1)
+    if num_helpers is None:
+        num_helpers = max((helpers[-1] + 1 for helpers in cands), default=0)
+    for user, helpers in zip(users, cands):
+        if helpers[-1] >= num_helpers:
+            raise ValueError(
+                f"user {user} lists helper {helpers[-1] + 1}, above the declared "
+                f"helpers: {num_helpers}"
+            )
     return ProfileSubnetwork(
         profile=profile, users=tuple(users), candidates=tuple(cands), num_helpers=num_helpers
     )

@@ -387,6 +387,8 @@ def emit_results(
     """Write aggregates to `path` as CSV or JSON; output is byte-reproducible."""
     if not results:
         raise ValueError("no results to emit")
+    if fmt == "csv" and per_trial:
+        raise ValueError("per-trial arrays need json output; csv holds only the aggregates")
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in results:

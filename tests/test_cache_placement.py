@@ -13,25 +13,21 @@ from helpercache.cache_placement import (
     ensure_valid,
     needed_subfiles,
     subfile_indices,
-    validate,
 )
 
 
 def test_reference_config_is_valid():
-    assert validate(CacheConfig(num_profiles=10, gamma=0.1)) == []
+    ensure_valid(CacheConfig(num_profiles=10, gamma=0.1))
 
 
 def test_small_config_at_the_cap():
     config = CacheConfig(num_profiles=3, gamma=1 / 3)
-    assert validate(config) == []
+    ensure_valid(config)
     assert config.index_size == 1
 
 
 def test_fractional_share_is_rejected():
-    problems = validate(CacheConfig(num_profiles=10, gamma=0.15))
-    assert len(problems) == 1
-    assert "memory sharing" in problems[0]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="memory sharing"):
         ensure_valid(CacheConfig(num_profiles=10, gamma=0.15))
 
 

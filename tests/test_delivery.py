@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delivery_reference import audit_deliveries, build_precoder, compose_signal, replay_schedule, verify_decode
+from helpercache import delivery
 from helpercache.cache_placement import ProfileAssignment, assign_profiles, draw_subfile_symbols
 from helpercache.delivery import (
     DecodeFailure,
@@ -19,11 +21,9 @@ from helpercache.delivery import (
     delivery_time,
     enumerate_transmissions,
     matched_precoders,
-    round_idle_counts,
     round_signals,
     sum_dof,
     transmissions_from_counts,
-    transmissions_from_idle,
     verify_schedule,
 )
 from helpercache.partitioner import (
@@ -57,6 +57,22 @@ def _full_connectivity(num_users: int, num_helpers: int) -> Connectivity:
     )
 
 
+def _profile_counts(schedule: RoundSchedule) -> tuple[int, ...]:
+    """Rounds in which each profile 1..L is served."""
+    return tuple(
+        sum(p in entries for entries in schedule.rounds) for p in range(1, schedule.num_profiles + 1)
+    )
+
+
+def _round_by_round(counts, num_profiles: int, index_size: int) -> int:
+    """Sum over rounds g of C(L, t + 1) - C(v(g), t + 1), v(g) the profiles idle in round g."""
+    size = index_size + 1
+    return sum(
+        math.comb(num_profiles, size) - math.comb(sum(c <= g for c in counts), size)
+        for g in range(max(counts, default=0))
+    )
+
+
 def test_schedule_orders_partitions_and_counts_idle():
     psets = {
         1: _singleton_partitions(3, first_user=0),
@@ -65,7 +81,7 @@ def test_schedule_orders_partitions_and_counts_idle():
     }
     schedule = build_schedule(psets, 3)
     assert schedule.num_rounds == 3
-    assert schedule.idle_counts == (1, 1, 2)
+    assert _profile_counts(schedule) == (3, 2, 0)
     assert set(schedule.rounds[0]) == {1, 2}
     assert set(schedule.rounds[2]) == {1}
 
@@ -84,8 +100,10 @@ def test_schedule_rejects_unknown_profiles():
 def test_transmission_count_example():
     psets = {1: _singleton_partitions(1), 2: _singleton_partitions(1, first_user=5)}
     schedule = build_schedule(psets, 3)
-    assert schedule.idle_counts == (1,)
-    assert count_transmissions(schedule, 1) == 3  # C(3,2) - C(1,2)
+    assert _profile_counts(schedule) == (1, 1, 0)
+    count = count_transmissions(schedule, 1)
+    assert count == 3  # C(3,2) - C(1,2)
+    assert type(count) is int  # summed and passed on as a Python integer
 
 
 def test_transmission_count_no_idle_profiles():
@@ -116,14 +134,12 @@ def test_sorted_counts_give_the_round_by_round_count():
         num_profiles = int(rng.integers(1, 13))
         index_size = int(rng.integers(0, num_profiles))
         counts = rng.integers(0, 7, size=num_profiles)
-        by_rounds = transmissions_from_idle(
-            round_idle_counts(counts.tolist()), num_profiles, index_size
-        )
+        by_rounds = _round_by_round(counts.tolist(), num_profiles, index_size)
         assert transmissions_from_counts(counts, index_size) == by_rounds
     # A whole (trials, L) array at once, row by row the same.
     batch = rng.integers(0, 7, size=(50, 10))
     assert transmissions_from_counts(batch, 3).tolist() == [
-        transmissions_from_idle(round_idle_counts(row.tolist()), 10, 3) for row in batch
+        _round_by_round(row.tolist(), 10, 3) for row in batch
     ]
 
 
@@ -133,7 +149,7 @@ def test_sorted_counts_stay_exact_beyond_float_precision():
     rng = np.random.default_rng(42)
     batch = rng.integers(0, 9, size=(20, 60))
     totals = transmissions_from_counts(batch, 30)
-    exact = [transmissions_from_idle(round_idle_counts(row.tolist()), 60, 30) for row in batch]
+    exact = [_round_by_round(row.tolist(), 60, 30) for row in batch]
     assert totals.tolist() == exact
     assert delivery_time(totals, 60, 30).tolist() == [n / math.comb(60, 30) for n in exact]
     small = transmissions_from_counts(batch[:, :10], 1)
@@ -330,12 +346,18 @@ def test_group_without_active_profiles_is_skipped():
     assert [rs.groups for rs in signals] == [((1, 2), (1, 3))] * 2
 
 
-def test_round_with_the_wrong_group_count_is_rejected():
-    # profile 3 is idle, so the round sends C(3, 2) - C(1, 2) = 3 groups, not
-    # the C(3, 2) - C(2, 2) = 2 that two idle profiles would leave
+def test_round_with_the_wrong_group_count_is_rejected(monkeypatch):
+    # profiles 1 and 2 are active, so the round must send C(3, 2) - C(1, 2) = 3
+    # groups; an enumeration that loses one is caught
     schedule, channel, demands, symbols = _two_profile_round()
-    with pytest.raises(RuntimeError, match="transmits 3 groups, the idle count implies 2"):
-        round_signals(channel, replace(schedule, idle_counts=(2,)), demands, symbols, 1)
+    enumerate_all = delivery.enumerate_transmissions
+
+    def drop_last_group(schedule, index_size):
+        return list(enumerate_all(schedule, index_size))[:-1]
+
+    monkeypatch.setattr(delivery, "enumerate_transmissions", drop_last_group)
+    with pytest.raises(RuntimeError, match="transmits 2 groups, its 2 active profiles imply 3"):
+        round_signals(channel, schedule, demands, symbols, 1)
 
 
 def test_served_users_cancel_and_decode():
@@ -396,19 +418,22 @@ def test_coverage_flags_duplicate_delivery():
         2: PartitionSet(partitions=(((1, 14),),), num_helpers=4),
     }
     schedule = build_schedule(psets, 2)
-    problems = coverage_check(schedule, 1)
-    assert any("user 2" in p and "2 times" in p for p in problems)
+    assert coverage_check(schedule, 1) == [
+        "user 2: served in 2 slots (round, profile): (0, 1), (1, 1)"
+    ]
 
 
 def test_coverage_flags_unneeded_delivery():
-    # user 2 served under both profiles is audited as profile 2, and the
-    # indices it got as a profile-1 user contain its own profile
+    # user 2 served under both profiles in one round gets, as a profile-1
+    # user, an index that contains profile 2
     psets = {
         1: PartitionSet(partitions=(((0, 2),),), num_helpers=4),
         2: PartitionSet(partitions=(((1, 2),),), num_helpers=4),
     }
     schedule = build_schedule(psets, 2)
-    assert coverage_check(schedule, 1) == ["user 2: unneeded index (2,) delivered"]
+    assert coverage_check(schedule, 1) == [
+        "user 2: served in 2 slots (round, profile): (0, 1), (0, 2)"
+    ]
 
 
 def _uniform_trial(num_profiles: int, per_profile: int, num_helpers: int = 4):
@@ -428,7 +453,7 @@ def test_full_connectivity_recovers_single_round_structure():
     psets = {p: greedy_assign(s) for p, s in subnets.items()}
     schedule = build_schedule(psets, 5)
     assert schedule.num_rounds == 1
-    assert schedule.idle_counts == (0,)
+    assert _profile_counts(schedule) == (1,) * 5
     assert count_transmissions(schedule, 1) == math.comb(5, 2)
     channel = draw_channels(conn, np.random.default_rng(9))
     demands = {k: k for k in range(conn.num_users)}
@@ -508,16 +533,17 @@ def _served_twice(schedule: RoundSchedule, later_round: bool) -> RoundSchedule:
     profile = next(iter(entries))
     user = entries[profile][1][0]
     rounds = [dict(r) for r in schedule.rounds]
-    idle = list(schedule.idle_counts)
     if later_round:
         rounds.append({profile: ((0,), (user,))})
-        idle.append(schedule.num_profiles - 1)
     else:
         other = profile % schedule.num_profiles + 1
         helpers, users = rounds[0].get(other, ((), ()))
-        idle[0] -= other not in rounds[0]
         rounds[0][other] = (helpers + (0,), users + (user,))
-    return replace(schedule, rounds=tuple(rounds), idle_counts=tuple(idle))
+    return replace(schedule, rounds=tuple(rounds))
+
+
+def _users_named(problems: list[str]) -> set[int]:
+    return {int(re.match(r"user (\d+):", problem).group(1)) for problem in problems}
 
 
 @settings(max_examples=200, deadline=None)
@@ -532,5 +558,5 @@ def test_round_matrices_match_the_per_transmission_replay(trial):
     if schedule.num_rounds:
         for later_round in (True, False):
             mutated = _served_twice(schedule, later_round)
-            problems = coverage_check(mutated, index_size)
-            assert problems and problems == audit_deliveries(mutated, index_size)
+            named = _users_named(coverage_check(mutated, index_size))
+            assert named and named == _users_named(audit_deliveries(mutated, index_size))

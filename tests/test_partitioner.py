@@ -276,6 +276,15 @@ def test_load_instance_requires_helpers():
         load_instance(io.StringIO("5:\n"))
 
 
+def test_load_instance_header_binds_above_or_below_the_users():
+    for text in ("helpers: 3\n1: 1,5\n", "1: 1,5\nhelpers: 3\n"):
+        with pytest.raises(ValueError, match=r"user 1 lists helper 5, above the declared helpers: 3"):
+            load_instance(io.StringIO(text))
+    for text in ("helpers: 6\n1: 1,5\n", "1: 1,5\nhelpers: 6\n"):
+        assert load_instance(io.StringIO(text)).num_helpers == 6
+    assert load_instance(io.StringIO("1: 1,5\n2: 2\n")).num_helpers == 5
+
+
 def test_partition_rows_views(reference_subnet):
     rows = partition_rows(greedy_assign(reference_subnet))
     assert rows[0] == [1, 2, 6, 9]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpercache import delivery, sim_harness
+from helpercache import sim_harness
 from helpercache.cache_placement import ConfigError, ProfileAssignment
 from helpercache.cli import main
 from helpercache.partitioner import (
@@ -222,7 +222,7 @@ def test_unverified_sweep_builds_no_partitions(monkeypatch):
     monkeypatch.setattr(sim_harness, "subnetworks_from_connectivity", refuse)
     monkeypatch.setattr(sim_harness, "greedy_assign", refuse)
     monkeypatch.setattr(sim_harness, "optimal_partitions", refuse)
-    monkeypatch.setattr(delivery, "round_idle_counts", refuse)
+    monkeypatch.setattr(sim_harness, "build_schedule", refuse)
     results = run_sweep(_tiny_config(methods=ALL_METHODS, trials=6))
     assert len(results) == 6
 
@@ -320,6 +320,9 @@ def test_json_output_carries_per_trial_arrays(tmp_path):
     assert len(rows) == 4
     assert set(rows[0]) >= {"sweep_var", "sweep_value", "method", "mean_sum_dof", "per_trial_sum_dof"}
     assert len(rows[0]["per_trial_K"]) == 4
+    with pytest.raises(ValueError, match="per-trial arrays need json output"):
+        emit_results(results, "csv", str(tmp_path / "r.csv"), per_trial=True)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_emit_rejects_empty_results(tmp_path):
@@ -327,7 +330,7 @@ def test_emit_rejects_empty_results(tmp_path):
         emit_results([], "csv", str(tmp_path / "x.csv"))
 
 
-def test_cli_simulate_round_trip(tmp_path):
+def test_cli_simulate_round_trip(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     args = [
         "simulate",
@@ -348,6 +351,10 @@ def test_cli_simulate_round_trip(tmp_path):
     assert main(args) == 0
     assert out.read_bytes() == first
     assert first.decode().splitlines()[0] == CSV_HEADER
+    # csv carries no per-trial arrays, so asking for them is an error
+    assert main(args + ["--per-trial"]) == 1
+    assert "error: --per-trial needs --format json" in capsys.readouterr().err
+    assert out.read_bytes() == first
 
 
 def test_cli_simulate_fc_method(tmp_path, capsys):
