@@ -68,10 +68,6 @@ class ProfileAssignment:
     def num_users(self) -> int:
         return self.profile_of.shape[0]
 
-    def counts(self) -> np.ndarray:
-        """Per-profile user counts, index 0 holding profile 1."""
-        return np.bincount(self.profile_of, minlength=self.num_profiles + 1)[1:]
-
 
 def assign_profiles(num_users: int, num_profiles: int, rng: np.random.Generator) -> ProfileAssignment:
     """Assign each user an independent uniform profile from 1..num_profiles."""
@@ -81,18 +77,6 @@ def assign_profiles(num_users: int, num_profiles: int, rng: np.random.Generator)
         raise ValueError(f"profile count must be at least 1, got {num_profiles}")
     draws = rng.integers(1, num_profiles + 1, size=num_users)
     return ProfileAssignment(profile_of=draws, num_profiles=num_profiles)
-
-
-def subfile_indices(num_profiles: int, index_size: int) -> list[SubfileIndex]:
-    """All size-`index_size` subsets of 1..L, lexicographically ordered."""
-    if not 0 <= index_size <= num_profiles:
-        raise ValueError(f"index size must lie in 0..{num_profiles}, got {index_size}")
-    return list(combinations(range(1, num_profiles + 1), index_size))
-
-
-def cached_by(profile: int, index: SubfileIndex) -> bool:
-    """A profile caches exactly the subfiles whose index contains it."""
-    return profile in index
 
 
 def needed_subfiles(profile: int, num_profiles: int, index_size: int) -> list[SubfileIndex]:

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--per-trial", action="store_true", help="include per-trial arrays (json)")
     sim.add_argument("--out", required=True, help="output file path")
 
-    part = sub.add_parser("partition", help="solve a dumped subnetwork instance")
+    part = sub.add_parser("partition", help="solve a subnetwork instance file")
     part.add_argument("--instance", required=True, help="instance file (user: h1,h2,... lines)")
     part.add_argument("--method", choices=("bb", "greedy", "brute", "flow"), default="bb")
     return parser

@@ -25,7 +25,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .cache_placement import SubfileIndex
-from .topology import ChannelMatrix
 from .partitioner import PartitionSet
 
 CONDITION_LIMIT = 1e12
@@ -149,7 +148,7 @@ def sum_dof(
     return num_users * (1.0 - gamma) / time
 
 
-def matched_precoders(channel: ChannelMatrix, slots: Sequence[Slot]) -> list[np.ndarray]:
+def matched_precoders(channel: np.ndarray, slots: Sequence[Slot]) -> list[np.ndarray]:
     """Invert the channel between each slot's helpers and its users.
 
     Row k of a slot's submatrix is user k's channel restricted to the
@@ -166,7 +165,7 @@ def matched_precoders(channel: ChannelMatrix, slots: Sequence[Slot]) -> list[np.
     for size, members in by_size.items():
         helpers = np.array([slots[i][0] for i in members], dtype=np.intp).reshape(-1, size)
         users = np.array([slots[i][1] for i in members], dtype=np.intp).reshape(-1, size)
-        subs = channel.coefficients[users[:, :, None], helpers[:, None, :]]
+        subs = channel[users[:, :, None], helpers[:, None, :]]
         zero = (np.diagonal(subs, axis1=1, axis2=2) == 0).any(axis=1)
         if zero.any():
             helpers_k, users_k = slots[members[int(np.argmax(zero))]]
@@ -202,7 +201,7 @@ class RoundSignal:
 
 
 def round_signals(
-    channel: ChannelMatrix,
+    channel: np.ndarray,
     schedule: RoundSchedule,
     demands: Mapping[int, int],
     symbols: Mapping[tuple[int, SubfileIndex], complex],
@@ -225,7 +224,7 @@ def round_signals(
         zip(slots, matched_precoders(channel, [schedule.rounds[g][p] for g, p in slots]))
     )
     full = comb(schedule.num_profiles, index_size + 1)
-    num_helpers = channel.coefficients.shape[1]
+    num_helpers = channel.shape[1]
     signals = []
     for g, entries in enumerate(schedule.rounds):
         groups = transmitted[g]
@@ -265,7 +264,7 @@ def round_signals(
     return signals
 
 
-def decode_round(channel: ChannelMatrix, rs: RoundSignal) -> float:
+def decode_round(channel: np.ndarray, rs: RoundSignal) -> float:
     """Replay reception of one round's signals; return the worst decode residual.
 
     Each served user hears the full superposition H[served] X, cancels the
@@ -273,7 +272,7 @@ def decode_round(channel: ChannelMatrix, rs: RoundSignal) -> float:
     should be left with exactly its own subfile symbol; raises DecodeFailure
     past tolerance, naming the first failure in transmission order.
     """
-    heard = channel.coefficients[list(rs.users)]
+    heard = channel[list(rs.users)]
     received = heard @ rs.signal
     # user i rebuilds from cache the part of the signal that carries other profiles' rows
     other_profile = rs.profiles[:, None] != rs.profiles[None, :]
@@ -290,7 +289,7 @@ def decode_round(channel: ChannelMatrix, rs: RoundSignal) -> float:
 
 
 def verify_schedule(
-    channel: ChannelMatrix,
+    channel: np.ndarray,
     schedule: RoundSchedule,
     demands: Mapping[int, int],
     symbols: Mapping[tuple[int, SubfileIndex], complex],

@@ -31,7 +31,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import count, islice, product
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -477,37 +477,23 @@ def flow_oracle(subnet: ProfileSubnetwork) -> int:
     return lo
 
 
-def partition_rows(pset: PartitionSet) -> list[list[int | None]]:
-    """Helper-slot view of the partitions; None marks an unassigned helper."""
-    rows: list[list[int | None]] = []
-    for part in pset.partitions:
-        row: list[int | None] = [None] * pset.num_helpers
-        for helper, user in part:
-            row[helper] = user
-        rows.append(row)
-    return rows
-
-
 def format_partition_set(pset: PartitionSet) -> str:
-    """Hyphen-joined slot rows, one partition per line, 0 for an empty slot."""
-    return "\n".join(
-        "-".join("0" if user is None else str(user) for user in row)
-        for row in partition_rows(pset)
-    )
+    """Hyphen-joined helper slots, one partition per line, 0 for an unassigned helper."""
+    lines = []
+    for part in pset.partitions:
+        row = ["0"] * pset.num_helpers
+        for helper, user in part:
+            row[helper] = str(user)
+        lines.append("-".join(row))
+    return "\n".join(lines)
 
 
-def dump_instance(subnet: ProfileSubnetwork, stream: IO[str]) -> None:
-    """Write `user_id: h_i,h_j,...` lines (helper labels 1-based) after a header."""
-    print(f"helpers: {subnet.num_helpers}", file=stream)
-    for user, cand in zip(subnet.users, subnet.candidates):
-        print(f"{user}: {','.join(str(h + 1) for h in cand)}", file=stream)
+def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
+    """Parse `user_id: h_i,h_j,...` lines (helper labels 1-based) into profile 1.
 
-
-def load_instance(lines: Iterable[str], profile: int = 1) -> ProfileSubnetwork:
-    """Parse the dump format.
-
-    A `helpers: E` header, above or below the user lines, fixes E, and a
-    helper label above it is an error; without one, E is the largest label.
+    At most one `helpers: E` header, above or below the user lines, fixes
+    E >= 1, and a helper label above it is an error; without one, E is the
+    largest label.
     """
     users: list[int] = []
     cands: list[tuple[int, ...]] = []
@@ -518,7 +504,12 @@ def load_instance(lines: Iterable[str], profile: int = 1) -> ProfileSubnetwork:
             continue
         head, _, tail = line.partition(":")
         if head.strip() == "helpers":
-            num_helpers = int(tail)
+            if num_helpers is not None:
+                raise ValueError("the helpers: header appears more than once")
+            value = tail.strip()
+            if not value.isdecimal() or int(value) < 1:
+                raise ValueError(f"the helpers: header needs an integer of at least 1, got {value!r}")
+            num_helpers = int(value)
             continue
         user = int(head)
         helpers = tuple(sorted(int(tok) - 1 for tok in tail.split(",") if tok.strip()))
@@ -535,5 +526,5 @@ def load_instance(lines: Iterable[str], profile: int = 1) -> ProfileSubnetwork:
                 f"helpers: {num_helpers}"
             )
     return ProfileSubnetwork(
-        profile=profile, users=tuple(users), candidates=tuple(cands), num_helpers=num_helpers
+        profile=1, users=tuple(users), candidates=tuple(cands), num_helpers=num_helpers
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,7 +45,7 @@ from .partitioner import (
     optimal_partitions,
     subnetworks_from_connectivity,
 )
-from .topology import ChannelMatrix, Connectivity, connect, draw_channels, hex_layout, sample_users
+from .topology import Connectivity, connect, draw_channels, hex_layout, sample_users
 
 METHODS = ("bb", "greedy")  # the default comparison, `--method both`
 # `fc` is the fully connected optimum of the same users and profiles: every
@@ -56,6 +57,11 @@ ALL_METHODS = METHODS + ("fc",)
 CHUNK_TABLE_ENTRIES = 2**20
 
 CSV_HEADER = "sweep_var,sweep_value,method,mean_sum_dof,std_sum_dof,mean_K,trials,seed"
+
+
+def _is_count(value: object) -> bool:
+    """An integer of at least 1; floats such as 2.0 are refused."""
+    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,19 @@ class PointConfig:
     index_size: int = field(init=False)  # gamma * L, profiles tagging each subfile
 
     def __post_init__(self) -> None:
+        problems = [
+            f"the {name} count must be an integer of at least 1, got {value!r}"
+            for name, value in (("helper", self.helpers), ("profile", self.profiles))
+            if not _is_count(value)
+        ]
+        if not self.radius >= 0:
+            problems.append(f"transmission radius must be nonnegative, got {self.radius}")
+        if not self.user_radius > 0:
+            problems.append(f"user disk radius must be positive, got {self.user_radius}")
+        if not self.density > 0:
+            problems.append(f"user density must be positive, got {self.density}")
+        if problems:
+            raise ValueError("; ".join(problems))
         if self.helpers > MAX_TABLE_HELPERS:
             raise ValueError(
                 f"at most {MAX_TABLE_HELPERS} helpers are supported, got {self.helpers}: "
@@ -114,8 +133,10 @@ class ExperimentConfig:
             raise ValueError(f"profile counts must be integers, got {self.values}")
         if self.profiles is not None and not float(self.profiles).is_integer():
             raise ValueError(f"the profile count must be an integer, got {self.profiles}")
-        if self.trials < 1:
-            raise ValueError(f"trial count must be positive, got {self.trials}")
+        if not _is_count(self.trials):
+            raise ValueError(
+                f"the trial count must be an integer of at least 1, got {self.trials!r}"
+            )
         _check_methods(self.methods, self.verify)
 
     def points(self) -> list[tuple[float, PointConfig]]:
@@ -188,7 +209,7 @@ class TrialDraw:
 
     seed: int
     conn: Connectivity
-    channel: ChannelMatrix
+    channel: np.ndarray  # (K, E) complex gains
     assignment: ProfileAssignment
     rng: np.random.Generator  # positioned after the draws above
 
@@ -241,7 +262,6 @@ class PointOutcome:
     num_users: np.ndarray  # (T,) after pruning unreachable users
     counts: dict[str, np.ndarray]  # per method, (T, L) partition counts
     transmissions: dict[str, np.ndarray]  # per method, (T,)
-    time: dict[str, np.ndarray]  # per method, (T,) slots
     dof: dict[str, np.ndarray]  # per method, (T,) sum-DoF; NaN without users
 
 
@@ -334,16 +354,14 @@ def run_point(
 
     num_users = np.array(users, dtype=np.int64)
     served = num_users > 0
-    counts, transmissions, time, dof = {}, {}, {}, {}
+    counts, transmissions, dof = {}, {}, {}
     for method in methods:
         counts[method] = np.concatenate([chunk[method] for chunk in chunks])
         transmissions[method] = transmissions_from_counts(counts[method], point.index_size)
-        time[method] = delivery_time(transmissions[method], point.profiles, point.index_size)
+        time = delivery_time(transmissions[method], point.profiles, point.index_size)
         dof[method] = np.full(num_users.shape, math.nan)
-        dof[method][served] = sum_dof(num_users[served], point.gamma, time[method][served])
-    return PointOutcome(
-        num_users=num_users, counts=counts, transmissions=transmissions, time=time, dof=dof
-    )
+        dof[method][served] = sum_dof(num_users[served], point.gamma, time[served])
+    return PointOutcome(num_users=num_users, counts=counts, transmissions=transmissions, dof=dof)
 
 
 def run_sweep(config: ExperimentConfig) -> list[AggregateResult]:

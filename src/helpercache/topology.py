@@ -16,41 +16,16 @@ _RING_STEPS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
 
 @dataclass(frozen=True)
-class HelperLayout:
-    """Helper positions at the centers of edge-sharing, unit-circumradius hexagons."""
-
-    positions: np.ndarray  # (E, 2)
-
-    @property
-    def count(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
-class UserField:
-    """Users dropped by a homogeneous Poisson process on a disk around the origin."""
-
-    positions: np.ndarray  # (raw_count, 2)
-    disk_radius: float
-    density: float
-
-    @property
-    def raw_count(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
 class Connectivity:
     """Helper-to-user adjacency under the distance-threshold rule.
 
     Users with no helper in range can never be served, so they are dropped:
     `adjacency` has one column per kept user and `reachable_users` maps the
-    columns back to indices of the originating user field.
+    columns back to rows of the sampled user positions.
     """
 
     adjacency: np.ndarray  # (E, K) bool
-    radius: float
-    reachable_users: np.ndarray  # (K,) indices into the originating UserField
+    reachable_users: np.ndarray  # (K,) rows of the (N, 2) user positions
 
     @property
     def num_helpers(self) -> int:
@@ -61,16 +36,9 @@ class Connectivity:
         return self.adjacency.shape[1]
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Complex channel gains with zeros exactly on the out-of-range links."""
-
-    coefficients: np.ndarray  # (K, E) complex
-
-
 @lru_cache(maxsize=32)
-def hex_layout(count: int) -> HelperLayout:
-    """Return `count` hexagon centers in spiral order, centroid moved to the origin.
+def hex_layout(count: int) -> np.ndarray:
+    """(count, 2) helper positions: hexagon centers in spiral order, centroid at the origin.
 
     Centers lie on the triangular lattice with spacing sqrt(3), so adjacent
     hexagons of circumradius 1 share an edge.  The spiral picks the most
@@ -92,11 +60,11 @@ def hex_layout(count: int) -> HelperLayout:
     pts = np.array([(SQRT3 * (q + r / 2.0), 1.5 * r) for q, r in cells], dtype=float)
     positions = pts - pts.mean(axis=0)
     positions.flags.writeable = False
-    return HelperLayout(positions=positions)
+    return positions
 
 
-def sample_users(density: float, disk_radius: float, rng: np.random.Generator) -> UserField:
-    """Sample a Poisson(density * disk area) user count, positions uniform on the disk."""
+def sample_users(density: float, disk_radius: float, rng: np.random.Generator) -> np.ndarray:
+    """(N, 2) user positions: a Poisson(density * disk area) count, uniform on the disk."""
     if density <= 0:
         raise ValueError(f"user density must be positive, got {density}")
     if disk_radius <= 0:
@@ -104,29 +72,32 @@ def sample_users(density: float, disk_radius: float, rng: np.random.Generator) -
     count = int(rng.poisson(density * math.pi * disk_radius**2))
     radii = disk_radius * np.sqrt(rng.uniform(size=count))  # area-uniform
     angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    positions = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    return UserField(positions=positions, disk_radius=disk_radius, density=density)
+    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
 
 
-def connect(layout: HelperLayout, users: UserField, radius: float) -> Connectivity:
-    """Link every helper-user pair within `radius`; prune users nobody reaches."""
+def connect(layout: np.ndarray, users: np.ndarray, radius: float) -> Connectivity:
+    """Link every helper-user pair within `radius`; prune users nobody reaches.
+
+    `layout` holds the (E, 2) helper positions and `users` the (N, 2) user
+    positions.
+    """
     if radius < 0:
         raise ValueError(f"transmission radius must be nonnegative, got {radius}")
     # Squared helper-user distances, (E, N), from the two coordinate gaps.
-    dx = layout.positions[:, 0:1] - users.positions[:, 0]
-    dy = layout.positions[:, 1:2] - users.positions[:, 1]
+    dx = layout[:, 0:1] - users[:, 0]
+    dy = layout[:, 1:2] - users[:, 1]
     within = dx * dx + dy * dy <= radius**2
     kept = np.flatnonzero(within.any(axis=0))
-    return Connectivity(adjacency=within[:, kept], radius=radius, reachable_users=kept)
+    return Connectivity(adjacency=within[:, kept], reachable_users=kept)
 
 
-def draw_channels(conn: Connectivity, rng: np.random.Generator) -> ChannelMatrix:
-    """Draw unit-variance circularly symmetric complex gains on the in-range links.
+def draw_channels(conn: Connectivity, rng: np.random.Generator) -> np.ndarray:
+    """(K, E) complex gains: unit-variance circularly symmetric on the in-range links.
 
-    Only the zero pattern matters for the degrees-of-freedom metric; a
+    The out-of-range links are exactly zero.  Only the zero pattern matters for the degrees-of-freedom metric; a
     continuous law keeps every matched submatrix invertible almost surely.
     """
     support = conn.adjacency.T
     gains = (rng.standard_normal(support.shape) + 1j * rng.standard_normal(support.shape)) / SQRT2
-    return ChannelMatrix(coefficients=np.where(support, gains, 0))
+    return np.where(support, gains, 0)
 

@@ -19,6 +19,22 @@ _REFERENCE_CANDIDATES = {
     12: (3,),
 }
 
+# The same instance in the `partition --instance` file format (1-based helper labels).
+REFERENCE_INSTANCE = """helpers: 4
+1: 1
+2: 1,2
+3: 1,2
+4: 2
+5: 2
+6: 1,2,3
+7: 3
+8: 3
+9: 2,4
+10: 2,4
+11: 4
+12: 4
+"""
+
 
 @pytest.fixture
 def reference_subnet() -> ProfileSubnetwork:

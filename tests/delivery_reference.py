@@ -23,7 +23,6 @@ from helpercache.delivery import (
     SingularChannelError,
     enumerate_transmissions,
 )
-from helpercache.topology import ChannelMatrix
 
 
 @dataclass(frozen=True)
@@ -38,11 +37,11 @@ class TransmissionRecord:
     signal: np.ndarray  # (E,)
 
 
-def build_precoder(channel: ChannelMatrix, helpers: tuple[int, ...], users: tuple[int, ...]) -> np.ndarray:
+def build_precoder(channel: np.ndarray, helpers: tuple[int, ...], users: tuple[int, ...]) -> np.ndarray:
     """Invert one partition's matched channel submatrix on its own."""
     if len(helpers) != len(users):
         raise ValueError("a partition pairs equally many helpers and users")
-    sub = channel.coefficients[np.ix_(users, helpers)]
+    sub = channel[np.ix_(users, helpers)]
     if np.any(np.abs(np.diagonal(sub)) == 0):
         raise ValueError("matched helper-user link is structurally zero")
     if np.linalg.cond(sub) > CONDITION_LIMIT:
@@ -51,7 +50,7 @@ def build_precoder(channel: ChannelMatrix, helpers: tuple[int, ...], users: tupl
 
 
 def compose_signal(
-    channel: ChannelMatrix,
+    channel: np.ndarray,
     schedule: RoundSchedule,
     round_index: int,
     group: tuple[int, ...],
@@ -63,7 +62,7 @@ def compose_signal(
     effective = tuple(p for p in group if p in entries)
     if not effective:
         return None
-    num_helpers = channel.coefficients.shape[1]
+    num_helpers = channel.shape[1]
     signal = np.zeros(num_helpers, dtype=complex)
     blocks: dict[int, np.ndarray] = {}
     intended: list[tuple[int, int, SubfileIndex]] = []
@@ -88,14 +87,14 @@ def compose_signal(
 
 def verify_decode(
     record: TransmissionRecord,
-    channel: ChannelMatrix,
+    channel: np.ndarray,
     demands: Mapping[int, int],
     symbols: Mapping[tuple[int, SubfileIndex], complex],
 ) -> dict[int, float]:
     """Replay reception for every intended user of one signal; return the residuals."""
     residuals: dict[int, float] = {}
     for user, profile, index in record.intended:
-        row = channel.coefficients[user]
+        row = channel[user]
         received = row @ record.signal
         cached = sum(row @ block for p, block in record.blocks.items() if p != profile)
         expected = symbols[(demands[user], index)]
@@ -110,7 +109,7 @@ def verify_decode(
 
 
 def replay_schedule(
-    channel: ChannelMatrix,
+    channel: np.ndarray,
     schedule: RoundSchedule,
     demands: Mapping[int, int],
     symbols: Mapping[tuple[int, SubfileIndex], complex],

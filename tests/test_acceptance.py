@@ -230,9 +230,7 @@ def test_criterion_4_closed_form_dof():
         for per_profile_factor in (1, 2, 3):
             num_users = num_profiles * per_profile_factor * 4
             conn = Connectivity(
-                adjacency=np.ones((4, num_users), dtype=bool),
-                radius=math.inf,
-                reachable_users=np.arange(num_users),
+                adjacency=np.ones((4, num_users), dtype=bool), reachable_users=np.arange(num_users)
             )
             assignment = ProfileAssignment(
                 profile_of=(np.arange(num_users) % num_profiles) + 1, num_profiles=num_profiles

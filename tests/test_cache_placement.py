@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ from helpercache.cache_placement import (
     CacheConfig,
     ConfigError,
     assign_profiles,
-    cached_by,
     draw_subfile_symbols,
     ensure_valid,
     needed_subfiles,
-    subfile_indices,
 )
 
 
@@ -34,12 +33,12 @@ def test_fractional_share_is_rejected():
 def test_assign_profiles_empty_network():
     assignment = assign_profiles(0, 4, np.random.default_rng(0))
     assert assignment.num_users == 0
-    assert assignment.counts().tolist() == [0, 0, 0, 0]
+    assert np.bincount(assignment.profile_of, minlength=5)[1:].tolist() == [0, 0, 0, 0]
 
 
 def test_single_profile_takes_everyone():
     assignment = assign_profiles(17, 1, np.random.default_rng(1))
-    assert assignment.counts().tolist() == [17]
+    assert np.bincount(assignment.profile_of, minlength=2)[1:].tolist() == [17]
     assert set(assignment.profile_of.tolist()) == {1}
 
 
@@ -47,7 +46,7 @@ def test_profile_counts_concentrate():
     draws = 100_000
     assignment = assign_profiles(draws, 10, np.random.default_rng(2))
     stderr = math.sqrt(0.1 * 0.9 / draws)
-    for count in assignment.counts():
+    for count in np.bincount(assignment.profile_of, minlength=11)[1:]:
         assert abs(count / draws - 0.1) < 3 * stderr
 
 
@@ -57,32 +56,11 @@ def test_assignment_deterministic():
     np.testing.assert_array_equal(a.profile_of, b.profile_of)
 
 
-def test_indices_are_lexicographic():
-    assert subfile_indices(3, 1) == [(1,), (2,), (3,)]
-    assert subfile_indices(4, 2) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    assert len(subfile_indices(10, 1)) == 10
-
-
-def test_zero_index_size_degenerates():
-    assert subfile_indices(5, 0) == [()]
-
-
-def test_index_size_bounds_checked():
-    with pytest.raises(ValueError):
-        subfile_indices(3, 4)
-
-
-def test_cache_membership():
-    assert cached_by(2, (2,))
-    assert not cached_by(1, (2,))
-    assert cached_by(3, (1, 3))
-
-
 def test_cached_fraction_equals_gamma_exactly():
     for num_profiles in range(2, 21):
         for t in range(1, num_profiles):
-            indices = subfile_indices(num_profiles, t)
-            held = sum(1 for s in indices if cached_by(1, s))
+            indices = list(combinations(range(1, num_profiles + 1), t))
+            held = sum(1 for s in indices if 1 in s)
             assert Fraction(held, len(indices)) == Fraction(t, num_profiles)
 
 
@@ -98,9 +76,9 @@ def test_single_needed_subfile_when_caches_are_huge():
 def test_needed_and_cached_partition_all_indices():
     for num_profiles, t in ((5, 2), (6, 3), (10, 1)):
         for profile in range(1, num_profiles + 1):
-            everything = set(subfile_indices(num_profiles, t))
+            everything = set(combinations(range(1, num_profiles + 1), t))
             needed = set(needed_subfiles(profile, num_profiles, t))
-            held = {s for s in everything if cached_by(profile, s)}
+            held = {s for s in everything if profile in s}
             assert needed | held == everything
             assert not needed & held
 

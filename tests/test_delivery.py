@@ -35,7 +35,6 @@ from helpercache.partitioner import (
     subnetworks_from_connectivity,
 )
 from helpercache.topology import (
-    ChannelMatrix,
     Connectivity,
     connect,
     draw_channels,
@@ -52,7 +51,6 @@ def _singleton_partitions(count: int, num_helpers: int = 4, first_user: int = 0)
 def _full_connectivity(num_users: int, num_helpers: int) -> Connectivity:
     return Connectivity(
         adjacency=np.ones((num_helpers, num_users), dtype=bool),
-        radius=math.inf,
         reachable_users=np.arange(num_users),
     )
 
@@ -170,7 +168,7 @@ def test_sum_dof_examples():
         sum_dof(5, 0.1, 0.0)
 
 
-def _example_channel(rng: np.random.Generator) -> ChannelMatrix:
+def _example_channel(rng: np.random.Generator) -> np.ndarray:
     # rows: the four matched users; candidate sets {e1}, {e1,e2}, {e1,e2,e3}, {e2,e4}
     adjacency = np.array(
         [
@@ -180,7 +178,7 @@ def _example_channel(rng: np.random.Generator) -> ChannelMatrix:
             [False, False, False, True],
         ]
     )
-    conn = Connectivity(adjacency=adjacency, radius=1.0, reachable_users=np.arange(4))
+    conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(4))
     return draw_channels(conn, rng)
 
 
@@ -188,7 +186,7 @@ def test_diagonal_matching_precoder_closed_form():
     # Hand-built zero-forcing vector for the staircase support pattern: each
     # user k then hears exactly its own message scaled by its matched gain.
     rng = np.random.default_rng(1)
-    h = _example_channel(rng).coefficients
+    h = _example_channel(rng)
     x_mess = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x1, x2, x3, x4 = x_mess
     sent = np.array(
@@ -208,27 +206,24 @@ def test_precoder_inverts_matched_submatrix():
     rng = np.random.default_rng(2)
     channel = _example_channel(rng)
     (inverse,) = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
-    sub = channel.coefficients
-    np.testing.assert_allclose(sub @ inverse, np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(channel @ inverse, np.eye(4), atol=1e-10)
 
 
 def test_precoder_scalar_case():
-    conn = Connectivity(adjacency=np.array([[True]]), radius=1.0, reachable_users=np.arange(1))
+    conn = Connectivity(adjacency=np.array([[True]]), reachable_users=np.arange(1))
     channel = draw_channels(conn, np.random.default_rng(3))
     (inverse,) = matched_precoders(channel, [((0,), (0,))])
-    assert inverse[0, 0] == pytest.approx(1 / channel.coefficients[0, 0])
+    assert inverse[0, 0] == pytest.approx(1 / channel[0, 0])
 
 
 def test_precoder_identity_over_many_draws():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(1000):
-        conn = Connectivity(
-            adjacency=np.ones((4, 4), dtype=bool), radius=2.0, reachable_users=np.arange(4)
-        )
+        conn = Connectivity(adjacency=np.ones((4, 4), dtype=bool), reachable_users=np.arange(4))
         channel = draw_channels(conn, rng)
         (inverse,) = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
-        gap = np.abs(channel.coefficients @ inverse - np.eye(4)).max()
+        gap = np.abs(channel @ inverse - np.eye(4)).max()
         worst = max(worst, gap)
     assert worst < 1e-9
 
@@ -242,13 +237,13 @@ def test_batched_precoders_match_single_inverses():
 
 def test_precoder_rejects_singular_submatrix():
     row = np.array([1.0 + 1.0j, 2.0 - 0.5j])
-    channel = ChannelMatrix(coefficients=np.vstack([row, row]))
+    channel = np.vstack([row, row])
     with pytest.raises(SingularChannelError):
         matched_precoders(channel, [((0, 1), (0, 1))])
 
 
 def test_precoder_rejects_structural_zero_on_diagonal():
-    conn = Connectivity(adjacency=np.array([[True, False], [True, True]]), radius=1.0, reachable_users=np.arange(2))
+    conn = Connectivity(adjacency=np.array([[True, False], [True, True]]), reachable_users=np.arange(2))
     channel = draw_channels(conn, np.random.default_rng(5))
     with pytest.raises(ValueError):
         matched_precoders(channel, [((1, 0), (0, 1))])
@@ -257,9 +252,8 @@ def test_precoder_rejects_structural_zero_on_diagonal():
 def test_singular_slot_in_a_schedule_is_rejected():
     # users 4 and 5 hear helpers 2 and 3 identically, so their round-1 slot
     # is singular while every other size-2 slot stacked with it is not
-    coefficients = draw_channels(_full_connectivity(6, 4), np.random.default_rng(13)).coefficients
-    coefficients[5] = coefficients[4]
-    channel = ChannelMatrix(coefficients=coefficients)
+    channel = draw_channels(_full_connectivity(6, 4), np.random.default_rng(13))
+    channel[5] = channel[4]
     psets = {
         1: PartitionSet(partitions=(((0, 0), (1, 1)), ((2, 4), (3, 5))), num_helpers=4),
         2: PartitionSet(partitions=(((2, 2), (3, 3)),), num_helpers=4),
@@ -512,7 +506,7 @@ def _small_trials(draw):
     adjacency = np.array(
         [[m >> h & 1 for m in masks] for h in range(num_helpers)], dtype=bool
     ).reshape(num_helpers, len(masks))
-    conn = Connectivity(adjacency=adjacency, radius=1.0, reachable_users=np.arange(len(masks)))
+    conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(len(masks)))
     channel = draw_channels(conn, rng)
     assignment = assign_profiles(conn.num_users, num_profiles, rng)
     subnets = subnetworks_from_connectivity(conn, assignment)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import REFERENCE_INSTANCE
 from helpercache.cache_placement import assign_profiles
 from helpercache.partitioner import (
     Assignment,
@@ -14,7 +15,6 @@ from helpercache.partitioner import (
     bb_assign,
     brute_force_min_partitions,
     build_tables,
-    dump_instance,
     flow_oracle,
     format_partition_set,
     greedy_assign,
@@ -22,7 +22,6 @@ from helpercache.partitioner import (
     load_instance,
     min_partition_counts,
     optimal_partitions,
-    partition_rows,
     partitions_from_assignment,
     subnetworks_from_connectivity,
 )
@@ -260,12 +259,7 @@ def test_subnetworks_from_connectivity_partition_users():
 
 
 def test_instance_dump_load_round_trip(reference_subnet):
-    out = io.StringIO()
-    dump_instance(reference_subnet, out)
-    text = out.getvalue()
-    assert text.splitlines()[0] == "helpers: 4"
-    assert "2: 1,2" in text
-    loaded = load_instance(io.StringIO(text))
+    loaded = load_instance(io.StringIO(REFERENCE_INSTANCE))
     assert loaded.users == reference_subnet.users
     assert loaded.candidates == reference_subnet.candidates
     assert loaded.num_helpers == 4
@@ -283,9 +277,15 @@ def test_load_instance_header_binds_above_or_below_the_users():
     for text in ("helpers: 6\n1: 1,5\n", "1: 1,5\nhelpers: 6\n"):
         assert load_instance(io.StringIO(text)).num_helpers == 6
     assert load_instance(io.StringIO("1: 1,5\n2: 2\n")).num_helpers == 5
+    with pytest.raises(ValueError, match="helpers: header appears more than once"):
+        load_instance(io.StringIO("helpers: 3\n1: 1,2\nhelpers: 5\n"))
+    for value in ("-2", "0", "2.5", "x"):
+        with pytest.raises(ValueError, match=f"helpers: header needs an integer.*'{value}'"):
+            load_instance(io.StringIO(f"helpers: {value}\n1: 1\n"))
 
 
 def test_partition_rows_views(reference_subnet):
-    rows = partition_rows(greedy_assign(reference_subnet))
-    assert rows[0] == [1, 2, 6, 9]
-    assert rows[3] == [None, None, None, 12]
+    lines = format_partition_set(greedy_assign(reference_subnet)).splitlines()
+    assert len(lines) == 4
+    assert lines[0] == "1-2-6-9"
+    assert lines[3] == "0-0-0-12"

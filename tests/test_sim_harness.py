@@ -1,16 +1,17 @@
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REFERENCE_INSTANCE
 from helpercache import sim_harness
 from helpercache.cache_placement import ConfigError, ProfileAssignment
 from helpercache.cli import main
 from helpercache.partitioner import (
-    dump_instance,
     greedy_assign,
     greedy_counts,
     min_partition_counts,
@@ -38,6 +39,9 @@ def _point(radius=1.2, profiles=10, density=REFERENCE_DENSITY):
     )
 
 
+_POINT = dict(helpers=4, profiles=2, gamma=0.5, radius=1.0, user_radius=2.7, density=1.0)
+
+
 def _tiny_config(**overrides):
     base = dict(
         helpers=2,
@@ -56,7 +60,7 @@ def _tiny_config(**overrides):
 
 def _assert_same_outcome(a, b):
     assert np.array_equal(a.num_users, b.num_users)
-    for field in ("counts", "transmissions", "time", "dof"):
+    for field in ("counts", "transmissions", "dof"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.keys() == y.keys()
         for method in x:
@@ -166,7 +170,7 @@ def test_batched_counts_match_per_trial_solvers(network):
     counts = evaluate_counts(adjacencies, profiles, num_profiles, ALL_METHODS)
     for t, (adjacency, profile_of) in enumerate(zip(adjacencies, profiles)):
         num_helpers, num_users = adjacency.shape
-        conn = Connectivity(adjacency=adjacency, radius=1.0, reachable_users=np.arange(num_users))
+        conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(num_users))
         subnets = subnetworks_from_connectivity(conn, ProfileAssignment(profile_of, num_profiles))
         greedy = [greedy_assign(subnets[p]).count for p in range(1, num_profiles + 1)]
         hall = min_partition_counts(adjacency, profile_of, num_profiles).tolist()
@@ -215,6 +219,47 @@ def test_single_trial_points_match_their_sweep_entries():
         )
 
 
+@st.composite
+def _small_sweeps(draw):
+    """A small radius sweep over every method, in a drawn order."""
+    profiles = draw(st.integers(2, 5))
+    return ExperimentConfig(
+        helpers=draw(st.integers(1, 6)),
+        gamma=draw(st.integers(1, profiles - 1)) / profiles,
+        user_radius=draw(st.sampled_from((1.0, 2.0))),
+        trials=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        sweep="r",
+        values=tuple(
+            draw(st.lists(st.sampled_from((0.4, 1.0, 1.6, 2.4)), min_size=1, max_size=3, unique=True))
+        ),
+        profiles=profiles,
+        density=draw(st.sampled_from((0.3, 1.0, 2.0))),
+        methods=tuple(draw(st.permutations(ALL_METHODS))),
+    )
+
+
+def _rows(config, **overrides):
+    """Each (sweep value, method) row of a sweep, per-trial arrays included, as JSON."""
+    return {
+        (r.sweep_value, r.method): json.dumps(asdict(r))
+        for r in run_sweep(replace(config, **overrides))
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_sweeps())
+def test_sweep_rows_do_not_depend_on_what_else_runs(config):
+    rows = _rows(config)
+    assert _rows(config, methods=config.methods[::-1]) == rows
+    for method in config.methods:
+        assert _rows(config, methods=(method,)) == {k: v for k, v in rows.items() if k[1] == method}
+    for value in config.values:
+        assert _rows(config, values=(value,)) == {k: v for k, v in rows.items() if k[0] == value}
+    verified = _rows(config, methods=("bb", "greedy"), verify=True)
+    assert verified == {k: v for k, v in rows.items() if k[1] != "fc"}
+
+
 def test_unverified_sweep_builds_no_partitions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an unverified sweep built partitions or a schedule")
@@ -232,7 +277,7 @@ def test_fc_is_the_fully_connected_optimum():
     # fully connected and Hall's count is ceil(n_p / E) for every profile.
     seeds = [derive_trial_seed(6, index) for index in range(10)]
     full = run_point(_point(radius=4.2), seeds, ("bb", "fc"))
-    for field in ("counts", "transmissions", "time", "dof"):
+    for field in ("counts", "transmissions", "dof"):
         assert np.array_equal(getattr(full, field)["bb"], getattr(full, field)["fc"])
     partial = run_point(_point(radius=1.2), seeds, ("bb", "fc"))
     assert np.all(partial.counts["fc"] <= partial.counts["bb"])
@@ -271,6 +316,26 @@ def test_config_rejects_bad_setups():
         _tiny_config(profiles=10.5, density=None, density_per_profile=1.0)
     with pytest.raises(ConfigError, match="memory sharing"):
         PointConfig(helpers=4, profiles=10, gamma=0.15, radius=1.0, user_radius=2.7, density=1.0)
+    # every point is checked when the sweep resolves it, before any trial is drawn
+    for overrides, message in (
+        (dict(helpers=0), "helper count"),
+        (dict(density=0.0), "user density"),
+        (dict(user_radius=-1.0), "user disk radius"),
+        (dict(values=(1.0, -0.5)), "transmission radius"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _tiny_config(**overrides).points()
+    with pytest.raises(ValueError, match="trial count"):
+        _tiny_config(trials=2.5)
+    with pytest.raises(ValueError, match="trial count"):
+        _tiny_config(trials=0)
+    for overrides, message in (
+        (dict(profiles=2.5, gamma=0.4), "profile count"),
+        (dict(helpers=2.0), "helper count"),
+        (dict(radius=math.nan), "transmission radius"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PointConfig(**{**_POINT, **overrides})
 
 
 def test_sweep_points_resolve_density_per_profile():
@@ -381,10 +446,9 @@ def test_cli_simulate_rejects_fractional_share(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_partition_methods(tmp_path, capsys, reference_subnet):
+def test_cli_partition_methods(tmp_path, capsys):
     instance = tmp_path / "instance.txt"
-    with instance.open("w") as handle:
-        dump_instance(reference_subnet, handle)
+    instance.write_text(REFERENCE_INSTANCE)
 
     assert main(["partition", "--instance", str(instance), "--method", "greedy"]) == 0
     out = capsys.readouterr().out
