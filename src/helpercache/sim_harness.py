@@ -1,12 +1,15 @@
 """Monte Carlo experiment driver: configs, trials, sweeps, and result emission.
 
-A sweep point runs in two stages.  The draw stage gives every trial its own
-generator, seeded from (master seed, trial index), and draws users, links,
-channels and profiles from it in a fixed order.  The evaluate stage then
-takes a chunk of trials at once: profile p of the chunk's trial i becomes
-label i * L + p of one concatenated network, so one call per method yields
-every (trial, profile) partition count, and the delivery time of every
-trial follows from its sorted counts.
+A sweep point runs a chunk of trials at a time, in two stages.  The draw
+stage gives every trial its own generator, seeded from (master seed, trial
+index), which makes that trial's random calls in a fixed order: user count
+and disk uniforms, then channel normals and profiles.  User positions and
+links are computed from those numbers once for the whole chunk, so each
+trial gets the same stream and the same network as a trial drawn alone.
+The evaluate stage then takes the chunk's network as one: profile p of
+trial i is label i * L + p, so one call per method yields every (trial,
+profile) partition count, and the delivery time of every trial follows from
+its sorted counts.
 """
 
 from __future__ import annotations
@@ -45,16 +48,27 @@ from .partitioner import (
     optimal_partitions,
     subnetworks_from_connectivity,
 )
-from .topology import Connectivity, connect, draw_channels, hex_layout, sample_users
+from .topology import (
+    Connectivity,
+    channel_normals,
+    connect,
+    disk_positions,
+    disk_uniforms,
+    draw_channels,
+    hex_layout,
+)
 
 METHODS = ("bb", "greedy")  # the default comparison, `--method both`
 # `fc` is the fully connected optimum of the same users and profiles: every
 # user linked to every helper, ceil(n_p / E) partitions per profile.
 ALL_METHODS = METHODS + ("fc",)
 
-# A chunk of trials is evaluated together; its Hall table of L * 2^E entries
-# per trial holds at most this many, or one trial's table if that is larger.
+# A chunk of trials is drawn and evaluated together.  Its Hall table of
+# L * 2^E entries per trial holds at most CHUNK_TABLE_ENTRIES, and its
+# helper-user distances about CHUNK_LINK_ENTRIES in expectation, or one
+# trial's worth if that is larger.
 CHUNK_TABLE_ENTRIES = 2**20
+CHUNK_LINK_ENTRIES = 2**18
 
 CSV_HEADER = "sweep_var,sweep_value,method,mean_sum_dof,std_sum_dof,mean_K,trials,seed"
 
@@ -99,6 +113,11 @@ class PointConfig:
         ensure_valid(config)
         object.__setattr__(self, "index_size", config.index_size)
 
+    @property
+    def mean_users(self) -> float:
+        """Expected users on the disk, before unreachable ones are pruned."""
+        return self.density * math.pi * self.user_radius**2
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -129,6 +148,10 @@ class ExperimentConfig:
             raise ValueError("sweeping L requires a fixed radius")
         if self.sweep == "r" and self.profiles is None:
             raise ValueError("sweeping r requires a fixed profile count")
+        if self.sweep == "L" and self.profiles is not None:
+            raise ValueError(f"profiles is swept, so it cannot also be fixed to {self.profiles}")
+        if self.sweep == "r" and self.radius is not None:
+            raise ValueError(f"radius is swept, so it cannot also be fixed to {self.radius}")
         if self.sweep == "L" and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"profile counts must be integers, got {self.values}")
         if self.profiles is not None and not float(self.profiles).is_integer():
@@ -205,7 +228,7 @@ def _check_methods(methods: Sequence[str], verify: bool) -> None:
 
 @dataclass(frozen=True)
 class TrialDraw:
-    """One trial's random network, drawn from its own generator."""
+    """One verified trial's random network, drawn from its own generator."""
 
     seed: int
     conn: Connectivity
@@ -214,33 +237,59 @@ class TrialDraw:
     rng: np.random.Generator  # positioned after the draws above
 
 
-def draw_trial(point: PointConfig, trial_seed: int) -> TrialDraw:
-    """Users, links, channels and profiles, in this order, from the trial's generator."""
-    rng = np.random.default_rng(trial_seed)
-    users = sample_users(point.density, point.user_radius, rng)
+def _draw_chunk(
+    point: PointConfig, trial_seeds: Sequence[int], verify: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[TrialDraw]]:
+    """The networks of a chunk of trials: adjacency, labels, user counts, verified draws.
+
+    Each trial's generator makes the calls of `sample_users`,
+    `draw_channels` and `assign_profiles`, in that order; positions and
+    links are computed once for the whole chunk in between.  The result is
+    the chunk's concatenated (E, sum K) adjacency, the label i * L + p of
+    each of its users (trial i, profile p), and each trial's K.  A verified
+    trial also keeps its links, channel, profiles and generator.
+    """
+    rngs = [np.random.default_rng(seed) for seed in trial_seeds]
+    uniforms = [disk_uniforms(point.mean_users, rng) for rng in rngs]
+    user_offsets = np.cumsum([0] + [u.shape[1] for u in uniforms])
+    users = disk_positions(np.concatenate(uniforms, axis=1), point.user_radius)
     conn = connect(hex_layout(point.helpers), users, point.radius)
-    channel = draw_channels(conn, rng)
-    assignment = assign_profiles(conn.num_users, point.profiles, rng)
-    return TrialDraw(seed=trial_seed, conn=conn, channel=channel, assignment=assignment, rng=rng)
+    # Users are concatenated in trial order, so each trial's kept users are
+    # one run of columns.
+    bounds = np.searchsorted(conn.reachable_users, user_offsets)
+    num_users = np.diff(bounds)
+    profiles, draws = [], []
+    for i, (rng, first, last) in enumerate(zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist())):
+        if verify:
+            trial_conn = Connectivity(
+                adjacency=conn.adjacency[:, first:last],
+                reachable_users=conn.reachable_users[first:last] - user_offsets[i],
+            )
+            channel = draw_channels(trial_conn, rng)
+        else:
+            channel_normals(last - first, point.helpers, rng)  # unread; keeps the stream
+        assignment = assign_profiles(last - first, point.profiles, rng)
+        profiles.append(assignment.profile_of)
+        if verify:
+            draws.append(TrialDraw(trial_seeds[i], trial_conn, channel, assignment, rng))
+    offsets = np.repeat(np.arange(len(trial_seeds)) * point.profiles, num_users)
+    return conn.adjacency, np.concatenate(profiles) + offsets, num_users, draws
 
 
 def evaluate_counts(
-    adjacencies: Sequence[np.ndarray],
-    profiles: Sequence[np.ndarray],
+    adjacency: np.ndarray,
+    labels: np.ndarray,
+    trials: int,
     num_profiles: int,
     methods: Sequence[str],
 ) -> dict[str, np.ndarray]:
     """Per-profile partition counts of a chunk of trials: a (trials, L) array per method.
 
-    Trial i contributes its (E, K_i) adjacency and its users' profiles
-    (1..L); profile p of trial i is label i * L + p of the concatenated
-    network, so every count comes from one call per method.
+    `adjacency` is the (E, sum K) concatenation of the trials' links, and
+    a user of profile p (1..L) in trial i carries label i * L + p, so every
+    count comes from one call per method.
     """
-    adjacency = np.concatenate(adjacencies, axis=1)
-    labels = np.concatenate(
-        [np.asarray(p, dtype=np.int64) + i * num_profiles for i, p in enumerate(profiles)]
-    )
-    num_labels = len(adjacencies) * num_profiles
+    num_labels = trials * num_profiles
     counts = {}
     for method in methods:
         if method == "bb":
@@ -251,7 +300,7 @@ def evaluate_counts(
             # Hall's term for S = all helpers: ceil(n_p / E).
             users = np.bincount(labels - 1, minlength=num_labels)
             flat = -(-users // adjacency.shape[0])
-        counts[method] = flat.reshape(len(adjacencies), num_profiles)
+        counts[method] = flat.reshape(trials, num_profiles)
     return counts
 
 
@@ -335,24 +384,21 @@ def run_point(
     _check_methods(methods, verify)
     if not trial_seeds:
         raise ValueError("a sweep point needs at least one trial")
-    step = max(1, CHUNK_TABLE_ENTRIES // (point.profiles << point.helpers))
-    users: list[int] = []
+    table_step = CHUNK_TABLE_ENTRIES // (point.profiles << point.helpers)
+    link_step = int(CHUNK_LINK_ENTRIES / (point.helpers * point.mean_users))
+    step = max(1, min(table_step, link_step))
+    users: list[np.ndarray] = []
     chunks: list[dict[str, np.ndarray]] = []
     for first in range(0, len(trial_seeds), step):
-        adjacencies, profiles, draws = [], [], []
-        for seed in trial_seeds[first : first + step]:
-            draw = draw_trial(point, seed)
-            adjacencies.append(draw.conn.adjacency)
-            profiles.append(draw.assignment.profile_of)
-            users.append(draw.conn.num_users)
-            if verify:
-                draws.append(draw)
-        chunk = evaluate_counts(adjacencies, profiles, point.profiles, methods)
+        seeds = trial_seeds[first : first + step]
+        adjacency, labels, chunk_users, draws = _draw_chunk(point, seeds, verify)
+        chunk = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods)
         for i, draw in enumerate(draws):
             _verify_trial(point, draw, {m: chunk[m][i] for m in methods})
+        users.append(chunk_users)
         chunks.append(chunk)
 
-    num_users = np.array(users, dtype=np.int64)
+    num_users = np.concatenate(users)
     served = num_users > 0
     counts, transmissions, dof = {}, {}, {}
     for method in methods:

@@ -63,16 +63,29 @@ def hex_layout(count: int) -> np.ndarray:
     return positions
 
 
+def disk_uniforms(mean_users: float, rng: np.random.Generator) -> np.ndarray:
+    """(2, N) uniforms for a Poisson(mean_users) user count: radial row, then angular row.
+
+    `sample_users` and the sweep's batched draw both take their users from
+    here, so every trial consumes its generator in the same order.
+    """
+    return rng.random((2, rng.poisson(mean_users)))
+
+
+def disk_positions(uniforms: np.ndarray, disk_radius: float) -> np.ndarray:
+    """(N, 2) positions on the disk from `disk_uniforms`: area-uniform radius, uniform angle."""
+    radii = disk_radius * np.sqrt(uniforms[0])
+    angles = 2.0 * math.pi * uniforms[1]
+    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+
+
 def sample_users(density: float, disk_radius: float, rng: np.random.Generator) -> np.ndarray:
     """(N, 2) user positions: a Poisson(density * disk area) count, uniform on the disk."""
     if density <= 0:
         raise ValueError(f"user density must be positive, got {density}")
     if disk_radius <= 0:
         raise ValueError(f"user disk radius must be positive, got {disk_radius}")
-    count = int(rng.poisson(density * math.pi * disk_radius**2))
-    radii = disk_radius * np.sqrt(rng.uniform(size=count))  # area-uniform
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    return disk_positions(disk_uniforms(density * math.pi * disk_radius**2, rng), disk_radius)
 
 
 def connect(layout: np.ndarray, users: np.ndarray, radius: float) -> Connectivity:
@@ -83,21 +96,29 @@ def connect(layout: np.ndarray, users: np.ndarray, radius: float) -> Connectivit
     """
     if radius < 0:
         raise ValueError(f"transmission radius must be nonnegative, got {radius}")
-    # Squared helper-user distances, (E, N), from the two coordinate gaps.
+    # Squared helper-user distances, (E, N), from the two coordinate gaps,
+    # computed in place so only two (E, N) float arrays are held.
     dx = layout[:, 0:1] - users[:, 0]
     dy = layout[:, 1:2] - users[:, 1]
-    within = dx * dx + dy * dy <= radius**2
+    dx *= dx
+    dy *= dy
+    dx += dy
+    within = dx <= radius**2
     kept = np.flatnonzero(within.any(axis=0))
     return Connectivity(adjacency=within[:, kept], reachable_users=kept)
+
+
+def channel_normals(num_users: int, num_helpers: int, rng: np.random.Generator) -> np.ndarray:
+    """The (2, K, E) standard normals a channel consumes: real parts, then imaginary parts."""
+    return rng.standard_normal((2, num_users, num_helpers))
 
 
 def draw_channels(conn: Connectivity, rng: np.random.Generator) -> np.ndarray:
     """(K, E) complex gains: unit-variance circularly symmetric on the in-range links.
 
-    The out-of-range links are exactly zero.  Only the zero pattern matters for the degrees-of-freedom metric; a
-    continuous law keeps every matched submatrix invertible almost surely.
+    The out-of-range links are exactly zero.  Only the zero pattern matters
+    for the degrees-of-freedom metric; a continuous law keeps every matched
+    submatrix invertible almost surely.
     """
-    support = conn.adjacency.T
-    gains = (rng.standard_normal(support.shape) + 1j * rng.standard_normal(support.shape)) / SQRT2
-    return np.where(support, gains, 0)
-
+    real, imag = channel_normals(conn.num_users, conn.num_helpers, rng)
+    return np.where(conn.adjacency.T, (real + 1j * imag) / SQRT2, 0)

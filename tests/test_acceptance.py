@@ -10,6 +10,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from helpercache.cache_placement import ProfileAssignment, assign_profiles, draw_subfile_symbols
 from helpercache.delivery import (
@@ -43,6 +44,7 @@ from helpercache.sim_harness import (
 from helpercache.topology import Connectivity, connect, draw_channels, hex_layout, sample_users
 
 REFERENCE_DENSITY = 12 / (1.2**2 * math.pi)  # 60.75 expected users on the 2.7 disk
+PROFILE_DENSITY = 4 / (1.2**2 * math.pi)  # per profile, in the profile sweep
 REFERENCE_USERS = REFERENCE_DENSITY * math.pi * 2.7**2
 
 REFERENCE_L_MEANS = {10: 4.976034075681626, 20: 6.876462639042871, 40: 10.670728915639783}
@@ -120,6 +122,38 @@ def _exact_dof_moments(
     return first, math.sqrt(second - first**2)
 
 
+def _covered_area(helpers: int, radius: float, disk_radius: float) -> float:
+    """Area of the user disk within `radius` of some helper.
+
+    At abscissa x the covered part of the disk's chord is a union of
+    intervals, one per helper circle the vertical line crosses; its length
+    is integrated over x, breaking at the disk's edges and at every
+    helper's hx +- radius, where a chord appears or vanishes.
+    """
+    layout = hex_layout(helpers)
+
+    def covered(x: float) -> float:
+        half = math.sqrt(max(disk_radius**2 - x * x, 0.0))
+        spans = []
+        for hx, hy in layout:
+            gap = radius**2 - (x - hx) ** 2
+            if gap > 0:
+                lo, hi = max(hy - math.sqrt(gap), -half), min(hy + math.sqrt(gap), half)
+                if lo < hi:
+                    spans.append((lo, hi))
+        total, end = 0.0, -math.inf
+        for lo, hi in sorted(spans):
+            if hi > end:
+                total += hi - max(lo, end)
+                end = hi
+        return total
+
+    edges = {float(hx) + side * radius for hx in layout[:, 0] for side in (-1, 1)}
+    breaks = sorted(x for x in edges if -disk_radius < x < disk_radius)
+    area, _ = quad(covered, -disk_radius, disk_radius, points=breaks, limit=200, epsabs=1e-10)
+    return area
+
+
 @pytest.fixture(scope="module")
 def radius_sweep():
     config = ExperimentConfig(
@@ -142,7 +176,7 @@ def profile_sweep():
     config = ExperimentConfig(
         helpers=4, gamma=0.1, user_radius=2.7, trials=500, seed=20240802,
         sweep="L", values=(10, 20, 40), radius=1.2,
-        density_per_profile=4 / (1.2**2 * math.pi),
+        density_per_profile=PROFILE_DENSITY,
     )
     results = run_sweep(config)
     bb = {int(r.sweep_value): r for r in results if r.method == "bb"}
@@ -334,6 +368,46 @@ def test_criterion_7_profile_scaling(profile_sweep):
     assert within, deviations
     assert strictly_better
     assert slope_ok
+
+
+def test_covered_area_limits():
+    # One helper at the center covers a disk of its radius; a radius past
+    # the farthest helper's reach covers the whole user disk.
+    assert _covered_area(1, 0.7, 2.0) == pytest.approx(math.pi * 0.7**2, rel=1e-9)
+    assert _covered_area(4, 2.0 + 1.8, 2.0) == pytest.approx(math.pi * 2.0**2, rel=1e-9)
+    assert _covered_area(4, 0.0, 2.0) == 0.0
+
+
+def test_mean_users_follow_the_covered_area(radius_sweep, profile_sweep):
+    # Kept users are the Poisson users inside the covered area A, so
+    # K ~ Poisson(density * A): its mean is density * A, its variance too.
+    assert _covered_area(4, 1.2, 2.7) / (math.pi * 2.7**2) == pytest.approx(0.6394, abs=5e-5)
+    bb, greedy, fc, _ = radius_sweep
+    rows = [
+        (REFERENCE_DENSITY, radius, row)
+        for by_value in (bb, greedy, fc)
+        for radius, row in by_value.items()
+    ]
+    rows += [
+        (PROFILE_DENSITY * profiles, 1.2, row)
+        for by_value in profile_sweep
+        for profiles, row in by_value.items()
+    ]
+    z = {}
+    for density, radius, row in rows:
+        expected = density * _covered_area(4, radius, 2.7)
+        z[row.sweep_var, row.sweep_value, row.method] = (
+            (row.mean_users - expected) / math.sqrt(expected / row.trials)
+        )
+    ok = all(abs(v) <= 4 for v in z.values())
+    per_point = {(var, value): v for (var, value, _), v in z.items()}  # equal over methods
+    _report(
+        ok,
+        "mean K oracle",
+        ", ".join(f"{var}={value}: z {v:+.2f}" for (var, value), v in per_point.items())
+        + " (band +-4 SE)",
+    )
+    assert ok, z
 
 
 def test_criterion_8_count_identity():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_INSTANCE
 from helpercache import sim_harness
-from helpercache.cache_placement import ConfigError, ProfileAssignment
+from helpercache.cache_placement import ConfigError, ProfileAssignment, assign_profiles
 from helpercache.cli import main
 from helpercache.partitioner import (
     greedy_assign,
@@ -28,7 +28,7 @@ from helpercache.sim_harness import (
     run_point,
     run_sweep,
 )
-from helpercache.topology import Connectivity
+from helpercache.topology import Connectivity, connect, draw_channels, hex_layout, sample_users
 
 REFERENCE_DENSITY = 12 / (1.2**2 * math.pi)
 
@@ -145,6 +145,81 @@ def test_verified_large_cluster_finishes():
     _assert_same_outcome(plain, run_point(point, seeds, ("bb",), verify=True))
 
 
+def _trial_drawn_alone(point, seed):
+    """One trial's links, kept users, channel, profiles and next uniform, from plain numpy calls."""
+    rng = np.random.default_rng(seed)
+    count = rng.poisson(point.density * math.pi * point.user_radius**2)
+    radii = point.user_radius * np.sqrt(rng.uniform(size=count))
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    users = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    delta = hex_layout(point.helpers)[:, None, :] - users[None, :, :]
+    within = (delta**2).sum(axis=2) <= point.radius**2
+    kept = np.flatnonzero(within.any(axis=0))
+    support = within[:, kept].T
+    gains = rng.standard_normal(support.shape) + 1j * rng.standard_normal(support.shape)
+    channel = np.where(support, gains / math.sqrt(2.0), 0)
+    profiles = rng.integers(1, point.profiles + 1, size=kept.size)
+    return within[:, kept], kept, channel, profiles, rng.random()
+
+
+@st.composite
+def _chunk_points(draw):
+    """A small point, its radius sometimes too short for any user to stay."""
+    profiles = draw(st.integers(2, 5))
+    return PointConfig(
+        helpers=draw(st.integers(1, 6)),
+        profiles=profiles,
+        gamma=draw(st.integers(1, profiles - 1)) / profiles,
+        radius=draw(st.sampled_from((0.0, 0.1, 0.6, 1.2, 2.4))),
+        user_radius=draw(st.sampled_from((1.0, 2.0))),
+        density=draw(st.sampled_from((0.3, 1.0, 3.0))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _chunk_points(),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
+    generators = []
+
+    def tracked(seed, default_rng=np.random.default_rng):
+        generators.append(default_rng(seed))
+        return generators[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", tracked)
+        adjacency, labels, num_users, draws = sim_harness._draw_chunk(point, seeds, verify)
+    assert len(generators) == len(seeds)
+    assert len(draws) == (len(seeds) if verify else 0)
+    bounds = np.concatenate(([0], np.cumsum(num_users)))
+    assert adjacency.shape == (point.helpers, bounds[-1]) and labels.shape == (bounds[-1],)
+    for i, seed in enumerate(seeds):
+        links, kept, channel, profiles, after = _trial_drawn_alone(point, seed)
+        columns = slice(bounds[i], bounds[i + 1])
+        assert num_users[i] == kept.size
+        assert np.array_equal(adjacency[:, columns], links)
+        assert np.array_equal(labels[columns], profiles + i * point.profiles)
+        assert generators[i].random() == after  # the draw left the generator where it should
+        if verify:
+            draw = draws[i]
+            assert draw.seed == seed and draw.rng is generators[i]
+            assert np.array_equal(draw.conn.adjacency, links)
+            assert np.array_equal(draw.conn.reachable_users, kept)
+            assert np.array_equal(draw.channel, channel)
+            assert np.array_equal(draw.assignment.profile_of, profiles)
+        # The per-trial library path, which the benchmark's traced loop follows.
+        rng = np.random.default_rng(seed)
+        users = sample_users(point.density, point.user_radius, rng)
+        conn = connect(hex_layout(point.helpers), users, point.radius)
+        assert np.array_equal(conn.adjacency, links) and np.array_equal(conn.reachable_users, kept)
+        assert np.array_equal(draw_channels(conn, rng), channel)
+        assert np.array_equal(assign_profiles(conn.num_users, point.profiles, rng).profile_of, profiles)
+        assert rng.random() == after
+
+
 @st.composite
 def _trial_networks(draw):
     """A chunk of trials: ragged profiles, some empty, and trials without users."""
@@ -167,7 +242,10 @@ def _trial_networks(draw):
 @given(_trial_networks())
 def test_batched_counts_match_per_trial_solvers(network):
     adjacencies, profiles, num_profiles = network
-    counts = evaluate_counts(adjacencies, profiles, num_profiles, ALL_METHODS)
+    labels = np.concatenate([p + t * num_profiles for t, p in enumerate(profiles)])
+    counts = evaluate_counts(
+        np.concatenate(adjacencies, axis=1), labels, len(profiles), num_profiles, ALL_METHODS
+    )
     for t, (adjacency, profile_of) in enumerate(zip(adjacencies, profiles)):
         num_helpers, num_users = adjacency.shape
         conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(num_users))
@@ -188,16 +266,31 @@ def _sweep_bytes(config, tmp_path, name):
     return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
 
 
-def test_results_do_not_depend_on_chunking(monkeypatch, tmp_path):
-    config = ExperimentConfig(
+def test_results_do_not_depend_on_chunking(tmp_path):
+    # Chunk boundaries cut both the draw and the evaluate stage.
+    radius_sweep = ExperimentConfig(
         helpers=4, gamma=0.1, user_radius=2.7, trials=11, seed=8, sweep="r",
         values=(1.2, 2.2, 4.2), profiles=10, density=REFERENCE_DENSITY,
         methods=("greedy", "fc", "bb"),
     )
-    whole = _sweep_bytes(config, tmp_path, "whole")
-    for trials_per_chunk in (1, 3):
-        monkeypatch.setattr(sim_harness, "CHUNK_TABLE_ENTRIES", trials_per_chunk * 10 * 2**4)
-        assert _sweep_bytes(config, tmp_path, f"chunks{trials_per_chunk}") == whole
+    profile_sweep = replace(
+        radius_sweep, seed=9, sweep="L", values=(10, 20, 40), profiles=None, radius=1.2,
+        density=None, density_per_profile=REFERENCE_DENSITY / 10,
+    )
+    verified = replace(
+        radius_sweep, trials=7, seed=10, values=(1.2, 4.2), methods=("bb", "greedy"), verify=True
+    )
+    for config in (radius_sweep, profile_sweep, verified):
+        whole = _sweep_bytes(config, tmp_path, "whole")
+        for name, entries in (
+            ("CHUNK_TABLE_ENTRIES", 10 * 2**4),  # one trial per chunk
+            ("CHUNK_TABLE_ENTRIES", 3 * 10 * 2**4),  # three at L = 10, one above
+            ("CHUNK_LINK_ENTRIES", 1000),  # four at L = 10, fewer above
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sim_harness, name, entries)
+                chunked = _sweep_bytes(config, tmp_path, f"{name}{entries}")
+            assert chunked == whole, (config.sweep, config.verify, name, entries)
 
 
 def test_single_trial_points_match_their_sweep_entries():
@@ -221,22 +314,39 @@ def test_single_trial_points_match_their_sweep_entries():
 
 @st.composite
 def _small_sweeps(draw):
-    """A small radius sweep over every method, in a drawn order."""
-    profiles = draw(st.integers(2, 5))
-    return ExperimentConfig(
+    """A small radius or profile-count sweep over every method, in a drawn order."""
+    config = dict(
         helpers=draw(st.integers(1, 6)),
-        gamma=draw(st.integers(1, profiles - 1)) / profiles,
         user_radius=draw(st.sampled_from((1.0, 2.0))),
         trials=draw(st.integers(1, 20)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        sweep="r",
-        values=tuple(
-            draw(st.lists(st.sampled_from((0.4, 1.0, 1.6, 2.4)), min_size=1, max_size=3, unique=True))
-        ),
-        profiles=profiles,
-        density=draw(st.sampled_from((0.3, 1.0, 2.0))),
         methods=tuple(draw(st.permutations(ALL_METHODS))),
     )
+    radii = st.sampled_from((0.4, 1.0, 1.6, 2.4))
+    if draw(st.booleans()):
+        profiles = draw(st.integers(2, 5))
+        config.update(
+            gamma=draw(st.integers(1, profiles - 1)) / profiles,
+            sweep="r",
+            values=tuple(draw(st.lists(radii, min_size=1, max_size=3, unique=True))),
+            profiles=profiles,
+        )
+    else:
+        share = draw(st.sampled_from((2, 3)))  # gamma = 1 / share, so L is a multiple of it
+        config.update(
+            gamma=1 / share,
+            sweep="L",
+            values=tuple(draw(st.lists(
+                st.sampled_from((share, 2 * share)), min_size=1, max_size=2, unique=True
+            ))),
+            radius=draw(radii),
+        )
+    density = st.sampled_from((0.3, 1.0, 2.0))
+    if config["sweep"] == "L" and draw(st.booleans()):
+        config.update(density_per_profile=draw(density) / 2)
+    else:
+        config.update(density=draw(density))
+    return ExperimentConfig(**config)
 
 
 def _rows(config, **overrides):
@@ -302,8 +412,13 @@ def test_config_rejects_bad_setups():
         _tiny_config(density=None)
     with pytest.raises(ValueError):
         _tiny_config(density_per_profile=1.0)  # both density modes set
-    with pytest.raises(ValueError):
-        _tiny_config(sweep="L", values=(2, 4), radius=None)
+    with pytest.raises(ValueError, match="requires a fixed radius"):
+        _tiny_config(sweep="L", values=(2, 4), profiles=None, radius=None)
+    # a fixed value for the swept variable would be silently dropped
+    with pytest.raises(ValueError, match="radius is swept"):
+        _tiny_config(radius=1.5)
+    with pytest.raises(ValueError, match="profiles is swept"):
+        _tiny_config(sweep="L", values=(2, 4), radius=1.0)
     with pytest.raises(ValueError):
         _tiny_config(methods=("bb", "annealing"))
     with pytest.raises(ValueError, match="must not repeat"):
@@ -311,7 +426,7 @@ def test_config_rejects_bad_setups():
     with pytest.raises(ValueError, match="cannot be decode-verified"):
         _tiny_config(methods=("bb", "fc"), verify=True)
     with pytest.raises(ValueError, match="integers"):
-        _tiny_config(sweep="L", values=(10.5,), radius=1.0)
+        _tiny_config(sweep="L", values=(10.5,), profiles=None, radius=1.0)
     with pytest.raises(ValueError, match="must be an integer"):
         _tiny_config(profiles=10.5, density=None, density_per_profile=1.0)
     with pytest.raises(ConfigError, match="memory sharing"):
@@ -340,7 +455,8 @@ def test_config_rejects_bad_setups():
 
 def test_sweep_points_resolve_density_per_profile():
     config = _tiny_config(
-        sweep="L", values=(2, 4), radius=1.0, density=None, density_per_profile=0.7
+        sweep="L", values=(2, 4), profiles=None, radius=1.0, density=None,
+        density_per_profile=0.7,
     )
     points = config.points()
     assert [p.profiles for _, p in points] == [2, 4]
@@ -348,7 +464,7 @@ def test_sweep_points_resolve_density_per_profile():
 
 
 def test_sweep_rejects_fractional_share_at_any_point():
-    config = _tiny_config(sweep="L", values=(2, 3), radius=1.0)  # gamma*3 = 1.5
+    config = _tiny_config(sweep="L", values=(2, 3), profiles=None, radius=1.0)  # gamma*3 = 1.5
     with pytest.raises(ValueError):
         config.points()
 
@@ -419,6 +535,9 @@ def test_cli_simulate_round_trip(tmp_path, capsys):
     # csv carries no per-trial arrays, so asking for them is an error
     assert main(args + ["--per-trial"]) == 1
     assert "error: --per-trial needs --format json" in capsys.readouterr().err
+    # the swept radius cannot also be fixed
+    assert main(args + ["--radius", "9"]) == 1
+    assert "error: radius is swept" in capsys.readouterr().err
     assert out.read_bytes() == first
 
 
