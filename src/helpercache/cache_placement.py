@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -90,23 +90,22 @@ def draw_subfile_symbols(
     demands: dict[int, int],
     index_size: int,
     rng: np.random.Generator,
-) -> dict[tuple[int, SubfileIndex], complex]:
-    """One unit-variance complex symbol per (requested file, needed index) pair.
+) -> np.ndarray:
+    """One unit-variance complex symbol per (user, needed index): a (K, C(L - 1, t)) array.
 
-    Each subfile is modeled as a single scalar symbol: decodability in the
-    noiseless high-power regime is a per-symbol linear-algebra property, so
-    one symbol per subfile is enough to exercise it.
+    Row k holds the subfiles of user k's requested file that its profile
+    does not cache, in `needed_subfiles` order.  Each subfile is modeled as
+    a single scalar symbol: decodability in the noiseless high-power regime
+    is a per-symbol linear-algebra property, so one symbol per subfile is
+    enough to exercise it.  A row stands for one file only if no two users
+    request the same file, so `demands` must be distinct.
     """
-    needed = {
-        profile: needed_subfiles(profile, assignment.num_profiles, index_size)
-        for profile in range(1, assignment.num_profiles + 1)
-    }
-    keys = [
-        (demands[user], index)
-        for user, profile in enumerate(assignment.profile_of.tolist())
-        for index in needed[profile]
-    ]
-    # one (re, im) pair per key, in key order: the stream of a per-pair loop;
-    # each part is divided by sqrt(2) on its own, as complex(re, im) / sqrt(2) does
-    parts = rng.standard_normal((len(keys), 2)) / _SQRT2
-    return dict(zip(keys, parts.view(complex).ravel().tolist()))
+    num_users = assignment.num_users
+    if len({demands[user] for user in range(num_users)}) < num_users:
+        raise ValueError("demands must map the users to distinct files")
+    needed = comb(assignment.num_profiles - 1, index_size)
+    # one (re, im) pair per (user, needed index), user by user: the stream of
+    # a per-pair loop; each part is divided by sqrt(2) on its own, as
+    # complex(re, im) / sqrt(2) does
+    parts = rng.standard_normal((num_users * needed, 2)) / _SQRT2
+    return parts.view(complex).reshape(num_users, needed)

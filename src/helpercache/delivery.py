@@ -6,7 +6,8 @@ profiles of size `index_size + 1` with at least one nonempty partition): the
 sum of the per-profile precoded blocks, zero-padded onto the helpers the
 partition does not use.  A served user cancels the other profiles' blocks
 from its cache and is left with exactly its own subfile symbol.  The
-verifier builds a round's signals as one matrix, a column per group.
+verifier builds a round's signals as one matrix, a column per group, and
+places each user's symbols by a group table built once per (L, t).
 
 A schedule holds only its rounds; the rest follows from them.  Its
 transmission count is the sweep's closed form over its per-profile partition
@@ -18,13 +19,14 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cache_placement import SubfileIndex
+from .cache_placement import needed_subfiles
 from .partitioner import PartitionSet
 
 CONDITION_LIMIT = 1e12
@@ -57,6 +59,11 @@ class RoundSchedule:
     def num_rounds(self) -> int:
         return len(self.rounds)
 
+    @property
+    def slots(self) -> list[Slot]:
+        """Every (round, profile) slot, round by round, profiles in round order."""
+        return [slot for entries in self.rounds for slot in entries.values()]
+
 
 def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int) -> RoundSchedule:
     """Consume every profile's partitions in order, one per round."""
@@ -86,17 +93,6 @@ def count_transmissions(schedule: RoundSchedule, index_size: int) -> int:
     served = Counter(p for entries in schedule.rounds for p in entries)
     counts = [served[p] for p in range(1, schedule.num_profiles + 1)]
     return int(transmissions_from_counts(np.array(counts, dtype=np.int64), index_size))
-
-
-def enumerate_transmissions(
-    schedule: RoundSchedule, index_size: int
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Yield (round, group, effective profiles) for every transmitted group."""
-    for g, entries in enumerate(schedule.rounds):
-        for group in combinations(range(1, schedule.num_profiles + 1), index_size + 1):
-            effective = tuple(p for p in group if p in entries)
-            if effective:
-                yield g, group, effective
 
 
 def transmissions_from_counts(counts: np.ndarray, index_size: int) -> np.ndarray:
@@ -148,39 +144,80 @@ def sum_dof(
     return num_users * (1.0 - gamma) / time
 
 
-def matched_precoders(channel: np.ndarray, slots: Sequence[Slot]) -> list[np.ndarray]:
-    """Invert the channel between each slot's helpers and its users.
+def matched_precoders(
+    channel: np.ndarray,
+    slots: Sequence[Slot],
+    first_rows: np.ndarray | None = None,
+    seeds: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Zero-forcing precoders of a sequence of slots, side by side in one (E, n) array.
 
-    Row k of a slot's submatrix is user k's channel restricted to the
-    partition's helpers; the matched diagonal is nonzero by construction, and
-    random continuous gains keep the matrix invertible almost surely.  Slots
-    of equal size are stacked, so each size costs one `cond` and one `inv`.
+    Slot i takes the next len(users) columns: the inverse of its matched
+    channel submatrix on its helpers' rows, zeros elsewhere, so a round's
+    slots give its Q.  Random continuous gains keep each submatrix
+    invertible almost surely.  Slots of equal size are stacked: one `cond`
+    and one `inv` per size.  Slots of several trials can share one call:
+    `channel` stacks their channels, slot i's users are rows
+    `first_rows[i] + u`, and an error names its own users and `seeds[i]`.
     """
     by_size: dict[int, list[int]] = {}
     for i, (helpers, users) in enumerate(slots):
         if len(helpers) != len(users):
             raise ValueError("a partition pairs equally many helpers and users")
         by_size.setdefault(len(users), []).append(i)
-    inverses: dict[int, np.ndarray] = {}
+
+    def where(i: int) -> str:
+        helpers, users = slots[i]
+        trial = "" if seeds is None else f" (seed {seeds[i]})"
+        return f"users {users} on helpers {helpers}{trial}"
+
+    columns = np.cumsum([0] + [len(users) for _, users in slots])
+    precoders = np.zeros((channel.shape[1], columns[-1]), dtype=complex)
     for size, members in by_size.items():
         helpers = np.array([slots[i][0] for i in members], dtype=np.intp).reshape(-1, size)
         users = np.array([slots[i][1] for i in members], dtype=np.intp).reshape(-1, size)
+        if first_rows is not None:
+            users += first_rows[members, None]
         subs = channel[users[:, :, None], helpers[:, None, :]]
         zero = (np.diagonal(subs, axis1=1, axis2=2) == 0).any(axis=1)
         if zero.any():
-            helpers_k, users_k = slots[members[int(np.argmax(zero))]]
-            raise ValueError(
-                f"matched helper-user link is structurally zero for users {users_k} "
-                f"on helpers {helpers_k}"
-            )
+            slot = members[int(np.argmax(zero))]
+            raise ValueError(f"matched helper-user link is structurally zero for {where(slot)}")
         singular = np.linalg.cond(subs) > CONDITION_LIMIT
         if singular.any():
-            helpers_k, users_k = slots[members[int(np.argmax(singular))]]
-            raise SingularChannelError(
-                f"channel submatrix for users {users_k} on helpers {helpers_k} is ill-conditioned"
-            )
-        inverses.update(zip(members, np.linalg.inv(subs)))
-    return [inverses[i] for i in range(len(slots))]
+            slot = members[int(np.argmax(singular))]
+            raise SingularChannelError(f"channel submatrix for {where(slot)} is ill-conditioned")
+        own = columns[members, None] + np.arange(size)
+        precoders[helpers[:, :, None], own[:, None, :]] = np.linalg.inv(subs)
+    return precoders
+
+
+@dataclass(frozen=True)
+class GroupTable:
+    """The multicast groups of (L, t) and the group each needed subfile travels in.
+
+    `groups` lists the size-(t + 1) subsets of the profiles 1..L in
+    lexicographic order.  `rank[p - 1, k]` is the position there of {p} + S,
+    S the k-th index of `needed_subfiles(p, L, t)`: the group whose signal
+    carries that subfile to the users of profile p.
+    """
+
+    groups: tuple[tuple[int, ...], ...]
+    rank: np.ndarray  # (L, C(L - 1, t)), read-only
+
+
+@lru_cache(maxsize=32)
+def group_table(num_profiles: int, index_size: int) -> GroupTable:
+    """The group table of (L, t), built once per pair."""
+    groups = tuple(combinations(range(1, num_profiles + 1), index_size + 1))
+    position = {group: j for j, group in enumerate(groups)}
+    needed = [needed_subfiles(p, num_profiles, index_size) for p in range(1, num_profiles + 1)]
+    rank = np.array(
+        [[position[tuple(sorted(index + (p,)))] for index in row] for p, row in enumerate(needed, 1)],
+        dtype=np.intp,
+    ).reshape(num_profiles, comb(num_profiles - 1, index_size))
+    rank.setflags(write=False)
+    return GroupTable(groups=groups, rank=rank)
 
 
 @dataclass(frozen=True)
@@ -203,56 +240,53 @@ class RoundSignal:
 def round_signals(
     channel: np.ndarray,
     schedule: RoundSchedule,
-    demands: Mapping[int, int],
-    symbols: Mapping[tuple[int, SubfileIndex], complex],
+    symbols: np.ndarray,
     index_size: int,
+    precoders: np.ndarray | None = None,
 ) -> list[RoundSignal]:
     """Compose every round's signal matrix from the groups it transmits.
 
-    Round g sends the groups `enumerate_transmissions` yields for it, which
-    must number C(L, t + 1) - C(L - a(g), t + 1) with a(g) the profiles
-    served that round: every group except those of idle profiles only.  In
-    the column of group S, profile p's users carry the subfiles of index S
-    minus p, precoded by the inverse of their matched channel and
-    zero-padded onto the other helpers.
+    Round g sends every group with a profile served that round: the groups
+    in the `group_table` rows of its a(g) active profiles, which must number
+    C(L, t + 1) - C(L - a(g), t + 1).  In the column of group S, profile
+    p's users carry the subfiles of index S minus p, from their rows of the
+    (K, C(L - 1, t)) `symbols` array, precoded by the inverse of their
+    matched channel and zero-padded onto the other helpers.  `precoders`
+    are the columns `matched_precoders` gives for `schedule.slots`,
+    computed here unless given.
     """
-    transmitted: list[list[tuple[int, ...]]] = [[] for _ in schedule.rounds]
-    for g, group, _ in enumerate_transmissions(schedule, index_size):
-        transmitted[g].append(group)
-    slots = [(g, p) for g, entries in enumerate(schedule.rounds) for p in entries]
-    inverses = dict(
-        zip(slots, matched_precoders(channel, [schedule.rounds[g][p] for g, p in slots]))
-    )
+    if precoders is None:
+        precoders = matched_precoders(channel, schedule.slots)
+    table = group_table(schedule.num_profiles, index_size)
     full = comb(schedule.num_profiles, index_size + 1)
-    num_helpers = channel.shape[1]
+    start = 0
     signals = []
     for g, entries in enumerate(schedule.rounds):
-        groups = transmitted[g]
+        sent = np.zeros(len(table.groups), dtype=bool)
+        sent[table.rank[[p - 1 for p in entries]]] = True
         expected = full - comb(schedule.num_profiles - len(entries), index_size + 1)
-        if len(groups) != expected:
+        if sent.sum() != expected:
             raise RuntimeError(
-                f"round {g} transmits {len(groups)} groups, its {len(entries)} active "
+                f"round {g} transmits {sent.sum()} groups, its {len(entries)} active "
                 f"profiles imply {expected}"
             )
         served = [u for _, users in entries.values() for u in users]
-        profiles = np.repeat(list(entries), [len(users) for _, users in entries.values()])
-        group_profiles = np.array(groups, dtype=np.intp).reshape(len(groups), index_size + 1)
-        intended = (profiles[:, None, None] == group_profiles).any(axis=2)
-        precoder = np.zeros((num_helpers, len(served)), dtype=complex)
-        # the intended symbols in row-major order: user by user, its groups in column order
-        symbols_sent = []
-        start = 0
-        for p, (helpers, users) in entries.items():
-            precoder[list(helpers), start : start + len(users)] = inverses[g, p]
-            start += len(users)
-            indices = [tuple(q for q in group if q != p) for group in groups if p in group]
-            symbols_sent.extend([symbols[(demands[u], index)] for u in users for index in indices])
-        messages = np.zeros((len(served), len(groups)), dtype=complex)
-        messages[intended] = symbols_sent
+        profiles = np.repeat(
+            np.array(list(entries), dtype=np.intp), [len(users) for _, users in entries.values()]
+        )
+        precoder = precoders[:, start : start + len(served)].copy()  # contiguous Q
+        start += len(served)
+        # each served user's symbol row goes to the columns of its groups
+        rows = np.arange(len(served))[:, None]
+        columns = (np.cumsum(sent) - 1)[table.rank[profiles - 1]]
+        messages = np.zeros((len(served), expected), dtype=complex)
+        messages[rows, columns] = symbols[served]
+        intended = np.zeros(messages.shape, dtype=bool)
+        intended[rows, columns] = True
         signals.append(
             RoundSignal(
                 round_index=g,
-                groups=tuple(groups),
+                groups=tuple(compress(table.groups, sent.tolist())),
                 users=tuple(served),
                 profiles=profiles,
                 intended=intended,
@@ -292,11 +326,17 @@ def verify_schedule(
     channel: np.ndarray,
     schedule: RoundSchedule,
     demands: Mapping[int, int],
-    symbols: Mapping[tuple[int, SubfileIndex], complex],
+    symbols: np.ndarray,
     index_size: int,
+    precoders: np.ndarray | None = None,
 ) -> float:
-    """Compose and decode every scheduled transmission; return the worst residual."""
-    signals = round_signals(channel, schedule, demands, symbols, index_size)
+    """Compose and decode every scheduled transmission; return the worst residual.
+
+    `symbols` is the array `draw_subfile_symbols` drew for the distinct
+    `demands`: its rows are per user, and so already per requested file.
+    `precoders` are passed on to `round_signals`.
+    """
+    signals = round_signals(channel, schedule, symbols, index_size, precoders)
     return max((decode_round(channel, rs) for rs in signals), default=0.0)
 
 

@@ -31,9 +31,11 @@ from .cache_placement import (
     ensure_valid,
 )
 from .delivery import (
+    DecodeFailure,
     build_schedule,
     coverage_check,
     delivery_time,
+    matched_precoders,
     sum_dof,
     transmissions_from_counts,
     verify_schedule,
@@ -341,26 +343,56 @@ def _partition_sets(
         raise RuntimeError(f"count from Hall's formula rejected, {exc} (seed {seed})") from exc
 
 
-def _verify_trial(point: PointConfig, draw: TrialDraw, counts: dict[str, np.ndarray]) -> None:
-    """Build each method's partitions at its counts, decode and audit the schedule."""
-    subnets = subnetworks_from_connectivity(draw.conn, draw.assignment)
-    num_users = draw.conn.num_users
-    demands = symbols = None
-    for method, expected in counts.items():
-        psets = _partition_sets(method, subnets, expected.tolist(), draw.seed)
-        if num_users == 0:
+def _verify_chunk(
+    point: PointConfig, draws: Sequence[TrialDraw], counts: dict[str, np.ndarray]
+) -> None:
+    """Build each verified trial's partitions at its counts, then decode and audit them.
+
+    Trial i's counts are row i of each method's array.  The precoders of
+    every schedule in the chunk come from one `matched_precoders` call over
+    the trials' stacked channels; each schedule is then replayed on its own
+    trial's channel.  Every error names the trial seed.
+    """
+    checks = []  # (trial, method, schedule, demands, symbols) of each trial with users
+    for i, draw in enumerate(draws):
+        subnets = subnetworks_from_connectivity(draw.conn, draw.assignment)
+        psets = {
+            method: _partition_sets(method, subnets, expected[i].tolist(), draw.seed)
+            for method, expected in counts.items()
+        }
+        if draw.conn.num_users == 0:
             continue
-        if symbols is None:
-            demands = {k: k for k in range(num_users)}  # distinct worst-case demands
-            symbols = draw_subfile_symbols(draw.assignment, demands, point.index_size, draw.rng)
-        schedule = build_schedule(psets, point.profiles)
-        verify_schedule(draw.channel, schedule, demands, symbols, point.index_size)
-        problems = coverage_check(schedule, point.index_size)
-        if problems:
-            raise RuntimeError(
-                f"coverage audit failed (seed {draw.seed}, method {method}): "
-                + "; ".join(problems[:5])
-            )
+        demands = {k: k for k in range(draw.conn.num_users)}  # distinct worst-case demands
+        symbols = draw_subfile_symbols(draw.assignment, demands, point.index_size, draw.rng)
+        for method, sets in psets.items():
+            schedule = build_schedule(sets, point.profiles)
+            problems = coverage_check(schedule, point.index_size)
+            if problems:
+                raise RuntimeError(
+                    f"coverage audit failed (seed {draw.seed}, method {method}): "
+                    + "; ".join(problems[:5])
+                )
+            checks.append((i, method, schedule, demands, symbols))
+    # the chunk's slots, schedule by schedule, and each schedule's precoder columns
+    slots, slot_trials, columns = [], [], [0]
+    for i, _, schedule, _, _ in checks:
+        own = schedule.slots
+        slots.extend(own)
+        slot_trials.extend([i] * len(own))
+        columns.append(columns[-1] + sum(len(users) for _, users in own))
+    first_rows = np.cumsum([0] + [draw.conn.num_users for draw in draws])
+    precoders = matched_precoders(
+        np.concatenate([draw.channel for draw in draws]),
+        slots,
+        first_rows[slot_trials],
+        [draws[i].seed for i in slot_trials],
+    )
+    for (i, method, schedule, demands, symbols), start, stop in zip(checks, columns, columns[1:]):
+        own = precoders[:, start:stop]
+        try:
+            verify_schedule(draws[i].channel, schedule, demands, symbols, point.index_size, own)
+        except DecodeFailure as exc:
+            raise DecodeFailure(f"{exc} (seed {draws[i].seed}, method {method})") from exc
 
 
 def run_point(
@@ -393,8 +425,8 @@ def run_point(
         seeds = trial_seeds[first : first + step]
         adjacency, labels, chunk_users, draws = _draw_chunk(point, seeds, verify)
         chunk = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods)
-        for i, draw in enumerate(draws):
-            _verify_trial(point, draw, {m: chunk[m][i] for m in methods})
+        if verify:
+            _verify_chunk(point, draws, chunk)
         users.append(chunk_users)
         chunks.append(chunk)
 

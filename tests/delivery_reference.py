@@ -1,8 +1,10 @@
 """Per-transmission replay of the delivery scheme: the reference oracle for the tests.
 
-The library verifies a schedule one round at a time in matrix form.  This
-module keeps the transmission-by-transmission form: one precoder inverse
-per (round, profile), one signal vector per group, and a decode replay per
+The library verifies a schedule one round at a time in matrix form, placing
+symbols by a precomputed group table.  This module keeps the
+transmission-by-transmission form: groups enumerated one by one, one
+precoder inverse per (round, profile), one signal vector per group, each
+symbol found by its index in `needed_subfiles`, and a decode replay per
 intended user, so the two can be compared on the same schedules.
 """
 
@@ -10,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import combinations
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -21,8 +24,25 @@ from helpercache.delivery import (
     DecodeFailure,
     RoundSchedule,
     SingularChannelError,
-    enumerate_transmissions,
 )
+
+
+def enumerate_transmissions(
+    schedule: RoundSchedule, index_size: int
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Yield (round, group, effective profiles) for every transmitted group."""
+    for g, entries in enumerate(schedule.rounds):
+        for group in combinations(range(1, schedule.num_profiles + 1), index_size + 1):
+            effective = tuple(p for p in group if p in entries)
+            if effective:
+                yield g, group, effective
+
+
+def subfile_symbol(
+    symbols: np.ndarray, user: int, profile: int, index: SubfileIndex, num_profiles: int
+) -> complex:
+    """The user's symbol of `index`: in its row, at the index's place in `needed_subfiles`."""
+    return symbols[user, needed_subfiles(profile, num_profiles, len(index)).index(index)]
 
 
 @dataclass(frozen=True)
@@ -30,6 +50,7 @@ class TransmissionRecord:
     """One multicast signal: the summed blocks and who should decode what."""
 
     round_index: int
+    num_profiles: int
     group: tuple[int, ...]
     effective: tuple[int, ...]  # group members that actually transmit a block
     blocks: Mapping[int, np.ndarray]  # profile -> zero-padded length-E block
@@ -54,8 +75,7 @@ def compose_signal(
     schedule: RoundSchedule,
     round_index: int,
     group: tuple[int, ...],
-    demands: Mapping[int, int],
-    symbols: Mapping[tuple[int, SubfileIndex], complex],
+    symbols: np.ndarray,
 ) -> TransmissionRecord | None:
     """Superpose the zero-padded precoded block of every active profile in `group`."""
     entries = schedule.rounds[round_index]
@@ -69,7 +89,9 @@ def compose_signal(
     for profile in effective:
         helpers, users = entries[profile]
         index = tuple(sorted(set(group) - {profile}))
-        messages = np.array([symbols[(demands[u], index)] for u in users])
+        messages = np.array(
+            [subfile_symbol(symbols, u, profile, index, schedule.num_profiles) for u in users]
+        )
         block = np.zeros(num_helpers, dtype=complex)
         block[list(helpers)] = build_precoder(channel, helpers, users) @ messages
         blocks[profile] = block
@@ -77,6 +99,7 @@ def compose_signal(
         intended.extend((u, profile, index) for u in users)
     return TransmissionRecord(
         round_index=round_index,
+        num_profiles=schedule.num_profiles,
         group=group,
         effective=effective,
         blocks=blocks,
@@ -86,10 +109,7 @@ def compose_signal(
 
 
 def verify_decode(
-    record: TransmissionRecord,
-    channel: np.ndarray,
-    demands: Mapping[int, int],
-    symbols: Mapping[tuple[int, SubfileIndex], complex],
+    record: TransmissionRecord, channel: np.ndarray, symbols: np.ndarray
 ) -> dict[int, float]:
     """Replay reception for every intended user of one signal; return the residuals."""
     residuals: dict[int, float] = {}
@@ -97,7 +117,7 @@ def verify_decode(
         row = channel[user]
         received = row @ record.signal
         cached = sum(row @ block for p, block in record.blocks.items() if p != profile)
-        expected = symbols[(demands[user], index)]
+        expected = subfile_symbol(symbols, user, profile, index, record.num_profiles)
         residual = abs(received - cached - expected)
         if residual >= DECODE_TOLERANCE * (abs(expected) + 1.0):
             raise DecodeFailure(
@@ -109,17 +129,13 @@ def verify_decode(
 
 
 def replay_schedule(
-    channel: np.ndarray,
-    schedule: RoundSchedule,
-    demands: Mapping[int, int],
-    symbols: Mapping[tuple[int, SubfileIndex], complex],
-    index_size: int,
+    channel: np.ndarray, schedule: RoundSchedule, symbols: np.ndarray, index_size: int
 ) -> float:
     """Compose and decode every transmission separately; return the worst residual."""
     worst = 0.0
     for g, group, _ in enumerate_transmissions(schedule, index_size):
         residuals = verify_decode(
-            compose_signal(channel, schedule, g, group, demands, symbols), channel, demands, symbols
+            compose_signal(channel, schedule, g, group, symbols), channel, symbols
         )
         worst = max([worst, *residuals.values()])
     return worst

@@ -88,15 +88,23 @@ def test_symbol_table_covers_every_needed_pair():
     assignment = assign_profiles(12, 3, rng)
     demands = {k: k for k in range(12)}
     symbols = draw_subfile_symbols(assignment, demands, 1, rng)
-    for user in range(12):
-        for index in needed_subfiles(int(assignment.profile_of[user]), 3, 1):
-            assert (user, index) in symbols
-    values = np.array(list(symbols.values()))
-    assert np.mean(np.abs(values) ** 2) == pytest.approx(1.0, abs=0.35)
+    # a row per user, a column per index its profile needs
+    assert symbols.shape == (12, len(needed_subfiles(1, 3, 1))) == (12, 2)
+    assert symbols.dtype == complex
+    assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0, abs=0.35)
+
+
+def test_repeated_demands_are_rejected():
+    # a row stands for one requested file only if no two users share it
+    rng = np.random.default_rng(5)
+    assignment = assign_profiles(4, 3, rng)
+    with pytest.raises(ValueError, match="distinct files"):
+        draw_subfile_symbols(assignment, {0: 7, 1: 3, 2: 7, 3: 1}, 1, rng)
 
 
 def test_symbol_draw_matches_a_per_pair_loop():
-    # one standard_normal(2) per (user, needed index) pair, in that order
+    # one standard_normal(2) per (user, needed index) pair, in that order;
+    # row k holds user k's pairs in `needed_subfiles` order
     for seed in range(6):
         setup = np.random.default_rng(seed)
         num_profiles = int(setup.integers(2, 8))
@@ -104,12 +112,13 @@ def test_symbol_draw_matches_a_per_pair_loop():
         assignment = assign_profiles(int(setup.integers(0, 30)), num_profiles, setup)
         demands = {k: 3 * k + 1 for k in range(assignment.num_users)}
         rng, reference_rng = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
-        expected = {}
-        for user in range(assignment.num_users):
-            for index in needed_subfiles(int(assignment.profile_of[user]), num_profiles, index_size):
+        expected = []
+        for user, profile in enumerate(assignment.profile_of.tolist()):
+            for k, _ in enumerate(needed_subfiles(profile, num_profiles, index_size)):
                 re, im = reference_rng.standard_normal(2)
-                expected[(demands[user], index)] = complex(re, im) / math.sqrt(2.0)
+                expected.append((user, k, complex(re, im) / math.sqrt(2.0)))
         symbols = draw_subfile_symbols(assignment, demands, index_size, rng)
-        assert list(symbols) == list(expected)
-        assert all(symbols[key] == value for key, value in expected.items())
+        assert symbols.shape == (assignment.num_users, math.comb(num_profiles - 1, index_size))
+        assert symbols.size == len(expected)
+        assert all(symbols[user, k] == value for user, k, value in expected)
         assert rng.standard_normal() == reference_rng.standard_normal()

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delivery_reference import audit_deliveries, build_precoder, compose_signal, replay_schedule, verify_decode
+from delivery_reference import (
+    audit_deliveries,
+    build_precoder,
+    compose_signal,
+    enumerate_transmissions,
+    replay_schedule,
+    verify_decode,
+)
 from helpercache import delivery
 from helpercache.cache_placement import ProfileAssignment, assign_profiles, draw_subfile_symbols
 from helpercache.delivery import (
@@ -19,7 +26,7 @@ from helpercache.delivery import (
     coverage_check,
     decode_round,
     delivery_time,
-    enumerate_transmissions,
+    group_table,
     matched_precoders,
     round_signals,
     sum_dof,
@@ -205,14 +212,15 @@ def test_diagonal_matching_precoder_closed_form():
 def test_precoder_inverts_matched_submatrix():
     rng = np.random.default_rng(2)
     channel = _example_channel(rng)
-    (inverse,) = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
+    inverse = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
     np.testing.assert_allclose(channel @ inverse, np.eye(4), atol=1e-10)
 
 
 def test_precoder_scalar_case():
     conn = Connectivity(adjacency=np.array([[True]]), reachable_users=np.arange(1))
     channel = draw_channels(conn, np.random.default_rng(3))
-    (inverse,) = matched_precoders(channel, [((0,), (0,))])
+    inverse = matched_precoders(channel, [((0,), (0,))])
+    assert inverse.shape == (1, 1)
     assert inverse[0, 0] == pytest.approx(1 / channel[0, 0])
 
 
@@ -222,7 +230,7 @@ def test_precoder_identity_over_many_draws():
     for _ in range(1000):
         conn = Connectivity(adjacency=np.ones((4, 4), dtype=bool), reachable_users=np.arange(4))
         channel = draw_channels(conn, rng)
-        (inverse,) = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
+        inverse = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
         gap = np.abs(channel @ inverse - np.eye(4)).max()
         worst = max(worst, gap)
     assert worst < 1e-9
@@ -231,8 +239,31 @@ def test_precoder_identity_over_many_draws():
 def test_batched_precoders_match_single_inverses():
     channel = draw_channels(_full_connectivity(8, 4), np.random.default_rng(12))
     slots = [((0, 1), (0, 1)), ((2,), (2,)), ((3, 0, 1), (3, 4, 5)), ((1, 2), (6, 7)), ((0,), (5,))]
-    for slot, inverse in zip(slots, matched_precoders(channel, slots)):
-        np.testing.assert_allclose(inverse, build_precoder(channel, *slot), rtol=1e-12, atol=0)
+    precoders = matched_precoders(channel, slots)
+    start = 0
+    for helpers, users in slots:
+        # the slot's columns: its inverse on its helpers' rows, zero on the others
+        block = precoders[:, start : start + len(users)]
+        np.testing.assert_allclose(
+            block[list(helpers)], build_precoder(channel, helpers, users), rtol=1e-12, atol=0
+        )
+        assert not np.delete(block, helpers, axis=0).any()
+        start += len(users)
+    assert precoders.shape == (4, start)
+
+
+def test_precoders_of_stacked_trials_name_the_trial():
+    # two trials' channels stacked: the second trial's users start at row 3
+    rng = np.random.default_rng(15)
+    first, second = (draw_channels(_full_connectivity(k, 3), rng) for k in (3, 4))
+    slots = [((0, 1), (0, 2)), ((2, 0), (3, 1)), ((1,), (0,))]
+    rows, seeds = np.array([0, 3, 3]), [11, 22, 22]
+    stacked = matched_precoders(np.vstack([first, second]), slots, rows, seeds)
+    np.testing.assert_array_equal(stacked[:, :2], matched_precoders(first, slots[:1]))
+    np.testing.assert_array_equal(stacked[:, 2:], matched_precoders(second, slots[1:]))
+    second[[3, 1]] = second[[1, 1]]  # the second trial's slot of users 3 and 1 turns singular
+    with pytest.raises(SingularChannelError, match=r"users \(3, 1\) on helpers \(2, 0\) \(seed 22\)"):
+        matched_precoders(np.vstack([first, second]), slots, rows, seeds)
 
 
 def test_precoder_rejects_singular_submatrix():
@@ -260,7 +291,7 @@ def test_singular_slot_in_a_schedule_is_rejected():
     }
     schedule = build_schedule(psets, 2)
     demands = {u: u for u in range(6)}
-    symbols = {(u, index): 1.0 + 0j for u in range(6) for index in ((1,), (2,))}
+    symbols = np.ones((6, 1), dtype=complex)
     with pytest.raises(SingularChannelError, match=r"users \(4, 5\) on helpers \(2, 3\)"):
         verify_schedule(channel, schedule, demands, symbols, 1)
 
@@ -277,14 +308,11 @@ def _two_profile_round():
     channel = draw_channels(conn, np.random.default_rng(6))
     served = (2, 5, 8, 12, 14, 18)
     demands = {u: 100 + u for u in served}
+    # row u: user u's two needed subfiles; unserved users' rows stay unread
     rng = np.random.default_rng(7)
-    symbols = {}
-    for user in (2, 5, 8, 12):
-        for index in ((2,), (3,)):
-            symbols[(demands[user], index)] = complex(*rng.standard_normal(2))
-    for user in (14, 18):
-        for index in ((1,), (3,)):
-            symbols[(demands[user], index)] = complex(*rng.standard_normal(2))
+    symbols = np.zeros((19, 2), dtype=complex)
+    for user in served:
+        symbols[user] = [complex(*rng.standard_normal(2)) for _ in range(2)]
     return schedule, channel, demands, symbols
 
 
@@ -299,24 +327,24 @@ def _blocks(rs, group):
 
 def test_zero_padding_leaves_unused_helpers_silent():
     schedule, channel, demands, symbols = _two_profile_round()
-    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+    (rs,) = round_signals(channel, schedule, symbols, 1)
     assert list(_blocks(rs, (2, 3))) == [2]
     signal = rs.signal[:, rs.groups.index((2, 3))]
     assert signal[0] == 0 and signal[2] == 0
     assert signal[1] != 0 and signal[3] != 0
-    reference = compose_signal(channel, schedule, 0, (2, 3), demands, symbols)
+    reference = compose_signal(channel, schedule, 0, (2, 3), symbols)
     np.testing.assert_allclose(signal, reference.signal, atol=1e-12)
 
 
 def test_signal_superposes_profile_blocks():
     schedule, channel, demands, symbols = _two_profile_round()
-    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+    (rs,) = round_signals(channel, schedule, symbols, 1)
     for group, effective in (((1, 2), [1, 2]), ((1, 3), [1])):
         blocks = _blocks(rs, group)
         assert list(blocks) == effective
         signal = rs.signal[:, rs.groups.index(group)]
         np.testing.assert_allclose(signal, sum(blocks.values()), atol=1e-12)
-        reference = compose_signal(channel, schedule, 0, group, demands, symbols)
+        reference = compose_signal(channel, schedule, 0, group, symbols)
         for profile in effective:
             np.testing.assert_allclose(blocks[profile], reference.blocks[profile], atol=1e-12)
 
@@ -326,41 +354,40 @@ def test_group_without_active_profiles_is_skipped():
     schedule = build_schedule(psets, 2)
     conn = _full_connectivity(2, 4)
     channel = draw_channels(conn, np.random.default_rng(8))
-    demands = {0: 0, 1: 1}
-    symbols = {(0, (2,)): 1 + 0j, (1, (2,)): 1j}
+    symbols = np.array([[1 + 0j], [1j]])
     # profile 2 never transmits; the only group is (1, 2) and stays active via profile 1
-    signals = round_signals(channel, schedule, demands, symbols, 1)
+    signals = round_signals(channel, schedule, symbols, 1)
     assert [rs.groups for rs in signals] == [((1, 2),), ((1, 2),)]
     assert [list(_blocks(rs, (1, 2))) for rs in signals] == [[1], [1]]
     # with a third profile, the group of the two idle profiles sends nothing
     psets[3] = PartitionSet(partitions=(), num_helpers=4)
     schedule = build_schedule(psets, 3)
-    symbols.update({(0, (3,)): 1 + 1j, (1, (3,)): -1j})
-    signals = round_signals(channel, schedule, demands, symbols, 1)
+    symbols = np.array([[1 + 0j, 1 + 1j], [1j, -1j]])
+    signals = round_signals(channel, schedule, symbols, 1)
     assert [rs.groups for rs in signals] == [((1, 2), (1, 3))] * 2
 
 
 def test_round_with_the_wrong_group_count_is_rejected(monkeypatch):
     # profiles 1 and 2 are active, so the round must send C(3, 2) - C(1, 2) = 3
-    # groups; an enumeration that loses one is caught
-    schedule, channel, demands, symbols = _two_profile_round()
-    enumerate_all = delivery.enumerate_transmissions
-
-    def drop_last_group(schedule, index_size):
-        return list(enumerate_all(schedule, index_size))[:-1]
-
-    monkeypatch.setattr(delivery, "enumerate_transmissions", drop_last_group)
+    # groups; a group table whose row for profile 2 was dropped, profile 1's
+    # repeated in its place, lists only 2 and is caught
+    schedule, channel, _, symbols = _two_profile_round()
+    table = group_table(3, 1)
+    assert table.groups == ((1, 2), (1, 3), (2, 3))
+    assert table.rank.tolist() == [[0, 1], [0, 2], [1, 2]]
+    lost = replace(table, rank=table.rank[[0, 0, 2]])
+    monkeypatch.setattr(delivery, "group_table", lambda num_profiles, index_size: lost)
     with pytest.raises(RuntimeError, match="transmits 2 groups, its 2 active profiles imply 3"):
-        round_signals(channel, schedule, demands, symbols, 1)
+        round_signals(channel, schedule, symbols, 1)
 
 
 def test_served_users_cancel_and_decode():
     schedule, channel, demands, symbols = _two_profile_round()
     worst = 0.0
     for group in ((1, 2), (1, 3), (2, 3)):
-        record = compose_signal(channel, schedule, 0, group, demands, symbols)
-        worst = max(worst, *verify_decode(record, channel, demands, symbols).values())
-    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+        record = compose_signal(channel, schedule, 0, group, symbols)
+        worst = max(worst, *verify_decode(record, channel, symbols).values())
+    (rs,) = round_signals(channel, schedule, symbols, 1)
     assert decode_round(channel, rs) == pytest.approx(worst, abs=1e-12)
     assert worst < 1e-9
     assert coverage_check(schedule, 1) == []
@@ -370,7 +397,7 @@ def test_decode_failure_is_reported():
     # the transmitter sends user 14 a wrong symbol: user 14 misses its own
     # symbol, and profile 1's users cancel the true one from cache and miss too
     schedule, channel, demands, symbols = _two_profile_round()
-    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+    (rs,) = round_signals(channel, schedule, symbols, 1)
     sent = rs.messages.copy()
     sent[rs.users.index(14), rs.groups.index((1, 2))] += 1.0
     with pytest.raises(DecodeFailure, match=r"user 2 failed to decode in round 0, group \(1, 2\)"):
@@ -391,9 +418,8 @@ def test_decode_failure_names_the_round():
     psets = {1: _singleton_partitions(2), 2: _singleton_partitions(1, first_user=5)}
     schedule = build_schedule(psets, 2)
     channel = draw_channels(_full_connectivity(6, 4), np.random.default_rng(14))
-    demands = {0: 0, 1: 1, 5: 5}
-    symbols = {(0, (2,)): 1 + 0j, (1, (2,)): 1j, (5, (1,)): -1 + 0j}
-    first, second = round_signals(channel, schedule, demands, symbols, 1)
+    symbols = np.array([[1 + 0j], [1j], [0], [0], [0], [-1 + 0j]])
+    first, second = round_signals(channel, schedule, symbols, 1)
     assert decode_round(channel, first) < 1e-9
     sent = second.messages * 2.0
     with pytest.raises(DecodeFailure, match=r"user 1 failed to decode in round 1, group \(1, 2\)"):
@@ -452,7 +478,7 @@ def test_full_connectivity_recovers_single_round_structure():
     channel = draw_channels(conn, np.random.default_rng(9))
     demands = {k: k for k in range(conn.num_users)}
     symbols = draw_subfile_symbols(assignment, demands, 1, np.random.default_rng(10))
-    (rs,) = round_signals(channel, schedule, demands, symbols, 1)
+    (rs,) = round_signals(channel, schedule, symbols, 1)
     assert rs.groups == tuple(group for _, group, _ in enumerate_transmissions(schedule, 1))
     for group in rs.groups:
         blocks = _blocks(rs, group)
@@ -545,7 +571,7 @@ def _users_named(problems: list[str]) -> set[int]:
 def test_round_matrices_match_the_per_transmission_replay(trial):
     channel, schedule, demands, symbols, index_size = trial
     vectorized = verify_schedule(channel, schedule, demands, symbols, index_size)
-    reference = replay_schedule(channel, schedule, demands, symbols, index_size)
+    reference = replay_schedule(channel, schedule, symbols, index_size)
     assert abs(vectorized - reference) <= 1e-12
     assert max(vectorized, reference) < 1e-9
     assert coverage_check(schedule, index_size) == audit_deliveries(schedule, index_size) == []

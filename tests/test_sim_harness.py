@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_INSTANCE
-from helpercache import sim_harness
+from helpercache import delivery, sim_harness
 from helpercache.cache_placement import ConfigError, ProfileAssignment, assign_profiles
 from helpercache.cli import main
+from helpercache.delivery import DecodeFailure, SingularChannelError, decode_round
 from helpercache.partitioner import (
     greedy_assign,
     greedy_counts,
@@ -145,6 +147,46 @@ def test_verified_large_cluster_finishes():
     _assert_same_outcome(plain, run_point(point, seeds, ("bb",), verify=True))
 
 
+def _users_named(message):
+    """Every user index an error message names."""
+    found = re.search(r"users \(([^)]*)\)|user (\d+) failed", message)
+    assert found, message
+    return [int(user) for user in (found.group(1) or found.group(2)).split(",") if user.strip()]
+
+
+def test_verify_errors_name_the_trial(monkeypatch):
+    # One chunk of three verified trials: an error must name the trial's seed
+    # and its own user indices, not the chunk-wide rows of its channel.
+    point = _point()
+    seeds = [derive_trial_seed(4, index) for index in range(3)]
+    sizes = run_point(point, seeds).num_users.tolist()
+    assert min(sizes) > 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delivery, "CONDITION_LIMIT", 1.0)  # every slot of two or more users fails
+        with pytest.raises(SingularChannelError, match=rf"\(seed {seeds[0]}\)") as failure:
+            run_point(point, seeds, verify=True)
+    assert max(_users_named(str(failure.value))) < sizes[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delivery, "DECODE_TOLERANCE", 0.0)  # no residual is below zero
+        with pytest.raises(DecodeFailure, match=rf"\(seed {seeds[0]}, method bb\)") as failure:
+            run_point(point, seeds, verify=True)
+    assert max(_users_named(str(failure.value))) < sizes[0]
+    # The third trial hears nothing from helper 0: a zero on its matched diagonal.
+    calls = []
+
+    def deaf_third_trial(conn, rng):
+        channel = draw_channels(conn, rng)
+        calls.append(None)
+        if len(calls) == 3:
+            channel[:, 0] = 0
+        return channel
+
+    monkeypatch.setattr(sim_harness, "draw_channels", deaf_third_trial)
+    with pytest.raises(ValueError, match=rf"structurally zero .* \(seed {seeds[2]}\)") as failure:
+        run_point(point, seeds, verify=True)
+    assert max(_users_named(str(failure.value))) < sizes[2] < sizes[0] + sizes[1]
+
+
 def _trial_drawn_alone(point, seed):
     """One trial's links, kept users, channel, profiles and next uniform, from plain numpy calls."""
     rng = np.random.default_rng(seed)
@@ -218,6 +260,29 @@ def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
         assert np.array_equal(draw_channels(conn, rng), channel)
         assert np.array_equal(assign_profiles(conn.num_users, point.profiles, rng).profile_of, profiles)
         assert rng.random() == after
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chunk_points(), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+def test_residuals_do_not_depend_on_the_chunk(point, seeds):
+    # Every decode residual of a trial verified with others in one chunk,
+    # bit for bit those of the trial verified alone.
+    residuals = []
+
+    def recorded(channel, rs):
+        residuals.append(decode_round(channel, rs))
+        return residuals[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delivery, "decode_round", recorded)
+        chunked = run_point(point, seeds, ("bb", "greedy"), verify=True)
+        together = residuals[:]
+        residuals.clear()
+        for seed in seeds:
+            run_point(point, [seed], ("bb", "greedy"), verify=True)
+    assert together == residuals
+    # one residual per round of each method's schedule
+    assert len(together) == sum(int(chunked.counts[m].max(axis=1).sum()) for m in ("bb", "greedy"))
 
 
 @st.composite
