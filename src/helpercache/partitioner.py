@@ -138,6 +138,20 @@ def subnetworks_from_connectivity(
     }
 
 
+def _profile_labels(profile_of: np.ndarray, num_profiles: int, linked: np.ndarray) -> np.ndarray:
+    """The profile of each user column, after refusing what neither count accepts.
+
+    `linked` says, per user column, whether the user has a linked helper.
+    """
+    labels = np.asarray(profile_of)
+    if labels.size and (labels.min() < 1 or labels.max() > num_profiles):
+        outside = labels[(labels < 1) | (labels > num_profiles)]
+        raise ValueError(f"profile {outside[0]} is outside 1..{num_profiles}")
+    if not linked.all():
+        raise ValueError("every user needs at least one linked helper")
+    return labels
+
+
 def min_partition_counts(
     adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int
 ) -> np.ndarray:
@@ -156,10 +170,9 @@ def min_partition_counts(
             "the count table holds L * 2^E entries"
         )
     masks = _helper_masks(adjacency)
-    if np.any(masks == 0):
-        raise ValueError("every user needs at least one linked helper")
+    labels = _profile_labels(profile_of, num_profiles, masks != 0)
     subsets = 1 << num_helpers
-    keys = (np.asarray(profile_of, dtype=np.int64) - 1) * subsets + masks
+    keys = (labels.astype(np.int64) - 1) * subsets + masks
     table = np.bincount(keys, minlength=num_profiles * subsets).astype(np.int32)
     table = table.reshape(num_profiles, subsets)
     sizes = np.zeros(subsets, dtype=np.int32)
@@ -176,43 +189,58 @@ def greedy_counts(
 ) -> np.ndarray:
     """Partition count of `greedy_assign` for every profile at once.
 
-    Same arguments and result layout as `min_partition_counts`.  The users
-    of each profile fill the slots of one row of a (helper, profile, slot)
-    link array in column order.  A partition is one pass over the helpers
-    in index order, in which helper h takes, in every profile still
-    unfinished, the first free user it links to (`argmax` over the row):
-    exactly the order of `greedy_assign`'s scan.
+    Same arguments, result layout and errors as `min_partition_counts`.
+    The users of each profile are bits in column order: its user j is bit
+    j % 64 of word j // 64 in a (word, profile) uint64 array of the users
+    still free, and in one such array of each helper's links.  A partition
+    is one pass over the helpers in index order, in which helper h takes,
+    in every profile, the lowest free bit it links to: x & -x in the first
+    word whose open links x are nonzero, the borrow of -x passing on only
+    through all-zero words.  That bit is the first free user in column
+    order, so the scan order is exactly that of `greedy_assign`.  A pass
+    counts for every profile that still has a free bit when it starts.
     """
+    # Row-major: reductions and gathers along the user axis then run over
+    # whole rows, not over many short columns.
+    adjacency = np.ascontiguousarray(adjacency)
+    labels = _profile_labels(profile_of, num_profiles, adjacency.any(axis=0))
     num_helpers, num_users = adjacency.shape
-    labels = np.asarray(profile_of, dtype=np.int64) - 1
-    sizes = np.bincount(labels, minlength=num_profiles)
-    counts = np.zeros(num_profiles, dtype=np.int64)
     if num_users == 0:
-        return counts
+        return np.zeros(num_profiles, dtype=np.int64)
+    labels = labels.astype(np.min_scalar_type(num_profiles))  # narrow keys sort by radix
     order = np.argsort(labels, kind="stable")
-    row = labels[order]
-    slot = np.arange(num_users) - (np.cumsum(sizes) - sizes)[row]
-    link = np.zeros((num_helpers, num_profiles, sizes.max()), dtype=bool)
-    link[:, row, slot] = adjacency[:, order]
-    free = np.zeros(link.shape[1:], dtype=bool)
-    free[row, slot] = True
-    if np.any(free & ~link.any(axis=0)):
-        raise ValueError("every user needs at least one linked helper")
-    active = np.flatnonzero(sizes)  # profiles with users still to place
-    link, free = link[:, active], free[active]
-    partitions = 0
-    while active.size:
-        partitions += 1
-        rows = np.arange(active.size)
-        for h in range(num_helpers):
-            open_links = link[h] & free
-            first = open_links.argmax(axis=1)
-            free[rows, first] ^= open_links[rows, first]  # h takes that user, if any
-        done = ~free.any(axis=1)
-        if done.any():
-            counts[active[done]] = partitions
-            keep = ~done
-            active, link, free = active[keep], link[:, keep], free[keep]
+    sizes = np.bincount(labels, minlength=num_profiles + 1)[1:]
+    width = (int(sizes.max()) + 63) >> 6
+    # Word w of profile p holds the users at start .. start + length - 1 of
+    # the users sorted by profile.
+    first = 64 * np.arange(width)[:, None]
+    length = np.clip(sizes - first, 0, 64).astype(np.uint64)
+    start = (np.cumsum(sizes) - sizes + first).astype(np.uint64)
+    # Each helper's links in that order as one little-endian bit stream.  A
+    # word is the 64 stream bits from its start, taken from the two stream
+    # words they straddle; zero words at the end keep every read inside.
+    # No result depends on a shift by 64 bits or more.
+    packed = np.packbits(np.take(adjacency, order, axis=1), axis=1, bitorder="little")
+    stream = np.zeros((num_helpers, num_users // 64 + width + 1), dtype="<u8")
+    stream.view(np.uint8)[:, : packed.shape[1]] = packed
+    index, shift = (start >> 6).astype(np.intp), start & 63
+    low, high = np.take(stream, index, axis=1), np.take(stream, index + 1, axis=1)
+    window = (low >> shift) | (high << 1 << (63 - shift))
+    free = np.where(length, ~np.uint64(0) >> (64 - length), 0)  # the low `length` bits
+    links = [list(words & free) for words in window]
+    free_words = list(free)
+    counts = np.zeros(num_profiles, dtype=np.int64)
+    while (left := free.any(axis=0)).any():
+        counts += left
+        for link in links:
+            # Word w's open links, kept only where every lower word had none:
+            # the borrow of -x stops at the first nonzero word.
+            open_links, reach = link[0] & free_words[0], True
+            for w, free_word in enumerate(free_words):
+                free_word ^= open_links & -open_links
+                if w + 1 < width:
+                    reach = reach & (open_links == 0)
+                    open_links = np.where(reach, link[w + 1] & free_words[w + 1], 0)
     return counts
 
 

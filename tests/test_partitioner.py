@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_INSTANCE
-from helpercache.cache_placement import assign_profiles
+from helpercache.cache_placement import ProfileAssignment, assign_profiles
 from helpercache.partitioner import (
     Assignment,
     InstanceTooLargeError,
@@ -192,6 +192,14 @@ def test_hall_counts_match_oracles(hall_count, subnet):
             optimal_partitions(subnet, wrong)
 
 
+# Inputs both batched counts refuse, with the message they must give.
+_BAD_NETWORKS = [
+    (np.array([[True, False]]), np.array([1, 1]), 1, "at least one linked helper"),
+    (np.ones((2, 3), dtype=bool), np.array([1, 2, 3]), 2, r"profile 3 is outside 1\.\.2"),
+    (np.ones((2, 3), dtype=bool), np.array([0, 1, 2]), 2, r"profile 0 is outside 1\.\.2"),
+]
+
+
 def test_min_partition_counts_per_profile(reference_subnet):
     adjacency = np.array(
         [[h in cand for cand in reference_subnet.candidates] for h in range(4)]
@@ -214,13 +222,43 @@ def test_greedy_counts_per_profile(reference_subnet):
     profile_of = np.array([1] * 12 + [3] * 13)
     assert greedy_counts(adjacency, profile_of, 3).tolist() == [4, 0, 5]
     assert greedy_counts(np.zeros((2, 0), dtype=bool), np.zeros(0, dtype=np.int64), 2).tolist() == [0, 0]
-    with pytest.raises(ValueError, match="at least one linked helper"):
-        greedy_counts(np.array([[True, False]]), np.array([1, 1]), 1)
+    for adjacency, profile_of, num_profiles, message in _BAD_NETWORKS:
+        with pytest.raises(ValueError, match=message):
+            greedy_counts(adjacency, profile_of, num_profiles)
+
+
+@pytest.mark.parametrize("num_helpers", [1, 4, 20])
+def test_greedy_counts_across_word_boundaries(num_helpers):
+    # greedy_counts holds user j of a profile as bit j % 64 of word j // 64.
+    # These profiles end on either side of a word boundary, and one chunk
+    # mixes them with empty and small ones; each also runs alone.  Helper 0
+    # also links to every user past a profile's first word: once that word
+    # holds no open link of it, its picks need the borrow carried through.
+    sizes = [0, 1, 5, 63, 64, 65, 128, 129, 300]
+    rng = np.random.default_rng(num_helpers)
+    profile_of = rng.permutation(np.repeat(np.arange(1, len(sizes) + 1), sizes))
+    rank = np.zeros(profile_of.size, dtype=np.int64)
+    for p in range(1, len(sizes) + 1):
+        rank[profile_of == p] = np.arange(sizes[p - 1])
+    density = rng.uniform(0.05, 0.6, size=(num_helpers, 1))
+    adjacency = rng.random((num_helpers, profile_of.size)) < density
+    adjacency[0] |= rank >= 64
+    adjacency[rng.integers(0, num_helpers, profile_of.size), np.arange(profile_of.size)] = True
+    conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(profile_of.size))
+    subnets = subnetworks_from_connectivity(conn, ProfileAssignment(profile_of, len(sizes)))
+    expected = [greedy_assign(subnets[p]).count for p in range(1, len(sizes) + 1)]
+    if num_helpers == 1:
+        assert expected == sizes  # one stack: one user per partition
+    assert greedy_counts(adjacency, profile_of, len(sizes)).tolist() == expected
+    for p, count in enumerate(expected, start=1):
+        alone = profile_of == p
+        assert greedy_counts(adjacency[:, alone], np.ones(alone.sum(), dtype=np.int64), 1).tolist() == [count]
 
 
 def test_min_partition_counts_rejects_bad_input():
-    with pytest.raises(ValueError, match="at least one linked helper"):
-        min_partition_counts(np.array([[True, False]]), np.array([1, 1]), 1)
+    for adjacency, profile_of, num_profiles, message in _BAD_NETWORKS:
+        with pytest.raises(ValueError, match=message):
+            min_partition_counts(adjacency, profile_of, num_profiles)
     with pytest.raises(ValueError, match="limit of 20"):
         min_partition_counts(np.zeros((21, 0), dtype=bool), np.zeros(0, dtype=np.int64), 1)
 

@@ -147,6 +147,22 @@ def test_verified_large_cluster_finishes():
     _assert_same_outcome(plain, run_point(point, seeds, ("bb",), verify=True))
 
 
+def test_verified_multiword_profiles_match_plain_and_chunked(monkeypatch):
+    # About 175 users per profile on two helpers: greedy_counts holds each
+    # profile in two or more 64-bit words, and the verified run checks those
+    # counts against greedy_assign's scan.
+    point = PointConfig(
+        helpers=2, profiles=2, gamma=0.5, radius=1.2, user_radius=1.5,
+        density=400 / (math.pi * 1.5**2),
+    )
+    seeds = [derive_trial_seed(4, index) for index in range(4)]
+    plain = run_point(point, seeds)
+    assert plain.counts["greedy"].min() > 64
+    _assert_same_outcome(plain, run_point(point, seeds, verify=True))
+    monkeypatch.setattr(sim_harness, "CHUNK_TABLE_ENTRIES", point.profiles << point.helpers)
+    _assert_same_outcome(plain, run_point(point, seeds))  # one trial per chunk
+
+
 def _users_named(message):
     """Every user index an error message names."""
     found = re.search(r"users \(([^)]*)\)|user (\d+) failed", message)
