@@ -112,8 +112,16 @@ class PartitionSet:
 
 
 def _helper_masks(adjacency: np.ndarray) -> np.ndarray:
-    """Per user (column), the bitmask of its linked helpers; bit h is helper h."""
-    return (1 << np.arange(adjacency.shape[0], dtype=np.int64)) @ adjacency
+    """Per user (column), the bitmask of its linked helpers; bit h is helper h.
+
+    A mask is an int64 kept nonnegative, so it holds at most 63 helpers.
+    More raise ValueError: from helper 64 on, `1 << h` is 0 in int64, and
+    the link would vanish.
+    """
+    num_helpers = adjacency.shape[0]
+    if num_helpers > 63:
+        raise ValueError(f"{num_helpers} helpers exceed the 63 that a helper bitmask holds")
+    return (1 << np.arange(num_helpers, dtype=np.int64)) @ adjacency
 
 
 def subnetworks_from_connectivity(
@@ -200,8 +208,9 @@ def greedy_counts(
     order, so the scan order is exactly that of `greedy_assign`.  A pass
     counts for every profile that still has a free bit when it starts.
     """
-    # Row-major: reductions and gathers along the user axis then run over
-    # whole rows, not over many short columns.
+    # Row-major, as `connect` returns it and other callers may not:
+    # reductions and gathers along the user axis then run over whole rows,
+    # not over many short columns.
     adjacency = np.ascontiguousarray(adjacency)
     labels = _profile_labels(profile_of, num_profiles, adjacency.any(axis=0))
     num_helpers, num_users = adjacency.shape

@@ -3,9 +3,11 @@
 A sweep point runs a chunk of trials at a time, in two stages.  The draw
 stage gives every trial its own generator, seeded from (master seed, trial
 index), which makes that trial's random calls in a fixed order: user count
-and disk uniforms, then channel normals and profiles.  User positions and
-links are computed from those numbers once for the whole chunk, so each
-trial gets the same stream and the same network as a trial drawn alone.
+and disk uniforms, then channel normals and profiles.  The generators of a
+chunk are those of `numpy.random.default_rng(seed)`, with numpy's seed hash
+run once over all their seeds.  User positions and links are computed from
+those numbers once for the whole chunk, so each trial gets the same stream
+and the same network as a trial drawn alone.
 The evaluate stage then takes the chunk's network as one: profile p of
 trial i is label i * L + p, so one call per method yields every (trial,
 profile) partition count, and the delivery time of every trial follows from
@@ -14,6 +16,7 @@ its sorted counts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -218,6 +221,108 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiply constants of `calls` successive SeedSequence hashes, as columns.
+
+    Hash k xors with constant k, then moves it on to constant k + 1 and
+    multiplies by that.
+    """
+    values = [init]
+    for _ in range(calls):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    column = np.array(values, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+# numpy.random.SeedSequence with its pool of four uint32 lanes.  Hashes 0-3
+# take in the entropy, one per lane; hashes 4-15 mix the lanes, source lane
+# s hashed once for each other lane d, in order of d.  Row d of _MIX_XOR[s]
+# and _MIX_MUL[s] holds that hash's constants; row s is unused.
+_ENTROPY_XOR, _ENTROPY_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_MIX_XOR, _MIX_MUL = (
+    np.stack([np.insert(c[4 + 3 * s : 7 + 3 * s], s, 0, axis=0) for s in range(4)])
+    for c in (_ENTROPY_XOR, _ENTROPY_MUL)
+)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """(n, 4) uint64: row i is `SeedSequence(seeds[i]).generate_state(4, np.uint64)`.
+
+    `seeds` is a uint64 array.  A seed below 2^64 is the entropy words
+    [low, high, 0, 0], and numpy's pool hash of them runs here as uint32
+    ufuncs on every seed at once: the entropy hash of each lane, the mix of
+    each lane into the other three, then eight output words cycling over the
+    lanes, paired low word first into uint64.
+    """
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & 0xFFFFFFFF
+    pool[1] = seeds >> 32
+    pool ^= _ENTROPY_XOR[:4]
+    pool *= _ENTROPY_MUL[:4]
+    pool ^= pool >> 16
+    for lane in range(4):
+        source = pool[lane].copy()
+        hashed = source ^ _MIX_XOR[lane]
+        hashed *= _MIX_MUL[lane]
+        hashed ^= hashed >> 16
+        hashed *= _MIX_MULT_R
+        # Lane d becomes mix(d, hashed) = L * d - R * hashed, folded by >> 16.
+        pool *= _MIX_MULT_L
+        pool -= hashed
+        pool ^= pool >> 16
+        pool[lane] = source  # a lane is not mixed into itself
+    state = np.concatenate((pool, pool))
+    state ^= _STATE_XOR
+    state *= _STATE_MUL
+    state ^= state >> 16
+    words = np.empty((seeds.size, 4), dtype=np.uint64)
+    words[:] = state[1::2].T
+    words <<= 32
+    words |= state[0::2].T
+    return words
+
+
+@functools.cache
+def _given_state() -> type:
+    """An `ISeedSequence` that hands its bit generator ready state words.
+
+    Defined on first use, so that importing this module, or resolving a
+    sweep's points, does not load `numpy.random`.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for exactly its four uint64 words
+
+    return GivenState
+
+
+def _trial_generators(trial_seeds: Sequence[int]) -> list[np.random.Generator]:
+    """One generator per seed, in the state of `numpy.random.default_rng(seed)`.
+
+    The seed words of every trial come from one `_seed_words` pass; each
+    PCG64 then seeds itself from its row in C.
+    """
+    words = _seed_words(np.array(trial_seeds, dtype=np.uint64))
+    given = _given_state()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [generator(pcg64(given(row))) for row in words]
+
+
+def _check_seeds(trial_seeds: Sequence[int]) -> None:
+    """Every trial seed must be an integer in [0, 2^64), the seeds `_seed_words` takes."""
+    for seed in trial_seeds:
+        # (int, np.integer) rather than numbers.Integral, whose check is slow
+        if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+            raise ValueError(f"trial seed {seed!r} is not an integer in [0, 2^64)")
+
+
 def _check_methods(methods: Sequence[str], verify: bool) -> None:
     """Methods must be known and distinct; verifying needs a schedule from each."""
     if not methods or set(methods) - set(ALL_METHODS):
@@ -251,7 +356,7 @@ def _draw_chunk(
     each of its users (trial i, profile p), and each trial's K.  A verified
     trial also keeps its links, channel, profiles and generator.
     """
-    rngs = [np.random.default_rng(seed) for seed in trial_seeds]
+    rngs = _trial_generators(trial_seeds)
     uniforms = [disk_uniforms(point.mean_users, rng) for rng in rngs]
     user_offsets = np.cumsum([0] + [u.shape[1] for u in uniforms])
     users = disk_positions(np.concatenate(uniforms, axis=1), point.user_radius)
@@ -416,6 +521,7 @@ def run_point(
     _check_methods(methods, verify)
     if not trial_seeds:
         raise ValueError("a sweep point needs at least one trial")
+    _check_seeds(trial_seeds)
     table_step = CHUNK_TABLE_ENTRIES // (point.profiles << point.helpers)
     link_step = int(CHUNK_LINK_ENTRIES / (point.helpers * point.mean_users))
     step = max(1, min(table_step, link_step))

@@ -105,7 +105,9 @@ def connect(layout: np.ndarray, users: np.ndarray, radius: float) -> Connectivit
     dx += dy
     within = dx <= radius**2
     kept = np.flatnonzero(within.any(axis=0))
-    return Connectivity(adjacency=within[:, kept], reachable_users=kept)
+    # `take` keeps the adjacency row-major (`within[:, kept]` would not), so
+    # reductions over the helper axis run along whole rows.
+    return Connectivity(adjacency=np.take(within, kept, axis=1), reachable_users=kept)
 
 
 def channel_normals(num_users: int, num_helpers: int, rng: np.random.Generator) -> np.ndarray:

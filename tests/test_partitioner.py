@@ -263,6 +263,26 @@ def test_min_partition_counts_rejects_bad_input():
         min_partition_counts(np.zeros((21, 0), dtype=bool), np.zeros(0, dtype=np.int64), 1)
 
 
+def test_helper_bitmasks_refuse_more_than_63_helpers():
+    # int64 masks: 1 << 64 is 0, so helper 64's link would silently vanish.
+    adjacency = np.zeros((66, 2), dtype=bool)
+    adjacency[[0, 64], 0] = True  # user 0: helpers 0 and 64
+    adjacency[65, 1] = True  # user 1: helper 65 only
+    assignment = ProfileAssignment(profile_of=np.array([1, 1]), num_profiles=1)
+    conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(2))
+    with pytest.raises(ValueError, match="66 helpers exceed the 63"):
+        subnetworks_from_connectivity(conn, assignment)
+    with pytest.raises(ValueError, match="66 helpers"):
+        min_partition_counts(adjacency, assignment.profile_of, 1)
+    # 63 helpers still fit, the top one included.
+    adjacency = np.zeros((63, 2), dtype=bool)
+    adjacency[[0, 62], 0] = True
+    adjacency[62, 1] = True
+    conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(2))
+    subnet = subnetworks_from_connectivity(conn, assignment)[1]
+    assert subnet.candidates == ((0, 62), (62,))
+
+
 def test_matched_submatrices_stay_invertible(reference_subnet):
     tables = build_tables(reference_subnet)
     pset = partitions_from_assignment(tables, bb_assign(tables))

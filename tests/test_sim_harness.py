@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,16 +245,20 @@ def _chunk_points(draw):
     st.booleans(),
 )
 def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
-    generators = []
+    generators, initial_states = [], []
 
-    def tracked(seed, default_rng=np.random.default_rng):
-        generators.append(default_rng(seed))
-        return generators[-1]
+    def tracked(trial_seeds, make=sim_harness._trial_generators):
+        made = make(trial_seeds)
+        generators.extend(made)
+        initial_states.extend(g.bit_generator.state for g in made)
+        return made
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.random, "default_rng", tracked)
+        patch.setattr(sim_harness, "_trial_generators", tracked)
         adjacency, labels, num_users, draws = sim_harness._draw_chunk(point, seeds, verify)
     assert len(generators) == len(seeds)
+    for seed, state in zip(seeds, initial_states):
+        assert state == np.random.default_rng(seed).bit_generator.state
     assert len(draws) == (len(seeds) if verify else 0)
     bounds = np.concatenate(([0], np.cumsum(num_users)))
     assert adjacency.shape == (point.helpers, bounds[-1]) and labels.shape == (bounds[-1],)
@@ -276,6 +284,52 @@ def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
         assert np.array_equal(draw_channels(conn, rng), channel)
         assert np.array_equal(assign_profiles(conn.num_users, point.profiles, rng).profile_of, profiles)
         assert rng.random() == after
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=8))
+def test_seed_words_are_numpy_seed_sequence_states(seeds):
+    # The vectorised hash must be numpy's own: a numpy release that changed
+    # its SeedSequence would change every sweep output, and fail here.
+    seeds = seeds + [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    words = sim_harness._seed_words(np.array(seeds, dtype=np.uint64))
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for row, seed in zip(words, seeds):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+def test_run_point_refuses_seeds_outside_64_bits():
+    drawn = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_harness, "_draw_chunk", lambda *args: drawn.append(args))
+        for seed in (-1, 2**64, 2.5):
+            with pytest.raises(ValueError, match=re.escape(f"trial seed {seed!r} ")):
+                run_point(_point(), [7, seed])
+    assert drawn == []  # refused before any trial is drawn
+    outcome = run_point(_point(), [np.uint64(2**64 - 1), 0])
+    assert outcome.num_users.shape == (2,)
+
+
+def test_resolving_a_sweep_leaves_numpy_random_unloaded():
+    # Importing numpy.random takes about 13 ms; a sweep that has not drawn
+    # yet, like the benchmark's set-up, does not need it.
+    code = (
+        "import sys\n"
+        "from helpercache.sim_harness import ExperimentConfig\n"
+        "ExperimentConfig(helpers=4, gamma=0.1, user_radius=2.7, trials=5, seed=0,\n"
+        "                 sweep='r', values=(1.2, 4.2), profiles=10, density=1.0).points()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    source = str(Path(sim_harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout == "[]\n"
 
 
 @settings(max_examples=60, deadline=None)

@@ -124,6 +124,7 @@ def test_links_follow_the_squared_distance_rule():
             conn = connect(layout, positions, radius)
             assert np.array_equal(conn.reachable_users, np.flatnonzero(within.any(axis=0)))
             assert np.array_equal(conn.adjacency, within[:, conn.reachable_users])
+            assert conn.adjacency.flags.c_contiguous  # row-major, as the counts read it
 
 
 def test_large_radius_gives_full_connectivity():
