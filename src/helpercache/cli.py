@@ -26,7 +26,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo sweep and write results")
-    sim.add_argument("--sweep", choices=("L", "r"), required=True, help="sweep variable")
+    sim.add_argument(
+        "--sweep", choices=sim_harness.SWEEP_VARIABLES, required=True, help="sweep variable"
+    )
     sim.add_argument("--values", required=True, help="comma-separated sweep values")
     sim.add_argument("--helpers", type=int, required=True, help="number of helpers E")
     sim.add_argument("--profiles", type=int, help="cache profile count L (fixed when sweeping r)")
@@ -42,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
         "--method",
-        choices=("bb", "greedy", "fc", "both"),
+        choices=sim_harness.ALL_METHODS + ("both",),
         default="both",
         help="both = bb and greedy; fc = the fully connected optimum of the same draw",
     )
@@ -60,10 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_values(raw: str, sweep: str) -> tuple[float, ...]:
-    parts = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if sweep == "L":
-        return tuple(int(tok) for tok in parts)
-    return tuple(float(tok) for tok in parts)
+    kind = int if sweep == "L" else float
+    return tuple(kind(tok) for tok in raw.split(",") if tok.strip())
 
 
 def _run_simulate(args: argparse.Namespace) -> None:
@@ -93,19 +93,19 @@ def _run_simulate(args: argparse.Namespace) -> None:
 def _run_partition(args: argparse.Namespace) -> None:
     with open(args.instance) as handle:
         subnet = load_instance(handle)
+    if args.method == "brute":
+        print(f"partitions: {brute_force_min_partitions(subnet)}")
+        return
+    if args.method == "flow":
+        print(f"partitions: {flow_oracle(subnet)}")
+        return
     if args.method == "greedy":
         pset = greedy_assign(subnet)
-        print(f"partitions: {pset.count}")
-        print(format_partition_set(pset))
-    elif args.method == "bb":
+    else:
         tables = build_tables(subnet)
         pset = partitions_from_assignment(tables, bb_assign(tables))
-        print(f"partitions: {pset.count}")
-        print(format_partition_set(pset))
-    elif args.method == "brute":
-        print(f"partitions: {brute_force_min_partitions(subnet)}")
-    else:
-        print(f"partitions: {flow_oracle(subnet)}")
+    print(f"partitions: {pset.count}")
+    print(format_partition_set(pset))
 
 
 def main(argv: list[str] | None = None) -> int:

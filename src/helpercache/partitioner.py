@@ -320,9 +320,6 @@ def bb_assign(tables: DegreeTables) -> Assignment:
     loads = tables.base_loads
     bound = max(loads)
     users = tables.multi
-    if not users:
-        return Assignment(choices=(), loads=loads, bound=bound)
-
     total = len(users)
     heap: list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]] = []
     births = count()
@@ -354,25 +351,10 @@ def bb_assign(tables: DegreeTables) -> Assignment:
         while heap and heap[0][0] >= cutoff:
             heapq.heappop(heap)
         open_cost = heap[0][0] if heap else math.inf
-        if cheapest > min(open_cost, cutoff):
-            if depth < total:
-                for helper, cost in kids:
-                    if cost < cutoff:
-                        grown = _bump(loads, helper)
-                        if (depth, grown) not in seen:
-                            seen.add((depth, grown))
-                            heapq.heappush(
-                                heap, (cost, -depth, next(births), choices + (helper,), grown)
-                            )
-            if cutoff <= open_cost:
-                # The best completed vector is the cheapest state left; it is
-                # also the deepest, which is how equal costs are resolved.
-                if best_done is None:
-                    raise RuntimeError("branch and bound stopped without a completed assignment")
-                return best_done
-            bound, _, _, choices, loads = heapq.heappop(heap)
-            continue
-        extend = next(h for h, cost in kids if cost == cheapest)
+        # Dive into the cheapest child, or jump (None) if every child is worse.
+        extend = None
+        if cheapest <= min(open_cost, cutoff):
+            extend = next(h for h, cost in kids if cost == cheapest)
         if depth < total:
             for helper, cost in kids:
                 if helper != extend and cost < cutoff:
@@ -382,6 +364,15 @@ def bb_assign(tables: DegreeTables) -> Assignment:
                         heapq.heappush(
                             heap, (cost, -depth, next(births), choices + (helper,), grown)
                         )
+        if extend is None:
+            if cutoff <= open_cost:
+                # The best completed vector is the cheapest state left; it is
+                # also the deepest, which is how equal costs are resolved.
+                if best_done is None:
+                    raise RuntimeError("branch and bound stopped without a completed assignment")
+                return best_done
+            bound, _, _, choices, loads = heapq.heappop(heap)
+            continue
         choices += (extend,)
         loads = _bump(loads, extend)
         seen.add((depth, loads))
@@ -535,7 +526,7 @@ def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
     users: list[int] = []
     cands: list[tuple[int, ...]] = []
     num_helpers: int | None = None
-    for raw in lines:
+    for number, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -548,10 +539,17 @@ def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
                 raise ValueError(f"the helpers: header needs an integer of at least 1, got {value!r}")
             num_helpers = int(value)
             continue
-        user = int(head)
-        helpers = tuple(sorted(int(tok) - 1 for tok in tail.split(",") if tok.strip()))
+        try:
+            user = int(head)
+            helpers = tuple(sorted(int(tok) - 1 for tok in tail.split(",") if tok.strip()))
+        except ValueError:
+            raise ValueError(
+                f"line {number}: user id and helper labels must be integers, got {line!r}"
+            ) from None
         if not helpers:
             raise ValueError(f"user {user} has no helpers listed")
+        if helpers[0] < 0:
+            raise ValueError(f"user {user} lists helper {helpers[0] + 1}; helper labels start at 1")
         users.append(user)
         cands.append(helpers)
     if num_helpers is None:

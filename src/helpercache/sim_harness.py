@@ -75,7 +75,7 @@ ALL_METHODS = METHODS + ("fc",)
 CHUNK_TABLE_ENTRIES = 2**20
 CHUNK_LINK_ENTRIES = 2**18
 
-CSV_HEADER = "sweep_var,sweep_value,method,mean_sum_dof,std_sum_dof,mean_K,trials,seed"
+SWEEP_VARIABLES = ("L", "r")  # profile count, transmission radius
 
 
 def _is_count(value: object) -> bool:
@@ -103,10 +103,10 @@ class PointConfig:
         ]
         if not self.radius >= 0:
             problems.append(f"transmission radius must be nonnegative, got {self.radius}")
-        if not self.user_radius > 0:
-            problems.append(f"user disk radius must be positive, got {self.user_radius}")
-        if not self.density > 0:
-            problems.append(f"user density must be positive, got {self.density}")
+        if not 0 < self.user_radius < math.inf:
+            problems.append(f"user disk radius must be finite and positive, got {self.user_radius}")
+        if not 0 < self.density < math.inf:
+            problems.append(f"user density must be finite and positive, got {self.density}")
         if problems:
             raise ValueError("; ".join(problems))
         if self.helpers > MAX_TABLE_HELPERS:
@@ -143,10 +143,12 @@ class ExperimentConfig:
     verify: bool = False
 
     def __post_init__(self) -> None:
-        if self.sweep not in ("L", "r"):
-            raise ValueError(f"sweep variable must be 'L' or 'r', got {self.sweep!r}")
+        if self.sweep not in SWEEP_VARIABLES:
+            raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, got {self.sweep!r}")
         if not self.values:
             raise ValueError("at least one sweep value is required")
+        if len(set(self.values)) != len(self.values):
+            raise ValueError(f"sweep values must not repeat, got {self.values}")
         if (self.density is None) == (self.density_per_profile is None):
             raise ValueError("set exactly one of density and density_per_profile")
         if self.sweep == "L" and self.radius is None:
@@ -165,6 +167,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"the trial count must be an integer of at least 1, got {self.trials!r}"
             )
+        # Trial seeds hash the seed's text, so 1.0 would not draw the trials of 1.
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"the master seed must be an integer, got {self.seed!r}")
         _check_methods(self.methods, self.verify)
 
     def points(self) -> list[tuple[float, PointConfig]]:
@@ -175,24 +180,18 @@ class ExperimentConfig:
                 profiles, radius = int(value), float(self.radius)
             else:
                 profiles, radius = int(self.profiles), float(value)
-            density = (
-                self.density
-                if self.density is not None
-                else self.density_per_profile * profiles
+            density = self.density
+            if density is None:
+                density = self.density_per_profile * profiles
+            point = PointConfig(
+                helpers=self.helpers,
+                profiles=profiles,
+                gamma=self.gamma,
+                radius=radius,
+                user_radius=self.user_radius,
+                density=density,
             )
-            out.append(
-                (
-                    value,
-                    PointConfig(
-                        helpers=self.helpers,
-                        profiles=profiles,
-                        gamma=self.gamma,
-                        radius=radius,
-                        user_radius=self.user_radius,
-                        density=density,
-                    ),
-                )
-            )
+            out.append((value, point))
         return out
 
 
@@ -467,11 +466,17 @@ def _verify_chunk(
         }
         if draw.conn.num_users == 0:
             continue
+        everyone = set(range(draw.conn.num_users))
         demands = {k: k for k in range(draw.conn.num_users)}  # distinct worst-case demands
         symbols = draw_subfile_symbols(draw.assignment, demands, point.index_size, draw.rng)
         for method, sets in psets.items():
             schedule = build_schedule(sets, point.profiles)
             problems = coverage_check(schedule, point.index_size)
+            served = {user for _, users in schedule.slots for user in users}
+            if everyone - served:
+                problems.append(f"users {sorted(everyone - served)} are not served")
+            if served - everyone:
+                problems.append(f"users {sorted(served - everyone)} are not in the trial")
             if problems:
                 raise RuntimeError(
                     f"coverage audit failed (seed {draw.seed}, method {method}): "
@@ -571,7 +576,7 @@ def run_sweep(config: ExperimentConfig) -> list[AggregateResult]:
                     std_dof=float(values.std()) if values.size else math.nan,
                     mean_users=float(np.mean(outcome.num_users)),
                     trials=config.trials,
-                    seed=config.seed,
+                    seed=int(config.seed),  # a numpy integer would not serialize to json
                     per_trial_dof=tuple(values.tolist()),
                     per_trial_users=users,
                 )
@@ -583,6 +588,20 @@ def _sig12(x: float) -> str:
     return f"{x:.12g}"
 
 
+# The result columns in output order: name, `AggregateResult` field, CSV text.
+_COLUMNS = (
+    ("sweep_var", "sweep_var", str),
+    ("sweep_value", "sweep_value", _sig12),
+    ("method", "method", str),
+    ("mean_sum_dof", "mean_dof", _sig12),
+    ("std_sum_dof", "std_dof", _sig12),
+    ("mean_K", "mean_users", _sig12),
+    ("trials", "trials", str),
+    ("seed", "seed", str),
+)
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+
+
 def emit_results(
     results: Sequence[AggregateResult], fmt: str, path: str, per_trial: bool = False
 ) -> None:
@@ -592,36 +611,14 @@ def emit_results(
     if fmt == "csv" and per_trial:
         raise ValueError("per-trial arrays need json output; csv holds only the aggregates")
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in results:
-            lines.append(
-                ",".join(
-                    (
-                        r.sweep_var,
-                        _sig12(r.sweep_value),
-                        r.method,
-                        _sig12(r.mean_dof),
-                        _sig12(r.std_dof),
-                        _sig12(r.mean_users),
-                        str(r.trials),
-                        str(r.seed),
-                    )
-                )
-            )
+        lines = [CSV_HEADER] + [
+            ",".join(text(getattr(r, attr)) for _, attr, text in _COLUMNS) for r in results
+        ]
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
         rows = []
         for r in results:
-            row = {
-                "sweep_var": r.sweep_var,
-                "sweep_value": r.sweep_value,
-                "method": r.method,
-                "mean_sum_dof": r.mean_dof,
-                "std_sum_dof": r.std_dof,
-                "mean_K": r.mean_users,
-                "trials": r.trials,
-                "seed": r.seed,
-            }
+            row = {name: getattr(r, attr) for name, attr, _ in _COLUMNS}
             if per_trial:
                 row["per_trial_sum_dof"] = list(r.per_trial_dof)
                 row["per_trial_K"] = list(r.per_trial_users)

@@ -30,6 +30,19 @@ def test_fractional_share_is_rejected():
         ensure_valid(CacheConfig(num_profiles=10, gamma=0.15))
 
 
+def test_placement_rejects_bad_parameters():
+    with pytest.raises(ConfigError, match="profile count must be at least 1, got 0"):
+        ensure_valid(CacheConfig(num_profiles=0, gamma=0.5))
+    for gamma in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ConfigError, match=r"cache fraction must lie in \(0, 1\)"):
+            ensure_valid(CacheConfig(num_profiles=10, gamma=gamma))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="user count must be nonnegative, got -1"):
+        assign_profiles(-1, 4, rng)
+    with pytest.raises(ValueError, match="profile count must be at least 1, got 0"):
+        assign_profiles(3, 0, rng)
+
+
 def test_assign_profiles_empty_network():
     assignment = assign_profiles(0, 4, np.random.default_rng(0))
     assert assignment.num_users == 0

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +92,23 @@ def test_bb_with_no_multihomed_users():
     best = bb_assign(tables)
     assert best.choices == ()
     assert best.bound == 2
+
+
+def test_bb_tie_breaking_is_pinned():
+    # Many assignments share the optimal cost; which one bb_assign returns
+    # follows from its expansion and push order.  The digest of (choices,
+    # loads) over 2000 seeded instances (2-6 helpers, 1-15 users, uniform
+    # nonempty candidate sets) pins that choice, not only its cost.
+    rng = np.random.default_rng(20240801)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        num_helpers = int(rng.integers(2, 7))
+        masks = rng.integers(1, 1 << num_helpers, size=int(rng.integers(1, 16))).tolist()
+        cands = tuple(tuple(h for h in range(num_helpers) if m >> h & 1) for m in masks)
+        subnet = ProfileSubnetwork(1, tuple(range(len(cands))), cands, num_helpers)
+        best = bb_assign(build_tables(subnet))
+        digest.update(repr((best.choices, best.loads)).encode())
+    assert digest.hexdigest() == "575fccb6170be1640de397066d07640127790d101826f238949e05fd2755fd74"
 
 
 def test_bb_is_deterministic(reference_subnet):
@@ -321,6 +340,33 @@ def test_instance_dump_load_round_trip(reference_subnet):
     assert loaded.users == reference_subnet.users
     assert loaded.candidates == reference_subnet.candidates
     assert loaded.num_helpers == 4
+
+
+def test_subnetwork_rejects_malformed_candidates():
+    for args, message in (
+        (((1,), ((0,),), 0), "at least one helper, got 0"),
+        (((1, 2), ((0,),), 2), "one candidate set per user"),
+        (((1, 1), ((0,), (1,)), 2), "user ids must be distinct"),
+        (((1,), ((),), 2), "user 1 has no eligible helper"),
+        (((1,), ((1, 0),), 2), "user 1 must be sorted and distinct"),
+        (((1,), ((0, 0),), 2), "user 1 must be sorted and distinct"),
+        (((1,), ((-1, 0),), 2), "user 1 out of range"),
+        (((1,), ((0, 2),), 2), "user 1 out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ProfileSubnetwork(1, *args)
+
+
+def test_load_instance_names_bad_labels_and_lines():
+    for text, label in (("1: 0\n", 0), ("helpers: 3\n1: 0,2\n", 0), ("1: 2,-1\n", -1)):
+        with pytest.raises(ValueError, match=f"user 1 lists helper {label}; .* start at 1"):
+            load_instance(io.StringIO(text))
+    # the offending line is the last one of each text
+    for text in ("1: a\n", "# users\n2: 1\nx: 1\n", "2: 1\n\n3: 1,2.5\n"):
+        lines = text.splitlines()
+        expected = f"line {len(lines)}: .* integers, got '{re.escape(lines[-1])}'"
+        with pytest.raises(ValueError, match=expected):
+            load_instance(io.StringIO(text))
 
 
 def test_load_instance_requires_helpers():

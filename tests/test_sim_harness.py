@@ -21,6 +21,7 @@ from helpercache.partitioner import (
     greedy_assign,
     greedy_counts,
     min_partition_counts,
+    optimal_partitions,
     subnetworks_from_connectivity,
 )
 from helpercache.sim_harness import (
@@ -165,6 +166,29 @@ def test_verified_multiword_profiles_match_plain_and_chunked(monkeypatch):
     _assert_same_outcome(plain, run_point(point, seeds, verify=True))
     monkeypatch.setattr(sim_harness, "CHUNK_TABLE_ENTRIES", point.profiles << point.helpers)
     _assert_same_outcome(plain, run_point(point, seeds))  # one trial per chunk
+
+
+@pytest.mark.parametrize("builder, method", [(optimal_partitions, "bb"), (greedy_assign, "greedy")])
+def test_verified_sweep_refuses_an_unserved_user(monkeypatch, builder, method):
+    # A builder that leaves one user out keeps every count and every slot
+    # decodable; only the check of who is served catches it.
+    dropped = []
+
+    def dropping_one(*args):
+        pset = builder(*args)
+        for g, part in enumerate(pset.partitions):
+            if len(part) > 1 and not dropped:
+                dropped.append(part[0][1])
+                partitions = pset.partitions[:g] + (part[1:],) + pset.partitions[g + 1 :]
+                return replace(pset, partitions=partitions)
+        return pset
+
+    monkeypatch.setattr(sim_harness, builder.__name__, dropping_one)
+    seeds = [derive_trial_seed(4, index) for index in range(3)]
+    expected = rf"coverage audit failed \(seed {seeds[0]}, method {method}\)"
+    with pytest.raises(RuntimeError, match=expected) as failure:
+        run_point(_point(), seeds, verify=True)
+    assert f"users [{dropped[0]}] are not served" in str(failure.value)
 
 
 def _users_named(message):
@@ -549,6 +573,8 @@ def test_config_rejects_bad_setups():
         _tiny_config(density_per_profile=1.0)  # both density modes set
     with pytest.raises(ValueError, match="requires a fixed radius"):
         _tiny_config(sweep="L", values=(2, 4), profiles=None, radius=None)
+    with pytest.raises(ValueError, match="sweeping r requires a fixed profile count"):
+        _tiny_config(profiles=None)
     # a fixed value for the swept variable would be silently dropped
     with pytest.raises(ValueError, match="radius is swept"):
         _tiny_config(radius=1.5)
@@ -583,9 +609,35 @@ def test_config_rejects_bad_setups():
         (dict(profiles=2.5, gamma=0.4), "profile count"),
         (dict(helpers=2.0), "helper count"),
         (dict(radius=math.nan), "transmission radius"),
+        (dict(density=math.inf), "user density must be finite"),
+        (dict(user_radius=math.inf), "user disk radius must be finite"),
     ):
         with pytest.raises(ValueError, match=message):
             PointConfig(**{**_POINT, **overrides})
+
+
+def test_config_rejects_repeated_values_and_non_integer_seeds(tmp_path):
+    with pytest.raises(ValueError, match="sweep values must not repeat"):
+        _tiny_config(values=(1.0, 2.5, 1.0))
+    with pytest.raises(ValueError, match="sweep values must not repeat"):
+        _tiny_config(sweep="L", values=(2, 2.0), profiles=None, radius=1.0)
+    # 1.0 would hash to other trials than 1
+    for seed in (1.0, "1", True, None):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            _tiny_config(seed=seed)
+    # a numpy integer draws the trials of the equal int, and writes the same bytes
+    for fmt in ("csv", "json"):
+        paths = [tmp_path / f"{name}.{fmt}" for name in ("numpy", "int")]
+        for seed, path in zip((np.int64(3), 3), paths):
+            emit_results(run_sweep(_tiny_config(seed=seed)), fmt, str(path), fmt == "json")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_infinite_radius_links_every_user():
+    point = PointConfig(**{**_POINT, "radius": math.inf})
+    outcome = run_point(point, [derive_trial_seed(1, index) for index in range(3)], ALL_METHODS)
+    assert outcome.num_users.min() > 0
+    assert np.array_equal(outcome.counts["bb"], outcome.counts["fc"])
 
 
 def test_sweep_points_resolve_density_per_profile():
@@ -646,6 +698,17 @@ def test_emit_rejects_empty_results(tmp_path):
         emit_results([], "csv", str(tmp_path / "x.csv"))
 
 
+def test_emit_rejects_unknown_formats(tmp_path):
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        emit_results(run_sweep(_tiny_config()), "xml", str(tmp_path / "x.xml"))
+    assert not (tmp_path / "x.xml").exists()
+
+
+def test_run_point_needs_a_trial():
+    with pytest.raises(ValueError, match="at least one trial"):
+        run_point(_point(), [])
+
+
 def test_cli_simulate_round_trip(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     args = [
@@ -674,6 +737,48 @@ def test_cli_simulate_round_trip(tmp_path, capsys):
     assert main(args + ["--radius", "9"]) == 1
     assert "error: radius is swept" in capsys.readouterr().err
     assert out.read_bytes() == first
+
+
+def test_cli_simulate_profile_sweep_round_trip(tmp_path, capsys):
+    out = tmp_path / "sweep_L.csv"
+    args = [
+        "simulate", "--sweep", "L", "--values", " 2, 4,", "--helpers", "2", "--gamma", "0.5",
+        "--radius", "1.0", "--user-radius", "1.5", "--density-per-profile", "0.75",
+        "--trials", "4", "--seed", "3", "--out", str(out),
+    ]
+    assert main(args) == 0
+    assert capsys.readouterr().out == f"wrote 4 result rows to {out}\n"
+    config = _tiny_config(
+        sweep="L", values=(2, 4), profiles=None, radius=1.0, density=None,
+        density_per_profile=0.75,
+    )
+    emit_results(run_sweep(config), "csv", str(tmp_path / "api.csv"))
+    assert out.read_bytes() == (tmp_path / "api.csv").read_bytes()
+    assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["2"] * 2 + ["4"] * 2
+    # profile counts are parsed as integers
+    assert main(args[:4] + ["2.5"] + args[5:]) == 1
+    assert "error: invalid literal for int()" in capsys.readouterr().err
+
+
+def test_cli_usage_errors_exit_2(tmp_path, capsys):
+    for args in (
+        ["simulate", "--sweep", "r"],
+        ["partition", "--instance", str(tmp_path / "i.txt"), "--method", "annealing"],
+    ):
+        with pytest.raises(SystemExit) as stop:
+            main(args)
+        assert stop.value.code == 2
+        assert "usage: helpercache" in capsys.readouterr().err
+
+
+def test_cli_simulate_refuses_an_infinite_density(tmp_path, capsys):
+    args = [
+        "simulate", "--sweep", "r", "--values", "1.0", "--helpers", "2", "--profiles", "2",
+        "--gamma", "0.5", "--user-radius", "1.5", "--density", "inf", "--trials", "2",
+        "--out", str(tmp_path / "x.csv"),
+    ]
+    assert main(args) == 1
+    assert "error: user density must be finite and positive, got inf" in capsys.readouterr().err
 
 
 def test_cli_simulate_fc_method(tmp_path, capsys):

@@ -98,6 +98,11 @@ def test_zero_radius_prunes_everyone():
     assert conn.adjacency.shape == (4, 0)
 
 
+def test_connect_rejects_negative_radius():
+    with pytest.raises(ValueError, match="transmission radius must be nonnegative, got -0.5"):
+        connect(hex_layout(4), np.zeros((1, 2)), -0.5)
+
+
 def test_user_at_helper_position_is_linked():
     layout = hex_layout(2)
     users = sample_users(1.0, 1.0, np.random.default_rng(4))
