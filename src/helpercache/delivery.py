@@ -7,7 +7,8 @@ sum of the per-profile precoded blocks, zero-padded onto the helpers the
 partition does not use.  A served user cancels the other profiles' blocks
 from its cache and is left with exactly its own subfile symbol.  The
 verifier builds a round's signals as one matrix, a column per group, and
-places each user's symbols by a group table built once per (L, t).
+places each user's symbols by a group table built once per (L, t).  Each
+partition stays the partitioner's (helper, user) pairs from schedule to decode.
 
 A schedule holds only its rounds; the rest follows from them.  Its
 transmission count is the sweep's closed form over its per-profile partition
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cache_placement import needed_subfiles
-from .partitioner import PartitionSet
+from .partitioner import Partition, PartitionSet
 
 CONDITION_LIMIT = 1e12
 DECODE_TOLERANCE = 1e-9
@@ -42,46 +43,33 @@ class DecodeFailure(RuntimeError):
     """A served user could not recover its subfile within tolerance."""
 
 
-Slot = tuple[tuple[int, ...], tuple[int, ...]]  # (helpers, users) of one partition
-
-# Per round: profile -> the slot of the partition served that round.
-RoundEntries = Mapping[int, Slot]
-
-
 @dataclass(frozen=True)
 class RoundSchedule:
-    """Per-round service plan: round g maps each profile with a g-th partition to its slot."""
+    """Per-round service plan: round g maps each profile with a g-th partition to it."""
 
     num_profiles: int
-    rounds: tuple[RoundEntries, ...]
+    rounds: tuple[Mapping[int, Partition], ...]
 
     @property
     def num_rounds(self) -> int:
         return len(self.rounds)
 
     @property
-    def slots(self) -> list[Slot]:
-        """Every (round, profile) slot, round by round, profiles in round order."""
-        return [slot for entries in self.rounds for slot in entries.values()]
+    def slots(self) -> list[Partition]:
+        """Every (round, profile) slot's partition, round by round, profiles in round order."""
+        return [part for entries in self.rounds for part in entries.values()]
 
 
 def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int) -> RoundSchedule:
-    """Consume every profile's partitions in order, one per round."""
+    """Place each profile's g-th partition, the same object, in round g."""
     if any(p < 1 or p > num_profiles for p in partition_sets):
         raise ValueError("partition sets keyed by unknown profile")
-    counts = {p: partition_sets[p].count if p in partition_sets else 0 for p in range(1, num_profiles + 1)}
-    total_rounds = max(counts.values(), default=0)
-    rounds = []
-    for g in range(total_rounds):
-        entries: dict[int, Slot] = {}
-        for profile in range(1, num_profiles + 1):
-            if counts[profile] > g:
-                part = partition_sets[profile].partitions[g]
-                helpers = tuple(h for h, _ in part)
-                users = tuple(u for _, u in part)
-                entries[profile] = (helpers, users)
-        rounds.append(entries)
-    return RoundSchedule(num_profiles=num_profiles, rounds=tuple(rounds))
+    ordered = [(p, partition_sets[p].partitions) for p in sorted(partition_sets)]
+    total_rounds = max((len(parts) for _, parts in ordered), default=0)
+    rounds = tuple(
+        {p: parts[g] for p, parts in ordered if len(parts) > g} for g in range(total_rounds)
+    )
+    return RoundSchedule(num_profiles=num_profiles, rounds=rounds)
 
 
 def count_transmissions(schedule: RoundSchedule, index_size: int) -> int:
@@ -146,36 +134,34 @@ def sum_dof(
 
 def matched_precoders(
     channel: np.ndarray,
-    slots: Sequence[Slot],
+    slots: Sequence[Partition],
     first_rows: np.ndarray | None = None,
     seeds: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Zero-forcing precoders of a sequence of slots, side by side in one (E, n) array.
+    """Zero-forcing precoders of a sequence of partitions, side by side in one (E, n) array.
 
-    Slot i takes the next len(users) columns: the inverse of its matched
-    channel submatrix on its helpers' rows, zeros elsewhere, so a round's
-    slots give its Q.  Random continuous gains keep each submatrix
-    invertible almost surely.  Slots of equal size are stacked: one `cond`
-    and one `inv` per size.  Slots of several trials can share one call:
-    `channel` stacks their channels, slot i's users are rows
-    `first_rows[i] + u`, and an error names its own users and `seeds[i]`.
+    Partition i takes the next len(slots[i]) columns: its matched channel
+    submatrix's inverse on its helpers' rows, zeros elsewhere, so a round's
+    partitions give its Q; random continuous gains make each invertible
+    almost surely.  The m partitions of one size are one (m, size, 2) array
+    of pairs, with one `cond` and one `inv`.  Partitions of several trials
+    can share one call: `channel` stacks their channels, partition i's users
+    are rows `first_rows[i] + u`, and an error names its own users and `seeds[i]`.
     """
     by_size: dict[int, list[int]] = {}
-    for i, (helpers, users) in enumerate(slots):
-        if len(helpers) != len(users):
-            raise ValueError("a partition pairs equally many helpers and users")
-        by_size.setdefault(len(users), []).append(i)
+    for i, part in enumerate(slots):
+        by_size.setdefault(len(part), []).append(i)
 
     def where(i: int) -> str:
-        helpers, users = slots[i]
+        helpers, users = zip(*slots[i])
         trial = "" if seeds is None else f" (seed {seeds[i]})"
         return f"users {users} on helpers {helpers}{trial}"
 
-    columns = np.cumsum([0] + [len(users) for _, users in slots])
+    columns = np.cumsum([0] + [len(part) for part in slots])
     precoders = np.zeros((channel.shape[1], columns[-1]), dtype=complex)
     for size, members in by_size.items():
-        helpers = np.array([slots[i][0] for i in members], dtype=np.intp).reshape(-1, size)
-        users = np.array([slots[i][1] for i in members], dtype=np.intp).reshape(-1, size)
+        pairs = np.array([slots[i] for i in members], dtype=np.intp).reshape(-1, size, 2)
+        helpers, users = pairs[:, :, 0], pairs[:, :, 1]
         if first_rows is not None:
             users += first_rows[members, None]
         subs = channel[users[:, :, None], helpers[:, None, :]]
@@ -270,10 +256,8 @@ def round_signals(
                 f"round {g} transmits {sent.sum()} groups, its {len(entries)} active "
                 f"profiles imply {expected}"
             )
-        served = [u for _, users in entries.values() for u in users]
-        profiles = np.repeat(
-            np.array(list(entries), dtype=np.intp), [len(users) for _, users in entries.values()]
-        )
+        served = [u for part in entries.values() for _, u in part]
+        profiles = np.array([p for p, part in entries.items() for _ in part], dtype=np.intp)
         precoder = precoders[:, start : start + len(served)].copy()  # contiguous Q
         start += len(served)
         # each served user's symbol row goes to the columns of its groups
@@ -350,13 +334,13 @@ def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:
     the audit passes exactly when no user holds two slots; otherwise it names
     every such user with its slots.  `index_size` does not change the verdict.
     """
-    served = [u for entries in schedule.rounds for _, users in entries.values() for u in users]
+    served = [u for part in schedule.slots for _, u in part]
     if len(set(served)) == len(served):
         return []
     slots: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for g, entries in enumerate(schedule.rounds):
-        for profile, (_, users) in entries.items():
-            for user in users:
+        for profile, part in entries.items():
+            for _, user in part:
                 slots[user].append((g, profile))
     twice = sorted((user, held) for user, held in slots.items() if len(held) > 1)
     return [

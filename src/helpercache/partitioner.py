@@ -16,13 +16,14 @@ load balancing", J. Algorithms 2006).  `min_partition_counts` evaluates it
 for every profile of a network at once; the sweep takes its exact counts
 from it.  `optimal_partitions` builds the partitions that the decode check
 replays: one capacity-bounded matching at that count, certified by a
-failed matching one below it.  The least-cost branch and bound `bb_assign`
-is the paper's algorithm; it runs for `partition --method bb` and in the
-acceptance tests, not in the sweep.  Exhaustive enumeration
-(`brute_force_min_partitions`) is the oracle independent of both;
-`flow_oracle` binary-searches the same matching routine that
-`optimal_partitions` uses.  The helper-scan of `greedy_assign` is the fast
-baseline the exact methods are measured against.
+failed matching one below it.  Every builder emits a partition as its
+(helper, user) pairs (`Partition`), which the schedule and the decoder read
+unchanged.  The least-cost branch and bound `bb_assign` is the paper's
+algorithm; it runs for `partition --method bb` and in the acceptance tests,
+not in the sweep.  Exhaustive enumeration (`brute_force_min_partitions`)
+is the oracle independent of both; `flow_oracle` binary-searches the same
+matching routine that `optimal_partitions` uses.  The helper-scan of
+`greedy_assign` is the fast baseline the exact methods are measured against.
 """
 
 from __future__ import annotations
@@ -99,11 +100,14 @@ class Assignment:
     bound: int  # max load == number of partitions
 
 
+Partition = tuple[tuple[int, int], ...]  # the (helper, user) pairs of one joint transmission
+
+
 @dataclass(frozen=True)
 class PartitionSet:
     """Cover of a subnetwork's users by matchings of (helper, user) links."""
 
-    partitions: tuple[tuple[tuple[int, int], ...], ...]
+    partitions: tuple[Partition, ...]
     num_helpers: int
 
     @property
@@ -523,7 +527,7 @@ def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
     E >= 1, and a helper label above it is an error; without one, E is the
     largest label.
     """
-    users: list[int] = []
+    line_of: dict[int, int] = {}  # user id -> its line, in file order
     cands: list[tuple[int, ...]] = []
     num_helpers: int | None = None
     for number, raw in enumerate(lines, 1):
@@ -550,16 +554,20 @@ def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
             raise ValueError(f"user {user} has no helpers listed")
         if helpers[0] < 0:
             raise ValueError(f"user {user} lists helper {helpers[0] + 1}; helper labels start at 1")
-        users.append(user)
+        if repeated := [h + 1 for h, following in zip(helpers, helpers[1:]) if h == following]:
+            raise ValueError(f"line {number}: user {user} lists helper {repeated[0]} twice")
+        if user in line_of:
+            raise ValueError(f"line {number}: user id {user} repeats line {line_of[user]}")
+        line_of[user] = number
         cands.append(helpers)
     if num_helpers is None:
         num_helpers = max((helpers[-1] + 1 for helpers in cands), default=0)
-    for user, helpers in zip(users, cands):
+    for user, helpers in zip(line_of, cands):
         if helpers[-1] >= num_helpers:
             raise ValueError(
                 f"user {user} lists helper {helpers[-1] + 1}, above the declared "
                 f"helpers: {num_helpers}"
             )
     return ProfileSubnetwork(
-        profile=1, users=tuple(users), candidates=tuple(cands), num_helpers=num_helpers
+        profile=1, users=tuple(line_of), candidates=tuple(cands), num_helpers=num_helpers
     )

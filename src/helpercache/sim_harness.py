@@ -79,8 +79,13 @@ SWEEP_VARIABLES = ("L", "r")  # profile count, transmission radius
 
 
 def _is_count(value: object) -> bool:
-    """An integer of at least 1; floats such as 2.0 are refused."""
-    return isinstance(value, numbers.Integral) and value >= 1
+    """An integer of at least 1; floats such as 2.0, and True, are refused."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def _is_whole(value: float) -> bool:
+    """A whole number, such as a profile count of 10 or 10.0; True is refused."""
+    return not isinstance(value, bool) and float(value).is_integer()
 
 
 @dataclass(frozen=True)
@@ -159,9 +164,9 @@ class ExperimentConfig:
             raise ValueError(f"profiles is swept, so it cannot also be fixed to {self.profiles}")
         if self.sweep == "r" and self.radius is not None:
             raise ValueError(f"radius is swept, so it cannot also be fixed to {self.radius}")
-        if self.sweep == "L" and not all(float(v).is_integer() for v in self.values):
+        if self.sweep == "L" and not all(map(_is_whole, self.values)):
             raise ValueError(f"profile counts must be integers, got {self.values}")
-        if self.profiles is not None and not float(self.profiles).is_integer():
+        if self.profiles is not None and not _is_whole(self.profiles):
             raise ValueError(f"the profile count must be an integer, got {self.profiles}")
         if not _is_count(self.trials):
             raise ValueError(
@@ -472,7 +477,7 @@ def _verify_chunk(
         for method, sets in psets.items():
             schedule = build_schedule(sets, point.profiles)
             problems = coverage_check(schedule, point.index_size)
-            served = {user for _, users in schedule.slots for user in users}
+            served = {user for part in schedule.slots for _, user in part}
             if everyone - served:
                 problems.append(f"users {sorted(everyone - served)} are not served")
             if served - everyone:
@@ -483,13 +488,13 @@ def _verify_chunk(
                     + "; ".join(problems[:5])
                 )
             checks.append((i, method, schedule, demands, symbols))
-    # the chunk's slots, schedule by schedule, and each schedule's precoder columns
+    # the chunk's partitions, schedule by schedule, and each schedule's precoder columns
     slots, slot_trials, columns = [], [], [0]
     for i, _, schedule, _, _ in checks:
         own = schedule.slots
         slots.extend(own)
         slot_trials.extend([i] * len(own))
-        columns.append(columns[-1] + sum(len(users) for _, users in own))
+        columns.append(columns[-1] + sum(map(len, own)))
     first_rows = np.cumsum([0] + [draw.conn.num_users for draw in draws])
     precoders = matched_precoders(
         np.concatenate([draw.channel for draw in draws]),

@@ -87,7 +87,8 @@ def compose_signal(
     blocks: dict[int, np.ndarray] = {}
     intended: list[tuple[int, int, SubfileIndex]] = []
     for profile in effective:
-        helpers, users = entries[profile]
+        helpers = tuple(h for h, _ in entries[profile])
+        users = tuple(u for _, u in entries[profile])
         index = tuple(sorted(set(group) - {profile}))
         messages = np.array(
             [subfile_symbol(symbols, u, profile, index, schedule.num_profiles) for u in users]
@@ -152,7 +153,7 @@ def audit_deliveries(schedule: RoundSchedule, index_size: int) -> list[str]:
     for g, group, effective in enumerate_transmissions(schedule, index_size):
         for profile in effective:
             index = tuple(p for p in group if p != profile)
-            for user in schedule.rounds[g][profile][1]:
+            for _, user in schedule.rounds[g][profile]:
                 delivered.setdefault(user, Counter())[index] += 1
                 profile_of[user] = profile
     problems = []

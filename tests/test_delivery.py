@@ -212,14 +212,14 @@ def test_diagonal_matching_precoder_closed_form():
 def test_precoder_inverts_matched_submatrix():
     rng = np.random.default_rng(2)
     channel = _example_channel(rng)
-    inverse = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
+    inverse = matched_precoders(channel, [((0, 0), (1, 1), (2, 2), (3, 3))])
     np.testing.assert_allclose(channel @ inverse, np.eye(4), atol=1e-10)
 
 
 def test_precoder_scalar_case():
     conn = Connectivity(adjacency=np.array([[True]]), reachable_users=np.arange(1))
     channel = draw_channels(conn, np.random.default_rng(3))
-    inverse = matched_precoders(channel, [((0,), (0,))])
+    inverse = matched_precoders(channel, [((0, 0),)])
     assert inverse.shape == (1, 1)
     assert inverse[0, 0] == pytest.approx(1 / channel[0, 0])
 
@@ -230,7 +230,7 @@ def test_precoder_identity_over_many_draws():
     for _ in range(1000):
         conn = Connectivity(adjacency=np.ones((4, 4), dtype=bool), reachable_users=np.arange(4))
         channel = draw_channels(conn, rng)
-        inverse = matched_precoders(channel, [((0, 1, 2, 3), (0, 1, 2, 3))])
+        inverse = matched_precoders(channel, [((0, 0), (1, 1), (2, 2), (3, 3))])
         gap = np.abs(channel @ inverse - np.eye(4)).max()
         worst = max(worst, gap)
     assert worst < 1e-9
@@ -238,11 +238,11 @@ def test_precoder_identity_over_many_draws():
 
 def test_batched_precoders_match_single_inverses():
     channel = draw_channels(_full_connectivity(8, 4), np.random.default_rng(12))
-    slots = [((0, 1), (0, 1)), ((2,), (2,)), ((3, 0, 1), (3, 4, 5)), ((1, 2), (6, 7)), ((0,), (5,))]
+    slots = [((0, 0), (1, 1)), ((2, 2),), ((3, 3), (0, 4), (1, 5)), ((1, 6), (2, 7)), ((0, 5),)]
     precoders = matched_precoders(channel, slots)
     start = 0
-    for helpers, users in slots:
-        # the slot's columns: its inverse on its helpers' rows, zero on the others
+    for helpers, users in (zip(*part) for part in slots):
+        # the partition's columns: its inverse on its helpers' rows, zero on the others
         block = precoders[:, start : start + len(users)]
         np.testing.assert_allclose(
             block[list(helpers)], build_precoder(channel, helpers, users), rtol=1e-12, atol=0
@@ -256,7 +256,7 @@ def test_precoders_of_stacked_trials_name_the_trial():
     # two trials' channels stacked: the second trial's users start at row 3
     rng = np.random.default_rng(15)
     first, second = (draw_channels(_full_connectivity(k, 3), rng) for k in (3, 4))
-    slots = [((0, 1), (0, 2)), ((2, 0), (3, 1)), ((1,), (0,))]
+    slots = [((0, 0), (1, 2)), ((2, 3), (0, 1)), ((1, 0),)]
     rows, seeds = np.array([0, 3, 3]), [11, 22, 22]
     stacked = matched_precoders(np.vstack([first, second]), slots, rows, seeds)
     np.testing.assert_array_equal(stacked[:, :2], matched_precoders(first, slots[:1]))
@@ -270,7 +270,7 @@ def test_precoder_rejects_singular_submatrix():
     row = np.array([1.0 + 1.0j, 2.0 - 0.5j])
     channel = np.vstack([row, row])
     with pytest.raises(SingularChannelError):
-        matched_precoders(channel, [((0, 1), (0, 1))])
+        matched_precoders(channel, [((0, 0), (1, 1))])
 
 
 def test_precoder_rejects_structural_zero_on_diagonal():
@@ -551,14 +551,13 @@ def _served_twice(schedule: RoundSchedule, later_round: bool) -> RoundSchedule:
     profile, or in its own round under another profile."""
     entries = schedule.rounds[0]
     profile = next(iter(entries))
-    user = entries[profile][1][0]
+    user = entries[profile][0][1]
     rounds = [dict(r) for r in schedule.rounds]
     if later_round:
-        rounds.append({profile: ((0,), (user,))})
+        rounds.append({profile: ((0, user),)})
     else:
         other = profile % schedule.num_profiles + 1
-        helpers, users = rounds[0].get(other, ((), ()))
-        rounds[0][other] = (helpers + (0,), users + (user,))
+        rounds[0][other] = rounds[0].get(other, ()) + ((0, user),)
     return replace(schedule, rounds=tuple(rounds))
 
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ def test_partitions_reject_inconsistent_assignment(reference_subnet):
     bad_helper = Assignment(choices=(2, 0, 2, 1, 3), loads=(2, 3, 4, 3), bound=4)
     with pytest.raises(ValueError):
         partitions_from_assignment(tables, bad_helper)
+    # eligible choices whose stated loads or bound do not follow from the tables
+    best = bb_assign(tables)
+    for wrong in (
+        replace(best, loads=best.loads[:-1] + (best.loads[-1] + 1,)),
+        replace(best, bound=best.bound + 1),
+    ):
+        with pytest.raises(ValueError, match="inconsistent with the tables"):
+            partitions_from_assignment(tables, wrong)
 
 
 def test_empty_subnetwork_gives_empty_cover():
@@ -367,6 +376,11 @@ def test_load_instance_names_bad_labels_and_lines():
         expected = f"line {len(lines)}: .* integers, got '{re.escape(lines[-1])}'"
         with pytest.raises(ValueError, match=expected):
             load_instance(io.StringIO(text))
+    # a repeated helper label or user id is named with its line
+    with pytest.raises(ValueError, match="line 1: user 1 lists helper 2 twice"):
+        load_instance(io.StringIO("1: 2,2\n"))
+    with pytest.raises(ValueError, match="line 3: user id 1 repeats line 1"):
+        load_instance(io.StringIO("1: 1\n# same id again\n1: 2\n"))
 
 
 def test_load_instance_requires_helpers():

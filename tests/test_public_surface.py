@@ -3,7 +3,8 @@
 A name counts as used if code in `src/` refers to it outside its own
 definition (as a name or an attribute, so docstrings do not count), or if
 the benchmark in `perfbench/` mentions it.  A name that only tests use is
-dead weight in the library and belongs in the tests.
+dead weight in the library and belongs in the tests.  The library also
+raises real errors: `python -O` strips every `assert`, so it has none.
 """
 
 import ast
@@ -49,3 +50,13 @@ def test_every_public_name_has_a_user_outside_the_tests():
             if not used and not re.search(rf"\b{definition.name}\b", benchmark):
                 unused.append(f"{path.stem}.{definition.name}")
     assert unused == []
+
+
+def test_library_code_never_asserts():
+    asserts = [
+        f"{path.stem}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

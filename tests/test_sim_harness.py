@@ -191,6 +191,26 @@ def test_verified_sweep_refuses_an_unserved_user(monkeypatch, builder, method):
     assert f"users [{dropped[0]}] are not served" in str(failure.value)
 
 
+def test_verified_sweep_refuses_a_user_outside_the_trial(monkeypatch):
+    # A bb builder that adds a pair for user K, one past the trial's last
+    # user, serves every user once; only the check of who is served catches it.
+    seeds = [derive_trial_seed(4, index) for index in range(3)]
+    outsider = int(run_point(_point(), seeds[:1]).num_users[0])
+
+    def adding_one(subnet, count):
+        pset = optimal_partitions(subnet, count)
+        if subnet.profile > 1 or not pset.partitions:
+            return pset
+        first = pset.partitions[0] + ((pset.num_helpers - 1, outsider),)
+        return replace(pset, partitions=(first,) + pset.partitions[1:])
+
+    monkeypatch.setattr(sim_harness, "optimal_partitions", adding_one)
+    expected = rf"coverage audit failed \(seed {seeds[0]}, method bb\)"
+    with pytest.raises(RuntimeError, match=expected) as failure:
+        run_point(_point(), seeds, ("bb",), verify=True)
+    assert f"users [{outsider}] are not in the trial" in str(failure.value)
+
+
 def _users_named(message):
     """Every user index an error message names."""
     found = re.search(r"users \(([^)]*)\)|user (\d+) failed", message)
@@ -605,6 +625,15 @@ def test_config_rejects_bad_setups():
         _tiny_config(trials=2.5)
     with pytest.raises(ValueError, match="trial count"):
         _tiny_config(trials=0)
+    # True is an integer to Python, but no count: it is refused, not read as 1
+    with pytest.raises(ValueError, match="trial count"):
+        _tiny_config(trials=True)
+    with pytest.raises(ValueError, match="helper count"):
+        _tiny_config(helpers=True).points()
+    with pytest.raises(ValueError, match="profile count must be an integer, got True"):
+        _tiny_config(profiles=True)
+    with pytest.raises(ValueError, match="profile counts must be integers"):
+        _tiny_config(sweep="L", values=(True, 10), profiles=None, radius=1.0)
     for overrides, message in (
         (dict(profiles=2.5, gamma=0.4), "profile count"),
         (dict(helpers=2.0), "helper count"),
