@@ -7,14 +7,11 @@ import sys
 
 from . import sim_harness
 from .partitioner import (
-    bb_assign,
-    brute_force_min_partitions,
-    build_tables,
     flow_oracle,
     format_partition_set,
     greedy_assign,
     load_instance,
-    partitions_from_assignment,
+    optimal_partitions,
 )
 
 
@@ -57,7 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     part = sub.add_parser("partition", help="solve a subnetwork instance file")
     part.add_argument("--instance", required=True, help="instance file (user: h1,h2,... lines)")
-    part.add_argument("--method", choices=("bb", "greedy", "brute", "flow"), default="bb")
+    part.add_argument(
+        "--method",
+        choices=sim_harness.METHODS,
+        default="bb",
+        help="bb = a minimum partition set, by matching; greedy = the helper-scan baseline",
+    )
     return parser
 
 
@@ -93,17 +95,10 @@ def _run_simulate(args: argparse.Namespace) -> None:
 def _run_partition(args: argparse.Namespace) -> None:
     with open(args.instance) as handle:
         subnet = load_instance(handle)
-    if args.method == "brute":
-        print(f"partitions: {brute_force_min_partitions(subnet)}")
-        return
-    if args.method == "flow":
-        print(f"partitions: {flow_oracle(subnet)}")
-        return
     if args.method == "greedy":
         pset = greedy_assign(subnet)
     else:
-        tables = build_tables(subnet)
-        pset = partitions_from_assignment(tables, bb_assign(tables))
+        pset = optimal_partitions(subnet, flow_oracle(subnet))
     print(f"partitions: {pset.count}")
     print(format_partition_set(pset))
 

@@ -16,14 +16,14 @@ load balancing", J. Algorithms 2006).  `min_partition_counts` evaluates it
 for every profile of a network at once; the sweep takes its exact counts
 from it.  `optimal_partitions` builds the partitions that the decode check
 replays: one capacity-bounded matching at that count, certified by a
-failed matching one below it.  Every builder emits a partition as its
-(helper, user) pairs (`Partition`), which the schedule and the decoder read
-unchanged.  The least-cost branch and bound `bb_assign` is the paper's
-algorithm; it runs for `partition --method bb` and in the acceptance tests,
-not in the sweep.  Exhaustive enumeration (`brute_force_min_partitions`)
-is the oracle independent of both; `flow_oracle` binary-searches the same
-matching routine that `optimal_partitions` uses.  The helper-scan of
-`greedy_assign` is the fast baseline the exact methods are measured against.
+failed matching one below it; `partition --method bb` prints them at the
+count of `flow_oracle`, which binary-searches the same matching routine.
+Every builder emits a partition as its (helper, user) pairs (`Partition`),
+which the schedule and the decoder read unchanged.  The least-cost branch
+and bound `bb_assign` is the paper's algorithm; only the acceptance tests
+and the benchmark run it, since its search is exponential in the worst
+case.  The helper-scan of `greedy_assign` is the fast baseline the exact
+methods are measured against.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import count, islice, product
+from itertools import count
 from typing import Iterable
 
 import numpy as np
@@ -43,10 +43,6 @@ from .topology import Connectivity
 # Helper count above which the L * 2^E table of `min_partition_counts` is
 # refused: at 20 helpers and 10 profiles it already holds 10M int32 entries.
 MAX_TABLE_HELPERS = 20
-
-
-class InstanceTooLargeError(ValueError):
-    """Exhaustive enumeration would exceed the size guard."""
 
 
 @dataclass(frozen=True)
@@ -407,31 +403,6 @@ def _partitions_from_queues(queues: list[list[int]], count: int) -> PartitionSet
     return PartitionSet(partitions=partitions, num_helpers=len(queues))
 
 
-def brute_force_min_partitions(subnet: ProfileSubnetwork, guard: int = 10**7) -> int:
-    """Exhaustive oracle: try every helper choice for the multi-homed users."""
-    tables = build_tables(subnet)
-    base = np.array(tables.base_loads, dtype=np.int64)
-    if not tables.multi:
-        return int(base.max())
-    sizes = [len(cand) for _, cand in tables.multi]
-    total = math.prod(sizes)
-    if total > guard:
-        raise InstanceTooLargeError(f"{total} assignments exceed the guard of {guard}")
-    cand_lists = [cand for _, cand in tables.multi]
-    best = np.iinfo(np.int64).max
-    assignments = product(*cand_lists)
-    while True:
-        chunk = list(islice(assignments, 65536))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.int64)
-        loads = np.empty((arr.shape[0], tables.num_helpers), dtype=np.int64)
-        for h in range(tables.num_helpers):
-            loads[:, h] = base[h] + (arr == h).sum(axis=1)
-        best = min(best, int(loads.max(axis=1).min()))
-    return int(best)
-
-
 def _place(subnet: ProfileSubnetwork, cap: int) -> list[int] | None:
     """Each user's helper, with no helper taking more than `cap` users.
 
@@ -495,7 +466,8 @@ def flow_oracle(subnet: ProfileSubnetwork) -> int:
     every user with each helper used at most q times (feasibility checked by
     the augmenting paths of `_place`); q matchings then cover all users and
     none fewer can.  `optimal_partitions` shares `_place`, so this oracle is
-    independent of Hall's formula and `bb_assign`, not of verified trials.
+    independent of Hall's formula and `bb_assign`, not of verified trials or
+    of `partition --method bb`, which prints `optimal_partitions` at this count.
     """
     if subnet.num_users == 0:
         return 0
@@ -521,7 +493,7 @@ def format_partition_set(pset: PartitionSet) -> str:
 
 
 def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
-    """Parse `user_id: h_i,h_j,...` lines (helper labels 1-based) into profile 1.
+    """Parse `user_id: h_i,h_j,...` lines (ids and helper labels from 1) into profile 1.
 
     At most one `helpers: E` header, above or below the user lines, fixes
     E >= 1, and a helper label above it is an error; without one, E is the
@@ -550,10 +522,15 @@ def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
             raise ValueError(
                 f"line {number}: user id and helper labels must be integers, got {line!r}"
             ) from None
+        if user < 1:
+            raise ValueError(f"line {number}: user id {user} is below 1; user ids start at 1")
         if not helpers:
-            raise ValueError(f"user {user} has no helpers listed")
+            raise ValueError(f"line {number}: user {user} has no helpers listed")
         if helpers[0] < 0:
-            raise ValueError(f"user {user} lists helper {helpers[0] + 1}; helper labels start at 1")
+            raise ValueError(
+                f"line {number}: user {user} lists helper {helpers[0] + 1}; "
+                "helper labels start at 1"
+            )
         if repeated := [h + 1 for h, following in zip(helpers, helpers[1:]) if h == following]:
             raise ValueError(f"line {number}: user {user} lists helper {repeated[0]} twice")
         if user in line_of:
@@ -562,11 +539,11 @@ def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
         cands.append(helpers)
     if num_helpers is None:
         num_helpers = max((helpers[-1] + 1 for helpers in cands), default=0)
-    for user, helpers in zip(line_of, cands):
+    for (user, number), helpers in zip(line_of.items(), cands):
         if helpers[-1] >= num_helpers:
             raise ValueError(
-                f"user {user} lists helper {helpers[-1] + 1}, above the declared "
-                f"helpers: {num_helpers}"
+                f"line {number}: user {user} lists helper {helpers[-1] + 1}, above the "
+                f"declared helpers: {num_helpers}"
             )
     return ProfileSubnetwork(
         profile=1, users=tuple(line_of), candidates=tuple(cands), num_helpers=num_helpers

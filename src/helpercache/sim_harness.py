@@ -88,6 +88,15 @@ def _is_whole(value: float) -> bool:
     return not isinstance(value, bool) and float(value).is_integer()
 
 
+def _bool_problems(named: Sequence[tuple[str, object]]) -> list[str]:
+    """Refusals of `True` or `False` given for a real number, which would pass as 1 or 0."""
+    return [
+        f"the {name} must be a real number, got {value!r}"
+        for name, value in named
+        if isinstance(value, bool)
+    ]
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """Fully resolved parameters of one sweep point, validated on construction."""
@@ -106,6 +115,13 @@ class PointConfig:
             for name, value in (("helper", self.helpers), ("profile", self.profiles))
             if not _is_count(value)
         ]
+        problems += _bool_problems(
+            (
+                ("transmission radius", self.radius),
+                ("user disk radius", self.user_radius),
+                ("user density", self.density),
+            )
+        )
         if not self.radius >= 0:
             problems.append(f"transmission radius must be nonnegative, got {self.radius}")
         if not 0 < self.user_radius < math.inf:
@@ -168,6 +184,13 @@ class ExperimentConfig:
             raise ValueError(f"profile counts must be integers, got {self.values}")
         if self.profiles is not None and not _is_whole(self.profiles):
             raise ValueError(f"the profile count must be an integer, got {self.profiles}")
+        # `points` makes new numbers of these, so no point would see a `True`;
+        # each point checks the user disk radius and density itself.
+        converted = [("transmission radius", self.radius)]
+        converted += [("transmission radius", v) for v in self.values if self.sweep == "r"]
+        converted += [("user density per profile", self.density_per_profile)]
+        if problems := _bool_problems(converted):
+            raise ValueError("; ".join(problems))
         if not _is_count(self.trials):
             raise ValueError(
                 f"the trial count must be an integer of at least 1, got {self.trials!r}"

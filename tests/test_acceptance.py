@@ -24,7 +24,6 @@ from helpercache.delivery import (
 from helpercache.partitioner import (
     PartitionSet,
     bb_assign,
-    brute_force_min_partitions,
     build_tables,
     flow_oracle,
     format_partition_set,
@@ -42,6 +41,7 @@ from helpercache.sim_harness import (
     run_sweep,
 )
 from helpercache.topology import Connectivity, connect, draw_channels, hex_layout, sample_users
+from partition_reference import brute_force_min_partitions
 
 REFERENCE_DENSITY = 12 / (1.2**2 * math.pi)  # 60.75 expected users on the 2.7 disk
 PROFILE_DENSITY = 4 / (1.2**2 * math.pi)  # per profile, in the profile sweep

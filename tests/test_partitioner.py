@@ -13,10 +13,8 @@ from conftest import REFERENCE_INSTANCE
 from helpercache.cache_placement import ProfileAssignment, assign_profiles
 from helpercache.partitioner import (
     Assignment,
-    InstanceTooLargeError,
     ProfileSubnetwork,
     bb_assign,
-    brute_force_min_partitions,
     build_tables,
     flow_oracle,
     format_partition_set,
@@ -29,6 +27,7 @@ from helpercache.partitioner import (
     subnetworks_from_connectivity,
 )
 from helpercache.topology import Connectivity, connect, hex_layout, sample_users
+from partition_reference import InstanceTooLargeError, brute_force_min_partitions
 
 
 def _fully_connected(num_users: int, num_helpers: int = 4) -> ProfileSubnetwork:
@@ -381,6 +380,19 @@ def test_load_instance_names_bad_labels_and_lines():
         load_instance(io.StringIO("1: 2,2\n"))
     with pytest.raises(ValueError, match="line 3: user id 1 repeats line 1"):
         load_instance(io.StringIO("1: 1\n# same id again\n1: 2\n"))
+    # user ids start at 1: a printed row shows an idle helper as 0 and
+    # joins slots with "-", so neither 0 nor a negative id could be read back
+    for text, line, user in (("helpers: 2\n0: 1\n", 2, 0), ("2: 1\n-3: 2\n", 2, -3)):
+        with pytest.raises(ValueError, match=f"line {line}: user id {user} is below 1"):
+            load_instance(io.StringIO(text))
+    # the other refusals of a user line name it too
+    for text, message in (
+        ("1: 1\n\n5:\n", "line 3: user 5 has no helpers listed"),
+        ("1: 1\n2: 0,2\n", "line 2: user 2 lists helper 0; helper labels start at 1"),
+        ("1: 1\n2: 1,5\nhelpers: 3\n", "line 2: user 2 lists helper 5, above the declared"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            load_instance(io.StringIO(text))
 
 
 def test_load_instance_requires_helpers():

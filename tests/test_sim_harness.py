@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_INSTANCE
-from helpercache import delivery, sim_harness
+from helpercache import cli, delivery, partitioner, sim_harness
 from helpercache.cache_placement import ConfigError, ProfileAssignment, assign_profiles
 from helpercache.cli import main
 from helpercache.delivery import DecodeFailure, SingularChannelError, decode_round
 from helpercache.partitioner import (
     greedy_assign,
     greedy_counts,
+    load_instance,
     min_partition_counts,
     optimal_partitions,
     subnetworks_from_connectivity,
@@ -36,6 +39,7 @@ from helpercache.sim_harness import (
     run_sweep,
 )
 from helpercache.topology import Connectivity, connect, draw_channels, hex_layout, sample_users
+from partition_reference import brute_force_min_partitions
 
 REFERENCE_DENSITY = 12 / (1.2**2 * math.pi)
 
@@ -634,7 +638,24 @@ def test_config_rejects_bad_setups():
         _tiny_config(profiles=True)
     with pytest.raises(ValueError, match="profile counts must be integers"):
         _tiny_config(sweep="L", values=(True, 10), profiles=None, radius=1.0)
+    # nor is True a real number: it would run as radius or density 1.0
     for overrides, message in (
+        (dict(values=(True, 2.5)), "transmission radius"),
+        (dict(sweep="L", values=(2, 4), profiles=None, radius=True), "transmission radius"),
+        (dict(density=None, density_per_profile=True), "user density per profile"),
+    ):
+        with pytest.raises(ValueError, match=f"the {message} must be a real number, got True"):
+            _tiny_config(**overrides)
+    for overrides, message in (
+        (dict(density=True), "user density"),
+        (dict(user_radius=True), "user disk radius"),
+    ):
+        with pytest.raises(ValueError, match=f"the {message} must be a real number, got True"):
+            _tiny_config(**overrides).points()
+    for overrides, message in (
+        (dict(radius=True), "transmission radius must be a real number"),
+        (dict(user_radius=True), "user disk radius must be a real number"),
+        (dict(density=True), "user density must be a real number"),
         (dict(profiles=2.5, gamma=0.4), "profile count"),
         (dict(helpers=2.0), "helper count"),
         (dict(radius=math.nan), "transmission radius"),
@@ -793,6 +814,9 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     for args in (
         ["simulate", "--sweep", "r"],
         ["partition", "--instance", str(tmp_path / "i.txt"), "--method", "annealing"],
+        # count-only oracles, kept in the tests
+        ["partition", "--instance", str(tmp_path / "i.txt"), "--method", "brute"],
+        ["partition", "--instance", str(tmp_path / "i.txt"), "--method", "flow"],
     ):
         with pytest.raises(SystemExit) as stop:
             main(args)
@@ -843,14 +867,77 @@ def test_cli_partition_methods(tmp_path, capsys):
     assert "partitions: 4" in out
     assert "1-2-6-9" in out
 
+    # the matching's optimum, not bb_assign's equally small 1-4-7-11 / 2-5-8-12 / 3-9-6-10
     assert main(["partition", "--instance", str(instance), "--method", "bb"]) == 0
-    out = capsys.readouterr().out
-    assert "partitions: 3" in out
-    assert "1-4-7-11" in out
+    assert capsys.readouterr().out == "partitions: 3\n1-4-6-9\n2-5-7-11\n3-10-8-12\n"
 
-    for method in ("brute", "flow"):
-        assert main(["partition", "--instance", str(instance), "--method", method]) == 0
-        assert "partitions: 3" in capsys.readouterr().out
+
+def _solve_instance(tmp_path, capsys, text):
+    """The count and rows that `partition --method bb` prints for an instance text."""
+    instance = tmp_path / "instance.txt"
+    instance.write_text(text)
+    assert main(["partition", "--instance", str(instance), "--method", "bb"]) == 0
+    head, *rows = capsys.readouterr().out.splitlines()
+    return int(head.removeprefix("partitions: ")), [row for row in rows if row]
+
+
+def _assert_rows_serve_each_user_once(subnet, rows):
+    """Every row pairs distinct helpers with linked users, and every user appears once."""
+    links = dict(zip(subnet.users, subnet.candidates))
+    served = []
+    for row in rows:
+        slots = [int(user) for user in row.split("-")]
+        assert len(slots) == subnet.num_helpers  # one slot per helper
+        served += [user for user in slots if user]
+        assert all(helper in links[user] for helper, user in enumerate(slots) if user)
+    assert sorted(served) == sorted(subnet.users)
+
+
+@pytest.fixture
+def no_branch_and_bound(monkeypatch):
+    def refuse(tables):
+        raise AssertionError("bb_assign ran")
+
+    # through the module, or through a name the CLI imported for itself
+    monkeypatch.setattr(partitioner, "bb_assign", refuse)
+    monkeypatch.setattr(cli, "bb_assign", refuse, raising=False)
+
+
+@pytest.mark.usefixtures("no_branch_and_bound")
+def test_cli_partition_bb_prints_an_optimum_without_the_branch_and_bound(tmp_path, capsys):
+    rng = random.Random(7)
+    texts = [REFERENCE_INSTANCE]
+    for _ in range(60):
+        num_helpers = rng.randint(1, 6)
+        texts.append(f"helpers: {num_helpers}\n")
+        for user in range(1, rng.randint(0, 10) + 1):
+            labels = rng.sample(range(1, num_helpers + 1), rng.randint(1, min(3, num_helpers)))
+            texts[-1] += f"{user}: {','.join(map(str, labels))}\n"
+    for text in texts:
+        subnet = load_instance(io.StringIO(text))
+        count, rows = _solve_instance(tmp_path, capsys, text)
+        assert count == len(rows) == brute_force_min_partitions(subnet)
+        _assert_rows_serve_each_user_once(subnet, rows)
+
+
+@pytest.mark.usefixtures("no_branch_and_bound")
+def test_cli_partition_bb_past_the_hall_table(tmp_path, capsys):
+    # 24 helpers, past the 20 of Hall's table; 34 single-homed users and 120
+    # users on three helpers of a ring.  K = 154 users need ceil(K / E) = 7
+    # partitions by pigeonhole, which proves the printed count optimal.
+    rng, num_helpers = random.Random(5), 24
+    cands = [(h,) for h in range(num_helpers) for _ in range(rng.randint(0, 3))]
+    for _ in range(120):
+        a = rng.randrange(num_helpers)
+        cands.append((a, (a + 1) % num_helpers, (a + rng.randint(2, 4)) % num_helpers))
+    text = f"helpers: {num_helpers}\n" + "".join(
+        f"{user}: {','.join(str(h + 1) for h in cand)}\n" for user, cand in enumerate(cands, 1)
+    )
+    subnet = load_instance(io.StringIO(text))
+    count, rows = _solve_instance(tmp_path, capsys, text)
+    assert subnet.num_users == 154
+    assert count == len(rows) == math.ceil(154 / num_helpers) == 7
+    _assert_rows_serve_each_user_once(subnet, rows)
 
 
 def test_cli_partition_missing_file(capsys):
