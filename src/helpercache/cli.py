@@ -6,13 +6,7 @@ import argparse
 import sys
 
 from . import sim_harness
-from .partitioner import (
-    flow_oracle,
-    format_partition_set,
-    greedy_assign,
-    load_instance,
-    optimal_partitions,
-)
+from .partitioner import format_partition_set, greedy_assign, load_instance, optimal_partitions
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,12 +89,10 @@ def _run_simulate(args: argparse.Namespace) -> None:
 def _run_partition(args: argparse.Namespace) -> None:
     with open(args.instance) as handle:
         subnet = load_instance(handle)
-    if args.method == "greedy":
-        pset = greedy_assign(subnet)
-    else:
-        pset = optimal_partitions(subnet, flow_oracle(subnet))
+    pset = (greedy_assign if args.method == "greedy" else optimal_partitions)(subnet)
     print(f"partitions: {pset.count}")
-    print(format_partition_set(pset))
+    if pset.partitions:
+        print(format_partition_set(pset))
 
 
 def main(argv: list[str] | None = None) -> int:

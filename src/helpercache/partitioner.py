@@ -15,9 +15,10 @@ ceil(N_S / |S|), where N_S counts the users whose helpers all lie in S
 load balancing", J. Algorithms 2006).  `min_partition_counts` evaluates it
 for every profile of a network at once; the sweep takes its exact counts
 from it.  `optimal_partitions` builds the partitions that the decode check
-replays: one capacity-bounded matching at that count, certified by a
-failed matching one below it; `partition --method bb` prints them at the
-count of `flow_oracle`, which binary-searches the same matching routine.
+replays and `partition --method bb` prints: one augmenting-path pass whose
+per-helper capacity starts at 0 and rises only when a search fails, which
+proves it too small.  The pass thus ends at the minimum count, certified,
+with no bisection and no second matching.
 Every builder emits a partition as its (helper, user) pairs (`Partition`),
 which the schedule and the decoder read unchanged.  The least-cost branch
 and bound `bb_assign` is the paper's algorithm; only the acceptance tests
@@ -403,16 +404,25 @@ def _partitions_from_queues(queues: list[list[int]], count: int) -> PartitionSet
     return PartitionSet(partitions=partitions, num_helpers=len(queues))
 
 
-def _place(subnet: ProfileSubnetwork, cap: int) -> list[int] | None:
-    """Each user's helper, with no helper taking more than `cap` users.
+def _place(subnet: ProfileSubnetwork) -> tuple[list[int], int]:
+    """Each user's helper in a placement with the fewest users per helper, and that number.
 
-    Places users one at a time along augmenting paths and returns None as
-    soon as a user cannot be placed: then no placement at `cap` exists.
+    One pass places the users in order along augmenting paths, no helper
+    taking more than `cap` users; `cap` starts at 0.  If no path from a
+    user reaches a helper with room, `cap` rises by one and the user takes
+    its first candidate, since every helper then has room.
+
+    The final `cap` is the minimum.  It rises only after a failed search,
+    and then every user placed so far is matched, so their matching is
+    maximum at `cap`; by Berge's theorem the failed search proves that
+    those users and the next cannot all be placed at `cap`, so neither can
+    all users.  That proof certifies the count without a second matching.
     The path search keeps an explicit stack, so its depth is not bounded by
     Python's recursion limit.
     """
     holders: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
     held_by = [-1] * subnet.num_users  # helper of each placed user
+    cap = 0
     for start in range(subnet.num_users):
         reached_from: dict[int, int] = {}  # helper -> user that reached it first
         stack = [start]
@@ -428,7 +438,9 @@ def _place(subnet: ProfileSubnetwork, cap: int) -> list[int] | None:
                     break
                 stack.extend(holders[h])
         if free < 0:
-            return None
+            cap += 1
+            free = subnet.candidates[start][0]
+            reached_from = {free: start}
         # Shift every user on the path one helper along, ending at the free slot.
         helper = free
         while helper >= 0:
@@ -439,20 +451,18 @@ def _place(subnet: ProfileSubnetwork, cap: int) -> list[int] | None:
             if previous >= 0:
                 holders[previous].remove(pos)
             helper = previous
-    return held_by
+    return held_by, cap
 
 
-def optimal_partitions(subnet: ProfileSubnetwork, count: int) -> PartitionSet:
-    """Partitions of an optimal assignment, given the minimum partition count.
+def optimal_partitions(subnet: ProfileSubnetwork) -> PartitionSet:
+    """Partitions of an optimal assignment: the fewest for the subnetwork.
 
-    Users are placed by capacity-`count` matching, and the count is
-    certified: placement must succeed at `count` and, for `count > 0`, fail
-    at `count - 1`.  A successful placement alone would also accept a count
-    above the minimum.  Raises ValueError if the count is not the minimum.
+    One pass of `_place` finds the minimum partition count and a placement
+    at it; no fewer partitions exist, because the pass raises its count
+    only after a failed search proves it too small.  Partition g pairs
+    every helper with the g-th of its users in user order.
     """
-    held_by = _place(subnet, count) if count >= 0 else None
-    if held_by is None or (count > 0 and _place(subnet, count - 1) is not None):
-        raise ValueError(f"profile {subnet.profile}: {count} is not the minimum partition count")
+    held_by, count = _place(subnet)
     queues: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
     for user, helper in zip(subnet.users, held_by):
         queues[helper].append(user)
@@ -460,25 +470,13 @@ def optimal_partitions(subnet: ProfileSubnetwork, count: int) -> PartitionSet:
 
 
 def flow_oracle(subnet: ProfileSubnetwork) -> int:
-    """Polynomial-time oracle for the minimum partition count.
+    """The minimum partition count, from the one pass of `_place`.
 
-    Binary-search the smallest helper capacity q for which a matching serves
-    every user with each helper used at most q times (feasibility checked by
-    the augmenting paths of `_place`); q matchings then cover all users and
-    none fewer can.  `optimal_partitions` shares `_place`, so this oracle is
-    independent of Hall's formula and `bb_assign`, not of verified trials or
-    of `partition --method bb`, which prints `optimal_partitions` at this count.
+    It shares that pass with `optimal_partitions`, so it is independent of
+    Hall's formula and `bb_assign`, not of verified trials or of
+    `partition --method bb`.
     """
-    if subnet.num_users == 0:
-        return 0
-    lo, hi = 1, subnet.num_users
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _place(subnet, mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _place(subnet)[1]
 
 
 def format_partition_set(pset: PartitionSet) -> str:

@@ -78,22 +78,27 @@ CHUNK_LINK_ENTRIES = 2**18
 SWEEP_VARIABLES = ("L", "r")  # profile count, transmission radius
 
 
+def _is_real(value: object) -> bool:
+    """A real number: not a string, and not a bool of Python or numpy, which pass as 1 or 0."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_count(value: object) -> bool:
     """An integer of at least 1; floats such as 2.0, and True, are refused."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    return _is_real(value) and isinstance(value, numbers.Integral) and value >= 1
 
 
-def _is_whole(value: float) -> bool:
+def _is_whole(value: object) -> bool:
     """A whole number, such as a profile count of 10 or 10.0; True is refused."""
-    return not isinstance(value, bool) and float(value).is_integer()
+    return _is_real(value) and float(value).is_integer()
 
 
-def _bool_problems(named: Sequence[tuple[str, object]]) -> list[str]:
-    """Refusals of `True` or `False` given for a real number, which would pass as 1 or 0."""
+def _real_problems(named: Sequence[tuple[str, object]]) -> list[str]:
+    """Refusals of whatever is given for a real number but is none, such as True or '1.2'."""
     return [
         f"the {name} must be a real number, got {value!r}"
         for name, value in named
-        if isinstance(value, bool)
+        if not _is_real(value)
     ]
 
 
@@ -115,13 +120,15 @@ class PointConfig:
             for name, value in (("helper", self.helpers), ("profile", self.profiles))
             if not _is_count(value)
         ]
-        problems += _bool_problems(
+        problems += _real_problems(
             (
                 ("transmission radius", self.radius),
                 ("user disk radius", self.user_radius),
                 ("user density", self.density),
             )
         )
+        if problems:  # the range checks below need numbers
+            raise ValueError("; ".join(problems))
         if not self.radius >= 0:
             problems.append(f"transmission radius must be nonnegative, got {self.radius}")
         if not 0 < self.user_radius < math.inf:
@@ -189,7 +196,7 @@ class ExperimentConfig:
         converted = [("transmission radius", self.radius)]
         converted += [("transmission radius", v) for v in self.values if self.sweep == "r"]
         converted += [("user density per profile", self.density_per_profile)]
-        if problems := _bool_problems(converted):
+        if problems := _real_problems([(name, v) for name, v in converted if v is not None]):
             raise ValueError("; ".join(problems))
         if not _is_count(self.trials):
             raise ValueError(
@@ -451,28 +458,25 @@ class PointOutcome:
 def _partition_sets(
     method: str, subnets: dict[int, ProfileSubnetwork], counts: list[int], seed: int
 ) -> dict[int, PartitionSet]:
-    """Every profile's partitions at its evaluated count (`counts[p - 1]`).
+    """Every profile's partitions, whose counts must be the evaluated row `counts`.
 
-    Greedy's scan must reproduce `greedy_counts`; bb's partitions come from
-    one matching at Hall's count, which must be the minimum.  Raises
-    RuntimeError, naming the trial seed, if either check fails.
+    bb's come from `optimal_partitions`, the fewest there are, so the check
+    proves Hall's count the minimum; greedy's scan must reproduce
+    `greedy_counts`.  Raises RuntimeError, naming the trial seed, if a
+    count differs.
     """
-    if method == "greedy":
-        psets = {profile: greedy_assign(subnet) for profile, subnet in subnets.items()}
-        built = [psets[profile].count for profile in sorted(psets)]
-        if built != counts:
-            raise RuntimeError(
-                f"greedy_assign partition counts {tuple(built)} differ from greedy_counts "
-                f"{tuple(counts)} (seed {seed})"
-            )
-        return psets
-    try:
-        return {
-            profile: optimal_partitions(subnet, counts[profile - 1])
-            for profile, subnet in subnets.items()
-        }
-    except ValueError as exc:
-        raise RuntimeError(f"count from Hall's formula rejected, {exc} (seed {seed})") from exc
+    if method == "bb":
+        builder, source = optimal_partitions, "Hall's formula"
+    else:
+        builder, source = greedy_assign, "greedy_counts"
+    psets = {profile: builder(subnet) for profile, subnet in subnets.items()}
+    built = tuple(psets[profile].count for profile in sorted(psets))
+    if built != tuple(counts):
+        raise RuntimeError(
+            f"{builder.__name__} partition counts {built} differ from {source} "
+            f"{tuple(counts)} (seed {seed})"
+        )
+    return psets
 
 
 def _verify_chunk(
@@ -544,12 +548,11 @@ def run_point(
     Every partition count comes from `evaluate_counts`, and transmissions,
     delivery time and sum-DoF from the counts in closed form.  With
     `verify` set, each trial's partitions are also built: greedy's by
-    `greedy_assign`, whose counts must equal the evaluated ones, and bb's
-    by `optimal_partitions` from one matching at the evaluated Hall counts,
-    which must pass its minimality certificate.  Every transmission is then
-    composed, decoded, and audited for complete coverage.  The branch and
-    bound `bb_assign` does not run here: on a 19-helper point its search
-    ran for more than 30 s on a single profile.
+    `greedy_assign`, and bb's by `optimal_partitions`, whose one matching
+    pass finds the fewest; every built count must equal the evaluated one.
+    Every transmission is then composed, decoded, and audited for complete
+    coverage.  The branch and bound `bb_assign` does not run here: on a
+    19-helper point its search ran for more than 30 s on a single profile.
     """
     _check_methods(methods, verify)
     if not trial_seeds:

@@ -28,7 +28,6 @@ from helpercache.partitioner import (
     flow_oracle,
     format_partition_set,
     greedy_assign,
-    min_partition_counts,
     optimal_partitions,
     partitions_from_assignment,
     subnetworks_from_connectivity,
@@ -244,13 +243,9 @@ def _worst_residual(point: PointConfig, trial_seed: int) -> float:
     conn = connect(layout, users, point.radius)
     channel = draw_channels(conn, rng)
     assignment = assign_profiles(conn.num_users, point.profiles, rng)
-    # The partitions the shipped path decodes: one matching at Hall's count.
-    hall = min_partition_counts(conn.adjacency, assignment.profile_of, point.profiles)
+    # The partitions the shipped path decodes: the fewest, from one matching pass.
     subnets = subnetworks_from_connectivity(conn, assignment)
-    psets = {
-        profile: optimal_partitions(subnet, int(hall[profile - 1]))
-        for profile, subnet in subnets.items()
-    }
+    psets = {profile: optimal_partitions(subnet) for profile, subnet in subnets.items()}
     schedule = build_schedule(psets, point.profiles)
     demands = {k: k for k in range(conn.num_users)}
     symbols = draw_subfile_symbols(assignment, demands, 1, rng)

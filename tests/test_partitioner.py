@@ -170,10 +170,7 @@ def test_empty_subnetwork_gives_empty_cover():
     assert greedy_assign(empty).count == 0
     tables = build_tables(empty)
     assert partitions_from_assignment(tables, bb_assign(tables)).count == 0
-    assert optimal_partitions(empty, 0).count == 0
-    for wrong in (-1, 1):
-        with pytest.raises(ValueError):
-            optimal_partitions(empty, wrong)
+    assert optimal_partitions(empty).count == 0
 
 
 def test_brute_force_respects_guard():
@@ -209,14 +206,10 @@ def test_hall_counts_match_oracles(hall_count, subnet):
     assume(math.prod(len(c) for c in subnet.candidates) <= 200_000)
     hall = hall_count(subnet)
     brute = brute_force_min_partitions(subnet)
-    assert hall == flow_oracle(subnet) == brute
+    pset = optimal_partitions(subnet)
+    assert pset.count == hall == flow_oracle(subnet) == brute
     assert hall <= greedy_assign(subnet).count
-    pset = optimal_partitions(subnet, hall)
-    assert pset.count == hall == brute
     _check_partition_set(subnet, pset)
-    for wrong in (hall - 1, hall + 1):
-        with pytest.raises(ValueError, match=f"profile {subnet.profile}: "):
-            optimal_partitions(subnet, wrong)
 
 
 # Inputs both batched counts refuse, with the message they must give.

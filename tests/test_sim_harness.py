@@ -116,8 +116,8 @@ def test_verified_trial_matches_unverified_stats():
 def test_verified_trial_rejects_count_mismatch(monkeypatch):
     # The batched Hall call is off by one on a single label: 2 * L + 2 is
     # profile 3 of the third trial, which must be the trial that fails.
-    # A count one too high still admits a matching, so only the failed
-    # matching one below the count rejects it.
+    # The built partitions are the fewest there are, so a count one too
+    # high differs from theirs as much as one too low.
     config = ExperimentConfig(
         helpers=4, gamma=0.1, user_radius=2.7, trials=4, seed=2, sweep="r", values=(1.2,),
         profiles=10, density=REFERENCE_DENSITY, verify=True,
@@ -144,9 +144,25 @@ def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
         run_point(_point(), [derive_trial_seed(2, 7)], verify=True)
 
 
+def test_verified_bb_runs_one_matching_pass_per_profile(monkeypatch):
+    # One pass finds each profile's fewest partitions and certifies them;
+    # no second matching runs, not even for a profile without users.
+    place, calls = partitioner._place, []
+
+    def counted(subnet):
+        calls.append(subnet.profile)
+        return place(subnet)
+
+    monkeypatch.setattr(partitioner, "_place", counted)
+    point, seeds = _point(), [derive_trial_seed(4, index) for index in range(3)]
+    outcome = run_point(point, seeds, ("bb",), verify=True)
+    assert (outcome.counts["bb"] == 0).any() and (outcome.counts["bb"] > 0).any()
+    assert calls == list(range(1, point.profiles + 1)) * len(seeds)
+
+
 def test_verified_large_cluster_finishes():
     # 19 helpers: on these two trials a single profile kept the branch and
-    # bound busy for seconds to minutes; one matching per count takes
+    # bound busy for seconds to minutes; one matching pass takes
     # milliseconds.
     point = PointConfig(
         helpers=19, profiles=10, gamma=0.1, radius=1.3, user_radius=4.5, density=6.0
@@ -201,8 +217,8 @@ def test_verified_sweep_refuses_a_user_outside_the_trial(monkeypatch):
     seeds = [derive_trial_seed(4, index) for index in range(3)]
     outsider = int(run_point(_point(), seeds[:1]).num_users[0])
 
-    def adding_one(subnet, count):
-        pset = optimal_partitions(subnet, count)
+    def adding_one(subnet):
+        pset = optimal_partitions(subnet)
         if subnet.profile > 1 or not pset.partitions:
             return pset
         first = pset.partitions[0] + ((pset.num_helpers - 1, outsider),)
@@ -652,10 +668,23 @@ def test_config_rejects_bad_setups():
     ):
         with pytest.raises(ValueError, match=f"the {message} must be a real number, got True"):
             _tiny_config(**overrides).points()
+    # numpy's True is no subclass of bool, and a string no number: neither
+    # may run as a radius of 1.0 or 1.2, a profile count of 1 or a density of 1
+    for value in (np.True_, "1.2"):
+        refusal = re.escape(f"must be a real number, got {value!r}")
+        with pytest.raises(ValueError, match=f"transmission radius {refusal}"):
+            _tiny_config(values=(value, 2.5))
+        with pytest.raises(ValueError, match=f"user density {refusal}"):
+            _tiny_config(density=value).points()
+    for value in (np.True_, "10"):
+        with pytest.raises(ValueError, match="profile counts must be integers"):
+            _tiny_config(sweep="L", values=(value, 4), profiles=None, radius=1.0)
     for overrides, message in (
         (dict(radius=True), "transmission radius must be a real number"),
         (dict(user_radius=True), "user disk radius must be a real number"),
         (dict(density=True), "user density must be a real number"),
+        (dict(radius="1"), "transmission radius must be a real number"),
+        (dict(density=None), "user density must be a real number"),
         (dict(profiles=2.5, gamma=0.4), "profile count"),
         (dict(helpers=2.0), "helper count"),
         (dict(radius=math.nan), "transmission radius"),
@@ -871,6 +900,12 @@ def test_cli_partition_methods(tmp_path, capsys):
     assert main(["partition", "--instance", str(instance), "--method", "bb"]) == 0
     assert capsys.readouterr().out == "partitions: 3\n1-4-6-9\n2-5-7-11\n3-10-8-12\n"
 
+    # no user: the count line alone, with no blank row after it
+    instance.write_text("helpers: 2\n")
+    for method in ("bb", "greedy"):
+        assert main(["partition", "--instance", str(instance), "--method", method]) == 0
+        assert capsys.readouterr().out == "partitions: 0\n"
+
 
 def _solve_instance(tmp_path, capsys, text):
     """The count and rows that `partition --method bb` prints for an instance text."""
@@ -878,7 +913,7 @@ def _solve_instance(tmp_path, capsys, text):
     instance.write_text(text)
     assert main(["partition", "--instance", str(instance), "--method", "bb"]) == 0
     head, *rows = capsys.readouterr().out.splitlines()
-    return int(head.removeprefix("partitions: ")), [row for row in rows if row]
+    return int(head.removeprefix("partitions: ")), rows
 
 
 def _assert_rows_serve_each_user_once(subnet, rows):
