@@ -44,7 +44,6 @@ from .delivery import (
     verify_schedule,
 )
 from .partitioner import (
-    MAX_TABLE_HELPERS,
     PartitionSet,
     ProfileSubnetwork,
     greedy_assign,
@@ -68,10 +67,10 @@ METHODS = ("bb", "greedy")  # the default comparison, `--method both`
 # user linked to every helper, ceil(n_p / E) partitions per profile.
 ALL_METHODS = METHODS + ("fc",)
 
-# A chunk of trials is drawn and evaluated together.  Its Hall table of
-# L * 2^E entries per trial holds at most CHUNK_TABLE_ENTRIES, and its
-# helper-user distances about CHUNK_LINK_ENTRIES in expectation, or one
-# trial's worth if that is larger.
+# A chunk of trials is drawn and evaluated together.  Its helper-user
+# distances, and verified, its subfile symbols hold about CHUNK_LINK_ENTRIES
+# each in expectation; with bb, its Hall table of L * 2^E entries per trial
+# at most CHUNK_TABLE_ENTRIES.  A chunk holds one trial if that is larger.
 CHUNK_TABLE_ENTRIES = 2**20
 CHUNK_LINK_ENTRIES = 2**18
 
@@ -137,11 +136,6 @@ class PointConfig:
             problems.append(f"user density must be finite and positive, got {self.density}")
         if problems:
             raise ValueError("; ".join(problems))
-        if self.helpers > MAX_TABLE_HELPERS:
-            raise ValueError(
-                f"at most {MAX_TABLE_HELPERS} helpers are supported, got {self.helpers}: "
-                "the exact partition counts use a table of L * 2^E entries"
-            )
         config = CacheConfig(num_profiles=self.profiles, gamma=self.gamma)
         ensure_valid(config)
         object.__setattr__(self, "index_size", config.index_size)
@@ -352,8 +346,8 @@ def _trial_generators(trial_seeds: Sequence[int]) -> list[np.random.Generator]:
 def _check_seeds(trial_seeds: Sequence[int]) -> None:
     """Every trial seed must be an integer in [0, 2^64), the seeds `_seed_words` takes."""
     for seed in trial_seeds:
-        # (int, np.integer) rather than numbers.Integral, whose check is slow
-        if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        # (int, np.integer) rather than numbers.Integral, whose check is slow; True is an int
+        if type(seed) is bool or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
             raise ValueError(f"trial seed {seed!r} is not an integer in [0, 2^64)")
 
 
@@ -558,9 +552,12 @@ def run_point(
     if not trial_seeds:
         raise ValueError("a sweep point needs at least one trial")
     _check_seeds(trial_seeds)
-    table_step = CHUNK_TABLE_ENTRIES // (point.profiles << point.helpers)
-    link_step = int(CHUNK_LINK_ENTRIES / (point.helpers * point.mean_users))
-    step = max(1, min(table_step, link_step))
+    # Per user: a distance to each helper, and verified, a symbol per needed subfile.
+    width = max(point.helpers, math.comb(point.profiles - 1, point.index_size) if verify else 0)
+    step = CHUNK_LINK_ENTRIES / (width * point.mean_users)
+    if "bb" in methods:
+        step = min(step, CHUNK_TABLE_ENTRIES // (point.profiles << point.helpers))
+    step = max(1, int(min(step, len(trial_seeds))))  # inf at a vanishing density
     users: list[np.ndarray] = []
     chunks: list[dict[str, np.ndarray]] = []
     for first in range(0, len(trial_seeds), step):
@@ -650,6 +647,8 @@ def emit_results(
         rows = []
         for r in results:
             row = {name: getattr(r, attr) for name, attr, _ in _COLUMNS}
+            # NaN, the statistic of a point without served users, is not JSON: null.
+            row.update({name: None for name, value in row.items() if value != value})
             if per_trial:
                 row["per_trial_sum_dof"] = list(r.per_trial_dof)
                 row["per_trial_K"] = list(r.per_trial_users)

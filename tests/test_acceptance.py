@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and measured values.
 """
 
+import hashlib
 import math
 import time
 from itertools import combinations, combinations_with_replacement
@@ -36,6 +37,7 @@ from helpercache.sim_harness import (
     ExperimentConfig,
     PointConfig,
     derive_trial_seed,
+    emit_results,
     run_point,
     run_sweep,
 )
@@ -154,7 +156,7 @@ def _covered_area(helpers: int, radius: float, disk_radius: float) -> float:
 
 
 @pytest.fixture(scope="module")
-def radius_sweep():
+def radius_results():
     config = ExperimentConfig(
         helpers=4, gamma=0.1, user_radius=2.7, trials=1000, seed=20240801,
         sweep="r", values=(1.2, 2.2, 3.2, 4.2), profiles=10, density=REFERENCE_DENSITY,
@@ -162,24 +164,33 @@ def radius_sweep():
     )
     start = time.perf_counter()
     results = run_sweep(config)
-    elapsed = time.perf_counter() - start
+    return results, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def radius_sweep(radius_results):
+    results, elapsed = radius_results
     by_method = {
         method: {r.sweep_value: r for r in results if r.method == method}
-        for method in config.methods
+        for method in ("bb", "greedy", "fc")
     }
     return by_method["bb"], by_method["greedy"], by_method["fc"], elapsed
 
 
 @pytest.fixture(scope="module")
-def profile_sweep():
+def profile_results():
     config = ExperimentConfig(
         helpers=4, gamma=0.1, user_radius=2.7, trials=500, seed=20240802,
         sweep="L", values=(10, 20, 40), radius=1.2,
         density_per_profile=PROFILE_DENSITY,
     )
-    results = run_sweep(config)
-    bb = {int(r.sweep_value): r for r in results if r.method == "bb"}
-    greedy = {int(r.sweep_value): r for r in results if r.method == "greedy"}
+    return run_sweep(config)
+
+
+@pytest.fixture(scope="module")
+def profile_sweep(profile_results):
+    bb = {int(r.sweep_value): r for r in profile_results if r.method == "bb"}
+    greedy = {int(r.sweep_value): r for r in profile_results if r.method == "greedy"}
     return bb, greedy
 
 
@@ -403,6 +414,25 @@ def test_mean_users_follow_the_covered_area(radius_sweep, profile_sweep):
         + " (band +-4 SE)",
     )
     assert ok, z
+
+
+# SHA-256 of the CSV bytes of the two acceptance sweeps.  They change when
+# a change to the program changes any result, and also, on purpose, when
+# numpy changes its seeding or its random streams: the draws are numpy's.
+ACCEPTANCE_CSV_SHA256 = {
+    "radius": "23765205ec3e1afb4ec2a63c5d59353420a69140eb65e11b1167d615e9b97780",
+    "profile": "29150afc155a89590e5ee35ab0a1a860b9b9f751c2677a03493960a579e8621e",
+}
+
+
+def test_acceptance_outputs_keep_their_bytes(radius_results, profile_results, tmp_path):
+    for name, results in (("radius", radius_results[0]), ("profile", profile_results)):
+        path = tmp_path / f"{name}.csv"
+        emit_results(results, "csv", str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        ok = digest == ACCEPTANCE_CSV_SHA256[name]
+        _report(ok, f"{name} sweep bytes", f"sha256 {digest[:16]}")
+        assert ok, (name, digest)
 
 
 def test_criterion_8_count_identity():

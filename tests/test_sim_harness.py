@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -102,6 +103,11 @@ def test_trial_without_reachable_users_skips_metric():
     assert trial.num_users.tolist() == [0]
     assert math.isnan(trial.dof["bb"][0])
     assert trial.transmissions["bb"].tolist() == [0]
+    # At a subnormal density the chunk step, entries over expected entries, overflows.
+    sparse = PointConfig(
+        helpers=1, profiles=2, gamma=0.5, radius=1.0, user_radius=1.0, density=1e-310
+    )
+    assert run_point(sparse, [1, 2], ("greedy",)).num_users.tolist() == [0, 0]
 
 
 def test_verified_trial_matches_unverified_stats():
@@ -366,7 +372,7 @@ def test_run_point_refuses_seeds_outside_64_bits():
     drawn = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_harness, "_draw_chunk", lambda *args: drawn.append(args))
-        for seed in (-1, 2**64, 2.5):
+        for seed in (-1, 2**64, 2.5, True):
             with pytest.raises(ValueError, match=re.escape(f"trial seed {seed!r} ")):
                 run_point(_point(), [7, seed])
     assert drawn == []  # refused before any trial is drawn
@@ -595,11 +601,96 @@ def test_fc_is_the_fully_connected_optimum():
         run_point(_point(), seeds[:1], ("bb", "fc"), verify=True)
 
 
-def test_helper_count_is_capped():
-    config = _tiny_config(helpers=21)
-    with pytest.raises(ValueError, match="at most 20 helpers"):
-        config.points()
-    assert _tiny_config(helpers=20).points()
+def _cluster_point(helpers):
+    """The acceptance point, its user disk grown with the helper cluster."""
+    return PointConfig(
+        helpers=helpers, profiles=10, gamma=0.1, radius=1.2,
+        user_radius=2.7 * math.sqrt(helpers / 4), density=REFERENCE_DENSITY,
+    )
+
+
+def _count_draws(patch):
+    """Make `_draw_chunk` record the trial count of each call; return the record."""
+    drawn = []
+
+    def counted(point, seeds, verify, draw=sim_harness._draw_chunk):
+        drawn.append(len(seeds))
+        return draw(point, seeds, verify)
+
+    patch.setattr(sim_harness, "_draw_chunk", counted)
+    return drawn
+
+
+def test_helper_count_is_capped(tmp_path, capsys):
+    # Only bb's Hall table of L * 2^E entries limits the helper count, and
+    # the partitioner states that limit: a point describes a network, not a
+    # method.  bb is refused after at most one drawn trial.
+    message = "21 helpers exceed the limit of 20: the count table holds L * 2^E entries"
+    with pytest.MonkeyPatch.context() as patch:
+        drawn = _count_draws(patch)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sweep(_tiny_config(helpers=21))
+        ((_, point),) = _tiny_config(helpers=21, values=(1.0,)).points()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_point(point, [1, 2, 3], ("greedy", "bb"))
+    assert drawn == [1, 1]
+    results = run_sweep(_tiny_config(helpers=21, methods=("greedy", "fc")))
+    assert [r.method for r in results] == ["greedy", "fc"] * 2
+    out = tmp_path / "x.csv"
+    args = [
+        "simulate", "--sweep", "r", "--values", "1.0", "--helpers", "21", "--profiles", "2",
+        "--gamma", "0.5", "--user-radius", "1.5", "--density", "1.5", "--trials", "2",
+        "--out", str(out),
+    ]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert main(args + ["--method", "greedy"]) == 0
+
+
+def test_large_clusters_run_without_the_hall_table():
+    # Full hex rings of 37 and 61 helpers, past the table; greedy never
+    # beats the fully connected bound.  Verified trials split profiles by
+    # helper bitmasks, which hold 63 helpers.
+    for helpers in (37, 61):
+        outcome = run_point(_cluster_point(helpers), list(range(6)), ("greedy", "fc"))
+        assert outcome.num_users.min() > 0
+        assert np.all(outcome.dof["greedy"] <= outcome.dof["fc"])
+    plain = run_point(_cluster_point(24), [1, 2], ("greedy",))
+    _assert_same_outcome(plain, run_point(_cluster_point(24), [1, 2], ("greedy",), verify=True))
+    with pytest.raises(ValueError, match="64 helpers exceed the 63"):
+        run_point(_cluster_point(64), [1], ("greedy",), verify=True)
+
+
+def test_hall_table_sizes_chunks_only_with_bb():
+    # At 16 helpers and L = 10 a trial's Hall table alone fills a chunk's;
+    # without bb only the distances bound the chunk.
+    point = _cluster_point(16)
+    for methods, calls in ((("greedy", "fc"), [5]), (("greedy", "bb"), [1] * 5)):
+        with pytest.MonkeyPatch.context() as patch:
+            drawn = _count_draws(patch)
+            run_point(point, list(range(5)), methods)
+        assert drawn == calls, methods
+
+
+def test_verified_chunk_memory_is_bounded(monkeypatch):
+    # A verified chunk keeps its trials' schedules, symbols and precoders
+    # until they are decoded, so its expected subfile symbols bound it.  At a
+    # quarter of the link entries the verified step is 119 trials here (the
+    # distances alone would allow 269), so twice the trials must not need
+    # more memory.
+    monkeypatch.setattr(sim_harness, "CHUNK_LINK_ENTRIES", 2**16)
+    point = _point(radius=4.2)
+    run_point(point, [0], verify=True)  # group tables and lazy imports
+    peaks = []
+    for trials in (120, 240):
+        tracemalloc.start()
+        try:
+            run_point(point, [derive_trial_seed(2, i) for i in range(trials)], verify=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_config_rejects_bad_setups():
@@ -770,6 +861,24 @@ def test_json_output_carries_per_trial_arrays(tmp_path):
     with pytest.raises(ValueError, match="per-trial arrays need json output"):
         emit_results(results, "csv", str(tmp_path / "r.csv"), per_trial=True)
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_json_output_is_strict_json_without_served_users(tmp_path):
+    # At radius 0 no user is served, so the point has no sum-DoF statistics:
+    # JSON writes null, where CSV writes nan.
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    results = run_sweep(_tiny_config(values=(0.0, 2.5)))
+    emit_results(results, "json", str(tmp_path / "r.json"), per_trial=True)
+    rows = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+    for row in rows[:2]:
+        assert row["mean_sum_dof"] is None and row["std_sum_dof"] is None
+        assert row["per_trial_sum_dof"] == [] and row["per_trial_K"] == [0] * 4
+    for row, result in zip(rows[2:], results[2:]):
+        assert row["mean_sum_dof"] == result.mean_dof > 0
+    emit_results(results, "csv", str(tmp_path / "r.csv"))
+    assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[3:5] == ["nan", "nan"]
 
 
 def test_emit_rejects_empty_results(tmp_path):
