@@ -7,8 +7,10 @@ sum of the per-profile precoded blocks, zero-padded onto the helpers the
 partition does not use.  A served user cancels the other profiles' blocks
 from its cache and is left with exactly its own subfile symbol.  The
 verifier builds a round's signals as one matrix, a column per group, and
-places each user's symbols by a group table built once per (L, t).  Each
-partition stays the partitioner's (helper, user) pairs from schedule to decode.
+places each user's symbols by a group table built once per (L, t); one call
+replays many schedules, with the index work done once for all their rounds.
+Each partition stays the partitioner's (helper, user) pairs from schedule to
+decode.
 
 A schedule holds only its rounds; the rest follows from them.  Its
 transmission count is the sweep's closed form over its per-profile partition
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
@@ -144,9 +146,13 @@ def matched_precoders(
     submatrix's inverse on its helpers' rows, zeros elsewhere, so a round's
     partitions give its Q; random continuous gains make each invertible
     almost surely.  The m partitions of one size are one (m, size, 2) array
-    of pairs, with one `cond` and one `inv`.  Partitions of several trials
-    can share one call: `channel` stacks their channels, partition i's users
-    are rows `first_rows[i] + u`, and an error names its own users and `seeds[i]`.
+    of pairs, with one `inv`.  A submatrix A is ill-conditioned when
+    `cond(A)` exceeds `CONDITION_LIMIT`; since cond_2(A) <= |A|_F |A^-1|_F,
+    `cond` runs only on the slots whose product with the computed inverse
+    exceeds half the limit, or on the whole size when `inv` finds an exactly
+    singular one.  Partitions of several trials can share one call:
+    `channel` stacks their channels, partition i's users are rows
+    `first_rows[i] + u`, and an error names its own users and `seeds[i]`.
     """
     by_size: dict[int, list[int]] = {}
     for i, part in enumerate(slots):
@@ -169,13 +175,33 @@ def matched_precoders(
         if zero.any():
             slot = members[int(np.argmax(zero))]
             raise ValueError(f"matched helper-user link is structurally zero for {where(slot)}")
-        singular = np.linalg.cond(subs) > CONDITION_LIMIT
+        try:
+            inverses = np.linalg.inv(subs)
+        except np.linalg.LinAlgError:
+            inverses, suspect = None, np.ones(len(members), dtype=bool)
+        else:
+            # The computed inverse is far closer than a factor 2 to the true
+            # one below the limit (Higham, ch. 14), so a product within half
+            # the limit proves cond(A) within it.  A NaN product is a suspect.
+            bound = _squared_frobenius(subs) * _squared_frobenius(inverses)
+            suspect = ~(bound <= (CONDITION_LIMIT / 2) ** 2)
+        singular = np.zeros(len(members), dtype=bool)
+        if suspect.any():
+            singular[suspect] = np.linalg.cond(subs[suspect]) > CONDITION_LIMIT
         if singular.any():
             slot = members[int(np.argmax(singular))]
             raise SingularChannelError(f"channel submatrix for {where(slot)} is ill-conditioned")
+        if inverses is None:
+            inverses = np.linalg.inv(subs)  # singular to inv but not to cond: LinAlgError
         own = columns[members, None] + np.arange(size)
-        precoders[helpers[:, :, None], own[:, None, :]] = np.linalg.inv(subs)
+        precoders[helpers[:, :, None], own[:, None, :]] = inverses
     return precoders
+
+
+def _squared_frobenius(matrices: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of each matrix of an (m, s, s) stack, with no copy."""
+    parts = matrices.view(matrices.real.dtype)
+    return np.einsum("ijk,ijk->i", parts, parts)
 
 
 @dataclass(frozen=True)
@@ -206,104 +232,135 @@ def group_table(num_profiles: int, index_size: int) -> GroupTable:
     return GroupTable(groups=groups, rank=rank)
 
 
-@dataclass(frozen=True)
-class RoundSignal:
-    """One round's transmissions as matrices: column j is the signal of `groups[j]`.
+def _transmit(precoder: np.ndarray, messages: np.ndarray) -> np.ndarray:
+    """One round's signals X = Q M: column j sums the zero-padded blocks P_p M_p of group j.
 
-    Rows follow the served users, profile by profile in partition order.
+    A function of its own so that a test can alter what is sent.
     """
-
-    round_index: int
-    groups: tuple[tuple[int, ...], ...]
-    users: tuple[int, ...]
-    profiles: np.ndarray  # (n,) each served user's profile
-    intended: np.ndarray  # (n, G) bool: the user's profile belongs to the group
-    messages: np.ndarray  # (n, G) M: the symbol each user should decode, 0 where not intended
-    precoder: np.ndarray  # (E, n) Q: each profile's inverse on its helpers and users, else 0
-    signal: np.ndarray  # (E, G) X = Q M, the sum of the zero-padded blocks P_p M_p
+    return precoder @ messages
 
 
-def round_signals(
-    channel: np.ndarray,
-    schedule: RoundSchedule,
-    symbols: np.ndarray,
+def decode_schedules(
+    channels: Sequence[np.ndarray],
+    symbols: Sequence[np.ndarray],
+    schedules: Sequence[RoundSchedule],
     index_size: int,
-    precoders: np.ndarray | None = None,
-) -> list[RoundSignal]:
-    """Compose every round's signal matrix from the groups it transmits.
+    precoders: np.ndarray,
+    labels: Sequence[str] | None = None,
+) -> np.ndarray:
+    """Compose and decode every round of `schedules`; return every intended residual.
+
+    All schedules share one L.  Schedule s serves the users of one trial,
+    whose rows are those of `channels[s]` and `symbols[s]`, each user's
+    `needed_subfiles` symbols; `precoders` are the columns
+    `matched_precoders` gives for the schedules' slots in order.
 
     Round g sends every group with a profile served that round: the groups
     in the `group_table` rows of its a(g) active profiles, which must number
-    C(L, t + 1) - C(L - a(g), t + 1).  In the column of group S, profile
-    p's users carry the subfiles of index S minus p, from their rows of the
-    (K, C(L - 1, t)) `symbols` array, precoded by the inverse of their
-    matched channel and zero-padded onto the other helpers.  `precoders`
-    are the columns `matched_precoders` gives for `schedule.slots`,
-    computed here unless given.
+    C(L, t + 1) - C(L - a(g), t + 1).  Its message matrix M has a row per
+    served user, profile by profile in partition order, and a column per
+    sent group, in table order; in the column of group S, profile p's users
+    carry the symbol of index S minus p.  The served users hear H X, with
+    X = Q M, cancel (H Q o O) M, the blocks of the other profiles, whose
+    symbols they cache, and must be left with their own symbol.  The index
+    work is done once for all rounds: where each row's symbols go in its
+    round's M, and the tolerance test.  Each round then makes only the four
+    products, at the shapes of that round alone, so the residuals do not
+    depend on which schedules share the call.
+
+    Returns a (served pairs, C(L - 1, t)) array, (0, 0) without schedules:
+    row i is the i-th served (helper, user) pair, schedule by schedule and
+    round by round, and its entries are that user's residuals in
+    `needed_subfiles` order.  Raises DecodeFailure past
+    `DECODE_TOLERANCE * (|symbol| + 1)`, naming the user, round, group and
+    residual of the first failure in transmission order, followed by
+    `(labels[s])` when given.
     """
-    if precoders is None:
-        precoders = matched_precoders(channel, schedule.slots)
-    table = group_table(schedule.num_profiles, index_size)
-    full = comb(schedule.num_profiles, index_size + 1)
-    start = 0
-    signals = []
-    for g, entries in enumerate(schedule.rounds):
-        sent = np.zeros(len(table.groups), dtype=bool)
-        sent[table.rank[[p - 1 for p in entries]]] = True
-        expected = full - comb(schedule.num_profiles - len(entries), index_size + 1)
-        if sent.sum() != expected:
-            raise RuntimeError(
-                f"round {g} transmits {sent.sum()} groups, its {len(entries)} active "
-                f"profiles imply {expected}"
-            )
-        served = [u for part in entries.values() for _, u in part]
-        profiles = np.array([p for p, part in entries.items() for _ in part], dtype=np.intp)
-        precoder = precoders[:, start : start + len(served)].copy()  # contiguous Q
-        start += len(served)
-        # each served user's symbol row goes to the columns of its groups
-        rows = np.arange(len(served))[:, None]
-        columns = (np.cumsum(sent) - 1)[table.rank[profiles - 1]]
-        messages = np.zeros((len(served), expected), dtype=complex)
-        messages[rows, columns] = symbols[served]
-        intended = np.zeros(messages.shape, dtype=bool)
-        intended[rows, columns] = True
-        signals.append(
-            RoundSignal(
-                round_index=g,
-                groups=tuple(compress(table.groups, sent.tolist())),
-                users=tuple(served),
-                profiles=profiles,
-                intended=intended,
-                messages=messages,
-                precoder=precoder,
-                signal=precoder @ messages,
-            )
+    if not schedules:
+        return np.empty((0, 0))
+    num_profiles = schedules[0].num_profiles
+    if any(schedule.num_profiles != num_profiles for schedule in schedules):
+        raise ValueError("the schedules of one call must share their profile count")
+    table = group_table(num_profiles, index_size)
+    # Flatten: a round, a slot per active profile of it, a row per served pair.
+    users: list[int] = []
+    slot_profiles, slot_sizes, slot_rounds = [], [], []
+    round_schedules, round_numbers, bounds = [], [], [0]
+    for s, schedule in enumerate(schedules):
+        for g, entries in enumerate(schedule.rounds):
+            for profile, part in entries.items():
+                slot_profiles.append(profile)
+                slot_sizes.append(len(part))
+                slot_rounds.append(len(round_schedules))
+                for _, user in part:
+                    users.append(user)
+            round_schedules.append(s)
+            round_numbers.append(g)
+            bounds.append(len(users))
+    users = np.array(users, dtype=np.intp)
+    slot_profiles = np.array(slot_profiles, dtype=np.intp)
+    slot_rounds = np.array(slot_rounds, dtype=np.intp)
+    row_profiles = np.repeat(slot_profiles, slot_sizes)
+
+    sent = np.zeros((len(round_schedules), len(table.groups)), dtype=bool)
+    sent[slot_rounds[:, None], table.rank[slot_profiles - 1]] = True
+    widths = sent.sum(axis=1)
+    active = np.bincount(slot_rounds, minlength=len(round_schedules))
+    idle = [comb(num_profiles - a, index_size + 1) for a in range(num_profiles + 1)]
+    expected = comb(num_profiles, index_size + 1) - np.array(idle)[active]
+    wrong = np.flatnonzero(widths != expected)
+    if wrong.size:
+        r = wrong[0]
+        raise RuntimeError(
+            f"round {round_numbers[r]} transmits {widths[r]} groups, its {active[r]} active "
+            f"profiles imply {expected[r]}"
         )
-    return signals
+    # Each row's flat positions in its round's M: its row there times the
+    # round's width, plus the columns of its profile's groups.
+    columns = np.cumsum(sent, axis=1, dtype=np.int32)
+    columns -= 1
+    positions = np.repeat(
+        columns[slot_rounds[:, None], table.rank[slot_profiles - 1]], slot_sizes, axis=0
+    )
+    row_rounds = np.repeat(slot_rounds, slot_sizes)
+    starts = np.array(bounds[:-1], dtype=np.intp)
+    positions += ((np.arange(len(users)) - starts[row_rounds]) * widths[row_rounds])[:, None]
+    del columns, row_rounds  # unread by the loop, so they do not add to its memory
 
+    residuals = np.empty(positions.shape)
+    for s, a, b, width in zip(round_schedules, bounds, bounds[1:], widths.tolist()):
+        precoder = precoders[:, a:b].copy()  # contiguous Q
+        served, at = users[a:b], positions[a:b].astype(np.intp)
+        own = symbols[s][served]
+        messages = np.zeros((b - a, width), dtype=complex)
+        np.put(messages, at, own)
+        signal = _transmit(precoder, messages)
+        heard = channels[s][served]
+        received = heard @ signal
+        other_profile = row_profiles[a:b, None] != row_profiles[None, a:b]
+        cached = ((heard @ precoder) * other_profile) @ messages
+        np.abs((received - cached).take(at) - own, out=residuals[a:b])
 
-def decode_round(channel: np.ndarray, rs: RoundSignal) -> float:
-    """Replay reception of one round's signals; return the worst decode residual.
-
-    Each served user hears the full superposition H[served] X, cancels the
-    other profiles' blocks (every symbol in them sits in its cache), and
-    should be left with exactly its own subfile symbol; raises DecodeFailure
-    past tolerance, naming the first failure in transmission order.
-    """
-    heard = channel[list(rs.users)]
-    received = heard @ rs.signal
-    # user i rebuilds from cache the part of the signal that carries other profiles' rows
-    other_profile = rs.profiles[:, None] != rs.profiles[None, :]
-    cached = ((heard @ rs.precoder) * other_profile) @ rs.messages
-    residual = np.abs(received - cached - rs.messages)
-    failed = rs.intended & ~(residual < DECODE_TOLERANCE * (np.abs(rs.messages) + 1.0))
-    if failed.any():
-        j, k = np.argwhere(failed.T)[0]
-        raise DecodeFailure(
-            f"user {rs.users[k]} failed to decode in round {rs.round_index}, "
-            f"group {rs.groups[j]}: residual {residual[k, j]:.3e}"
-        )
-    return float(residual[rs.intended].max()) if rs.intended.any() else 0.0
+    # A residual below the tolerance is below its bound, which is at least
+    # the tolerance; only the others need their symbol's bound.
+    if not residuals.max(initial=0.0) < DECODE_TOLERANCE:
+        row, k = np.nonzero(~(residuals < DECODE_TOLERANCE))
+        r = np.searchsorted(bounds, row, side="right") - 1
+        owners = [round_schedules[i] for i in r.tolist()]
+        wanted = [symbols[s][u, j] for s, u, j in zip(owners, users[row].tolist(), k.tolist())]
+        failed = ~(residuals[row, k] < DECODE_TOLERANCE * (np.abs(np.array(wanted)) + 1.0))
+        if failed.any():
+            row, k, r = row[failed], k[failed], r[failed]
+            column = positions[row, k] - (row - starts[r]) * widths[r]
+            i = np.lexsort((row, column, r))[0]
+            group = table.groups[np.flatnonzero(sent[r[i]])[column[i]]]
+            s = round_schedules[r[i]]
+            label = "" if labels is None else f" ({labels[s]})"
+            raise DecodeFailure(
+                f"user {users[row[i]]} failed to decode in round {round_numbers[r[i]]}, "
+                f"group {group}: residual {residuals[row[i], k[i]]:.3e}{label}"
+            )
+    return residuals
 
 
 def verify_schedule(
@@ -318,10 +375,13 @@ def verify_schedule(
 
     `symbols` is the array `draw_subfile_symbols` drew for the distinct
     `demands`: its rows are per user, and so already per requested file.
-    `precoders` are passed on to `round_signals`.
+    `precoders` are the columns `matched_precoders` gives for
+    `schedule.slots`, computed here unless given.
     """
-    signals = round_signals(channel, schedule, symbols, index_size, precoders)
-    return max((decode_round(channel, rs) for rs in signals), default=0.0)
+    if precoders is None:
+        precoders = matched_precoders(channel, schedule.slots)
+    residuals = decode_schedules([channel], [symbols], [schedule], index_size, precoders)
+    return float(residuals.max(initial=0.0))
 
 
 def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:

@@ -62,13 +62,20 @@ class ProfileSubnetwork:
             raise ValueError("one candidate set per user is required")
         if len(set(self.users)) != len(self.users):
             raise ValueError("user ids must be distinct")
-        for user, cand in zip(self.users, self.candidates):
+        # Users share candidate tuples (one per helper mask when split from
+        # a network), so each distinct tuple is checked once; an error names
+        # the first user holding a bad one.
+        problems = {}
+        for cand in set(self.candidates):
             if not cand:
-                raise ValueError(f"user {user} has no eligible helper")
-            if list(cand) != sorted(set(cand)):
-                raise ValueError(f"candidates of user {user} must be sorted and distinct")
-            if cand[0] < 0 or cand[-1] >= self.num_helpers:
-                raise ValueError(f"candidates of user {user} out of range")
+                problems[cand] = "user {} has no eligible helper"
+            elif list(cand) != sorted(set(cand)):
+                problems[cand] = "candidates of user {} must be sorted and distinct"
+            elif cand[0] < 0 or cand[-1] >= self.num_helpers:
+                problems[cand] = "candidates of user {} out of range"
+        if problems:
+            first = min(self.candidates.index(cand) for cand in problems)
+            raise ValueError(problems[self.candidates[first]].format(self.users[first]))
 
     @property
     def num_users(self) -> int:

@@ -34,14 +34,13 @@ from .cache_placement import (
     ensure_valid,
 )
 from .delivery import (
-    DecodeFailure,
     build_schedule,
     coverage_check,
+    decode_schedules,
     delivery_time,
     matched_precoders,
     sum_dof,
     transmissions_from_counts,
-    verify_schedule,
 )
 from .partitioner import (
     PartitionSet,
@@ -478,12 +477,12 @@ def _verify_chunk(
 ) -> None:
     """Build each verified trial's partitions at its counts, then decode and audit them.
 
-    Trial i's counts are row i of each method's array.  The precoders of
-    every schedule in the chunk come from one `matched_precoders` call over
-    the trials' stacked channels; each schedule is then replayed on its own
-    trial's channel.  Every error names the trial seed.
+    Trial i's counts are row i of each method's array.  Every schedule of
+    the chunk is inverted by one `matched_precoders` call over the trials'
+    stacked channels, and replayed by one `decode_schedules` call, each on
+    its own trial's channel and symbols.  Every error names the trial seed.
     """
-    checks = []  # (trial, method, schedule, demands, symbols) of each trial with users
+    checks = []  # (trial, method, schedule, symbols) of each trial with users
     for i, draw in enumerate(draws):
         subnets = subnetworks_from_connectivity(draw.conn, draw.assignment)
         psets = {
@@ -508,14 +507,13 @@ def _verify_chunk(
                     f"coverage audit failed (seed {draw.seed}, method {method}): "
                     + "; ".join(problems[:5])
                 )
-            checks.append((i, method, schedule, demands, symbols))
-    # the chunk's partitions, schedule by schedule, and each schedule's precoder columns
-    slots, slot_trials, columns = [], [], [0]
-    for i, _, schedule, _, _ in checks:
+            checks.append((i, method, schedule, symbols))
+    # the chunk's partitions, schedule by schedule
+    slots, slot_trials = [], []
+    for i, _, schedule, _ in checks:
         own = schedule.slots
         slots.extend(own)
         slot_trials.extend([i] * len(own))
-        columns.append(columns[-1] + sum(map(len, own)))
     first_rows = np.cumsum([0] + [draw.conn.num_users for draw in draws])
     precoders = matched_precoders(
         np.concatenate([draw.channel for draw in draws]),
@@ -523,12 +521,14 @@ def _verify_chunk(
         first_rows[slot_trials],
         [draws[i].seed for i in slot_trials],
     )
-    for (i, method, schedule, demands, symbols), start, stop in zip(checks, columns, columns[1:]):
-        own = precoders[:, start:stop]
-        try:
-            verify_schedule(draws[i].channel, schedule, demands, symbols, point.index_size, own)
-        except DecodeFailure as exc:
-            raise DecodeFailure(f"{exc} (seed {draws[i].seed}, method {method})") from exc
+    decode_schedules(
+        [draws[i].channel for i, _, _, _ in checks],
+        [symbols for _, _, _, symbols in checks],
+        [schedule for _, _, schedule, _ in checks],
+        point.index_size,
+        precoders,
+        [f"seed {draws[i].seed}, method {method}" for i, method, _, _ in checks],
+    )
 
 
 def run_point(
@@ -649,6 +649,9 @@ def emit_results(
             row = {name: getattr(r, attr) for name, attr, _ in _COLUMNS}
             # NaN, the statistic of a point without served users, is not JSON: null.
             row.update({name: None for name, value in row.items() if value != value})
+            # Nor is an infinite radius: it is written as CSV writes it.
+            if math.isinf(r.sweep_value):
+                row["sweep_value"] = _sig12(r.sweep_value)
             if per_trial:
                 row["per_trial_sum_dof"] = list(r.per_trial_dof)
                 row["per_trial_K"] = list(r.per_trial_users)

@@ -1,18 +1,25 @@
-"""Per-transmission replay of the delivery scheme: the reference oracle for the tests.
+"""Reference replays of the delivery scheme: the oracles for the tests.
 
-The library verifies a schedule one round at a time in matrix form, placing
-symbols by a precomputed group table.  This module keeps the
-transmission-by-transmission form: groups enumerated one by one, one
-precoder inverse per (round, profile), one signal vector per group, each
-symbol found by its index in `needed_subfiles`, and a decode replay per
-intended user, so the two can be compared on the same schedules.
+The library verifies many schedules in one call, with the index work done
+once for all their rounds and only the matrix products made per round.
+This module keeps two older forms, so that all three can be compared on
+the same schedules:
+
+- round by round (`round_signals`, `decode_round`): each round's signal
+  matrices built and decoded on their own, the library's replay before it
+  was batched, whose residuals it must match bit for bit;
+- transmission by transmission: groups enumerated one by one, one precoder
+  inverse per (round, profile), one signal vector per group, each symbol
+  found by its index in `needed_subfiles`, and a decode replay per
+  intended user.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from math import comb
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -24,7 +31,118 @@ from helpercache.delivery import (
     DecodeFailure,
     RoundSchedule,
     SingularChannelError,
+    group_table,
+    matched_precoders,
 )
+
+
+@dataclass(frozen=True)
+class RoundSignal:
+    """One round's transmissions as matrices: column j is the signal of `groups[j]`.
+
+    Rows follow the served users, profile by profile in partition order.
+    """
+
+    round_index: int
+    groups: tuple[tuple[int, ...], ...]
+    users: tuple[int, ...]
+    profiles: np.ndarray  # (n,) each served user's profile
+    intended: np.ndarray  # (n, G) bool: the user's profile belongs to the group
+    messages: np.ndarray  # (n, G) M: the symbol each user should decode, 0 where not intended
+    precoder: np.ndarray  # (E, n) Q: each profile's inverse on its helpers and users, else 0
+    signal: np.ndarray  # (E, G) X = Q M, the sum of the zero-padded blocks P_p M_p
+
+
+def round_signals(
+    channel: np.ndarray,
+    schedule: RoundSchedule,
+    symbols: np.ndarray,
+    index_size: int,
+    precoders: np.ndarray | None = None,
+) -> list[RoundSignal]:
+    """Compose every round's signal matrix from the groups it transmits.
+
+    Round g sends every group with a profile served that round: the groups
+    in the `group_table` rows of its a(g) active profiles, which must number
+    C(L, t + 1) - C(L - a(g), t + 1).  In the column of group S, profile
+    p's users carry the subfiles of index S minus p, from their rows of the
+    (K, C(L - 1, t)) `symbols` array, precoded by the inverse of their
+    matched channel and zero-padded onto the other helpers.  `precoders`
+    are the columns `matched_precoders` gives for `schedule.slots`,
+    computed here unless given.
+    """
+    if precoders is None:
+        precoders = matched_precoders(channel, schedule.slots)
+    table = group_table(schedule.num_profiles, index_size)
+    full = comb(schedule.num_profiles, index_size + 1)
+    start = 0
+    signals = []
+    for g, entries in enumerate(schedule.rounds):
+        sent = np.zeros(len(table.groups), dtype=bool)
+        sent[table.rank[[p - 1 for p in entries]]] = True
+        expected = full - comb(schedule.num_profiles - len(entries), index_size + 1)
+        if sent.sum() != expected:
+            raise RuntimeError(
+                f"round {g} transmits {sent.sum()} groups, its {len(entries)} active "
+                f"profiles imply {expected}"
+            )
+        served = [u for part in entries.values() for _, u in part]
+        profiles = np.array([p for p, part in entries.items() for _ in part], dtype=np.intp)
+        precoder = precoders[:, start : start + len(served)].copy()  # contiguous Q
+        start += len(served)
+        # each served user's symbol row goes to the columns of its groups
+        rows = np.arange(len(served))[:, None]
+        columns = (np.cumsum(sent) - 1)[table.rank[profiles - 1]]
+        messages = np.zeros((len(served), expected), dtype=complex)
+        messages[rows, columns] = symbols[served]
+        intended = np.zeros(messages.shape, dtype=bool)
+        intended[rows, columns] = True
+        signals.append(
+            RoundSignal(
+                round_index=g,
+                groups=tuple(compress(table.groups, sent.tolist())),
+                users=tuple(served),
+                profiles=profiles,
+                intended=intended,
+                messages=messages,
+                precoder=precoder,
+                signal=precoder @ messages,
+            )
+        )
+    return signals
+
+
+def decode_round(channel: np.ndarray, rs: RoundSignal) -> float:
+    """Replay reception of one round's signals; return the worst decode residual.
+
+    Each served user hears the full superposition H[served] X, cancels the
+    other profiles' blocks (every symbol in them sits in its cache), and
+    should be left with exactly its own subfile symbol; raises DecodeFailure
+    past tolerance, naming the first failure in transmission order.
+    """
+    heard = channel[list(rs.users)]
+    received = heard @ rs.signal
+    # user i rebuilds from cache the part of the signal that carries other profiles' rows
+    other_profile = rs.profiles[:, None] != rs.profiles[None, :]
+    cached = ((heard @ rs.precoder) * other_profile) @ rs.messages
+    residual = np.abs(received - cached - rs.messages)
+    failed = rs.intended & ~(residual < DECODE_TOLERANCE * (np.abs(rs.messages) + 1.0))
+    if failed.any():
+        j, k = np.argwhere(failed.T)[0]
+        raise DecodeFailure(
+            f"user {rs.users[k]} failed to decode in round {rs.round_index}, "
+            f"group {rs.groups[j]}: residual {residual[k, j]:.3e}"
+        )
+    return float(residual[rs.intended].max()) if rs.intended.any() else 0.0
+
+
+def round_residuals(channel: np.ndarray, rs: RoundSignal) -> np.ndarray:
+    """`decode_round`'s residual at each intended entry, row by row."""
+    heard = channel[list(rs.users)]
+    received = heard @ rs.signal
+    other_profile = rs.profiles[:, None] != rs.profiles[None, :]
+    cached = ((heard @ rs.precoder) * other_profile) @ rs.messages
+    return np.abs(received - cached - rs.messages)[rs.intended]
 
 
 def enumerate_transmissions(

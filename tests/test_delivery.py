@@ -1,18 +1,21 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delivery_reference import (
     audit_deliveries,
     build_precoder,
     compose_signal,
+    decode_round,
     enumerate_transmissions,
     replay_schedule,
+    round_residuals,
+    round_signals,
     verify_decode,
 )
 from helpercache import delivery
@@ -24,11 +27,10 @@ from helpercache.delivery import (
     build_schedule,
     count_transmissions,
     coverage_check,
-    decode_round,
+    decode_schedules,
     delivery_time,
     group_table,
     matched_precoders,
-    round_signals,
     sum_dof,
     transmissions_from_counts,
     verify_schedule,
@@ -280,6 +282,56 @@ def test_precoder_rejects_structural_zero_on_diagonal():
         matched_precoders(channel, [((1, 0), (0, 1))])
 
 
+def _certificate_cases():
+    """Slots of 2 and 4 users on their own helpers, each with its channel."""
+    for size in (2, 4):
+        for condition in (0.4e12, 0.99e12, 1.01e12, 3e12):
+            yield np.diag([1.0] * (size - 1) + [1.0 / condition]).astype(complex)
+        singular = np.eye(size, dtype=complex)
+        singular[-1] = singular[-2] = singular[-2] + singular[-1]  # two equal rows, nonzero diagonal
+        yield singular
+
+
+@pytest.mark.parametrize("limit", [delivery.CONDITION_LIMIT, 1.0])
+def test_condition_verdicts_follow_cond(monkeypatch, limit):
+    # Inverting first and bounding cond by |A|_F |A^-1|_F changes no verdict:
+    # near the limit on both sides, on an exactly singular matrix, and at a
+    # limit of 1.0, where every slot of two or more users is refused.
+    monkeypatch.setattr(delivery, "CONDITION_LIMIT", limit)
+    for channel in _certificate_cases():
+        slot = tuple((h, h) for h in range(channel.shape[0]))
+        refused = np.linalg.cond(channel) > limit
+        if refused:
+            with pytest.raises(SingularChannelError):
+                matched_precoders(channel, [slot])
+        else:
+            np.testing.assert_array_equal(matched_precoders(channel, [slot]), np.linalg.inv(channel))
+        assert refused == (limit == 1.0 or np.linalg.cond(channel) > 1e12)
+
+
+def test_well_conditioned_slots_need_no_svd(monkeypatch):
+    # Random channels are far from the limit: every slot of each size is
+    # certified by its inverse, so no size needs `np.linalg.cond`.
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(matrices):
+        calls.append(len(matrices))
+        return cond(matrices)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    channel = draw_channels(_full_connectivity(10, 4), np.random.default_rng(17))
+    slots = [((0, 0),), ((0, 1), (1, 2)), ((0, 3), (1, 4), (2, 5)), ((0, 6), (1, 7), (2, 8), (3, 9))]
+    precoders = matched_precoders(channel, slots)
+    assert calls == []
+    for part, start in zip(slots, (0, 1, 3, 6)):
+        helpers, users = map(list, zip(*part))
+        np.testing.assert_array_equal(
+            precoders[helpers, start : start + len(part)],
+            np.linalg.inv(channel[np.ix_(users, helpers)]),
+        )
+
+
 def test_singular_slot_in_a_schedule_is_rejected():
     # users 4 and 5 hear helpers 2 and 3 identically, so their round-1 slot
     # is singular while every other size-2 slot stacked with it is not
@@ -316,18 +368,78 @@ def _two_profile_round():
     return schedule, channel, demands, symbols
 
 
+@dataclass(frozen=True)
+class SentRound:
+    """One round as the verifier sends it: Q, M and X = Q M, with its rows and columns named."""
+
+    users: tuple[int, ...]  # row i: the i-th served user
+    profiles: np.ndarray  # (n,) each row's profile
+    groups: tuple[tuple[int, ...], ...]  # column j: the j-th transmitted group
+    precoder: np.ndarray
+    messages: np.ndarray
+    signal: np.ndarray
+
+
+def _rounds_sent(channel, schedule, symbols, index_size) -> list[SentRound]:
+    """Verify `schedule` and record each round's matrices as they are sent.
+
+    Each column must be the reference's signal of the group it names.
+    """
+    transmit, sent = delivery._transmit, []
+
+    def recorded(precoder, messages):
+        sent.append((precoder, messages, transmit(precoder, messages)))
+        return sent[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delivery, "_transmit", recorded)
+        assert verify_schedule(channel, schedule, {}, symbols, index_size) < 1e-9
+    assert len(sent) == schedule.num_rounds
+    rounds = []
+    for g, (entries, (precoder, messages, signal)) in enumerate(zip(schedule.rounds, sent)):
+        groups = tuple(group for h, group, _ in enumerate_transmissions(schedule, index_size) if h == g)
+        assert messages.shape[1] == len(groups)
+        for j, group in enumerate(groups):
+            reference = compose_signal(channel, schedule, g, group, symbols)
+            np.testing.assert_allclose(signal[:, j], reference.signal, atol=1e-12)
+        rounds.append(
+            SentRound(
+                users=tuple(u for part in entries.values() for _, u in part),
+                profiles=np.array([p for p, part in entries.items() for _ in part]),
+                groups=groups,
+                precoder=precoder,
+                messages=messages,
+                signal=signal,
+            )
+        )
+    return rounds
+
+
+def _send_altered(patch, alter):
+    """Send alter(round, M) in place of each round's messages M; the decoders still expect M."""
+    transmit, calls = delivery._transmit, []
+
+    def altered(precoder, messages):
+        sent = messages.copy()
+        alter(len(calls), sent)
+        calls.append(None)
+        return transmit(precoder, sent)
+
+    patch.setattr(delivery, "_transmit", altered)
+
+
 def _blocks(rs, group):
-    """Per active profile of `group`: its zero-padded block P_p M_p in that column."""
+    """Per profile with symbols in the column of `group`: its zero-padded block P_p M_p there."""
     j = rs.groups.index(group)
     return {
         int(p): rs.precoder[:, rs.profiles == p] @ rs.messages[rs.profiles == p, j]
-        for p in np.unique(rs.profiles[rs.intended[:, j]])
+        for p in np.unique(rs.profiles[rs.messages[:, j] != 0])
     }
 
 
 def test_zero_padding_leaves_unused_helpers_silent():
     schedule, channel, demands, symbols = _two_profile_round()
-    (rs,) = round_signals(channel, schedule, symbols, 1)
+    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
     assert list(_blocks(rs, (2, 3))) == [2]
     signal = rs.signal[:, rs.groups.index((2, 3))]
     assert signal[0] == 0 and signal[2] == 0
@@ -338,7 +450,7 @@ def test_zero_padding_leaves_unused_helpers_silent():
 
 def test_signal_superposes_profile_blocks():
     schedule, channel, demands, symbols = _two_profile_round()
-    (rs,) = round_signals(channel, schedule, symbols, 1)
+    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
     for group, effective in (((1, 2), [1, 2]), ((1, 3), [1])):
         blocks = _blocks(rs, group)
         assert list(blocks) == effective
@@ -356,14 +468,16 @@ def test_group_without_active_profiles_is_skipped():
     channel = draw_channels(conn, np.random.default_rng(8))
     symbols = np.array([[1 + 0j], [1j]])
     # profile 2 never transmits; the only group is (1, 2) and stays active via profile 1
-    signals = round_signals(channel, schedule, symbols, 1)
+    signals = _rounds_sent(channel, schedule, symbols, 1)
+    assert [rs.messages.shape[1] for rs in signals] == [1, 1]
     assert [rs.groups for rs in signals] == [((1, 2),), ((1, 2),)]
     assert [list(_blocks(rs, (1, 2))) for rs in signals] == [[1], [1]]
     # with a third profile, the group of the two idle profiles sends nothing
     psets[3] = PartitionSet(partitions=(), num_helpers=4)
     schedule = build_schedule(psets, 3)
     symbols = np.array([[1 + 0j, 1 + 1j], [1j, -1j]])
-    signals = round_signals(channel, schedule, symbols, 1)
+    signals = _rounds_sent(channel, schedule, symbols, 1)
+    assert [rs.messages.shape[1] for rs in signals] == [2, 2]
     assert [rs.groups for rs in signals] == [((1, 2), (1, 3))] * 2
 
 
@@ -371,14 +485,14 @@ def test_round_with_the_wrong_group_count_is_rejected(monkeypatch):
     # profiles 1 and 2 are active, so the round must send C(3, 2) - C(1, 2) = 3
     # groups; a group table whose row for profile 2 was dropped, profile 1's
     # repeated in its place, lists only 2 and is caught
-    schedule, channel, _, symbols = _two_profile_round()
+    schedule, channel, demands, symbols = _two_profile_round()
     table = group_table(3, 1)
     assert table.groups == ((1, 2), (1, 3), (2, 3))
     assert table.rank.tolist() == [[0, 1], [0, 2], [1, 2]]
     lost = replace(table, rank=table.rank[[0, 0, 2]])
     monkeypatch.setattr(delivery, "group_table", lambda num_profiles, index_size: lost)
     with pytest.raises(RuntimeError, match="transmits 2 groups, its 2 active profiles imply 3"):
-        round_signals(channel, schedule, symbols, 1)
+        verify_schedule(channel, schedule, demands, symbols, 1)
 
 
 def test_served_users_cancel_and_decode():
@@ -387,43 +501,71 @@ def test_served_users_cancel_and_decode():
     for group in ((1, 2), (1, 3), (2, 3)):
         record = compose_signal(channel, schedule, 0, group, symbols)
         worst = max(worst, *verify_decode(record, channel, symbols).values())
-    (rs,) = round_signals(channel, schedule, symbols, 1)
-    assert decode_round(channel, rs) == pytest.approx(worst, abs=1e-12)
+    assert verify_schedule(channel, schedule, demands, symbols, 1) == pytest.approx(worst, abs=1e-12)
     assert worst < 1e-9
     assert coverage_check(schedule, 1) == []
 
 
-def test_decode_failure_is_reported():
+def test_decode_failure_is_reported(monkeypatch):
     # the transmitter sends user 14 a wrong symbol: user 14 misses its own
     # symbol, and profile 1's users cancel the true one from cache and miss too
     schedule, channel, demands, symbols = _two_profile_round()
-    (rs,) = round_signals(channel, schedule, symbols, 1)
-    sent = rs.messages.copy()
-    sent[rs.users.index(14), rs.groups.index((1, 2))] += 1.0
+    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
+    wrong = rs.users.index(14), rs.groups.index((1, 2))
+
+    def alter(round_index, messages):
+        messages[wrong] += 1.0
+
+    _send_altered(monkeypatch, alter)
     with pytest.raises(DecodeFailure, match=r"user 2 failed to decode in round 0, group \(1, 2\)"):
-        decode_round(channel, replace(rs, signal=rs.precoder @ sent))
-    # checking profile 2 alone, failures are named in transmission order:
-    # group (1, 2) for user 18 comes before group (2, 3) for user 14
-    sent = rs.messages.copy()
-    sent[rs.users.index(14), rs.groups.index((2, 3))] += 1.0
-    sent[rs.users.index(18), rs.groups.index((1, 2))] += 1.0
-    profile_2 = replace(
-        rs, signal=rs.precoder @ sent, intended=rs.intended & (rs.profiles == 2)[:, None]
-    )
-    with pytest.raises(DecodeFailure, match=r"user 18 failed .* group \(1, 2\): residual 1\.0"):
-        decode_round(channel, profile_2)
+        verify_schedule(channel, schedule, demands, symbols, 1)
 
 
-def test_decode_failure_names_the_round():
+def test_decode_failure_names_the_first_group_before_the_first_row(monkeypatch):
+    # One round of L = 4 with profiles 2 (users 0, 1) and 3 (users 2, 3)
+    # active sends (1, 2), (1, 3), (2, 3), (2, 4) and (3, 4).  Wrong symbols
+    # for user 3 in (1, 3) and for user 0 in (2, 4), groups where no other
+    # profile transmits, make exactly those two fail: in transmission order
+    # group (1, 3) comes first, though user 0's row comes before user 3's.
+    idle = PartitionSet(partitions=(), num_helpers=4)
+    psets = {
+        1: idle,
+        2: PartitionSet(partitions=(((0, 0), (1, 1)),), num_helpers=4),
+        3: PartitionSet(partitions=(((2, 2), (3, 3)),), num_helpers=4),
+        4: idle,
+    }
+    schedule = build_schedule(psets, 4)
+    channel = draw_channels(_full_connectivity(4, 4), np.random.default_rng(15))
+    rng = np.random.default_rng(16)
+    symbols = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
+    assert rs.users == (0, 1, 2, 3)
+    assert rs.groups == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+
+    def alter(round_index, messages):
+        messages[3, 1] += 1.0
+        messages[0, 3] += 1.0
+
+    _send_altered(monkeypatch, alter)
+    with pytest.raises(DecodeFailure, match=r"user 3 failed to decode in round 0, group \(1, 3\): residual 1\.0"):
+        verify_schedule(channel, schedule, {}, symbols, 1)
+
+
+def test_decode_failure_names_the_round(monkeypatch):
     psets = {1: _singleton_partitions(2), 2: _singleton_partitions(1, first_user=5)}
     schedule = build_schedule(psets, 2)
     channel = draw_channels(_full_connectivity(6, 4), np.random.default_rng(14))
     symbols = np.array([[1 + 0j], [1j], [0], [0], [0], [-1 + 0j]])
-    first, second = round_signals(channel, schedule, symbols, 1)
-    assert decode_round(channel, first) < 1e-9
-    sent = second.messages * 2.0
+    demands = {u: u for u in range(6)}
+    assert verify_schedule(channel, schedule, demands, symbols, 1) < 1e-9
+
+    def alter(round_index, messages):
+        if round_index == 1:
+            messages *= 2.0
+
+    _send_altered(monkeypatch, alter)
     with pytest.raises(DecodeFailure, match=r"user 1 failed to decode in round 1, group \(1, 2\)"):
-        decode_round(channel, replace(second, signal=second.precoder @ sent))
+        verify_schedule(channel, schedule, demands, symbols, 1)
 
 
 def test_whole_schedule_verifies():
@@ -478,8 +620,8 @@ def test_full_connectivity_recovers_single_round_structure():
     channel = draw_channels(conn, np.random.default_rng(9))
     demands = {k: k for k in range(conn.num_users)}
     symbols = draw_subfile_symbols(assignment, demands, 1, np.random.default_rng(10))
-    (rs,) = round_signals(channel, schedule, symbols, 1)
-    assert rs.groups == tuple(group for _, group, _ in enumerate_transmissions(schedule, 1))
+    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
+    assert rs.messages.shape[1] == math.comb(5, 2)
     for group in rs.groups:
         blocks = _blocks(rs, group)
         assert tuple(blocks) == group
@@ -521,12 +663,8 @@ def test_end_to_end_partial_connectivity_decodes():
     assert coverage_check(schedule, 1) == []
 
 
-@st.composite
-def _small_trials(draw):
-    """A random small topology with its partitions, channel and symbols."""
-    num_helpers = draw(st.integers(1, 4))
-    index_size = draw(st.integers(1, 2))
-    num_profiles = draw(st.integers(index_size + 1, 5))
+def _draw_trial(draw, num_helpers, num_profiles, index_size, methods):
+    """A random small topology with a schedule per method, its channel and symbols."""
     masks = draw(st.lists(st.integers(1, (1 << num_helpers) - 1), max_size=14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     adjacency = np.array(
@@ -536,14 +674,81 @@ def _small_trials(draw):
     channel = draw_channels(conn, rng)
     assignment = assign_profiles(conn.num_users, num_profiles, rng)
     subnets = subnetworks_from_connectivity(conn, assignment)
-    if draw(st.booleans()):
-        psets = {p: greedy_assign(s) for p, s in subnets.items()}
-    else:
-        psets = {p: partitions_from_assignment(build_tables(s), bb_assign(build_tables(s))) for p, s in subnets.items()}
-    schedule = build_schedule(psets, num_profiles)
+    schedules = []
+    for greedy in methods:
+        if greedy:
+            psets = {p: greedy_assign(s) for p, s in subnets.items()}
+        else:
+            psets = {p: partitions_from_assignment(build_tables(s), bb_assign(build_tables(s))) for p, s in subnets.items()}
+        schedules.append(build_schedule(psets, num_profiles))
     demands = {k: k for k in range(conn.num_users)}
     symbols = draw_subfile_symbols(assignment, demands, index_size, rng)
+    return channel, schedules, demands, symbols
+
+
+@st.composite
+def _small_trials(draw):
+    """A random small topology with its partitions, channel and symbols."""
+    num_helpers = draw(st.integers(1, 4))
+    index_size = draw(st.integers(1, 2))
+    num_profiles = draw(st.integers(index_size + 1, 5))
+    methods = [draw(st.booleans())]
+    channel, (schedule,), demands, symbols = _draw_trial(draw, num_helpers, num_profiles, index_size, methods)
     return channel, schedule, demands, symbols, index_size
+
+
+@st.composite
+def _small_chunks(draw):
+    """Trials of one network size with zero to two schedules each, some without users."""
+    num_helpers = draw(st.integers(1, 4))
+    index_size = draw(st.integers(1, 2))
+    num_profiles = draw(st.integers(index_size + 1, 5))
+    trials = [
+        _draw_trial(draw, num_helpers, num_profiles, index_size, draw(st.lists(st.booleans(), max_size=2)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return index_size, [(channel, schedules, symbols) for channel, schedules, _, symbols in trials]
+
+
+_EMPTY_TRIAL = (np.zeros((0, 2), dtype=complex), [build_schedule({}, 3)], np.zeros((0, 2), dtype=complex))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_chunks())
+@example((1, [_EMPTY_TRIAL]))  # a chunk without a round
+@example((1, [_EMPTY_TRIAL[:1] + ([],) + _EMPTY_TRIAL[2:]]))  # and without a schedule
+def test_chunk_replay_matches_the_round_matrices_bit_for_bit(chunk):
+    # One call over the schedules of several trials gives every intended
+    # residual of the per-round replay, bit for bit, each schedule on its own
+    # trial's columns of the chunk's precoders.
+    index_size, trials = chunk
+    firsts = np.cumsum([0] + [channel.shape[0] for channel, _, _ in trials])
+    stacked = np.concatenate([channel for channel, _, _ in trials])
+    runs = [(channel, schedule, symbols) for channel, own, symbols in trials for schedule in own]
+    slots, slot_rows = [], []
+    for first, (_, own, _) in zip(firsts.tolist(), trials):
+        for schedule in own:
+            slots.extend(schedule.slots)
+            slot_rows.extend([first] * len(schedule.slots))
+    precoders = matched_precoders(stacked, slots, np.array(slot_rows, dtype=np.intp))
+    channels, schedules, symbols = (list(column) for column in zip(*runs)) if runs else ([], [], [])
+    residuals = decode_schedules(channels, symbols, schedules, index_size, precoders)
+    expected, start = [np.empty(0)], 0
+    for channel, schedule, own_symbols in runs:
+        stop = start + sum(map(len, schedule.slots))
+        for rs in round_signals(channel, schedule, own_symbols, index_size, precoders[:, start:stop]):
+            expected.append(round_residuals(channel, rs))
+            assert expected[-1].max() == decode_round(channel, rs)
+        start = stop
+    assert residuals.shape == ((start, trials[0][2].shape[1]) if runs else (0, 0))
+    assert residuals.tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_one_replay_call_takes_one_profile_count():
+    channel = np.ones((1, 1), dtype=complex)
+    schedules = [build_schedule({1: _singleton_partitions(1, num_helpers=1)}, L) for L in (2, 3)]
+    with pytest.raises(ValueError, match="must share their profile count"):
+        decode_schedules([channel] * 2, [np.ones((1, 2))] * 2, schedules, 1, np.ones((1, 2)))
 
 
 def _served_twice(schedule: RoundSchedule, later_round: bool) -> RoundSchedule:

@@ -353,6 +353,9 @@ def test_subnetwork_rejects_malformed_candidates():
         (((1,), ((0, 0),), 2), "user 1 must be sorted and distinct"),
         (((1,), ((-1, 0),), 2), "user 1 out of range"),
         (((1,), ((0, 2),), 2), "user 1 out of range"),
+        # users 2 and 4 share a bad tuple, user 3 holds another: the first is named
+        (((1, 2, 3, 4), ((0,), (1, 0), (0, 0), (1, 0)), 2), "user 2 must be sorted and distinct"),
+        (((5, 2, 3), ((0,), (2,), (2,)), 2), "candidates of user 2 out of range"),
     ):
         with pytest.raises(ValueError, match=message):
             ProfileSubnetwork(1, *args)

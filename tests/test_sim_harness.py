@@ -19,7 +19,7 @@ from conftest import REFERENCE_INSTANCE
 from helpercache import cli, delivery, partitioner, sim_harness
 from helpercache.cache_placement import ConfigError, ProfileAssignment, assign_profiles
 from helpercache.cli import main
-from helpercache.delivery import DecodeFailure, SingularChannelError, decode_round
+from helpercache.delivery import DecodeFailure, SingularChannelError, decode_schedules
 from helpercache.partitioner import (
     greedy_assign,
     greedy_counts,
@@ -409,20 +409,22 @@ def test_residuals_do_not_depend_on_the_chunk(point, seeds):
     # bit for bit those of the trial verified alone.
     residuals = []
 
-    def recorded(channel, rs):
-        residuals.append(decode_round(channel, rs))
-        return residuals[-1]
+    def recorded(channel, symbols, schedules, *args):
+        replayed = decode_schedules(channel, symbols, schedules, *args)
+        ends = np.cumsum([sum(map(len, schedule.slots)) for schedule in schedules])
+        residuals.extend(np.split(replayed, ends[:-1]) if schedules else [])
+        return replayed
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(delivery, "decode_round", recorded)
+        patch.setattr(sim_harness, "decode_schedules", recorded)
         chunked = run_point(point, seeds, ("bb", "greedy"), verify=True)
-        together = residuals[:]
+        together = [r.tobytes() for r in residuals]
         residuals.clear()
         for seed in seeds:
             run_point(point, [seed], ("bb", "greedy"), verify=True)
-    assert together == residuals
-    # one residual per round of each method's schedule
-    assert len(together) == sum(int(chunked.counts[m].max(axis=1).sum()) for m in ("bb", "greedy"))
+    assert together == [r.tobytes() for r in residuals]
+    # one residual set per method's schedule of each trial with users
+    assert len(together) == 2 * int((chunked.num_users > 0).sum())
 
 
 @st.composite
@@ -879,6 +881,14 @@ def test_json_output_is_strict_json_without_served_users(tmp_path):
         assert row["mean_sum_dof"] == result.mean_dof > 0
     emit_results(results, "csv", str(tmp_path / "r.csv"))
     assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[3:5] == ["nan", "nan"]
+    # An infinite radius is not JSON either: it is written as CSV's text.
+    results = run_sweep(_tiny_config(values=(0.0, math.inf)))
+    emit_results(results, "json", str(tmp_path / "r.json"))
+    rows = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+    assert [row["sweep_value"] for row in rows] == [0.0, 0.0, "inf", "inf"]
+    assert rows[2]["mean_sum_dof"] == results[2].mean_dof > 0
+    emit_results(results, "csv", str(tmp_path / "r.csv"))
+    assert (tmp_path / "r.csv").read_text().splitlines()[3].split(",")[:2] == ["r", "inf"]
 
 
 def test_emit_rejects_empty_results(tmp_path):
