@@ -9,10 +9,12 @@ from its cache and is left with exactly its own subfile symbol.  The
 verifier builds a round's signals as one matrix, a column per group, and
 places each user's symbols by a group table built once per (L, t); one call
 replays many schedules, with the index work done once for all their rounds.
-Each partition stays the partitioner's (helper, user) pairs from schedule to
-decode.
 
-A schedule holds only its rounds; the rest follows from them.  Its
+The precoders, the decode and the coverage audit read one table of served
+(helper, user) pairs (`ServedPairs`), a row per pair in transmission order.
+A chunk of verified trials builds that table directly from its placements;
+a `RoundSchedule`, or a list of partitions, is flattened into one.  A
+schedule holds only its rounds; the rest follows from them.  Its
 transmission count is the sweep's closed form over its per-profile partition
 counts, and its coverage audit passes exactly when no user holds two
 (round, profile) slots.
@@ -21,7 +23,7 @@ counts, and its coverage audit passes exactly when no user holds two
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -72,6 +74,54 @@ def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int
         {p: parts[g] for p, parts in ordered if len(parts) > g} for g in range(total_rounds)
     )
     return RoundSchedule(num_profiles=num_profiles, rounds=rounds)
+
+
+@dataclass(frozen=True, eq=False)
+class ServedPairs:
+    """Every served (helper, user) pair of some schedules, one row each, in transmission order.
+
+    Rows run schedule by schedule, round by round, and within a round slot
+    by slot: a (round, profile) slot is one partition, its pairs in
+    partition order.  `user` is the row of the schedule's own channel and
+    symbols.  The columns are int32 arrays of one length.
+    """
+
+    num_profiles: int
+    schedule: np.ndarray
+    round: np.ndarray
+    profile: np.ndarray
+    helper: np.ndarray
+    user: np.ndarray
+    round_starts: np.ndarray = field(init=False)  # first row of each round of each schedule
+    slot_starts: np.ndarray = field(init=False)  # first row of each slot
+
+    def __post_init__(self) -> None:
+        schedule, round_, profile = self.schedule, self.round, self.profile
+        new_round = np.ones(len(self), dtype=bool)
+        new_round[1:] = (schedule[1:] != schedule[:-1]) | (round_[1:] != round_[:-1])
+        new_slot = new_round.copy()
+        new_slot[1:] |= profile[1:] != profile[:-1]
+        object.__setattr__(self, "round_starts", np.flatnonzero(new_round))
+        object.__setattr__(self, "slot_starts", np.flatnonzero(new_slot))
+
+    def __len__(self) -> int:
+        return self.user.size
+
+
+def served_pairs(schedules: Sequence[RoundSchedule]) -> ServedPairs:
+    """The pairs of `schedules`, which share one L, as one table; schedule s is number s."""
+    num_profiles = {schedule.num_profiles for schedule in schedules}
+    if len(num_profiles) > 1:
+        raise ValueError("the schedules of one call must share their profile count")
+    rows = [
+        (s, g, profile, helper, user)
+        for s, schedule in enumerate(schedules)
+        for g, entries in enumerate(schedule.rounds)
+        for profile, part in entries.items()
+        for helper, user in part
+    ]
+    columns = np.array(rows, dtype=np.int32).reshape(-1, 5).T
+    return ServedPairs(num_profiles.pop() if num_profiles else 0, *columns)
 
 
 def count_transmissions(schedule: RoundSchedule, index_size: int) -> int:
@@ -136,65 +186,70 @@ def sum_dof(
 
 def matched_precoders(
     channel: np.ndarray,
-    slots: Sequence[Partition],
+    slots: ServedPairs | Sequence[Partition],
     first_rows: np.ndarray | None = None,
     seeds: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Zero-forcing precoders of a sequence of partitions, side by side in one (E, n) array.
+    """Zero-forcing precoders of every slot of a table, side by side in one (E, rows) array.
 
-    Partition i takes the next len(slots[i]) columns: its matched channel
+    Row r of the table takes column r: each slot's matched channel
     submatrix's inverse on its helpers' rows, zeros elsewhere, so a round's
-    partitions give its Q; random continuous gains make each invertible
-    almost surely.  The m partitions of one size are one (m, size, 2) array
-    of pairs, with one `inv`.  A submatrix A is ill-conditioned when
-    `cond(A)` exceeds `CONDITION_LIMIT`; since cond_2(A) <= |A|_F |A^-1|_F,
-    `cond` runs only on the slots whose product with the computed inverse
-    exceeds half the limit, or on the whole size when `inv` finds an exactly
-    singular one.  Partitions of several trials can share one call:
-    `channel` stacks their channels, partition i's users are rows
-    `first_rows[i] + u`, and an error names its own users and `seeds[i]`.
+    slots give its Q; random continuous gains make each invertible almost
+    surely.  A sequence of partitions is flattened into a table first,
+    partition i as the only slot of schedule i.  The m slots of one size
+    are gathered from the table's columns as (m, size) arrays of helpers and
+    users, with one `inv`.  A submatrix A is ill-conditioned when `cond(A)`
+    exceeds `CONDITION_LIMIT`; since cond_2(A) <= |A|_F |A^-1|_F, `cond`
+    runs only on the slots whose product with the computed inverse exceeds
+    half the limit, or on the whole size when `inv` finds an exactly
+    singular one.  Schedules of several trials can share one call:
+    `channel` stacks their channels, schedule s's users are rows
+    `first_rows[s] + u`, and an error names its own users and `seeds[s]`.
     """
-    by_size: dict[int, list[int]] = {}
-    for i, part in enumerate(slots):
-        by_size.setdefault(len(part), []).append(i)
+    pairs = slots
+    if not isinstance(pairs, ServedPairs):
+        pairs = served_pairs([RoundSchedule(1, ({1: part},)) for part in slots])
+    starts = pairs.slot_starts
+    sizes = np.diff(starts, append=len(pairs))
+    precoders = np.zeros((channel.shape[1], len(pairs)), dtype=complex)
+    _, first_of_size = np.unique(sizes, return_index=True)
+    for size in sizes[np.sort(first_of_size)].tolist():
+        rows = starts[sizes == size, None] + np.arange(size)
+        helpers, users = pairs.helper[rows], pairs.user[rows]
+        owners = pairs.schedule[rows[:, 0]]
 
-    def where(i: int) -> str:
-        helpers, users = zip(*slots[i])
-        trial = "" if seeds is None else f" (seed {seeds[i]})"
-        return f"users {users} on helpers {helpers}{trial}"
+        def where(i: int) -> str:
+            trial = "" if seeds is None else f" (seed {seeds[owners[i]]})"
+            slot_users, slot_helpers = tuple(users[i].tolist()), tuple(helpers[i].tolist())
+            return f"users {slot_users} on helpers {slot_helpers}{trial}"
 
-    columns = np.cumsum([0] + [len(part) for part in slots])
-    precoders = np.zeros((channel.shape[1], columns[-1]), dtype=complex)
-    for size, members in by_size.items():
-        pairs = np.array([slots[i] for i in members], dtype=np.intp).reshape(-1, size, 2)
-        helpers, users = pairs[:, :, 0], pairs[:, :, 1]
-        if first_rows is not None:
-            users += first_rows[members, None]
-        subs = channel[users[:, :, None], helpers[:, None, :]]
+        rows_in_channel = users if first_rows is None else users + first_rows[owners, None]
+        subs = channel[rows_in_channel[:, :, None], helpers[:, None, :]]
         zero = (np.diagonal(subs, axis1=1, axis2=2) == 0).any(axis=1)
         if zero.any():
-            slot = members[int(np.argmax(zero))]
-            raise ValueError(f"matched helper-user link is structurally zero for {where(slot)}")
+            raise ValueError(
+                f"matched helper-user link is structurally zero for {where(int(np.argmax(zero)))}"
+            )
         try:
             inverses = np.linalg.inv(subs)
         except np.linalg.LinAlgError:
-            inverses, suspect = None, np.ones(len(members), dtype=bool)
+            inverses, suspect = None, np.ones(len(rows), dtype=bool)
         else:
             # The computed inverse is far closer than a factor 2 to the true
             # one below the limit (Higham, ch. 14), so a product within half
             # the limit proves cond(A) within it.  A NaN product is a suspect.
             bound = _squared_frobenius(subs) * _squared_frobenius(inverses)
             suspect = ~(bound <= (CONDITION_LIMIT / 2) ** 2)
-        singular = np.zeros(len(members), dtype=bool)
+        singular = np.zeros(len(rows), dtype=bool)
         if suspect.any():
             singular[suspect] = np.linalg.cond(subs[suspect]) > CONDITION_LIMIT
         if singular.any():
-            slot = members[int(np.argmax(singular))]
-            raise SingularChannelError(f"channel submatrix for {where(slot)} is ill-conditioned")
+            raise SingularChannelError(
+                f"channel submatrix for {where(int(np.argmax(singular)))} is ill-conditioned"
+            )
         if inverses is None:
             inverses = np.linalg.inv(subs)  # singular to inv but not to cond: LinAlgError
-        own = columns[members, None] + np.arange(size)
-        precoders[helpers[:, :, None], own[:, None, :]] = inverses
+        precoders[helpers[:, :, None], rows[:, None, :]] = inverses
     return precoders
 
 
@@ -243,17 +298,18 @@ def _transmit(precoder: np.ndarray, messages: np.ndarray) -> np.ndarray:
 def decode_schedules(
     channels: Sequence[np.ndarray],
     symbols: Sequence[np.ndarray],
-    schedules: Sequence[RoundSchedule],
+    schedules: ServedPairs | Sequence[RoundSchedule],
     index_size: int,
     precoders: np.ndarray,
     labels: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """Compose and decode every round of `schedules`; return every intended residual.
+    """Compose and decode every round of a table's schedules; return every intended residual.
 
-    All schedules share one L.  Schedule s serves the users of one trial,
-    whose rows are those of `channels[s]` and `symbols[s]`, each user's
-    `needed_subfiles` symbols; `precoders` are the columns
-    `matched_precoders` gives for the schedules' slots in order.
+    A sequence of schedules, which share one L, is flattened into a table
+    first.  Schedule s serves the users of one trial, whose rows are those
+    of `channels[s]` and `symbols[s]`, each user's `needed_subfiles`
+    symbols; `precoders` are the columns `matched_precoders` gives for the
+    table.
 
     Round g sends every group with a profile served that round: the groups
     in the `group_table` rows of its a(g) active profiles, which must number
@@ -268,39 +324,30 @@ def decode_schedules(
     products, at the shapes of that round alone, so the residuals do not
     depend on which schedules share the call.
 
-    Returns a (served pairs, C(L - 1, t)) array, (0, 0) without schedules:
-    row i is the i-th served (helper, user) pair, schedule by schedule and
-    round by round, and its entries are that user's residuals in
-    `needed_subfiles` order.  Raises DecodeFailure past
-    `DECODE_TOLERANCE * (|symbol| + 1)`, naming the user, round, group and
-    residual of the first failure in transmission order, followed by
+    Returns a (rows, C(L - 1, t)) array, (0, 0) for an empty sequence of
+    schedules: row i is the table's i-th served pair, and its entries are
+    that user's residuals in `needed_subfiles` order.  Raises DecodeFailure
+    past `DECODE_TOLERANCE * (|symbol| + 1)`, naming the user, round, group
+    and residual of the first failure in transmission order, followed by
     `(labels[s])` when given.
     """
-    if not schedules:
+    if isinstance(schedules, ServedPairs):
+        pairs = schedules
+    elif schedules:
+        pairs = served_pairs(schedules)
+    else:
         return np.empty((0, 0))
-    num_profiles = schedules[0].num_profiles
-    if any(schedule.num_profiles != num_profiles for schedule in schedules):
-        raise ValueError("the schedules of one call must share their profile count")
+    num_profiles = pairs.num_profiles
     table = group_table(num_profiles, index_size)
-    # Flatten: a round, a slot per active profile of it, a row per served pair.
-    users: list[int] = []
-    slot_profiles, slot_sizes, slot_rounds = [], [], []
-    round_schedules, round_numbers, bounds = [], [], [0]
-    for s, schedule in enumerate(schedules):
-        for g, entries in enumerate(schedule.rounds):
-            for profile, part in entries.items():
-                slot_profiles.append(profile)
-                slot_sizes.append(len(part))
-                slot_rounds.append(len(round_schedules))
-                for _, user in part:
-                    users.append(user)
-            round_schedules.append(s)
-            round_numbers.append(g)
-            bounds.append(len(users))
-    users = np.array(users, dtype=np.intp)
-    slot_profiles = np.array(slot_profiles, dtype=np.intp)
-    slot_rounds = np.array(slot_rounds, dtype=np.intp)
-    row_profiles = np.repeat(slot_profiles, slot_sizes)
+    # A round, a slot per active profile of it, a row per served pair.
+    round_starts, slot_starts = pairs.round_starts, pairs.slot_starts
+    users, row_profiles = pairs.user, pairs.profile
+    bounds = np.append(round_starts, len(pairs)).tolist()
+    round_schedules = pairs.schedule[round_starts].tolist()
+    round_numbers = pairs.round[round_starts].tolist()
+    slot_sizes = np.diff(slot_starts, append=len(pairs))
+    slot_rounds = np.searchsorted(round_starts, slot_starts, side="right") - 1
+    slot_profiles = row_profiles[slot_starts].astype(np.intp)
 
     sent = np.zeros((len(round_schedules), len(table.groups)), dtype=bool)
     sent[slot_rounds[:, None], table.rank[slot_profiles - 1]] = True
@@ -323,8 +370,7 @@ def decode_schedules(
         columns[slot_rounds[:, None], table.rank[slot_profiles - 1]], slot_sizes, axis=0
     )
     row_rounds = np.repeat(slot_rounds, slot_sizes)
-    starts = np.array(bounds[:-1], dtype=np.intp)
-    positions += ((np.arange(len(users)) - starts[row_rounds]) * widths[row_rounds])[:, None]
+    positions += ((np.arange(len(users)) - round_starts[row_rounds]) * widths[row_rounds])[:, None]
     del columns, row_rounds  # unread by the loop, so they do not add to its memory
 
     residuals = np.empty(positions.shape)
@@ -351,7 +397,7 @@ def decode_schedules(
         failed = ~(residuals[row, k] < DECODE_TOLERANCE * (np.abs(np.array(wanted)) + 1.0))
         if failed.any():
             row, k, r = row[failed], k[failed], r[failed]
-            column = positions[row, k] - (row - starts[r]) * widths[r]
+            column = positions[row, k] - (row - round_starts[r]) * widths[r]
             i = np.lexsort((row, column, r))[0]
             group = table.groups[np.flatnonzero(sent[r[i]])[column[i]]]
             s = round_schedules[r[i]]
@@ -378,10 +424,73 @@ def verify_schedule(
     `precoders` are the columns `matched_precoders` gives for
     `schedule.slots`, computed here unless given.
     """
+    pairs = served_pairs([schedule])
     if precoders is None:
-        precoders = matched_precoders(channel, schedule.slots)
-    residuals = decode_schedules([channel], [symbols], [schedule], index_size, precoders)
+        precoders = matched_precoders(channel, pairs)
+    residuals = decode_schedules([channel], [symbols], pairs, index_size, precoders)
     return float(residuals.max(initial=0.0))
+
+
+def audit_pairs(
+    pairs: ServedPairs, num_users: np.ndarray | None = None
+) -> dict[int, list[str]]:
+    """What each schedule of a table gets wrong, by schedule; one without problems is left out.
+
+    A user served in two or more slots is named with its (round, profile)
+    slots in transmission order, users ascending.  Given `num_users`, the
+    user count K of each schedule, the audit also names the users of
+    0..K-1 that a schedule does not serve, the users it serves from outside
+    them, and every helper it matches to two users of one slot.  A user is
+    counted at its schedule's first key plus its own index, so the work is
+    O(rows + sum K), not schedules times users.
+    """
+    schedule, user = pairs.schedule, pairs.user
+    if num_users is None:
+        sizes = np.zeros(schedule.max(initial=-1) + 1, dtype=np.int64)
+        np.maximum.at(sizes, schedule, user + 1)
+    else:
+        sizes = np.asarray(num_users, dtype=np.int64)
+    firsts = np.concatenate(([0], np.cumsum(sizes)))
+    inside = (user >= 0) & (user < sizes[schedule])
+    everyone_inside = inside.all()
+    key = firsts[schedule] + user
+    served = np.bincount(key if everyone_inside else key[inside], minlength=firsts[-1])
+    problems: dict[int, list[str]] = defaultdict(list)
+    if served.max(initial=0) > 1:
+        twice = np.flatnonzero(inside)
+        twice = twice[served[key[twice]] > 1]
+        twice = twice[np.argsort(key[twice], kind="stable")]  # by schedule and user, then row
+        held: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+        columns = (schedule, user, pairs.round, pairs.profile)
+        for s, u, g, p in zip(*(column[twice].tolist() for column in columns)):
+            held[s, u].append((g, p))
+        for (s, u), slots in held.items():
+            problems[s].append(
+                f"user {u}: served in {len(slots)} slots (round, profile): "
+                + ", ".join(map(str, slots))
+            )
+    if num_users is None:
+        return problems
+    if served.min(initial=1) == 0:
+        missing = np.flatnonzero(served == 0)
+        owners = np.searchsorted(firsts, missing, side="right") - 1
+        for s in np.unique(owners).tolist():
+            unserved = (missing[owners == s] - firsts[s]).tolist()
+            problems[s].append(f"users {unserved} are not served")
+    if not everyone_inside:
+        for s in np.unique(schedule[~inside]).tolist():
+            strangers = np.unique(user[~inside & (schedule == s)]).tolist()
+            problems[s].append(f"users {strangers} are not in the trial")
+    starts = pairs.slot_starts
+    slot = np.repeat(np.arange(starts.size), np.diff(starts, append=len(pairs)))
+    slot_helper = slot * (pairs.helper.max(initial=0) + 1) + pairs.helper
+    _, rows, repeats = np.unique(slot_helper, return_index=True, return_counts=True)
+    for r, count in zip(rows[repeats > 1].tolist(), repeats[repeats > 1].tolist()):
+        problems[int(schedule[r])].append(
+            f"helper {pairs.helper[r]}: matched to {count} users of slot (round, profile) "
+            f"({pairs.round[r]}, {pairs.profile[r]})"
+        )
+    return problems
 
 
 def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:
@@ -392,19 +501,7 @@ def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:
     member, and S -> S minus p maps those groups one to one onto the size-t
     subsets of the other profiles: each needed index once, nothing else.  So
     the audit passes exactly when no user holds two slots; otherwise it names
-    every such user with its slots.  `index_size` does not change the verdict.
+    every such user with its slots (`audit_pairs`).  `index_size` does not
+    change the verdict.
     """
-    served = [u for part in schedule.slots for _, u in part]
-    if len(set(served)) == len(served):
-        return []
-    slots: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for g, entries in enumerate(schedule.rounds):
-        for profile, part in entries.items():
-            for _, user in part:
-                slots[user].append((g, profile))
-    twice = sorted((user, held) for user, held in slots.items() if len(held) > 1)
-    return [
-        f"user {user}: served in {len(held)} slots (round, profile): "
-        + ", ".join(map(str, held))
-        for user, held in twice
-    ]
+    return audit_pairs(served_pairs([schedule])).get(0, [])

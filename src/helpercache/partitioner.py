@@ -14,17 +14,18 @@ ceil(N_S / |S|), where N_S counts the users whose helpers all lie in S
 (Harvey, Ladner, Lovasz & Tamir, "Semi-matchings for bipartite graphs and
 load balancing", J. Algorithms 2006).  `min_partition_counts` evaluates it
 for every profile of a network at once; the sweep takes its exact counts
-from it.  `optimal_partitions` builds the partitions that the decode check
-replays and `partition --method bb` prints: one augmenting-path pass whose
-per-helper capacity starts at 0 and rises only when a search fails, which
-proves it too small.  The pass thus ends at the minimum count, certified,
-with no bisection and no second matching.
-Every builder emits a partition as its (helper, user) pairs (`Partition`),
-which the schedule and the decoder read unchanged.  The least-cost branch
-and bound `bb_assign` is the paper's algorithm; only the acceptance tests
-and the benchmark run it, since its search is exponential in the worst
-case.  The helper-scan of `greedy_assign` is the fast baseline the exact
-methods are measured against.
+from it.  `optimal_placement` builds the partitions that the decode check
+replays: one augmenting-path pass per label whose per-helper capacity
+starts at 0 and rises only when a search fails, which proves it too small.
+The pass thus ends at the minimum count, certified, with no bisection and
+no second matching.  `greedy_placement` is the helper scan of the greedy
+baseline the exact methods are measured against.  Each runs once over all
+the labels of a chunk of verified trials and gives every user its
+partition and helper; `optimal_partitions`, `flow_oracle` and
+`greedy_assign` are their calls on one subnetwork, which `partition`
+prints as (helper, user) pairs (`Partition`).  The least-cost branch and
+bound `bb_assign` is the paper's algorithm; only the acceptance tests and
+the benchmark run it, since its search is exponential in the worst case.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -132,14 +133,24 @@ def _helper_masks(adjacency: np.ndarray) -> np.ndarray:
     return (1 << np.arange(num_helpers, dtype=np.int64)) @ adjacency
 
 
+def helper_candidates(adjacency: np.ndarray) -> list[tuple[int, ...]]:
+    """Per user (column), its linked helpers in ascending order.
+
+    Users with the same links share one tuple: one is made per distinct
+    helper mask.
+    """
+    masks = _helper_masks(adjacency).tolist()
+    helper_sets = {
+        m: tuple(h for h in range(adjacency.shape[0]) if m >> h & 1) for m in set(masks)
+    }
+    return [helper_sets[m] for m in masks]
+
+
 def subnetworks_from_connectivity(
     conn: Connectivity, assignment: ProfileAssignment
 ) -> dict[int, ProfileSubnetwork]:
     """Split the network by cache profile; users keep their connectivity column ids."""
-    masks = _helper_masks(conn.adjacency).tolist()
-    helper_sets = {
-        m: tuple(h for h in range(conn.num_helpers) if m >> h & 1) for m in set(masks)
-    }
+    candidates = helper_candidates(conn.adjacency)
     users: list[list[int]] = [[] for _ in range(assignment.num_profiles + 1)]
     for k, profile in enumerate(assignment.profile_of.tolist()):
         users[profile].append(k)
@@ -147,7 +158,7 @@ def subnetworks_from_connectivity(
         profile: ProfileSubnetwork(
             profile=profile,
             users=tuple(users[profile]),
-            candidates=tuple(helper_sets[masks[k]] for k in users[profile]),
+            candidates=tuple(candidates[k] for k in users[profile]),
             num_helpers=conn.num_helpers,
         )
         for profile in range(1, assignment.num_profiles + 1)
@@ -277,34 +288,6 @@ def build_tables(subnet: ProfileSubnetwork) -> DegreeTables:
     )
 
 
-def greedy_assign(subnet: ProfileSubnetwork) -> PartitionSet:
-    """Baseline: repeatedly scan helpers in index order, each taking the first free user."""
-    num = subnet.num_users
-    per_helper: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
-    for pos, cand in enumerate(subnet.candidates):
-        for h in cand:
-            per_helper[h].append(pos)
-    placed = [False] * num
-    cursor = [0] * subnet.num_helpers
-    remaining = num
-    partitions = []
-    while remaining:
-        part = []
-        for h in range(subnet.num_helpers):
-            queue = per_helper[h]
-            i = cursor[h]
-            while i < len(queue) and placed[queue[i]]:
-                i += 1
-            cursor[h] = i
-            if i < len(queue):
-                pos = queue[i]
-                placed[pos] = True
-                remaining -= 1
-                part.append((h, subnet.users[pos]))
-        partitions.append(tuple(part))
-    return PartitionSet(partitions=tuple(partitions), num_helpers=subnet.num_helpers)
-
-
 def _bump(loads: tuple[int, ...], helper: int) -> tuple[int, ...]:
     return loads[:helper] + (loads[helper] + 1,) + loads[helper + 1 :]
 
@@ -411,13 +394,39 @@ def _partitions_from_queues(queues: list[list[int]], count: int) -> PartitionSet
     return PartitionSet(partitions=partitions, num_helpers=len(queues))
 
 
-def _place(subnet: ProfileSubnetwork) -> tuple[list[int], int]:
-    """Each user's helper in a placement with the fewest users per helper, and that number.
+def _label_runs(labels: np.ndarray) -> tuple[list[int], list[int]]:
+    """The users ordered by label, keeping their order within a label, and the
+    bounds of each label's run in that order."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    ends = np.flatnonzero(np.diff(labels[order])) + 1
+    return order.tolist(), [0, *ends.tolist(), labels.size]
 
-    One pass places the users in order along augmenting paths, no helper
-    taking more than `cap` users; `cap` starts at 0.  If no path from a
-    user reaches a helper with room, `cap` rises by one and the user takes
-    its first candidate, since every helper then has room.
+
+def _ranks(labels: np.ndarray, helper: np.ndarray, num_helpers: int) -> np.ndarray:
+    """Each user's place, in user order, among the users of its label and helper."""
+    key = np.asarray(labels, dtype=np.int64) * num_helpers + helper
+    order = np.argsort(key, kind="stable")
+    position = np.arange(key.size)
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    ranks = np.empty(key.size, dtype=np.intp)
+    ranks[order] = position - np.maximum.accumulate(np.where(first, position, 0))
+    return ranks
+
+
+def optimal_placement(
+    candidates: Sequence[tuple[int, ...]], labels: np.ndarray, num_helpers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's partition and helper in a placement with the fewest partitions per label.
+
+    User i may take the helpers `candidates[i]`, nonempty and ascending, and
+    belongs to label `labels[i]`; a label is one profile's subnetwork, its
+    users in index order.  Per label, one pass places the users in order
+    along augmenting paths, no helper taking more than `cap` users; `cap`
+    starts at 0.  If no path from a user reaches a helper with room, `cap`
+    rises by one and the user takes its first candidate, since every helper
+    then has room.
 
     The final `cap` is the minimum.  It rises only after a failed search,
     and then every user placed so far is matched, so their matching is
@@ -425,65 +434,128 @@ def _place(subnet: ProfileSubnetwork) -> tuple[list[int], int]:
     those users and the next cannot all be placed at `cap`, so neither can
     all users.  That proof certifies the count without a second matching.
     The path search keeps an explicit stack, so its depth is not bounded by
-    Python's recursion limit.
+    Python's recursion limit.  Partition g pairs every helper with the g-th
+    of its users in user order, so a label's largest partition index is
+    its `cap` less one.
     """
-    holders: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
-    held_by = [-1] * subnet.num_users  # helper of each placed user
-    cap = 0
-    for start in range(subnet.num_users):
-        reached_from: dict[int, int] = {}  # helper -> user that reached it first
-        stack = [start]
-        free = -1
-        while stack and free < 0:
-            pos = stack.pop()
-            for h in subnet.candidates[pos]:
-                if h in reached_from:
-                    continue
-                reached_from[h] = pos
-                if len(holders[h]) < cap:
-                    free = h
+    order, bounds = _label_runs(labels)
+    held_by = [-1] * len(candidates)  # helper of each placed user
+    for first, last in zip(bounds, bounds[1:]):
+        holders: list[list[int]] = [[] for _ in range(num_helpers)]
+        cap = 0
+        for start in order[first:last]:
+            own = candidates[start]
+            # The search looks at the user's own helpers first, in order, so
+            # the first of them with room ends it on a path of one link.
+            for free in own:
+                if len(holders[free]) < cap:
+                    holders[free].append(start)
+                    held_by[start] = free
                     break
-                stack.extend(holders[h])
-        if free < 0:
-            cap += 1
-            free = subnet.candidates[start][0]
-            reached_from = {free: start}
-        # Shift every user on the path one helper along, ending at the free slot.
-        helper = free
-        while helper >= 0:
-            pos = reached_from[helper]
-            previous = held_by[pos]
-            holders[helper].append(pos)
-            held_by[pos] = helper
-            if previous >= 0:
-                holders[previous].remove(pos)
-            helper = previous
-    return held_by, cap
+            else:
+                reached_from = dict.fromkeys(own, start)  # helper -> user that reached it first
+                stack = [pos for h in own for pos in holders[h]]
+                free = -1
+                while stack and free < 0:
+                    pos = stack.pop()
+                    for h in candidates[pos]:
+                        if h in reached_from:
+                            continue
+                        reached_from[h] = pos
+                        if len(holders[h]) < cap:
+                            free = h
+                            break
+                        stack.extend(holders[h])
+                if free < 0:
+                    cap += 1
+                    free = own[0]
+                    reached_from = {free: start}
+                # Shift every user on the path one helper along, ending at the free slot.
+                helper = free
+                while helper >= 0:
+                    pos = reached_from[helper]
+                    previous = held_by[pos]
+                    holders[helper].append(pos)
+                    held_by[pos] = helper
+                    if previous >= 0:
+                        holders[previous].remove(pos)
+                    helper = previous
+    helper = np.array(held_by, dtype=np.intp)
+    return _ranks(labels, helper, num_helpers), helper
+
+
+def greedy_placement(
+    candidates: Sequence[tuple[int, ...]], labels: np.ndarray, num_helpers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's partition and helper in the greedy baseline, label by label.
+
+    Arguments as for `optimal_placement`.  Partition g of a label is pass g
+    of a scan over the helpers in index order, in which each helper takes
+    its first free user in user order; passes repeat until every user of
+    the label is placed.
+    """
+    order, bounds = _label_runs(labels)
+    partition = [0] * len(candidates)
+    held_by = [0] * len(candidates)
+    placed = bytearray(len(candidates))
+    for first, last in zip(bounds, bounds[1:]):
+        queues: list[list[int]] = [[] for _ in range(num_helpers)]
+        for user in order[first:last]:
+            for h in candidates[user]:
+                queues[h].append(user)
+        scans = [[h, queue, 0] for h, queue in enumerate(queues) if queue]  # helper, queue, cursor
+        remaining, g = last - first, 0
+        while remaining:
+            for scan in scans:
+                h, queue, i = scan
+                while i < len(queue) and placed[queue[i]]:
+                    i += 1
+                if i < len(queue):
+                    user = queue[i]
+                    placed[user] = 1
+                    remaining -= 1
+                    partition[user], held_by[user] = g, h
+                    i += 1
+                scan[2] = i
+            g += 1
+    return np.array(partition, dtype=np.intp), np.array(held_by, dtype=np.intp)
+
+
+def _one_label(
+    subnet: ProfileSubnetwork, builder: Callable[..., tuple[np.ndarray, np.ndarray]]
+) -> PartitionSet:
+    """The partitions `builder` makes of one subnetwork, pairs of a partition by helper."""
+    partition, helper = builder(subnet.candidates, np.zeros(subnet.num_users), subnet.num_helpers)
+    parts: list[list[tuple[int, int]]] = [[] for _ in range(int(partition.max(initial=-1)) + 1)]
+    for g, h, user in sorted(zip(partition.tolist(), helper.tolist(), subnet.users)):
+        parts[g].append((h, user))
+    return PartitionSet(partitions=tuple(map(tuple, parts)), num_helpers=subnet.num_helpers)
+
+
+def greedy_assign(subnet: ProfileSubnetwork) -> PartitionSet:
+    """Baseline: repeatedly scan helpers in index order, each taking the first free user."""
+    return _one_label(subnet, greedy_placement)
 
 
 def optimal_partitions(subnet: ProfileSubnetwork) -> PartitionSet:
     """Partitions of an optimal assignment: the fewest for the subnetwork.
 
-    One pass of `_place` finds the minimum partition count and a placement
-    at it; no fewer partitions exist, because the pass raises its count
-    only after a failed search proves it too small.  Partition g pairs
-    every helper with the g-th of its users in user order.
+    One `optimal_placement` pass finds the minimum partition count and a
+    placement at it; no fewer partitions exist, because the pass raises its
+    count only after a failed search proves it too small.  Partition g
+    pairs every helper with the g-th of its users in user order.
     """
-    held_by, count = _place(subnet)
-    queues: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
-    for user, helper in zip(subnet.users, held_by):
-        queues[helper].append(user)
-    return _partitions_from_queues(queues, count)
+    return _one_label(subnet, optimal_placement)
 
 
 def flow_oracle(subnet: ProfileSubnetwork) -> int:
-    """The minimum partition count, from the one pass of `_place`.
+    """The minimum partition count, from the one pass of `optimal_placement`.
 
-    It shares that pass with `optimal_partitions`, so it is independent of
-    Hall's formula and `bb_assign`, not of verified trials or of
-    `partition --method bb`.
+    It shares that pass with `optimal_partitions` and verified trials, so it
+    is independent of Hall's formula and `bb_assign`, not of verified trials
+    or of `partition --method bb`.
     """
-    return _place(subnet)[1]
+    return optimal_partitions(subnet).count
 
 
 def format_partition_set(pset: PartitionSet) -> str:

@@ -34,8 +34,8 @@ from .cache_placement import (
     ensure_valid,
 )
 from .delivery import (
-    build_schedule,
-    coverage_check,
+    ServedPairs,
+    audit_pairs,
     decode_schedules,
     delivery_time,
     matched_precoders,
@@ -43,13 +43,11 @@ from .delivery import (
     transmissions_from_counts,
 )
 from .partitioner import (
-    PartitionSet,
-    ProfileSubnetwork,
-    greedy_assign,
     greedy_counts,
+    greedy_placement,
+    helper_candidates,
     min_partition_counts,
-    optimal_partitions,
-    subnetworks_from_connectivity,
+    optimal_placement,
 )
 from .topology import (
     Connectivity,
@@ -120,6 +118,7 @@ class PointConfig:
         ]
         problems += _real_problems(
             (
+                ("cache fraction", self.gamma),
                 ("transmission radius", self.radius),
                 ("user disk radius", self.user_radius),
                 ("user density", self.density),
@@ -448,86 +447,135 @@ class PointOutcome:
     dof: dict[str, np.ndarray]  # per method, (T,) sum-DoF; NaN without users
 
 
-def _partition_sets(
-    method: str, subnets: dict[int, ProfileSubnetwork], counts: list[int], seed: int
-) -> dict[int, PartitionSet]:
-    """Every profile's partitions, whose counts must be the evaluated row `counts`.
+# The one-profile builder whose partitions a method's verified counts are
+# those of, and where the evaluated counts come from, as errors name them.
+_BUILT_BY = {
+    "bb": ("optimal_partitions", "Hall's formula"),
+    "greedy": ("greedy_assign", "greedy_counts"),
+}
 
-    bb's come from `optimal_partitions`, the fewest there are, so the check
-    proves Hall's count the minimum; greedy's scan must reproduce
-    `greedy_counts`.  Raises RuntimeError, naming the trial seed, if a
-    count differs.
+
+def _pair_table(
+    point: PointConfig,
+    placements: Sequence[tuple[np.ndarray, np.ndarray]],
+    labels: np.ndarray,
+    first_users: np.ndarray,
+) -> ServedPairs:
+    """A chunk's placements, one per method, as one table of served pairs.
+
+    `placements[m]` gives every user of the chunk its partition and helper
+    under method m, `labels` its label i * L + p, and `first_users[i]` is
+    the column of trial i's first user.  Schedule i * M + m is trial i's
+    under method m, round g of it holds partition g of every profile, and
+    users are the trial's own.  One stable sort of a key packing (schedule,
+    round, profile, helper) puts the rows in transmission order.
     """
-    if method == "bb":
-        builder, source = optimal_partitions, "Hall's formula"
-    else:
-        builder, source = greedy_assign, "greedy_counts"
-    psets = {profile: builder(subnet) for profile, subnet in subnets.items()}
-    built = tuple(psets[profile].count for profile in sorted(psets))
-    if built != tuple(counts):
+    methods = len(placements)
+    trial, profile = np.divmod(labels - 1, point.profiles)
+    schedule = np.concatenate([trial * methods + m for m in range(methods)])
+    rounds = np.concatenate([partition for partition, _ in placements])
+    profile = np.tile(profile, methods)
+    helper = np.concatenate([h for _, h in placements])
+    user = np.tile(np.arange(labels.size) - first_users[trial], methods)
+    key = schedule * (rounds.max(initial=0) + 1) + rounds
+    key = (key * point.profiles + profile) * point.helpers + helper
+    order = np.argsort(key, kind="stable")
+    columns = (schedule, rounds, profile + 1, helper, user)
+    return ServedPairs(point.profiles, *(column[order].astype(np.int32) for column in columns))
+
+
+def _checked_pairs(
+    point: PointConfig,
+    adjacency: np.ndarray,
+    labels: np.ndarray,
+    num_users: np.ndarray,
+    seeds: Sequence[int],
+    counts: dict[str, np.ndarray],
+) -> ServedPairs:
+    """Every verified schedule of a chunk as one table, after its counts and coverage are checked.
+
+    One builder call per method places the users of every label of the
+    chunk: `optimal_placement` for bb, whose partitions are the fewest
+    there are, so the check proves Hall's count the minimum, and
+    `greedy_placement` for greedy, which must reproduce `greedy_counts`.
+    Each label's built count must be the evaluated one, and the table must
+    pass `audit_pairs`: every user of a trial served once by each method,
+    no user from outside it, no helper twice in a slot.  A failure raises
+    RuntimeError naming the trial seed, for the first failing trial in seed
+    order: a count before the audit, methods in order.
+    """
+    methods = list(counts)
+    trials = len(seeds)
+    candidates = helper_candidates(adjacency)
+    placements, built = [], []
+    for method in methods:
+        builder = optimal_placement if method == "bb" else greedy_placement
+        partition, helper = builder(candidates, labels, point.helpers)
+        placements.append((partition, helper))
+        made = np.zeros(trials * point.profiles, dtype=np.int64)
+        np.maximum.at(made, labels - 1, partition + 1)
+        built.append(made.reshape(trials, point.profiles))
+    wrong = np.array([(made != counts[m]).any(axis=1) for made, m in zip(built, methods)])
+    pairs = _pair_table(point, placements, labels, np.cumsum(num_users) - num_users)
+    problems = audit_pairs(pairs, np.repeat(num_users, len(methods)))
+    audited = np.zeros((trials, len(methods)), dtype=bool)
+    audited.flat[list(problems)] = True
+    failing = np.flatnonzero(wrong.any(axis=0) | audited.any(axis=1))
+    if failing.size:
+        i = failing[0]
+        if wrong[:, i].any():
+            m = int(np.argmax(wrong[:, i]))
+            name, source = _BUILT_BY[methods[m]]
+            raise RuntimeError(
+                f"{name} partition counts {tuple(built[m][i].tolist())} differ from {source} "
+                f"{tuple(counts[methods[m]][i].tolist())} (seed {seeds[i]})"
+            )
+        m = int(np.argmax(audited[i]))
         raise RuntimeError(
-            f"{builder.__name__} partition counts {built} differ from {source} "
-            f"{tuple(counts)} (seed {seed})"
+            f"coverage audit failed (seed {seeds[i]}, method {methods[m]}): "
+            + "; ".join(problems[i * len(methods) + m][:5])
         )
-    return psets
+    return pairs
 
 
 def _verify_chunk(
-    point: PointConfig, draws: Sequence[TrialDraw], counts: dict[str, np.ndarray]
+    point: PointConfig,
+    adjacency: np.ndarray,
+    labels: np.ndarray,
+    num_users: np.ndarray,
+    draws: Sequence[TrialDraw],
+    counts: dict[str, np.ndarray],
 ) -> None:
-    """Build each verified trial's partitions at its counts, then decode and audit them.
+    """Build every verified schedule of a chunk at its counts, audit it, then decode it.
 
-    Trial i's counts are row i of each method's array.  Every schedule of
-    the chunk is inverted by one `matched_precoders` call over the trials'
-    stacked channels, and replayed by one `decode_schedules` call, each on
-    its own trial's channel and symbols.  Every error names the trial seed.
+    `adjacency`, `labels` and `num_users` are the chunk's from `_draw_chunk`,
+    and trial i's counts are row i of each method's array.  The schedules
+    are one table of served pairs (`_checked_pairs`).  Every schedule is
+    inverted by one `matched_precoders` call over the trials' stacked
+    channels, and replayed by one `decode_schedules` call, each on its own
+    trial's channel and symbols.  Every error names the trial seed.
     """
-    checks = []  # (trial, method, schedule, symbols) of each trial with users
-    for i, draw in enumerate(draws):
-        subnets = subnetworks_from_connectivity(draw.conn, draw.assignment)
-        psets = {
-            method: _partition_sets(method, subnets, expected[i].tolist(), draw.seed)
-            for method, expected in counts.items()
-        }
-        if draw.conn.num_users == 0:
-            continue
-        everyone = set(range(draw.conn.num_users))
-        demands = {k: k for k in range(draw.conn.num_users)}  # distinct worst-case demands
-        symbols = draw_subfile_symbols(draw.assignment, demands, point.index_size, draw.rng)
-        for method, sets in psets.items():
-            schedule = build_schedule(sets, point.profiles)
-            problems = coverage_check(schedule, point.index_size)
-            served = {user for part in schedule.slots for _, user in part}
-            if everyone - served:
-                problems.append(f"users {sorted(everyone - served)} are not served")
-            if served - everyone:
-                problems.append(f"users {sorted(served - everyone)} are not in the trial")
-            if problems:
-                raise RuntimeError(
-                    f"coverage audit failed (seed {draw.seed}, method {method}): "
-                    + "; ".join(problems[:5])
-                )
-            checks.append((i, method, schedule, symbols))
-    # the chunk's partitions, schedule by schedule
-    slots, slot_trials = [], []
-    for i, _, schedule, _ in checks:
-        own = schedule.slots
-        slots.extend(own)
-        slot_trials.extend([i] * len(own))
-    first_rows = np.cumsum([0] + [draw.conn.num_users for draw in draws])
+    pairs = _checked_pairs(point, adjacency, labels, num_users, [d.seed for d in draws], counts)
+    methods = len(counts)
+    symbols = [
+        draw_subfile_symbols(
+            draw.assignment, {k: k for k in range(draw.conn.num_users)}, point.index_size, draw.rng
+        )
+        for draw in draws
+    ]  # distinct worst-case demands
     precoders = matched_precoders(
         np.concatenate([draw.channel for draw in draws]),
-        slots,
-        first_rows[slot_trials],
-        [draws[i].seed for i in slot_trials],
+        pairs,
+        np.repeat(np.cumsum(num_users) - num_users, methods),
+        [draw.seed for draw in draws for _ in range(methods)],
     )
     decode_schedules(
-        [draws[i].channel for i, _, _, _ in checks],
-        [symbols for _, _, _, symbols in checks],
-        [schedule for _, _, schedule, _ in checks],
+        [draw.channel for draw in draws for _ in range(methods)],
+        [own for own in symbols for _ in range(methods)],
+        pairs,
         point.index_size,
         precoders,
-        [f"seed {draws[i].seed}, method {method}" for i, method, _, _ in checks],
+        [f"seed {draw.seed}, method {method}" for draw in draws for method in counts],
     )
 
 
@@ -541,11 +589,12 @@ def run_point(
 
     Every partition count comes from `evaluate_counts`, and transmissions,
     delivery time and sum-DoF from the counts in closed form.  With
-    `verify` set, each trial's partitions are also built: greedy's by
-    `greedy_assign`, and bb's by `optimal_partitions`, whose one matching
-    pass finds the fewest; every built count must equal the evaluated one.
-    Every transmission is then composed, decoded, and audited for complete
-    coverage.  The branch and bound `bb_assign` does not run here: on a
+    `verify` set, the partitions of every trial of a chunk are also built,
+    by one call per method: greedy's by `greedy_placement`, and bb's by
+    `optimal_placement`, whose one matching pass per label finds the
+    fewest; every built count must equal the evaluated one.  Every
+    transmission is then audited for complete coverage, composed and
+    decoded.  The branch and bound `bb_assign` does not run here: on a
     19-helper point its search ran for more than 30 s on a single profile.
     """
     _check_methods(methods, verify)
@@ -565,7 +614,7 @@ def run_point(
         adjacency, labels, chunk_users, draws = _draw_chunk(point, seeds, verify)
         chunk = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods)
         if verify:
-            _verify_chunk(point, draws, chunk)
+            _verify_chunk(point, adjacency, labels, chunk_users, draws, chunk)
         users.append(chunk_users)
         chunks.append(chunk)
 

@@ -1,12 +1,17 @@
-"""Exhaustive reference for the minimum partition count, kept out of the library.
+"""References for the partitioner, kept out of the library.
 
 The library answers "fewest partitions of a profile" with Hall's formula
-(`min_partition_counts`) and a certified matching (`optimal_partitions`);
-the paper's branch and bound `bb_assign` is checked against both.  This
-module is the oracle independent of all three: it tries every helper
-choice of the multi-homed users and keeps the smallest bottleneck load.
-Its cost is the product of the users' degrees, so it refuses instances
-above a guard.
+(`min_partition_counts`) and a certified matching (`optimal_placement`);
+the paper's branch and bound `bb_assign` is checked against both.
+`brute_force_min_partitions` is the oracle independent of all three: it
+tries every helper choice of the multi-homed users and keeps the smallest
+bottleneck load.  Its cost is the product of the users' degrees, so it
+refuses instances above a guard.
+
+`greedy_assign`, `_place` and `optimal_partitions` are the per-profile
+builders that verified trials ran before the library placed every label
+of a chunk in one call, kept as they were: the chunk builders must give
+the same (helper, user) pairs, partition by partition.
 """
 
 from __future__ import annotations
@@ -16,7 +21,12 @@ from itertools import islice, product
 
 import numpy as np
 
-from helpercache.partitioner import ProfileSubnetwork, build_tables
+from helpercache.partitioner import (
+    PartitionSet,
+    ProfileSubnetwork,
+    _partitions_from_queues,
+    build_tables,
+)
 
 
 class InstanceTooLargeError(ValueError):
@@ -46,3 +56,96 @@ def brute_force_min_partitions(subnet: ProfileSubnetwork, guard: int = 10**7) ->
             loads[:, h] = base[h] + (arr == h).sum(axis=1)
         best = min(best, int(loads.max(axis=1).min()))
     return int(best)
+
+
+def greedy_assign(subnet: ProfileSubnetwork) -> PartitionSet:
+    """Baseline: repeatedly scan helpers in index order, each taking the first free user."""
+    num = subnet.num_users
+    per_helper: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
+    for pos, cand in enumerate(subnet.candidates):
+        for h in cand:
+            per_helper[h].append(pos)
+    placed = [False] * num
+    cursor = [0] * subnet.num_helpers
+    remaining = num
+    partitions = []
+    while remaining:
+        part = []
+        for h in range(subnet.num_helpers):
+            queue = per_helper[h]
+            i = cursor[h]
+            while i < len(queue) and placed[queue[i]]:
+                i += 1
+            cursor[h] = i
+            if i < len(queue):
+                pos = queue[i]
+                placed[pos] = True
+                remaining -= 1
+                part.append((h, subnet.users[pos]))
+        partitions.append(tuple(part))
+    return PartitionSet(partitions=tuple(partitions), num_helpers=subnet.num_helpers)
+
+
+def _place(subnet: ProfileSubnetwork) -> tuple[list[int], int]:
+    """Each user's helper in a placement with the fewest users per helper, and that number.
+
+    One pass places the users in order along augmenting paths, no helper
+    taking more than `cap` users; `cap` starts at 0.  If no path from a
+    user reaches a helper with room, `cap` rises by one and the user takes
+    its first candidate, since every helper then has room.
+
+    The final `cap` is the minimum.  It rises only after a failed search,
+    and then every user placed so far is matched, so their matching is
+    maximum at `cap`; by Berge's theorem the failed search proves that
+    those users and the next cannot all be placed at `cap`, so neither can
+    all users.  That proof certifies the count without a second matching.
+    The path search keeps an explicit stack, so its depth is not bounded by
+    Python's recursion limit.
+    """
+    holders: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
+    held_by = [-1] * subnet.num_users  # helper of each placed user
+    cap = 0
+    for start in range(subnet.num_users):
+        reached_from: dict[int, int] = {}  # helper -> user that reached it first
+        stack = [start]
+        free = -1
+        while stack and free < 0:
+            pos = stack.pop()
+            for h in subnet.candidates[pos]:
+                if h in reached_from:
+                    continue
+                reached_from[h] = pos
+                if len(holders[h]) < cap:
+                    free = h
+                    break
+                stack.extend(holders[h])
+        if free < 0:
+            cap += 1
+            free = subnet.candidates[start][0]
+            reached_from = {free: start}
+        # Shift every user on the path one helper along, ending at the free slot.
+        helper = free
+        while helper >= 0:
+            pos = reached_from[helper]
+            previous = held_by[pos]
+            holders[helper].append(pos)
+            held_by[pos] = helper
+            if previous >= 0:
+                holders[previous].remove(pos)
+            helper = previous
+    return held_by, cap
+
+
+def optimal_partitions(subnet: ProfileSubnetwork) -> PartitionSet:
+    """Partitions of an optimal assignment: the fewest for the subnetwork.
+
+    One pass of `_place` finds the minimum partition count and a placement
+    at it; no fewer partitions exist, because the pass raises its count
+    only after a failed search proves it too small.  Partition g pairs
+    every helper with the g-th of its users in user order.
+    """
+    held_by, count = _place(subnet)
+    queues: list[list[int]] = [[] for _ in range(subnet.num_helpers)]
+    for user, helper in zip(subnet.users, held_by):
+        queues[helper].append(user)
+    return _partitions_from_queues(queues, count)

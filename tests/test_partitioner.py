@@ -1,12 +1,13 @@
 import hashlib
 import io
 import math
+import random
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_INSTANCE
@@ -20,13 +21,17 @@ from helpercache.partitioner import (
     format_partition_set,
     greedy_assign,
     greedy_counts,
+    greedy_placement,
+    helper_candidates,
     load_instance,
     min_partition_counts,
     optimal_partitions,
+    optimal_placement,
     partitions_from_assignment,
     subnetworks_from_connectivity,
 )
 from helpercache.topology import Connectivity, connect, hex_layout, sample_users
+import partition_reference
 from partition_reference import InstanceTooLargeError, brute_force_min_partitions
 
 
@@ -210,6 +215,71 @@ def test_hall_counts_match_oracles(hall_count, subnet):
     assert pset.count == hall == flow_oracle(subnet) == brute
     assert hall <= greedy_assign(subnet).count
     _check_partition_set(subnet, pset)
+
+
+@st.composite
+def _label_chunks(draw):
+    """Users of several labels: ragged, some labels empty, user ids in any order."""
+    num_helpers = draw(st.integers(1, 7))
+    num_labels = draw(st.integers(1, 5))
+    users = draw(st.lists(
+        st.tuples(st.integers(0, num_labels - 1), st.integers(1, (1 << num_helpers) - 1)),
+        max_size=40,
+    ))
+    ids = draw(st.permutations(range(len(users))))
+    return num_helpers, num_labels, [label for label, _ in users], [mask for _, mask in users], ids
+
+
+def _seeded_chunk(num_helpers, sizes, seed, degree=None):
+    """A chunk whose label p holds sizes[p] users with random links, ids shuffled."""
+    rng = random.Random(seed)
+    labels = [label for label, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(labels)
+    masks = [
+        sum(1 << h for h in rng.sample(range(num_helpers), degree or rng.randint(1, num_helpers)))
+        for _ in labels
+    ]
+    ids = list(range(len(labels)))
+    rng.shuffle(ids)
+    return num_helpers, len(sizes), labels, masks, ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_chunks())
+@example(_seeded_chunk(3, [70, 0, 5], seed=1))  # a label past 64 users, and an empty one
+@example(_seeded_chunk(19, [30, 12, 0, 7], seed=2))  # 19 helpers
+@example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))  # single-helper users only
+@example((2, 3, [], [], []))  # a chunk without users
+def test_chunk_builders_match_the_per_profile_references(chunk):
+    # One call places every label of a chunk; each label's (helper, user)
+    # pairs, partition by partition, must be those of the per-profile
+    # builders that ran before, on the label's users in chunk order.
+    num_helpers, num_labels, labels, masks, ids = chunk
+    adjacency = np.array(
+        [[m >> h & 1 for m in masks] for h in range(num_helpers)], dtype=bool
+    ).reshape(num_helpers, len(masks))
+    candidates = helper_candidates(adjacency)
+    assert candidates == [tuple(h for h in range(num_helpers) if m >> h & 1) for m in masks]
+    labels = np.array(labels, dtype=np.int64)
+    for builder, one_label, reference in (
+        (optimal_placement, optimal_partitions, partition_reference.optimal_partitions),
+        (greedy_placement, greedy_assign, partition_reference.greedy_assign),
+    ):
+        partition, helper = builder(candidates, labels, num_helpers)
+        assert partition.shape == helper.shape == labels.shape
+        for label in range(num_labels):
+            members = np.flatnonzero(labels == label).tolist()
+            own = tuple(candidates[i] for i in members)
+            subnet = ProfileSubnetwork(1, tuple(ids[i] for i in members), own, num_helpers)
+            parts: dict[int, list[tuple[int, int]]] = {}
+            for i in members:
+                parts.setdefault(int(partition[i]), []).append((int(helper[i]), ids[i]))
+            built = tuple(tuple(sorted(parts[g])) for g in range(len(parts)))
+            expected = reference(subnet).partitions
+            assert built == expected, (builder.__name__, label)
+            assert one_label(subnet).partitions == expected
+            if builder is optimal_placement:
+                assert flow_oracle(subnet) == len(expected)
 
 
 # Inputs both batched counts refuse, with the message they must give.

@@ -19,7 +19,14 @@ from conftest import REFERENCE_INSTANCE
 from helpercache import cli, delivery, partitioner, sim_harness
 from helpercache.cache_placement import ConfigError, ProfileAssignment, assign_profiles
 from helpercache.cli import main
-from helpercache.delivery import DecodeFailure, SingularChannelError, decode_schedules
+from helpercache.delivery import (
+    DecodeFailure,
+    ServedPairs,
+    SingularChannelError,
+    build_schedule,
+    decode_schedules,
+    served_pairs,
+)
 from helpercache.partitioner import (
     greedy_assign,
     greedy_counts,
@@ -119,11 +126,26 @@ def test_verified_trial_matches_unverified_stats():
         _assert_same_outcome(plain, run_point(_point(radius=radius), seeds, verify=True))
 
 
+def _shifted(builder, error, first_label=0):
+    """`builder`, with every partition of the first nonempty label above
+    `first_label` moved by `error`: that label's count moves by `error`."""
+
+    def shifted(candidates, labels, num_helpers):
+        partition, helper = builder(candidates, labels, num_helpers)
+        label = labels[labels > first_label].min()
+        partition[labels == label] += error
+        return partition, helper
+
+    return shifted
+
+
 def test_verified_trial_rejects_count_mismatch(monkeypatch):
     # The batched Hall call is off by one on a single label: 2 * L + 2 is
     # profile 3 of the third trial, which must be the trial that fails.
     # The built partitions are the fewest there are, so a count one too
-    # high differs from theirs as much as one too low.
+    # high differs from theirs as much as one too low.  The same fault in
+    # the chunk's placement, on the third trial's first label with users,
+    # names the same trial.
     config = ExperimentConfig(
         helpers=4, gamma=0.1, user_radius=2.7, trials=4, seed=2, sweep="r", values=(1.2,),
         profiles=10, density=REFERENCE_DENSITY, verify=True,
@@ -135,9 +157,17 @@ def test_verified_trial_rejects_count_mismatch(monkeypatch):
             counts[2 * 10 + 2] += error
             return counts
 
-        monkeypatch.setattr(sim_harness, "min_partition_counts", off_by_one)
-        with pytest.raises(RuntimeError, match="Hall's formula") as failure:
-            run_sweep(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim_harness, "min_partition_counts", off_by_one)
+            with pytest.raises(RuntimeError, match="Hall's formula") as failure:
+                run_sweep(config)
+        assert f"(seed {derive_trial_seed(2, 2)})" in str(failure.value)
+        with pytest.MonkeyPatch.context() as patch:
+            shifted = _shifted(sim_harness.optimal_placement, error, first_label=2 * 10)
+            patch.setattr(sim_harness, "optimal_placement", shifted)
+            expected = "^optimal_partitions partition counts .* differ from Hall's formula"
+            with pytest.raises(RuntimeError, match=expected) as failure:
+                run_sweep(config)
         assert f"(seed {derive_trial_seed(2, 2)})" in str(failure.value)
 
 
@@ -145,25 +175,50 @@ def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
     def off_by_one(adjacency, labels, num_labels):
         return greedy_counts(adjacency, labels, num_labels) + 1
 
-    monkeypatch.setattr(sim_harness, "greedy_counts", off_by_one)
-    with pytest.raises(RuntimeError, match="greedy_assign partition counts .* differ"):
-        run_point(_point(), [derive_trial_seed(2, 7)], verify=True)
+    seed = derive_trial_seed(2, 7)
+    expected = rf"greedy_assign partition counts .* differ from greedy_counts .* \(seed {seed}\)"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_harness, "greedy_counts", off_by_one)
+        with pytest.raises(RuntimeError, match=expected):
+            run_point(_point(), [seed], verify=True)
+    monkeypatch.setattr(sim_harness, "greedy_placement", _shifted(sim_harness.greedy_placement, 1))
+    with pytest.raises(RuntimeError, match=expected):
+        run_point(_point(), [seed], verify=True)
 
 
 def test_verified_bb_runs_one_matching_pass_per_profile(monkeypatch):
-    # One pass finds each profile's fewest partitions and certifies them;
-    # no second matching runs, not even for a profile without users.
-    place, calls = partitioner._place, []
+    # One placement call per chunk places every label of it, each in one
+    # pass that finds and certifies its fewest partitions; no second
+    # matching runs.  Every label's count is checked, empty ones too.
+    calls = []
 
-    def counted(subnet):
-        calls.append(subnet.profile)
-        return place(subnet)
+    def counted(candidates, labels, num_helpers, place=sim_harness.optimal_placement):
+        calls.append(labels.copy())
+        return place(candidates, labels, num_helpers)
 
-    monkeypatch.setattr(partitioner, "_place", counted)
+    monkeypatch.setattr(sim_harness, "optimal_placement", counted)
     point, seeds = _point(), [derive_trial_seed(4, index) for index in range(3)]
     outcome = run_point(point, seeds, ("bb",), verify=True)
-    assert (outcome.counts["bb"] == 0).any() and (outcome.counts["bb"] > 0).any()
-    assert calls == list(range(1, point.profiles + 1)) * len(seeds)
+    counts = outcome.counts["bb"].ravel()
+    assert (counts == 0).any() and (counts > 0).any()
+    (labels,) = calls
+    assert np.array_equal(np.unique(labels), np.flatnonzero(counts) + 1)
+    assert labels.size == outcome.num_users.sum()
+    calls.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_harness, "CHUNK_TABLE_ENTRIES", point.profiles << point.helpers)
+        run_point(point, seeds, ("bb",), verify=True)  # a chunk per trial
+    assert [labels.size for labels in calls] == outcome.num_users.tolist()
+    empty = int(np.flatnonzero(counts == 0)[0])
+
+    def one_on_an_empty_label(adjacency, labels, num_labels):
+        hall = min_partition_counts(adjacency, labels, num_labels)
+        hall[empty] += 1
+        return hall
+
+    monkeypatch.setattr(sim_harness, "min_partition_counts", one_on_an_empty_label)
+    with pytest.raises(RuntimeError, match=rf"Hall's formula .* \(seed {seeds[empty // 10]}\)"):
+        run_point(point, seeds, ("bb",), verify=True)
 
 
 def test_verified_large_cluster_finishes():
@@ -194,22 +249,53 @@ def test_verified_multiword_profiles_match_plain_and_chunked(monkeypatch):
     _assert_same_outcome(plain, run_point(point, seeds))  # one trial per chunk
 
 
-@pytest.mark.parametrize("builder, method", [(optimal_partitions, "bb"), (greedy_assign, "greedy")])
-def test_verified_sweep_refuses_an_unserved_user(monkeypatch, builder, method):
-    # A builder that leaves one user out keeps every count and every slot
+_COLUMNS = ("schedule", "round", "profile", "helper", "user")
+
+
+def _edit_table(patch, edit):
+    """Pass the table of each verified chunk through `edit`, which changes a
+    dict of its columns as lists, before the table is audited."""
+    build = sim_harness._pair_table
+
+    def edited(*args):
+        pairs = build(*args)
+        columns = {name: getattr(pairs, name).tolist() for name in _COLUMNS}
+        edit(columns)
+        arrays = (np.array(columns[name], dtype=np.int32) for name in _COLUMNS)
+        return ServedPairs(pairs.num_profiles, *arrays)
+
+    patch.setattr(sim_harness, "_pair_table", edited)
+
+
+def _slots(columns, schedule):
+    """The rows of each (round, profile) slot of a schedule, slots in row order."""
+    slots = {}
+    for row, owner in enumerate(columns["schedule"]):
+        if owner == schedule:
+            slots.setdefault((columns["round"][row], columns["profile"][row]), []).append(row)
+    return list(slots.values())
+
+
+def _insert(columns, at, **values):
+    for name in _COLUMNS:
+        columns[name].insert(at, values[name])
+
+
+@pytest.mark.parametrize("method", ["bb", "greedy"])
+def test_verified_sweep_refuses_an_unserved_user(monkeypatch, method):
+    # A table that leaves one user out keeps every count and every slot
     # decodable; only the check of who is served catches it.
     dropped = []
+    schedule = ("bb", "greedy").index(method)  # the first trial's, under this method
 
-    def dropping_one(*args):
-        pset = builder(*args)
-        for g, part in enumerate(pset.partitions):
-            if len(part) > 1 and not dropped:
-                dropped.append(part[0][1])
-                partitions = pset.partitions[:g] + (part[1:],) + pset.partitions[g + 1 :]
-                return replace(pset, partitions=partitions)
-        return pset
+    def dropping_one(columns):
+        if not dropped:
+            row = next(rows[0] for rows in _slots(columns, schedule) if len(rows) > 1)
+            dropped.append(columns["user"][row])
+            for name in _COLUMNS:
+                del columns[name][row]
 
-    monkeypatch.setattr(sim_harness, builder.__name__, dropping_one)
+    _edit_table(monkeypatch, dropping_one)
     seeds = [derive_trial_seed(4, index) for index in range(3)]
     expected = rf"coverage audit failed \(seed {seeds[0]}, method {method}\)"
     with pytest.raises(RuntimeError, match=expected) as failure:
@@ -218,23 +304,89 @@ def test_verified_sweep_refuses_an_unserved_user(monkeypatch, builder, method):
 
 
 def test_verified_sweep_refuses_a_user_outside_the_trial(monkeypatch):
-    # A bb builder that adds a pair for user K, one past the trial's last
-    # user, serves every user once; only the check of who is served catches it.
+    # A table that adds a pair for user K, one past the trial's last user,
+    # on a helper its slot leaves idle, serves every user once; only the
+    # check of who is served catches it.
     seeds = [derive_trial_seed(4, index) for index in range(3)]
     outsider = int(run_point(_point(), seeds[:1]).num_users[0])
 
-    def adding_one(subnet):
-        pset = optimal_partitions(subnet)
-        if subnet.profile > 1 or not pset.partitions:
-            return pset
-        first = pset.partitions[0] + ((pset.num_helpers - 1, outsider),)
-        return replace(pset, partitions=(first,) + pset.partitions[1:])
+    def adding_one(columns):
+        rows = next(rows for rows in _slots(columns, 0) if len(rows) < 4)
+        idle = min(set(range(4)) - {columns["helper"][row] for row in rows})
+        values = {name: columns[name][rows[0]] for name in _COLUMNS}
+        _insert(columns, rows[-1] + 1, **{**values, "helper": idle, "user": outsider})
 
-    monkeypatch.setattr(sim_harness, "optimal_partitions", adding_one)
-    expected = rf"coverage audit failed \(seed {seeds[0]}, method bb\)"
-    with pytest.raises(RuntimeError, match=expected) as failure:
+    _edit_table(monkeypatch, adding_one)
+    expected = (
+        rf"coverage audit failed \(seed {seeds[0]}, method bb\): "
+        rf"users \[{outsider}\] are not in the trial$"
+    )
+    with pytest.raises(RuntimeError, match=expected):
         run_point(_point(), seeds, ("bb",), verify=True)
-    assert f"users [{outsider}] are not in the trial" in str(failure.value)
+
+
+def test_verified_sweep_refuses_a_user_in_two_slots(monkeypatch):
+    # The second trial's first user, served again in a round added after
+    # the last of its greedy schedule: the audit names it with both
+    # (round, profile) slots, and no other problem.
+    seeds = [derive_trial_seed(4, index) for index in range(3)]
+    twice = {}
+
+    def serving_again(columns):
+        rows = [row for row, owner in enumerate(columns["schedule"]) if owner == 3]
+        values = {name: columns[name][rows[0]] for name in _COLUMNS}
+        added = max(columns["round"][row] for row in rows) + 1
+        twice.update(values, added=added)
+        _insert(columns, rows[-1] + 1, **{**values, "round": added})
+
+    _edit_table(monkeypatch, serving_again)
+    with pytest.raises(RuntimeError) as failure:
+        run_point(_point(), seeds, verify=True)
+    user, profile = twice["user"], twice["profile"]
+    assert str(failure.value) == (
+        f"coverage audit failed (seed {seeds[1]}, method greedy): user {user}: served in 2 "
+        f"slots (round, profile): ({twice['round']}, {profile}), ({twice['added']}, {profile})"
+    )
+
+
+def test_verified_sweep_refuses_a_helper_twice_in_a_slot(monkeypatch):
+    # Two users of one slot on one helper: the slot is no matching.  Every
+    # user is still served once; the audit names the helper and the slot.
+    seeds = [derive_trial_seed(4, index) for index in range(3)]
+    clash = {}
+
+    def sharing_a_helper(columns):
+        rows = next(rows for rows in _slots(columns, 0) if len(rows) > 1)
+        columns["helper"][rows[1]] = columns["helper"][rows[0]]
+        clash.update({name: columns[name][rows[0]] for name in _COLUMNS})
+
+    _edit_table(monkeypatch, sharing_a_helper)
+    with pytest.raises(RuntimeError) as failure:
+        run_point(_point(), seeds, ("bb",), verify=True)
+    assert str(failure.value) == (
+        f"coverage audit failed (seed {seeds[0]}, method bb): helper {clash['helper']}: matched "
+        f"to 2 users of slot (round, profile) ({clash['round']}, {clash['profile']})"
+    )
+
+
+def test_verified_audit_names_the_first_failing_trial(monkeypatch):
+    # Faults in the second and third trials: a miscount in the third, a
+    # user left out in the second.  The error is the second trial's, as it
+    # would be if the trials were checked one at a time.
+    seeds = [derive_trial_seed(4, index) for index in range(3)]
+    monkeypatch.setattr(
+        sim_harness, "greedy_placement", _shifted(sim_harness.greedy_placement, 1, first_label=20)
+    )
+
+    def dropping_one(columns):
+        row = columns["schedule"].index(2)  # the second trial's, under bb
+        for name in _COLUMNS:
+            del columns[name][row]
+
+    _edit_table(monkeypatch, dropping_one)
+    expected = rf"^coverage audit failed \(seed {seeds[1]}, method bb\)"
+    with pytest.raises(RuntimeError, match=expected):
+        run_point(_point(), seeds, verify=True)
 
 
 def _users_named(message):
@@ -409,10 +561,11 @@ def test_residuals_do_not_depend_on_the_chunk(point, seeds):
     # bit for bit those of the trial verified alone.
     residuals = []
 
-    def recorded(channel, symbols, schedules, *args):
-        replayed = decode_schedules(channel, symbols, schedules, *args)
-        ends = np.cumsum([sum(map(len, schedule.slots)) for schedule in schedules])
-        residuals.extend(np.split(replayed, ends[:-1]) if schedules else [])
+    def recorded(channels, symbols, pairs, *args):
+        replayed = decode_schedules(channels, symbols, pairs, *args)
+        if len(pairs):
+            _, firsts = np.unique(pairs.schedule, return_index=True)
+            residuals.extend(np.split(replayed, firsts[1:]))
         return replayed
 
     with pytest.MonkeyPatch.context() as patch:
@@ -425,6 +578,30 @@ def test_residuals_do_not_depend_on_the_chunk(point, seeds):
     assert together == [r.tobytes() for r in residuals]
     # one residual set per method's schedule of each trial with users
     assert len(together) == 2 * int((chunked.num_users > 0).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chunk_points(), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
+    # The table one chunk's builders give, row for row, is the schedules of
+    # its trials built one profile at a time and flattened in trial and
+    # method order: the same pairs, in the same transmission order.
+    adjacency, labels, num_users, draws = sim_harness._draw_chunk(point, seeds, True)
+    methods = ("bb", "greedy")
+    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods)
+    pairs = sim_harness._checked_pairs(point, adjacency, labels, num_users, seeds, counts)
+    schedules = []
+    for draw in draws:
+        subnets = subnetworks_from_connectivity(draw.conn, draw.assignment)
+        for builder in (optimal_partitions, greedy_assign):
+            psets = {p: builder(subnet) for p, subnet in subnets.items()}
+            schedules.append(build_schedule(psets, point.profiles))
+    expected = served_pairs(schedules)
+    assert pairs.num_profiles == expected.num_profiles
+    for name in _COLUMNS:
+        column = getattr(pairs, name)
+        assert column.dtype == np.int32
+        assert np.array_equal(column, getattr(expected, name)), name
 
 
 @st.composite
@@ -581,10 +758,8 @@ def test_unverified_sweep_builds_no_partitions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an unverified sweep built partitions or a schedule")
 
-    monkeypatch.setattr(sim_harness, "subnetworks_from_connectivity", refuse)
-    monkeypatch.setattr(sim_harness, "greedy_assign", refuse)
-    monkeypatch.setattr(sim_harness, "optimal_partitions", refuse)
-    monkeypatch.setattr(sim_harness, "build_schedule", refuse)
+    for name in ("helper_candidates", "optimal_placement", "greedy_placement", "_pair_table"):
+        monkeypatch.setattr(sim_harness, name, refuse)
     results = run_sweep(_tiny_config(methods=ALL_METHODS, trials=6))
     assert len(results) == 6
 
@@ -786,6 +961,20 @@ def test_config_rejects_bad_setups():
     ):
         with pytest.raises(ValueError, match=message):
             PointConfig(**{**_POINT, **overrides})
+
+
+def test_config_refuses_a_cache_fraction_that_is_no_real_number():
+    # Like every other real field, refused with a ValueError that names it,
+    # before a sweep draws a trial.
+    for gamma in ("0.1", None, 0.1 + 0j):
+        message = re.escape(f"the cache fraction must be a real number, got {gamma!r}")
+        with pytest.raises(ValueError, match=message):
+            PointConfig(**{**_POINT, "gamma": gamma})
+        with pytest.MonkeyPatch.context() as patch:
+            drawn = _count_draws(patch)
+            with pytest.raises(ValueError, match=message):
+                run_sweep(_tiny_config(gamma=gamma))
+        assert drawn == []
 
 
 def test_config_rejects_repeated_values_and_non_integer_seeds(tmp_path):
