@@ -10,29 +10,29 @@ verifier builds a round's signals as one matrix, a column per group, and
 places each user's symbols by a group table built once per (L, t); one call
 replays many schedules, with the index work done once for all their rounds.
 
-The precoders, the decode and the coverage audit read one table of served
-(helper, user) pairs (`ServedPairs`), a row per pair in transmission order.
-A chunk of verified trials builds that table directly from its placements;
-a `RoundSchedule`, or a list of partitions, is flattened into one.  A
-schedule holds only its rounds; the rest follows from them.  Its
-transmission count is the sweep's closed form over its per-profile partition
-counts, and its coverage audit passes exactly when no user holds two
-(round, profile) slots.
+A schedule is one table of served (helper, user) pairs (`ServedPairs`), a
+row per pair in transmission order, which the precoders, the decode and the
+coverage audit read as it is.  A chunk of verified trials builds its table
+directly from its placements, and `build_schedule` builds one schedule's
+table from per-profile partitions.  A table holds only its pairs; the rest
+follows from them.  A schedule's transmission count is the sweep's closed
+form over its slots per profile, and its coverage audit passes exactly when
+no user holds two (round, profile) slots.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cache_placement import needed_subfiles
-from .partitioner import Partition, PartitionSet
+from .partitioner import PartitionSet
 
 CONDITION_LIMIT = 1e12
 DECODE_TOLERANCE = 1e-9
@@ -45,35 +45,6 @@ class SingularChannelError(RuntimeError):
 
 class DecodeFailure(RuntimeError):
     """A served user could not recover its subfile within tolerance."""
-
-
-@dataclass(frozen=True)
-class RoundSchedule:
-    """Per-round service plan: round g maps each profile with a g-th partition to it."""
-
-    num_profiles: int
-    rounds: tuple[Mapping[int, Partition], ...]
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def slots(self) -> list[Partition]:
-        """Every (round, profile) slot's partition, round by round, profiles in round order."""
-        return [part for entries in self.rounds for part in entries.values()]
-
-
-def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int) -> RoundSchedule:
-    """Place each profile's g-th partition, the same object, in round g."""
-    if any(p < 1 or p > num_profiles for p in partition_sets):
-        raise ValueError("partition sets keyed by unknown profile")
-    ordered = [(p, partition_sets[p].partitions) for p in sorted(partition_sets)]
-    total_rounds = max((len(parts) for _, parts in ordered), default=0)
-    rounds = tuple(
-        {p: parts[g] for p, parts in ordered if len(parts) > g} for g in range(total_rounds)
-    )
-    return RoundSchedule(num_profiles=num_profiles, rounds=rounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,32 +78,45 @@ class ServedPairs:
     def __len__(self) -> int:
         return self.user.size
 
+    @property
+    def num_rounds(self) -> int:
+        """The rounds of all the table's schedules."""
+        return self.round_starts.size
 
-def served_pairs(schedules: Sequence[RoundSchedule]) -> ServedPairs:
-    """The pairs of `schedules`, which share one L, as one table; schedule s is number s."""
-    num_profiles = {schedule.num_profiles for schedule in schedules}
-    if len(num_profiles) > 1:
-        raise ValueError("the schedules of one call must share their profile count")
-    rows = [
-        (s, g, profile, helper, user)
-        for s, schedule in enumerate(schedules)
-        for g, entries in enumerate(schedule.rounds)
-        for profile, part in entries.items()
-        for helper, user in part
+
+def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int) -> ServedPairs:
+    """The table of one schedule: each profile's g-th partition in round g.
+
+    Rows run round by round, profiles ascending within a round, and each
+    partition's pairs in partition order.  Raises ValueError for a profile
+    outside 1..L or a partition that serves no user.
+    """
+    if any(p < 1 or p > num_profiles for p in partition_sets):
+        raise ValueError("partition sets keyed by unknown profile")
+    ordered = [(p, partition_sets[p].partitions) for p in sorted(partition_sets)]
+    total_rounds = max((len(parts) for _, parts in ordered), default=0)
+    slots = [
+        (g, p, parts[g]) for g in range(total_rounds) for p, parts in ordered if len(parts) > g
     ]
-    columns = np.array(rows, dtype=np.int32).reshape(-1, 5).T
-    return ServedPairs(num_profiles.pop() if num_profiles else 0, *columns)
+    rounds, profiles, parts = zip(*slots) if slots else ((), (), ())
+    sizes = list(map(len, parts))
+    if 0 in sizes:
+        i = sizes.index(0)
+        raise ValueError(f"partition {rounds[i]} of profile {profiles[i]} serves no user")
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(parts)), np.int32, 2 * sum(sizes))
+    round_, profile = np.repeat(np.array([rounds, profiles], dtype=np.int32), sizes, axis=1)
+    helper, user = pairs.reshape(-1, 2).T
+    return ServedPairs(num_profiles, np.zeros_like(user), round_, profile, helper, user)
 
 
-def count_transmissions(schedule: RoundSchedule, index_size: int) -> int:
+def count_transmissions(schedule: ServedPairs, index_size: int) -> int:
     """Closed-form count of the multicast groups with a nonempty effective set.
 
     The sweep's own formula, `transmissions_from_counts`, applied to the
-    schedule's per-profile partition counts.
+    one-schedule table's slots per profile: its per-profile partition counts.
     """
-    served = Counter(p for entries in schedule.rounds for p in entries)
-    counts = [served[p] for p in range(1, schedule.num_profiles + 1)]
-    return int(transmissions_from_counts(np.array(counts, dtype=np.int64), index_size))
+    slots = np.bincount(schedule.profile[schedule.slot_starts], minlength=schedule.num_profiles + 1)
+    return int(transmissions_from_counts(slots[1:], index_size))
 
 
 def transmissions_from_counts(counts: np.ndarray, index_size: int) -> np.ndarray:
@@ -186,7 +170,7 @@ def sum_dof(
 
 def matched_precoders(
     channel: np.ndarray,
-    slots: ServedPairs | Sequence[Partition],
+    pairs: ServedPairs,
     first_rows: np.ndarray | None = None,
     seeds: Sequence[int] | None = None,
 ) -> np.ndarray:
@@ -195,20 +179,15 @@ def matched_precoders(
     Row r of the table takes column r: each slot's matched channel
     submatrix's inverse on its helpers' rows, zeros elsewhere, so a round's
     slots give its Q; random continuous gains make each invertible almost
-    surely.  A sequence of partitions is flattened into a table first,
-    partition i as the only slot of schedule i.  The m slots of one size
-    are gathered from the table's columns as (m, size) arrays of helpers and
-    users, with one `inv`.  A submatrix A is ill-conditioned when `cond(A)`
-    exceeds `CONDITION_LIMIT`; since cond_2(A) <= |A|_F |A^-1|_F, `cond`
-    runs only on the slots whose product with the computed inverse exceeds
-    half the limit, or on the whole size when `inv` finds an exactly
-    singular one.  Schedules of several trials can share one call:
+    surely.  The m slots of one size are gathered from the table's columns
+    as (m, size) arrays of helpers and users, with one `inv`.  A submatrix A
+    is ill-conditioned when `cond(A)` exceeds `CONDITION_LIMIT`; since
+    cond_2(A) <= |A|_F |A^-1|_F, `cond` runs only on the slots whose product
+    with the computed inverse exceeds half the limit, or on the whole size
+    when `inv` finds an exactly singular one.  Schedules of several trials can share one call:
     `channel` stacks their channels, schedule s's users are rows
     `first_rows[s] + u`, and an error names its own users and `seeds[s]`.
     """
-    pairs = slots
-    if not isinstance(pairs, ServedPairs):
-        pairs = served_pairs([RoundSchedule(1, ({1: part},)) for part in slots])
     starts = pairs.slot_starts
     sizes = np.diff(starts, append=len(pairs))
     precoders = np.zeros((channel.shape[1], len(pairs)), dtype=complex)
@@ -298,16 +277,15 @@ def _transmit(precoder: np.ndarray, messages: np.ndarray) -> np.ndarray:
 def decode_schedules(
     channels: Sequence[np.ndarray],
     symbols: Sequence[np.ndarray],
-    schedules: ServedPairs | Sequence[RoundSchedule],
+    pairs: ServedPairs,
     index_size: int,
     precoders: np.ndarray,
     labels: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Compose and decode every round of a table's schedules; return every intended residual.
 
-    A sequence of schedules, which share one L, is flattened into a table
-    first.  Schedule s serves the users of one trial, whose rows are those
-    of `channels[s]` and `symbols[s]`, each user's `needed_subfiles`
+    Schedule s of the table serves the users of one trial, whose rows are
+    those of `channels[s]` and `symbols[s]`, each user's `needed_subfiles`
     symbols; `precoders` are the columns `matched_precoders` gives for the
     table.
 
@@ -324,19 +302,13 @@ def decode_schedules(
     products, at the shapes of that round alone, so the residuals do not
     depend on which schedules share the call.
 
-    Returns a (rows, C(L - 1, t)) array, (0, 0) for an empty sequence of
-    schedules: row i is the table's i-th served pair, and its entries are
-    that user's residuals in `needed_subfiles` order.  Raises DecodeFailure
+    Returns a (rows, C(L - 1, t)) array, (0, C(L - 1, t)) for an empty
+    table: row i is the table's i-th served pair, and its entries are that
+    user's residuals in `needed_subfiles` order.  Raises DecodeFailure
     past `DECODE_TOLERANCE * (|symbol| + 1)`, naming the user, round, group
     and residual of the first failure in transmission order, followed by
     `(labels[s])` when given.
     """
-    if isinstance(schedules, ServedPairs):
-        pairs = schedules
-    elif schedules:
-        pairs = served_pairs(schedules)
-    else:
-        return np.empty((0, 0))
     num_profiles = pairs.num_profiles
     table = group_table(num_profiles, index_size)
     # A round, a slot per active profile of it, a row per served pair.
@@ -411,23 +383,19 @@ def decode_schedules(
 
 def verify_schedule(
     channel: np.ndarray,
-    schedule: RoundSchedule,
+    schedule: ServedPairs,
     demands: Mapping[int, int],
     symbols: np.ndarray,
     index_size: int,
-    precoders: np.ndarray | None = None,
 ) -> float:
-    """Compose and decode every scheduled transmission; return the worst residual.
+    """Compose and decode every transmission of a one-schedule table; return the worst residual.
 
     `symbols` is the array `draw_subfile_symbols` drew for the distinct
-    `demands`: its rows are per user, and so already per requested file.
-    `precoders` are the columns `matched_precoders` gives for
-    `schedule.slots`, computed here unless given.
+    demands: its rows are per user, and so already per requested file.
+    `demands` itself is unused.
     """
-    pairs = served_pairs([schedule])
-    if precoders is None:
-        precoders = matched_precoders(channel, pairs)
-    residuals = decode_schedules([channel], [symbols], pairs, index_size, precoders)
+    precoders = matched_precoders(channel, schedule)
+    residuals = decode_schedules([channel], [symbols], schedule, index_size, precoders)
     return float(residuals.max(initial=0.0))
 
 
@@ -493,7 +461,7 @@ def audit_pairs(
     return problems
 
 
-def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:
+def coverage_check(schedule: ServedPairs, index_size: int) -> list[str]:
     """Audit that every scheduled user receives each needed index exactly once.
 
     A user holding one (round, profile) slot receives every group of that
@@ -504,4 +472,4 @@ def coverage_check(schedule: RoundSchedule, index_size: int) -> list[str]:
     every such user with its slots (`audit_pairs`).  `index_size` does not
     change the verdict.
     """
-    return audit_pairs(served_pairs([schedule])).get(0, [])
+    return audit_pairs(schedule).get(0, [])

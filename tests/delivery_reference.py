@@ -1,9 +1,12 @@
 """Reference replays of the delivery scheme: the oracles for the tests.
 
 The library verifies many schedules in one call, with the index work done
-once for all their rounds and only the matrix products made per round.
-This module keeps two older forms, so that all three can be compared on
-the same schedules:
+once for all their rounds and only the matrix products made per round, and
+holds a schedule as one table of served pairs.  This module keeps the older
+form of a schedule, a tuple of rounds each mapping its active profiles to
+their partitions (`RoundSchedule`, built by `build_rounds` and flattened
+into the library's table by `served_pairs`), and two older replays of it,
+so that all three can be compared on the same schedules:
 
 - round by round (`round_signals`, `decode_round`): each round's signal
   matrices built and decoded on their own, the library's replay before it
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,11 +32,52 @@ from helpercache.delivery import (
     CONDITION_LIMIT,
     DECODE_TOLERANCE,
     DecodeFailure,
-    RoundSchedule,
+    ServedPairs,
     SingularChannelError,
     group_table,
     matched_precoders,
 )
+from helpercache.partitioner import Partition, PartitionSet
+
+
+@dataclass(frozen=True)
+class RoundSchedule:
+    """Per-round service plan: round g maps each profile with a g-th partition to it."""
+
+    num_profiles: int
+    rounds: tuple[Mapping[int, Partition], ...]
+
+    @property
+    def num_rounds(self) -> int:
+        return len(self.rounds)
+
+
+def build_rounds(partition_sets: Mapping[int, PartitionSet], num_profiles: int) -> RoundSchedule:
+    """Place each profile's g-th partition, the same object, in round g."""
+    if any(p < 1 or p > num_profiles for p in partition_sets):
+        raise ValueError("partition sets keyed by unknown profile")
+    ordered = [(p, partition_sets[p].partitions) for p in sorted(partition_sets)]
+    total_rounds = max((len(parts) for _, parts in ordered), default=0)
+    rounds = tuple(
+        {p: parts[g] for p, parts in ordered if len(parts) > g} for g in range(total_rounds)
+    )
+    return RoundSchedule(num_profiles=num_profiles, rounds=rounds)
+
+
+def served_pairs(schedules: Sequence[RoundSchedule]) -> ServedPairs:
+    """The pairs of `schedules`, which share one L, as one table; schedule s is number s."""
+    num_profiles = {schedule.num_profiles for schedule in schedules}
+    if len(num_profiles) > 1:
+        raise ValueError("the schedules of one call must share their profile count")
+    rows = [
+        (s, g, profile, helper, user)
+        for s, schedule in enumerate(schedules)
+        for g, entries in enumerate(schedule.rounds)
+        for profile, part in entries.items()
+        for helper, user in part
+    ]
+    columns = np.array(rows, dtype=np.int32).reshape(-1, 5).T
+    return ServedPairs(num_profiles.pop() if num_profiles else 0, *columns)
 
 
 @dataclass(frozen=True)
@@ -68,11 +112,11 @@ def round_signals(
     p's users carry the subfiles of index S minus p, from their rows of the
     (K, C(L - 1, t)) `symbols` array, precoded by the inverse of their
     matched channel and zero-padded onto the other helpers.  `precoders`
-    are the columns `matched_precoders` gives for `schedule.slots`,
+    are the columns `matched_precoders` gives for the schedule's table,
     computed here unless given.
     """
     if precoders is None:
-        precoders = matched_precoders(channel, schedule.slots)
+        precoders = matched_precoders(channel, served_pairs([schedule]))
     table = group_table(schedule.num_profiles, index_size)
     full = comb(schedule.num_profiles, index_size + 1)
     start = 0

@@ -451,8 +451,8 @@ def test_criterion_8_count_identity():
         schedule = build_schedule(psets, num_profiles)
         formula = count_transmissions(schedule, index_size)
         direct = 0
-        for entries in schedule.rounds:
-            active = set(entries)
+        for g in range(schedule.num_rounds):
+            active = set(schedule.profile[schedule.round == g].tolist())
             for group in combinations(range(1, num_profiles + 1), index_size + 1):
                 if any(p in active for p in group):
                     direct += 1

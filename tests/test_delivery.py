@@ -8,21 +8,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delivery_reference import (
+    RoundSchedule,
     audit_deliveries,
     build_precoder,
+    build_rounds,
     compose_signal,
     decode_round,
     enumerate_transmissions,
     replay_schedule,
     round_residuals,
     round_signals,
+    served_pairs,
     verify_decode,
 )
 from helpercache import delivery
 from helpercache.cache_placement import ProfileAssignment, assign_profiles, draw_subfile_symbols
 from helpercache.delivery import (
     DecodeFailure,
-    RoundSchedule,
+    ServedPairs,
     SingularChannelError,
     build_schedule,
     count_transmissions,
@@ -64,11 +67,27 @@ def _full_connectivity(num_users: int, num_helpers: int) -> Connectivity:
     )
 
 
-def _profile_counts(schedule: RoundSchedule) -> tuple[int, ...]:
+def _profile_counts(schedule: ServedPairs) -> tuple[int, ...]:
     """Rounds in which each profile 1..L is served."""
     return tuple(
-        sum(p in entries for entries in schedule.rounds) for p in range(1, schedule.num_profiles + 1)
+        len(set(schedule.round[schedule.profile == p].tolist()))
+        for p in range(1, schedule.num_profiles + 1)
     )
+
+
+def _active(schedule: ServedPairs, round_index: int) -> set[int]:
+    """The profiles served in a round of a one-schedule table."""
+    return set(schedule.profile[schedule.round == round_index].tolist())
+
+
+def _schedules(psets, num_profiles: int) -> tuple[ServedPairs, RoundSchedule]:
+    """The library's table of `psets` and the reference's rounds of them."""
+    return build_schedule(psets, num_profiles), build_rounds(psets, num_profiles)
+
+
+def _slots(parts) -> ServedPairs:
+    """A table with partition i as the only slot of schedule i."""
+    return served_pairs([RoundSchedule(1, ({1: part},)) for part in parts])
 
 
 def _round_by_round(counts, num_profiles: int, index_size: int) -> int:
@@ -89,8 +108,8 @@ def test_schedule_orders_partitions_and_counts_idle():
     schedule = build_schedule(psets, 3)
     assert schedule.num_rounds == 3
     assert _profile_counts(schedule) == (3, 2, 0)
-    assert set(schedule.rounds[0]) == {1, 2}
-    assert set(schedule.rounds[2]) == {1}
+    assert _active(schedule, 0) == {1, 2}
+    assert _active(schedule, 2) == {1}
 
 
 def test_schedule_empty_everywhere():
@@ -99,9 +118,62 @@ def test_schedule_empty_everywhere():
     assert count_transmissions(schedule, 1) == 0
 
 
+@pytest.mark.parametrize("num_profiles, index_size", [(2, 1), (4, 1), (5, 2), (3, 0)])
+def test_empty_schedule_verifies_to_no_rows(num_profiles, index_size):
+    schedule = build_schedule({}, num_profiles)
+    width = math.comb(num_profiles - 1, index_size)
+    channel, symbols = np.zeros((0, 4), dtype=complex), np.zeros((0, width), dtype=complex)
+    worst = verify_schedule(channel, schedule, {}, symbols, index_size)
+    assert worst == 0.0 and type(worst) is float
+    assert coverage_check(schedule, index_size) == []
+    precoders = matched_precoders(channel, schedule)
+    assert precoders.shape == (4, 0)
+    residuals = decode_schedules([channel], [symbols], schedule, index_size, precoders)
+    assert residuals.shape == (0, width)
+
+
 def test_schedule_rejects_unknown_profiles():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown profile"):
         build_schedule({5: _singleton_partitions(1)}, 3)
+
+
+def test_schedule_rejects_a_partition_without_users():
+    with pytest.raises(ValueError, match="partition 1 of profile 2 serves no user"):
+        build_schedule({2: PartitionSet(partitions=(((0, 0),), ()), num_helpers=4)}, 3)
+
+
+@st.composite
+def _partition_sets(draw):
+    """Per-profile partition sets of random pairs, in random profile order, some empty."""
+    num_profiles = draw(st.integers(1, 6))
+    index_size = draw(st.integers(0, num_profiles - 1))
+    pair = st.tuples(st.integers(0, 5), st.integers(0, 30))
+    partitions = st.lists(st.lists(pair, min_size=1, max_size=3).map(tuple), max_size=4)
+    psets = {
+        p: PartitionSet(partitions=tuple(draw(partitions)), num_helpers=6)
+        for p in draw(st.lists(st.integers(1, num_profiles), unique=True))
+    }
+    return psets, num_profiles, index_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partition_sets())
+@example(({}, 4, 1))
+@example(({2: PartitionSet(partitions=(), num_helpers=6)}, 3, 2))
+def test_schedule_table_is_the_flattened_rounds(case):
+    # The table is, column for column, the reference's rounds flattened:
+    # round by round, profiles ascending, pairs in partition order.
+    psets, num_profiles, index_size = case
+    schedule, rounds = _schedules(psets, num_profiles)
+    expected = served_pairs([rounds])
+    assert schedule.num_profiles == expected.num_profiles == num_profiles
+    for name in ("schedule", "round", "profile", "helper", "user"):
+        column = getattr(schedule, name)
+        assert column.dtype == np.int32
+        assert np.array_equal(column, getattr(expected, name)), name
+    assert schedule.num_rounds == rounds.num_rounds
+    enumerated = sum(1 for _ in enumerate_transmissions(rounds, index_size))
+    assert count_transmissions(schedule, index_size) == enumerated
 
 
 def test_transmission_count_example():
@@ -130,8 +202,8 @@ def test_count_formula_matches_enumeration():
             rounds = int(rng.integers(0, 5))
             psets[profile] = _singleton_partitions(rounds, first_user=user)
             user += rounds
-        schedule = build_schedule(psets, num_profiles)
-        enumerated = sum(1 for _ in enumerate_transmissions(schedule, index_size))
+        schedule, rounds = _schedules(psets, num_profiles)
+        enumerated = sum(1 for _ in enumerate_transmissions(rounds, index_size))
         assert count_transmissions(schedule, index_size) == enumerated
 
 
@@ -214,14 +286,14 @@ def test_diagonal_matching_precoder_closed_form():
 def test_precoder_inverts_matched_submatrix():
     rng = np.random.default_rng(2)
     channel = _example_channel(rng)
-    inverse = matched_precoders(channel, [((0, 0), (1, 1), (2, 2), (3, 3))])
+    inverse = matched_precoders(channel, _slots([((0, 0), (1, 1), (2, 2), (3, 3))]))
     np.testing.assert_allclose(channel @ inverse, np.eye(4), atol=1e-10)
 
 
 def test_precoder_scalar_case():
     conn = Connectivity(adjacency=np.array([[True]]), reachable_users=np.arange(1))
     channel = draw_channels(conn, np.random.default_rng(3))
-    inverse = matched_precoders(channel, [((0, 0),)])
+    inverse = matched_precoders(channel, _slots([((0, 0),)]))
     assert inverse.shape == (1, 1)
     assert inverse[0, 0] == pytest.approx(1 / channel[0, 0])
 
@@ -232,7 +304,7 @@ def test_precoder_identity_over_many_draws():
     for _ in range(1000):
         conn = Connectivity(adjacency=np.ones((4, 4), dtype=bool), reachable_users=np.arange(4))
         channel = draw_channels(conn, rng)
-        inverse = matched_precoders(channel, [((0, 0), (1, 1), (2, 2), (3, 3))])
+        inverse = matched_precoders(channel, _slots([((0, 0), (1, 1), (2, 2), (3, 3))]))
         gap = np.abs(channel @ inverse - np.eye(4)).max()
         worst = max(worst, gap)
     assert worst < 1e-9
@@ -241,7 +313,7 @@ def test_precoder_identity_over_many_draws():
 def test_batched_precoders_match_single_inverses():
     channel = draw_channels(_full_connectivity(8, 4), np.random.default_rng(12))
     slots = [((0, 0), (1, 1)), ((2, 2),), ((3, 3), (0, 4), (1, 5)), ((1, 6), (2, 7)), ((0, 5),)]
-    precoders = matched_precoders(channel, slots)
+    precoders = matched_precoders(channel, _slots(slots))
     start = 0
     for helpers, users in (zip(*part) for part in slots):
         # the partition's columns: its inverse on its helpers' rows, zero on the others
@@ -260,26 +332,26 @@ def test_precoders_of_stacked_trials_name_the_trial():
     first, second = (draw_channels(_full_connectivity(k, 3), rng) for k in (3, 4))
     slots = [((0, 0), (1, 2)), ((2, 3), (0, 1)), ((1, 0),)]
     rows, seeds = np.array([0, 3, 3]), [11, 22, 22]
-    stacked = matched_precoders(np.vstack([first, second]), slots, rows, seeds)
-    np.testing.assert_array_equal(stacked[:, :2], matched_precoders(first, slots[:1]))
-    np.testing.assert_array_equal(stacked[:, 2:], matched_precoders(second, slots[1:]))
+    stacked = matched_precoders(np.vstack([first, second]), _slots(slots), rows, seeds)
+    np.testing.assert_array_equal(stacked[:, :2], matched_precoders(first, _slots(slots[:1])))
+    np.testing.assert_array_equal(stacked[:, 2:], matched_precoders(second, _slots(slots[1:])))
     second[[3, 1]] = second[[1, 1]]  # the second trial's slot of users 3 and 1 turns singular
     with pytest.raises(SingularChannelError, match=r"users \(3, 1\) on helpers \(2, 0\) \(seed 22\)"):
-        matched_precoders(np.vstack([first, second]), slots, rows, seeds)
+        matched_precoders(np.vstack([first, second]), _slots(slots), rows, seeds)
 
 
 def test_precoder_rejects_singular_submatrix():
     row = np.array([1.0 + 1.0j, 2.0 - 0.5j])
     channel = np.vstack([row, row])
     with pytest.raises(SingularChannelError):
-        matched_precoders(channel, [((0, 0), (1, 1))])
+        matched_precoders(channel, _slots([((0, 0), (1, 1))]))
 
 
 def test_precoder_rejects_structural_zero_on_diagonal():
     conn = Connectivity(adjacency=np.array([[True, False], [True, True]]), reachable_users=np.arange(2))
     channel = draw_channels(conn, np.random.default_rng(5))
     with pytest.raises(ValueError):
-        matched_precoders(channel, [((1, 0), (0, 1))])
+        matched_precoders(channel, _slots([((1, 0), (0, 1))]))
 
 
 def _certificate_cases():
@@ -303,9 +375,9 @@ def test_condition_verdicts_follow_cond(monkeypatch, limit):
         refused = np.linalg.cond(channel) > limit
         if refused:
             with pytest.raises(SingularChannelError):
-                matched_precoders(channel, [slot])
+                matched_precoders(channel, _slots([slot]))
         else:
-            np.testing.assert_array_equal(matched_precoders(channel, [slot]), np.linalg.inv(channel))
+            np.testing.assert_array_equal(matched_precoders(channel, _slots([slot])), np.linalg.inv(channel))
         assert refused == (limit == 1.0 or np.linalg.cond(channel) > 1e12)
 
 
@@ -322,7 +394,7 @@ def test_well_conditioned_slots_need_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", counted)
     channel = draw_channels(_full_connectivity(10, 4), np.random.default_rng(17))
     slots = [((0, 0),), ((0, 1), (1, 2)), ((0, 3), (1, 4), (2, 5)), ((0, 6), (1, 7), (2, 8), (3, 9))]
-    precoders = matched_precoders(channel, slots)
+    precoders = matched_precoders(channel, _slots(slots))
     assert calls == []
     for part, start in zip(slots, (0, 1, 3, 6)):
         helpers, users = map(list, zip(*part))
@@ -355,7 +427,7 @@ def _two_profile_round():
         2: PartitionSet(partitions=(((1, 14), (3, 18)),), num_helpers=4),
         3: PartitionSet(partitions=(), num_helpers=4),
     }
-    schedule = build_schedule(psets, 3)
+    schedules = _schedules(psets, 3)
     conn = _full_connectivity(19, 4)
     channel = draw_channels(conn, np.random.default_rng(6))
     served = (2, 5, 8, 12, 14, 18)
@@ -365,7 +437,7 @@ def _two_profile_round():
     symbols = np.zeros((19, 2), dtype=complex)
     for user in served:
         symbols[user] = [complex(*rng.standard_normal(2)) for _ in range(2)]
-    return schedule, channel, demands, symbols
+    return schedules, channel, demands, symbols
 
 
 @dataclass(frozen=True)
@@ -380,11 +452,13 @@ class SentRound:
     signal: np.ndarray
 
 
-def _rounds_sent(channel, schedule, symbols, index_size) -> list[SentRound]:
-    """Verify `schedule` and record each round's matrices as they are sent.
+def _rounds_sent(channel, schedules, symbols, index_size) -> list[SentRound]:
+    """Verify a schedule's table and record each round's matrices as they are sent.
 
+    `schedules` is the table and the reference's rounds of one schedule.
     Each column must be the reference's signal of the group it names.
     """
+    schedule, rounds = schedules
     transmit, sent = delivery._transmit, []
 
     def recorded(precoder, messages):
@@ -394,15 +468,15 @@ def _rounds_sent(channel, schedule, symbols, index_size) -> list[SentRound]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(delivery, "_transmit", recorded)
         assert verify_schedule(channel, schedule, {}, symbols, index_size) < 1e-9
-    assert len(sent) == schedule.num_rounds
-    rounds = []
-    for g, (entries, (precoder, messages, signal)) in enumerate(zip(schedule.rounds, sent)):
-        groups = tuple(group for h, group, _ in enumerate_transmissions(schedule, index_size) if h == g)
+    assert len(sent) == schedule.num_rounds == rounds.num_rounds
+    recorded_rounds = []
+    for g, (entries, (precoder, messages, signal)) in enumerate(zip(rounds.rounds, sent)):
+        groups = tuple(group for h, group, _ in enumerate_transmissions(rounds, index_size) if h == g)
         assert messages.shape[1] == len(groups)
         for j, group in enumerate(groups):
-            reference = compose_signal(channel, schedule, g, group, symbols)
+            reference = compose_signal(channel, rounds, g, group, symbols)
             np.testing.assert_allclose(signal[:, j], reference.signal, atol=1e-12)
-        rounds.append(
+        recorded_rounds.append(
             SentRound(
                 users=tuple(u for part in entries.values() for _, u in part),
                 profiles=np.array([p for p, part in entries.items() for _ in part]),
@@ -412,7 +486,7 @@ def _rounds_sent(channel, schedule, symbols, index_size) -> list[SentRound]:
                 signal=signal,
             )
         )
-    return rounds
+    return recorded_rounds
 
 
 def _send_altered(patch, alter):
@@ -438,45 +512,43 @@ def _blocks(rs, group):
 
 
 def test_zero_padding_leaves_unused_helpers_silent():
-    schedule, channel, demands, symbols = _two_profile_round()
-    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
+    schedules, channel, demands, symbols = _two_profile_round()
+    (rs,) = _rounds_sent(channel, schedules, symbols, 1)
     assert list(_blocks(rs, (2, 3))) == [2]
     signal = rs.signal[:, rs.groups.index((2, 3))]
     assert signal[0] == 0 and signal[2] == 0
     assert signal[1] != 0 and signal[3] != 0
-    reference = compose_signal(channel, schedule, 0, (2, 3), symbols)
+    reference = compose_signal(channel, schedules[1], 0, (2, 3), symbols)
     np.testing.assert_allclose(signal, reference.signal, atol=1e-12)
 
 
 def test_signal_superposes_profile_blocks():
-    schedule, channel, demands, symbols = _two_profile_round()
-    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
+    schedules, channel, demands, symbols = _two_profile_round()
+    (rs,) = _rounds_sent(channel, schedules, symbols, 1)
     for group, effective in (((1, 2), [1, 2]), ((1, 3), [1])):
         blocks = _blocks(rs, group)
         assert list(blocks) == effective
         signal = rs.signal[:, rs.groups.index(group)]
         np.testing.assert_allclose(signal, sum(blocks.values()), atol=1e-12)
-        reference = compose_signal(channel, schedule, 0, group, symbols)
+        reference = compose_signal(channel, schedules[1], 0, group, symbols)
         for profile in effective:
             np.testing.assert_allclose(blocks[profile], reference.blocks[profile], atol=1e-12)
 
 
 def test_group_without_active_profiles_is_skipped():
     psets = {1: _singleton_partitions(2), 2: PartitionSet(partitions=(), num_helpers=4)}
-    schedule = build_schedule(psets, 2)
     conn = _full_connectivity(2, 4)
     channel = draw_channels(conn, np.random.default_rng(8))
     symbols = np.array([[1 + 0j], [1j]])
     # profile 2 never transmits; the only group is (1, 2) and stays active via profile 1
-    signals = _rounds_sent(channel, schedule, symbols, 1)
+    signals = _rounds_sent(channel, _schedules(psets, 2), symbols, 1)
     assert [rs.messages.shape[1] for rs in signals] == [1, 1]
     assert [rs.groups for rs in signals] == [((1, 2),), ((1, 2),)]
     assert [list(_blocks(rs, (1, 2))) for rs in signals] == [[1], [1]]
     # with a third profile, the group of the two idle profiles sends nothing
     psets[3] = PartitionSet(partitions=(), num_helpers=4)
-    schedule = build_schedule(psets, 3)
     symbols = np.array([[1 + 0j, 1 + 1j], [1j, -1j]])
-    signals = _rounds_sent(channel, schedule, symbols, 1)
+    signals = _rounds_sent(channel, _schedules(psets, 3), symbols, 1)
     assert [rs.messages.shape[1] for rs in signals] == [2, 2]
     assert [rs.groups for rs in signals] == [((1, 2), (1, 3))] * 2
 
@@ -485,7 +557,7 @@ def test_round_with_the_wrong_group_count_is_rejected(monkeypatch):
     # profiles 1 and 2 are active, so the round must send C(3, 2) - C(1, 2) = 3
     # groups; a group table whose row for profile 2 was dropped, profile 1's
     # repeated in its place, lists only 2 and is caught
-    schedule, channel, demands, symbols = _two_profile_round()
+    (schedule, _), channel, demands, symbols = _two_profile_round()
     table = group_table(3, 1)
     assert table.groups == ((1, 2), (1, 3), (2, 3))
     assert table.rank.tolist() == [[0, 1], [0, 2], [1, 2]]
@@ -496,10 +568,10 @@ def test_round_with_the_wrong_group_count_is_rejected(monkeypatch):
 
 
 def test_served_users_cancel_and_decode():
-    schedule, channel, demands, symbols = _two_profile_round()
+    (schedule, rounds), channel, demands, symbols = _two_profile_round()
     worst = 0.0
     for group in ((1, 2), (1, 3), (2, 3)):
-        record = compose_signal(channel, schedule, 0, group, symbols)
+        record = compose_signal(channel, rounds, 0, group, symbols)
         worst = max(worst, *verify_decode(record, channel, symbols).values())
     assert verify_schedule(channel, schedule, demands, symbols, 1) == pytest.approx(worst, abs=1e-12)
     assert worst < 1e-9
@@ -509,8 +581,8 @@ def test_served_users_cancel_and_decode():
 def test_decode_failure_is_reported(monkeypatch):
     # the transmitter sends user 14 a wrong symbol: user 14 misses its own
     # symbol, and profile 1's users cancel the true one from cache and miss too
-    schedule, channel, demands, symbols = _two_profile_round()
-    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
+    schedules, channel, demands, symbols = _two_profile_round()
+    (rs,) = _rounds_sent(channel, schedules, symbols, 1)
     wrong = rs.users.index(14), rs.groups.index((1, 2))
 
     def alter(round_index, messages):
@@ -518,7 +590,7 @@ def test_decode_failure_is_reported(monkeypatch):
 
     _send_altered(monkeypatch, alter)
     with pytest.raises(DecodeFailure, match=r"user 2 failed to decode in round 0, group \(1, 2\)"):
-        verify_schedule(channel, schedule, demands, symbols, 1)
+        verify_schedule(channel, schedules[0], demands, symbols, 1)
 
 
 def test_decode_failure_names_the_first_group_before_the_first_row(monkeypatch):
@@ -534,11 +606,11 @@ def test_decode_failure_names_the_first_group_before_the_first_row(monkeypatch):
         3: PartitionSet(partitions=(((2, 2), (3, 3)),), num_helpers=4),
         4: idle,
     }
-    schedule = build_schedule(psets, 4)
+    schedule, rounds = _schedules(psets, 4)
     channel = draw_channels(_full_connectivity(4, 4), np.random.default_rng(15))
     rng = np.random.default_rng(16)
     symbols = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
+    (rs,) = _rounds_sent(channel, (schedule, rounds), symbols, 1)
     assert rs.users == (0, 1, 2, 3)
     assert rs.groups == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
 
@@ -569,7 +641,7 @@ def test_decode_failure_names_the_round(monkeypatch):
 
 
 def test_whole_schedule_verifies():
-    schedule, channel, demands, symbols = _two_profile_round()
+    (schedule, _), channel, demands, symbols = _two_profile_round()
     assert verify_schedule(channel, schedule, demands, symbols, 1) < 1e-9
 
 
@@ -613,14 +685,14 @@ def test_full_connectivity_recovers_single_round_structure():
     # uniform profiles with exactly one partition each: one round, no padding
     conn, assignment, gamma, subnets = _uniform_trial(num_profiles=5, per_profile=4)
     psets = {p: greedy_assign(s) for p, s in subnets.items()}
-    schedule = build_schedule(psets, 5)
+    schedule, rounds = _schedules(psets, 5)
     assert schedule.num_rounds == 1
     assert _profile_counts(schedule) == (1,) * 5
     assert count_transmissions(schedule, 1) == math.comb(5, 2)
     channel = draw_channels(conn, np.random.default_rng(9))
     demands = {k: k for k in range(conn.num_users)}
     symbols = draw_subfile_symbols(assignment, demands, 1, np.random.default_rng(10))
-    (rs,) = _rounds_sent(channel, schedule, symbols, 1)
+    (rs,) = _rounds_sent(channel, (schedule, rounds), symbols, 1)
     assert rs.messages.shape[1] == math.comb(5, 2)
     for group in rs.groups:
         blocks = _blocks(rs, group)
@@ -664,7 +736,10 @@ def test_end_to_end_partial_connectivity_decodes():
 
 
 def _draw_trial(draw, num_helpers, num_profiles, index_size, methods):
-    """A random small topology with a schedule per method, its channel and symbols."""
+    """A random small topology with a schedule per method, its channel and symbols.
+
+    Each schedule is its table and the reference's rounds.
+    """
     masks = draw(st.lists(st.integers(1, (1 << num_helpers) - 1), max_size=14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     adjacency = np.array(
@@ -680,7 +755,7 @@ def _draw_trial(draw, num_helpers, num_profiles, index_size, methods):
             psets = {p: greedy_assign(s) for p, s in subnets.items()}
         else:
             psets = {p: partitions_from_assignment(build_tables(s), bb_assign(build_tables(s))) for p, s in subnets.items()}
-        schedules.append(build_schedule(psets, num_profiles))
+        schedules.append(_schedules(psets, num_profiles))
     demands = {k: k for k in range(conn.num_users)}
     symbols = draw_subfile_symbols(assignment, demands, index_size, rng)
     return channel, schedules, demands, symbols
@@ -707,48 +782,41 @@ def _small_chunks(draw):
         _draw_trial(draw, num_helpers, num_profiles, index_size, draw(st.lists(st.booleans(), max_size=2)))
         for _ in range(draw(st.integers(1, 4)))
     ]
-    return index_size, [(channel, schedules, symbols) for channel, schedules, _, symbols in trials]
+    return index_size, num_profiles, [(channel, own, symbols) for channel, own, _, symbols in trials]
 
 
-_EMPTY_TRIAL = (np.zeros((0, 2), dtype=complex), [build_schedule({}, 3)], np.zeros((0, 2), dtype=complex))
+_EMPTY_TRIAL = (np.zeros((0, 2), dtype=complex), [_schedules({}, 3)], np.zeros((0, 2), dtype=complex))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_small_chunks())
-@example((1, [_EMPTY_TRIAL]))  # a chunk without a round
-@example((1, [_EMPTY_TRIAL[:1] + ([],) + _EMPTY_TRIAL[2:]]))  # and without a schedule
+@example((1, 3, [_EMPTY_TRIAL]))  # a chunk without a round
+@example((1, 3, [_EMPTY_TRIAL[:1] + ([],) + _EMPTY_TRIAL[2:]]))  # and without a schedule
 def test_chunk_replay_matches_the_round_matrices_bit_for_bit(chunk):
     # One call over the schedules of several trials gives every intended
     # residual of the per-round replay, bit for bit, each schedule on its own
     # trial's columns of the chunk's precoders.
-    index_size, trials = chunk
+    index_size, num_profiles, trials = chunk
     firsts = np.cumsum([0] + [channel.shape[0] for channel, _, _ in trials])
     stacked = np.concatenate([channel for channel, _, _ in trials])
-    runs = [(channel, schedule, symbols) for channel, own, symbols in trials for schedule in own]
-    slots, slot_rows = [], []
-    for first, (_, own, _) in zip(firsts.tolist(), trials):
-        for schedule in own:
-            slots.extend(schedule.slots)
-            slot_rows.extend([first] * len(schedule.slots))
-    precoders = matched_precoders(stacked, slots, np.array(slot_rows, dtype=np.intp))
-    channels, schedules, symbols = (list(column) for column in zip(*runs)) if runs else ([], [], [])
-    residuals = decode_schedules(channels, symbols, schedules, index_size, precoders)
+    runs = [
+        (channel, rounds, symbols, first)
+        for first, (channel, own, symbols) in zip(firsts.tolist(), trials)
+        for _, rounds in own
+    ]
+    channels, schedules, symbols, first_rows = map(list, zip(*runs)) if runs else ([],) * 4
+    pairs = served_pairs(schedules) if runs else build_schedule({}, num_profiles)
+    precoders = matched_precoders(stacked, pairs, np.array(first_rows, dtype=np.intp))
+    residuals = decode_schedules(channels, symbols, pairs, index_size, precoders)
     expected, start = [np.empty(0)], 0
-    for channel, schedule, own_symbols in runs:
-        stop = start + sum(map(len, schedule.slots))
-        for rs in round_signals(channel, schedule, own_symbols, index_size, precoders[:, start:stop]):
+    for channel, rounds, own_symbols, _ in runs:
+        stop = start + len(served_pairs([rounds]))
+        for rs in round_signals(channel, rounds, own_symbols, index_size, precoders[:, start:stop]):
             expected.append(round_residuals(channel, rs))
             assert expected[-1].max() == decode_round(channel, rs)
         start = stop
-    assert residuals.shape == ((start, trials[0][2].shape[1]) if runs else (0, 0))
+    assert residuals.shape == (start, math.comb(num_profiles - 1, index_size))
     assert residuals.tobytes() == np.concatenate(expected).tobytes()
-
-
-def test_one_replay_call_takes_one_profile_count():
-    channel = np.ones((1, 1), dtype=complex)
-    schedules = [build_schedule({1: _singleton_partitions(1, num_helpers=1)}, L) for L in (2, 3)]
-    with pytest.raises(ValueError, match="must share their profile count"):
-        decode_schedules([channel] * 2, [np.ones((1, 2))] * 2, schedules, 1, np.ones((1, 2)))
 
 
 def _served_twice(schedule: RoundSchedule, later_round: bool) -> RoundSchedule:
@@ -773,14 +841,14 @@ def _users_named(problems: list[str]) -> set[int]:
 @settings(max_examples=200, deadline=None)
 @given(_small_trials())
 def test_round_matrices_match_the_per_transmission_replay(trial):
-    channel, schedule, demands, symbols, index_size = trial
+    channel, (schedule, rounds), demands, symbols, index_size = trial
     vectorized = verify_schedule(channel, schedule, demands, symbols, index_size)
-    reference = replay_schedule(channel, schedule, symbols, index_size)
+    reference = replay_schedule(channel, rounds, symbols, index_size)
     assert abs(vectorized - reference) <= 1e-12
     assert max(vectorized, reference) < 1e-9
-    assert coverage_check(schedule, index_size) == audit_deliveries(schedule, index_size) == []
-    if schedule.num_rounds:
+    assert coverage_check(schedule, index_size) == audit_deliveries(rounds, index_size) == []
+    if rounds.num_rounds:
         for later_round in (True, False):
-            mutated = _served_twice(schedule, later_round)
-            named = _users_named(coverage_check(mutated, index_size))
+            mutated = _served_twice(rounds, later_round)
+            named = _users_named(coverage_check(served_pairs([mutated]), index_size))
             assert named and named == _users_named(audit_deliveries(mutated, index_size))

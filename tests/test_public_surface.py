@@ -1,10 +1,13 @@
-"""Every public function and class of the library has a user besides the tests.
+"""Every public function, class, method and property of the library has a user besides the tests.
 
-A name counts as used if code in `src/` refers to it outside its own
-definition (as a name or an attribute, so docstrings do not count), or if
-the benchmark in `perfbench/` mentions it.  A name that only tests use is
-dead weight in the library and belongs in the tests.  The library also
-raises real errors: `python -O` strips every `assert`, so it has none.
+A module-level name counts as used if code in `src/` refers to it outside
+its own definition (as a name or an attribute, so docstrings do not count),
+or if the benchmark in `perfbench/` mentions it.  A public method or
+property of a library class counts as used if code in `src/` reads it as
+an attribute outside its own definition, or if the benchmark mentions it.
+A name that only tests use is dead weight in the library and belongs in
+the tests.  The library also raises real errors: `python -O` strips every
+`assert`, so it has none.
 """
 
 import ast
@@ -13,14 +16,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "helpercache").glob("*.py"))
+TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+BENCHMARK = "\n".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
 
 
-def _public_definitions(tree: ast.Module) -> list[ast.AST]:
-    return [
-        node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    ]
+def _public(nodes: list[ast.AST], kinds: tuple[type, ...]) -> list[ast.AST]:
+    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
 def _references(tree: ast.Module) -> list[tuple[str, int]]:
@@ -34,29 +35,56 @@ def _references(tree: ast.Module) -> list[tuple[str, int]]:
     return refs
 
 
-def test_every_public_name_has_a_user_outside_the_tests():
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
-    references = {path: _references(tree) for path, tree in trees.items()}
-    benchmark = "\n".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
+def _attribute_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(attribute, line) of every attribute read in the module."""
+    return [
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def _unused(definitions, references) -> list[str]:
+    """The (qualified name, path, node) definitions that no reference outside them names."""
     unused = []
-    for path, tree in trees.items():
-        for definition in _public_definitions(tree):
-            own = range(definition.lineno, definition.end_lineno + 1)
-            used = any(
-                name == definition.name and not (other == path and line in own)
-                for other, refs in references.items()
-                for name, line in refs
-            )
-            if not used and not re.search(rf"\b{definition.name}\b", benchmark):
-                unused.append(f"{path.stem}.{definition.name}")
-    assert unused == []
+    for qualified, path, definition in definitions:
+        own = range(definition.lineno, definition.end_lineno + 1)
+        used = any(
+            name == definition.name and not (other == path and line in own)
+            for other, refs in references.items()
+            for name, line in refs
+        )
+        if not used and not re.search(rf"\b{definition.name}\b", BENCHMARK):
+            unused.append(qualified)
+    return unused
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    definitions = [
+        (f"{path.stem}.{node.name}", path, node)
+        for path, tree in TREES.items()
+        for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef))
+    ]
+    references = {path: _references(tree) for path, tree in TREES.items()}
+    assert _unused(definitions, references) == []
+
+
+def test_every_public_method_and_property_has_a_user_outside_the_tests():
+    definitions = [
+        (f"{path.stem}.{cls.name}.{node.name}", path, node)
+        for path, tree in TREES.items()
+        for cls in _public(tree.body, (ast.ClassDef,))
+        for node in _public(cls.body, (ast.FunctionDef,))
+    ]
+    references = {path: _attribute_reads(tree) for path, tree in TREES.items()}
+    assert _unused(definitions, references) == []
 
 
 def test_library_code_never_asserts():
     asserts = [
         f"{path.stem}:{node.lineno}"
-        for path in MODULES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for path, tree in TREES.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_INSTANCE
+from delivery_reference import build_rounds, served_pairs
 from helpercache import cli, delivery, partitioner, sim_harness
 from helpercache.cache_placement import ConfigError, ProfileAssignment, assign_profiles
 from helpercache.cli import main
@@ -23,9 +24,7 @@ from helpercache.delivery import (
     DecodeFailure,
     ServedPairs,
     SingularChannelError,
-    build_schedule,
     decode_schedules,
-    served_pairs,
 )
 from helpercache.partitioner import (
     greedy_assign,
@@ -595,7 +594,7 @@ def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
         subnets = subnetworks_from_connectivity(draw.conn, draw.assignment)
         for builder in (optimal_partitions, greedy_assign):
             psets = {p: builder(subnet) for p, subnet in subnets.items()}
-            schedules.append(build_schedule(psets, point.profiles))
+            schedules.append(build_rounds(psets, point.profiles))
     expected = served_pairs(schedules)
     assert pairs.num_profiles == expected.num_profiles
     for name in _COLUMNS:
