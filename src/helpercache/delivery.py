@@ -306,8 +306,9 @@ def decode_schedules(
     table: row i is the table's i-th served pair, and its entries are that
     user's residuals in `needed_subfiles` order.  Raises DecodeFailure
     past `DECODE_TOLERANCE * (|symbol| + 1)`, naming the user, round, group
-    and residual of the first failure in transmission order, followed by
-    `(labels[s])` when given.
+    and residual of the first failure in transmission order, and raises
+    RuntimeError for the first round whose group count is wrong; either
+    error ends with `(labels[s])` when given.
     """
     num_profiles = pairs.num_profiles
     table = group_table(num_profiles, index_size)
@@ -330,9 +331,10 @@ def decode_schedules(
     wrong = np.flatnonzero(widths != expected)
     if wrong.size:
         r = wrong[0]
+        label = "" if labels is None else f" ({labels[round_schedules[r]]})"
         raise RuntimeError(
             f"round {round_numbers[r]} transmits {widths[r]} groups, its {active[r]} active "
-            f"profiles imply {expected[r]}"
+            f"profiles imply {expected[r]}{label}"
         )
     # Each row's flat positions in its round's M: its row there times the
     # round's width, plus the columns of its profile's groups.

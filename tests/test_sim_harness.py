@@ -25,6 +25,7 @@ from helpercache.delivery import (
     ServedPairs,
     SingularChannelError,
     decode_schedules,
+    group_table,
 )
 from helpercache.partitioner import (
     greedy_assign,
@@ -278,6 +279,37 @@ def _slots(columns, schedule):
 def _insert(columns, at, **values):
     for name in _COLUMNS:
         columns[name].insert(at, values[name])
+
+
+def _record_full_tables(patch, tables):
+    """Append to `tables` each verified chunk's table as `_checked_pairs` gives it."""
+    check = sim_harness._checked_pairs
+
+    def recorded(*args):
+        pairs = check(*args)
+        tables.append(pairs)
+        return pairs
+
+    patch.setattr(sim_harness, "_checked_pairs", recorded)
+
+
+def _record_calls(patch, calls):
+    """Keep the arguments of the chunk's `matched_precoders` and `decode_schedules` calls."""
+    for name in ("matched_precoders", "decode_schedules"):
+
+        def recorded(*args, call=getattr(sim_harness, name), name=name):
+            calls.setdefault(name, []).append(args)
+            return call(*args)
+
+        patch.setattr(sim_harness, name, recorded)
+
+
+def _schedule_rows(pairs):
+    """Each schedule of a table: its id, and its (round, profile, helper, user) rows."""
+    rows = {}
+    for s, *row in zip(*(getattr(pairs, name).tolist() for name in _COLUMNS)):
+        rows.setdefault(s, []).append(tuple(row))
+    return {s: tuple(schedule) for s, schedule in rows.items()}
 
 
 @pytest.mark.parametrize("method", ["bb", "greedy"])
@@ -558,7 +590,7 @@ def test_resolving_a_sweep_leaves_numpy_random_unloaded():
 def test_residuals_do_not_depend_on_the_chunk(point, seeds):
     # Every decode residual of a trial verified with others in one chunk,
     # bit for bit those of the trial verified alone.
-    residuals = []
+    residuals, tables = [], []
 
     def recorded(channels, symbols, pairs, *args):
         replayed = decode_schedules(channels, symbols, pairs, *args)
@@ -569,14 +601,21 @@ def test_residuals_do_not_depend_on_the_chunk(point, seeds):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_harness, "decode_schedules", recorded)
-        chunked = run_point(point, seeds, ("bb", "greedy"), verify=True)
+        _record_full_tables(patch, tables)
+        run_point(point, seeds, ("bb", "greedy"), verify=True)
         together = [r.tobytes() for r in residuals]
+        chunks = list(tables)
         residuals.clear()
         for seed in seeds:
             run_point(point, [seed], ("bb", "greedy"), verify=True)
     assert together == [r.tobytes() for r in residuals]
-    # one residual set per method's schedule of each trial with users
-    assert len(together) == 2 * int((chunked.num_users > 0).sum())
+    # one residual set per distinct schedule of each trial with users
+    distinct = {
+        (chunk, s // 2, rows)
+        for chunk, table in enumerate(chunks)
+        for s, rows in _schedule_rows(table).items()
+    }
+    assert len(together) == len(distinct)
 
 
 @settings(max_examples=60, deadline=None)
@@ -601,6 +640,76 @@ def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
         column = getattr(pairs, name)
         assert column.dtype == np.int32
         assert np.array_equal(column, getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("radius", [1.2, 4.2])
+def test_decode_skips_only_greedy_schedules_equal_to_bb(monkeypatch, radius):
+    # The precoders and the decode get every trial's bb schedule, and its
+    # greedy schedule only where that differs from bb's; every schedule they
+    # do not get is, row for row, its trial's bb schedule.  At r 4.2 every
+    # user reaches every helper, so greedy's partitions are bb's in every
+    # trial; at r 1.2 most trials' differ.
+    tables, calls = [], {}
+    _record_full_tables(monkeypatch, tables)
+    _record_calls(monkeypatch, calls)
+    seeds = [derive_trial_seed(5, index) for index in range(20)]
+    outcome = run_point(_point(radius=radius), seeds, verify=True)
+    (full,) = (_schedule_rows(table) for table in tables)
+    (pairs,) = (args[1] for args in calls["matched_precoders"])
+    ((_, _, decoded, *_),) = calls["decode_schedules"]
+    assert decoded is pairs
+    kept = _schedule_rows(pairs)
+    assert kept == {s: full[s] for s in kept}
+    differing = [i for i in range(len(seeds)) if full.get(2 * i) != full.get(2 * i + 1)]
+    served = np.flatnonzero(outcome.num_users > 0)
+    assert sorted(kept) == sorted([2 * i for i in served] + [2 * i + 1 for i in differing])
+    for s in full.keys() - kept.keys():
+        assert full[s] == full[s - 1]
+    if radius == 4.2:
+        assert not differing
+    else:
+        assert 0 < len(differing) < len(seeds)
+
+
+@pytest.mark.parametrize(
+    "name, value, error",
+    [("DECODE_TOLERANCE", 0.0, DecodeFailure), ("CONDITION_LIMIT", 1.0, SingularChannelError)],
+)
+def test_verify_errors_are_those_of_the_full_table(monkeypatch, name, value, error):
+    # With repeated schedules left out, the first error is still the one the
+    # full table raises, text for text.
+    monkeypatch.setattr(delivery, name, value)
+    tables, calls = [], {}
+    _record_full_tables(monkeypatch, tables)
+    _record_calls(monkeypatch, calls)
+    seeds = [derive_trial_seed(5, index) for index in range(4)]
+    with pytest.raises(error) as failure:
+        run_point(_point(radius=4.2), seeds, verify=True)
+    (full,) = tables
+    ((channel, pairs, first_rows, seed_of),) = calls["matched_precoders"]
+    assert len(pairs) < len(full)
+    with pytest.raises(error) as direct:
+        precoders = delivery.matched_precoders(channel, full, first_rows, seed_of)
+        ((channels, symbols, _, index_size, _, labels),) = calls["decode_schedules"]
+        delivery.decode_schedules(channels, symbols, full, index_size, precoders, labels)
+    assert str(failure.value) == str(direct.value)
+
+
+def test_group_count_error_names_the_trial(monkeypatch):
+    # The group table of test_round_with_the_wrong_group_count_is_rejected:
+    # profile 2's row dropped, profile 1's repeated in its place, so a round
+    # whose active profiles are 1 and 2 sends 2 groups where 3 are due.  The
+    # first trial has no such round; the second's bb schedule does.
+    table = group_table(3, 1)
+    lost = replace(table, rank=table.rank[[0, 0, 2]])
+    monkeypatch.setattr(delivery, "group_table", lambda num_profiles, index_size: lost)
+    point = PointConfig(
+        helpers=4, profiles=3, gamma=1 / 3, radius=1.2, user_radius=2.7, density=REFERENCE_DENSITY
+    )
+    seeds = [derive_trial_seed(1, index) for index in range(3)]
+    expected = rf"transmits 2 groups, its 2 active profiles imply 3 \(seed {seeds[1]}, method bb\)$"
+    with pytest.raises(RuntimeError, match=expected):
+        run_point(point, seeds, verify=True)
 
 
 @st.composite
