@@ -53,8 +53,9 @@ class ServedPairs:
 
     Rows run schedule by schedule, round by round, and within a round slot
     by slot: a (round, profile) slot is one partition, its pairs in
-    partition order.  `user` is the row of the schedule's own channel and
-    symbols.  The columns are int32 arrays of one length.
+    partition order.  `user` is the user's index in its own trial, its row
+    of the channel and symbols past the trial's first row where trials are
+    stacked.  The columns are int32 arrays of one length.
     """
 
     num_profiles: int
@@ -275,19 +276,20 @@ def _transmit(precoder: np.ndarray, messages: np.ndarray) -> np.ndarray:
 
 
 def decode_schedules(
-    channels: Sequence[np.ndarray],
-    symbols: Sequence[np.ndarray],
+    channel: np.ndarray,
+    symbols: np.ndarray,
     pairs: ServedPairs,
     index_size: int,
     precoders: np.ndarray,
+    first_rows: np.ndarray | None = None,
     labels: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Compose and decode every round of a table's schedules; return every intended residual.
 
-    Schedule s of the table serves the users of one trial, whose rows are
-    those of `channels[s]` and `symbols[s]`, each user's `needed_subfiles`
-    symbols; `precoders` are the columns `matched_precoders` gives for the
-    table.
+    Schedule s of the table serves the users of one trial: user u's gains
+    and `needed_subfiles` symbols are row `first_rows[s] + u` of `channel`
+    and `symbols`, or row u without `first_rows`, as in
+    `matched_precoders`, whose columns for the table are `precoders`.
 
     Round g sends every group with a profile served that round: the groups
     in the `group_table` rows of its a(g) active profiles, which must number
@@ -315,6 +317,7 @@ def decode_schedules(
     # A round, a slot per active profile of it, a row per served pair.
     round_starts, slot_starts = pairs.round_starts, pairs.slot_starts
     users, row_profiles = pairs.user, pairs.profile
+    rows = users if first_rows is None else users + first_rows[pairs.schedule]
     bounds = np.append(round_starts, len(pairs)).tolist()
     round_schedules = pairs.schedule[round_starts].tolist()
     round_numbers = pairs.round[round_starts].tolist()
@@ -348,14 +351,14 @@ def decode_schedules(
     del columns, row_rounds  # unread by the loop, so they do not add to its memory
 
     residuals = np.empty(positions.shape)
-    for s, a, b, width in zip(round_schedules, bounds, bounds[1:], widths.tolist()):
+    for a, b, width in zip(bounds, bounds[1:], widths.tolist()):
         precoder = precoders[:, a:b].copy()  # contiguous Q
-        served, at = users[a:b], positions[a:b].astype(np.intp)
-        own = symbols[s][served]
+        served, at = rows[a:b], positions[a:b].astype(np.intp)
+        own = symbols[served]
         messages = np.zeros((b - a, width), dtype=complex)
         np.put(messages, at, own)
         signal = _transmit(precoder, messages)
-        heard = channels[s][served]
+        heard = channel[served]
         received = heard @ signal
         other_profile = row_profiles[a:b, None] != row_profiles[None, a:b]
         cached = ((heard @ precoder) * other_profile) @ messages
@@ -366,9 +369,8 @@ def decode_schedules(
     if not residuals.max(initial=0.0) < DECODE_TOLERANCE:
         row, k = np.nonzero(~(residuals < DECODE_TOLERANCE))
         r = np.searchsorted(bounds, row, side="right") - 1
-        owners = [round_schedules[i] for i in r.tolist()]
-        wanted = [symbols[s][u, j] for s, u, j in zip(owners, users[row].tolist(), k.tolist())]
-        failed = ~(residuals[row, k] < DECODE_TOLERANCE * (np.abs(np.array(wanted)) + 1.0))
+        wanted = symbols[rows[row], k]
+        failed = ~(residuals[row, k] < DECODE_TOLERANCE * (np.abs(wanted) + 1.0))
         if failed.any():
             row, k, r = row[failed], k[failed], r[failed]
             column = positions[row, k] - (row - round_starts[r]) * widths[r]
@@ -397,7 +399,7 @@ def verify_schedule(
     `demands` itself is unused.
     """
     precoders = matched_precoders(channel, schedule)
-    residuals = decode_schedules([channel], [symbols], schedule, index_size, precoders)
+    residuals = decode_schedules(channel, symbols, schedule, index_size, precoders)
     return float(residuals.max(initial=0.0))
 
 

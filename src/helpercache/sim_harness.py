@@ -3,11 +3,13 @@
 A sweep point runs a chunk of trials at a time, in two stages.  The draw
 stage gives every trial its own generator, seeded from (master seed, trial
 index), which makes that trial's random calls in a fixed order: user count
-and disk uniforms, then channel normals and profiles.  The generators of a
-chunk are those of `numpy.random.default_rng(seed)`, with numpy's seed hash
-run once over all their seeds.  User positions and links are computed from
-those numbers once for the whole chunk, so each trial gets the same stream
-and the same network as a trial drawn alone.
+and disk uniforms, then channel normals and profiles, and verified, subfile
+symbols.  The generators of a chunk are those of
+`numpy.random.default_rng(seed)`, with numpy's seed hash run once over all
+their seeds.  User positions and links are computed from those numbers once
+for the whole chunk, so each trial gets the same stream and the same network
+as a trial drawn alone.  A verified chunk's channels and symbols are stacked
+in the same user order as its links, one row per user.
 The evaluate stage then takes the chunk's network as one: profile p of
 trial i is label i * L + p, so one call per method yields every (trial,
 profile) partition count, and the delivery time of every trial follows from
@@ -28,7 +30,6 @@ import numpy as np
 
 from .cache_placement import (
     CacheConfig,
-    ProfileAssignment,
     assign_profiles,
     draw_subfile_symbols,
     ensure_valid,
@@ -359,28 +360,20 @@ def _check_methods(methods: Sequence[str], verify: bool) -> None:
         raise ValueError("the fc bound builds no schedule, so it cannot be decode-verified")
 
 
-@dataclass(frozen=True)
-class TrialDraw:
-    """One verified trial's random network, drawn from its own generator."""
-
-    seed: int
-    conn: Connectivity
-    channel: np.ndarray  # (K, E) complex gains
-    assignment: ProfileAssignment
-    rng: np.random.Generator  # positioned after the draws above
-
-
 def _draw_chunk(
     point: PointConfig, trial_seeds: Sequence[int], verify: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[TrialDraw]]:
-    """The networks of a chunk of trials: adjacency, labels, user counts, verified draws.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The networks of a chunk of trials: adjacency, labels, user counts, channel, symbols.
 
     Each trial's generator makes the calls of `sample_users`,
-    `draw_channels` and `assign_profiles`, in that order; positions and
-    links are computed once for the whole chunk in between.  The result is
-    the chunk's concatenated (E, sum K) adjacency, the label i * L + p of
-    each of its users (trial i, profile p), and each trial's K.  A verified
-    trial also keeps its links, channel, profiles and generator.
+    `draw_channels` and `assign_profiles`, in that order, and verified,
+    `draw_subfile_symbols` for distinct demands; positions and links are
+    computed once for the whole chunk in between.  The result is the
+    chunk's concatenated (E, sum K) adjacency, the label i * L + p of each
+    of its users (trial i, profile p), and each trial's K.  Verified, the
+    (sum K, E) channel and the (sum K, C(L - 1, t)) symbols stack the
+    trials' own, a row per user in the adjacency's column order; both are
+    None otherwise.
     """
     rngs = _trial_generators(trial_seeds)
     uniforms = [disk_uniforms(point.mean_users, rng) for rng in rngs]
@@ -391,22 +384,24 @@ def _draw_chunk(
     # one run of columns.
     bounds = np.searchsorted(conn.reachable_users, user_offsets)
     num_users = np.diff(bounds)
-    profiles, draws = [], []
+    profiles, channels, symbols = [], [], []
     for i, (rng, first, last) in enumerate(zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist())):
         if verify:
             trial_conn = Connectivity(
                 adjacency=conn.adjacency[:, first:last],
                 reachable_users=conn.reachable_users[first:last] - user_offsets[i],
             )
-            channel = draw_channels(trial_conn, rng)
+            channels.append(draw_channels(trial_conn, rng))
         else:
             channel_normals(last - first, point.helpers, rng)  # unread; keeps the stream
         assignment = assign_profiles(last - first, point.profiles, rng)
         profiles.append(assignment.profile_of)
         if verify:
-            draws.append(TrialDraw(trial_seeds[i], trial_conn, channel, assignment, rng))
+            demands = {k: k for k in range(last - first)}  # distinct worst-case demands
+            symbols.append(draw_subfile_symbols(assignment, demands, point.index_size, rng))
     offsets = np.repeat(np.arange(len(trial_seeds)) * point.profiles, num_users)
-    return conn.adjacency, np.concatenate(profiles) + offsets, num_users, draws
+    stacked = (np.concatenate(channels), np.concatenate(symbols)) if verify else (None, None)
+    return conn.adjacency, np.concatenate(profiles) + offsets, num_users, *stacked
 
 
 def evaluate_counts(
@@ -492,17 +487,24 @@ def _checked_pairs(
     seeds: Sequence[int],
     counts: dict[str, np.ndarray],
 ) -> ServedPairs:
-    """Every verified schedule of a chunk as one table, after its counts and coverage are checked.
+    """The verified schedules of a chunk as one table, after its counts and coverage are checked.
 
     One builder call per method places the users of every label of the
     chunk: `optimal_placement` for bb, whose partitions are the fewest
     there are, so the check proves Hall's count the minimum, and
     `greedy_placement` for greedy, which must reproduce `greedy_counts`.
-    Each label's built count must be the evaluated one, and the table must
-    pass `audit_pairs`: every user of a trial served once by each method,
-    no user from outside it, no helper twice in a slot.  A failure raises
-    RuntimeError naming the trial seed, for the first failing trial in seed
-    order: a count before the audit, methods in order.
+    Each label's built count must be the evaluated one, and the full table
+    must pass `audit_pairs`: every user of a trial served once by each
+    method, no user from outside it, no helper twice in a slot.  A failure
+    raises RuntimeError naming the trial seed, for the first failing trial
+    in seed order: a count before the audit, methods in order.
+
+    The table returned leaves out every later method's schedule of trial i
+    in which each user of trial i has the partition and helper it has
+    under the first method.  Once the audit has passed, no helper serves
+    two users of a slot, so the sort key of every row is distinct and such
+    a schedule is its twin's, schedule i * M, row for row.  The schedule
+    ids of the rows kept are left as they are.
     """
     methods = list(counts)
     trials = len(seeds)
@@ -535,36 +537,13 @@ def _checked_pairs(
             f"coverage audit failed (seed {seeds[i]}, method {methods[m]}): "
             + "; ".join(problems[i * len(methods) + m][:5])
         )
-    return pairs
-
-
-def _without_repeats(pairs: ServedPairs, methods: int) -> ServedPairs:
-    """The table less every schedule that is, row for row, its trial's first method's.
-
-    Schedule s = i * M + m of the table is trial i's under method m, and
-    its twin is i * M, whose rows come before its own.  A later schedule
-    with the twin's row count and the same round, profile, helper and user
-    in every row is dropped; the schedule ids of the rows kept are left as
-    they are.  Such a schedule's precoders and replay are its twin's, on
-    the same channel and symbols, so its residuals would be its twin's bits
-    and any failure of it would be found first in its twin.
-    """
-    schedule = pairs.schedule
-    sizes = np.bincount(schedule)
-    firsts = np.cumsum(sizes) - sizes
-    ids = np.arange(sizes.size)
-    twins = ids - ids % methods
-    repeated = (twins != ids) & (sizes == sizes[twins])
-    rows = np.flatnonzero(repeated[schedule])
-    owners = schedule[rows]
-    partners = rows - firsts[owners] + firsts[twins[owners]]
-    for name in ("round", "profile", "helper", "user"):
-        column = getattr(pairs, name)
-        repeated[owners[column[rows] != column[partners]]] = False
-    keep = ~repeated[schedule]
-    if keep.all():
-        return pairs
-    columns = (schedule, pairs.round, pairs.profile, pairs.helper, pairs.user)
+    partition, helper = map(np.array, zip(*placements))  # (M, sum K) each
+    moved = (partition != partition[0]) | (helper != helper[0])
+    owner = (labels - 1) // point.profiles * len(methods) + np.arange(len(methods))[:, None]
+    repeated = np.bincount(owner[moved], minlength=trials * len(methods)) == 0
+    repeated[:: len(methods)] = False  # a trial's first schedule is the twin
+    keep = ~repeated[pairs.schedule]
+    columns = (pairs.schedule, pairs.round, pairs.profile, pairs.helper, pairs.user)
     return ServedPairs(pairs.num_profiles, *(column[keep] for column in columns))
 
 
@@ -573,48 +552,33 @@ def _verify_chunk(
     adjacency: np.ndarray,
     labels: np.ndarray,
     num_users: np.ndarray,
-    draws: Sequence[TrialDraw],
+    channel: np.ndarray,
+    symbols: np.ndarray,
+    seeds: Sequence[int],
     counts: dict[str, np.ndarray],
 ) -> None:
     """Build every verified schedule of a chunk at its counts, audit it, then decode it.
 
-    `adjacency`, `labels` and `num_users` are the chunk's from `_draw_chunk`,
-    and trial i's counts are row i of each method's array.  The schedules
-    are one table of served pairs (`_checked_pairs`), every one of them
-    count-checked and audited.  A later method's schedule that repeats its
-    trial's first method's row for row is then left out
-    (`_without_repeats`); where every user reaches every helper, greedy's
-    partitions were bb's in every trial measured.  Every other schedule is
-    inverted by one `matched_precoders` call over the trials' stacked
-    channels, and replayed by one `decode_schedules` call, each on its own
-    trial's channel and symbols.  A schedule left out would give its
-    twin's residuals bit for bit, and its twin comes first in the table, so
-    the residuals kept and the first error are those of the full table.
-    Every error names the trial seed.
+    The arrays before `seeds` are the chunk's from `_draw_chunk`, and
+    trial i's counts are row i of each method's array.  The schedules are
+    one table of served pairs (`_checked_pairs`), every one of them
+    count-checked and audited; a later method's schedule that repeats its
+    trial's first method's is then left out.  Where every user reaches
+    every helper, greedy's partitions were bb's in every trial measured.
+    Every other schedule is inverted by one `matched_precoders` call and
+    replayed by one `decode_schedules` call, both reading user u of
+    schedule i * M + m at row `first_rows[i * M + m] + u` of the stacked
+    channel and symbols, trial i's first row plus u.  A schedule left out
+    would give its twin's residuals bit for bit, and its twin comes first
+    in the table, so the residuals kept and the first error are those of
+    the full table.  Every error names the trial seed.
     """
-    methods = len(counts)
-    pairs = _checked_pairs(point, adjacency, labels, num_users, [d.seed for d in draws], counts)
-    pairs = _without_repeats(pairs, methods)
-    symbols = [
-        draw_subfile_symbols(
-            draw.assignment, {k: k for k in range(draw.conn.num_users)}, point.index_size, draw.rng
-        )
-        for draw in draws
-    ]  # distinct worst-case demands
-    precoders = matched_precoders(
-        np.concatenate([draw.channel for draw in draws]),
-        pairs,
-        np.repeat(np.cumsum(num_users) - num_users, methods),
-        [draw.seed for draw in draws for _ in range(methods)],
-    )
-    decode_schedules(
-        [draw.channel for draw in draws for _ in range(methods)],
-        [own for own in symbols for _ in range(methods)],
-        pairs,
-        point.index_size,
-        precoders,
-        [f"seed {draw.seed}, method {method}" for draw in draws for method in counts],
-    )
+    pairs = _checked_pairs(point, adjacency, labels, num_users, seeds, counts)
+    first_rows = np.repeat(np.cumsum(num_users) - num_users, len(counts))
+    owners = [seed for seed in seeds for _ in counts]
+    precoders = matched_precoders(channel, pairs, first_rows, owners)
+    names = [f"seed {seed}, method {method}" for seed in seeds for method in counts]
+    decode_schedules(channel, symbols, pairs, point.index_size, precoders, first_rows, names)
 
 
 def run_point(
@@ -632,13 +596,16 @@ def run_point(
     `optimal_placement`, whose one matching pass per label finds the
     fewest; every built count must equal the evaluated one.  Every
     transmission is then audited for complete coverage, composed and
-    decoded, except those of a later method's schedule that repeats its
-    trial's first method's row for row: it would decode to its twin's bits
-    and fail first in its twin.  Such repeats pay off only at saturated
-    points: over the acceptance radius sweep (200 trials) they were 11.0%,
-    0%, 2.8% and 50% of the rows at r 1.2, 2.2, 3.2 and 4.2.  The branch
-    and bound `bb_assign` does not run here: on a 19-helper point its
-    search ran for more than 30 s on a single profile.
+    decoded, except those of a later method's schedule in which every user
+    has the partition and helper of its trial's first method: it would
+    decode to its twin's bits and fail first in its twin.  Such repeats
+    pay off only at saturated points: over the acceptance radius sweep
+    (200 trials) they were 11.0%, 0%, 2.8% and 50% of the rows at r 1.2,
+    2.2, 3.2 and 4.2.  The branch and bound `bb_assign` does not run here:
+    on a 19-helper point its search ran for more than 30 s on a single
+    profile.  A verified chunk's stacked channel and symbols are released
+    before the next chunk is drawn, so at most one chunk's are held at a
+    time.
     """
     _check_methods(methods, verify)
     if not trial_seeds:
@@ -654,10 +621,11 @@ def run_point(
     chunks: list[dict[str, np.ndarray]] = []
     for first in range(0, len(trial_seeds), step):
         seeds = trial_seeds[first : first + step]
-        adjacency, labels, chunk_users, draws = _draw_chunk(point, seeds, verify)
+        adjacency, labels, chunk_users, channel, symbols = _draw_chunk(point, seeds, verify)
         chunk = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods)
         if verify:
-            _verify_chunk(point, adjacency, labels, chunk_users, draws, chunk)
+            _verify_chunk(point, adjacency, labels, chunk_users, channel, symbols, seeds, chunk)
+        del channel, symbols  # not held while the next chunk is drawn
         users.append(chunk_users)
         chunks.append(chunk)
 

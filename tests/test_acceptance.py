@@ -7,7 +7,8 @@ lines and measured values.
 import hashlib
 import math
 import time
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +415,48 @@ def test_mean_users_follow_the_covered_area(radius_sweep, profile_sweep):
         + " (band +-4 SE)",
     )
     assert ok, z
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The cells of each body row of the README table whose header row starts with `header`."""
+    lines = [line.strip() for line in README.read_text(encoding="utf-8").splitlines()]
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = takewhile(lambda line: line.startswith("|"), lines[start + 2 :])
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def _shown_as(value: float, text: str) -> bool:
+    """Whether `value`, rounded to the decimals `text` prints, reads as `text`."""
+    return f"{value:.{len(text.partition('.')[2])}f}" == text
+
+
+def test_readme_radius_ratio_table(radius_sweep):
+    # The README's table of per-trial dof_bb / dof_fc and dof_greedy / dof_fc
+    # comes from this sweep (1000 trials, seed 20240801): every cell must
+    # read as printed, to the digits printed.
+    bb, greedy, fc, _ = radius_sweep
+    rows = _readme_table("| radius | mean `dof_bb / dof_fc` |")
+    assert [float(row[0]) for row in rows] == sorted(bb)
+    for radius, mean_bb, lowest, below, mean_greedy in rows:
+        bound = np.array(fc[float(radius)].per_trial_dof)
+        ratio = np.array(bb[float(radius)].per_trial_dof) / bound
+        greedy_ratio = np.array(greedy[float(radius)].per_trial_dof) / bound
+        ok = (
+            _shown_as(ratio.mean(), mean_bb)
+            and _shown_as(ratio.min(), lowest)
+            and int(below) == np.count_nonzero(ratio < 1)
+            and _shown_as(greedy_ratio.mean(), mean_greedy)
+        )
+        _report(
+            ok,
+            f"README ratio row r={radius}",
+            f"bb mean {ratio.mean():.6f}, min {ratio.min():.6f}, "
+            f"{np.count_nonzero(ratio < 1)} below 1, greedy mean {greedy_ratio.mean():.6f}",
+        )
+        assert ok, (radius, mean_bb, lowest, below, mean_greedy)
 
 
 # SHA-256 of the CSV bytes of the two acceptance sweeps.  They change when

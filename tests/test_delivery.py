@@ -128,7 +128,7 @@ def test_empty_schedule_verifies_to_no_rows(num_profiles, index_size):
     assert coverage_check(schedule, index_size) == []
     precoders = matched_precoders(channel, schedule)
     assert precoders.shape == (4, 0)
-    residuals = decode_schedules([channel], [symbols], schedule, index_size, precoders)
+    residuals = decode_schedules(channel, symbols, schedule, index_size, precoders)
     assert residuals.shape == (0, width)
 
 
@@ -326,18 +326,56 @@ def test_batched_precoders_match_single_inverses():
     assert precoders.shape == (4, start)
 
 
-def test_precoders_of_stacked_trials_name_the_trial():
-    # two trials' channels stacked: the second trial's users start at row 3
+def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
+    # two trials' channels and symbols stacked: the second trial's users start at row 3
     rng = np.random.default_rng(15)
     first, second = (draw_channels(_full_connectivity(k, 3), rng) for k in (3, 4))
+    symbols = (rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1))) / math.sqrt(2)
     slots = [((0, 0), (1, 2)), ((2, 3), (0, 1)), ((1, 0),)]
-    rows, seeds = np.array([0, 3, 3]), [11, 22, 22]
-    stacked = matched_precoders(np.vstack([first, second]), _slots(slots), rows, seeds)
+    rows, seeds, both = np.array([0, 3, 3]), [11, 22, 22], np.vstack([first, second])
+    stacked = matched_precoders(both, _slots(slots), rows, seeds)
     np.testing.assert_array_equal(stacked[:, :2], matched_precoders(first, _slots(slots[:1])))
     np.testing.assert_array_equal(stacked[:, 2:], matched_precoders(second, _slots(slots[1:])))
+    # The decode reads the same rows of the stacked channel and symbols.
+    decode = decode_schedules(both, symbols, _slots(slots), 0, stacked, rows)
+    alone = [
+        decode_schedules(channel, own, _slots(part), 0, matched_precoders(channel, _slots(part)))
+        for channel, own, part in ((first, symbols[:3], slots[:1]), (second, symbols[3:], slots[1:]))
+    ]
+    assert decode.tobytes() == np.concatenate(alone).tobytes()
+
+    def alter(round_index, messages):
+        if round_index == 1:  # the second trial's first round
+            messages *= 2.0
+
+    _send_altered(monkeypatch, alter)
+    labels = [f"seed {seed}" for seed in seeds]
+    with pytest.raises(DecodeFailure, match=r"^user 3 failed .* round 0, .* \(seed 22\)$"):
+        decode_schedules(both, symbols, _slots(slots), 0, stacked, rows, labels)
     second[[3, 1]] = second[[1, 1]]  # the second trial's slot of users 3 and 1 turns singular
     with pytest.raises(SingularChannelError, match=r"users \(3, 1\) on helpers \(2, 0\) \(seed 22\)"):
         matched_precoders(np.vstack([first, second]), _slots(slots), rows, seeds)
+
+
+def test_stacked_decode_bounds_each_residual_by_its_own_symbol(monkeypatch):
+    # The second trial's symbols are 1000 times the first's, and its first
+    # round is sent 1e-10 off: residuals near 1e-7, past the tolerance but
+    # within 1e-9 * (|symbol| + 1) of each user's own symbol.  Its user 1 is
+    # row 4 of the stacked symbols; row 1 is the first trial's, too small.
+    rng = np.random.default_rng(15)
+    channel = np.vstack([draw_channels(_full_connectivity(k, 3), rng) for k in (3, 4)])
+    symbols = (rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1))) / math.sqrt(2)
+    symbols[3:] *= 1000.0
+    pairs, rows = _slots([((0, 0), (1, 2)), ((2, 3), (0, 1))]), np.array([0, 3])
+    precoders = matched_precoders(channel, pairs, rows)
+
+    def alter(round_index, messages):
+        if round_index == 1:
+            messages *= 1.0 + 1e-10
+
+    _send_altered(monkeypatch, alter)
+    residuals = decode_schedules(channel, symbols, pairs, 0, precoders, rows)
+    assert residuals[2:].min() > 1e-8 and residuals.max() < 1e-6
 
 
 def test_precoder_rejects_singular_submatrix():
@@ -793,21 +831,24 @@ _EMPTY_TRIAL = (np.zeros((0, 2), dtype=complex), [_schedules({}, 3)], np.zeros((
 @example((1, 3, [_EMPTY_TRIAL]))  # a chunk without a round
 @example((1, 3, [_EMPTY_TRIAL[:1] + ([],) + _EMPTY_TRIAL[2:]]))  # and without a schedule
 def test_chunk_replay_matches_the_round_matrices_bit_for_bit(chunk):
-    # One call over the schedules of several trials gives every intended
-    # residual of the per-round replay, bit for bit, each schedule on its own
-    # trial's columns of the chunk's precoders.
+    # One call over the schedules of several trials, their channels and
+    # symbols stacked, gives every intended residual of the per-round
+    # replay, bit for bit, each schedule on its own trial's rows of the
+    # stacked arrays and its own columns of the chunk's precoders.
     index_size, num_profiles, trials = chunk
     firsts = np.cumsum([0] + [channel.shape[0] for channel, _, _ in trials])
     stacked = np.concatenate([channel for channel, _, _ in trials])
+    stacked_symbols = np.concatenate([symbols for _, _, symbols in trials])
     runs = [
         (channel, rounds, symbols, first)
         for first, (channel, own, symbols) in zip(firsts.tolist(), trials)
         for _, rounds in own
     ]
-    channels, schedules, symbols, first_rows = map(list, zip(*runs)) if runs else ([],) * 4
+    schedules = [rounds for _, rounds, _, _ in runs]
+    first_rows = np.array([first for *_, first in runs], dtype=np.intp)
     pairs = served_pairs(schedules) if runs else build_schedule({}, num_profiles)
-    precoders = matched_precoders(stacked, pairs, np.array(first_rows, dtype=np.intp))
-    residuals = decode_schedules(channels, symbols, pairs, index_size, precoders)
+    precoders = matched_precoders(stacked, pairs, first_rows)
+    residuals = decode_schedules(stacked, stacked_symbols, pairs, index_size, precoders, first_rows)
     expected, start = [np.empty(0)], 0
     for channel, rounds, own_symbols, _ in runs:
         stop = start + len(served_pairs([rounds]))

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import math
@@ -18,7 +19,12 @@ from hypothesis import strategies as st
 from conftest import REFERENCE_INSTANCE
 from delivery_reference import build_rounds, served_pairs
 from helpercache import cli, delivery, partitioner, sim_harness
-from helpercache.cache_placement import ConfigError, ProfileAssignment, assign_profiles
+from helpercache.cache_placement import (
+    ConfigError,
+    ProfileAssignment,
+    assign_profiles,
+    draw_subfile_symbols,
+)
 from helpercache.cli import main
 from helpercache.delivery import (
     DecodeFailure,
@@ -282,15 +288,15 @@ def _insert(columns, at, **values):
 
 
 def _record_full_tables(patch, tables):
-    """Append to `tables` each verified chunk's table as `_checked_pairs` gives it."""
-    check = sim_harness._checked_pairs
+    """Append to `tables` each verified chunk's full table, as `_pair_table` builds it."""
+    build = sim_harness._pair_table
 
     def recorded(*args):
-        pairs = check(*args)
+        pairs = build(*args)
         tables.append(pairs)
         return pairs
 
-    patch.setattr(sim_harness, "_checked_pairs", recorded)
+    patch.setattr(sim_harness, "_pair_table", recorded)
 
 
 def _record_calls(patch, calls):
@@ -508,35 +514,40 @@ def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_harness, "_trial_generators", tracked)
-        adjacency, labels, num_users, draws = sim_harness._draw_chunk(point, seeds, verify)
+        adjacency, labels, num_users, channel, symbols = sim_harness._draw_chunk(point, seeds, verify)
     assert len(generators) == len(seeds)
     for seed, state in zip(seeds, initial_states):
         assert state == np.random.default_rng(seed).bit_generator.state
-    assert len(draws) == (len(seeds) if verify else 0)
     bounds = np.concatenate(([0], np.cumsum(num_users)))
     assert adjacency.shape == (point.helpers, bounds[-1]) and labels.shape == (bounds[-1],)
+    if verify:
+        assert channel.shape == (bounds[-1], point.helpers)
+        assert symbols.shape == (bounds[-1], math.comb(point.profiles - 1, point.index_size))
+    else:
+        assert channel is None and symbols is None
     for i, seed in enumerate(seeds):
-        links, kept, channel, profiles, after = _trial_drawn_alone(point, seed)
-        columns = slice(bounds[i], bounds[i + 1])
+        links, kept, alone, profiles, after = _trial_drawn_alone(point, seed)
+        rows = slice(bounds[i], bounds[i + 1])
         assert num_users[i] == kept.size
-        assert np.array_equal(adjacency[:, columns], links)
-        assert np.array_equal(labels[columns], profiles + i * point.profiles)
-        assert generators[i].random() == after  # the draw left the generator where it should
-        if verify:
-            draw = draws[i]
-            assert draw.seed == seed and draw.rng is generators[i]
-            assert np.array_equal(draw.conn.adjacency, links)
-            assert np.array_equal(draw.conn.reachable_users, kept)
-            assert np.array_equal(draw.channel, channel)
-            assert np.array_equal(draw.assignment.profile_of, profiles)
+        assert np.array_equal(adjacency[:, rows], links)
+        assert np.array_equal(labels[rows], profiles + i * point.profiles)
         # The per-trial library path, which the benchmark's traced loop follows.
         rng = np.random.default_rng(seed)
         users = sample_users(point.density, point.user_radius, rng)
         conn = connect(hex_layout(point.helpers), users, point.radius)
         assert np.array_equal(conn.adjacency, links) and np.array_equal(conn.reachable_users, kept)
-        assert np.array_equal(draw_channels(conn, rng), channel)
-        assert np.array_equal(assign_profiles(conn.num_users, point.profiles, rng).profile_of, profiles)
-        assert rng.random() == after
+        assert np.array_equal(draw_channels(conn, rng), alone)
+        assignment = assign_profiles(conn.num_users, point.profiles, rng)
+        assert np.array_equal(assignment.profile_of, profiles)
+        assert copy.deepcopy(rng).random() == after
+        if verify:
+            assert np.array_equal(channel[rows], alone)
+            demands = {k: k for k in range(conn.num_users)}
+            own = draw_subfile_symbols(assignment, demands, point.index_size, rng)
+            assert np.array_equal(symbols[rows], own)
+        # The draw left the trial's generator where the library path ends:
+        # after the profiles, and verified, after the symbols.
+        assert generators[i].random() == rng.random()
 
 
 @settings(max_examples=200, deadline=None)
@@ -592,8 +603,8 @@ def test_residuals_do_not_depend_on_the_chunk(point, seeds):
     # bit for bit those of the trial verified alone.
     residuals, tables = [], []
 
-    def recorded(channels, symbols, pairs, *args):
-        replayed = decode_schedules(channels, symbols, pairs, *args)
+    def recorded(channel, symbols, pairs, *args):
+        replayed = decode_schedules(channel, symbols, pairs, *args)
         if len(pairs):
             _, firsts = np.unique(pairs.schedule, return_index=True)
             residuals.extend(np.split(replayed, firsts[1:]))
@@ -623,23 +634,35 @@ def test_residuals_do_not_depend_on_the_chunk(point, seeds):
 def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
     # The table one chunk's builders give, row for row, is the schedules of
     # its trials built one profile at a time and flattened in trial and
-    # method order: the same pairs, in the same transmission order.
-    adjacency, labels, num_users, draws = sim_harness._draw_chunk(point, seeds, True)
+    # method order: the same pairs, in the same transmission order.  The
+    # table `_checked_pairs` returns is that one less every greedy schedule
+    # equal, row for row, to its trial's bb schedule.
+    adjacency, labels, num_users, _, _ = sim_harness._draw_chunk(point, seeds, True)
     methods = ("bb", "greedy")
     counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods)
-    pairs = sim_harness._checked_pairs(point, adjacency, labels, num_users, seeds, counts)
+    tables = []
+    with pytest.MonkeyPatch.context() as patch:
+        _record_full_tables(patch, tables)
+        kept = sim_harness._checked_pairs(point, adjacency, labels, num_users, seeds, counts)
+    (pairs,) = tables
+    bounds = np.concatenate(([0], np.cumsum(num_users))).tolist()
     schedules = []
-    for draw in draws:
-        subnets = subnetworks_from_connectivity(draw.conn, draw.assignment)
+    for i, (first, last) in enumerate(zip(bounds, bounds[1:])):
+        conn = Connectivity(adjacency[:, first:last], reachable_users=np.arange(last - first))
+        profiles = ProfileAssignment(labels[first:last] - i * point.profiles, point.profiles)
+        subnets = subnetworks_from_connectivity(conn, profiles)
         for builder in (optimal_partitions, greedy_assign):
             psets = {p: builder(subnet) for p, subnet in subnets.items()}
             schedules.append(build_rounds(psets, point.profiles))
     expected = served_pairs(schedules)
-    assert pairs.num_profiles == expected.num_profiles
+    assert pairs.num_profiles == expected.num_profiles == kept.num_profiles
     for name in _COLUMNS:
         column = getattr(pairs, name)
-        assert column.dtype == np.int32
+        assert column.dtype == getattr(kept, name).dtype == np.int32
         assert np.array_equal(column, getattr(expected, name)), name
+    full = _schedule_rows(pairs)
+    distinct = {s: rows for s, rows in full.items() if s % 2 == 0 or rows != full[s - 1]}
+    assert _schedule_rows(kept) == distinct
 
 
 @pytest.mark.parametrize("radius", [1.2, 4.2])
@@ -655,9 +678,9 @@ def test_decode_skips_only_greedy_schedules_equal_to_bb(monkeypatch, radius):
     seeds = [derive_trial_seed(5, index) for index in range(20)]
     outcome = run_point(_point(radius=radius), seeds, verify=True)
     (full,) = (_schedule_rows(table) for table in tables)
-    (pairs,) = (args[1] for args in calls["matched_precoders"])
-    ((_, _, decoded, *_),) = calls["decode_schedules"]
-    assert decoded is pairs
+    ((channel, pairs, first_rows, _),) = calls["matched_precoders"]
+    ((heard, _, decoded, _, _, rows, _),) = calls["decode_schedules"]
+    assert decoded is pairs and heard is channel and rows is first_rows
     kept = _schedule_rows(pairs)
     assert kept == {s: full[s] for s in kept}
     differing = [i for i in range(len(seeds)) if full.get(2 * i) != full.get(2 * i + 1)]
@@ -669,6 +692,36 @@ def test_decode_skips_only_greedy_schedules_equal_to_bb(monkeypatch, radius):
         assert not differing
     else:
         assert 0 < len(differing) < len(seeds)
+
+
+def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers(monkeypatch):
+    # At r 4.2 greedy places every user as bb does.  With two users of one
+    # of the third trial's bb slots trading helpers, its greedy schedule has
+    # bb's partitions but not bb's rows, so it must be decoded as well.
+    point, traded = _point(radius=4.2), []
+
+    def trading(candidates, labels, num_helpers):
+        partition, helper = sim_harness.optimal_placement(candidates, labels, num_helpers)
+        slots = {}
+        for user, slot in enumerate(zip(labels.tolist(), partition.tolist())):
+            if slot[0] > 2 * point.profiles and slots.setdefault(slot, user) != user:
+                a, b = slots[slot], user
+                helper[[a, b]] = helper[[b, a]]
+                traded.append(slot[0])
+                return partition, helper
+        raise AssertionError("no slot of two users")
+
+    monkeypatch.setattr(sim_harness, "greedy_placement", trading)
+    tables, calls = [], {}
+    _record_full_tables(monkeypatch, tables)
+    _record_calls(monkeypatch, calls)
+    seeds = [derive_trial_seed(5, index) for index in range(4)]
+    run_point(point, seeds, verify=True)
+    (full,) = (_schedule_rows(table) for table in tables)
+    ((_, pairs, _, _),) = calls["matched_precoders"]
+    trial = (traded[0] - 1) // point.profiles
+    assert trial >= 2 and full[2 * trial + 1] != full[2 * trial]
+    assert sorted(_schedule_rows(pairs)) == sorted([2 * i for i in range(4)] + [2 * trial + 1])
 
 
 @pytest.mark.parametrize(
@@ -690,8 +743,8 @@ def test_verify_errors_are_those_of_the_full_table(monkeypatch, name, value, err
     assert len(pairs) < len(full)
     with pytest.raises(error) as direct:
         precoders = delivery.matched_precoders(channel, full, first_rows, seed_of)
-        ((channels, symbols, _, index_size, _, labels),) = calls["decode_schedules"]
-        delivery.decode_schedules(channels, symbols, full, index_size, precoders, labels)
+        ((channel, symbols, _, index_size, _, first_rows, labels),) = calls["decode_schedules"]
+        delivery.decode_schedules(channel, symbols, full, index_size, precoders, first_rows, labels)
     assert str(failure.value) == str(direct.value)
 
 
