@@ -58,8 +58,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_values(raw: str, sweep: str) -> tuple[float, ...]:
-    kind = int if sweep == "L" else float
-    return tuple(kind(tok) for tok in raw.split(",") if tok.strip())
+    """The numbers of `--values`; a whole profile count is an int, so `10.0` is written as `10`."""
+    values = []
+    for token in filter(str.strip, raw.split(",")):
+        try:
+            value = float(token)
+        except ValueError:
+            raise ValueError(f"--values must be numbers, got {token.strip()!r}") from None
+        values.append(int(value) if sweep == "L" and value.is_integer() else value)
+    return tuple(values)
 
 
 def _run_simulate(args: argparse.Namespace) -> None:

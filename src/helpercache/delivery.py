@@ -173,7 +173,7 @@ def matched_precoders(
     channel: np.ndarray,
     pairs: ServedPairs,
     first_rows: np.ndarray | None = None,
-    seeds: Sequence[int] | None = None,
+    labels: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Zero-forcing precoders of every slot of a table, side by side in one (E, rows) array.
 
@@ -185,9 +185,9 @@ def matched_precoders(
     is ill-conditioned when `cond(A)` exceeds `CONDITION_LIMIT`; since
     cond_2(A) <= |A|_F |A^-1|_F, `cond` runs only on the slots whose product
     with the computed inverse exceeds half the limit, or on the whole size
-    when `inv` finds an exactly singular one.  Schedules of several trials can share one call:
-    `channel` stacks their channels, schedule s's users are rows
-    `first_rows[s] + u`, and an error names its own users and `seeds[s]`.
+    when `inv` finds an exactly singular one.  `first_rows` and `labels`
+    are those of `decode_schedules`; an error names the slot's users and
+    helpers, and its schedule's label when given.
     """
     starts = pairs.slot_starts
     sizes = np.diff(starts, append=len(pairs))
@@ -199,9 +199,9 @@ def matched_precoders(
         owners = pairs.schedule[rows[:, 0]]
 
         def where(i: int) -> str:
-            trial = "" if seeds is None else f" (seed {seeds[owners[i]]})"
+            label = "" if labels is None else f" ({labels[owners[i]]})"
             slot_users, slot_helpers = tuple(users[i].tolist()), tuple(helpers[i].tolist())
-            return f"users {slot_users} on helpers {slot_helpers}{trial}"
+            return f"users {slot_users} on helpers {slot_helpers}{label}"
 
         rows_in_channel = users if first_rows is None else users + first_rows[owners, None]
         subs = channel[rows_in_channel[:, :, None], helpers[:, None, :]]
@@ -280,16 +280,16 @@ def decode_schedules(
     symbols: np.ndarray,
     pairs: ServedPairs,
     index_size: int,
-    precoders: np.ndarray,
     first_rows: np.ndarray | None = None,
     labels: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """Compose and decode every round of a table's schedules; return every intended residual.
+    """Precode and decode every round of a table's schedules; return every intended residual.
 
     Schedule s of the table serves the users of one trial: user u's gains
     and `needed_subfiles` symbols are row `first_rows[s] + u` of `channel`
-    and `symbols`, or row u without `first_rows`, as in
-    `matched_precoders`, whose columns for the table are `precoders`.
+    and `symbols`, or row u without `first_rows`.  The table's precoders
+    come first, from one `matched_precoders` call, so a singular or
+    structurally zero slot fails before any round is composed.
 
     Round g sends every group with a profile served that round: the groups
     in the `group_table` rows of its a(g) active profiles, which must number
@@ -309,9 +309,10 @@ def decode_schedules(
     user's residuals in `needed_subfiles` order.  Raises DecodeFailure
     past `DECODE_TOLERANCE * (|symbol| + 1)`, naming the user, round, group
     and residual of the first failure in transmission order, and raises
-    RuntimeError for the first round whose group count is wrong; either
-    error ends with `(labels[s])` when given.
+    RuntimeError for the first round whose group count is wrong; every
+    error, the precoders' too, ends with `(labels[s])` when given.
     """
+    precoders = matched_precoders(channel, pairs, first_rows, labels)
     num_profiles = pairs.num_profiles
     table = group_table(num_profiles, index_size)
     # A round, a slot per active profile of it, a row per served pair.
@@ -392,15 +393,14 @@ def verify_schedule(
     symbols: np.ndarray,
     index_size: int,
 ) -> float:
-    """Compose and decode every transmission of a one-schedule table; return the worst residual.
+    """Precode and decode every transmission of a one-schedule table; return the worst residual.
 
-    `symbols` is the array `draw_subfile_symbols` drew for the distinct
-    demands: its rows are per user, and so already per requested file.
-    `demands` itself is unused.
+    One `decode_schedules` call, user u on row u of `channel` and
+    `symbols`.  `symbols` is the array `draw_subfile_symbols` drew for the
+    distinct demands: its rows are per user, and so already per requested
+    file.  `demands` itself is unused.
     """
-    precoders = matched_precoders(channel, schedule)
-    residuals = decode_schedules(channel, symbols, schedule, index_size, precoders)
-    return float(residuals.max(initial=0.0))
+    return float(decode_schedules(channel, symbols, schedule, index_size).max(initial=0.0))
 
 
 def audit_pairs(

@@ -574,7 +574,7 @@ def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
 
     At most one `helpers: E` header, above or below the user lines, fixes
     E >= 1, and a helper label above it is an error; without one, E is the
-    largest label.
+    largest label, so an instance needs a user line or the header.
     """
     line_of: dict[int, int] = {}  # user id -> its line, in file order
     cands: list[tuple[int, ...]] = []
@@ -615,7 +615,9 @@ def load_instance(lines: Iterable[str]) -> ProfileSubnetwork:
         line_of[user] = number
         cands.append(helpers)
     if num_helpers is None:
-        num_helpers = max((helpers[-1] + 1 for helpers in cands), default=0)
+        if not cands:
+            raise ValueError("the instance lists no users and no helpers: header")
+        num_helpers = max(helpers[-1] + 1 for helpers in cands)
     for (user, number), helpers in zip(line_of.items(), cands):
         if helpers[-1] >= num_helpers:
             raise ValueError(

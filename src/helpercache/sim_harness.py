@@ -39,7 +39,6 @@ from .delivery import (
     audit_pairs,
     decode_schedules,
     delivery_time,
-    matched_precoders,
     sum_dof,
     transmissions_from_counts,
 )
@@ -547,40 +546,6 @@ def _checked_pairs(
     return ServedPairs(pairs.num_profiles, *(column[keep] for column in columns))
 
 
-def _verify_chunk(
-    point: PointConfig,
-    adjacency: np.ndarray,
-    labels: np.ndarray,
-    num_users: np.ndarray,
-    channel: np.ndarray,
-    symbols: np.ndarray,
-    seeds: Sequence[int],
-    counts: dict[str, np.ndarray],
-) -> None:
-    """Build every verified schedule of a chunk at its counts, audit it, then decode it.
-
-    The arrays before `seeds` are the chunk's from `_draw_chunk`, and
-    trial i's counts are row i of each method's array.  The schedules are
-    one table of served pairs (`_checked_pairs`), every one of them
-    count-checked and audited; a later method's schedule that repeats its
-    trial's first method's is then left out.  Where every user reaches
-    every helper, greedy's partitions were bb's in every trial measured.
-    Every other schedule is inverted by one `matched_precoders` call and
-    replayed by one `decode_schedules` call, both reading user u of
-    schedule i * M + m at row `first_rows[i * M + m] + u` of the stacked
-    channel and symbols, trial i's first row plus u.  A schedule left out
-    would give its twin's residuals bit for bit, and its twin comes first
-    in the table, so the residuals kept and the first error are those of
-    the full table.  Every error names the trial seed.
-    """
-    pairs = _checked_pairs(point, adjacency, labels, num_users, seeds, counts)
-    first_rows = np.repeat(np.cumsum(num_users) - num_users, len(counts))
-    owners = [seed for seed in seeds for _ in counts]
-    precoders = matched_precoders(channel, pairs, first_rows, owners)
-    names = [f"seed {seed}, method {method}" for seed in seeds for method in counts]
-    decode_schedules(channel, symbols, pairs, point.index_size, precoders, first_rows, names)
-
-
 def run_point(
     point: PointConfig,
     trial_seeds: Sequence[int],
@@ -591,21 +556,28 @@ def run_point(
 
     Every partition count comes from `evaluate_counts`, and transmissions,
     delivery time and sum-DoF from the counts in closed form.  With
-    `verify` set, the partitions of every trial of a chunk are also built,
-    by one call per method: greedy's by `greedy_placement`, and bb's by
-    `optimal_placement`, whose one matching pass per label finds the
-    fewest; every built count must equal the evaluated one.  Every
-    transmission is then audited for complete coverage, composed and
-    decoded, except those of a later method's schedule in which every user
-    has the partition and helper of its trial's first method: it would
-    decode to its twin's bits and fail first in its twin.  Such repeats
-    pay off only at saturated points: over the acceptance radius sweep
-    (200 trials) they were 11.0%, 0%, 2.8% and 50% of the rows at r 1.2,
-    2.2, 3.2 and 4.2.  The branch and bound `bb_assign` does not run here:
-    on a 19-helper point its search ran for more than 30 s on a single
-    profile.  A verified chunk's stacked channel and symbols are released
-    before the next chunk is drawn, so at most one chunk's are held at a
-    time.
+    `verify` set, a chunk's schedules are also built, count-checked and
+    audited as one table (`_checked_pairs`): greedy's partitions by
+    `greedy_placement`, and bb's by `optimal_placement`, whose one matching
+    pass per label finds the fewest.  One `decode_schedules` call then
+    precodes and decodes every schedule of the table.  Schedule i * M + m
+    is trial i's under method m of M, and its user u is row
+    `first_rows[i * M + m] + u` of the chunk's stacked channel and
+    symbols: trial i's first row plus u.  Every error names the trial
+    seed, and all but a count mismatch name the method too.
+
+    The table leaves out a later method's schedule in which every user has
+    the partition and helper of its trial's first method: it would decode
+    to its twin's bits, and its twin comes first in the table, so the
+    residuals kept and the first error are those of the full table.  Such
+    repeats pay off only at saturated points: over the acceptance radius
+    sweep (200 trials) they were 11.0%, 0%, 2.8% and 50% of the rows at
+    r 1.2, 2.2, 3.2 and 4.2; where every user reaches every helper,
+    greedy's partitions were bb's in every trial measured.  The branch and
+    bound `bb_assign` does not run here: on a 19-helper point its search
+    ran for more than 30 s on a single profile.  A verified chunk's
+    stacked channel and symbols are released before the next chunk is
+    drawn, so at most one chunk's are held at a time.
     """
     _check_methods(methods, verify)
     if not trial_seeds:
@@ -624,7 +596,11 @@ def run_point(
         adjacency, labels, chunk_users, channel, symbols = _draw_chunk(point, seeds, verify)
         chunk = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods)
         if verify:
-            _verify_chunk(point, adjacency, labels, chunk_users, channel, symbols, seeds, chunk)
+            pairs = _checked_pairs(point, adjacency, labels, chunk_users, seeds, chunk)
+            first_rows = np.repeat(np.cumsum(chunk_users) - chunk_users, len(methods))
+            names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
+            decode_schedules(channel, symbols, pairs, point.index_size, first_rows, names)
+            del pairs
         del channel, symbols  # not held while the next chunk is drawn
         users.append(chunk_users)
         chunks.append(chunk)

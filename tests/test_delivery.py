@@ -126,9 +126,8 @@ def test_empty_schedule_verifies_to_no_rows(num_profiles, index_size):
     worst = verify_schedule(channel, schedule, {}, symbols, index_size)
     assert worst == 0.0 and type(worst) is float
     assert coverage_check(schedule, index_size) == []
-    precoders = matched_precoders(channel, schedule)
-    assert precoders.shape == (4, 0)
-    residuals = decode_schedules(channel, symbols, schedule, index_size, precoders)
+    assert matched_precoders(channel, schedule).shape == (4, 0)
+    residuals = decode_schedules(channel, symbols, schedule, index_size)
     assert residuals.shape == (0, width)
 
 
@@ -332,14 +331,15 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
     first, second = (draw_channels(_full_connectivity(k, 3), rng) for k in (3, 4))
     symbols = (rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1))) / math.sqrt(2)
     slots = [((0, 0), (1, 2)), ((2, 3), (0, 1)), ((1, 0),)]
-    rows, seeds, both = np.array([0, 3, 3]), [11, 22, 22], np.vstack([first, second])
-    stacked = matched_precoders(both, _slots(slots), rows, seeds)
+    rows, both = np.array([0, 3, 3]), np.vstack([first, second])
+    labels = ["seed 11, method bb", "seed 22, method bb", "seed 22, method greedy"]
+    stacked = matched_precoders(both, _slots(slots), rows, labels)
     np.testing.assert_array_equal(stacked[:, :2], matched_precoders(first, _slots(slots[:1])))
     np.testing.assert_array_equal(stacked[:, 2:], matched_precoders(second, _slots(slots[1:])))
     # The decode reads the same rows of the stacked channel and symbols.
-    decode = decode_schedules(both, symbols, _slots(slots), 0, stacked, rows)
+    decode = decode_schedules(both, symbols, _slots(slots), 0, rows)
     alone = [
-        decode_schedules(channel, own, _slots(part), 0, matched_precoders(channel, _slots(part)))
+        decode_schedules(channel, own, _slots(part), 0)
         for channel, own, part in ((first, symbols[:3], slots[:1]), (second, symbols[3:], slots[1:]))
     ]
     assert decode.tobytes() == np.concatenate(alone).tobytes()
@@ -349,12 +349,17 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
             messages *= 2.0
 
     _send_altered(monkeypatch, alter)
-    labels = [f"seed {seed}" for seed in seeds]
-    with pytest.raises(DecodeFailure, match=r"^user 3 failed .* round 0, .* \(seed 22\)$"):
-        decode_schedules(both, symbols, _slots(slots), 0, stacked, rows, labels)
-    second[[3, 1]] = second[[1, 1]]  # the second trial's slot of users 3 and 1 turns singular
-    with pytest.raises(SingularChannelError, match=r"users \(3, 1\) on helpers \(2, 0\) \(seed 22\)"):
-        matched_precoders(np.vstack([first, second]), _slots(slots), rows, seeds)
+    with pytest.raises(DecodeFailure, match=r"^user 3 failed .* round 0, .*\(seed 22, method bb\)$"):
+        decode_schedules(both, symbols, _slots(slots), 0, rows, labels)
+    # The second trial's slot of users 3 and 1 turns singular: the precoders
+    # name it by its schedule's label, asked for alone or by the decode.
+    second[[3, 1]] = second[[1, 1]]
+    both = np.vstack([first, second])
+    singular = r"^channel submatrix for users \(3, 1\) on helpers \(2, 0\) \(seed 22, method bb\) is"
+    with pytest.raises(SingularChannelError, match=singular):
+        matched_precoders(both, _slots(slots), rows, labels)
+    with pytest.raises(SingularChannelError, match=singular):
+        decode_schedules(both, symbols, _slots(slots), 0, rows, labels)
 
 
 def test_stacked_decode_bounds_each_residual_by_its_own_symbol(monkeypatch):
@@ -367,14 +372,13 @@ def test_stacked_decode_bounds_each_residual_by_its_own_symbol(monkeypatch):
     symbols = (rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1))) / math.sqrt(2)
     symbols[3:] *= 1000.0
     pairs, rows = _slots([((0, 0), (1, 2)), ((2, 3), (0, 1))]), np.array([0, 3])
-    precoders = matched_precoders(channel, pairs, rows)
 
     def alter(round_index, messages):
         if round_index == 1:
             messages *= 1.0 + 1e-10
 
     _send_altered(monkeypatch, alter)
-    residuals = decode_schedules(channel, symbols, pairs, 0, precoders, rows)
+    residuals = decode_schedules(channel, symbols, pairs, 0, rows)
     assert residuals[2:].min() > 1e-8 and residuals.max() < 1e-6
 
 
@@ -848,7 +852,7 @@ def test_chunk_replay_matches_the_round_matrices_bit_for_bit(chunk):
     first_rows = np.array([first for *_, first in runs], dtype=np.intp)
     pairs = served_pairs(schedules) if runs else build_schedule({}, num_profiles)
     precoders = matched_precoders(stacked, pairs, first_rows)
-    residuals = decode_schedules(stacked, stacked_symbols, pairs, index_size, precoders, first_rows)
+    residuals = decode_schedules(stacked, stacked_symbols, pairs, index_size, first_rows)
     expected, start = [np.empty(0)], 0
     for channel, rounds, own_symbols, _ in runs:
         stop = start + len(served_pairs([rounds]))

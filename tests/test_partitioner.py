@@ -464,6 +464,12 @@ def test_load_instance_names_bad_labels_and_lines():
 def test_load_instance_requires_helpers():
     with pytest.raises(ValueError):
         load_instance(io.StringIO("5:\n"))
+    # without users, only the header gives E
+    for text in ("", "# no users\n\n"):
+        with pytest.raises(ValueError, match="^the instance lists no users and no helpers: header$"):
+            load_instance(io.StringIO(text))
+    empty = load_instance(io.StringIO("helpers: 3\n"))
+    assert (empty.num_helpers, empty.users) == (3, ())
 
 
 def test_load_instance_header_binds_above_or_below_the_users():

@@ -6,8 +6,11 @@ or if the benchmark in `perfbench/` mentions it.  A public method or
 property of a library class counts as used if code in `src/` reads it as
 an attribute outside its own definition, or if the benchmark mentions it.
 A name that only tests use is dead weight in the library and belongs in
-the tests.  The library also raises real errors: `python -O` strips every
-`assert`, so it has none.
+the tests.  A private module-level function, class or constant must be
+read by code in `src/` outside its own definition, and every name a module
+imports must be read in that module: neither the benchmark nor a test
+keeps one alive.  The library also raises real errors: `python -O` strips
+every `assert`, so it has none.
 """
 
 import ast
@@ -78,6 +81,60 @@ def test_every_public_method_and_property_has_a_user_outside_the_tests():
     ]
     references = {path: _attribute_reads(tree) for path, tree in TREES.items()}
     assert _unused(definitions, references) == []
+
+
+def _reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every name loaded or attribute read in the module."""
+    loads = [
+        (node.id, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    ]
+    return loads + _attribute_reads(tree)
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, range]]:
+    """(name, lines of its statement) of each private module-level function, class and constant."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for t in targets for name in ast.walk(t) if isinstance(name, ast.Name)]
+        else:
+            continue
+        lines = range(node.lineno, node.end_lineno + 1)
+        found += [(name, lines) for name in names if name[0] == "_" and not name.endswith("__")]
+    return found
+
+
+def test_every_private_name_is_read_in_the_library():
+    references = {path: _reads(tree) for path, tree in TREES.items()}
+    unread = [
+        f"{path.stem}.{defined}"
+        for path, tree in TREES.items()
+        for defined, own in _private_definitions(tree)
+        if not any(
+            name == defined and not (other == path and line in own)
+            for other, refs in references.items()
+            for name, line in refs
+        )
+    ]
+    assert unread == []
+
+
+def test_every_import_is_read_in_its_module():
+    unread = []
+    for path, tree in TREES.items():
+        read = {name for name, _ in _reads(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(a.asname or a.name).partition(".")[0] for a in node.names]
+                unread += [f"{path.stem}:{node.lineno} {name}" for name in bound if name not in read]
+    assert unread == []
 
 
 def test_library_code_never_asserts():

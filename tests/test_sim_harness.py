@@ -300,14 +300,14 @@ def _record_full_tables(patch, tables):
 
 
 def _record_calls(patch, calls):
-    """Keep the arguments of the chunk's `matched_precoders` and `decode_schedules` calls."""
-    for name in ("matched_precoders", "decode_schedules"):
+    """Keep the arguments of the chunk's `decode_schedules` call and of the precoders it makes."""
+    for module, name in ((delivery, "matched_precoders"), (sim_harness, "decode_schedules")):
 
-        def recorded(*args, call=getattr(sim_harness, name), name=name):
+        def recorded(*args, call=getattr(module, name), name=name):
             calls.setdefault(name, []).append(args)
             return call(*args)
 
-        patch.setattr(sim_harness, name, recorded)
+        patch.setattr(module, name, recorded)
 
 
 def _schedule_rows(pairs):
@@ -442,7 +442,8 @@ def test_verify_errors_name_the_trial(monkeypatch):
     assert min(sizes) > 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(delivery, "CONDITION_LIMIT", 1.0)  # every slot of two or more users fails
-        with pytest.raises(SingularChannelError, match=rf"\(seed {seeds[0]}\)") as failure:
+        singular = rf"\(seed {seeds[0]}, method bb\) is ill-conditioned$"
+        with pytest.raises(SingularChannelError, match=singular) as failure:
             run_point(point, seeds, verify=True)
     assert max(_users_named(str(failure.value))) < sizes[0]
     with pytest.MonkeyPatch.context() as patch:
@@ -461,7 +462,8 @@ def test_verify_errors_name_the_trial(monkeypatch):
         return channel
 
     monkeypatch.setattr(sim_harness, "draw_channels", deaf_third_trial)
-    with pytest.raises(ValueError, match=rf"structurally zero .* \(seed {seeds[2]}\)") as failure:
+    zero = rf"structurally zero .* \(seed {seeds[2]}, method bb\)$"
+    with pytest.raises(ValueError, match=zero) as failure:
         run_point(point, seeds, verify=True)
     assert max(_users_named(str(failure.value))) < sizes[2] < sizes[0] + sizes[1]
 
@@ -678,9 +680,9 @@ def test_decode_skips_only_greedy_schedules_equal_to_bb(monkeypatch, radius):
     seeds = [derive_trial_seed(5, index) for index in range(20)]
     outcome = run_point(_point(radius=radius), seeds, verify=True)
     (full,) = (_schedule_rows(table) for table in tables)
-    ((channel, pairs, first_rows, _),) = calls["matched_precoders"]
-    ((heard, _, decoded, _, _, rows, _),) = calls["decode_schedules"]
-    assert decoded is pairs and heard is channel and rows is first_rows
+    ((channel, pairs, first_rows, labels),) = calls["matched_precoders"]
+    ((heard, _, decoded, _, rows, names),) = calls["decode_schedules"]
+    assert decoded is pairs and heard is channel and rows is first_rows and names is labels
     kept = _schedule_rows(pairs)
     assert kept == {s: full[s] for s in kept}
     differing = [i for i in range(len(seeds)) if full.get(2 * i) != full.get(2 * i + 1)]
@@ -739,12 +741,10 @@ def test_verify_errors_are_those_of_the_full_table(monkeypatch, name, value, err
     with pytest.raises(error) as failure:
         run_point(_point(radius=4.2), seeds, verify=True)
     (full,) = tables
-    ((channel, pairs, first_rows, seed_of),) = calls["matched_precoders"]
+    ((channel, symbols, pairs, index_size, first_rows, labels),) = calls["decode_schedules"]
     assert len(pairs) < len(full)
     with pytest.raises(error) as direct:
-        precoders = delivery.matched_precoders(channel, full, first_rows, seed_of)
-        ((channel, symbols, _, index_size, _, first_rows, labels),) = calls["decode_schedules"]
-        delivery.decode_schedules(channel, symbols, full, index_size, precoders, first_rows, labels)
+        delivery.decode_schedules(channel, symbols, full, index_size, first_rows, labels)
     assert str(failure.value) == str(direct.value)
 
 
@@ -1303,9 +1303,33 @@ def test_cli_simulate_profile_sweep_round_trip(tmp_path, capsys):
     emit_results(run_sweep(config), "csv", str(tmp_path / "api.csv"))
     assert out.read_bytes() == (tmp_path / "api.csv").read_bytes()
     assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["2"] * 2 + ["4"] * 2
-    # profile counts are parsed as integers
+    # a profile count that is not whole is the config's to refuse
     assert main(args[:4] + ["2.5"] + args[5:]) == 1
-    assert "error: invalid literal for int()" in capsys.readouterr().err
+    assert "error: profile counts must be integers, got (2.5,)" in capsys.readouterr().err
+
+
+def test_cli_values_are_numbers_and_whole_profile_counts_are_ints(tmp_path, capsys):
+    # 2.0 and 4e0 are the profile counts 2 and 4: the same bytes as "2,4",
+    # in the CSV and in the per-trial JSON, whose sweep_value stays 2.
+    def simulate(values, fmt, sweep="L"):
+        out = tmp_path / f"sweep.{fmt}"
+        fixed = ["--radius", "1.0"] if sweep == "L" else ["--profiles", "2"]
+        code = main([
+            "simulate", "--sweep", sweep, "--values", values, "--helpers", "2", "--gamma", "0.5",
+            *fixed, "--user-radius", "1.5", "--density-per-profile", "0.75", "--trials", "4",
+            "--format", fmt, *(["--per-trial"] if fmt == "json" else []), "--out", str(out),
+        ])
+        return code, out.read_bytes() if code == 0 else capsys.readouterr().err
+
+    for fmt in ("csv", "json"):
+        assert simulate("2.0, 4e0", fmt) == simulate("2,4", fmt)
+    assert b'"sweep_value": 2,' in simulate("2.0,4", "json")[1]
+    # a repeat is refused as a repeat, and a token that is no number by name
+    assert simulate("2,2.0", "csv") == (1, "error: sweep values must not repeat, got (2, 2)\n")
+    assert simulate("2,x", "csv") == (1, "error: --values must be numbers, got 'x'\n")
+    assert simulate("1.0, 2.5z", "csv", sweep="r") == (
+        1, "error: --values must be numbers, got '2.5z'\n"
+    )
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):
@@ -1374,6 +1398,10 @@ def test_cli_partition_methods(tmp_path, capsys):
     for method in ("bb", "greedy"):
         assert main(["partition", "--instance", str(instance), "--method", method]) == 0
         assert capsys.readouterr().out == "partitions: 0\n"
+    # no user and no header: nothing fixes the helper count
+    instance.write_text("# empty\n\n")
+    assert main(["partition", "--instance", str(instance)]) == 1
+    assert capsys.readouterr().err == "error: the instance lists no users and no helpers: header\n"
 
 
 def _solve_instance(tmp_path, capsys, text):
