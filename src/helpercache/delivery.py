@@ -187,7 +187,7 @@ def matched_precoders(
     with the computed inverse exceeds half the limit, or on the whole size
     when `inv` finds an exactly singular one.  `first_rows` and `labels`
     are those of `decode_schedules`; an error names the slot's users and
-    helpers, and its schedule's label when given.
+    helpers, and ends with its schedule's label when given.
     """
     starts = pairs.slot_starts
     sizes = np.diff(starts, append=len(pairs))
@@ -198,18 +198,18 @@ def matched_precoders(
         helpers, users = pairs.helper[rows], pairs.user[rows]
         owners = pairs.schedule[rows[:, 0]]
 
-        def where(i: int) -> str:
-            label = "" if labels is None else f" ({labels[owners[i]]})"
+        def failure(i: int, text: str) -> str:
+            """`text` with slot i's users and helpers for {}, ending with its schedule's label."""
             slot_users, slot_helpers = tuple(users[i].tolist()), tuple(helpers[i].tolist())
-            return f"users {slot_users} on helpers {slot_helpers}{label}"
+            label = "" if labels is None else f" ({labels[owners[i]]})"
+            return text.format(f"users {slot_users} on helpers {slot_helpers}") + label
 
         rows_in_channel = users if first_rows is None else users + first_rows[owners, None]
         subs = channel[rows_in_channel[:, :, None], helpers[:, None, :]]
         zero = (np.diagonal(subs, axis1=1, axis2=2) == 0).any(axis=1)
         if zero.any():
-            raise ValueError(
-                f"matched helper-user link is structurally zero for {where(int(np.argmax(zero)))}"
-            )
+            text = "matched helper-user link is structurally zero for {}"
+            raise ValueError(failure(int(np.argmax(zero)), text))
         try:
             inverses = np.linalg.inv(subs)
         except np.linalg.LinAlgError:
@@ -224,9 +224,8 @@ def matched_precoders(
         if suspect.any():
             singular[suspect] = np.linalg.cond(subs[suspect]) > CONDITION_LIMIT
         if singular.any():
-            raise SingularChannelError(
-                f"channel submatrix for {where(int(np.argmax(singular)))} is ill-conditioned"
-            )
+            text = "channel submatrix for {} is ill-conditioned"
+            raise SingularChannelError(failure(int(np.argmax(singular)), text))
         if inverses is None:
             inverses = np.linalg.inv(subs)  # singular to inv but not to cond: LinAlgError
         precoders[helpers[:, :, None], rows[:, None, :]] = inverses

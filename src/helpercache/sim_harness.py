@@ -441,36 +441,36 @@ class PointOutcome:
     dof: dict[str, np.ndarray]  # per method, (T,) sum-DoF; NaN without users
 
 
-# The one-profile builder whose partitions a method's verified counts are
-# those of, and where the evaluated counts come from, as errors name them.
-_BUILT_BY = {
-    "bb": ("optimal_partitions", "Hall's formula"),
-    "greedy": ("greedy_assign", "greedy_counts"),
-}
+# Where each method's evaluated counts come from, as a count mismatch names it.
+_COUNTED_BY = {"bb": "Hall's formula", "greedy": "greedy_counts"}
 
 
 def _pair_table(
     point: PointConfig,
-    placements: Sequence[tuple[np.ndarray, np.ndarray]],
+    partition: np.ndarray,
+    helper: np.ndarray,
     labels: np.ndarray,
     first_users: np.ndarray,
+    repeated: np.ndarray,
 ) -> ServedPairs:
-    """A chunk's placements, one per method, as one table of served pairs.
+    """A chunk's placements, a row per method, as one table of its distinct schedules.
 
-    `placements[m]` gives every user of the chunk its partition and helper
-    under method m, `labels` its label i * L + p, and `first_users[i]` is
-    the column of trial i's first user.  Schedule i * M + m is trial i's
-    under method m, round g of it holds partition g of every profile, and
-    users are the trial's own.  One stable sort of a key packing (schedule,
-    round, profile, helper) puts the rows in transmission order.
+    Row m of the (M, sum K) `partition` and `helper` gives every user of
+    the chunk its partition and helper under method m, `labels` its label
+    i * L + p, and `first_users[i]` is the column of trial i's first user.
+    Schedule i * M + m is trial i's under method m, round g of it holds
+    partition g of every profile, and users are the trial's own.  The rows
+    of each schedule flagged in `repeated` are left out, and one stable
+    sort of a key packing (schedule, round, profile, helper) puts the rest
+    in transmission order.
     """
-    methods = len(placements)
+    methods = len(partition)
     trial, profile = np.divmod(labels - 1, point.profiles)
-    schedule = np.concatenate([trial * methods + m for m in range(methods)])
-    rounds = np.concatenate([partition for partition, _ in placements])
-    profile = np.tile(profile, methods)
-    helper = np.concatenate([h for _, h in placements])
-    user = np.tile(np.arange(labels.size) - first_users[trial], methods)
+    schedule = trial * methods + np.arange(methods)[:, None]
+    kept = ~repeated[schedule]
+    schedule, rounds, helper = schedule[kept], partition[kept], helper[kept]
+    profile = np.broadcast_to(profile, kept.shape)[kept]
+    user = np.broadcast_to(np.arange(labels.size) - first_users[trial], kept.shape)[kept]
     key = schedule * (rounds.max(initial=0) + 1) + rounds
     key = (key * point.profiles + profile) * point.helpers + helper
     order = np.argsort(key, kind="stable")
@@ -486,64 +486,64 @@ def _checked_pairs(
     seeds: Sequence[int],
     counts: dict[str, np.ndarray],
 ) -> ServedPairs:
-    """The verified schedules of a chunk as one table, after its counts and coverage are checked.
+    """A chunk's distinct verified schedules as one table, its counts and coverage checked.
 
     One builder call per method places the users of every label of the
     chunk: `optimal_placement` for bb, whose partitions are the fewest
     there are, so the check proves Hall's count the minimum, and
     `greedy_placement` for greedy, which must reproduce `greedy_counts`.
-    Each label's built count must be the evaluated one, and the full table
-    must pass `audit_pairs`: every user of a trial served once by each
-    method, no user from outside it, no helper twice in a slot.  A failure
-    raises RuntimeError naming the trial seed, for the first failing trial
-    in seed order: a count before the audit, methods in order.
-
-    The table returned leaves out every later method's schedule of trial i
-    in which each user of trial i has the partition and helper it has
-    under the first method.  Once the audit has passed, no helper serves
-    two users of a slot, so the sort key of every row is distinct and such
-    a schedule is its twin's, schedule i * M, row for row.  The schedule
-    ids of the rows kept are left as they are.
+    Each label's built count must be the evaluated one.  A later method's
+    schedule of trial i in which each user of trial i has the partition
+    and helper it has under the first method repeats its twin, schedule
+    i * M: the stable sort leaves its rows in its twin's order, so it
+    would be its twin row for row.  The table holds no such repeat, and
+    the schedule ids of the rest are left as they are.  It must pass
+    `audit_pairs`, a repeat counted with no users: every user of a trial
+    served once by each method, no user from outside it, no helper twice
+    in a slot.  A failure raises RuntimeError ending `(seed S, method m)`,
+    for the first failing trial in seed order: a count before the audit,
+    methods in order.  A repeat's audit problems would be its twin's, and
+    its twin comes first, so leaving it out changes no error.
     """
     methods = list(counts)
     trials = len(seeds)
     candidates = helper_candidates(adjacency)
-    placements, built = [], []
-    for method in methods:
-        builder = optimal_placement if method == "bb" else greedy_placement
-        partition, helper = builder(candidates, labels, point.helpers)
-        placements.append((partition, helper))
-        made = np.zeros(trials * point.profiles, dtype=np.int64)
-        np.maximum.at(made, labels - 1, partition + 1)
-        built.append(made.reshape(trials, point.profiles))
-    wrong = np.array([(made != counts[m]).any(axis=1) for made, m in zip(built, methods)])
-    pairs = _pair_table(point, placements, labels, np.cumsum(num_users) - num_users)
-    problems = audit_pairs(pairs, np.repeat(num_users, len(methods)))
+    placements = [
+        (optimal_placement if m == "bb" else greedy_placement)(candidates, labels, point.helpers)
+        for m in methods
+    ]
+    partition, helper = map(np.array, zip(*placements))  # (M, sum K) each
+    trial, profile = np.divmod(labels - 1, point.profiles)
+    owner = trial * len(methods) + np.arange(len(methods))[:, None]  # schedule i * M + m
+    built = np.zeros((trials, len(methods), point.profiles), dtype=np.int64)
+    # flat indices: a 1-d ufunc.at takes numpy's fast path, a tuple of index arrays does not
+    flat = (owner * point.profiles + profile).ravel()
+    np.maximum.at(built.reshape(-1), flat, partition.ravel() + 1)
+    wrong = (built != np.stack([counts[m] for m in methods], axis=1)).any(axis=2)  # (T, M)
+    moved = (partition != partition[0]) | (helper != helper[0])
+    repeated = np.bincount(owner[moved], minlength=trials * len(methods)) == 0
+    repeated[:: len(methods)] = False  # a trial's first schedule is the twin
+    first_users = np.cumsum(num_users) - num_users
+    pairs = _pair_table(point, partition, helper, labels, first_users, repeated)
+    problems = audit_pairs(pairs, np.where(repeated, 0, np.repeat(num_users, len(methods))))
     audited = np.zeros((trials, len(methods)), dtype=bool)
     audited.flat[list(problems)] = True
-    failing = np.flatnonzero(wrong.any(axis=0) | audited.any(axis=1))
+    failing = np.flatnonzero(wrong.any(axis=1) | audited.any(axis=1))
     if failing.size:
         i = failing[0]
-        if wrong[:, i].any():
-            m = int(np.argmax(wrong[:, i]))
-            name, source = _BUILT_BY[methods[m]]
+        if wrong[i].any():
+            m = int(np.argmax(wrong[i]))
             raise RuntimeError(
-                f"{name} partition counts {tuple(built[m][i].tolist())} differ from {source} "
-                f"{tuple(counts[methods[m]][i].tolist())} (seed {seeds[i]})"
+                f"partition counts {tuple(built[i, m].tolist())} differ from "
+                f"{_COUNTED_BY[methods[m]]} {tuple(counts[methods[m]][i].tolist())} "
+                f"(seed {seeds[i]}, method {methods[m]})"
             )
         m = int(np.argmax(audited[i]))
         raise RuntimeError(
             f"coverage audit failed (seed {seeds[i]}, method {methods[m]}): "
             + "; ".join(problems[i * len(methods) + m][:5])
         )
-    partition, helper = map(np.array, zip(*placements))  # (M, sum K) each
-    moved = (partition != partition[0]) | (helper != helper[0])
-    owner = (labels - 1) // point.profiles * len(methods) + np.arange(len(methods))[:, None]
-    repeated = np.bincount(owner[moved], minlength=trials * len(methods)) == 0
-    repeated[:: len(methods)] = False  # a trial's first schedule is the twin
-    keep = ~repeated[pairs.schedule]
-    columns = (pairs.schedule, pairs.round, pairs.profile, pairs.helper, pairs.user)
-    return ServedPairs(pairs.num_profiles, *(column[keep] for column in columns))
+    return pairs
 
 
 def run_point(
@@ -563,13 +563,13 @@ def run_point(
     precodes and decodes every schedule of the table.  Schedule i * M + m
     is trial i's under method m of M, and its user u is row
     `first_rows[i * M + m] + u` of the chunk's stacked channel and
-    symbols: trial i's first row plus u.  Every error names the trial
-    seed, and all but a count mismatch name the method too.
+    symbols: trial i's first row plus u.  Every error ends with
+    `(seed S, method m)`.
 
-    The table leaves out a later method's schedule in which every user has
+    The table holds no later method's schedule in which every user has
     the partition and helper of its trial's first method: it would decode
     to its twin's bits, and its twin comes first in the table, so the
-    residuals kept and the first error are those of the full table.  Such
+    residuals and the first error are those of every schedule.  Such
     repeats pay off only at saturated points: over the acceptance radius
     sweep (200 trials) they were 11.0%, 0%, 2.8% and 50% of the rows at
     r 1.2, 2.2, 3.2 and 4.2; where every user reaches every helper,
@@ -580,7 +580,7 @@ def run_point(
     drawn, so at most one chunk's are held at a time.
     """
     _check_methods(methods, verify)
-    if not trial_seeds:
+    if len(trial_seeds) == 0:
         raise ValueError("a sweep point needs at least one trial")
     _check_seeds(trial_seeds)
     # Per user: a distance to each helper, and verified, a symbol per needed subfile.

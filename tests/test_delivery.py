@@ -355,7 +355,10 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
     # name it by its schedule's label, asked for alone or by the decode.
     second[[3, 1]] = second[[1, 1]]
     both = np.vstack([first, second])
-    singular = r"^channel submatrix for users \(3, 1\) on helpers \(2, 0\) \(seed 22, method bb\) is"
+    singular = (
+        r"^channel submatrix for users \(3, 1\) on helpers \(2, 0\) is ill-conditioned "
+        r"\(seed 22, method bb\)$"
+    )
     with pytest.raises(SingularChannelError, match=singular):
         matched_precoders(both, _slots(slots), rows, labels)
     with pytest.raises(SingularChannelError, match=singular):

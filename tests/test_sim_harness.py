@@ -167,14 +167,14 @@ def test_verified_trial_rejects_count_mismatch(monkeypatch):
             patch.setattr(sim_harness, "min_partition_counts", off_by_one)
             with pytest.raises(RuntimeError, match="Hall's formula") as failure:
                 run_sweep(config)
-        assert f"(seed {derive_trial_seed(2, 2)})" in str(failure.value)
+        assert str(failure.value).endswith(f"(seed {derive_trial_seed(2, 2)}, method bb)")
         with pytest.MonkeyPatch.context() as patch:
             shifted = _shifted(sim_harness.optimal_placement, error, first_label=2 * 10)
             patch.setattr(sim_harness, "optimal_placement", shifted)
-            expected = "^optimal_partitions partition counts .* differ from Hall's formula"
+            expected = "^partition counts .* differ from Hall's formula"
             with pytest.raises(RuntimeError, match=expected) as failure:
                 run_sweep(config)
-        assert f"(seed {derive_trial_seed(2, 2)})" in str(failure.value)
+        assert str(failure.value).endswith(f"(seed {derive_trial_seed(2, 2)}, method bb)")
 
 
 def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
@@ -182,7 +182,7 @@ def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
         return greedy_counts(adjacency, labels, num_labels) + 1
 
     seed = derive_trial_seed(2, 7)
-    expected = rf"greedy_assign partition counts .* differ from greedy_counts .* \(seed {seed}\)"
+    expected = rf"^partition counts .* differ from greedy_counts .* \(seed {seed}, method greedy\)$"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_harness, "greedy_counts", off_by_one)
         with pytest.raises(RuntimeError, match=expected):
@@ -223,7 +223,8 @@ def test_verified_bb_runs_one_matching_pass_per_profile(monkeypatch):
         return hall
 
     monkeypatch.setattr(sim_harness, "min_partition_counts", one_on_an_empty_label)
-    with pytest.raises(RuntimeError, match=rf"Hall's formula .* \(seed {seeds[empty // 10]}\)"):
+    expected = rf"Hall's formula .* \(seed {seeds[empty // 10]}, method bb\)$"
+    with pytest.raises(RuntimeError, match=expected):
         run_point(point, seeds, ("bb",), verify=True)
 
 
@@ -287,16 +288,24 @@ def _insert(columns, at, **values):
         columns[name].insert(at, values[name])
 
 
-def _record_full_tables(patch, tables):
-    """Append to `tables` each verified chunk's full table, as `_pair_table` builds it."""
-    build = sim_harness._pair_table
+def _reference_table(point, seeds):
+    """Every schedule of the verified trials of `seeds` as one table, repeats too.
 
-    def recorded(*args):
-        pairs = build(*args)
-        tables.append(pairs)
-        return pairs
-
-    patch.setattr(sim_harness, "_pair_table", recorded)
+    Each trial's schedule under bb, then under greedy, built one profile at
+    a time by `optimal_partitions` and `greedy_assign`: schedule i * 2 + m
+    is trial i's under method m, as in a chunk's table.
+    """
+    adjacency, labels, num_users, _, _ = sim_harness._draw_chunk(point, seeds, True)
+    bounds = np.concatenate(([0], np.cumsum(num_users))).tolist()
+    schedules = []
+    for i, (first, last) in enumerate(zip(bounds, bounds[1:])):
+        conn = Connectivity(adjacency[:, first:last], reachable_users=np.arange(last - first))
+        profiles = ProfileAssignment(labels[first:last] - i * point.profiles, point.profiles)
+        subnets = subnetworks_from_connectivity(conn, profiles)
+        for builder in (optimal_partitions, greedy_assign):
+            psets = {p: builder(subnet) for p, subnet in subnets.items()}
+            schedules.append(build_rounds(psets, point.profiles))
+    return served_pairs(schedules)
 
 
 def _record_calls(patch, calls):
@@ -321,23 +330,29 @@ def _schedule_rows(pairs):
 @pytest.mark.parametrize("method", ["bb", "greedy"])
 def test_verified_sweep_refuses_an_unserved_user(monkeypatch, method):
     # A table that leaves one user out keeps every count and every slot
-    # decodable; only the check of who is served catches it.
+    # decodable; only the check of who is served catches it.  The user is
+    # dropped from the method's first schedule in the table: the first
+    # trial's greedy schedule repeats its bb one, so the table has none.
     dropped = []
-    schedule = ("bb", "greedy").index(method)  # the first trial's, under this method
+    m = ("bb", "greedy").index(method)
 
     def dropping_one(columns):
         if not dropped:
+            schedule = min(s for s in columns["schedule"] if s % 2 == m)
             row = next(rows[0] for rows in _slots(columns, schedule) if len(rows) > 1)
-            dropped.append(columns["user"][row])
+            dropped.append((schedule, columns["user"][row]))
             for name in _COLUMNS:
                 del columns[name][row]
 
     _edit_table(monkeypatch, dropping_one)
     seeds = [derive_trial_seed(4, index) for index in range(3)]
-    expected = rf"coverage audit failed \(seed {seeds[0]}, method {method}\)"
-    with pytest.raises(RuntimeError, match=expected) as failure:
+    with pytest.raises(RuntimeError) as failure:
         run_point(_point(), seeds, verify=True)
-    assert f"users [{dropped[0]}] are not served" in str(failure.value)
+    ((schedule, user),) = dropped
+    assert str(failure.value) == (
+        f"coverage audit failed (seed {seeds[schedule // 2]}, method {method}): "
+        f"users [{user}] are not served"
+    )
 
 
 def test_verified_sweep_refuses_a_user_outside_the_trial(monkeypatch):
@@ -442,7 +457,7 @@ def test_verify_errors_name_the_trial(monkeypatch):
     assert min(sizes) > 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(delivery, "CONDITION_LIMIT", 1.0)  # every slot of two or more users fails
-        singular = rf"\(seed {seeds[0]}, method bb\) is ill-conditioned$"
+        singular = rf"\) is ill-conditioned \(seed {seeds[0]}, method bb\)$"
         with pytest.raises(SingularChannelError, match=singular) as failure:
             run_point(point, seeds, verify=True)
     assert max(_users_named(str(failure.value))) < sizes[0]
@@ -603,7 +618,7 @@ def test_resolving_a_sweep_leaves_numpy_random_unloaded():
 def test_residuals_do_not_depend_on_the_chunk(point, seeds):
     # Every decode residual of a trial verified with others in one chunk,
     # bit for bit those of the trial verified alone.
-    residuals, tables = [], []
+    residuals = []
 
     def recorded(channel, symbols, pairs, *args):
         replayed = decode_schedules(channel, symbols, pairs, *args)
@@ -614,57 +629,68 @@ def test_residuals_do_not_depend_on_the_chunk(point, seeds):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_harness, "decode_schedules", recorded)
-        _record_full_tables(patch, tables)
         run_point(point, seeds, ("bb", "greedy"), verify=True)
         together = [r.tobytes() for r in residuals]
-        chunks = list(tables)
         residuals.clear()
         for seed in seeds:
             run_point(point, [seed], ("bb", "greedy"), verify=True)
     assert together == [r.tobytes() for r in residuals]
     # one residual set per distinct schedule of each trial with users
-    distinct = {
-        (chunk, s // 2, rows)
-        for chunk, table in enumerate(chunks)
-        for s, rows in _schedule_rows(table).items()
-    }
-    assert len(together) == len(distinct)
+    full = _schedule_rows(_reference_table(point, seeds))
+    assert len(together) == len({(s // 2, rows) for s, rows in full.items()})
 
 
 @settings(max_examples=60, deadline=None)
 @given(_chunk_points(), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
 def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
-    # The table one chunk's builders give, row for row, is the schedules of
-    # its trials built one profile at a time and flattened in trial and
-    # method order: the same pairs, in the same transmission order.  The
-    # table `_checked_pairs` returns is that one less every greedy schedule
-    # equal, row for row, to its trial's bb schedule.
+    # The table `_checked_pairs` gives one chunk, row for row, is the
+    # schedules of its trials built one profile at a time and flattened in
+    # trial and method order, less every greedy schedule equal, row for
+    # row, to its trial's bb schedule: the same pairs, in the same
+    # transmission order, under the same schedule ids.
     adjacency, labels, num_users, _, _ = sim_harness._draw_chunk(point, seeds, True)
-    methods = ("bb", "greedy")
-    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods)
-    tables = []
-    with pytest.MonkeyPatch.context() as patch:
-        _record_full_tables(patch, tables)
-        kept = sim_harness._checked_pairs(point, adjacency, labels, num_users, seeds, counts)
-    (pairs,) = tables
-    bounds = np.concatenate(([0], np.cumsum(num_users))).tolist()
-    schedules = []
-    for i, (first, last) in enumerate(zip(bounds, bounds[1:])):
-        conn = Connectivity(adjacency[:, first:last], reachable_users=np.arange(last - first))
-        profiles = ProfileAssignment(labels[first:last] - i * point.profiles, point.profiles)
-        subnets = subnetworks_from_connectivity(conn, profiles)
-        for builder in (optimal_partitions, greedy_assign):
-            psets = {p: builder(subnet) for p, subnet in subnets.items()}
-            schedules.append(build_rounds(psets, point.profiles))
-    expected = served_pairs(schedules)
-    assert pairs.num_profiles == expected.num_profiles == kept.num_profiles
+    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, ("bb", "greedy"))
+    pairs = sim_harness._checked_pairs(point, adjacency, labels, num_users, seeds, counts)
+    full = _reference_table(point, seeds)
+    rows = _schedule_rows(full)
+    distinct = [s for s, schedule in rows.items() if s % 2 == 0 or schedule != rows[s - 1]]
+    kept = np.isin(full.schedule, distinct)
+    assert pairs.num_profiles == full.num_profiles
     for name in _COLUMNS:
         column = getattr(pairs, name)
-        assert column.dtype == getattr(kept, name).dtype == np.int32
-        assert np.array_equal(column, getattr(expected, name)), name
-    full = _schedule_rows(pairs)
-    distinct = {s: rows for s, rows in full.items() if s % 2 == 0 or rows != full[s - 1]}
-    assert _schedule_rows(kept) == distinct
+        assert column.dtype == np.int32
+        assert np.array_equal(column, getattr(full, name)[kept]), name
+
+
+@pytest.mark.parametrize("radius", [1.2, 4.2])
+def test_checked_pairs_sorts_and_tables_only_distinct_schedules(monkeypatch, radius):
+    # A verified chunk makes one table, one ServedPairs, whose one sort
+    # orders only the rows of its distinct schedules: a repeat is dropped
+    # before the sort.  No schedule of the table is its trial's first
+    # schedule row for row.  At r 4.2 greedy repeats bb in every trial.
+    tables, made, sorted_keys = [], [], []
+    build, argsort, served = sim_harness._pair_table, np.argsort, sim_harness.ServedPairs
+
+    def sorting(keys, **options):
+        sorted_keys.append(keys.size)
+        return argsort(keys, **options)
+
+    def building(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "argsort", sorting)
+            tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(sim_harness, "_pair_table", building)
+    monkeypatch.setattr(sim_harness, "ServedPairs", lambda *args: made.append(1) or served(*args))
+    point, seeds = _point(radius=radius), [derive_trial_seed(5, index) for index in range(8)]
+    run_point(point, seeds, verify=True)
+    (table,) = tables
+    assert len(made) == 1 and sorted_keys == [len(table)]
+    rows = _schedule_rows(table)
+    assert all(rows[s] != rows.get(s - 1) for s in rows if s % 2)
+    if radius == 4.2:
+        assert 2 * len(table) == len(_reference_table(point, seeds))
 
 
 @pytest.mark.parametrize("radius", [1.2, 4.2])
@@ -674,12 +700,11 @@ def test_decode_skips_only_greedy_schedules_equal_to_bb(monkeypatch, radius):
     # do not get is, row for row, its trial's bb schedule.  At r 4.2 every
     # user reaches every helper, so greedy's partitions are bb's in every
     # trial; at r 1.2 most trials' differ.
-    tables, calls = [], {}
-    _record_full_tables(monkeypatch, tables)
+    calls = {}
     _record_calls(monkeypatch, calls)
-    seeds = [derive_trial_seed(5, index) for index in range(20)]
-    outcome = run_point(_point(radius=radius), seeds, verify=True)
-    (full,) = (_schedule_rows(table) for table in tables)
+    point, seeds = _point(radius=radius), [derive_trial_seed(5, index) for index in range(20)]
+    outcome = run_point(point, seeds, verify=True)
+    full = _schedule_rows(_reference_table(point, seeds))
     ((channel, pairs, first_rows, labels),) = calls["matched_precoders"]
     ((heard, _, decoded, _, rows, names),) = calls["decode_schedules"]
     assert decoded is pairs and heard is channel and rows is first_rows and names is labels
@@ -714,16 +739,19 @@ def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers(monkeypatch
         raise AssertionError("no slot of two users")
 
     monkeypatch.setattr(sim_harness, "greedy_placement", trading)
-    tables, calls = [], {}
-    _record_full_tables(monkeypatch, tables)
+    calls = {}
     _record_calls(monkeypatch, calls)
     seeds = [derive_trial_seed(5, index) for index in range(4)]
     run_point(point, seeds, verify=True)
-    (full,) = (_schedule_rows(table) for table in tables)
+    full = _schedule_rows(_reference_table(point, seeds))
     ((_, pairs, _, _),) = calls["matched_precoders"]
+    kept = _schedule_rows(pairs)
     trial = (traded[0] - 1) // point.profiles
-    assert trial >= 2 and full[2 * trial + 1] != full[2 * trial]
-    assert sorted(_schedule_rows(pairs)) == sorted([2 * i for i in range(4)] + [2 * trial + 1])
+    bb, greedy = kept[2 * trial], kept[2 * trial + 1]
+    assert trial >= 2 and greedy != bb == full[2 * trial] == full[2 * trial + 1]
+    # (round, profile, user) of every row: the two differ only in helpers
+    assert sorted(row[:2] + row[3:] for row in greedy) == sorted(row[:2] + row[3:] for row in bb)
+    assert sorted(kept) == sorted([2 * i for i in range(4)] + [2 * trial + 1])
 
 
 @pytest.mark.parametrize(
@@ -732,15 +760,14 @@ def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers(monkeypatch
 )
 def test_verify_errors_are_those_of_the_full_table(monkeypatch, name, value, error):
     # With repeated schedules left out, the first error is still the one the
-    # full table raises, text for text.
+    # full table of every schedule raises, text for text.
     monkeypatch.setattr(delivery, name, value)
-    tables, calls = [], {}
-    _record_full_tables(monkeypatch, tables)
+    calls = {}
     _record_calls(monkeypatch, calls)
-    seeds = [derive_trial_seed(5, index) for index in range(4)]
+    point, seeds = _point(radius=4.2), [derive_trial_seed(5, index) for index in range(4)]
     with pytest.raises(error) as failure:
-        run_point(_point(radius=4.2), seeds, verify=True)
-    (full,) = tables
+        run_point(point, seeds, verify=True)
+    full = _reference_table(point, seeds)
     ((channel, symbols, pairs, index_size, first_rows, labels),) = calls["decode_schedules"]
     assert len(pairs) < len(full)
     with pytest.raises(error) as direct:
@@ -1253,8 +1280,14 @@ def test_emit_rejects_unknown_formats(tmp_path):
 
 
 def test_run_point_needs_a_trial():
-    with pytest.raises(ValueError, match="at least one trial"):
-        run_point(_point(), [])
+    for none in ([], np.array([], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="needs at least one trial"):
+            run_point(_point(), none)
+    # An array of seeds runs the trials of the list of them.
+    seeds = [derive_trial_seed(4, index) for index in range(3)]
+    for verify in (False, True):
+        given = run_point(_point(), np.array(seeds, dtype=np.uint64), verify=verify)
+        _assert_same_outcome(given, run_point(_point(), seeds, verify=verify))
 
 
 def test_cli_simulate_round_trip(tmp_path, capsys):
