@@ -70,7 +70,11 @@ class ProfileAssignment:
 
 
 def assign_profiles(num_users: int, num_profiles: int, rng: np.random.Generator) -> ProfileAssignment:
-    """Assign each user an independent uniform profile from 1..num_profiles."""
+    """Assign each user an independent uniform profile from 1..num_profiles.
+
+    The sweep draws the same profiles from the same generators, a chunk of
+    trials at a time, in one pass over their raw words (`sim_harness`).
+    """
     if num_users < 0:
         raise ValueError(f"user count must be nonnegative, got {num_users}")
     if num_profiles < 1:

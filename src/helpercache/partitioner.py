@@ -30,6 +30,7 @@ the benchmark run it, since its search is exponential in the worst case.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -42,8 +43,9 @@ from .cache_placement import ProfileAssignment
 from .topology import Connectivity
 
 
-# Helper count above which the L * 2^E table of `min_partition_counts` is
-# refused: at 20 helpers and 10 profiles it already holds 10M int32 entries.
+# Helper count above which the 2^E * L table of `min_partition_counts` is
+# refused: at 20 helpers and 10 profiles it already holds 10M int32 entries,
+# and its quotients by the set sizes as many float64 ones.
 MAX_TABLE_HELPERS = 20
 
 
@@ -189,6 +191,10 @@ def min_partition_counts(
     is max over nonempty helper sets S of ceil(N_S / |S|) for profile p,
     where N_S counts the profile's users whose helpers all lie in S: the
     bottleneck load of an optimal assignment, 0 for a profile with no user.
+    Row S of the (2^E, L) table holds N_S of every profile, so each step of
+    the subset sums adds whole rows.  The count is ceil(max_S N_S / |S|),
+    the quotients in float64: ceil is monotone, and a quotient of a count
+    below 2^31 by |S| <= 20 rounds to an integer only when it is one.
     """
     num_helpers = adjacency.shape[0]
     if num_helpers > MAX_TABLE_HELPERS:
@@ -198,17 +204,26 @@ def min_partition_counts(
         )
     masks = _helper_masks(adjacency)
     labels = _profile_labels(profile_of, num_profiles, masks != 0)
-    subsets = 1 << num_helpers
-    keys = (labels.astype(np.int64) - 1) * subsets + masks
-    table = np.bincount(keys, minlength=num_profiles * subsets).astype(np.int32)
-    table = table.reshape(num_profiles, subsets)
-    sizes = np.zeros(subsets, dtype=np.int32)
+    keys = masks * num_profiles + (labels.astype(np.int64) - 1)
+    table = np.bincount(keys, minlength=num_profiles << num_helpers).astype(np.int32)
+    table = table.reshape(-1, num_profiles)
     for h in range(num_helpers):
         # Subset sums over bit h: every set with h gains the count of the set without it.
-        halves = table.reshape(num_profiles, -1, 2, 1 << h)
-        halves[:, :, 1, :] += halves[:, :, 0, :]
+        halves = table.reshape(-1, 2, 1 << h, num_profiles)
+        halves[:, 1] += halves[:, 0]
+    ratios = table[1:] / _set_sizes(num_helpers)
+    return np.ceil(ratios.max(axis=0, initial=0)).astype(np.int64)
+
+
+@functools.cache
+def _set_sizes(num_helpers: int) -> np.ndarray:
+    """|S| of every nonempty helper set S, mask 1 .. 2^E - 1, as a float64 column."""
+    sizes = np.zeros(1 << num_helpers)
+    for h in range(num_helpers):
         sizes[1 << h : 2 << h] = sizes[: 1 << h] + 1
-    return (-(-table[:, 1:] // sizes[1:])).max(axis=1, initial=0)
+    column = sizes[1:, None]
+    column.flags.writeable = False
+    return column
 
 
 def greedy_counts(

@@ -7,7 +7,9 @@ and disk uniforms, then channel normals and profiles, and verified, subfile
 symbols.  The generators of a chunk are those of
 `numpy.random.default_rng(seed)`, with numpy's seed hash run once over all
 their seeds.  User positions and links are computed from those numbers once
-for the whole chunk, so each trial gets the same stream and the same network
+for the whole chunk, and so are the profiles: each trial hands over the raw
+words its profile draw consumes, and one pass maps them as numpy's bounded
+integer draw does.  So each trial gets the same stream and the same network
 as a trial drawn alone.  A verified chunk's channels and symbols are stacked
 in the same user order as its links, one row per user.
 The evaluate stage then takes the chunk's network as one: profile p of
@@ -24,13 +26,13 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .cache_placement import (
     CacheConfig,
-    assign_profiles,
+    ProfileAssignment,
     draw_subfile_symbols,
     ensure_valid,
 )
@@ -72,6 +74,10 @@ CHUNK_TABLE_ENTRIES = 2**20
 CHUNK_LINK_ENTRIES = 2**18
 
 SWEEP_VARIABLES = ("L", "r")  # profile count, transmission radius
+
+# Profiles are drawn as numpy draws integers below 2^32 (`_chunk_profiles`);
+# above it numpy takes 64-bit words, which the chunk draw does not reproduce.
+MAX_PROFILES = 2**32
 
 
 def _is_real(value: object) -> bool:
@@ -126,6 +132,8 @@ class PointConfig:
         )
         if problems:  # the range checks below need numbers
             raise ValueError("; ".join(problems))
+        if self.profiles > MAX_PROFILES:
+            problems.append(f"the profile count must be at most 2^32, got {self.profiles}")
         if not self.radius >= 0:
             problems.append(f"transmission radius must be nonnegative, got {self.radius}")
         if not 0 < self.user_radius < math.inf:
@@ -341,6 +349,63 @@ def _trial_generators(trial_seeds: Sequence[int]) -> list[np.random.Generator]:
     return [generator(pcg64(given(row))) for row in words]
 
 
+def _word_halves(first: list[int], bit_generator: np.random.BitGenerator) -> Iterator[int]:
+    """The 32-bit halves `first`, then those of fresh words of `bit_generator`, low half first."""
+    yield from first
+    while True:
+        word = int(bit_generator.random_raw())
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
+def _chunk_profiles(
+    rngs: Sequence[np.random.Generator], num_users: np.ndarray, num_profiles: int
+) -> np.ndarray:
+    """Every trial's profiles, concatenated: those `assign_profiles` draws from its generator.
+
+    For L up to 2^32 (`MAX_PROFILES`, which `PointConfig` enforces), numpy
+    draws a profile from the next 32-bit half u of its PCG64 words, low
+    half first, by Lemire's multiply-shift ("Fast random integer generation
+    in an interval", ACM TOMACS 2019): profile (u * L >> 32) + 1, unless
+    the low word of u * L is below (2^32 - L) mod L, in which case u is
+    rejected and the next half taken.
+    Trial i asks its generator for the ceil(K_i / 2) words its first K_i
+    halves fill, and one pass maps the halves of the whole chunk.  A trial
+    with a rejected half is redone one half at a time, from its own halves
+    on, the unused odd one included, and then from fresh words.  Either way
+    its generator ends after the last word numpy's draw touches; numpy
+    would keep that word's unused high half for a later 32-bit draw, which
+    no trial makes.  L = 1 draws nothing.
+    """
+    counts = num_users.tolist()
+    if num_profiles == 1:
+        return np.ones(sum(counts), dtype=np.int64)
+    pairs = (num_users + 1) // 2
+    words = np.concatenate(
+        [rng.bit_generator.random_raw(n) for rng, n in zip(rngs, pairs.tolist())]
+    )
+    halves = words.astype("<u8", copy=False).view("<u4")  # low half first
+    # Trial i's halves start at 2 * (its first word), its users at its first user.
+    first_half = 2 * (np.cumsum(pairs) - pairs)
+    first_user = np.cumsum(num_users) - num_users
+    taken = np.arange(sum(counts)) + np.repeat(first_half - first_user, counts)
+    products = halves[taken].astype(np.uint64) * np.uint64(num_profiles)
+    profiles = (products >> 32).astype(np.int64) + 1
+    threshold = (2**32 - num_profiles) % num_profiles
+    rejected = np.flatnonzero((products & 0xFFFFFFFF) < threshold)
+    # The trial of a user is the last whose first user is at or before it.
+    trials = np.searchsorted(first_user, rejected, side="right") - 1
+    for i in dict.fromkeys(trials.tolist()):
+        own = halves[first_half[i] : first_half[i] + 2 * pairs[i]].tolist()
+        stream = _word_halves(own, rngs[i].bit_generator)
+        for user in range(first_user[i], first_user[i] + counts[i]):
+            product = next(stream) * num_profiles
+            while product & 0xFFFFFFFF < threshold:
+                product = next(stream) * num_profiles
+            profiles[user] = (product >> 32) + 1
+    return profiles
+
+
 def _check_seeds(trial_seeds: Sequence[int]) -> None:
     """Every trial seed must be an integer in [0, 2^64), the seeds `_seed_words` takes."""
     for seed in trial_seeds:
@@ -366,8 +431,11 @@ def _draw_chunk(
 
     Each trial's generator makes the calls of `sample_users`,
     `draw_channels` and `assign_profiles`, in that order, and verified,
-    `draw_subfile_symbols` for distinct demands; positions and links are
-    computed once for the whole chunk in between.  The result is the
+    `draw_subfile_symbols` for distinct demands.  Positions and links are
+    computed once for the whole chunk from every trial's disk uniforms, and
+    profiles once by `_chunk_profiles` from the raw words each trial draws
+    after its channel normals; verified trials then draw their symbols in
+    a loop of their own.  The result is the
     chunk's concatenated (E, sum K) adjacency, the label i * L + p of each
     of its users (trial i, profile p), and each trial's K.  Verified, the
     (sum K, E) channel and the (sum K, C(L - 1, t)) symbols stack the
@@ -383,8 +451,9 @@ def _draw_chunk(
     # one run of columns.
     bounds = np.searchsorted(conn.reachable_users, user_offsets)
     num_users = np.diff(bounds)
-    profiles, channels, symbols = [], [], []
-    for i, (rng, first, last) in enumerate(zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist())):
+    runs = list(zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist()))
+    channels = []
+    for i, (rng, first, last) in enumerate(runs):
         if verify:
             trial_conn = Connectivity(
                 adjacency=conn.adjacency[:, first:last],
@@ -393,14 +462,16 @@ def _draw_chunk(
             channels.append(draw_channels(trial_conn, rng))
         else:
             channel_normals(last - first, point.helpers, rng)  # unread; keeps the stream
-        assignment = assign_profiles(last - first, point.profiles, rng)
-        profiles.append(assignment.profile_of)
-        if verify:
-            demands = {k: k for k in range(last - first)}  # distinct worst-case demands
-            symbols.append(draw_subfile_symbols(assignment, demands, point.index_size, rng))
-    offsets = np.repeat(np.arange(len(trial_seeds)) * point.profiles, num_users)
-    stacked = (np.concatenate(channels), np.concatenate(symbols)) if verify else (None, None)
-    return conn.adjacency, np.concatenate(profiles) + offsets, num_users, *stacked
+    profiles = _chunk_profiles(rngs, num_users, point.profiles)
+    labels = profiles + np.repeat(np.arange(len(trial_seeds)) * point.profiles, num_users)
+    if not verify:
+        return conn.adjacency, labels, num_users, None, None
+    symbols = []
+    for rng, first, last in runs:
+        assignment = ProfileAssignment(profiles[first:last], point.profiles)
+        demands = {k: k for k in range(last - first)}  # distinct worst-case demands
+        symbols.append(draw_subfile_symbols(assignment, demands, point.index_size, rng))
+    return conn.adjacency, labels, num_users, np.concatenate(channels), np.concatenate(symbols)
 
 
 def evaluate_counts(

@@ -8,6 +8,10 @@ tries every helper choice of the multi-homed users and keeps the smallest
 bottleneck load.  Its cost is the product of the users' degrees, so it
 refuses instances above a guard.
 
+`hall_counts` is Hall's formula as the library evaluated it with a
+profile-major int32 table and an integer ceil per helper set; the library's
+subsets-major table with one float ceil per profile must give its counts.
+
 `greedy_assign`, `_place` and `optimal_partitions` are the per-profile
 builders that verified trials ran before the library placed every label
 of a chunk in one call, kept as they were: the chunk builders must give
@@ -22,9 +26,12 @@ from itertools import islice, product
 import numpy as np
 
 from helpercache.partitioner import (
+    MAX_TABLE_HELPERS,
     PartitionSet,
     ProfileSubnetwork,
+    _helper_masks,
     _partitions_from_queues,
+    _profile_labels,
     build_tables,
 )
 
@@ -56,6 +63,33 @@ def brute_force_min_partitions(subnet: ProfileSubnetwork, guard: int = 10**7) ->
             loads[:, h] = base[h] + (arr == h).sum(axis=1)
         best = min(best, int(loads.max(axis=1).min()))
     return int(best)
+
+
+def hall_counts(adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int) -> np.ndarray:
+    """Hall's count max over S of ceil(N_S / |S|) per profile, from an (L, 2^E) int32 table.
+
+    Same arguments, result and errors as `min_partition_counts`; the
+    result is int32.
+    """
+    num_helpers = adjacency.shape[0]
+    if num_helpers > MAX_TABLE_HELPERS:
+        raise ValueError(
+            f"{num_helpers} helpers exceed the limit of {MAX_TABLE_HELPERS}: "
+            "the count table holds L * 2^E entries"
+        )
+    masks = _helper_masks(adjacency)
+    labels = _profile_labels(profile_of, num_profiles, masks != 0)
+    subsets = 1 << num_helpers
+    keys = (labels.astype(np.int64) - 1) * subsets + masks
+    table = np.bincount(keys, minlength=num_profiles * subsets).astype(np.int32)
+    table = table.reshape(num_profiles, subsets)
+    sizes = np.zeros(subsets, dtype=np.int32)
+    for h in range(num_helpers):
+        # Subset sums over bit h: every set with h gains the count of the set without it.
+        halves = table.reshape(num_profiles, -1, 2, 1 << h)
+        halves[:, :, 1, :] += halves[:, :, 0, :]
+        sizes[1 << h : 2 << h] = sizes[: 1 << h] + 1
+    return (-(-table[:, 1:] // sizes[1:])).max(axis=1, initial=0)
 
 
 def greedy_assign(subnet: ProfileSubnetwork) -> PartitionSet:

@@ -230,6 +230,13 @@ def _label_chunks(draw):
     return num_helpers, num_labels, [label for label, _ in users], [mask for _, mask in users], ids
 
 
+def _adjacency(num_helpers, masks):
+    """The (E, K) links of users with the given helper masks."""
+    return np.array(
+        [[m >> h & 1 for m in masks] for h in range(num_helpers)], dtype=bool
+    ).reshape(num_helpers, len(masks))
+
+
 def _seeded_chunk(num_helpers, sizes, seed, degree=None):
     """A chunk whose label p holds sizes[p] users with random links, ids shuffled."""
     rng = random.Random(seed)
@@ -255,9 +262,7 @@ def test_chunk_builders_match_the_per_profile_references(chunk):
     # pairs, partition by partition, must be those of the per-profile
     # builders that ran before, on the label's users in chunk order.
     num_helpers, num_labels, labels, masks, ids = chunk
-    adjacency = np.array(
-        [[m >> h & 1 for m in masks] for h in range(num_helpers)], dtype=bool
-    ).reshape(num_helpers, len(masks))
+    adjacency = _adjacency(num_helpers, masks)
     candidates = helper_candidates(adjacency)
     assert candidates == [tuple(h for h in range(num_helpers) if m >> h & 1) for m in masks]
     labels = np.array(labels, dtype=np.int64)
@@ -280,6 +285,44 @@ def test_chunk_builders_match_the_per_profile_references(chunk):
             assert one_label(subnet).partitions == expected
             if builder is optimal_placement:
                 assert flow_oracle(subnet) == len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_chunks())
+@example(_seeded_chunk(3, [70, 0, 5], seed=1))
+@example(_seeded_chunk(19, [30, 12, 0, 7], seed=2))
+@example(_seeded_chunk(19, [150], seed=4))  # one trial's 19-helper label
+@example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))
+@example((2, 3, [], [], []))
+def test_hall_table_matches_the_profile_major_reference(chunk):
+    # The (2^E, L) table with one float ceil per label gives the counts of
+    # the (L, 2^E) int32 table with an integer ceil per helper set.
+    num_helpers, num_labels, labels, masks, _ = chunk
+    adjacency = _adjacency(num_helpers, masks)
+    profile_of = np.array(labels, dtype=np.int64) + 1
+    counts = min_partition_counts(adjacency, profile_of, num_labels)
+    expected = partition_reference.hall_counts(adjacency, profile_of, num_labels)
+    assert counts.dtype == np.int64 and counts.tolist() == expected.tolist()
+
+
+def test_hall_counts_at_integer_ratios():
+    # Labels whose largest N_S / |S| is an integer, one user above it, or
+    # empty: the float quotient must ceil exactly as the integer one does.
+    q = 100_003
+    labels = {
+        1: [0b011] * 6,  # N / |S| = 3 on helpers {0, 1}
+        2: [0b011] * 7,  # 3.5
+        3: [],
+        4: [0b11111] * (5 * q),  # q on all five helpers
+        5: [0b11111] * (5 * q + 1),  # just above q
+        6: [0b00001] * 4 + [0b00110] * 2 + [0b11000] * 8,  # 4 on helper 0 and on {3, 4}
+        7: [0b00111] * 12 + [0b11000] * 7,  # 4 on {0, 1, 2}, 19 / 5 on all
+    }
+    profile_of = np.array([label for label, masks in labels.items() for _ in masks])
+    adjacency = _adjacency(5, [mask for masks in labels.values() for mask in masks])
+    counts = min_partition_counts(adjacency, profile_of, len(labels))
+    assert counts.tolist() == [3, 4, 0, q, q + 1, 4, 4]
+    assert counts.tolist() == partition_reference.hall_counts(adjacency, profile_of, 7).tolist()
 
 
 # Inputs both batched counts refuse, with the message they must give.

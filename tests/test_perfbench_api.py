@@ -2,8 +2,10 @@
 
 Its modules are loaded here against the package sources, so a deleted or
 renamed name the benchmark needs fails this suite, not only the benchmark's
-own slow self-tests.  One small traced sweep then reads every attribute the
-traced trial loop uses and must give the untraced sweep's CSV bytes.
+own slow self-tests.  Small traced sweeps then read every attribute the
+traced trial loop uses and must give the untraced sweep's CSV bytes: the
+traced loop draws each trial's profiles with `assign_profiles`, and the
+sweep with one pass over the raw words of a chunk.
 """
 
 import importlib
@@ -35,6 +37,23 @@ def test_benchmark_runs_against_the_sources(bench_modules, tmp_path):
     traced, records = tracing.traced_sweep(config, tracing.SpanLog())
     assert tracing.solver_problems(records) == []
     assert tracing.tally(records)["trials"] == 6
+    assert sweeps.csv_bytes(traced, tmp_path / "traced.csv") == sweeps.csv_bytes(
+        run_sweep(config), tmp_path / "untraced.csv"
+    )
+
+
+@pytest.mark.parametrize("sweep", ["r", "L"])
+def test_unverified_traced_points_give_the_sweep_bytes(bench_modules, tmp_path, sweep):
+    tracing, sweeps = bench_modules["tracing"], bench_modules["sweeps"]
+    if sweep == "r":
+        point = dict(values=(1.2,), profiles=10, density=sweeps.ACCEPTANCE_DENSITY)
+    else:
+        point = dict(values=(40,), radius=1.2, density_per_profile=sweeps.PROFILE_DENSITY)
+    config = ExperimentConfig(
+        helpers=4, gamma=0.1, user_radius=2.7, trials=3, seed=0, sweep=sweep, **point
+    )
+    traced, records = tracing.traced_sweep(config, tracing.SpanLog())
+    assert tracing.solver_problems(records) == []
     assert sweeps.csv_bytes(traced, tmp_path / "traced.csv") == sweeps.csv_bytes(
         run_sweep(config), tmp_path / "untraced.csv"
     )

@@ -579,6 +579,40 @@ def test_seed_words_are_numpy_seed_sequence_states(seeds):
         assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
 
 
+# L = 3 * 2^30 rejects about a quarter of numpy's draws; 2^32 takes halves as they are.
+@pytest.mark.parametrize("num_profiles", [2, 3, 10, 40, 3 * 2**30, 2**32])
+def test_chunk_profiles_are_numpy_bounded_draws(num_profiles):
+    # Every trial's profiles from one pass over the chunk's raw words, each
+    # trial's as `integers(1, L + 1, size=K)` on a fresh generator draws
+    # them, and each generator left where that draw leaves numpy's.
+    sizes = [0, 1, 2, 7, 8, 13, 0, 64]
+    outran = 0  # trials whose draw read past its first ceil(K / 2) words
+    for batch in range(25):
+        seeds = [derive_trial_seed(batch, i) for i in range(len(sizes))]
+        order = random.Random(batch).sample(sizes, len(sizes))
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        profiles = sim_harness._chunk_profiles(rngs, np.array(order), num_profiles)
+        numpy_rngs = [np.random.default_rng(seed) for seed in seeds]
+        expected = [rng.integers(1, num_profiles + 1, size=k) for rng, k in zip(numpy_rngs, order)]
+        assert profiles.dtype == np.int64
+        assert np.array_equal(profiles, np.concatenate(expected))
+        for seed, k, rng, numpy_rng in zip(seeds, order, rngs, numpy_rngs):
+            after = numpy_rng.random()
+            assert rng.random() == after
+            assert np.array_equal(rng.standard_normal(3), numpy_rng.standard_normal(3))
+            words_only = np.random.default_rng(seed)
+            words_only.bit_generator.random_raw((k + 1) // 2)
+            outran += words_only.random() != after
+    assert outran > 0 if num_profiles == 3 * 2**30 else outran == 0
+
+
+def test_chunk_profiles_of_one_profile_draw_nothing():
+    rngs = [np.random.default_rng(seed) for seed in (4, 5)]
+    profiles = sim_harness._chunk_profiles(rngs, np.array([3, 0]), 1)
+    assert profiles.tolist() == [1, 1, 1] and profiles.dtype == np.int64
+    assert [rng.random() for rng in rngs] == [np.random.default_rng(s).random() for s in (4, 5)]
+
+
 def test_run_point_refuses_seeds_outside_64_bits():
     drawn = []
     with pytest.MonkeyPatch.context() as patch:
@@ -1163,6 +1197,20 @@ def test_config_refuses_a_cache_fraction_that_is_no_real_number():
             with pytest.raises(ValueError, match=message):
                 run_sweep(_tiny_config(gamma=gamma))
         assert drawn == []
+
+
+def test_config_refuses_more_than_2_32_profiles():
+    # Above 2^32 numpy draws profiles from 64-bit words, which the chunk
+    # draw does not reproduce: refused, naming the count, before any draw.
+    PointConfig(**{**_POINT, "profiles": 2**32})
+    message = re.escape(f"the profile count must be at most 2^32, got {2**32 + 2}")
+    with pytest.raises(ValueError, match=message):
+        PointConfig(**{**_POINT, "profiles": 2**32 + 2})
+    with pytest.MonkeyPatch.context() as patch:
+        drawn = _count_draws(patch)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(_tiny_config(sweep="L", values=(2, 2**32 + 2), profiles=None, radius=1.0))
+    assert drawn == []
 
 
 def test_config_rejects_repeated_values_and_non_integer_seeds(tmp_path):
