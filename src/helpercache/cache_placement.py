@@ -73,7 +73,8 @@ def assign_profiles(num_users: int, num_profiles: int, rng: np.random.Generator)
     """Assign each user an independent uniform profile from 1..num_profiles.
 
     The sweep draws the same profiles from the same generators, a chunk of
-    trials at a time, in one pass over their raw words (`sim_harness`).
+    trials at a time, in one pass over their raw words (`sim_harness`); a
+    trial with a rejected half is drawn again here.
     """
     if num_users < 0:
         raise ValueError(f"user count must be nonnegative, got {num_users}")
@@ -89,6 +90,17 @@ def needed_subfiles(profile: int, num_profiles: int, index_size: int) -> list[Su
     return list(combinations(others, index_size))
 
 
+def subfile_symbols(num_users: int, needed: int, rng: np.random.Generator) -> np.ndarray:
+    """(num_users, needed) unit-variance complex symbols, drawn user by user.
+
+    One (re, im) pair per (user, needed index): the stream of a per-pair
+    loop; each part is divided by sqrt(2) on its own, as
+    complex(re, im) / sqrt(2) does.
+    """
+    parts = rng.standard_normal((num_users * needed, 2)) / _SQRT2
+    return parts.view(complex).reshape(num_users, needed)
+
+
 def draw_subfile_symbols(
     assignment: ProfileAssignment,
     demands: dict[int, int],
@@ -102,14 +114,12 @@ def draw_subfile_symbols(
     a single scalar symbol: decodability in the noiseless high-power regime
     is a per-symbol linear-algebra property, so one symbol per subfile is
     enough to exercise it.  A row stands for one file only if no two users
-    request the same file, so `demands` must be distinct.
+    request the same file, so `demands` must be distinct.  The symbols are
+    those of `subfile_symbols`, which the sweep calls directly, its demands
+    being distinct by construction.
     """
     num_users = assignment.num_users
     if len({demands[user] for user in range(num_users)}) < num_users:
         raise ValueError("demands must map the users to distinct files")
     needed = comb(assignment.num_profiles - 1, index_size)
-    # one (re, im) pair per (user, needed index), user by user: the stream of
-    # a per-pair loop; each part is divided by sqrt(2) on its own, as
-    # complex(re, im) / sqrt(2) does
-    parts = rng.standard_normal((num_users * needed, 2)) / _SQRT2
-    return parts.view(complex).reshape(num_users, needed)
+    return subfile_symbols(num_users, needed, rng)

@@ -9,9 +9,13 @@ symbols.  The generators of a chunk are those of
 their seeds.  User positions and links are computed from those numbers once
 for the whole chunk, and so are the profiles: each trial hands over the raw
 words its profile draw consumes, and one pass maps them as numpy's bounded
-integer draw does.  So each trial gets the same stream and the same network
-as a trial drawn alone.  A verified chunk's channels and symbols are stacked
-in the same user order as its links, one row per user.
+integer draw does; a trial with a rejected half steps back and draws again
+with `assign_profiles`.  So each trial gets the same stream and the same
+network as a trial drawn alone.  Every draw is a call of `topology` or
+`cache_placement`; this module only reads and rewinds raw words.  A
+verified chunk's channel is one `channel_gains` call on its trials'
+stacked normals, and its symbols stack each trial's, in the same user
+order as its links, one row per user.
 The evaluate stage then takes the chunk's network as one: profile p of
 trial i is label i * L + p, so one call per method yields every (trial,
 profile) partition count, and the delivery time of every trial follows from
@@ -26,15 +30,15 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cache_placement import (
     CacheConfig,
-    ProfileAssignment,
-    draw_subfile_symbols,
+    assign_profiles,
     ensure_valid,
+    subfile_symbols,
 )
 from .delivery import (
     ServedPairs,
@@ -52,12 +56,11 @@ from .partitioner import (
     optimal_placement,
 )
 from .topology import (
-    Connectivity,
+    channel_gains,
     channel_normals,
     connect,
     disk_positions,
     disk_uniforms,
-    draw_channels,
     hex_layout,
 )
 
@@ -349,15 +352,6 @@ def _trial_generators(trial_seeds: Sequence[int]) -> list[np.random.Generator]:
     return [generator(pcg64(given(row))) for row in words]
 
 
-def _word_halves(first: list[int], bit_generator: np.random.BitGenerator) -> Iterator[int]:
-    """The 32-bit halves `first`, then those of fresh words of `bit_generator`, low half first."""
-    yield from first
-    while True:
-        word = int(bit_generator.random_raw())
-        yield word & 0xFFFFFFFF
-        yield word >> 32
-
-
 def _chunk_profiles(
     rngs: Sequence[np.random.Generator], num_users: np.ndarray, num_profiles: int
 ) -> np.ndarray:
@@ -371,11 +365,10 @@ def _chunk_profiles(
     rejected and the next half taken.
     Trial i asks its generator for the ceil(K_i / 2) words its first K_i
     halves fill, and one pass maps the halves of the whole chunk.  A trial
-    with a rejected half is redone one half at a time, from its own halves
-    on, the unused odd one included, and then from fresh words.  Either way
-    its generator ends after the last word numpy's draw touches; numpy
-    would keep that word's unused high half for a later 32-bit draw, which
-    no trial makes.  L = 1 draws nothing.
+    with a rejected half steps its PCG64 back over those words and draws
+    again with `assign_profiles`, so numpy's own draw covers the rare case.
+    Either way its generator ends where numpy's draw leaves it.  L = 1
+    draws nothing.
     """
     counts = num_users.tolist()
     if num_profiles == 1:
@@ -396,13 +389,10 @@ def _chunk_profiles(
     # The trial of a user is the last whose first user is at or before it.
     trials = np.searchsorted(first_user, rejected, side="right") - 1
     for i in dict.fromkeys(trials.tolist()):
-        own = halves[first_half[i] : first_half[i] + 2 * pairs[i]].tolist()
-        stream = _word_halves(own, rngs[i].bit_generator)
-        for user in range(first_user[i], first_user[i] + counts[i]):
-            product = next(stream) * num_profiles
-            while product & 0xFFFFFFFF < threshold:
-                product = next(stream) * num_profiles
-            profiles[user] = (product >> 32) + 1
+        # PCG64 takes its step modulo 2^128, so this one goes back pairs[i] words.
+        rngs[i].bit_generator.advance(2**128 - int(pairs[i]))
+        drawn = assign_profiles(counts[i], num_profiles, rngs[i])
+        profiles[first_user[i] : first_user[i] + counts[i]] = drawn.profile_of
     return profiles
 
 
@@ -434,13 +424,13 @@ def _draw_chunk(
     `draw_subfile_symbols` for distinct demands.  Positions and links are
     computed once for the whole chunk from every trial's disk uniforms, and
     profiles once by `_chunk_profiles` from the raw words each trial draws
-    after its channel normals; verified trials then draw their symbols in
-    a loop of their own.  The result is the
-    chunk's concatenated (E, sum K) adjacency, the label i * L + p of each
-    of its users (trial i, profile p), and each trial's K.  Verified, the
-    (sum K, E) channel and the (sum K, C(L - 1, t)) symbols stack the
-    trials' own, a row per user in the adjacency's column order; both are
-    None otherwise.
+    after its `channel_normals`.  The result is the chunk's concatenated
+    (E, sum K) adjacency, the label i * L + p of each of its users (trial
+    i, profile p), and each trial's K.  Verified, the (sum K, E) channel is
+    one `channel_gains` call on the trials' stacked normals, and the
+    (sum K, C(L - 1, t)) symbols stack each trial's `subfile_symbols`, a
+    row per user in the adjacency's column order; both are None otherwise,
+    and the normals are dropped as soon as they are drawn.
     """
     rngs = _trial_generators(trial_seeds)
     uniforms = [disk_uniforms(point.mean_users, rng) for rng in rngs]
@@ -449,29 +439,21 @@ def _draw_chunk(
     conn = connect(hex_layout(point.helpers), users, point.radius)
     # Users are concatenated in trial order, so each trial's kept users are
     # one run of columns.
-    bounds = np.searchsorted(conn.reachable_users, user_offsets)
-    num_users = np.diff(bounds)
-    runs = list(zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist()))
-    channels = []
-    for i, (rng, first, last) in enumerate(runs):
+    num_users = np.diff(np.searchsorted(conn.reachable_users, user_offsets))
+    sizes = num_users.tolist()
+    normals = []
+    for rng, size in zip(rngs, sizes):
+        drawn = channel_normals(size, point.helpers, rng)  # unverified too, for the stream
         if verify:
-            trial_conn = Connectivity(
-                adjacency=conn.adjacency[:, first:last],
-                reachable_users=conn.reachable_users[first:last] - user_offsets[i],
-            )
-            channels.append(draw_channels(trial_conn, rng))
-        else:
-            channel_normals(last - first, point.helpers, rng)  # unread; keeps the stream
+            normals.append(drawn)
     profiles = _chunk_profiles(rngs, num_users, point.profiles)
     labels = profiles + np.repeat(np.arange(len(trial_seeds)) * point.profiles, num_users)
     if not verify:
         return conn.adjacency, labels, num_users, None, None
-    symbols = []
-    for rng, first, last in runs:
-        assignment = ProfileAssignment(profiles[first:last], point.profiles)
-        demands = {k: k for k in range(last - first)}  # distinct worst-case demands
-        symbols.append(draw_subfile_symbols(assignment, demands, point.index_size, rng))
-    return conn.adjacency, labels, num_users, np.concatenate(channels), np.concatenate(symbols)
+    channel = channel_gains(conn.adjacency, np.concatenate(normals, axis=1))
+    needed = math.comb(point.profiles - 1, point.index_size)
+    symbols = np.concatenate([subfile_symbols(k, needed, rng) for rng, k in zip(rngs, sizes)])
+    return conn.adjacency, labels, num_users, channel, symbols
 
 
 def evaluate_counts(
@@ -520,28 +502,25 @@ def _pair_table(
     point: PointConfig,
     partition: np.ndarray,
     helper: np.ndarray,
-    labels: np.ndarray,
-    first_users: np.ndarray,
+    schedule: np.ndarray,
+    profile: np.ndarray,
+    user: np.ndarray,
     repeated: np.ndarray,
 ) -> ServedPairs:
     """A chunk's placements, a row per method, as one table of its distinct schedules.
 
-    Row m of the (M, sum K) `partition` and `helper` gives every user of
-    the chunk its partition and helper under method m, `labels` its label
-    i * L + p, and `first_users[i]` is the column of trial i's first user.
-    Schedule i * M + m is trial i's under method m, round g of it holds
-    partition g of every profile, and users are the trial's own.  The rows
-    of each schedule flagged in `repeated` are left out, and one stable
-    sort of a key packing (schedule, round, profile, helper) puts the rest
-    in transmission order.
+    Row m of the (M, sum K) `partition`, `helper` and `schedule` gives
+    every user of the chunk its partition, helper and schedule id under
+    method m; `profile` (0-based) and `user` (within its trial) are the
+    same under every method.  Round g of a schedule holds partition g of
+    every profile.  The rows of each schedule flagged in `repeated` are
+    left out, and one stable sort of a key packing (schedule, round,
+    profile, helper) puts the rest in transmission order.
     """
-    methods = len(partition)
-    trial, profile = np.divmod(labels - 1, point.profiles)
-    schedule = trial * methods + np.arange(methods)[:, None]
     kept = ~repeated[schedule]
     schedule, rounds, helper = schedule[kept], partition[kept], helper[kept]
     profile = np.broadcast_to(profile, kept.shape)[kept]
-    user = np.broadcast_to(np.arange(labels.size) - first_users[trial], kept.shape)[kept]
+    user = np.broadcast_to(user, kept.shape)[kept]
     key = schedule * (rounds.max(initial=0) + 1) + rounds
     key = (key * point.profiles + profile) * point.helpers + helper
     order = np.argsort(key, kind="stable")
@@ -594,8 +573,8 @@ def _checked_pairs(
     moved = (partition != partition[0]) | (helper != helper[0])
     repeated = np.bincount(owner[moved], minlength=trials * len(methods)) == 0
     repeated[:: len(methods)] = False  # a trial's first schedule is the twin
-    first_users = np.cumsum(num_users) - num_users
-    pairs = _pair_table(point, partition, helper, labels, first_users, repeated)
+    user = np.arange(labels.size) - (np.cumsum(num_users) - num_users)[trial]
+    pairs = _pair_table(point, partition, helper, owner, profile, user, repeated)
     problems = audit_pairs(pairs, np.where(repeated, 0, np.repeat(num_users, len(methods))))
     audited = np.zeros((trials, len(methods)), dtype=bool)
     audited.flat[list(problems)] = True

@@ -115,12 +115,19 @@ def channel_normals(num_users: int, num_helpers: int, rng: np.random.Generator) 
     return rng.standard_normal((2, num_users, num_helpers))
 
 
-def draw_channels(conn: Connectivity, rng: np.random.Generator) -> np.ndarray:
-    """(K, E) complex gains: unit-variance circularly symmetric on the in-range links.
+def channel_gains(adjacency: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(K, E) complex gains of an (E, K) adjacency from its (2, K, E) `channel_normals`.
 
-    The out-of-range links are exactly zero.  Only the zero pattern matters
-    for the degrees-of-freedom metric; a continuous law keeps every matched
-    submatrix invertible almost surely.
+    Each in-range link gets a unit-variance circularly symmetric gain; the
+    out-of-range links are exactly zero.  Only the zero pattern matters for
+    the degrees-of-freedom metric; a continuous law keeps every matched
+    submatrix invertible almost surely.  The law is elementwise, so the
+    sweep applies it once to a chunk's stacked normals.
     """
-    real, imag = channel_normals(conn.num_users, conn.num_helpers, rng)
-    return np.where(conn.adjacency.T, (real + 1j * imag) / SQRT2, 0)
+    real, imag = normals
+    return np.where(adjacency.T, (real + 1j * imag) / SQRT2, 0)
+
+
+def draw_channels(conn: Connectivity, rng: np.random.Generator) -> np.ndarray:
+    """(K, E) complex gains of one network: `channel_gains` of normals drawn from `rng`."""
+    return channel_gains(conn.adjacency, channel_normals(conn.num_users, conn.num_helpers, rng))

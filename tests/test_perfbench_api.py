@@ -4,8 +4,11 @@ Its modules are loaded here against the package sources, so a deleted or
 renamed name the benchmark needs fails this suite, not only the benchmark's
 own slow self-tests.  Small traced sweeps then read every attribute the
 traced trial loop uses and must give the untraced sweep's CSV bytes: the
-traced loop draws each trial's profiles with `assign_profiles`, and the
-sweep with one pass over the raw words of a chunk.
+traced loop draws each trial's channel, profiles and symbols with
+`draw_channels`, `assign_profiles` and `draw_subfile_symbols`, and the
+sweep draws the chunk's profiles in one pass over its raw words, its
+channel with one `channel_gains` call and each trial's symbols with
+`subfile_symbols`.
 """
 
 import importlib

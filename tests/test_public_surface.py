@@ -10,12 +10,15 @@ the tests.  A private module-level function, class or constant must be
 read by code in `src/` outside its own definition, and every name a module
 imports must be read in that module: neither the benchmark nor a test
 keeps one alive.  The library also raises real errors: `python -O` strips
-every `assert`, so it has none.
+every `assert`, so it has none.  And the sweep harness writes no random
+law of its own: it reaches each through `topology` or `cache_placement`.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "helpercache").glob("*.py"))
@@ -145,3 +148,32 @@ def test_library_code_never_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def _owner(func: ast.Attribute) -> str | None:
+    """The name a method is called on: `bit_generator` in `rng.bit_generator.advance(n)`."""
+    return getattr(func.value, "attr", getattr(func.value, "id", None))
+
+
+def test_sim_harness_draws_every_law_through_the_library():
+    # Of its trials' generators the harness only reads raw words and steps
+    # back over them; every draw (`poisson`, `random`, `standard_normal`,
+    # `integers`, ...) is a call of `topology` or `cache_placement`.
+    methods = {
+        name
+        for kind in (np.random.Generator, np.random.PCG64)
+        for name in dir(kind)
+        if not name.startswith("_")
+    }
+    allowed = {("bit_generator", "random_raw"), ("bit_generator", "advance")}
+    tree = TREES[ROOT / "src" / "helpercache" / "sim_harness.py"]
+    drawn = [
+        f"sim_harness:{node.lineno} {node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in methods
+        and _owner(node.func) != "np"  # numpy's functions, such as `np.power`, draw nothing
+        and (_owner(node.func), node.func.attr) not in allowed
+    ]
+    assert drawn == []

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_INSTANCE
@@ -469,14 +469,14 @@ def test_verify_errors_name_the_trial(monkeypatch):
     # The third trial hears nothing from helper 0: a zero on its matched diagonal.
     calls = []
 
-    def deaf_third_trial(conn, rng):
-        channel = draw_channels(conn, rng)
+    def deaf_third_trial(num_users, num_helpers, rng, draw=sim_harness.channel_normals):
+        normals = draw(num_users, num_helpers, rng)
         calls.append(None)
         if len(calls) == 3:
-            channel[:, 0] = 0
-        return channel
+            normals[:, :, 0] = 0
+        return normals
 
-    monkeypatch.setattr(sim_harness, "draw_channels", deaf_third_trial)
+    monkeypatch.setattr(sim_harness, "channel_normals", deaf_third_trial)
     zero = rf"structurally zero .* \(seed {seeds[2]}, method bb\)$"
     with pytest.raises(ValueError, match=zero) as failure:
         run_point(point, seeds, verify=True)
@@ -514,12 +514,21 @@ def _chunk_points(draw):
     )
 
 
+# L = 3 * 2^30 rejects about a quarter of numpy's 32-bit halves, so most of
+# these trials are redrawn by `assign_profiles`; verified, each user would
+# need C(L - 1, 1) symbols, so it is drawn unverified only.
+_REJECTING = PointConfig(
+    helpers=3, profiles=3 * 2**30, gamma=1 / (3 * 2**30), radius=2.4, user_radius=2.0, density=1.0
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     _chunk_points(),
     st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
     st.booleans(),
 )
+@example(_REJECTING, [0, 1, 2**32, 2**64 - 1], False)
 def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
     generators, initial_states = [], []
 
