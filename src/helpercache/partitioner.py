@@ -18,14 +18,16 @@ from it.  `optimal_placement` builds the partitions that the decode check
 replays: one augmenting-path pass per label whose per-helper capacity
 starts at 0 and rises only when a search fails, which proves it too small.
 The pass thus ends at the minimum count, certified, with no bisection and
-no second matching.  `greedy_placement` is the helper scan of the greedy
-baseline the exact methods are measured against.  Each runs once over all
-the labels of a chunk of verified trials and gives every user its
-partition and helper; `optimal_partitions`, `flow_oracle` and
-`greedy_assign` are their calls on one subnetwork, which `partition`
-prints as (helper, user) pairs (`Partition`).  The least-cost branch and
-bound `bb_assign` is the paper's algorithm; only the acceptance tests and
-the benchmark run it, since its search is exponential in the worst case.
+no second matching.  The greedy baseline the exact methods are measured
+against is one bitset scan of every profile at once: `greedy_counts`
+counts its partitions, and `greedy_placement` also records which user
+each step takes.  Both placements run once over all the labels of a chunk
+of verified trials and give every user its partition and helper;
+`optimal_partitions`, `flow_oracle` and `greedy_assign` are their calls
+on one subnetwork, which `partition` prints as (helper, user) pairs
+(`Partition`).  The least-cost branch and bound `bb_assign` is the
+paper's algorithm; only the acceptance tests and the benchmark run it,
+since its search is exponential in the worst case.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -229,7 +231,7 @@ def _set_sizes(num_helpers: int) -> np.ndarray:
 def greedy_counts(
     adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int
 ) -> np.ndarray:
-    """Partition count of `greedy_assign` for every profile at once.
+    """Partition count of the greedy baseline for every profile at once.
 
     Same arguments, result layout and errors as `min_partition_counts`.
     The users of each profile are bits in column order: its user j is bit
@@ -239,17 +241,46 @@ def greedy_counts(
     in every profile, the lowest free bit it links to: x & -x in the first
     word whose open links x are nonzero, the borrow of -x passing on only
     through all-zero words.  That bit is the first free user in column
-    order, so the scan order is exactly that of `greedy_assign`.  A pass
-    counts for every profile that still has a free bit when it starts.
+    order, so each helper takes its first free user, as the baseline does.
+    A pass counts for every profile that still has a free bit when it
+    starts.  `greedy_placement` runs the same scan and also says which
+    user each step took.
     """
+    return _greedy_scan(adjacency, profile_of, num_profiles, place=False)[0]
+
+
+def greedy_placement(
+    adjacency: np.ndarray, labels: np.ndarray, num_labels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's partition and helper in the greedy baseline, every label at once.
+
+    Same arguments and errors as `greedy_counts`, the labels 1..`num_labels`
+    in place of the profiles: partition g of a label is pass g of its
+    scan, in which each helper takes its first free user in column order.
+    The scan records the bit each helper step takes, and one pass over the
+    recorded steps afterwards finds each user: the bit's index within its
+    word is the exponent of the bit as a float, exact for a power of two.
+    So a label's largest partition is its `greedy_counts` count less one.
+    """
+    _, partition, helper = _greedy_scan(adjacency, labels, num_labels, place=True)
+    return partition, helper
+
+
+def _greedy_scan(
+    adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int, place: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The scan of `greedy_counts`: its counts, and if `place`, each user's
+    partition and helper as `greedy_placement` gives them (else None)."""
     # Row-major, as `connect` returns it and other callers may not:
     # reductions and gathers along the user axis then run over whole rows,
     # not over many short columns.
     adjacency = np.ascontiguousarray(adjacency)
     labels = _profile_labels(profile_of, num_profiles, adjacency.any(axis=0))
     num_helpers, num_users = adjacency.shape
+    counts = np.zeros(num_profiles, dtype=np.int64)
     if num_users == 0:
-        return np.zeros(num_profiles, dtype=np.int64)
+        nobody = np.zeros(0, dtype=np.intp) if place else None
+        return counts, nobody, nobody
     labels = labels.astype(np.min_scalar_type(num_profiles))  # narrow keys sort by radix
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=num_profiles + 1)[1:]
@@ -258,7 +289,7 @@ def greedy_counts(
     # the users sorted by profile.
     first = 64 * np.arange(width)[:, None]
     length = np.clip(sizes - first, 0, 64).astype(np.uint64)
-    start = (np.cumsum(sizes) - sizes + first).astype(np.uint64)
+    start = np.cumsum(sizes) - sizes + first
     # Each helper's links in that order as one little-endian bit stream.  A
     # word is the 64 stream bits from its start, taken from the two stream
     # words they straddle; zero words at the end keep every read inside.
@@ -266,13 +297,13 @@ def greedy_counts(
     packed = np.packbits(np.take(adjacency, order, axis=1), axis=1, bitorder="little")
     stream = np.zeros((num_helpers, num_users // 64 + width + 1), dtype="<u8")
     stream.view(np.uint8)[:, : packed.shape[1]] = packed
-    index, shift = (start >> 6).astype(np.intp), start & 63
+    index, shift = start >> 6, (start & 63).astype(np.uint64)
     low, high = np.take(stream, index, axis=1), np.take(stream, index + 1, axis=1)
     window = (low >> shift) | (high << 1 << (63 - shift))
     free = np.where(length, ~np.uint64(0) >> (64 - length), 0)  # the low `length` bits
     links = [list(words & free) for words in window]
     free_words = list(free)
-    counts = np.zeros(num_profiles, dtype=np.int64)
+    taken = []  # placing: the bits of every step, pass by pass, helper by helper, word by word
     while (left := free.any(axis=0)).any():
         counts += left
         for link in links:
@@ -280,11 +311,23 @@ def greedy_counts(
             # the borrow of -x stops at the first nonzero word.
             open_links, reach = link[0] & free_words[0], True
             for w, free_word in enumerate(free_words):
-                free_word ^= open_links & -open_links
+                bit = open_links & -open_links
+                free_word ^= bit
+                if place:
+                    taken.append(bit)
                 if w + 1 < width:
                     reach = reach & (open_links == 0)
                     open_links = np.where(reach, link[w + 1] & free_words[w + 1], 0)
-    return counts
+    if not place:
+        return counts, None, None
+    bits = np.array(taken)
+    step, label = np.nonzero(bits)
+    exponent = np.frexp(bits[step, label].astype(np.float64))[1]  # 2^i is 0.5 * 2^(i + 1)
+    user = order[start[step % width, label] + exponent - 1]
+    # Each user is taken by exactly one step, so no -1 is left.
+    partition, helper = np.full((2, num_users), -1, dtype=np.intp)
+    partition[user], helper[user] = np.divmod(step // width, num_helpers)
+    return counts, partition, helper
 
 
 def build_tables(subnet: ProfileSubnetwork) -> DegreeTables:
@@ -441,7 +484,9 @@ def optimal_placement(
     along augmenting paths, no helper taking more than `cap` users; `cap`
     starts at 0.  If no path from a user reaches a helper with room, `cap`
     rises by one and the user takes its first candidate, since every helper
-    then has room.
+    then has room.  When the label's users placed so far number
+    `cap * num_helpers`, every helper holds `cap` and no path can end at
+    room, so `cap` rises without a search.
 
     The final `cap` is the minimum.  It rises only after a failed search,
     and then every user placed so far is matched, so their matching is
@@ -458,7 +503,7 @@ def optimal_placement(
     for first, last in zip(bounds, bounds[1:]):
         holders: list[list[int]] = [[] for _ in range(num_helpers)]
         cap = 0
-        for start in order[first:last]:
+        for placed, start in enumerate(order[first:last]):
             own = candidates[start]
             # The search looks at the user's own helpers first, in order, so
             # the first of them with room ends it on a path of one link.
@@ -468,19 +513,22 @@ def optimal_placement(
                     held_by[start] = free
                     break
             else:
-                reached_from = dict.fromkeys(own, start)  # helper -> user that reached it first
-                stack = [pos for h in own for pos in holders[h]]
                 free = -1
-                while stack and free < 0:
-                    pos = stack.pop()
-                    for h in candidates[pos]:
-                        if h in reached_from:
-                            continue
-                        reached_from[h] = pos
-                        if len(holders[h]) < cap:
-                            free = h
-                            break
-                        stack.extend(holders[h])
+                # Once `cap` users hold every helper, none has room and a
+                # search can only fail, so none is made.
+                if placed < cap * num_helpers:
+                    reached_from = dict.fromkeys(own, start)  # helper -> user that reached it first
+                    stack = [pos for h in own for pos in holders[h]]
+                    while stack and free < 0:
+                        pos = stack.pop()
+                        for h in candidates[pos]:
+                            if h in reached_from:
+                                continue
+                            reached_from[h] = pos
+                            if len(holders[h]) < cap:
+                                free = h
+                                break
+                            stack.extend(holders[h])
                 if free < 0:
                     cap += 1
                     free = own[0]
@@ -499,48 +547,11 @@ def optimal_placement(
     return _ranks(labels, helper, num_helpers), helper
 
 
-def greedy_placement(
-    candidates: Sequence[tuple[int, ...]], labels: np.ndarray, num_helpers: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's partition and helper in the greedy baseline, label by label.
-
-    Arguments as for `optimal_placement`.  Partition g of a label is pass g
-    of a scan over the helpers in index order, in which each helper takes
-    its first free user in user order; passes repeat until every user of
-    the label is placed.
-    """
-    order, bounds = _label_runs(labels)
-    partition = [0] * len(candidates)
-    held_by = [0] * len(candidates)
-    placed = bytearray(len(candidates))
-    for first, last in zip(bounds, bounds[1:]):
-        queues: list[list[int]] = [[] for _ in range(num_helpers)]
-        for user in order[first:last]:
-            for h in candidates[user]:
-                queues[h].append(user)
-        scans = [[h, queue, 0] for h, queue in enumerate(queues) if queue]  # helper, queue, cursor
-        remaining, g = last - first, 0
-        while remaining:
-            for scan in scans:
-                h, queue, i = scan
-                while i < len(queue) and placed[queue[i]]:
-                    i += 1
-                if i < len(queue):
-                    user = queue[i]
-                    placed[user] = 1
-                    remaining -= 1
-                    partition[user], held_by[user] = g, h
-                    i += 1
-                scan[2] = i
-            g += 1
-    return np.array(partition, dtype=np.intp), np.array(held_by, dtype=np.intp)
-
-
 def _one_label(
-    subnet: ProfileSubnetwork, builder: Callable[..., tuple[np.ndarray, np.ndarray]]
+    subnet: ProfileSubnetwork, placement: tuple[np.ndarray, np.ndarray]
 ) -> PartitionSet:
-    """The partitions `builder` makes of one subnetwork, pairs of a partition by helper."""
-    partition, helper = builder(subnet.candidates, np.zeros(subnet.num_users), subnet.num_helpers)
+    """One subnetwork's partitions from each user's (partition, helper), pairs by helper."""
+    partition, helper = placement
     parts: list[list[tuple[int, int]]] = [[] for _ in range(int(partition.max(initial=-1)) + 1)]
     for g, h, user in sorted(zip(partition.tolist(), helper.tolist(), subnet.users)):
         parts[g].append((h, user))
@@ -548,8 +559,16 @@ def _one_label(
 
 
 def greedy_assign(subnet: ProfileSubnetwork) -> PartitionSet:
-    """Baseline: repeatedly scan helpers in index order, each taking the first free user."""
-    return _one_label(subnet, greedy_placement)
+    """Baseline: repeatedly scan helpers in index order, each taking the first free user.
+
+    The subnetwork is one label of `greedy_placement`, its links built
+    from the candidates.
+    """
+    adjacency = np.zeros((subnet.num_helpers, subnet.num_users), dtype=bool)
+    for user, cand in enumerate(subnet.candidates):
+        adjacency[cand, user] = True
+    placement = greedy_placement(adjacency, np.ones(subnet.num_users, dtype=np.int64), 1)
+    return _one_label(subnet, placement)
 
 
 def optimal_partitions(subnet: ProfileSubnetwork) -> PartitionSet:
@@ -560,7 +579,8 @@ def optimal_partitions(subnet: ProfileSubnetwork) -> PartitionSet:
     count only after a failed search proves it too small.  Partition g
     pairs every helper with the g-th of its users in user order.
     """
-    return _one_label(subnet, optimal_placement)
+    labels = np.zeros(subnet.num_users)
+    return _one_label(subnet, optimal_placement(subnet.candidates, labels, subnet.num_helpers))
 
 
 def flow_oracle(subnet: ProfileSubnetwork) -> int:

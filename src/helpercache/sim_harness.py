@@ -541,25 +541,30 @@ def _checked_pairs(
     One builder call per method places the users of every label of the
     chunk: `optimal_placement` for bb, whose partitions are the fewest
     there are, so the check proves Hall's count the minimum, and
-    `greedy_placement` for greedy, which must reproduce `greedy_counts`.
-    Each label's built count must be the evaluated one.  A later method's
-    schedule of trial i in which each user of trial i has the partition
-    and helper it has under the first method repeats its twin, schedule
-    i * M: the stable sort leaves its rows in its twin's order, so it
-    would be its twin row for row.  The table holds no such repeat, and
-    the schedule ids of the rest are left as they are.  It must pass
-    `audit_pairs`, a repeat counted with no users: every user of a trial
-    served once by each method, no user from outside it, no helper twice
-    in a slot.  A failure raises RuntimeError ending `(seed S, method m)`,
-    for the first failing trial in seed order: a count before the audit,
-    methods in order.  A repeat's audit problems would be its twin's, and
-    its twin comes first, so leaving it out changes no error.
+    `greedy_placement` for greedy.  That is the scan of `greedy_counts`
+    run again, recording which user each step takes, so its check compares
+    the placing run with the counting run: it checks the bookkeeping from
+    recorded bits to users, not the scan.  Each label's built count must
+    be the evaluated one.  Each user's helper tuple (`helper_candidates`,
+    from bitmasks of at most 63 helpers) is made only for bb.
+
+    A later method's schedule of trial i in which each user of trial i has
+    the partition and helper it has under the first method repeats its
+    twin, schedule i * M: the stable sort leaves its rows in its twin's
+    order, so it would be its twin row for row.  The table holds no such
+    repeat, and the schedule ids of the rest are left as they are.  It
+    must pass `audit_pairs`, a repeat counted with no users: every user of
+    a trial served once by each method, no user from outside it, no helper
+    twice in a slot.  A failure raises RuntimeError ending `(seed S,
+    method m)`, for the first failing trial in seed order: a count before
+    the audit, methods in order.  A repeat's audit problems would be its
+    twin's, and its twin comes first, so leaving it out changes no error.
     """
     methods = list(counts)
     trials = len(seeds)
-    candidates = helper_candidates(adjacency)
     placements = [
-        (optimal_placement if m == "bb" else greedy_placement)(candidates, labels, point.helpers)
+        optimal_placement(helper_candidates(adjacency), labels, point.helpers) if m == "bb"
+        else greedy_placement(adjacency, labels, trials * point.profiles)
         for m in methods
     ]
     partition, helper = map(np.array, zip(*placements))  # (M, sum K) each
@@ -608,13 +613,15 @@ def run_point(
     delivery time and sum-DoF from the counts in closed form.  With
     `verify` set, a chunk's schedules are also built, count-checked and
     audited as one table (`_checked_pairs`): greedy's partitions by
-    `greedy_placement`, and bb's by `optimal_placement`, whose one matching
-    pass per label finds the fewest.  One `decode_schedules` call then
-    precodes and decodes every schedule of the table.  Schedule i * M + m
-    is trial i's under method m of M, and its user u is row
-    `first_rows[i * M + m] + u` of the chunk's stacked channel and
-    symbols: trial i's first row plus u.  Every error ends with
-    `(seed S, method m)`.
+    `greedy_placement`, the bitset scan of `greedy_counts` run again to
+    record each step's user, and bb's by `optimal_placement`, whose one
+    matching pass per label finds the fewest.  Verified greedy thus takes
+    any number of helpers, as unverified greedy does.  One
+    `decode_schedules` call then precodes and decodes every schedule of
+    the table.  Schedule i * M + m is trial i's under method m of M, and
+    its user u is row `first_rows[i * M + m] + u` of the chunk's stacked
+    channel and symbols: trial i's first row plus u.  Every error ends
+    with `(seed S, method m)`.
 
     The table holds no later method's schedule in which every user has
     the partition and helper of its trial's first method: it would decode

@@ -15,7 +15,12 @@ subsets-major table with one float ceil per profile must give its counts.
 `greedy_assign`, `_place` and `optimal_partitions` are the per-profile
 builders that verified trials ran before the library placed every label
 of a chunk in one call, kept as they were: the chunk builders must give
-the same (helper, user) pairs, partition by partition.
+the same (helper, user) pairs, partition by partition.  `greedy_assign`
+is the greedy list scan, one queue and cursor per helper; the library's
+greedy is a bitset scan (`greedy_counts`, `greedy_placement`), so tests
+that check that scan, or the verified greedy schedule, against greedy's
+partitions use this one, not the library's `greedy_assign`, which runs
+the scan it would check.
 """
 
 from __future__ import annotations

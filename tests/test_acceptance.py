@@ -5,6 +5,7 @@ lines and measured values.
 """
 
 import hashlib
+import importlib.util
 import math
 import time
 from itertools import combinations, combinations_with_replacement, takewhile
@@ -457,6 +458,22 @@ def test_readme_radius_ratio_table(radius_sweep):
             f"{np.count_nonzero(ratio < 1)} below 1, greedy mean {greedy_ratio.mean():.6f}",
         )
         assert ok, (radius, mean_bb, lowest, below, mean_greedy)
+
+
+def test_readme_radius_script_reads_every_cell(radius_results):
+    # The script that prints the table for README edits runs this sweep and
+    # reads every cell after the radius by the rule above.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "readme_radius_table.py"
+    spec = importlib.util.spec_from_file_location("readme_radius_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    results, _ = radius_results
+    assert {(r.trials, r.seed, r.method) for r in results} == {
+        (script.SWEEP.trials, script.SWEEP.seed, method) for method in script.SWEEP.methods
+    }
+    checked = script.cells(results, script.table_rows(README))
+    assert len(checked) == 4 * len(script.SWEEP.values)
+    assert all(ok for *_, ok in checked), [cell for cell in checked if not cell[-1]]
 
 
 # SHA-256 of the CSV bytes of the two acceptance sweeps.  They change when

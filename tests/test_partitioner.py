@@ -251,11 +251,17 @@ def _seeded_chunk(num_helpers, sizes, seed, degree=None):
     return num_helpers, len(sizes), labels, masks, ids
 
 
+# Every user on all 4 helpers, labels of 9 and 13 users: every helper is full
+# whenever a user finds its own helpers full.
+_FULLY_CONNECTED_CHUNK = (4, 2, [0] * 9 + [1] * 13, [0b1111] * 22, list(range(22)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_label_chunks())
 @example(_seeded_chunk(3, [70, 0, 5], seed=1))  # a label past 64 users, and an empty one
 @example(_seeded_chunk(19, [30, 12, 0, 7], seed=2))  # 19 helpers
 @example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))  # single-helper users only
+@example(_FULLY_CONNECTED_CHUNK)
 @example((2, 3, [], [], []))  # a chunk without users
 def test_chunk_builders_match_the_per_profile_references(chunk):
     # One call places every label of a chunk; each label's (helper, user)
@@ -266,11 +272,21 @@ def test_chunk_builders_match_the_per_profile_references(chunk):
     candidates = helper_candidates(adjacency)
     assert candidates == [tuple(h for h in range(num_helpers) if m >> h & 1) for m in masks]
     labels = np.array(labels, dtype=np.int64)
-    for builder, one_label, reference in (
-        (optimal_placement, optimal_partitions, partition_reference.optimal_partitions),
-        (greedy_placement, greedy_assign, partition_reference.greedy_assign),
+    for builder, arguments, one_label, reference in (
+        (
+            optimal_placement,
+            (candidates, labels, num_helpers),
+            optimal_partitions,
+            partition_reference.optimal_partitions,
+        ),
+        (
+            greedy_placement,
+            (adjacency, labels + 1, num_labels),
+            greedy_assign,
+            partition_reference.greedy_assign,
+        ),
     ):
-        partition, helper = builder(candidates, labels, num_helpers)
+        partition, helper = builder(*arguments)
         assert partition.shape == helper.shape == labels.shape
         for label in range(num_labels):
             members = np.flatnonzero(labels == label).tolist()
@@ -285,6 +301,26 @@ def test_chunk_builders_match_the_per_profile_references(chunk):
             assert one_label(subnet).partitions == expected
             if builder is optimal_placement:
                 assert flow_oracle(subnet) == len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_chunks())
+@example(_seeded_chunk(3, [70, 0, 5], seed=1))
+@example(_seeded_chunk(19, [30, 12, 0, 7], seed=2))
+@example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))
+@example(_FULLY_CONNECTED_CHUNK)
+@example((2, 3, [], [], []))
+def test_greedy_placement_counts_as_greedy_counts(chunk):
+    # The placing run of the scan and its counting run agree label by
+    # label: a label's largest partition is its count less one.
+    num_helpers, num_labels, labels, masks, _ = chunk
+    adjacency = _adjacency(num_helpers, masks)
+    labels = np.array(labels, dtype=np.int64) + 1
+    partition, helper = greedy_placement(adjacency, labels, num_labels)
+    assert partition.dtype == helper.dtype == np.intp
+    built = np.zeros(num_labels + 1, dtype=np.int64)
+    np.maximum.at(built, labels, partition + 1)
+    assert built[1:].tolist() == greedy_counts(adjacency, labels, num_labels).tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,8 +392,9 @@ def test_greedy_counts_per_profile(reference_subnet):
     assert greedy_counts(adjacency, profile_of, 3).tolist() == [4, 0, 5]
     assert greedy_counts(np.zeros((2, 0), dtype=bool), np.zeros(0, dtype=np.int64), 2).tolist() == [0, 0]
     for adjacency, profile_of, num_profiles, message in _BAD_NETWORKS:
-        with pytest.raises(ValueError, match=message):
-            greedy_counts(adjacency, profile_of, num_profiles)
+        for scan in (greedy_counts, greedy_placement):
+            with pytest.raises(ValueError, match=message):
+                scan(adjacency, profile_of, num_profiles)
 
 
 @pytest.mark.parametrize("num_helpers", [1, 4, 20])
@@ -379,7 +416,9 @@ def test_greedy_counts_across_word_boundaries(num_helpers):
     adjacency[rng.integers(0, num_helpers, profile_of.size), np.arange(profile_of.size)] = True
     conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(profile_of.size))
     subnets = subnetworks_from_connectivity(conn, ProfileAssignment(profile_of, len(sizes)))
-    expected = [greedy_assign(subnets[p]).count for p in range(1, len(sizes) + 1)]
+    expected = [
+        partition_reference.greedy_assign(subnets[p]).count for p in range(1, len(sizes) + 1)
+    ]
     if num_helpers == 1:
         assert expected == sizes  # one stack: one user per partition
     assert greedy_counts(adjacency, profile_of, len(sizes)).tolist() == expected

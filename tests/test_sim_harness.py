@@ -34,7 +34,6 @@ from helpercache.delivery import (
     group_table,
 )
 from helpercache.partitioner import (
-    greedy_assign,
     greedy_counts,
     load_instance,
     min_partition_counts,
@@ -53,6 +52,7 @@ from helpercache.sim_harness import (
     run_sweep,
 )
 from helpercache.topology import Connectivity, connect, draw_channels, hex_layout, sample_users
+import partition_reference
 from partition_reference import brute_force_min_partitions
 
 REFERENCE_DENSITY = 12 / (1.2**2 * math.pi)
@@ -134,10 +134,12 @@ def test_verified_trial_matches_unverified_stats():
 
 def _shifted(builder, error, first_label=0):
     """`builder`, with every partition of the first nonempty label above
-    `first_label` moved by `error`: that label's count moves by `error`."""
+    `first_label` moved by `error`: that label's count moves by `error`.
+    Either chunk builder: both take (links, labels, a count) and return
+    (partition, helper)."""
 
-    def shifted(candidates, labels, num_helpers):
-        partition, helper = builder(candidates, labels, num_helpers)
+    def shifted(first, labels, last):
+        partition, helper = builder(first, labels, last)
         label = labels[labels > first_label].min()
         partition[labels == label] += error
         return partition, helper
@@ -243,7 +245,7 @@ def test_verified_large_cluster_finishes():
 def test_verified_multiword_profiles_match_plain_and_chunked(monkeypatch):
     # About 175 users per profile on two helpers: greedy_counts holds each
     # profile in two or more 64-bit words, and the verified run checks those
-    # counts against greedy_assign's scan.
+    # counts against the users greedy_placement's run of the scan places.
     point = PointConfig(
         helpers=2, profiles=2, gamma=0.5, radius=1.2, user_radius=1.5,
         density=400 / (math.pi * 1.5**2),
@@ -292,8 +294,9 @@ def _reference_table(point, seeds):
     """Every schedule of the verified trials of `seeds` as one table, repeats too.
 
     Each trial's schedule under bb, then under greedy, built one profile at
-    a time by `optimal_partitions` and `greedy_assign`: schedule i * 2 + m
-    is trial i's under method m, as in a chunk's table.
+    a time by `optimal_partitions` and the reference `greedy_assign`, not
+    the scan the chunk's greedy placement runs: schedule i * 2 + m is
+    trial i's under method m, as in a chunk's table.
     """
     adjacency, labels, num_users, _, _ = sim_harness._draw_chunk(point, seeds, True)
     bounds = np.concatenate(([0], np.cumsum(num_users))).tolist()
@@ -302,7 +305,7 @@ def _reference_table(point, seeds):
         conn = Connectivity(adjacency[:, first:last], reachable_users=np.arange(last - first))
         profiles = ProfileAssignment(labels[first:last] - i * point.profiles, point.profiles)
         subnets = subnetworks_from_connectivity(conn, profiles)
-        for builder in (optimal_partitions, greedy_assign):
+        for builder in (optimal_partitions, partition_reference.greedy_assign):
             psets = {p: builder(subnet) for p, subnet in subnets.items()}
             schedules.append(build_rounds(psets, point.profiles))
     return served_pairs(schedules)
@@ -770,8 +773,9 @@ def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers(monkeypatch
     # bb's partitions but not bb's rows, so it must be decoded as well.
     point, traded = _point(radius=4.2), []
 
-    def trading(candidates, labels, num_helpers):
-        partition, helper = sim_harness.optimal_placement(candidates, labels, num_helpers)
+    def trading(adjacency, labels, num_labels):
+        candidates = partitioner.helper_candidates(adjacency)
+        partition, helper = sim_harness.optimal_placement(candidates, labels, point.helpers)
         slots = {}
         for user, slot in enumerate(zip(labels.tolist(), partition.tolist())):
             if slot[0] > 2 * point.profiles and slots.setdefault(slot, user) != user:
@@ -865,7 +869,9 @@ def test_batched_counts_match_per_trial_solvers(network):
         num_helpers, num_users = adjacency.shape
         conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(num_users))
         subnets = subnetworks_from_connectivity(conn, ProfileAssignment(profile_of, num_profiles))
-        greedy = [greedy_assign(subnets[p]).count for p in range(1, num_profiles + 1)]
+        greedy = [
+            partition_reference.greedy_assign(subnets[p]).count for p in range(1, num_profiles + 1)
+        ]
         hall = min_partition_counts(adjacency, profile_of, num_profiles).tolist()
         full = [-(-subnets[p].num_users // num_helpers) for p in range(1, num_profiles + 1)]
         assert counts["greedy"][t].tolist() == greedy
@@ -1058,16 +1064,18 @@ def test_helper_count_is_capped(tmp_path, capsys):
 
 def test_large_clusters_run_without_the_hall_table():
     # Full hex rings of 37 and 61 helpers, past the table; greedy never
-    # beats the fully connected bound.  Verified trials split profiles by
-    # helper bitmasks, which hold 63 helpers.
+    # beats the fully connected bound.  Verified greedy places its users by
+    # the bitset scan, which needs no helper bitmask, so 64 helpers, past
+    # the 63 a bitmask holds, verify as they run unverified.
     for helpers in (37, 61):
         outcome = run_point(_cluster_point(helpers), list(range(6)), ("greedy", "fc"))
         assert outcome.num_users.min() > 0
         assert np.all(outcome.dof["greedy"] <= outcome.dof["fc"])
-    plain = run_point(_cluster_point(24), [1, 2], ("greedy",))
-    _assert_same_outcome(plain, run_point(_cluster_point(24), [1, 2], ("greedy",), verify=True))
-    with pytest.raises(ValueError, match="64 helpers exceed the 63"):
-        run_point(_cluster_point(64), [1], ("greedy",), verify=True)
+    for helpers, seeds in ((24, [1, 2]), (64, [1])):
+        plain = run_point(_cluster_point(helpers), seeds, ("greedy",))
+        assert plain.num_users.min() > 0
+        verified = run_point(_cluster_point(helpers), seeds, ("greedy",), verify=True)
+        _assert_same_outcome(plain, verified)
 
 
 def test_hall_table_sizes_chunks_only_with_bb():
