@@ -40,7 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="both = bb and greedy; fc = the fully connected optimum of the same draw",
     )
     sim.add_argument(
-        "--verify-decode", action="store_true", help="decode and audit every transmission"
+        "--verify-decode",
+        action="store_true",
+        help="build and audit every schedule, and check that each served user decodes its subfiles",
     )
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
     sim.add_argument("--per-trial", action="store_true", help="include per-trial arrays (json)")

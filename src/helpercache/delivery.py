@@ -5,10 +5,13 @@ Within a round, one signal is transmitted per multicast group (a subset of
 profiles of size `index_size + 1` with at least one nonempty partition): the
 sum of the per-profile precoded blocks, zero-padded onto the helpers the
 partition does not use.  A served user cancels the other profiles' blocks
-from its cache and is left with exactly its own subfile symbol.  The
-verifier builds a round's signals as one matrix, a column per group, and
-places each user's symbols by a group table built once per (L, t); one call
-replays many schedules, with the index work done once for all their rounds.
+from its cache and is left with exactly its own subfile symbol.  What is
+left depends only on the user's own slot: the users of one (round,
+profile) slot carry the same index in every group, so a user's residuals
+are its row of |(H Q) S - S| on the slot, H the slot users' channel rows,
+Q their precoder columns and S their symbols.  The verifier checks this
+for every slot of many schedules in one call, a stacked product per slot
+size, and names a failure by the group table built once per (L, t).
 
 A schedule is one table of served (helper, user) pairs (`ServedPairs`), a
 row per pair in transmission order, which the precoders, the decode and the
@@ -266,14 +269,6 @@ def group_table(num_profiles: int, index_size: int) -> GroupTable:
     return GroupTable(groups=groups, rank=rank)
 
 
-def _transmit(precoder: np.ndarray, messages: np.ndarray) -> np.ndarray:
-    """One round's signals X = Q M: column j sums the zero-padded blocks P_p M_p of group j.
-
-    A function of its own so that a test can alter what is sent.
-    """
-    return precoder @ messages
-
-
 def decode_schedules(
     channel: np.ndarray,
     symbols: np.ndarray,
@@ -288,99 +283,81 @@ def decode_schedules(
     and `needed_subfiles` symbols are row `first_rows[s] + u` of `channel`
     and `symbols`, or row u without `first_rows`.  The table's precoders
     come first, from one `matched_precoders` call, so a singular or
-    structurally zero slot fails before any round is composed.
+    structurally zero slot fails before any product is formed.
 
     Round g sends every group with a profile served that round: the groups
     in the `group_table` rows of its a(g) active profiles, which must number
-    C(L, t + 1) - C(L - a(g), t + 1).  Its message matrix M has a row per
-    served user, profile by profile in partition order, and a column per
-    sent group, in table order; in the column of group S, profile p's users
-    carry the symbol of index S minus p.  The served users hear H X, with
-    X = Q M, cancel (H Q o O) M, the blocks of the other profiles, whose
-    symbols they cache, and must be left with their own symbol.  The index
-    work is done once for all rounds: where each row's symbols go in its
-    round's M, and the tolerance test.  Each round then makes only the four
-    products, at the shapes of that round alone, so the residuals do not
-    depend on which schedules share the call.
+    C(L, t + 1) - C(L - a(g), t + 1).  In the signal of group G, profile p's
+    users carry the symbol of index G minus p, precoded by their columns of
+    the round's Q.  User u hears h_u x_G, the sum over the users i sending
+    in G of (h_u . q_i) times i's symbol, and cancels the terms of the other
+    profiles' users, whose symbols it caches.  What is left is the sum over
+    the users i of u's own slot, which all carry the index G minus p: so
+    u's residuals in `needed_subfiles` order are row u of |(H Q) S - S| on its
+    slot, H the slot users' full channel rows, Q their full precoder
+    columns and S their symbols.  The m slots of one size make one stacked
+    product, each slot at its own shape, so the residuals do not depend on
+    which schedules share the call.
 
     Returns a (rows, C(L - 1, t)) array, (0, C(L - 1, t)) for an empty
     table: row i is the table's i-th served pair, and its entries are that
     user's residuals in `needed_subfiles` order.  Raises DecodeFailure
     past `DECODE_TOLERANCE * (|symbol| + 1)`, naming the user, round, group
-    and residual of the first failure in transmission order, and raises
-    RuntimeError for the first round whose group count is wrong; every
-    error, the precoders' too, ends with `(labels[s])` when given.
+    and residual of the first failure in transmission order (round, then
+    group, then row), and raises RuntimeError for the first round whose
+    group count is wrong; every error, the precoders' too, ends with
+    `(labels[s])` when given.
     """
     precoders = matched_precoders(channel, pairs, first_rows, labels)
     num_profiles = pairs.num_profiles
     table = group_table(num_profiles, index_size)
-    # A round, a slot per active profile of it, a row per served pair.
     round_starts, slot_starts = pairs.round_starts, pairs.slot_starts
-    users, row_profiles = pairs.user, pairs.profile
-    rows = users if first_rows is None else users + first_rows[pairs.schedule]
-    bounds = np.append(round_starts, len(pairs)).tolist()
-    round_schedules = pairs.schedule[round_starts].tolist()
-    round_numbers = pairs.round[round_starts].tolist()
+    rows = pairs.user if first_rows is None else pairs.user + first_rows[pairs.schedule]
     slot_sizes = np.diff(slot_starts, append=len(pairs))
     slot_rounds = np.searchsorted(round_starts, slot_starts, side="right") - 1
-    slot_profiles = row_profiles[slot_starts].astype(np.intp)
+    slot_profiles = pairs.profile[slot_starts].astype(np.intp)
 
-    sent = np.zeros((len(round_schedules), len(table.groups)), dtype=bool)
+    sent = np.zeros((round_starts.size, len(table.groups)), dtype=bool)
     sent[slot_rounds[:, None], table.rank[slot_profiles - 1]] = True
     widths = sent.sum(axis=1)
-    active = np.bincount(slot_rounds, minlength=len(round_schedules))
+    active = np.bincount(slot_rounds, minlength=round_starts.size)
     idle = [comb(num_profiles - a, index_size + 1) for a in range(num_profiles + 1)]
     expected = comb(num_profiles, index_size + 1) - np.array(idle)[active]
     wrong = np.flatnonzero(widths != expected)
     if wrong.size:
         r = wrong[0]
-        label = "" if labels is None else f" ({labels[round_schedules[r]]})"
+        first = round_starts[r]
+        label = "" if labels is None else f" ({labels[pairs.schedule[first]]})"
         raise RuntimeError(
-            f"round {round_numbers[r]} transmits {widths[r]} groups, its {active[r]} active "
+            f"round {pairs.round[first]} transmits {widths[r]} groups, its {active[r]} active "
             f"profiles imply {expected[r]}{label}"
         )
-    # Each row's flat positions in its round's M: its row there times the
-    # round's width, plus the columns of its profile's groups.
-    columns = np.cumsum(sent, axis=1, dtype=np.int32)
-    columns -= 1
-    positions = np.repeat(
-        columns[slot_rounds[:, None], table.rank[slot_profiles - 1]], slot_sizes, axis=0
-    )
-    row_rounds = np.repeat(slot_rounds, slot_sizes)
-    positions += ((np.arange(len(users)) - round_starts[row_rounds]) * widths[row_rounds])[:, None]
-    del columns, row_rounds  # unread by the loop, so they do not add to its memory
 
-    residuals = np.empty(positions.shape)
-    for a, b, width in zip(bounds, bounds[1:], widths.tolist()):
-        precoder = precoders[:, a:b].copy()  # contiguous Q
-        served, at = rows[a:b], positions[a:b].astype(np.intp)
-        own = symbols[served]
-        messages = np.zeros((b - a, width), dtype=complex)
-        np.put(messages, at, own)
-        signal = _transmit(precoder, messages)
-        heard = channel[served]
-        received = heard @ signal
-        other_profile = row_profiles[a:b, None] != row_profiles[None, a:b]
-        cached = ((heard @ precoder) * other_profile) @ messages
-        np.abs((received - cached).take(at) - own, out=residuals[a:b])
+    residuals = np.empty((len(pairs), table.rank.shape[1]))
+    for size in np.flatnonzero(np.bincount(slot_sizes)).tolist():
+        at = slot_starts[slot_sizes == size, None] + np.arange(size)
+        served = rows[at]
+        heard, own = channel[served], symbols[served]
+        # (m, E, size), copied contiguous: on the strided view the products took ~3x as long
+        columns = np.ascontiguousarray(precoders.T[at].transpose(0, 2, 1))
+        residuals[at] = np.abs((heard @ columns) @ own - own)
 
     # A residual below the tolerance is below its bound, which is at least
     # the tolerance; only the others need their symbol's bound.
     if not residuals.max(initial=0.0) < DECODE_TOLERANCE:
         row, k = np.nonzero(~(residuals < DECODE_TOLERANCE))
-        r = np.searchsorted(bounds, row, side="right") - 1
         wanted = symbols[rows[row], k]
         failed = ~(residuals[row, k] < DECODE_TOLERANCE * (np.abs(wanted) + 1.0))
         if failed.any():
-            row, k, r = row[failed], k[failed], r[failed]
-            column = positions[row, k] - (row - round_starts[r]) * widths[r]
-            i = np.lexsort((row, column, r))[0]
-            group = table.groups[np.flatnonzero(sent[r[i]])[column[i]]]
-            s = round_schedules[r[i]]
-            label = "" if labels is None else f" ({labels[s]})"
+            row, k = row[failed], k[failed]
+            r = np.searchsorted(round_starts, row, side="right") - 1
+            group = table.rank[pairs.profile[row] - 1, k]
+            j = np.lexsort((row, group, r))[0]
+            i = row[j]
+            label = "" if labels is None else f" ({labels[pairs.schedule[i]]})"
             raise DecodeFailure(
-                f"user {users[row[i]]} failed to decode in round {round_numbers[r[i]]}, "
-                f"group {group}: residual {residuals[row[i], k[i]]:.3e}{label}"
+                f"user {pairs.user[i]} failed to decode in round {pairs.round[i]}, "
+                f"group {table.groups[group[j]]}: residual {residuals[i, k[j]]:.3e}{label}"
             )
     return residuals
 

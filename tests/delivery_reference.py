@@ -1,16 +1,20 @@
 """Reference replays of the delivery scheme: the oracles for the tests.
 
-The library verifies many schedules in one call, with the index work done
-once for all their rounds and only the matrix products made per round, and
-holds a schedule as one table of served pairs.  This module keeps the older
-form of a schedule, a tuple of rounds each mapping its active profiles to
-their partitions (`RoundSchedule`, built by `build_rounds` and flattened
-into the library's table by `served_pairs`), and two older replays of it,
-so that all three can be compared on the same schedules:
+The library verifies many schedules in one call, slot by slot: each
+served user's residuals after cache cancellation are a row of
+|(H Q) S - S| on its slot, with no signal formed.  It holds a schedule as
+one table of served pairs.  This module keeps the older form of a
+schedule, a tuple of rounds each mapping its active profiles to their
+partitions (`RoundSchedule`, built by `build_rounds` and flattened into the
+library's table by `served_pairs`), and two replays that compose what is
+sent and cancel it, so that all three can be compared on the same
+schedules:
 
-- round by round (`round_signals`, `decode_round`): each round's signal
-  matrices built and decoded on their own, the library's replay before it
-  was batched, whose residuals it must match bit for bit;
+- round by round (`round_signals`, `decode_round`): each round's message
+  and signal matrices built and decoded on their own, the other profiles'
+  blocks cancelled in floating point; the library's residuals must match
+  them within 1e-12, with the same verdicts and the same first failure
+  under the same precoders;
 - transmission by transmission: groups enumerated one by one, one precoder
   inverse per (round, profile), one signal vector per group, each symbol
   found by its index in `needed_subfiles`, and a decode replay per

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from delivery_reference import (
     RoundSchedule,
+    RoundSignal,
     audit_deliveries,
     build_precoder,
     build_rounds,
@@ -24,6 +25,7 @@ from delivery_reference import (
 from helpercache import delivery
 from helpercache.cache_placement import ProfileAssignment, assign_profiles, draw_subfile_symbols
 from helpercache.delivery import (
+    DECODE_TOLERANCE,
     DecodeFailure,
     ServedPairs,
     SingularChannelError,
@@ -343,14 +345,17 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
         for channel, own, part in ((first, symbols[:3], slots[:1]), (second, symbols[3:], slots[1:]))
     ]
     assert decode.tobytes() == np.concatenate(alone).tobytes()
-
-    def alter(round_index, messages):
-        if round_index == 1:  # the second trial's first round
-            messages *= 2.0
-
-    _send_altered(monkeypatch, alter)
-    with pytest.raises(DecodeFailure, match=r"^user 3 failed .* round 0, .*\(seed 22, method bb\)$"):
-        decode_schedules(both, symbols, _slots(slots), 0, rows, labels)
+    # The second trial's first round precoded twice too strong: its user 3
+    # misses, and the error is the replay's, with the trial's label.
+    faulty = stacked.copy()
+    faulty[:, 2:4] *= 2.0
+    replayed = _replayed_failure(second, RoundSchedule(1, ({1: slots[1]},)), symbols[3:], 0, faulty[:, 2:4])
+    assert replayed.startswith("user 3 failed to decode in round 0, group (1,)")
+    with pytest.MonkeyPatch.context() as patch:
+        _send_precoders(patch, faulty)
+        with pytest.raises(DecodeFailure) as failure:
+            decode_schedules(both, symbols, _slots(slots), 0, rows, labels)
+    assert str(failure.value) == replayed + " (seed 22, method bb)"
     # The second trial's slot of users 3 and 1 turns singular: the precoders
     # name it by its schedule's label, asked for alone or by the decode.
     second[[3, 1]] = second[[1, 1]]
@@ -367,20 +372,18 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
 
 def test_stacked_decode_bounds_each_residual_by_its_own_symbol(monkeypatch):
     # The second trial's symbols are 1000 times the first's, and its first
-    # round is sent 1e-10 off: residuals near 1e-7, past the tolerance but
-    # within 1e-9 * (|symbol| + 1) of each user's own symbol.  Its user 1 is
-    # row 4 of the stacked symbols; row 1 is the first trial's, too small.
+    # round is precoded 1e-10 too strong: residuals near 1e-7, past the
+    # tolerance but within 1e-9 * (|symbol| + 1) of each user's own symbol.
+    # Its user 1 is row 4 of the stacked symbols; row 1 is the first
+    # trial's, too small.
     rng = np.random.default_rng(15)
     channel = np.vstack([draw_channels(_full_connectivity(k, 3), rng) for k in (3, 4)])
     symbols = (rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1))) / math.sqrt(2)
     symbols[3:] *= 1000.0
     pairs, rows = _slots([((0, 0), (1, 2)), ((2, 3), (0, 1))]), np.array([0, 3])
-
-    def alter(round_index, messages):
-        if round_index == 1:
-            messages *= 1.0 + 1e-10
-
-    _send_altered(monkeypatch, alter)
+    faulty = matched_precoders(channel, pairs, rows)
+    faulty[:, 2:] *= 1.0 + 1e-10
+    _send_precoders(monkeypatch, faulty)
     residuals = decode_schedules(channel, symbols, pairs, 0, rows)
     assert residuals[2:].min() > 1e-8 and residuals.max() < 1e-6
 
@@ -485,66 +488,37 @@ def _two_profile_round():
     return schedules, channel, demands, symbols
 
 
-@dataclass(frozen=True)
-class SentRound:
-    """One round as the verifier sends it: Q, M and X = Q M, with its rows and columns named."""
-
-    users: tuple[int, ...]  # row i: the i-th served user
-    profiles: np.ndarray  # (n,) each row's profile
-    groups: tuple[tuple[int, ...], ...]  # column j: the j-th transmitted group
-    precoder: np.ndarray
-    messages: np.ndarray
-    signal: np.ndarray
-
-
-def _rounds_sent(channel, schedules, symbols, index_size) -> list[SentRound]:
-    """Verify a schedule's table and record each round's matrices as they are sent.
+def _checked_rounds(channel, schedules, symbols, index_size) -> list[RoundSignal]:
+    """The replay's round matrices of a schedule that the library decodes.
 
     `schedules` is the table and the reference's rounds of one schedule.
-    Each column must be the reference's signal of the group it names.
+    Each column must be the per-transmission replay's signal of the group
+    it names.
     """
     schedule, rounds = schedules
-    transmit, sent = delivery._transmit, []
-
-    def recorded(precoder, messages):
-        sent.append((precoder, messages, transmit(precoder, messages)))
-        return sent[-1][2]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(delivery, "_transmit", recorded)
-        assert verify_schedule(channel, schedule, {}, symbols, index_size) < 1e-9
-    assert len(sent) == schedule.num_rounds == rounds.num_rounds
-    recorded_rounds = []
-    for g, (entries, (precoder, messages, signal)) in enumerate(zip(rounds.rounds, sent)):
+    assert verify_schedule(channel, schedule, {}, symbols, index_size) < 1e-9
+    signals = round_signals(channel, rounds, symbols, index_size)
+    assert len(signals) == schedule.num_rounds == rounds.num_rounds
+    for g, rs in enumerate(signals):
         groups = tuple(group for h, group, _ in enumerate_transmissions(rounds, index_size) if h == g)
-        assert messages.shape[1] == len(groups)
+        assert rs.groups == groups
         for j, group in enumerate(groups):
             reference = compose_signal(channel, rounds, g, group, symbols)
-            np.testing.assert_allclose(signal[:, j], reference.signal, atol=1e-12)
-        recorded_rounds.append(
-            SentRound(
-                users=tuple(u for part in entries.values() for _, u in part),
-                profiles=np.array([p for p, part in entries.items() for _ in part]),
-                groups=groups,
-                precoder=precoder,
-                messages=messages,
-                signal=signal,
-            )
-        )
-    return recorded_rounds
+            np.testing.assert_allclose(rs.signal[:, j], reference.signal, atol=1e-12)
+    return signals
 
 
-def _send_altered(patch, alter):
-    """Send alter(round, M) in place of each round's messages M; the decoders still expect M."""
-    transmit, calls = delivery._transmit, []
+def _send_precoders(patch, precoders):
+    """Make the decode send `precoders` in place of the table's own."""
+    patch.setattr(delivery, "matched_precoders", lambda *args: precoders)
 
-    def altered(precoder, messages):
-        sent = messages.copy()
-        alter(len(calls), sent)
-        calls.append(None)
-        return transmit(precoder, sent)
 
-    patch.setattr(delivery, "_transmit", altered)
+def _replayed_failure(channel, rounds, symbols, index_size, precoders) -> str:
+    """The first decode failure of the round replay under `precoders`."""
+    with pytest.raises(DecodeFailure) as failure:
+        for rs in round_signals(channel, rounds, symbols, index_size, precoders):
+            decode_round(channel, rs)
+    return str(failure.value)
 
 
 def _blocks(rs, group):
@@ -558,7 +532,7 @@ def _blocks(rs, group):
 
 def test_zero_padding_leaves_unused_helpers_silent():
     schedules, channel, demands, symbols = _two_profile_round()
-    (rs,) = _rounds_sent(channel, schedules, symbols, 1)
+    (rs,) = _checked_rounds(channel, schedules, symbols, 1)
     assert list(_blocks(rs, (2, 3))) == [2]
     signal = rs.signal[:, rs.groups.index((2, 3))]
     assert signal[0] == 0 and signal[2] == 0
@@ -569,7 +543,7 @@ def test_zero_padding_leaves_unused_helpers_silent():
 
 def test_signal_superposes_profile_blocks():
     schedules, channel, demands, symbols = _two_profile_round()
-    (rs,) = _rounds_sent(channel, schedules, symbols, 1)
+    (rs,) = _checked_rounds(channel, schedules, symbols, 1)
     for group, effective in (((1, 2), [1, 2]), ((1, 3), [1])):
         blocks = _blocks(rs, group)
         assert list(blocks) == effective
@@ -586,14 +560,14 @@ def test_group_without_active_profiles_is_skipped():
     channel = draw_channels(conn, np.random.default_rng(8))
     symbols = np.array([[1 + 0j], [1j]])
     # profile 2 never transmits; the only group is (1, 2) and stays active via profile 1
-    signals = _rounds_sent(channel, _schedules(psets, 2), symbols, 1)
+    signals = _checked_rounds(channel, _schedules(psets, 2), symbols, 1)
     assert [rs.messages.shape[1] for rs in signals] == [1, 1]
     assert [rs.groups for rs in signals] == [((1, 2),), ((1, 2),)]
     assert [list(_blocks(rs, (1, 2))) for rs in signals] == [[1], [1]]
     # with a third profile, the group of the two idle profiles sends nothing
     psets[3] = PartitionSet(partitions=(), num_helpers=4)
     symbols = np.array([[1 + 0j, 1 + 1j], [1j, -1j]])
-    signals = _rounds_sent(channel, _schedules(psets, 3), symbols, 1)
+    signals = _checked_rounds(channel, _schedules(psets, 3), symbols, 1)
     assert [rs.messages.shape[1] for rs in signals] == [2, 2]
     assert [rs.groups for rs in signals] == [((1, 2), (1, 3))] * 2
 
@@ -624,26 +598,57 @@ def test_served_users_cancel_and_decode():
 
 
 def test_decode_failure_is_reported(monkeypatch):
-    # the transmitter sends user 14 a wrong symbol: user 14 misses its own
-    # symbol, and profile 1's users cancel the true one from cache and miss too
+    # User 14's precoder column sent twice too strong: user 14 hears twice
+    # its own symbol and misses it.  Every other user's gain on that column
+    # is zero, so only user 14 misses, first in group (1, 2).
     schedules, channel, demands, symbols = _two_profile_round()
-    (rs,) = _rounds_sent(channel, schedules, symbols, 1)
+    (schedule, rounds), (rs,) = schedules, _checked_rounds(channel, schedules, symbols, 1)
+    faulty = matched_precoders(channel, schedule)
+    faulty[:, rs.users.index(14)] *= 2.0
+    replayed = _replayed_failure(channel, rounds, symbols, 1, faulty)
+    assert replayed.startswith("user 14 failed to decode in round 0, group (1, 2)")
+    with pytest.MonkeyPatch.context() as patch:
+        _send_precoders(patch, faulty)
+        with pytest.raises(DecodeFailure) as failure:
+            verify_schedule(channel, schedule, demands, symbols, 1)
+    assert str(failure.value) == replayed
+    # A wrong symbol in what is sent, which only the replay composes: user
+    # 14 misses its own symbol, and profile 1's users cancel the true one
+    # from cache and miss too, user 2 first.
     wrong = rs.users.index(14), rs.groups.index((1, 2))
+    messages = rs.messages.copy()
+    messages[wrong] += 1.0
+    with pytest.raises(DecodeFailure, match=r"^user 2 failed to decode in round 0, group \(1, 2\)"):
+        decode_round(channel, replace(rs, signal=rs.precoder @ messages))
 
-    def alter(round_index, messages):
-        messages[wrong] += 1.0
 
-    _send_altered(monkeypatch, alter)
-    with pytest.raises(DecodeFailure, match=r"user 2 failed to decode in round 0, group \(1, 2\)"):
-        verify_schedule(channel, schedules[0], demands, symbols, 1)
+def test_decode_reads_every_helper_of_the_sent_precoders(monkeypatch):
+    # Profile 2's slot pairs helpers 1 and 3 with users 14 and 18, and its
+    # inverse stays right on those rows; but user 14's entry for helper 1
+    # is also sent on helper 0, outside the slot, where its column should
+    # be zero.  A decode of the inverses alone would pass; the decode reads
+    # the columns as sent, so user 14 misses as the replay finds.
+    schedules, channel, demands, symbols = _two_profile_round()
+    schedule, rounds = schedules
+    faulty = matched_precoders(channel, schedule)
+    column = schedule.user.tolist().index(14)
+    assert faulty[0, column] == 0 and faulty[1, column] != 0
+    faulty[0, column] = faulty[1, column]
+    replayed = _replayed_failure(channel, rounds, symbols, 1, faulty)
+    assert replayed.startswith("user 14 failed to decode in round 0, group (1, 2)")
+    _send_precoders(monkeypatch, faulty)
+    with pytest.raises(DecodeFailure) as failure:
+        verify_schedule(channel, schedule, demands, symbols, 1)
+    assert str(failure.value) == replayed
 
 
 def test_decode_failure_names_the_first_group_before_the_first_row(monkeypatch):
     # One round of L = 4 with profiles 2 (users 0, 1) and 3 (users 2, 3)
-    # active sends (1, 2), (1, 3), (2, 3), (2, 4) and (3, 4).  Wrong symbols
-    # for user 3 in (1, 3) and for user 0 in (2, 4), groups where no other
-    # profile transmits, make exactly those two fail: in transmission order
-    # group (1, 3) comes first, though user 0's row comes before user 3's.
+    # active sends (1, 2), (1, 3), (2, 3), (2, 4) and (3, 4).  Users 3 and 0
+    # are precoded twice too strong, and each has one nonzero symbol: user
+    # 3's in (1, 3), user 0's in (2, 4).  Exactly those two fail: in
+    # transmission order group (1, 3) comes first, though user 0's row
+    # comes before user 3's.
     idle = PartitionSet(partitions=(), num_helpers=4)
     psets = {
         1: idle,
@@ -655,17 +660,19 @@ def test_decode_failure_names_the_first_group_before_the_first_row(monkeypatch):
     channel = draw_channels(_full_connectivity(4, 4), np.random.default_rng(15))
     rng = np.random.default_rng(16)
     symbols = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    (rs,) = _rounds_sent(channel, (schedule, rounds), symbols, 1)
+    symbols[3], symbols[0] = [1, 0, 0], [0, 0, 1]
+    (rs,) = _checked_rounds(channel, (schedule, rounds), symbols, 1)
     assert rs.users == (0, 1, 2, 3)
     assert rs.groups == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
-
-    def alter(round_index, messages):
-        messages[3, 1] += 1.0
-        messages[0, 3] += 1.0
-
-    _send_altered(monkeypatch, alter)
-    with pytest.raises(DecodeFailure, match=r"user 3 failed to decode in round 0, group \(1, 3\): residual 1\.0"):
+    assert np.flatnonzero(rs.messages[3]).tolist() == [1] and np.flatnonzero(rs.messages[0]).tolist() == [3]
+    faulty = matched_precoders(channel, schedule)
+    faulty[:, [3, 0]] *= 2.0
+    replayed = _replayed_failure(channel, rounds, symbols, 1, faulty)
+    assert re.match(r"user 3 failed to decode in round 0, group \(1, 3\): residual 1\.0", replayed)
+    _send_precoders(monkeypatch, faulty)
+    with pytest.raises(DecodeFailure) as failure:
         verify_schedule(channel, schedule, {}, symbols, 1)
+    assert str(failure.value) == replayed
 
 
 def test_decode_failure_names_the_round(monkeypatch):
@@ -675,14 +682,16 @@ def test_decode_failure_names_the_round(monkeypatch):
     symbols = np.array([[1 + 0j], [1j], [0], [0], [0], [-1 + 0j]])
     demands = {u: u for u in range(6)}
     assert verify_schedule(channel, schedule, demands, symbols, 1) < 1e-9
-
-    def alter(round_index, messages):
-        if round_index == 1:
-            messages *= 2.0
-
-    _send_altered(monkeypatch, alter)
-    with pytest.raises(DecodeFailure, match=r"user 1 failed to decode in round 1, group \(1, 2\)"):
+    # round 1 serves user 1 alone, in the table's last row; precoded twice
+    # too strong, it misses there
+    faulty = matched_precoders(channel, schedule)
+    faulty[:, 2] *= 2.0
+    replayed = _replayed_failure(channel, build_rounds(psets, 2), symbols, 1, faulty)
+    assert replayed.startswith("user 1 failed to decode in round 1, group (1, 2)")
+    _send_precoders(monkeypatch, faulty)
+    with pytest.raises(DecodeFailure) as failure:
         verify_schedule(channel, schedule, demands, symbols, 1)
+    assert str(failure.value) == replayed
 
 
 def test_whole_schedule_verifies():
@@ -737,7 +746,7 @@ def test_full_connectivity_recovers_single_round_structure():
     channel = draw_channels(conn, np.random.default_rng(9))
     demands = {k: k for k in range(conn.num_users)}
     symbols = draw_subfile_symbols(assignment, demands, 1, np.random.default_rng(10))
-    (rs,) = _rounds_sent(channel, (schedule, rounds), symbols, 1)
+    (rs,) = _checked_rounds(channel, (schedule, rounds), symbols, 1)
     assert rs.messages.shape[1] == math.comb(5, 2)
     for group in rs.groups:
         blocks = _blocks(rs, group)
@@ -833,15 +842,8 @@ def _small_chunks(draw):
 _EMPTY_TRIAL = (np.zeros((0, 2), dtype=complex), [_schedules({}, 3)], np.zeros((0, 2), dtype=complex))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_small_chunks())
-@example((1, 3, [_EMPTY_TRIAL]))  # a chunk without a round
-@example((1, 3, [_EMPTY_TRIAL[:1] + ([],) + _EMPTY_TRIAL[2:]]))  # and without a schedule
-def test_chunk_replay_matches_the_round_matrices_bit_for_bit(chunk):
-    # One call over the schedules of several trials, their channels and
-    # symbols stacked, gives every intended residual of the per-round
-    # replay, bit for bit, each schedule on its own trial's rows of the
-    # stacked arrays and its own columns of the chunk's precoders.
+def _stacked(chunk):
+    """A chunk's stacked channel and symbols, and each schedule's rounds and first row there."""
     index_size, num_profiles, trials = chunk
     firsts = np.cumsum([0] + [channel.shape[0] for channel, _, _ in trials])
     stacked = np.concatenate([channel for channel, _, _ in trials])
@@ -854,17 +856,57 @@ def test_chunk_replay_matches_the_round_matrices_bit_for_bit(chunk):
     schedules = [rounds for _, rounds, _, _ in runs]
     first_rows = np.array([first for *_, first in runs], dtype=np.intp)
     pairs = served_pairs(schedules) if runs else build_schedule({}, num_profiles)
+    return stacked, stacked_symbols, pairs, first_rows, runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_chunks())
+@example((1, 3, [_EMPTY_TRIAL]))  # a chunk without a round
+@example((1, 3, [_EMPTY_TRIAL[:1] + ([],) + _EMPTY_TRIAL[2:]]))  # and without a schedule
+def test_chunk_decode_matches_the_round_replay(chunk):
+    # One call over the schedules of several trials, their channels and
+    # symbols stacked, gives every intended residual of the per-round
+    # replay, each schedule on its own trial's rows of the stacked arrays
+    # and its own columns of the chunk's precoders: within 1e-12, with the
+    # same verdict at every entry.  The replay cancels the other profiles'
+    # blocks in floating point, so the bits may differ.
+    index_size, num_profiles, _ = chunk
+    stacked, stacked_symbols, pairs, first_rows, runs = _stacked(chunk)
     precoders = matched_precoders(stacked, pairs, first_rows)
     residuals = decode_schedules(stacked, stacked_symbols, pairs, index_size, first_rows)
-    expected, start = [np.empty(0)], 0
+    width = math.comb(num_profiles - 1, index_size)
+    expected, start = [np.empty((0, width))], 0
     for channel, rounds, own_symbols, _ in runs:
         stop = start + len(served_pairs([rounds]))
         for rs in round_signals(channel, rounds, own_symbols, index_size, precoders[:, start:stop]):
-            expected.append(round_residuals(channel, rs))
+            expected.append(round_residuals(channel, rs).reshape(-1, width))
             assert expected[-1].max() == decode_round(channel, rs)
         start = stop
-    assert residuals.shape == (start, math.comb(num_profiles - 1, index_size))
-    assert residuals.tobytes() == np.concatenate(expected).tobytes()
+    expected = np.concatenate(expected)
+    assert residuals.shape == expected.shape == (start, width)
+    assert np.abs(residuals - expected).max(initial=0.0) <= 1e-12
+    rows = pairs.user + first_rows[pairs.schedule]
+    bound = DECODE_TOLERANCE * (np.abs(stacked_symbols[rows]) + 1.0)
+    assert np.array_equal(residuals < bound, expected < bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_chunks())
+@example((1, 3, [_EMPTY_TRIAL]))  # a chunk without a round
+@example((1, 3, [_EMPTY_TRIAL[:1] + ([],) + _EMPTY_TRIAL[2:]]))  # and without a schedule
+def test_schedule_residuals_do_not_depend_on_the_chunk(chunk):
+    # Each schedule's residuals, bit for bit, whether it is decoded alone or
+    # stacked with other trials' schedules and other slot sizes: a verified
+    # chunk leaves out a repeated schedule on this ground.
+    index_size = chunk[0]
+    stacked, stacked_symbols, pairs, first_rows, runs = _stacked(chunk)
+    residuals = decode_schedules(stacked, stacked_symbols, pairs, index_size, first_rows)
+    start = 0
+    for channel, rounds, own_symbols, _ in runs:
+        alone = decode_schedules(channel, own_symbols, served_pairs([rounds]), index_size)
+        assert alone.tobytes() == residuals[start : start + len(alone)].tobytes()
+        start += len(alone)
+    assert start == len(residuals)
 
 
 def _served_twice(schedule: RoundSchedule, later_round: bool) -> RoundSchedule:
