@@ -177,24 +177,26 @@ def matched_precoders(
     pairs: ServedPairs,
     first_rows: np.ndarray | None = None,
     labels: Sequence[str] | None = None,
-) -> np.ndarray:
-    """Zero-forcing precoders of every slot of a table, side by side in one (E, rows) array.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Zero-forcing precoders of every slot of a table, the slots of one size stacked together.
 
-    Row r of the table takes column r: each slot's matched channel
-    submatrix's inverse on its helpers' rows, zeros elsewhere, so a round's
-    slots give its Q; random continuous gains make each invertible almost
-    surely.  The m slots of one size are gathered from the table's columns
-    as (m, size) arrays of helpers and users, with one `inv`.  A submatrix A
-    is ill-conditioned when `cond(A)` exceeds `CONDITION_LIMIT`; since
-    cond_2(A) <= |A|_F |A^-1|_F, `cond` runs only on the slots whose product
-    with the computed inverse exceeds half the limit, or on the whole size
-    when `inv` finds an exactly singular one.  `first_rows` and `labels`
-    are those of `decode_schedules`; an error names the slot's users and
+    The slots are grouped by size once, sizes in the order they first
+    occur.  For the m slots of size s the result holds their table rows
+    (m, s), their users' rows of `channel` (m, s), and the columns their
+    users are sent (m, E, s): each slot's matched channel submatrix's
+    inverse on its helpers' rows, zeros on every other helper's.  Random
+    continuous gains make each submatrix invertible almost surely, and the
+    slots of one size take one `inv`.  A submatrix A is ill-conditioned
+    when `cond(A)` exceeds `CONDITION_LIMIT`; since cond_2(A) <= |A|_F
+    |A^-1|_F, `cond` runs only on the slots whose product with the
+    computed inverse exceeds half the limit, or on the whole size when
+    `inv` finds an exactly singular one.  `first_rows` and `labels` are
+    those of `decode_schedules`; an error names the slot's users and
     helpers, and ends with its schedule's label when given.
     """
     starts = pairs.slot_starts
     sizes = np.diff(starts, append=len(pairs))
-    precoders = np.zeros((channel.shape[1], len(pairs)), dtype=complex)
+    stacks = []
     _, first_of_size = np.unique(sizes, return_index=True)
     for size in sizes[np.sort(first_of_size)].tolist():
         rows = starts[sizes == size, None] + np.arange(size)
@@ -207,8 +209,8 @@ def matched_precoders(
             label = "" if labels is None else f" ({labels[owners[i]]})"
             return text.format(f"users {slot_users} on helpers {slot_helpers}") + label
 
-        rows_in_channel = users if first_rows is None else users + first_rows[owners, None]
-        subs = channel[rows_in_channel[:, :, None], helpers[:, None, :]]
+        served = users if first_rows is None else users + first_rows[owners, None]
+        subs = channel[served[:, :, None], helpers[:, None, :]]
         zero = (np.diagonal(subs, axis1=1, axis2=2) == 0).any(axis=1)
         if zero.any():
             text = "matched helper-user link is structurally zero for {}"
@@ -231,8 +233,10 @@ def matched_precoders(
             raise SingularChannelError(failure(int(np.argmax(singular)), text))
         if inverses is None:
             inverses = np.linalg.inv(subs)  # singular to inv but not to cond: LinAlgError
-        precoders[helpers[:, :, None], rows[:, None, :]] = inverses
-    return precoders
+        columns = np.zeros((len(rows), channel.shape[1], size), dtype=complex)
+        columns[np.arange(len(rows))[:, None], helpers] = inverses
+        stacks.append((rows, served, columns))
+    return stacks
 
 
 def _squared_frobenius(matrices: np.ndarray) -> np.ndarray:
@@ -283,7 +287,8 @@ def decode_schedules(
     and `needed_subfiles` symbols are row `first_rows[s] + u` of `channel`
     and `symbols`, or row u without `first_rows`.  The table's precoders
     come first, from one `matched_precoders` call, so a singular or
-    structurally zero slot fails before any product is formed.
+    structurally zero slot fails before any product is formed; that call
+    also groups the slots by size, once for both.
 
     Round g sends every group with a profile served that round: the groups
     in the `group_table` rows of its a(g) active profiles, which must number
@@ -295,9 +300,11 @@ def decode_schedules(
     the users i of u's own slot, which all carry the index G minus p: so
     u's residuals in `needed_subfiles` order are row u of |(H Q) S - S| on its
     slot, H the slot users' full channel rows, Q their full precoder
-    columns and S their symbols.  The m slots of one size make one stacked
-    product, each slot at its own shape, so the residuals do not depend on
-    which schedules share the call.
+    columns as sent, every helper's entry read, and S their symbols.  The
+    m slots of one size make one stacked product on the (m, s) channel rows
+    and (m, E, s) columns `matched_precoders` gives for them, each slot at
+    its own shape, so the residuals do not depend on which schedules share
+    the call.
 
     Returns a (rows, C(L - 1, t)) array, (0, C(L - 1, t)) for an empty
     table: row i is the table's i-th served pair, and its entries are that
@@ -308,12 +315,10 @@ def decode_schedules(
     group count is wrong; every error, the precoders' too, ends with
     `(labels[s])` when given.
     """
-    precoders = matched_precoders(channel, pairs, first_rows, labels)
+    stacks = matched_precoders(channel, pairs, first_rows, labels)
     num_profiles = pairs.num_profiles
     table = group_table(num_profiles, index_size)
     round_starts, slot_starts = pairs.round_starts, pairs.slot_starts
-    rows = pairs.user if first_rows is None else pairs.user + first_rows[pairs.schedule]
-    slot_sizes = np.diff(slot_starts, append=len(pairs))
     slot_rounds = np.searchsorted(round_starts, slot_starts, side="right") - 1
     slot_profiles = pairs.profile[slot_starts].astype(np.intp)
 
@@ -334,19 +339,18 @@ def decode_schedules(
         )
 
     residuals = np.empty((len(pairs), table.rank.shape[1]))
-    for size in np.flatnonzero(np.bincount(slot_sizes)).tolist():
-        at = slot_starts[slot_sizes == size, None] + np.arange(size)
-        served = rows[at]
-        heard, own = channel[served], symbols[served]
-        # (m, E, size), copied contiguous: on the strided view the products took ~3x as long
-        columns = np.ascontiguousarray(precoders.T[at].transpose(0, 2, 1))
-        residuals[at] = np.abs((heard @ columns) @ own - own)
+    for at, served, columns in stacks:
+        own = symbols[served]
+        residuals[at] = np.abs((channel[served] @ columns) @ own - own)
 
     # A residual below the tolerance is below its bound, which is at least
     # the tolerance; only the others need their symbol's bound.
     if not residuals.max(initial=0.0) < DECODE_TOLERANCE:
         row, k = np.nonzero(~(residuals < DECODE_TOLERANCE))
-        wanted = symbols[rows[row], k]
+        heard_by = pairs.user[row]
+        if first_rows is not None:
+            heard_by = heard_by + first_rows[pairs.schedule[row]]
+        wanted = symbols[heard_by, k]
         failed = ~(residuals[row, k] < DECODE_TOLERANCE * (np.abs(wanted) + 1.0))
         if failed.any():
             row, k = row[failed], k[failed]

@@ -243,7 +243,7 @@ def greedy_counts(
     through all-zero words.  That bit is the first free user in column
     order, so each helper takes its first free user, as the baseline does.
     A pass counts for every profile that still has a free bit when it
-    starts.  `greedy_placement` runs the same scan and also says which
+    starts.  `greedy_placement` runs the same scan, which also says which
     user each step took.
     """
     return _greedy_scan(adjacency, profile_of, num_profiles, place=False)[0]
@@ -251,19 +251,20 @@ def greedy_counts(
 
 def greedy_placement(
     adjacency: np.ndarray, labels: np.ndarray, num_labels: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's partition and helper in the greedy baseline, every label at once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The greedy baseline's count of every label, and each user's partition and helper.
 
     Same arguments and errors as `greedy_counts`, the labels 1..`num_labels`
-    in place of the profiles: partition g of a label is pass g of its
-    scan, in which each helper takes its first free user in column order.
-    The scan records the bit each helper step takes, and one pass over the
-    recorded steps afterwards finds each user: the bit's index within its
-    word is the exponent of the bit as a float, exact for a power of two.
-    So a label's largest partition is its `greedy_counts` count less one.
+    in place of the profiles, and the counts are that scan's: the same
+    run both counts its passes and records the bit each helper step takes.
+    Partition g of a label is pass g of its scan, in which each helper
+    takes its first free user in column order.  One pass over the recorded
+    steps afterwards finds each user: the bit's index within its word is
+    the exponent of the bit as a float, exact for a power of two.  So a
+    label's largest partition is its count less one.
     """
-    _, partition, helper = _greedy_scan(adjacency, labels, num_labels, place=True)
-    return partition, helper
+    counts, partition, helper = _greedy_scan(adjacency, labels, num_labels, place=True)
+    return counts, partition, helper
 
 
 def _greedy_scan(
@@ -567,8 +568,8 @@ def greedy_assign(subnet: ProfileSubnetwork) -> PartitionSet:
     adjacency = np.zeros((subnet.num_helpers, subnet.num_users), dtype=bool)
     for user, cand in enumerate(subnet.candidates):
         adjacency[cand, user] = True
-    placement = greedy_placement(adjacency, np.ones(subnet.num_users, dtype=np.int64), 1)
-    return _one_label(subnet, placement)
+    placed = greedy_placement(adjacency, np.ones(subnet.num_users, dtype=np.int64), 1)
+    return _one_label(subnet, placed[1:])
 
 
 def optimal_partitions(subnet: ProfileSubnetwork) -> PartitionSet:

@@ -19,7 +19,8 @@ order as its links, one row per user.
 The evaluate stage then takes the chunk's network as one: profile p of
 trial i is label i * L + p, so one call per method yields every (trial,
 profile) partition count, and the delivery time of every trial follows from
-its sorted counts.
+its sorted counts.  A verified chunk takes greedy's counts from the scan
+that also places its users.
 """
 
 from __future__ import annotations
@@ -462,12 +463,15 @@ def evaluate_counts(
     trials: int,
     num_profiles: int,
     methods: Sequence[str],
+    greedy: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Per-profile partition counts of a chunk of trials: a (trials, L) array per method.
 
     `adjacency` is the (E, sum K) concatenation of the trials' links, and
     a user of profile p (1..L) in trial i carries label i * L + p, so every
-    count comes from one call per method.
+    count comes from one call per method.  Greedy's are `greedy` where a
+    placing run of its scan has already counted every label, else
+    `greedy_counts`'.
     """
     num_labels = trials * num_profiles
     counts = {}
@@ -475,7 +479,7 @@ def evaluate_counts(
         if method == "bb":
             flat = min_partition_counts(adjacency, labels, num_labels)
         elif method == "greedy":
-            flat = greedy_counts(adjacency, labels, num_labels)
+            flat = greedy_counts(adjacency, labels, num_labels) if greedy is None else greedy
         else:
             # Hall's term for S = all helpers: ceil(n_p / E).
             users = np.bincount(labels - 1, minlength=num_labels)
@@ -535,18 +539,21 @@ def _checked_pairs(
     num_users: np.ndarray,
     seeds: Sequence[int],
     counts: dict[str, np.ndarray],
+    greedy: tuple[np.ndarray, np.ndarray] | None,
 ) -> ServedPairs:
     """A chunk's distinct verified schedules as one table, its counts and coverage checked.
 
-    One builder call per method places the users of every label of the
-    chunk: `optimal_placement` for bb, whose partitions are the fewest
-    there are, so the check proves Hall's count the minimum, and
-    `greedy_placement` for greedy.  That is the scan of `greedy_counts`
-    run again, recording which user each step takes, so its check compares
-    the placing run with the counting run: it checks the bookkeeping from
-    recorded bits to users, not the scan.  Each label's built count must
-    be the evaluated one.  Each user's helper tuple (`helper_candidates`,
-    from bitmasks of at most 63 helpers) is made only for bb.
+    Each method's placement gives every user of the chunk its partition
+    and helper, every label at once.  Bb's is one `optimal_placement`
+    call, whose partitions are the fewest there are, so the check proves
+    Hall's count the minimum.  Greedy's is `greedy` (None without greedy),
+    the (partition, helper) of the `greedy_placement` run whose pass counts
+    are greedy's `counts`, so its check compares the scan's counts with
+    the partitions it recorded: it checks the bookkeeping from recorded
+    bits to users, not the scan.  Each label's built count, its largest partition plus
+    one, must be the evaluated one.  Each user's helper tuple
+    (`helper_candidates`, from bitmasks of at most 63 helpers) is made
+    only for bb.
 
     A later method's schedule of trial i in which each user of trial i has
     the partition and helper it has under the first method repeats its
@@ -564,7 +571,7 @@ def _checked_pairs(
     trials = len(seeds)
     placements = [
         optimal_placement(helper_candidates(adjacency), labels, point.helpers) if m == "bb"
-        else greedy_placement(adjacency, labels, trials * point.profiles)
+        else greedy
         for m in methods
     ]
     partition, helper = map(np.array, zip(*placements))  # (M, sum K) each
@@ -612,13 +619,15 @@ def run_point(
     Every partition count comes from `evaluate_counts`, and transmissions,
     delivery time and sum-DoF from the counts in closed form.  With
     `verify` set, a chunk's schedules are also built, count-checked and
-    audited as one table (`_checked_pairs`): greedy's partitions by
-    `greedy_placement`, the bitset scan of `greedy_counts` run again to
-    record each step's user, and bb's by `optimal_placement`, whose one
-    matching pass per label finds the fewest.  Verified greedy thus takes
-    any number of helpers, as unverified greedy does.  One
-    `decode_schedules` call then precodes and decodes every schedule of
-    the table.  Schedule i * M + m is trial i's under method m of M, and
+    audited as one table (`_checked_pairs`): greedy's partitions by one
+    `greedy_placement` call, the bitset scan of `greedy_counts` recording
+    each step's user, whose pass counts are also greedy's evaluated
+    counts, so a verified chunk scans once and calls no `greedy_counts`;
+    and bb's by `optimal_placement`, whose one matching pass per label
+    finds the fewest.  Verified greedy thus takes any number of helpers,
+    as unverified greedy does.  One `decode_schedules` call then
+    precodes and decodes every schedule of the table, one stacked product
+    per slot size.  Schedule i * M + m is trial i's under method m of M, and
     its user u is row `first_rows[i * M + m] + u` of the chunk's stacked
     channel and symbols: trial i's first row plus u.  Every error ends
     with `(seed S, method m)`.
@@ -651,9 +660,13 @@ def run_point(
     for first in range(0, len(trial_seeds), step):
         seeds = trial_seeds[first : first + step]
         adjacency, labels, chunk_users, channel, symbols = _draw_chunk(point, seeds, verify)
-        chunk = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods)
+        scanned, greedy = None, None
+        if verify and "greedy" in methods:
+            placed = greedy_placement(adjacency, labels, len(seeds) * point.profiles)
+            scanned, greedy = placed[0], placed[1:]
+        chunk = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, scanned)
         if verify:
-            pairs = _checked_pairs(point, adjacency, labels, chunk_users, seeds, chunk)
+            pairs = _checked_pairs(point, adjacency, labels, chunk_users, seeds, chunk, greedy)
             first_rows = np.repeat(np.cumsum(chunk_users) - chunk_users, len(methods))
             names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
             decode_schedules(channel, symbols, pairs, point.index_size, first_rows, names)

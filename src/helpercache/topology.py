@@ -81,10 +81,10 @@ def disk_positions(uniforms: np.ndarray, disk_radius: float) -> np.ndarray:
 
 def sample_users(density: float, disk_radius: float, rng: np.random.Generator) -> np.ndarray:
     """(N, 2) user positions: a Poisson(density * disk area) count, uniform on the disk."""
-    if density <= 0:
-        raise ValueError(f"user density must be positive, got {density}")
-    if disk_radius <= 0:
-        raise ValueError(f"user disk radius must be positive, got {disk_radius}")
+    if not 0 < density < math.inf:
+        raise ValueError(f"user density must be finite and positive, got {density}")
+    if not 0 < disk_radius < math.inf:
+        raise ValueError(f"user disk radius must be finite and positive, got {disk_radius}")
     return disk_positions(disk_uniforms(density * math.pi * disk_radius**2, rng), disk_radius)
 
 
@@ -94,7 +94,7 @@ def connect(layout: np.ndarray, users: np.ndarray, radius: float) -> Connectivit
     `layout` holds the (E, 2) helper positions and `users` the (N, 2) user
     positions.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError(f"transmission radius must be nonnegative, got {radius}")
     # Squared helper-user distances, (E, N), from the two coordinate gaps,
     # computed in place so only two (E, N) float arrays are held.

@@ -14,7 +14,9 @@ schedules:
   and signal matrices built and decoded on their own, the other profiles'
   blocks cancelled in floating point; the library's residuals must match
   them within 1e-12, with the same verdicts and the same first failure
-  under the same precoders;
+  under the same precoders.  The replay takes the precoders as one
+  (E, rows) matrix, a column per table row (`precoder_matrix`), where the
+  library keeps them stacked per slot size;
 - transmission by transmission: groups enumerated one by one, one precoder
   inverse per (round, profile), one signal vector per group, each symbol
   found by its index in `needed_subfiles`, and a decode replay per
@@ -84,6 +86,22 @@ def served_pairs(schedules: Sequence[RoundSchedule]) -> ServedPairs:
     return ServedPairs(num_profiles.pop() if num_profiles else 0, *columns)
 
 
+def precoder_matrix(
+    channel: np.ndarray,
+    pairs: ServedPairs,
+    first_rows: np.ndarray | None = None,
+    labels: Sequence[str] | None = None,
+) -> np.ndarray:
+    """The columns `matched_precoders` sends, side by side in one (E, rows) array.
+
+    Row r of the table takes column r, so a round's slots give its Q.
+    """
+    precoders = np.zeros((channel.shape[1], len(pairs)), dtype=complex)
+    for rows, _, columns in matched_precoders(channel, pairs, first_rows, labels):
+        precoders[:, rows] = columns.transpose(1, 0, 2)
+    return precoders
+
+
 @dataclass(frozen=True)
 class RoundSignal:
     """One round's transmissions as matrices: column j is the signal of `groups[j]`.
@@ -116,11 +134,11 @@ def round_signals(
     p's users carry the subfiles of index S minus p, from their rows of the
     (K, C(L - 1, t)) `symbols` array, precoded by the inverse of their
     matched channel and zero-padded onto the other helpers.  `precoders`
-    are the columns `matched_precoders` gives for the schedule's table,
-    computed here unless given.
+    are the columns `matched_precoders` gives for the schedule's table as
+    one (E, rows) array (`precoder_matrix`), computed here unless given.
     """
     if precoders is None:
-        precoders = matched_precoders(channel, served_pairs([schedule]))
+        precoders = precoder_matrix(channel, served_pairs([schedule]))
     table = group_table(schedule.num_profiles, index_size)
     full = comb(schedule.num_profiles, index_size + 1)
     start = 0

@@ -16,6 +16,7 @@ from delivery_reference import (
     compose_signal,
     decode_round,
     enumerate_transmissions,
+    precoder_matrix,
     replay_schedule,
     round_residuals,
     round_signals,
@@ -128,7 +129,8 @@ def test_empty_schedule_verifies_to_no_rows(num_profiles, index_size):
     worst = verify_schedule(channel, schedule, {}, symbols, index_size)
     assert worst == 0.0 and type(worst) is float
     assert coverage_check(schedule, index_size) == []
-    assert matched_precoders(channel, schedule).shape == (4, 0)
+    assert matched_precoders(channel, schedule) == []
+    assert precoder_matrix(channel, schedule).shape == (4, 0)
     residuals = decode_schedules(channel, symbols, schedule, index_size)
     assert residuals.shape == (0, width)
 
@@ -287,14 +289,14 @@ def test_diagonal_matching_precoder_closed_form():
 def test_precoder_inverts_matched_submatrix():
     rng = np.random.default_rng(2)
     channel = _example_channel(rng)
-    inverse = matched_precoders(channel, _slots([((0, 0), (1, 1), (2, 2), (3, 3))]))
+    inverse = precoder_matrix(channel, _slots([((0, 0), (1, 1), (2, 2), (3, 3))]))
     np.testing.assert_allclose(channel @ inverse, np.eye(4), atol=1e-10)
 
 
 def test_precoder_scalar_case():
     conn = Connectivity(adjacency=np.array([[True]]), reachable_users=np.arange(1))
     channel = draw_channels(conn, np.random.default_rng(3))
-    inverse = matched_precoders(channel, _slots([((0, 0),)]))
+    inverse = precoder_matrix(channel, _slots([((0, 0),)]))
     assert inverse.shape == (1, 1)
     assert inverse[0, 0] == pytest.approx(1 / channel[0, 0])
 
@@ -305,26 +307,37 @@ def test_precoder_identity_over_many_draws():
     for _ in range(1000):
         conn = Connectivity(adjacency=np.ones((4, 4), dtype=bool), reachable_users=np.arange(4))
         channel = draw_channels(conn, rng)
-        inverse = matched_precoders(channel, _slots([((0, 0), (1, 1), (2, 2), (3, 3))]))
+        inverse = precoder_matrix(channel, _slots([((0, 0), (1, 1), (2, 2), (3, 3))]))
         gap = np.abs(channel @ inverse - np.eye(4)).max()
         worst = max(worst, gap)
     assert worst < 1e-9
 
 
 def test_batched_precoders_match_single_inverses():
+    # The slots are grouped by size once, sizes in the order they first
+    # occur.  Each slot of a size has its table rows, its users' channel
+    # rows and the columns they are sent: its inverse on its helpers' rows,
+    # zero on the other helpers'.
     channel = draw_channels(_full_connectivity(8, 4), np.random.default_rng(12))
     slots = [((0, 0), (1, 1)), ((2, 2),), ((3, 3), (0, 4), (1, 5)), ((1, 6), (2, 7)), ((0, 5),)]
-    precoders = matched_precoders(channel, _slots(slots))
+    stacks = matched_precoders(channel, _slots(slots))
+    assert [columns.shape for _, _, columns in stacks] == [(2, 4, 2), (2, 4, 1), (1, 4, 3)]
+    sent = {}
+    for rows, served, columns in stacks:
+        assert rows.shape == served.shape == (len(columns), columns.shape[2])
+        assert columns.flags.c_contiguous
+        sent.update((int(r[0]), (r, u, c)) for r, u, c in zip(rows, served, columns))
     start = 0
     for helpers, users in (zip(*part) for part in slots):
-        # the partition's columns: its inverse on its helpers' rows, zero on the others
-        block = precoders[:, start : start + len(users)]
+        rows, served, columns = sent.pop(start)
+        assert rows.tolist() == list(range(start, start + len(users)))
+        assert served.tolist() == list(users)
         np.testing.assert_allclose(
-            block[list(helpers)], build_precoder(channel, helpers, users), rtol=1e-12, atol=0
+            columns[list(helpers)], build_precoder(channel, helpers, users), rtol=1e-12, atol=0
         )
-        assert not np.delete(block, helpers, axis=0).any()
+        assert not np.delete(columns, helpers, axis=0).any()
         start += len(users)
-    assert precoders.shape == (4, start)
+    assert not sent
 
 
 def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
@@ -335,9 +348,11 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
     slots = [((0, 0), (1, 2)), ((2, 3), (0, 1)), ((1, 0),)]
     rows, both = np.array([0, 3, 3]), np.vstack([first, second])
     labels = ["seed 11, method bb", "seed 22, method bb", "seed 22, method greedy"]
-    stacked = matched_precoders(both, _slots(slots), rows, labels)
-    np.testing.assert_array_equal(stacked[:, :2], matched_precoders(first, _slots(slots[:1])))
-    np.testing.assert_array_equal(stacked[:, 2:], matched_precoders(second, _slots(slots[1:])))
+    stacked = precoder_matrix(both, _slots(slots), rows, labels)
+    stacks = matched_precoders(both, _slots(slots), rows, labels)
+    assert [served.tolist() for _, served, _ in stacks] == [[[0, 2], [6, 4]], [[3]]]
+    np.testing.assert_array_equal(stacked[:, :2], precoder_matrix(first, _slots(slots[:1])))
+    np.testing.assert_array_equal(stacked[:, 2:], precoder_matrix(second, _slots(slots[1:])))
     # The decode reads the same rows of the stacked channel and symbols.
     decode = decode_schedules(both, symbols, _slots(slots), 0, rows)
     alone = [
@@ -381,7 +396,7 @@ def test_stacked_decode_bounds_each_residual_by_its_own_symbol(monkeypatch):
     symbols = (rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1))) / math.sqrt(2)
     symbols[3:] *= 1000.0
     pairs, rows = _slots([((0, 0), (1, 2)), ((2, 3), (0, 1))]), np.array([0, 3])
-    faulty = matched_precoders(channel, pairs, rows)
+    faulty = precoder_matrix(channel, pairs, rows)
     faulty[:, 2:] *= 1.0 + 1e-10
     _send_precoders(monkeypatch, faulty)
     residuals = decode_schedules(channel, symbols, pairs, 0, rows)
@@ -425,7 +440,7 @@ def test_condition_verdicts_follow_cond(monkeypatch, limit):
             with pytest.raises(SingularChannelError):
                 matched_precoders(channel, _slots([slot]))
         else:
-            np.testing.assert_array_equal(matched_precoders(channel, _slots([slot])), np.linalg.inv(channel))
+            np.testing.assert_array_equal(precoder_matrix(channel, _slots([slot])), np.linalg.inv(channel))
         assert refused == (limit == 1.0 or np.linalg.cond(channel) > 1e12)
 
 
@@ -442,7 +457,7 @@ def test_well_conditioned_slots_need_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", counted)
     channel = draw_channels(_full_connectivity(10, 4), np.random.default_rng(17))
     slots = [((0, 0),), ((0, 1), (1, 2)), ((0, 3), (1, 4), (2, 5)), ((0, 6), (1, 7), (2, 8), (3, 9))]
-    precoders = matched_precoders(channel, _slots(slots))
+    precoders = precoder_matrix(channel, _slots(slots))
     assert calls == []
     for part, start in zip(slots, (0, 1, 3, 6)):
         helpers, users = map(list, zip(*part))
@@ -509,8 +524,17 @@ def _checked_rounds(channel, schedules, symbols, index_size) -> list[RoundSignal
 
 
 def _send_precoders(patch, precoders):
-    """Make the decode send `precoders` in place of the table's own."""
-    patch.setattr(delivery, "matched_precoders", lambda *args: precoders)
+    """Make the decode send the (E, rows) `precoders`, all E entries of each
+    table row's column, in place of the table's own."""
+    made = delivery.matched_precoders
+
+    def sent(*args):
+        return [
+            (rows, served, np.ascontiguousarray(precoders[:, rows].transpose(1, 0, 2)))
+            for rows, served, _ in made(*args)
+        ]
+
+    patch.setattr(delivery, "matched_precoders", sent)
 
 
 def _replayed_failure(channel, rounds, symbols, index_size, precoders) -> str:
@@ -603,7 +627,7 @@ def test_decode_failure_is_reported(monkeypatch):
     # is zero, so only user 14 misses, first in group (1, 2).
     schedules, channel, demands, symbols = _two_profile_round()
     (schedule, rounds), (rs,) = schedules, _checked_rounds(channel, schedules, symbols, 1)
-    faulty = matched_precoders(channel, schedule)
+    faulty = precoder_matrix(channel, schedule)
     faulty[:, rs.users.index(14)] *= 2.0
     replayed = _replayed_failure(channel, rounds, symbols, 1, faulty)
     assert replayed.startswith("user 14 failed to decode in round 0, group (1, 2)")
@@ -630,7 +654,7 @@ def test_decode_reads_every_helper_of_the_sent_precoders(monkeypatch):
     # the columns as sent, so user 14 misses as the replay finds.
     schedules, channel, demands, symbols = _two_profile_round()
     schedule, rounds = schedules
-    faulty = matched_precoders(channel, schedule)
+    faulty = precoder_matrix(channel, schedule)
     column = schedule.user.tolist().index(14)
     assert faulty[0, column] == 0 and faulty[1, column] != 0
     faulty[0, column] = faulty[1, column]
@@ -665,7 +689,7 @@ def test_decode_failure_names_the_first_group_before_the_first_row(monkeypatch):
     assert rs.users == (0, 1, 2, 3)
     assert rs.groups == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
     assert np.flatnonzero(rs.messages[3]).tolist() == [1] and np.flatnonzero(rs.messages[0]).tolist() == [3]
-    faulty = matched_precoders(channel, schedule)
+    faulty = precoder_matrix(channel, schedule)
     faulty[:, [3, 0]] *= 2.0
     replayed = _replayed_failure(channel, rounds, symbols, 1, faulty)
     assert re.match(r"user 3 failed to decode in round 0, group \(1, 3\): residual 1\.0", replayed)
@@ -684,7 +708,7 @@ def test_decode_failure_names_the_round(monkeypatch):
     assert verify_schedule(channel, schedule, demands, symbols, 1) < 1e-9
     # round 1 serves user 1 alone, in the table's last row; precoded twice
     # too strong, it misses there
-    faulty = matched_precoders(channel, schedule)
+    faulty = precoder_matrix(channel, schedule)
     faulty[:, 2] *= 2.0
     replayed = _replayed_failure(channel, build_rounds(psets, 2), symbols, 1, faulty)
     assert replayed.startswith("user 1 failed to decode in round 1, group (1, 2)")
@@ -872,7 +896,7 @@ def test_chunk_decode_matches_the_round_replay(chunk):
     # blocks in floating point, so the bits may differ.
     index_size, num_profiles, _ = chunk
     stacked, stacked_symbols, pairs, first_rows, runs = _stacked(chunk)
-    precoders = matched_precoders(stacked, pairs, first_rows)
+    precoders = precoder_matrix(stacked, pairs, first_rows)
     residuals = decode_schedules(stacked, stacked_symbols, pairs, index_size, first_rows)
     width = math.comb(num_profiles - 1, index_size)
     expected, start = [np.empty((0, width))], 0

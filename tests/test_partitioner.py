@@ -286,7 +286,7 @@ def test_chunk_builders_match_the_per_profile_references(chunk):
             partition_reference.greedy_assign,
         ),
     ):
-        partition, helper = builder(*arguments)
+        *_, partition, helper = builder(*arguments)
         assert partition.shape == helper.shape == labels.shape
         for label in range(num_labels):
             members = np.flatnonzero(labels == label).tolist()
@@ -311,16 +311,17 @@ def test_chunk_builders_match_the_per_profile_references(chunk):
 @example(_FULLY_CONNECTED_CHUNK)
 @example((2, 3, [], [], []))
 def test_greedy_placement_counts_as_greedy_counts(chunk):
-    # The placing run of the scan and its counting run agree label by
-    # label: a label's largest partition is its count less one.
+    # The placing run of the scan counts as its counting run does, label by
+    # label, and a label's largest recorded partition is its count less one.
     num_helpers, num_labels, labels, masks, _ = chunk
     adjacency = _adjacency(num_helpers, masks)
     labels = np.array(labels, dtype=np.int64) + 1
-    partition, helper = greedy_placement(adjacency, labels, num_labels)
+    counts, partition, helper = greedy_placement(adjacency, labels, num_labels)
     assert partition.dtype == helper.dtype == np.intp
+    assert counts.tolist() == greedy_counts(adjacency, labels, num_labels).tolist()
     built = np.zeros(num_labels + 1, dtype=np.int64)
     np.maximum.at(built, labels, partition + 1)
-    assert built[1:].tolist() == greedy_counts(adjacency, labels, num_labels).tolist()
+    assert built[1:].tolist() == counts.tolist()
 
 
 @settings(max_examples=300, deadline=None)

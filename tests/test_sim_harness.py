@@ -134,15 +134,15 @@ def test_verified_trial_matches_unverified_stats():
 
 def _shifted(builder, error, first_label=0):
     """`builder`, with every partition of the first nonempty label above
-    `first_label` moved by `error`: that label's count moves by `error`.
-    Either chunk builder: both take (links, labels, a count) and return
-    (partition, helper)."""
+    `first_label` moved by `error`: that label's built count moves by
+    `error`.  Either chunk builder: both take (links, labels, a count) and
+    return (partition, helper), greedy's after its scan's counts."""
 
     def shifted(first, labels, last):
-        partition, helper = builder(first, labels, last)
+        *counts, partition, helper = builder(first, labels, last)
         label = labels[labels > first_label].min()
         partition[labels == label] += error
-        return partition, helper
+        return (*counts, partition, helper)
 
     return shifted
 
@@ -180,18 +180,53 @@ def test_verified_trial_rejects_count_mismatch(monkeypatch):
 
 
 def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
-    def off_by_one(adjacency, labels, num_labels):
-        return greedy_counts(adjacency, labels, num_labels) + 1
+    # Verified greedy's counts are the pass counts of the scan that places
+    # it, checked against the partitions that scan recorded.  Either side
+    # off, on the third trial's labels, names the third trial: the scan's
+    # counts one too high on a label with users, or the recorded
+    # partitions of its first label with users shifted by one.
+    seeds = [derive_trial_seed(2, index) for index in range(4)]
+    expected = (
+        rf"^partition counts .* differ from greedy_counts .* "
+        rf"\(seed {seeds[2]}, method greedy\)$"
+    )
+    place = sim_harness.greedy_placement
 
-    seed = derive_trial_seed(2, 7)
-    expected = rf"^partition counts .* differ from greedy_counts .* \(seed {seed}, method greedy\)$"
+    def off_by_one(adjacency, labels, num_labels):
+        counts, partition, helper = place(adjacency, labels, num_labels)
+        counts[labels[labels > 2 * 10].min() - 1] += 1
+        return counts, partition, helper
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim_harness, "greedy_counts", off_by_one)
+        patch.setattr(sim_harness, "greedy_placement", off_by_one)
         with pytest.raises(RuntimeError, match=expected):
-            run_point(_point(), [seed], verify=True)
-    monkeypatch.setattr(sim_harness, "greedy_placement", _shifted(sim_harness.greedy_placement, 1))
+            run_point(_point(), seeds, verify=True)
+    monkeypatch.setattr(sim_harness, "greedy_placement", _shifted(place, 1, first_label=2 * 10))
     with pytest.raises(RuntimeError, match=expected):
-        run_point(_point(), [seed], verify=True)
+        run_point(_point(), seeds, verify=True)
+
+
+def test_verified_chunk_scans_greedy_once(monkeypatch):
+    # A verified chunk counts greedy and places it with one scan; only an
+    # unverified chunk calls `greedy_counts`.
+    scans, counted = [], []
+
+    def scan(*args, run=partitioner._greedy_scan, **options):
+        scans.append(args[2])
+        return run(*args, **options)
+
+    def counting(*args, run=greedy_counts):
+        counted.append(args[2])
+        return run(*args)
+
+    monkeypatch.setattr(partitioner, "_greedy_scan", scan)
+    monkeypatch.setattr(sim_harness, "greedy_counts", counting)
+    point, seeds = _point(), [derive_trial_seed(4, index) for index in range(3)]
+    verified = run_point(point, seeds, verify=True)
+    assert scans == [len(seeds) * point.profiles] and counted == []
+    scans.clear()
+    _assert_same_outcome(run_point(point, seeds), verified)
+    assert scans == counted == [len(seeds) * point.profiles]
 
 
 def test_verified_bb_runs_one_matching_pass_per_profile(monkeypatch):
@@ -695,8 +730,9 @@ def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
     # row, to its trial's bb schedule: the same pairs, in the same
     # transmission order, under the same schedule ids.
     adjacency, labels, num_users, _, _ = sim_harness._draw_chunk(point, seeds, True)
-    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, ("bb", "greedy"))
-    pairs = sim_harness._checked_pairs(point, adjacency, labels, num_users, seeds, counts)
+    scanned, *greedy = partitioner.greedy_placement(adjacency, labels, len(seeds) * point.profiles)
+    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, ("bb", "greedy"), scanned)
+    pairs = sim_harness._checked_pairs(point, adjacency, labels, num_users, seeds, counts, greedy)
     full = _reference_table(point, seeds)
     rows = _schedule_rows(full)
     distinct = [s for s, schedule in rows.items() if s % 2 == 0 or schedule != rows[s - 1]]
@@ -774,6 +810,7 @@ def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers(monkeypatch
     point, traded = _point(radius=4.2), []
 
     def trading(adjacency, labels, num_labels):
+        counts = greedy_counts(adjacency, labels, num_labels)
         candidates = partitioner.helper_candidates(adjacency)
         partition, helper = sim_harness.optimal_placement(candidates, labels, point.helpers)
         slots = {}
@@ -782,7 +819,7 @@ def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers(monkeypatch
                 a, b = slots[slot], user
                 helper[[a, b]] = helper[[b, a]]
                 traded.append(slot[0])
-                return partition, helper
+                return counts, partition, helper
         raise AssertionError("no slot of two users")
 
     monkeypatch.setattr(sim_harness, "greedy_placement", trading)

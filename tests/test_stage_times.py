@@ -1,0 +1,42 @@
+"""The stage timer of scripts/stage_times.py runs a benchmark cycle and names its stages."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "stage_times.py"
+
+
+def test_stage_times_prints_the_verified_stages():
+    # One seed-0 verify_decode cycle: 24 sweep points of 10 trials.  A
+    # verified chunk counts greedy with the scan that places it, so
+    # `greedy_counts` never runs.
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--workload", "verify_decode", "--seed", "0", "--cycles", "1"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    header, columns, *lines = done.stdout.splitlines()
+    assert header == (
+        "verify_decode seed 0: 24 operations, 240 trials a cycle; fastest of 1 cycles, "
+        "one BLAS thread"
+    )
+    assert columns.split() == ["stage", "ms", "share"]
+    stages = [line.split() for line in lines]
+    assert [stage[0] for stage in stages] == [
+        "cycle",
+        "_draw_chunk",
+        "evaluate_counts",
+        "min_partition_counts",
+        "greedy_placement",
+        "_checked_pairs",
+        "optimal_placement",
+        "_pair_table",
+        "audit_pairs",
+        "decode_schedules",
+        "matched_precoders",
+    ]
+    assert stages[0][2] == "100.0%"
+    assert all(0 <= float(ms) <= float(stages[0][1]) for _, ms, _ in stages)

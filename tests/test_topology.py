@@ -84,6 +84,26 @@ def test_sample_users_parameter_validation():
         sample_users(1.0, 0.0, rng)
 
 
+@pytest.mark.parametrize(
+    "density, disk_radius, message",
+    [
+        (math.nan, 1.0, "user density must be finite and positive, got nan"),
+        (math.inf, 1.0, "user density must be finite and positive, got inf"),
+        (1.0, math.nan, "user disk radius must be finite and positive, got nan"),
+        (1.0, math.inf, "user disk radius must be finite and positive, got inf"),
+    ],
+)
+def test_sample_users_refuses_what_numpy_would(density, disk_radius, message):
+    # Each would reach numpy's Poisson draw as a NaN or infinite mean, which
+    # numpy refuses in its own words; the library names the bad input, and
+    # draws nothing.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_users(density, disk_radius, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_sampling_reproducible_from_seed():
     a = sample_users(2.0, 1.5, np.random.default_rng(7))
     b = sample_users(2.0, 1.5, np.random.default_rng(7))
@@ -101,6 +121,13 @@ def test_zero_radius_prunes_everyone():
 def test_connect_rejects_negative_radius():
     with pytest.raises(ValueError, match="transmission radius must be nonnegative, got -0.5"):
         connect(hex_layout(4), np.zeros((1, 2)), -0.5)
+
+
+def test_connect_rejects_a_nan_radius():
+    # No distance is within a NaN radius, so it would prune every user
+    # without a word.
+    with pytest.raises(ValueError, match="^transmission radius must be nonnegative, got nan$"):
+        connect(hex_layout(4), np.zeros((1, 2)), math.nan)
 
 
 def test_user_at_helper_position_is_linked():
