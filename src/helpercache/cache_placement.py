@@ -1,4 +1,4 @@
-"""Shared-cache placement: profile assignment and subfile index bookkeeping.
+"""Shared-cache placement: cache configuration, profile assignment and subfile symbols.
 
 Every library file is split into one subfile per size-`index_size` subset of
 the profile labels 1..L; a user with profile `p` caches exactly the subfiles
@@ -8,12 +8,9 @@ whose index contains `p`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
-
-SubfileIndex = tuple[int, ...]
 
 _SQRT2 = sqrt(2.0)
 
@@ -84,23 +81,6 @@ def assign_profiles(num_users: int, num_profiles: int, rng: np.random.Generator)
     return ProfileAssignment(profile_of=draws, num_profiles=num_profiles)
 
 
-def needed_subfiles(profile: int, num_profiles: int, index_size: int) -> list[SubfileIndex]:
-    """Subfile indices a user of `profile` does not cache and must receive."""
-    others = [p for p in range(1, num_profiles + 1) if p != profile]
-    return list(combinations(others, index_size))
-
-
-def subfile_symbols(num_users: int, needed: int, rng: np.random.Generator) -> np.ndarray:
-    """(num_users, needed) unit-variance complex symbols, drawn user by user.
-
-    One (re, im) pair per (user, needed index): the stream of a per-pair
-    loop; each part is divided by sqrt(2) on its own, as
-    complex(re, im) / sqrt(2) does.
-    """
-    parts = rng.standard_normal((num_users * needed, 2)) / _SQRT2
-    return parts.view(complex).reshape(num_users, needed)
-
-
 def draw_subfile_symbols(
     assignment: ProfileAssignment,
     demands: dict[int, int],
@@ -110,16 +90,17 @@ def draw_subfile_symbols(
     """One unit-variance complex symbol per (user, needed index): a (K, C(L - 1, t)) array.
 
     Row k holds the subfiles of user k's requested file that its profile
-    does not cache, in `needed_subfiles` order.  Each subfile is modeled as
-    a single scalar symbol: decodability in the noiseless high-power regime
-    is a per-symbol linear-algebra property, so one symbol per subfile is
-    enough to exercise it.  A row stands for one file only if no two users
-    request the same file, so `demands` must be distinct.  The symbols are
-    those of `subfile_symbols`, which the sweep calls directly, its demands
-    being distinct by construction.
+    does not cache, the size-t subsets of the other profiles in
+    lexicographic order.  Each subfile is modeled as a single scalar
+    symbol; a row stands for one file only if no two users request the
+    same file, so `demands` must be distinct.  The symbols are drawn user
+    by user, one (re, im) pair per needed index, each part divided by
+    sqrt(2) on its own, as complex(re, im) / sqrt(2) does.  The sweep draws
+    none: its decode check needs no symbols (`delivery.decode_schedules`).
     """
     num_users = assignment.num_users
     if len({demands[user] for user in range(num_users)}) < num_users:
         raise ValueError("demands must map the users to distinct files")
     needed = comb(assignment.num_profiles - 1, index_size)
-    return subfile_symbols(num_users, needed, rng)
+    parts = rng.standard_normal((num_users * needed, 2)) / _SQRT2
+    return parts.view(complex).reshape(num_users, needed)

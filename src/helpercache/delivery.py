@@ -8,10 +8,12 @@ partition does not use.  A served user cancels the other profiles' blocks
 from its cache and is left with exactly its own subfile symbol.  What is
 left depends only on the user's own slot: the users of one (round,
 profile) slot carry the same index in every group, so a user's residuals
-are its row of |(H Q) S - S| on the slot, H the slot users' channel rows,
-Q their precoder columns and S their symbols.  The verifier checks this
-for every slot of many schedules in one call, a stacked product per slot
-size, and names a failure by the group table built once per (L, t).
+are its row of |(H Q - I) S| on the slot, H the slot users' channel rows,
+Q their precoder columns and S their symbols.  Each is at most
+|e_u|_1 max |S|, e_u the user's row of H Q - I, so the verifier checks the
+slot identity H Q = I itself, with no symbols: every slot of many
+schedules in one call, a stacked product per slot size, and a verdict per
+served user, |e_u|_1 within `DECODE_TOLERANCE`.
 
 A schedule is one table of served (helper, user) pairs (`ServedPairs`), a
 row per pair in transmission order, which the precoders, the decode and the
@@ -27,14 +29,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cache_placement import needed_subfiles
 from .partitioner import PartitionSet
 
 CONDITION_LIMIT = 1e12
@@ -245,125 +245,73 @@ def _squared_frobenius(matrices: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->i", parts, parts)
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """The multicast groups of (L, t) and the group each needed subfile travels in.
-
-    `groups` lists the size-(t + 1) subsets of the profiles 1..L in
-    lexicographic order.  `rank[p - 1, k]` is the position there of {p} + S,
-    S the k-th index of `needed_subfiles(p, L, t)`: the group whose signal
-    carries that subfile to the users of profile p.
-    """
-
-    groups: tuple[tuple[int, ...], ...]
-    rank: np.ndarray  # (L, C(L - 1, t)), read-only
-
-
-@lru_cache(maxsize=32)
-def group_table(num_profiles: int, index_size: int) -> GroupTable:
-    """The group table of (L, t), built once per pair."""
-    groups = tuple(combinations(range(1, num_profiles + 1), index_size + 1))
-    position = {group: j for j, group in enumerate(groups)}
-    needed = [needed_subfiles(p, num_profiles, index_size) for p in range(1, num_profiles + 1)]
-    rank = np.array(
-        [[position[tuple(sorted(index + (p,)))] for index in row] for p, row in enumerate(needed, 1)],
-        dtype=np.intp,
-    ).reshape(num_profiles, comb(num_profiles - 1, index_size))
-    rank.setflags(write=False)
-    return GroupTable(groups=groups, rank=rank)
-
-
 def decode_schedules(
     channel: np.ndarray,
-    symbols: np.ndarray,
     pairs: ServedPairs,
-    index_size: int,
     first_rows: np.ndarray | None = None,
     labels: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """Precode and decode every round of a table's schedules; return every intended residual.
+    """Check every slot's identity H Q = I over a table's schedules; return each row's error.
 
     Schedule s of the table serves the users of one trial: user u's gains
-    and `needed_subfiles` symbols are row `first_rows[s] + u` of `channel`
-    and `symbols`, or row u without `first_rows`.  The table's precoders
-    come first, from one `matched_precoders` call, so a singular or
-    structurally zero slot fails before any product is formed; that call
-    also groups the slots by size, once for both.
+    are row `first_rows[s] + u` of `channel`, or row u without
+    `first_rows`.  The table's precoders come first, from one
+    `matched_precoders` call, so a singular or structurally zero slot fails
+    before any product is formed; that call also groups the slots by size,
+    once for both.  Each round's slots must then hold distinct profiles, or
+    RuntimeError names the first round that holds a profile twice.  Given
+    distinct profiles, the round sends the C(L, t + 1) - C(L - a, t + 1)
+    groups of its a active profiles by construction.
 
-    Round g sends every group with a profile served that round: the groups
-    in the `group_table` rows of its a(g) active profiles, which must number
-    C(L, t + 1) - C(L - a(g), t + 1).  In the signal of group G, profile p's
-    users carry the symbol of index G minus p, precoded by their columns of
-    the round's Q.  User u hears h_u x_G, the sum over the users i sending
-    in G of (h_u . q_i) times i's symbol, and cancels the terms of the other
-    profiles' users, whose symbols it caches.  What is left is the sum over
-    the users i of u's own slot, which all carry the index G minus p: so
-    u's residuals in `needed_subfiles` order are row u of |(H Q) S - S| on its
-    slot, H the slot users' full channel rows, Q their full precoder
-    columns as sent, every helper's entry read, and S their symbols.  The
-    m slots of one size make one stacked product on the (m, s) channel rows
-    and (m, E, s) columns `matched_precoders` gives for them, each slot at
-    its own shape, so the residuals do not depend on which schedules share
-    the call.
+    In the signal of group G, profile p's users carry the symbol of index G
+    minus p, precoded by their columns of the round's Q.  User u hears
+    h_u x_G and cancels the terms of the other profiles' users, whose
+    symbols it caches.  What is left is the sum over the users i of u's own
+    slot, which all carry the index G minus p: so u's residuals are row u
+    of |(H Q - I) S| on its slot, H the slot users' full channel rows, Q
+    their full precoder columns as sent, every helper's entry read, and S
+    their symbols.  Each residual is at most |e_u|_1 max |S|, e_u that row
+    of H Q - I, so for symbols of modulus at most 1 the row's 1-norm bounds
+    every residual, and no symbol need be drawn.  The m slots of one size
+    make one stacked (m, s, E) @ (m, E, s) product on the channel rows and
+    columns `matched_precoders` gives for them, each slot at its own shape,
+    so the errors do not depend on which schedules share the call.
 
-    Returns a (rows, C(L - 1, t)) array, (0, C(L - 1, t)) for an empty
-    table: row i is the table's i-th served pair, and its entries are that
-    user's residuals in `needed_subfiles` order.  Raises DecodeFailure
-    past `DECODE_TOLERANCE * (|symbol| + 1)`, naming the user, round, group
-    and residual of the first failure in transmission order (round, then
-    group, then row), and raises RuntimeError for the first round whose
-    group count is wrong; every error, the precoders' too, ends with
+    Returns the (rows,) errors |e_u|_1, row i for the table's i-th served
+    pair.  Raises DecodeFailure for the first row in transmission order
+    whose error is not within `DECODE_TOLERANCE`, naming its user, round,
+    profile and error; every error, the precoders' too, ends with
     `(labels[s])` when given.
     """
     stacks = matched_precoders(channel, pairs, first_rows, labels)
-    num_profiles = pairs.num_profiles
-    table = group_table(num_profiles, index_size)
-    round_starts, slot_starts = pairs.round_starts, pairs.slot_starts
-    slot_rounds = np.searchsorted(round_starts, slot_starts, side="right") - 1
-    slot_profiles = pairs.profile[slot_starts].astype(np.intp)
-
-    sent = np.zeros((round_starts.size, len(table.groups)), dtype=bool)
-    sent[slot_rounds[:, None], table.rank[slot_profiles - 1]] = True
-    widths = sent.sum(axis=1)
-    active = np.bincount(slot_rounds, minlength=round_starts.size)
-    idle = [comb(num_profiles - a, index_size + 1) for a in range(num_profiles + 1)]
-    expected = comb(num_profiles, index_size + 1) - np.array(idle)[active]
-    wrong = np.flatnonzero(widths != expected)
-    if wrong.size:
-        r = wrong[0]
-        first = round_starts[r]
+    slot_starts = pairs.slot_starts
+    slot_rounds = np.searchsorted(pairs.round_starts, slot_starts, side="right") - 1
+    keys = slot_rounds.astype(np.int64) * (pairs.num_profiles + 1) + pairs.profile[slot_starts]
+    keys, repeats = np.unique(keys, return_counts=True)
+    if repeats.max(initial=1) > 1:
+        j = int(np.argmax(repeats > 1))  # keys ascend with the round
+        first = pairs.round_starts[keys[j] // (pairs.num_profiles + 1)]
         label = "" if labels is None else f" ({labels[pairs.schedule[first]]})"
         raise RuntimeError(
-            f"round {pairs.round[first]} transmits {widths[r]} groups, its {active[r]} active "
-            f"profiles imply {expected[r]}{label}"
+            f"round {pairs.round[first]} holds profile {keys[j] % (pairs.num_profiles + 1)} "
+            f"in {repeats[j]} slots{label}"
         )
 
-    residuals = np.empty((len(pairs), table.rank.shape[1]))
+    errors = np.empty(len(pairs))
     for at, served, columns in stacks:
-        own = symbols[served]
-        residuals[at] = np.abs((channel[served] @ columns) @ own - own)
-
-    # A residual below the tolerance is below its bound, which is at least
-    # the tolerance; only the others need their symbol's bound.
-    if not residuals.max(initial=0.0) < DECODE_TOLERANCE:
-        row, k = np.nonzero(~(residuals < DECODE_TOLERANCE))
-        heard_by = pairs.user[row]
-        if first_rows is not None:
-            heard_by = heard_by + first_rows[pairs.schedule[row]]
-        wanted = symbols[heard_by, k]
-        failed = ~(residuals[row, k] < DECODE_TOLERANCE * (np.abs(wanted) + 1.0))
-        if failed.any():
-            row, k = row[failed], k[failed]
-            r = np.searchsorted(round_starts, row, side="right") - 1
-            group = table.rank[pairs.profile[row] - 1, k]
-            j = np.lexsort((row, group, r))[0]
-            i = row[j]
-            label = "" if labels is None else f" ({labels[pairs.schedule[i]]})"
-            raise DecodeFailure(
-                f"user {pairs.user[i]} failed to decode in round {pairs.round[i]}, "
-                f"group {table.groups[group[j]]}: residual {residuals[i, k[j]]:.3e}{label}"
-            )
-    return residuals
+        identity = channel[served] @ columns
+        diagonal = np.arange(identity.shape[-1])
+        identity[:, diagonal, diagonal] -= 1.0
+        errors[at] = np.abs(identity).sum(axis=2)
+    failed = ~(errors <= DECODE_TOLERANCE)
+    if failed.any():
+        i = int(np.argmax(failed))
+        label = "" if labels is None else f" ({labels[pairs.schedule[i]]})"
+        raise DecodeFailure(
+            f"user {pairs.user[i]} failed to decode in round {pairs.round[i]}, "
+            f"profile {pairs.profile[i]}: worst error {errors[i]:.3e}{label}"
+        )
+    return errors
 
 
 def verify_schedule(
@@ -373,14 +321,14 @@ def verify_schedule(
     symbols: np.ndarray,
     index_size: int,
 ) -> float:
-    """Precode and decode every transmission of a one-schedule table; return the worst residual.
+    """Check every slot identity of a one-schedule table; return the worst error |e_u|_1.
 
-    One `decode_schedules` call, user u on row u of `channel` and
-    `symbols`.  `symbols` is the array `draw_subfile_symbols` drew for the
-    distinct demands: its rows are per user, and so already per requested
-    file.  `demands` itself is unused.
+    One `decode_schedules` call, user u on row u of `channel`.  The worst
+    error bounds every residual of a decode of symbols of modulus at most
+    1, so the verdict needs no symbols: `symbols`, like `demands`, is
+    unused, and the verdict does not depend on `index_size`.
     """
-    return float(decode_schedules(channel, symbols, schedule, index_size).max(initial=0.0))
+    return float(decode_schedules(channel, schedule).max(initial=0.0))
 
 
 def audit_pairs(

@@ -3,10 +3,9 @@
 A sweep point runs a chunk of trials at a time, in two stages.  The draw
 stage gives every trial its own generator, seeded from (master seed, trial
 index), which makes that trial's random calls in a fixed order: user count
-and disk uniforms, then channel normals and profiles, and verified, subfile
-symbols.  The generators of a chunk are those of
-`numpy.random.default_rng(seed)`, with numpy's seed hash run once over all
-their seeds.  User positions and links are computed from those numbers once
+and disk uniforms, then channel normals and profiles.  The generators of a
+chunk are those of `numpy.random.default_rng(seed)`, with numpy's seed
+hash run once over all their seeds.  User positions and links are computed from those numbers once
 for the whole chunk, and so are the profiles: each trial hands over the raw
 words its profile draw consumes, and one pass maps them as numpy's bounded
 integer draw does; a trial with a rejected half steps back and draws again
@@ -14,8 +13,8 @@ with `assign_profiles`.  So each trial gets the same stream and the same
 network as a trial drawn alone.  Every draw is a call of `topology` or
 `cache_placement`; this module only reads and rewinds raw words.  A
 verified chunk's channel is one `channel_gains` call on its trials'
-stacked normals, and its symbols stack each trial's, in the same user
-order as its links, one row per user.
+stacked normals, a row per user in the same user order as its links; its
+decode checks each slot's identity H Q = I, so it draws no symbols.
 The evaluate stage then takes the chunk's network as one: profile p of
 trial i is label i * L + p, so one call per method yields every (trial,
 profile) partition count, and the delivery time of every trial follows from
@@ -35,12 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cache_placement import (
-    CacheConfig,
-    assign_profiles,
-    ensure_valid,
-    subfile_symbols,
-)
+from .cache_placement import CacheConfig, assign_profiles, ensure_valid
 from .delivery import (
     ServedPairs,
     audit_pairs,
@@ -63,6 +57,7 @@ from .topology import (
     disk_positions,
     disk_uniforms,
     hex_layout,
+    mean_user_count,
 )
 
 METHODS = ("bb", "greedy")  # the default comparison, `--method both`
@@ -71,9 +66,11 @@ METHODS = ("bb", "greedy")  # the default comparison, `--method both`
 ALL_METHODS = METHODS + ("fc",)
 
 # A chunk of trials is drawn and evaluated together.  Its helper-user
-# distances, and verified, its subfile symbols hold about CHUNK_LINK_ENTRIES
-# each in expectation; with bb, its Hall table of L * 2^E entries per trial
-# at most CHUNK_TABLE_ENTRIES.  A chunk holds one trial if that is larger.
+# distances hold about CHUNK_LINK_ENTRIES in expectation, and verified, its
+# channel and each method's sent precoder columns, E entries per user each,
+# hold a small multiple of that; with bb, its Hall table of L * 2^E entries
+# per trial at most CHUNK_TABLE_ENTRIES.  A chunk holds one trial if that
+# is larger.
 CHUNK_TABLE_ENTRIES = 2**20
 CHUNK_LINK_ENTRIES = 2**18
 
@@ -146,6 +143,7 @@ class PointConfig:
             problems.append(f"user density must be finite and positive, got {self.density}")
         if problems:
             raise ValueError("; ".join(problems))
+        mean_user_count(self.density, self.user_radius)  # within numpy's Poisson draw
         config = CacheConfig(num_profiles=self.profiles, gamma=self.gamma)
         ensure_valid(config)
         object.__setattr__(self, "index_size", config.index_size)
@@ -153,7 +151,7 @@ class PointConfig:
     @property
     def mean_users(self) -> float:
         """Expected users on the disk, before unreachable ones are pruned."""
-        return self.density * math.pi * self.user_radius**2
+        return mean_user_count(self.density, self.user_radius)
 
 
 @dataclass(frozen=True)
@@ -417,21 +415,22 @@ def _check_methods(methods: Sequence[str], verify: bool) -> None:
 
 def _draw_chunk(
     point: PointConfig, trial_seeds: Sequence[int], verify: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The networks of a chunk of trials: adjacency, labels, user counts, channel, symbols.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The networks of a chunk of trials: adjacency, labels, user counts and channel.
 
     Each trial's generator makes the calls of `sample_users`,
-    `draw_channels` and `assign_profiles`, in that order, and verified,
-    `draw_subfile_symbols` for distinct demands.  Positions and links are
-    computed once for the whole chunk from every trial's disk uniforms, and
-    profiles once by `_chunk_profiles` from the raw words each trial draws
-    after its `channel_normals`.  The result is the chunk's concatenated
-    (E, sum K) adjacency, the label i * L + p of each of its users (trial
-    i, profile p), and each trial's K.  Verified, the (sum K, E) channel is
-    one `channel_gains` call on the trials' stacked normals, and the
-    (sum K, C(L - 1, t)) symbols stack each trial's `subfile_symbols`, a
-    row per user in the adjacency's column order; both are None otherwise,
-    and the normals are dropped as soon as they are drawn.
+    `draw_channels` and `assign_profiles`, in that order.  Positions and
+    links are computed once for the whole chunk from every trial's disk
+    uniforms, and profiles once by `_chunk_profiles` from the raw words
+    each trial draws after its `channel_normals`.  The result is the
+    chunk's concatenated (E, sum K) adjacency, the label i * L + p of each
+    of its users (trial i, profile p), and each trial's K.  Verified, the (sum K, E) channel is
+    one `channel_gains` call on the trials' stacked normals, a row per user
+    in the adjacency's column order; it is None otherwise, and the normals
+    are dropped as soon as they are drawn.  No symbols are drawn: the
+    decode checks each slot's identity H Q = I.  A trial drawn alone draws
+    its symbols, if any, after its profiles, so no other number depends on
+    them.
     """
     rngs = _trial_generators(trial_seeds)
     uniforms = [disk_uniforms(point.mean_users, rng) for rng in rngs]
@@ -449,12 +448,8 @@ def _draw_chunk(
             normals.append(drawn)
     profiles = _chunk_profiles(rngs, num_users, point.profiles)
     labels = profiles + np.repeat(np.arange(len(trial_seeds)) * point.profiles, num_users)
-    if not verify:
-        return conn.adjacency, labels, num_users, None, None
-    channel = channel_gains(conn.adjacency, np.concatenate(normals, axis=1))
-    needed = math.comb(point.profiles - 1, point.index_size)
-    symbols = np.concatenate([subfile_symbols(k, needed, rng) for rng, k in zip(rngs, sizes)])
-    return conn.adjacency, labels, num_users, channel, symbols
+    channel = channel_gains(conn.adjacency, np.concatenate(normals, axis=1)) if verify else None
+    return conn.adjacency, labels, num_users, channel
 
 
 def evaluate_counts(
@@ -608,6 +603,28 @@ def _checked_pairs(
     return pairs
 
 
+def _run_chunk(
+    point: PointConfig, seeds: Sequence[int], methods: Sequence[str], verify: bool
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A chunk's user counts and per-method partition counts; verified, its schedules checked.
+
+    Everything else the chunk makes, its links, placements, table and
+    channel, is released on return, before the next chunk is drawn.
+    """
+    adjacency, labels, num_users, channel = _draw_chunk(point, seeds, verify)
+    scanned, greedy = None, None
+    if verify and "greedy" in methods:
+        placed = greedy_placement(adjacency, labels, len(seeds) * point.profiles)
+        scanned, greedy = placed[0], placed[1:]
+    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, scanned)
+    if verify:
+        pairs = _checked_pairs(point, adjacency, labels, num_users, seeds, counts, greedy)
+        first_rows = np.repeat(np.cumsum(num_users) - num_users, len(methods))
+        names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
+        decode_schedules(channel, pairs, first_rows, names)
+    return num_users, counts
+
+
 def run_point(
     point: PointConfig,
     trial_seeds: Sequence[int],
@@ -626,52 +643,38 @@ def run_point(
     and bb's by `optimal_placement`, whose one matching pass per label
     finds the fewest.  Verified greedy thus takes any number of helpers,
     as unverified greedy does.  One `decode_schedules` call then
-    precodes and decodes every schedule of the table, one stacked product
-    per slot size.  Schedule i * M + m is trial i's under method m of M, and
-    its user u is row `first_rows[i * M + m] + u` of the chunk's stacked
-    channel and symbols: trial i's first row plus u.  Every error ends
+    precodes every schedule of the table and checks each slot's identity
+    H Q = I, one stacked product per slot size, so a verified trial's work
+    does not grow with C(L - 1, t).  Schedule i * M + m is trial i's under
+    method m of M, and its user u is row `first_rows[i * M + m] + u` of the
+    chunk's stacked channel: trial i's first row plus u.  Every error ends
     with `(seed S, method m)`.
 
     The table holds no later method's schedule in which every user has
     the partition and helper of its trial's first method: it would decode
     to its twin's bits, and its twin comes first in the table, so the
-    residuals and the first error are those of every schedule.  Such
+    errors and the first failure are those of every schedule.  Such
     repeats pay off only at saturated points: over the acceptance radius
     sweep (200 trials) they were 11.0%, 0%, 2.8% and 50% of the rows at
     r 1.2, 2.2, 3.2 and 4.2; where every user reaches every helper,
     greedy's partitions were bb's in every trial measured.  The branch and
     bound `bb_assign` does not run here: on a 19-helper point its search
-    ran for more than 30 s on a single profile.  A verified chunk's
-    stacked channel and symbols are released before the next chunk is
-    drawn, so at most one chunk's are held at a time.
+    ran for more than 30 s on a single profile.  Each chunk runs in
+    `_run_chunk`, which keeps only its counts, so at most one chunk's
+    links, table and channel are held at a time.
     """
     _check_methods(methods, verify)
     if len(trial_seeds) == 0:
         raise ValueError("a sweep point needs at least one trial")
     _check_seeds(trial_seeds)
-    # Per user: a distance to each helper, and verified, a symbol per needed subfile.
-    width = max(point.helpers, math.comb(point.profiles - 1, point.index_size) if verify else 0)
-    step = CHUNK_LINK_ENTRIES / (width * point.mean_users)
+    step = CHUNK_LINK_ENTRIES / (point.helpers * point.mean_users)  # a distance per link
     if "bb" in methods:
         step = min(step, CHUNK_TABLE_ENTRIES // (point.profiles << point.helpers))
     step = max(1, int(min(step, len(trial_seeds))))  # inf at a vanishing density
     users: list[np.ndarray] = []
     chunks: list[dict[str, np.ndarray]] = []
     for first in range(0, len(trial_seeds), step):
-        seeds = trial_seeds[first : first + step]
-        adjacency, labels, chunk_users, channel, symbols = _draw_chunk(point, seeds, verify)
-        scanned, greedy = None, None
-        if verify and "greedy" in methods:
-            placed = greedy_placement(adjacency, labels, len(seeds) * point.profiles)
-            scanned, greedy = placed[0], placed[1:]
-        chunk = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, scanned)
-        if verify:
-            pairs = _checked_pairs(point, adjacency, labels, chunk_users, seeds, chunk, greedy)
-            first_rows = np.repeat(np.cumsum(chunk_users) - chunk_users, len(methods))
-            names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
-            decode_schedules(channel, symbols, pairs, point.index_size, first_rows, names)
-            del pairs
-        del channel, symbols  # not held while the next chunk is drawn
+        chunk_users, chunk = _run_chunk(point, trial_seeds[first : first + step], methods, verify)
         users.append(chunk_users)
         chunks.append(chunk)
 

@@ -11,6 +11,9 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
+# The largest Poisson mean numpy draws from: INT64_MAX - 10 sqrt(INT64_MAX).
+MAX_MEAN_USERS = float(2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
+
 # One counterclockwise walk around a hexagonal ring, in axial coordinates.
 _RING_STEPS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
@@ -79,13 +82,28 @@ def disk_positions(uniforms: np.ndarray, disk_radius: float) -> np.ndarray:
     return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
 
 
+def mean_user_count(density: float, disk_radius: float) -> float:
+    """Expected users on the disk, density * pi * disk_radius^2.
+
+    Raises ValueError, naming both inputs, for a mean above
+    `MAX_MEAN_USERS`, which numpy's Poisson draw would refuse.
+    """
+    mean = density * math.pi * disk_radius**2
+    if not mean <= MAX_MEAN_USERS:
+        raise ValueError(
+            f"user density {density} on a disk of radius {disk_radius} expects {mean:.6g} "
+            f"users, past {MAX_MEAN_USERS:.6g}, the largest mean numpy's Poisson draw takes"
+        )
+    return mean
+
+
 def sample_users(density: float, disk_radius: float, rng: np.random.Generator) -> np.ndarray:
     """(N, 2) user positions: a Poisson(density * disk area) count, uniform on the disk."""
     if not 0 < density < math.inf:
         raise ValueError(f"user density must be finite and positive, got {density}")
     if not 0 < disk_radius < math.inf:
         raise ValueError(f"user disk radius must be finite and positive, got {disk_radius}")
-    return disk_positions(disk_uniforms(density * math.pi * disk_radius**2, rng), disk_radius)
+    return disk_positions(disk_uniforms(mean_user_count(density, disk_radius), rng), disk_radius)
 
 
 def connect(layout: np.ndarray, users: np.ndarray, radius: float) -> Connectivity:

@@ -1,22 +1,25 @@
 """Reference replays of the delivery scheme: the oracles for the tests.
 
-The library verifies many schedules in one call, slot by slot: each
-served user's residuals after cache cancellation are a row of
-|(H Q) S - S| on its slot, with no signal formed.  It holds a schedule as
-one table of served pairs.  This module keeps the older form of a
-schedule, a tuple of rounds each mapping its active profiles to their
+The library verifies many schedules in one call, slot by slot: it checks
+each slot's identity H Q = I, and each served user's error is its row's
+1-norm |e_u|_1 of H Q - I, with no symbol drawn and no signal formed.  A
+user's residuals after cache cancellation are its row of |(H Q - I) S| on
+its slot, so each is at most |e_u|_1 max |S|.  The library holds a
+schedule as one table of served pairs.  This module keeps the older form
+of a schedule, a tuple of rounds each mapping its active profiles to their
 partitions (`RoundSchedule`, built by `build_rounds` and flattened into the
-library's table by `served_pairs`), and two replays that compose what is
-sent and cancel it, so that all three can be compared on the same
-schedules:
+library's table by `served_pairs`), the subfile bookkeeping only the replays
+need (`needed_subfiles`, `group_table`), and two replays that
+compose what is sent, symbols included, and cancel it, so that all three
+can be compared on the same schedules:
 
 - round by round (`round_signals`, `decode_round`): each round's message
   and signal matrices built and decoded on their own, the other profiles'
-  blocks cancelled in floating point; the library's residuals must match
-  them within 1e-12, with the same verdicts and the same first failure
-  under the same precoders.  The replay takes the precoders as one
-  (E, rows) matrix, a column per table row (`precoder_matrix`), where the
-  library keeps them stacked per slot size;
+  blocks cancelled in floating point, and the group count of each round
+  checked; every replayed residual must be at most the library's error
+  times the largest symbol modulus, plus rounding.  The replay takes the
+  precoders as one (E, rows) matrix, a column per table row
+  (`precoder_matrix`), where the library keeps them stacked per slot size;
 - transmission by transmission: groups enumerated one by one, one precoder
   inverse per (round, profile), one signal vector per group, each symbol
   found by its index in `needed_subfiles`, and a decode replay per
@@ -27,23 +30,58 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, compress
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from helpercache.cache_placement import SubfileIndex, needed_subfiles
 from helpercache.delivery import (
     CONDITION_LIMIT,
     DECODE_TOLERANCE,
     DecodeFailure,
     ServedPairs,
     SingularChannelError,
-    group_table,
     matched_precoders,
 )
 from helpercache.partitioner import Partition, PartitionSet
+
+SubfileIndex = tuple[int, ...]
+
+
+def needed_subfiles(profile: int, num_profiles: int, index_size: int) -> list[SubfileIndex]:
+    """Subfile indices a user of `profile` does not cache and must receive."""
+    others = [p for p in range(1, num_profiles + 1) if p != profile]
+    return list(combinations(others, index_size))
+
+
+@dataclass(frozen=True)
+class GroupTable:
+    """The multicast groups of (L, t) and the group each needed subfile travels in.
+
+    `groups` lists the size-(t + 1) subsets of the profiles 1..L in
+    lexicographic order.  `rank[p - 1, k]` is the position there of {p} + S,
+    S the k-th index of `needed_subfiles(p, L, t)`: the group whose signal
+    carries that subfile to the users of profile p.
+    """
+
+    groups: tuple[tuple[int, ...], ...]
+    rank: np.ndarray  # (L, C(L - 1, t)), read-only
+
+
+@lru_cache(maxsize=32)
+def group_table(num_profiles: int, index_size: int) -> GroupTable:
+    """The group table of (L, t), built once per pair."""
+    groups = tuple(combinations(range(1, num_profiles + 1), index_size + 1))
+    position = {group: j for j, group in enumerate(groups)}
+    needed = [needed_subfiles(p, num_profiles, index_size) for p in range(1, num_profiles + 1)]
+    rank = np.array(
+        [[position[tuple(sorted(index + (p,)))] for index in row] for p, row in enumerate(needed, 1)],
+        dtype=np.intp,
+    ).reshape(num_profiles, comb(num_profiles - 1, index_size))
+    rank.setflags(write=False)
+    return GroupTable(groups=groups, rank=rank)
 
 
 @dataclass(frozen=True)

@@ -241,15 +241,15 @@ def test_criterion_3_decode_correctness():
     start = time.perf_counter()
     seeds = [derive_trial_seed(505, index) for index in range(100)]
     run_point(point, seeds, verify=True)  # the shipped path raises past tolerance
-    worst = max(_worst_residual(point, seed) for seed in seeds)
+    worst = max(_worst_error(point, seed) for seed in seeds)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 120.0
-    _report(ok, "criterion 3", f"100 verified trials, worst residual {worst:.2e}, {elapsed:.1f}s")
+    _report(ok, "criterion 3", f"100 verified trials, worst slot error {worst:.2e}, {elapsed:.1f}s")
     assert worst < 1e-9
     assert elapsed < 120.0
 
 
-def _worst_residual(point: PointConfig, trial_seed: int) -> float:
+def _worst_error(point: PointConfig, trial_seed: int) -> float:
     rng = np.random.default_rng(trial_seed)
     layout = hex_layout(point.helpers)
     users = sample_users(point.density, point.user_radius, rng)

@@ -5,13 +5,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from delivery_reference import needed_subfiles
 from helpercache.cache_placement import (
     CacheConfig,
     ConfigError,
     assign_profiles,
     draw_subfile_symbols,
     ensure_valid,
-    needed_subfiles,
 )
 
 

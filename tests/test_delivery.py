@@ -16,6 +16,7 @@ from delivery_reference import (
     compose_signal,
     decode_round,
     enumerate_transmissions,
+    group_table,
     precoder_matrix,
     replay_schedule,
     round_residuals,
@@ -35,7 +36,6 @@ from helpercache.delivery import (
     coverage_check,
     decode_schedules,
     delivery_time,
-    group_table,
     matched_precoders,
     sum_dof,
     transmissions_from_counts,
@@ -131,8 +131,7 @@ def test_empty_schedule_verifies_to_no_rows(num_profiles, index_size):
     assert coverage_check(schedule, index_size) == []
     assert matched_precoders(channel, schedule) == []
     assert precoder_matrix(channel, schedule).shape == (4, 0)
-    residuals = decode_schedules(channel, symbols, schedule, index_size)
-    assert residuals.shape == (0, width)
+    assert decode_schedules(channel, schedule).shape == (0,)
 
 
 def test_schedule_rejects_unknown_profiles():
@@ -353,15 +352,16 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
     assert [served.tolist() for _, served, _ in stacks] == [[[0, 2], [6, 4]], [[3]]]
     np.testing.assert_array_equal(stacked[:, :2], precoder_matrix(first, _slots(slots[:1])))
     np.testing.assert_array_equal(stacked[:, 2:], precoder_matrix(second, _slots(slots[1:])))
-    # The decode reads the same rows of the stacked channel and symbols.
-    decode = decode_schedules(both, symbols, _slots(slots), 0, rows)
+    # The decode reads the same rows of the stacked channel.
+    decode = decode_schedules(both, _slots(slots), rows)
     alone = [
-        decode_schedules(channel, own, _slots(part), 0)
-        for channel, own, part in ((first, symbols[:3], slots[:1]), (second, symbols[3:], slots[1:]))
+        decode_schedules(channel, _slots(part))
+        for channel, part in ((first, slots[:1]), (second, slots[1:]))
     ]
     assert decode.tobytes() == np.concatenate(alone).tobytes()
-    # The second trial's first round precoded twice too strong: its user 3
-    # misses, and the error is the replay's, with the trial's label.
+    # The second trial's first round precoded twice too strong: H Q - I is
+    # the identity there, an error of 1 for users 3 and 1.  The decode names
+    # user 3, the first, with the trial's label; the replay misses there too.
     faulty = stacked.copy()
     faulty[:, 2:4] *= 2.0
     replayed = _replayed_failure(second, RoundSchedule(1, ({1: slots[1]},)), symbols[3:], 0, faulty[:, 2:4])
@@ -369,8 +369,10 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
     with pytest.MonkeyPatch.context() as patch:
         _send_precoders(patch, faulty)
         with pytest.raises(DecodeFailure) as failure:
-            decode_schedules(both, symbols, _slots(slots), 0, rows, labels)
-    assert str(failure.value) == replayed + " (seed 22, method bb)"
+            decode_schedules(both, _slots(slots), rows, labels)
+    assert str(failure.value) == (
+        "user 3 failed to decode in round 0, profile 1: worst error 1.000e+00 (seed 22, method bb)"
+    )
     # The second trial's slot of users 3 and 1 turns singular: the precoders
     # name it by its schedule's label, asked for alone or by the decode.
     second[[3, 1]] = second[[1, 1]]
@@ -382,25 +384,31 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
     with pytest.raises(SingularChannelError, match=singular):
         matched_precoders(both, _slots(slots), rows, labels)
     with pytest.raises(SingularChannelError, match=singular):
-        decode_schedules(both, symbols, _slots(slots), 0, rows, labels)
+        decode_schedules(both, _slots(slots), rows, labels)
 
 
 def test_stacked_decode_bounds_each_residual_by_its_own_symbol(monkeypatch):
-    # The second trial's symbols are 1000 times the first's, and its first
-    # round is precoded 1e-10 too strong: residuals near 1e-7, past the
-    # tolerance but within 1e-9 * (|symbol| + 1) of each user's own symbol.
-    # Its user 1 is row 4 of the stacked symbols; row 1 is the first
-    # trial's, too small.
+    # The second trial's first round is precoded 1e-10 too strong, so its
+    # slot errors |e_u|_1 are about 1e-10: within the tolerance, whatever
+    # symbols it would carry.  With symbols 1000 times the first trial's,
+    # the replay's residuals there are near 1e-7, and each is within its
+    # user's error times the largest modulus of its own trial's symbols.
     rng = np.random.default_rng(15)
     channel = np.vstack([draw_channels(_full_connectivity(k, 3), rng) for k in (3, 4)])
     symbols = (rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1))) / math.sqrt(2)
     symbols[3:] *= 1000.0
-    pairs, rows = _slots([((0, 0), (1, 2)), ((2, 3), (0, 1))]), np.array([0, 3])
+    parts = [((0, 0), (1, 2)), ((2, 3), (0, 1))]
+    pairs, rows = _slots(parts), np.array([0, 3])
     faulty = precoder_matrix(channel, pairs, rows)
     faulty[:, 2:] *= 1.0 + 1e-10
     _send_precoders(monkeypatch, faulty)
-    residuals = decode_schedules(channel, symbols, pairs, 0, rows)
-    assert residuals[2:].min() > 1e-8 and residuals.max() < 1e-6
+    errors = decode_schedules(channel, pairs, rows)
+    assert errors[:2].max() < 1e-14 and 0.5e-10 < errors[2:].min() and errors[2:].max() < 2e-10
+    second = RoundSchedule(1, ({1: parts[1]},))
+    (rs,) = round_signals(channel[3:], second, symbols[3:], 0, faulty[:, 2:])
+    replayed = round_residuals(channel[3:], rs)
+    assert replayed.min() > 1e-8
+    assert np.all(replayed <= errors[2:] * np.abs(symbols[3:]).max() + 1e-12)
 
 
 def test_precoder_rejects_singular_submatrix():
@@ -465,6 +473,40 @@ def test_well_conditioned_slots_need_no_svd(monkeypatch):
             precoders[helpers, start : start + len(part)],
             np.linalg.inv(channel[np.ix_(users, helpers)]),
         )
+
+
+def _near_dependent_slot(condition: float) -> np.ndarray:
+    """A 3 x 3 complex channel, its last row nearly the second, of condition number near `condition`."""
+    rng = np.random.default_rng(0)
+    channel = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / math.sqrt(2)
+    offset = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / math.sqrt(2)
+    channel[2] = channel[1] + 5.56 / condition * offset  # cond 5.56e5 at an offset of 1e-5
+    assert condition / 1.1 < np.linalg.cond(channel) < condition * 1.1
+    return channel
+
+
+@pytest.mark.parametrize("condition", [1e6, 1e8, 1e11, 1e13])
+def test_one_verdict_at_the_conditioning_boundary(condition):
+    # One slot of three users on three helpers, no symbols anywhere.  At
+    # cond 1e6 the computed inverse leaves |e_u|_1 far within the tolerance;
+    # at 1e8 and 1e11, below `CONDITION_LIMIT`, some row misses it, so the
+    # decode fails whatever symbols would be sent; past the limit the
+    # precoders refuse the slot first.
+    channel = _near_dependent_slot(condition)
+    pairs = _slots([((0, 0), (1, 1), (2, 2))])
+    if condition > delivery.CONDITION_LIMIT:
+        with pytest.raises(SingularChannelError, match=r"users \(0, 1, 2\) on helpers \(0, 1, 2\)"):
+            decode_schedules(channel, pairs)
+        return
+    identity = channel @ np.linalg.inv(channel) - np.eye(3)
+    worst = np.abs(identity).sum(axis=1).max()
+    if condition < 1e7:
+        assert worst < DECODE_TOLERANCE / 5
+        assert decode_schedules(channel, pairs).max() < DECODE_TOLERANCE / 5
+    else:
+        assert worst > DECODE_TOLERANCE
+        with pytest.raises(DecodeFailure, match=r"^user \d failed to decode in round 0, profile 1: "):
+            decode_schedules(channel, pairs)
 
 
 def test_singular_slot_in_a_schedule_is_rejected():
@@ -545,6 +587,11 @@ def _replayed_failure(channel, rounds, symbols, index_size, precoders) -> str:
     return str(failure.value)
 
 
+def _user_and_round(failure: str) -> tuple[int, int]:
+    """The user and round a decode failure names."""
+    return tuple(map(int, re.match(r"user (\d+) failed to decode in round (\d+), ", failure).groups()))
+
+
 def _blocks(rs, group):
     """Per profile with symbols in the column of `group`: its zero-padded block P_p M_p there."""
     j = rs.groups.index(group)
@@ -596,28 +643,37 @@ def test_group_without_active_profiles_is_skipped():
     assert [rs.groups for rs in signals] == [((1, 2), (1, 3))] * 2
 
 
-def test_round_with_the_wrong_group_count_is_rejected(monkeypatch):
-    # profiles 1 and 2 are active, so the round must send C(3, 2) - C(1, 2) = 3
-    # groups; a group table whose row for profile 2 was dropped, profile 1's
-    # repeated in its place, lists only 2 and is caught
-    (schedule, _), channel, demands, symbols = _two_profile_round()
-    table = group_table(3, 1)
-    assert table.groups == ((1, 2), (1, 3), (2, 3))
-    assert table.rank.tolist() == [[0, 1], [0, 2], [1, 2]]
-    lost = replace(table, rank=table.rank[[0, 0, 2]])
-    monkeypatch.setattr(delivery, "group_table", lambda num_profiles, index_size: lost)
-    with pytest.raises(RuntimeError, match="transmits 2 groups, its 2 active profiles imply 3"):
-        verify_schedule(channel, schedule, demands, symbols, 1)
+def test_round_with_the_wrong_group_count_is_rejected():
+    # A round holding each active profile in one slot sends, by
+    # construction, the C(L, t + 1) - C(L - a, t + 1) groups of its a slots.
+    # Round 0 here holds profile 1 in two slots, around profile 2's: at
+    # L = 4, t = 1 its three slots imply C(4, 2) - C(1, 2) = 6 groups, but
+    # its two profiles send C(4, 2) - C(2, 2) = 5.  The decode refuses the
+    # round, naming the profile; with profile 4 in the second slot, the
+    # same pairs verify.
+    channel = draw_channels(_full_connectivity(6, 4), np.random.default_rng(13))
+    assert group_table(4, 1).groups == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+    def table(profiles):
+        columns = ([0] * 6, [0, 0, 0, 0, 0, 1], profiles, [0, 1, 2, 2, 3, 0], list(range(6)))
+        return ServedPairs(4, *(np.array(column, dtype=np.int32) for column in columns))
+
+    assert decode_schedules(channel, table([1, 1, 2, 4, 4, 3])).max() < 1e-9
+    with pytest.raises(RuntimeError, match=r"^round 0 holds profile 1 in 2 slots$"):
+        decode_schedules(channel, table([1, 1, 2, 1, 1, 3]))
 
 
 def test_served_users_cancel_and_decode():
+    # Every residual of the per-transmission replay is within the worst slot
+    # error times the largest symbol modulus, up to the replay's rounding.
     (schedule, rounds), channel, demands, symbols = _two_profile_round()
     worst = 0.0
     for group in ((1, 2), (1, 3), (2, 3)):
         record = compose_signal(channel, rounds, 0, group, symbols)
         worst = max(worst, *verify_decode(record, channel, symbols).values())
-    assert verify_schedule(channel, schedule, demands, symbols, 1) == pytest.approx(worst, abs=1e-12)
-    assert worst < 1e-9
+    error = verify_schedule(channel, schedule, demands, symbols, 1)
+    assert worst <= error * np.abs(symbols).max() + 1e-12
+    assert max(worst, error) < 1e-9
     assert coverage_check(schedule, 1) == []
 
 
@@ -635,7 +691,8 @@ def test_decode_failure_is_reported(monkeypatch):
         _send_precoders(patch, faulty)
         with pytest.raises(DecodeFailure) as failure:
             verify_schedule(channel, schedule, demands, symbols, 1)
-    assert str(failure.value) == replayed
+    assert str(failure.value) == "user 14 failed to decode in round 0, profile 2: worst error 1.000e+00"
+    assert _user_and_round(str(failure.value)) == _user_and_round(replayed)
     # A wrong symbol in what is sent, which only the replay composes: user
     # 14 misses its own symbol, and profile 1's users cancel the true one
     # from cache and miss too, user 2 first.
@@ -650,8 +707,9 @@ def test_decode_reads_every_helper_of_the_sent_precoders(monkeypatch):
     # Profile 2's slot pairs helpers 1 and 3 with users 14 and 18, and its
     # inverse stays right on those rows; but user 14's entry for helper 1
     # is also sent on helper 0, outside the slot, where its column should
-    # be zero.  A decode of the inverses alone would pass; the decode reads
-    # the columns as sent, so user 14 misses as the replay finds.
+    # be zero.  A check of the inverses alone would pass; the decode reads
+    # the columns as sent, so user 14 misses, as the replay finds, by the
+    # row sum of |H Q - I| over its slot's sent columns.
     schedules, channel, demands, symbols = _two_profile_round()
     schedule, rounds = schedules
     faulty = precoder_matrix(channel, schedule)
@@ -663,16 +721,23 @@ def test_decode_reads_every_helper_of_the_sent_precoders(monkeypatch):
     _send_precoders(monkeypatch, faulty)
     with pytest.raises(DecodeFailure) as failure:
         verify_schedule(channel, schedule, demands, symbols, 1)
-    assert str(failure.value) == replayed
+    assert _user_and_round(str(failure.value)) == _user_and_round(replayed)
+    found = re.fullmatch(
+        r"user 14 failed to decode in round 0, profile 2: worst error (\S+)", str(failure.value)
+    )
+    slot = [column, column + 1]
+    expected = np.abs(channel[[14, 18]] @ faulty[:, slot] - np.eye(2))[0].sum()
+    assert found and float(found.group(1)) == pytest.approx(expected, rel=1e-3)
 
 
-def test_decode_failure_names_the_first_group_before_the_first_row(monkeypatch):
+def test_decode_failure_names_the_first_failing_row(monkeypatch):
     # One round of L = 4 with profiles 2 (users 0, 1) and 3 (users 2, 3)
     # active sends (1, 2), (1, 3), (2, 3), (2, 4) and (3, 4).  Users 3 and 0
-    # are precoded twice too strong, and each has one nonzero symbol: user
-    # 3's in (1, 3), user 0's in (2, 4).  Exactly those two fail: in
-    # transmission order group (1, 3) comes first, though user 0's row
-    # comes before user 3's.
+    # are precoded twice too strong: their errors are 1, the others' only
+    # rounding, and the replay, whose symbols are all nonzero, misses with
+    # exactly those two users, each residual within its error times the
+    # largest symbol.  The decode names the first of them in transmission
+    # order, row 0: user 0 of profile 2.
     idle = PartitionSet(partitions=(), num_helpers=4)
     psets = {
         1: idle,
@@ -684,19 +749,38 @@ def test_decode_failure_names_the_first_group_before_the_first_row(monkeypatch):
     channel = draw_channels(_full_connectivity(4, 4), np.random.default_rng(15))
     rng = np.random.default_rng(16)
     symbols = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    symbols[3], symbols[0] = [1, 0, 0], [0, 0, 1]
     (rs,) = _checked_rounds(channel, (schedule, rounds), symbols, 1)
     assert rs.users == (0, 1, 2, 3)
     assert rs.groups == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
-    assert np.flatnonzero(rs.messages[3]).tolist() == [1] and np.flatnonzero(rs.messages[0]).tolist() == [3]
     faulty = precoder_matrix(channel, schedule)
     faulty[:, [3, 0]] *= 2.0
-    replayed = _replayed_failure(channel, rounds, symbols, 1, faulty)
-    assert re.match(r"user 3 failed to decode in round 0, group \(1, 3\): residual 1\.0", replayed)
+    (wrong,) = round_signals(channel, rounds, symbols, 1, faulty)
+    replayed = round_residuals(channel, wrong).reshape(4, 3)  # three needed indices a user
+    bound = DECODE_TOLERANCE * (np.abs(symbols) + 1.0)
+    assert np.flatnonzero((replayed >= bound).any(axis=1)).tolist() == [0, 3]
     _send_precoders(monkeypatch, faulty)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delivery, "DECODE_TOLERANCE", math.inf)
+        errors = decode_schedules(channel, schedule)
+    assert np.flatnonzero(errors > DECODE_TOLERANCE).tolist() == [0, 3]
+    assert np.all(replayed <= errors[:, None] * np.abs(symbols).max() + 1e-12)
     with pytest.raises(DecodeFailure) as failure:
         verify_schedule(channel, schedule, {}, symbols, 1)
-    assert str(failure.value) == replayed
+    assert str(failure.value) == "user 0 failed to decode in round 0, profile 2: worst error 1.000e+00"
+
+
+def test_error_is_the_row_one_norm_of_h_q_minus_i(monkeypatch):
+    # A 2-user slot sent Q M in place of Q hears H Q M = M, so its rows of
+    # H Q - I are those of M - I: |0.5| + |0.25i| = 0.75 and |-0.5| + 0 = 0.5.
+    channel = draw_channels(_full_connectivity(2, 3), np.random.default_rng(21))
+    pairs = _slots([((2, 0), (0, 1))])
+    mixing = np.array([[1.5, 0.25j], [-0.5, 1.0]])
+    _send_precoders(monkeypatch, precoder_matrix(channel, pairs) @ mixing)
+    first = r"^user 0 failed to decode in round 0, profile 1: worst error 7\.500e-01$"
+    with pytest.raises(DecodeFailure, match=first):
+        decode_schedules(channel, pairs)
+    monkeypatch.setattr(delivery, "DECODE_TOLERANCE", math.inf)
+    np.testing.assert_allclose(decode_schedules(channel, pairs), [0.75, 0.5], rtol=0, atol=1e-12)
 
 
 def test_decode_failure_names_the_round(monkeypatch):
@@ -715,7 +799,8 @@ def test_decode_failure_names_the_round(monkeypatch):
     _send_precoders(monkeypatch, faulty)
     with pytest.raises(DecodeFailure) as failure:
         verify_schedule(channel, schedule, demands, symbols, 1)
-    assert str(failure.value) == replayed
+    assert str(failure.value) == "user 1 failed to decode in round 1, profile 1: worst error 1.000e+00"
+    assert _user_and_round(str(failure.value)) == _user_and_round(replayed)
 
 
 def test_whole_schedule_verifies():
@@ -867,11 +952,10 @@ _EMPTY_TRIAL = (np.zeros((0, 2), dtype=complex), [_schedules({}, 3)], np.zeros((
 
 
 def _stacked(chunk):
-    """A chunk's stacked channel and symbols, and each schedule's rounds and first row there."""
+    """A chunk's stacked channel, and per schedule its channel, rounds, symbols and first row."""
     index_size, num_profiles, trials = chunk
     firsts = np.cumsum([0] + [channel.shape[0] for channel, _, _ in trials])
     stacked = np.concatenate([channel for channel, _, _ in trials])
-    stacked_symbols = np.concatenate([symbols for _, _, symbols in trials])
     runs = [
         (channel, rounds, symbols, first)
         for first, (channel, own, symbols) in zip(firsts.tolist(), trials)
@@ -880,7 +964,7 @@ def _stacked(chunk):
     schedules = [rounds for _, rounds, _, _ in runs]
     first_rows = np.array([first for *_, first in runs], dtype=np.intp)
     pairs = served_pairs(schedules) if runs else build_schedule({}, num_profiles)
-    return stacked, stacked_symbols, pairs, first_rows, runs
+    return stacked, pairs, first_rows, runs
 
 
 @settings(max_examples=100, deadline=None)
@@ -888,30 +972,36 @@ def _stacked(chunk):
 @example((1, 3, [_EMPTY_TRIAL]))  # a chunk without a round
 @example((1, 3, [_EMPTY_TRIAL[:1] + ([],) + _EMPTY_TRIAL[2:]]))  # and without a schedule
 def test_chunk_decode_matches_the_round_replay(chunk):
-    # One call over the schedules of several trials, their channels and
-    # symbols stacked, gives every intended residual of the per-round
-    # replay, each schedule on its own trial's rows of the stacked arrays
-    # and its own columns of the chunk's precoders: within 1e-12, with the
-    # same verdict at every entry.  The replay cancels the other profiles'
-    # blocks in floating point, so the bits may differ.
+    # One call over the schedules of several trials, their channels stacked,
+    # gives each served user's error |e_u|_1: within 1e-12 its row sum of
+    # |H Q - I| over its own slot in the per-round replay's matrices, each
+    # schedule on its own trial's rows of the stacked channel and its own
+    # columns of the chunk's precoders.  Every intended residual the replay
+    # decodes from its symbols S is at most that error times max |S| of its
+    # trial, plus 1e-12 for the replay's rounding: it cancels the other
+    # profiles' blocks in floating point.
     index_size, num_profiles, _ = chunk
-    stacked, stacked_symbols, pairs, first_rows, runs = _stacked(chunk)
+    stacked, pairs, first_rows, runs = _stacked(chunk)
     precoders = precoder_matrix(stacked, pairs, first_rows)
-    residuals = decode_schedules(stacked, stacked_symbols, pairs, index_size, first_rows)
+    errors = decode_schedules(stacked, pairs, first_rows)
     width = math.comb(num_profiles - 1, index_size)
-    expected, start = [np.empty((0, width))], 0
+    assert errors.shape == (len(pairs),)
+    start = 0
     for channel, rounds, own_symbols, _ in runs:
         stop = start + len(served_pairs([rounds]))
         for rs in round_signals(channel, rounds, own_symbols, index_size, precoders[:, start:stop]):
-            expected.append(round_residuals(channel, rs).reshape(-1, width))
-            assert expected[-1].max() == decode_round(channel, rs)
-        start = stop
-    expected = np.concatenate(expected)
-    assert residuals.shape == expected.shape == (start, width)
-    assert np.abs(residuals - expected).max(initial=0.0) <= 1e-12
-    rows = pairs.user + first_rows[pairs.schedule]
-    bound = DECODE_TOLERANCE * (np.abs(stacked_symbols[rows]) + 1.0)
-    assert np.array_equal(residuals < bound, expected < bound)
+            rows = slice(start, start + len(rs.users))
+            own_slot = rs.profiles[:, None] == rs.profiles[None, :]
+            identity = channel[list(rs.users)] @ rs.precoder - np.eye(len(rs.users))
+            assert np.abs(errors[rows] - np.abs(identity * own_slot).sum(axis=1)).max() <= 1e-12
+            replayed = round_residuals(channel, rs).reshape(-1, width)
+            assert replayed.max() == decode_round(channel, rs)
+            largest = np.abs(own_symbols).max()
+            assert np.all(replayed <= errors[rows, None] * largest + 1e-12)
+            start = rows.stop
+        assert start == stop
+    assert start == len(pairs)
+    assert errors.max(initial=0.0) <= DECODE_TOLERANCE
 
 
 @settings(max_examples=100, deadline=None)
@@ -919,18 +1009,17 @@ def test_chunk_decode_matches_the_round_replay(chunk):
 @example((1, 3, [_EMPTY_TRIAL]))  # a chunk without a round
 @example((1, 3, [_EMPTY_TRIAL[:1] + ([],) + _EMPTY_TRIAL[2:]]))  # and without a schedule
 def test_schedule_residuals_do_not_depend_on_the_chunk(chunk):
-    # Each schedule's residuals, bit for bit, whether it is decoded alone or
+    # Each schedule's errors, bit for bit, whether it is decoded alone or
     # stacked with other trials' schedules and other slot sizes: a verified
     # chunk leaves out a repeated schedule on this ground.
-    index_size = chunk[0]
-    stacked, stacked_symbols, pairs, first_rows, runs = _stacked(chunk)
-    residuals = decode_schedules(stacked, stacked_symbols, pairs, index_size, first_rows)
+    stacked, pairs, first_rows, runs = _stacked(chunk)
+    errors = decode_schedules(stacked, pairs, first_rows)
     start = 0
-    for channel, rounds, own_symbols, _ in runs:
-        alone = decode_schedules(channel, own_symbols, served_pairs([rounds]), index_size)
-        assert alone.tobytes() == residuals[start : start + len(alone)].tobytes()
+    for channel, rounds, _, _ in runs:
+        alone = decode_schedules(channel, served_pairs([rounds]))
+        assert alone.tobytes() == errors[start : start + len(alone)].tobytes()
         start += len(alone)
-    assert start == len(residuals)
+    assert start == len(errors)
 
 
 def _served_twice(schedule: RoundSchedule, later_round: bool) -> RoundSchedule:
@@ -956,9 +1045,11 @@ def _users_named(problems: list[str]) -> set[int]:
 @given(_small_trials())
 def test_round_matrices_match_the_per_transmission_replay(trial):
     channel, (schedule, rounds), demands, symbols, index_size = trial
+    # The replay's worst residual is within the worst slot error times the
+    # largest symbol modulus, up to its rounding.
     vectorized = verify_schedule(channel, schedule, demands, symbols, index_size)
     reference = replay_schedule(channel, rounds, symbols, index_size)
-    assert abs(vectorized - reference) <= 1e-12
+    assert reference <= vectorized * np.abs(symbols).max(initial=0.0) + 1e-12
     assert max(vectorized, reference) < 1e-9
     assert coverage_check(schedule, index_size) == audit_deliveries(rounds, index_size) == []
     if rounds.num_rounds:

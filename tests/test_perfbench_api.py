@@ -6,9 +6,10 @@ own slow self-tests.  Small traced sweeps then read every attribute the
 traced trial loop uses and must give the untraced sweep's CSV bytes: the
 traced loop draws each trial's channel, profiles and symbols with
 `draw_channels`, `assign_profiles` and `draw_subfile_symbols`, and the
-sweep draws the chunk's profiles in one pass over its raw words, its
-channel with one `channel_gains` call and each trial's symbols with
-`subfile_symbols`.
+sweep draws the chunk's profiles in one pass over its raw words and its
+channel with one `channel_gains` call.  The sweep draws no symbols, which
+were each trial's last draw, so the traced loop's symbols change nothing
+else.
 """
 
 import importlib

@@ -23,7 +23,6 @@ from helpercache.cache_placement import (
     ConfigError,
     ProfileAssignment,
     assign_profiles,
-    draw_subfile_symbols,
 )
 from helpercache.cli import main
 from helpercache.delivery import (
@@ -31,7 +30,6 @@ from helpercache.delivery import (
     ServedPairs,
     SingularChannelError,
     decode_schedules,
-    group_table,
 )
 from helpercache.partitioner import (
     greedy_counts,
@@ -333,7 +331,7 @@ def _reference_table(point, seeds):
     the scan the chunk's greedy placement runs: schedule i * 2 + m is
     trial i's under method m, as in a chunk's table.
     """
-    adjacency, labels, num_users, _, _ = sim_harness._draw_chunk(point, seeds, True)
+    adjacency, labels, num_users, _ = sim_harness._draw_chunk(point, seeds, True)
     bounds = np.concatenate(([0], np.cumsum(num_users))).tolist()
     schedules = []
     for i, (first, last) in enumerate(zip(bounds, bounds[1:])):
@@ -553,8 +551,7 @@ def _chunk_points(draw):
 
 
 # L = 3 * 2^30 rejects about a quarter of numpy's 32-bit halves, so most of
-# these trials are redrawn by `assign_profiles`; verified, each user would
-# need C(L - 1, 1) symbols, so it is drawn unverified only.
+# these trials are redrawn by `assign_profiles`.
 _REJECTING = PointConfig(
     helpers=3, profiles=3 * 2**30, gamma=1 / (3 * 2**30), radius=2.4, user_radius=2.0, density=1.0
 )
@@ -567,6 +564,7 @@ _REJECTING = PointConfig(
     st.booleans(),
 )
 @example(_REJECTING, [0, 1, 2**32, 2**64 - 1], False)
+@example(_REJECTING, [0, 1, 2**32, 2**64 - 1], True)
 def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
     generators, initial_states = [], []
 
@@ -578,7 +576,7 @@ def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_harness, "_trial_generators", tracked)
-        adjacency, labels, num_users, channel, symbols = sim_harness._draw_chunk(point, seeds, verify)
+        adjacency, labels, num_users, channel = sim_harness._draw_chunk(point, seeds, verify)
     assert len(generators) == len(seeds)
     for seed, state in zip(seeds, initial_states):
         assert state == np.random.default_rng(seed).bit_generator.state
@@ -586,9 +584,8 @@ def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
     assert adjacency.shape == (point.helpers, bounds[-1]) and labels.shape == (bounds[-1],)
     if verify:
         assert channel.shape == (bounds[-1], point.helpers)
-        assert symbols.shape == (bounds[-1], math.comb(point.profiles - 1, point.index_size))
     else:
-        assert channel is None and symbols is None
+        assert channel is None
     for i, seed in enumerate(seeds):
         links, kept, alone, profiles, after = _trial_drawn_alone(point, seed)
         rows = slice(bounds[i], bounds[i + 1])
@@ -606,11 +603,8 @@ def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
         assert copy.deepcopy(rng).random() == after
         if verify:
             assert np.array_equal(channel[rows], alone)
-            demands = {k: k for k in range(conn.num_users)}
-            own = draw_subfile_symbols(assignment, demands, point.index_size, rng)
-            assert np.array_equal(symbols[rows], own)
-        # The draw left the trial's generator where the library path ends:
-        # after the profiles, and verified, after the symbols.
+        # The draw left the trial's generator where the library path ends,
+        # after the profiles, verified or not: the chunk draws no symbols.
         assert generators[i].random() == rng.random()
 
 
@@ -697,12 +691,12 @@ def test_resolving_a_sweep_leaves_numpy_random_unloaded():
 @settings(max_examples=60, deadline=None)
 @given(_chunk_points(), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
 def test_residuals_do_not_depend_on_the_chunk(point, seeds):
-    # Every decode residual of a trial verified with others in one chunk,
-    # bit for bit those of the trial verified alone.
+    # Every decode error of a trial verified with others in one chunk, bit
+    # for bit those of the trial verified alone.
     residuals = []
 
-    def recorded(channel, symbols, pairs, *args):
-        replayed = decode_schedules(channel, symbols, pairs, *args)
+    def recorded(channel, pairs, *args):
+        replayed = decode_schedules(channel, pairs, *args)
         if len(pairs):
             _, firsts = np.unique(pairs.schedule, return_index=True)
             residuals.extend(np.split(replayed, firsts[1:]))
@@ -729,7 +723,7 @@ def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
     # trial and method order, less every greedy schedule equal, row for
     # row, to its trial's bb schedule: the same pairs, in the same
     # transmission order, under the same schedule ids.
-    adjacency, labels, num_users, _, _ = sim_harness._draw_chunk(point, seeds, True)
+    adjacency, labels, num_users, _ = sim_harness._draw_chunk(point, seeds, True)
     scanned, *greedy = partitioner.greedy_placement(adjacency, labels, len(seeds) * point.profiles)
     counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, ("bb", "greedy"), scanned)
     pairs = sim_harness._checked_pairs(point, adjacency, labels, num_users, seeds, counts, greedy)
@@ -788,7 +782,7 @@ def test_decode_skips_only_greedy_schedules_equal_to_bb(monkeypatch, radius):
     outcome = run_point(point, seeds, verify=True)
     full = _schedule_rows(_reference_table(point, seeds))
     ((channel, pairs, first_rows, labels),) = calls["matched_precoders"]
-    ((heard, _, decoded, _, rows, names),) = calls["decode_schedules"]
+    ((heard, decoded, rows, names),) = calls["decode_schedules"]
     assert decoded is pairs and heard is channel and rows is first_rows and names is labels
     kept = _schedule_rows(pairs)
     assert kept == {s: full[s] for s in kept}
@@ -852,28 +846,38 @@ def test_verify_errors_are_those_of_the_full_table(monkeypatch, name, value, err
     with pytest.raises(error) as failure:
         run_point(point, seeds, verify=True)
     full = _reference_table(point, seeds)
-    ((channel, symbols, pairs, index_size, first_rows, labels),) = calls["decode_schedules"]
+    ((channel, pairs, first_rows, labels),) = calls["decode_schedules"]
     assert len(pairs) < len(full)
     with pytest.raises(error) as direct:
-        delivery.decode_schedules(channel, symbols, full, index_size, first_rows, labels)
+        delivery.decode_schedules(channel, full, first_rows, labels)
     assert str(failure.value) == str(direct.value)
 
 
 def test_group_count_error_names_the_trial(monkeypatch):
-    # The group table of test_round_with_the_wrong_group_count_is_rejected:
-    # profile 2's row dropped, profile 1's repeated in its place, so a round
-    # whose active profiles are 1 and 2 sends 2 groups where 3 are due.  The
-    # first trial has no such round; the second's bb schedule does.
-    table = group_table(3, 1)
-    lost = replace(table, rank=table.rank[[0, 0, 2]])
-    monkeypatch.setattr(delivery, "group_table", lambda num_profiles, index_size: lost)
-    point = PointConfig(
-        helpers=4, profiles=3, gamma=1 / 3, radius=1.2, user_radius=2.7, density=REFERENCE_DENSITY
+    # The fault of test_round_with_the_wrong_group_count_is_rejected in a
+    # sweep: in the second trial's bb schedule, the first user of its first
+    # slot moves to a slot of its own after the round's last, so the round
+    # holds that profile in two slots and sends fewer groups than its slots
+    # imply.  Every user is still served once on its own helper, so only
+    # the decode's round check catches it, naming the trial.
+    seeds = [derive_trial_seed(4, index) for index in range(3)]
+    moved = {}
+
+    def splitting_a_slot(columns):
+        first, *others = _slots(columns, 1)  # schedule i with bb alone
+        same_round = [s for s in others if columns["round"][s[0]] == columns["round"][first[0]]]
+        assert len(first) > 1 and same_round
+        values = {name: columns[name].pop(first[0]) for name in _COLUMNS}
+        _insert(columns, same_round[-1][-1], **values)  # its rows moved up one by the pop
+        moved.update(values)
+
+    _edit_table(monkeypatch, splitting_a_slot)
+    with pytest.raises(RuntimeError) as failure:
+        run_point(_point(), seeds, ("bb",), verify=True)
+    assert str(failure.value) == (
+        f"round {moved['round']} holds profile {moved['profile']} in 2 slots "
+        f"(seed {seeds[1]}, method bb)"
     )
-    seeds = [derive_trial_seed(1, index) for index in range(3)]
-    expected = rf"transmits 2 groups, its 2 active profiles imply 3 \(seed {seeds[1]}, method bb\)$"
-    with pytest.raises(RuntimeError, match=expected):
-        run_point(point, seeds, verify=True)
 
 
 @st.composite
@@ -1127,22 +1131,27 @@ def test_hall_table_sizes_chunks_only_with_bb():
 
 
 def test_verified_chunk_memory_is_bounded(monkeypatch):
-    # A verified chunk keeps its trials' schedules, symbols and precoders
-    # until they are decoded, so its expected subfile symbols bound it.  At a
-    # quarter of the link entries the verified step is 119 trials here (the
-    # distances alone would allow 269), so twice the trials must not need
-    # more memory.
+    # A verified chunk keeps its trials' channel, schedules and precoders
+    # until they are decoded, about E entries per user each, so the
+    # distances that size every chunk bound it too: no C(L - 1, t) symbol
+    # width enters.  At a quarter of the link entries the step is 269
+    # trials here, verified or not, so twice the trials must not need more
+    # memory.
     monkeypatch.setattr(sim_harness, "CHUNK_LINK_ENTRIES", 2**16)
     point = _point(radius=4.2)
-    run_point(point, [0], verify=True)  # group tables and lazy imports
+    run_point(point, [0], verify=True)  # lazy imports
     peaks = []
-    for trials in (120, 240):
-        tracemalloc.start()
-        try:
-            run_point(point, [derive_trial_seed(2, i) for i in range(trials)], verify=True)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    for trials in (269, 538):
+        seeds = [derive_trial_seed(2, i) for i in range(trials)]
+        with pytest.MonkeyPatch.context() as patch:
+            drawn = _count_draws(patch)
+            tracemalloc.start()
+            try:
+                run_point(point, seeds, verify=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert drawn == [269] * (trials // 269)
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
@@ -1489,6 +1498,58 @@ def test_cli_simulate_refuses_an_infinite_density(tmp_path, capsys):
     ]
     assert main(args) == 1
     assert "error: user density must be finite and positive, got inf" in capsys.readouterr().err
+
+
+def test_cli_verifies_a_40_profile_point_as_it_runs_unverified(tmp_path, monkeypatch):
+    # At L = 40, t = 4 each user needs C(39, 4) = 82,251 subfiles; the
+    # decode checks each slot's identity H Q = I, so a verified trial's
+    # work does not grow with them.  Four verified trials of the profile
+    # sweep's L = 40 point run through the command line in about a second,
+    # and write the unverified run's bytes.
+    per_profile = 4 / (1.2**2 * math.pi)  # the profile sweep's density
+    args = [
+        sys.executable, "-m", "helpercache", "simulate", "--sweep", "L", "--values", "40",
+        "--helpers", "4", "--gamma", "0.1", "--radius", "1.2", "--user-radius", "2.7",
+        "--density-per-profile", repr(per_profile), "--trials", "4", "--seed", "3",
+    ]
+    source = str(Path(sim_harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for verify in ([], ["--verify-decode"]):
+        out = tmp_path / f"sweep{len(verify)}.csv"
+        subprocess.run(
+            args + verify + ["--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+            capture_output=True,
+            timeout=60,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+    # The same trials decode every slot of both methods' schedules.
+    calls = {}
+    _record_calls(monkeypatch, calls)
+    point = _point(radius=1.2, profiles=40, density=per_profile * 40)
+    outcome = run_point(point, [derive_trial_seed(3, i) for i in range(4)], verify=True)
+    ((channel, pairs, first_rows, _),) = calls["decode_schedules"]
+    assert pairs.num_profiles == 40 and len(pairs) >= outcome.num_users.sum() > 1000
+    assert decode_schedules(channel, pairs, first_rows).max() <= delivery.DECODE_TOLERANCE
+
+
+def test_config_refuses_a_mean_user_count_numpy_cannot_draw(tmp_path, capsys):
+    # Density 1e30 is finite and positive, but its mean user count is past
+    # numpy's Poisson limit: the point is refused by name when it is made,
+    # so no sweep reaches numpy's "lam value too large".
+    expected = r"^user density 1e\+30 on a disk of radius 2\.7 expects 2\.29022e\+31 users, past "
+    with pytest.raises(ValueError, match=expected):
+        replace(_point(), density=1e30)
+    args = [
+        "simulate", "--sweep", "r", "--values", "1.0", "--helpers", "2", "--profiles", "2",
+        "--gamma", "0.5", "--user-radius", "1.5", "--density", "1e30", "--trials", "2",
+        "--out", str(tmp_path / "x.csv"),
+    ]
+    assert main(args) == 1
+    assert "error: user density 1e+30 on a disk of radius 1.5 expects" in capsys.readouterr().err
 
 
 def test_cli_simulate_fc_method(tmp_path, capsys):

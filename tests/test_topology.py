@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from helpercache.topology import (
+    MAX_MEAN_USERS,
     Connectivity,
     connect,
     draw_channels,
@@ -102,6 +104,29 @@ def test_sample_users_refuses_what_numpy_would(density, disk_radius, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         sample_users(density, disk_radius, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "density, disk_radius, shown",
+    [(1e30, 1.0, "1e+30"), (1.0, 1e10, "1.0"), (1e308, 1e10, "1e+308")],
+)
+def test_sample_users_refuses_a_mean_past_numpys_poisson_limit(density, disk_radius, shown):
+    # A finite mean user count above numpy's Poisson limit, or one that
+    # overflows to inf, is refused by name before any draw; numpy would
+    # say only "lam value too large".
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    named = re.escape(f"user density {shown} on a disk of radius {disk_radius} expects ")
+    with pytest.raises(ValueError, match=rf"^{named}\S+ users, past 9\.22337e\+18, "):
+        sample_users(density, disk_radius, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_max_mean_users_is_numpys_poisson_limit():
+    rng = np.random.default_rng(0)
+    assert rng.poisson(MAX_MEAN_USERS) >= 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(MAX_MEAN_USERS, math.inf))
 
 
 def test_sampling_reproducible_from_seed():
