@@ -5,10 +5,10 @@
 Runs every operation of the workload's cycle, as perfbench/sweeps.py
 defines it (each round's sweep points, one `run_sweep` call each), the
 given number of times with one BLAS thread.  Every call of each stage of a
-sweep point is timed with the wall clock: the chunk draw, the evaluate
-stage with its solvers, and verified, the scan that counts and places
-greedy, `_checked_pairs` with bb's placement, the pair table and the audit,
-and `decode_schedules` with its precoders.  A stage called inside another
+sweep point is timed with the wall clock: the chunk draw with its links,
+the evaluate stage with its solvers, and verified, the scan that counts
+and places greedy, `_checked_pairs` with bb's placement, the pair table
+and the audit, and `decode_schedules` with its precoders.  A stage called inside another
 is indented under it and counted in both.  Each line is the stage's total
 over one cycle in its fastest cycle, with its share of the fastest whole
 cycle; as each line is its own minimum, the lines need not add up.  Only
@@ -33,6 +33,7 @@ from checkout import use_checkout_sources  # noqa: E402
 # (module, function, depth) in call order, each under the stage that calls it
 STAGES = (
     ("sim_harness", "_draw_chunk", 1),
+    ("sim_harness", "disk_links", 2),
     ("sim_harness", "evaluate_counts", 1),
     ("sim_harness", "min_partition_counts", 2),
     ("sim_harness", "greedy_counts", 2),

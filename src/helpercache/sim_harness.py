@@ -53,8 +53,7 @@ from .partitioner import (
 from .topology import (
     channel_gains,
     channel_normals,
-    connect,
-    disk_positions,
+    disk_links,
     disk_uniforms,
     hex_layout,
     mean_user_count,
@@ -419,9 +418,9 @@ def _draw_chunk(
     """The networks of a chunk of trials: adjacency, labels, user counts and channel.
 
     Each trial's generator makes the calls of `sample_users`,
-    `draw_channels` and `assign_profiles`, in that order.  Positions and
-    links are computed once for the whole chunk from every trial's disk
-    uniforms, and profiles once by `_chunk_profiles` from the raw words
+    `draw_channels` and `assign_profiles`, in that order.  Links are
+    decided once for the whole chunk from every trial's disk uniforms, by
+    `disk_links`, and profiles once by `_chunk_profiles` from the raw words
     each trial draws after its `channel_normals`.  The result is the
     chunk's concatenated (E, sum K) adjacency, the label i * L + p of each
     of its users (trial i, profile p), and each trial's K.  Verified, the (sum K, E) channel is
@@ -435,8 +434,9 @@ def _draw_chunk(
     rngs = _trial_generators(trial_seeds)
     uniforms = [disk_uniforms(point.mean_users, rng) for rng in rngs]
     user_offsets = np.cumsum([0] + [u.shape[1] for u in uniforms])
-    users = disk_positions(np.concatenate(uniforms, axis=1), point.user_radius)
-    conn = connect(hex_layout(point.helpers), users, point.radius)
+    conn = disk_links(
+        np.concatenate(uniforms, axis=1), point.user_radius, hex_layout(point.helpers), point.radius
+    )
     # Users are concatenated in trial order, so each trial's kept users are
     # one run of columns.
     num_users = np.diff(np.searchsorted(conn.reachable_users, user_offsets))

@@ -14,6 +14,16 @@ SQRT3 = math.sqrt(3.0)
 # The largest Poisson mean numpy draws from: INT64_MAX - 10 sqrt(INT64_MAX).
 MAX_MEAN_USERS = float(2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
 
+# `disk_links` screens a chunk's links in float32 when the disk radius plus
+# the farthest helper's distance, the scale s, lies in this range, the
+# transmission radius is at most 2 s and every uniform is in [0, 1].  An
+# entry whose screened squared distance lies within SCREEN_MARGIN * s^2 of
+# r^2 is decided again exactly.  In the range s^2, r^2 and the margin are
+# normal float32 numbers far from overflow, so every error of the screen
+# scales with s^2.
+SCREEN_SCALES = (2.0**-40, 2.0**40)
+SCREEN_MARGIN = 2.0**-12
+
 # One counterclockwise walk around a hexagonal ring, in axial coordinates.
 _RING_STEPS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
@@ -114,14 +124,78 @@ def connect(layout: np.ndarray, users: np.ndarray, radius: float) -> Connectivit
     """
     if not radius >= 0:
         raise ValueError(f"transmission radius must be nonnegative, got {radius}")
-    # Squared helper-user distances, (E, N), from the two coordinate gaps,
-    # computed in place so only two (E, N) float arrays are held.
-    dx = layout[:, 0:1] - users[:, 0]
-    dy = layout[:, 1:2] - users[:, 1]
+    return _pruned(_within(layout, users, radius))
+
+
+def disk_links(
+    uniforms: np.ndarray, disk_radius: float, layout: np.ndarray, radius: float
+) -> Connectivity:
+    """`connect(layout, disk_positions(uniforms, disk_radius), radius)`, bit for bit, cheaper.
+
+    A float32 screen decides every helper-user pair whose squared distance
+    is clearly on one side of r^2, and each user with a pair that is not
+    is recomputed by the rule `connect` applies (a floating-point filter
+    with an exact fallback; Shewchuk, "Adaptive Precision Floating-Point
+    Arithmetic and Fast Robust Geometric Predicates", 1997).  With u = 2^-24 and the
+    scale s = |disk_radius| + max |helper|, which bounds every user-helper
+    gap, each coordinate gap errs by at most s (t + 25 u) when float32
+    `cos` and `sin` err by t, so the squared distance errs by at most
+    2 sqrt(2) s^2 (t + 25 u) + 2 u s^2: about 75 u s^2 at t = 1.5 ulp, and
+    800 u s^2 at t = 2^-16, the most `tests/test_topology.py` allows.  The
+    bounds r^2 -/+ margin round to float32 by at most 4 u s^2.  A pair is
+    close within SCREEN_MARGIN s^2 = 4096 u s^2 of r^2, more than the sum.
+    Outside the screen's range (SCREEN_SCALES, r at most 2 s, uniforms in
+    [0, 1]) the whole call is `connect`'s, which also refuses a negative
+    or NaN radius.
+    """
+    scale = abs(disk_radius) + float(np.hypot(layout[:, 0], layout[:, 1]).max(initial=0.0))
+    low, high = SCREEN_SCALES
+    uniforms32 = uniforms.astype(np.float32)
+    if not (
+        low <= scale <= high
+        and 0 <= radius <= 2 * scale
+        and uniforms32.size > 0
+        and uniforms32.min() >= 0
+        and uniforms32.max() <= 1
+    ):
+        return connect(layout, disk_positions(uniforms, disk_radius), radius)
+    radii = np.sqrt(uniforms32[0])
+    radii *= np.float32(disk_radius)
+    angles = uniforms32[1] * np.float32(2.0 * math.pi)
+    x = np.cos(angles)
+    x *= radii
+    y = np.sin(angles, out=angles)
+    y *= radii
+    dist2 = _squared_distances(layout.astype(np.float32), x, y)
+    margin = SCREEN_MARGIN * scale**2
+    within = dist2 < np.float32(radius**2 - margin)
+    close = np.flatnonzero((within != (dist2 <= np.float32(radius**2 + margin))).any(axis=0))
+    if close.size:
+        within[:, close] = _within(layout, disk_positions(uniforms[:, close], disk_radius), radius)
+    return _pruned(within)
+
+
+def _within(layout: np.ndarray, users: np.ndarray, radius: float) -> np.ndarray:
+    """(E, N) mask of the helper-user pairs within `radius`: the exact link rule."""
+    return _squared_distances(layout, users[:, 0], users[:, 1]) <= radius**2
+
+
+def _squared_distances(layout: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(E, N) squared helper-user distances from the two coordinate gaps.
+
+    Computed in place, so only two (E, N) float arrays are held, in the
+    dtype of the inputs.
+    """
+    dx = layout[:, 0:1] - x
+    dy = layout[:, 1:2] - y
     dx *= dx
     dy *= dy
     dx += dy
-    within = dx <= radius**2
+    return dx
+
+
+def _pruned(within: np.ndarray) -> Connectivity:
+    """The links of an (E, N) within-range mask, users nobody reaches dropped."""
     kept = np.flatnonzero(within.any(axis=0))
     # `take` keeps the adjacency row-major (`within[:, kept]` would not), so
     # reductions over the helper axis run along whole rows.

@@ -28,6 +28,7 @@ def test_stage_times_prints_the_verified_stages():
     assert [stage[0] for stage in stages] == [
         "cycle",
         "_draw_chunk",
+        "disk_links",
         "evaluate_counts",
         "min_partition_counts",
         "greedy_placement",

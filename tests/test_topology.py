@@ -6,8 +6,11 @@ import pytest
 
 from helpercache.topology import (
     MAX_MEAN_USERS,
+    SCREEN_MARGIN,
     Connectivity,
     connect,
+    disk_links,
+    disk_positions,
     draw_channels,
     hex_layout,
     sample_users,
@@ -210,6 +213,122 @@ def test_every_kept_user_has_a_helper():
     users = sample_users(2.653, 2.7, np.random.default_rng(8))
     conn = connect(layout, users, 1.2)
     assert conn.adjacency.any(axis=0).all()
+
+
+def _assert_links_of_positions(uniforms, disk_radius, layout, radius):
+    # `disk_links` must give exactly the links of the float64 positions.
+    screened = disk_links(uniforms, disk_radius, layout, radius)
+    exact = connect(layout, disk_positions(uniforms, disk_radius), radius)
+    assert np.array_equal(screened.reachable_users, exact.reachable_users)
+    assert screened.reachable_users.dtype == exact.reachable_users.dtype
+    assert np.array_equal(screened.adjacency, exact.adjacency)
+    assert screened.adjacency.flags.c_contiguous
+    return screened
+
+
+@pytest.mark.parametrize("helpers", [1, 4, 7, 19, 61])
+@pytest.mark.parametrize("radius", [0.0, 1e-30, 1.2, 4.2, math.inf])
+def test_disk_links_are_the_links_of_the_positions(helpers, radius):
+    rng = np.random.default_rng(helpers)
+    layout = hex_layout(helpers)
+    for disk_radius in (2.7, 6.0):
+        for count in (0, 1, 50, 4000):
+            _assert_links_of_positions(rng.random((2, count)), disk_radius, layout, radius)
+
+
+@pytest.mark.parametrize("exponent", range(-20, 21, 5))
+@pytest.mark.parametrize("helpers", [1, 4])
+def test_disk_links_hold_for_any_user_radius(exponent, helpers):
+    # From users packed at the origin to a disk far past the helpers: the
+    # scale leaves the screen's range at both ends for one helper, and
+    # only at the far end for four.
+    disk_radius = 10.0**exponent
+    rng = np.random.default_rng(exponent + 100)
+    layout = hex_layout(helpers)
+    uniforms = rng.random((2, 2000))
+    for radius in (0.0, 0.3 * disk_radius, disk_radius, 1.2, 3.0):
+        _assert_links_of_positions(uniforms, disk_radius, layout, radius)
+
+
+def _uniforms_on_circles(layout, disk_radius, radius, count):
+    """Disk uniforms of users on each helper's radius-`radius` circle, inside the disk,
+    each with its neighbours one ulp away in either uniform."""
+    angles = np.linspace(0.0, 2 * math.pi, count, endpoint=False)
+    circle = radius * np.stack((np.cos(angles), np.sin(angles)), axis=1)
+    points = (layout[:, None, :] + circle).reshape(-1, 2)
+    rho = np.hypot(points[:, 0], points[:, 1])
+    points, rho = points[rho < 0.999 * disk_radius], rho[rho < 0.999 * disk_radius]
+    theta = np.arctan2(points[:, 1], points[:, 0]) % (2 * math.pi)
+    base = np.stack(((rho / disk_radius) ** 2, theta / (2 * math.pi)))
+    nudged = [base]
+    for row in (0, 1):
+        for toward in (0.0, 1.0):
+            moved = base.copy()
+            moved[row] = np.nextafter(moved[row], toward)
+            nudged.append(moved)
+    return np.concatenate(nudged, axis=1)
+
+
+@pytest.mark.parametrize("helpers", [1, 4, 7, 19])
+@pytest.mark.parametrize("radius", [0.5, 1.2, 2.2, 4.2])
+def test_disk_links_decide_users_on_the_boundary_exactly(helpers, radius):
+    # Users built one radius from a helper, through the inverse of the
+    # disk map, sit where float32 cannot tell in from out: each is
+    # recomputed exactly, and must match the float64 links one by one.
+    layout = hex_layout(helpers)
+    disk_radius = max(2.7, radius + 1.0)  # some of every circle inside the disk
+    uniforms = _uniforms_on_circles(layout, disk_radius, radius, 720)
+    assert uniforms.shape[1] > 0
+    assert 0 <= uniforms.min() and uniforms.max() < 1
+    positions = disk_positions(uniforms, disk_radius)
+    dist2 = ((layout[:, None, :] - positions[None]) ** 2).sum(axis=2)
+    assert (np.abs(dist2 - radius**2) < 1e-12).any(axis=0).all()
+    background = np.random.default_rng(helpers).random((2, 500))
+    _assert_links_of_positions(np.hstack((background, uniforms)), disk_radius, layout, radius)
+
+
+@pytest.mark.parametrize("exponent", [-40, -22, -20, -10, 0, 10, 20, 40])
+def test_disk_links_decide_boundary_users_at_any_scale(exponent):
+    # One helper at the origin, so the whole geometry scales.  Past the
+    # screen's range float32 squares underflow into subnormals (1e-22) or
+    # overflow (1e40), and only `connect` can decide these users.
+    scale = 10.0**exponent
+    layout = hex_layout(1)
+    uniforms = _uniforms_on_circles(layout, 2.7 * scale, 1.2 * scale, 720)
+    _assert_links_of_positions(uniforms, 2.7 * scale, layout, 1.2 * scale)
+
+
+def test_disk_links_hold_for_uniforms_off_the_unit_square():
+    # Boundary users whose angular uniforms are shifted by 2^20 whole
+    # turns keep their float64 positions, up to rounding, but float32
+    # rounds their angles to eighths of a turn; a NaN uniform puts a user
+    # nowhere.  Each makes the whole call `connect`'s.
+    layout = hex_layout(4)
+    uniforms = _uniforms_on_circles(layout, 2.7, 1.2, 720)
+    uniforms[1] += 2.0**20
+    _assert_links_of_positions(uniforms, 2.7, layout, 1.2)
+    uniforms = np.hstack((_uniforms_on_circles(layout, 2.7, 1.2, 720), [[math.nan], [0.5]]))
+    assert _assert_links_of_positions(uniforms, 2.7, layout, 1.2).num_users > 0
+
+
+@pytest.mark.parametrize("radius", [-0.5, math.nan])
+def test_disk_links_refuse_what_connect_refuses(radius):
+    uniforms = np.random.default_rng(0).random((2, 10))
+    with pytest.raises(ValueError, match=f"^transmission radius must be nonnegative, got {radius}$"):
+        disk_links(uniforms, 2.7, hex_layout(4), radius)
+
+
+def test_float32_trig_is_inside_the_screens_error_budget():
+    # The `disk_links` screen leaves SCREEN_MARGIN = 2^-12 of the squared
+    # scale for its errors; float32 `cos` and `sin` erring by 2^-16 would
+    # take about a fifth of it.  A platform whose float32 libm is worse
+    # fails here rather than flipping links.
+    assert SCREEN_MARGIN == 2.0**-12
+    angles = np.linspace(0.0, np.float32(2 * math.pi), 2**20 + 1, dtype=np.float32)
+    exact = angles.astype(np.float64)
+    for function in (np.cos, np.sin):
+        assert function(angles).dtype == np.float32
+        assert np.abs(function(angles) - function(exact)).max() <= 2.0**-16
 
 
 def _example_pattern_connectivity() -> Connectivity:
