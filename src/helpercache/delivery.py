@@ -37,13 +37,12 @@ import numpy as np
 
 from .partitioner import PartitionSet
 
-CONDITION_LIMIT = 1e12
 DECODE_TOLERANCE = 1e-9
 _EXACT_FLOAT = 2**53  # integers below it convert to float64 exactly
 
 
 class SingularChannelError(RuntimeError):
-    """A matched channel submatrix was numerically singular (probability-zero event)."""
+    """A matched channel submatrix that LAPACK refuses as exactly singular (probability-zero event)."""
 
 
 class DecodeFailure(RuntimeError):
@@ -186,13 +185,15 @@ def matched_precoders(
     users are sent (m, E, s): each slot's matched channel submatrix's
     inverse on its helpers' rows, zeros on every other helper's.  Random
     continuous gains make each submatrix invertible almost surely, and the
-    slots of one size take one `inv`.  A submatrix A is ill-conditioned
-    when `cond(A)` exceeds `CONDITION_LIMIT`; since cond_2(A) <= |A|_F
-    |A^-1|_F, `cond` runs only on the slots whose product with the
-    computed inverse exceeds half the limit, or on the whole size when
-    `inv` finds an exactly singular one.  `first_rows` and `labels` are
-    those of `decode_schedules`; an error names the slot's users and
-    helpers, and ends with its schedule's label when given.
+    slots of one size take one `inv`.  No conditioning is judged here:
+    whether a computed inverse serves its slot is the decode's one verdict,
+    H Q = I within `DECODE_TOLERANCE`.  Only a submatrix that LAPACK
+    refuses as exactly singular has no columns to send; it raises
+    SingularChannelError, naming the first slot of its size that `inv`
+    refuses on its own.  A structurally zero matched link raises
+    ValueError.  `first_rows` and `labels` are those of `decode_schedules`;
+    an error names the slot's users and helpers, and ends with its
+    schedule's label when given.
     """
     starts = pairs.slot_starts
     sizes = np.diff(starts, append=len(pairs))
@@ -217,32 +218,18 @@ def matched_precoders(
             raise ValueError(failure(int(np.argmax(zero)), text))
         try:
             inverses = np.linalg.inv(subs)
-        except np.linalg.LinAlgError:
-            inverses, suspect = None, np.ones(len(rows), dtype=bool)
-        else:
-            # The computed inverse is far closer than a factor 2 to the true
-            # one below the limit (Higham, ch. 14), so a product within half
-            # the limit proves cond(A) within it.  A NaN product is a suspect.
-            bound = _squared_frobenius(subs) * _squared_frobenius(inverses)
-            suspect = ~(bound <= (CONDITION_LIMIT / 2) ** 2)
-        singular = np.zeros(len(rows), dtype=bool)
-        if suspect.any():
-            singular[suspect] = np.linalg.cond(subs[suspect]) > CONDITION_LIMIT
-        if singular.any():
-            text = "channel submatrix for {} is ill-conditioned"
-            raise SingularChannelError(failure(int(np.argmax(singular)), text))
-        if inverses is None:
-            inverses = np.linalg.inv(subs)  # singular to inv but not to cond: LinAlgError
+        except np.linalg.LinAlgError as error:
+            for i, sub in enumerate(subs):
+                try:
+                    np.linalg.inv(sub)
+                except np.linalg.LinAlgError:
+                    text = "channel submatrix for {} is ill-conditioned"
+                    raise SingularChannelError(failure(i, text)) from error
+            raise
         columns = np.zeros((len(rows), channel.shape[1], size), dtype=complex)
         columns[np.arange(len(rows))[:, None], helpers] = inverses
         stacks.append((rows, served, columns))
     return stacks
-
-
-def _squared_frobenius(matrices: np.ndarray) -> np.ndarray:
-    """The squared Frobenius norm of each matrix of an (m, s, s) stack, with no copy."""
-    parts = matrices.view(matrices.real.dtype)
-    return np.einsum("ijk,ijk->i", parts, parts)
 
 
 def decode_schedules(
@@ -256,12 +243,13 @@ def decode_schedules(
     Schedule s of the table serves the users of one trial: user u's gains
     are row `first_rows[s] + u` of `channel`, or row u without
     `first_rows`.  The table's precoders come first, from one
-    `matched_precoders` call, so a singular or structurally zero slot fails
-    before any product is formed; that call also groups the slots by size,
-    once for both.  Each round's slots must then hold distinct profiles, or
-    RuntimeError names the first round that holds a profile twice.  Given
-    distinct profiles, the round sends the C(L, t + 1) - C(L - a, t + 1)
-    groups of its a active profiles by construction.
+    `matched_precoders` call, so an exactly singular or structurally zero
+    slot fails before any product is formed; that call also groups the
+    slots by size, once for both.  Each round's slots must then hold
+    distinct profiles, or RuntimeError names the first round that holds a
+    profile twice.  Given distinct profiles, the round sends the
+    C(L, t + 1) - C(L - a, t + 1) groups of its a active profiles by
+    construction.
 
     In the signal of group G, profile p's users carry the symbol of index G
     minus p, precoded by their columns of the round's Q.  User u hears
@@ -276,6 +264,12 @@ def decode_schedules(
     make one stacked (m, s, E) @ (m, E, s) product on the channel rows and
     columns `matched_precoders` gives for them, each slot at its own shape,
     so the errors do not depend on which schedules share the call.
+
+    This is the one criterion of a decodable slot: every served user's
+    |e_u|_1 within `DECODE_TOLERANCE`, however ill-conditioned its slot.
+    A slot whose computed inverse meets H Q = I passes, and one whose
+    rounding leaves a row beyond the tolerance fails, with no condition
+    number consulted.
 
     Returns the (rows,) errors |e_u|_1, row i for the table's i-th served
     pair.  Raises DecodeFailure for the first row in transmission order

@@ -667,7 +667,8 @@ def run_point(
     if len(trial_seeds) == 0:
         raise ValueError("a sweep point needs at least one trial")
     _check_seeds(trial_seeds)
-    step = CHUNK_LINK_ENTRIES / (point.helpers * point.mean_users)  # a distance per link
+    links = point.helpers * point.mean_users  # a distance per link; 0.0 once the mean underflows
+    step = CHUNK_LINK_ENTRIES / links if links > 0 else math.inf
     if "bb" in methods:
         step = min(step, CHUNK_TABLE_ENTRIES // (point.profiles << point.helpers))
     step = max(1, int(min(step, len(trial_seeds))))  # inf at a vanishing density

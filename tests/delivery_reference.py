@@ -38,7 +38,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from helpercache.delivery import (
-    CONDITION_LIMIT,
     DECODE_TOLERANCE,
     DecodeFailure,
     ServedPairs,
@@ -287,9 +286,11 @@ def build_precoder(channel: np.ndarray, helpers: tuple[int, ...], users: tuple[i
     sub = channel[np.ix_(users, helpers)]
     if np.any(np.abs(np.diagonal(sub)) == 0):
         raise ValueError("matched helper-user link is structurally zero")
-    if np.linalg.cond(sub) > CONDITION_LIMIT:
-        raise SingularChannelError(f"channel submatrix for users {users} on helpers {helpers} is ill-conditioned")
-    return np.linalg.inv(sub)
+    try:
+        return np.linalg.inv(sub)
+    except np.linalg.LinAlgError as error:  # exactly singular: no inverse to send
+        text = f"channel submatrix for users {users} on helpers {helpers} is ill-conditioned"
+        raise SingularChannelError(text) from error
 
 
 def compose_signal(

@@ -484,6 +484,18 @@ def _users_named(message):
     return [int(user) for user in (found.group(1) or found.group(2)).split(",") if user.strip()]
 
 
+def _equal_gains(patch):
+    """Every linked gain equal, so every fully linked slot of two or more users is exactly singular.
+
+    The normals are still drawn, so the rest of each trial's draw is unchanged.
+    """
+
+    def ones(num_users, num_helpers, rng, draw=sim_harness.channel_normals):
+        return np.ones_like(draw(num_users, num_helpers, rng))
+
+    patch.setattr(sim_harness, "channel_normals", ones)
+
+
 def test_verify_errors_name_the_trial(monkeypatch):
     # One chunk of three verified trials: an error must name the trial's seed
     # and its own user indices, not the chunk-wide rows of its channel.
@@ -492,11 +504,12 @@ def test_verify_errors_name_the_trial(monkeypatch):
     sizes = run_point(point, seeds).num_users.tolist()
     assert min(sizes) > 0
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(delivery, "CONDITION_LIMIT", 1.0)  # every slot of two or more users fails
-        singular = rf"\) is ill-conditioned \(seed {seeds[0]}, method bb\)$"
+        _equal_gains(patch)  # the first singular slot is the second trial's
+        singular = rf"\) is ill-conditioned \(seed {seeds[1]}, method bb\)$"
         with pytest.raises(SingularChannelError, match=singular) as failure:
             run_point(point, seeds, verify=True)
-    assert max(_users_named(str(failure.value))) < sizes[0]
+    named = _users_named(str(failure.value))
+    assert max(named) < sizes[1] < sizes[0] + min(named)  # its own indices, not the chunk's rows
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(delivery, "DECODE_TOLERANCE", 0.0)  # no residual is below zero
         with pytest.raises(DecodeFailure, match=rf"\(seed {seeds[0]}, method bb\)") as failure:
@@ -833,13 +846,20 @@ def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "name, value, error",
-    [("DECODE_TOLERANCE", 0.0, DecodeFailure), ("CONDITION_LIMIT", 1.0, SingularChannelError)],
+    "error",
+    [
+        pytest.param(DecodeFailure, id="DECODE_TOLERANCE-0.0-DecodeFailure"),
+        pytest.param(SingularChannelError, id="equal_gains-SingularChannelError"),
+    ],
 )
-def test_verify_errors_are_those_of_the_full_table(monkeypatch, name, value, error):
+def test_verify_errors_are_those_of_the_full_table(monkeypatch, error):
     # With repeated schedules left out, the first error is still the one the
-    # full table of every schedule raises, text for text.
-    monkeypatch.setattr(delivery, name, value)
+    # full table of every schedule raises, text for text: a decode failing
+    # at a zero tolerance, and a slot that equal gains make singular.
+    if error is DecodeFailure:
+        monkeypatch.setattr(delivery, "DECODE_TOLERANCE", 0.0)
+    else:
+        _equal_gains(monkeypatch)
     calls = {}
     _record_calls(monkeypatch, calls)
     point, seeds = _point(radius=4.2), [derive_trial_seed(5, index) for index in range(4)]
@@ -1377,6 +1397,22 @@ def test_json_output_is_strict_json_without_served_users(tmp_path):
     assert rows[2]["mean_sum_dof"] == results[2].mean_dof > 0
     emit_results(results, "csv", str(tmp_path / "r.csv"))
     assert (tmp_path / "r.csv").read_text().splitlines()[3].split(",")[:2] == ["r", "inf"]
+
+
+def test_a_point_whose_mean_user_count_underflows_runs_with_no_user():
+    # density * pi * radius^2 is 0.0 in float64 here, though both are
+    # positive: the point runs like one of a tiny positive mean, every
+    # trial with no user and a NaN sum-DoF.
+    seeds = [derive_trial_seed(6, index) for index in range(3)]
+    for scale in (1e-200, 1e-100):
+        point = PointConfig(
+            helpers=4, profiles=10, gamma=0.1, radius=1.2, user_radius=scale, density=scale
+        )
+        assert (point.mean_users == 0.0) == (scale == 1e-200)
+        for verify in (False, True):
+            outcome = run_point(point, seeds, verify=verify)
+            assert outcome.num_users.tolist() == [0, 0, 0]
+            assert all(np.isnan(dof).all() for dof in outcome.dof.values())
 
 
 def test_emit_rejects_empty_results(tmp_path):
