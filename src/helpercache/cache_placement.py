@@ -47,7 +47,11 @@ def ensure_valid(config: CacheConfig) -> None:
     if not 0 < config.gamma < 1:
         problems.append(f"cache fraction must lie in (0, 1), got {config.gamma}")
     try:
-        config.index_size
+        if config.index_size == config.num_profiles:
+            problems.append(
+                f"gamma * L = {config.gamma * config.num_profiles!r} rounds to "
+                f"L = {config.num_profiles}: every profile would cache every subfile"
+            )
     except ConfigError as exc:
         problems.append(str(exc))
     if problems:

@@ -56,8 +56,8 @@ class ServedPairs:
     Rows run schedule by schedule, round by round, and within a round slot
     by slot: a (round, profile) slot is one partition, its pairs in
     partition order.  `user` is the user's index in its own trial, its row
-    of the channel and symbols past the trial's first row where trials are
-    stacked.  The columns are int32 arrays of one length.
+    of the channel past the trial's first row where trials are stacked.
+    The columns are int32 arrays of one length.
     """
 
     num_profiles: int
@@ -181,14 +181,14 @@ def matched_precoders(
 
     The slots are grouped by size once, sizes in the order they first
     occur.  For the m slots of size s the result holds their table rows
-    (m, s), their users' rows of `channel` (m, s), and the columns their
-    users are sent (m, E, s): each slot's matched channel submatrix's
-    inverse on its helpers' rows, zeros on every other helper's.  Random
-    continuous gains make each submatrix invertible almost surely, and the
-    slots of one size take one `inv`.  No conditioning is judged here:
+    (m, s), their matched channel submatrices A (m, s, s), row i its i-th
+    user's gains on the slot's helpers, and one `inv` of them, the
+    inverses (m, s, s): row j is what the slot's j-th helper sends, and no
+    other helper sends the slot anything.  Random continuous gains make
+    each A invertible almost surely.  No conditioning is judged here:
     whether a computed inverse serves its slot is the decode's one verdict,
-    H Q = I within `DECODE_TOLERANCE`.  Only a submatrix that LAPACK
-    refuses as exactly singular has no columns to send; it raises
+    A A^-1 = I within `DECODE_TOLERANCE`.  Only a submatrix that LAPACK
+    refuses as exactly singular has no inverse to send; it raises
     SingularChannelError, naming the first slot of its size that `inv`
     refuses on its own.  A structurally zero matched link raises
     ValueError.  `first_rows` and `labels` are those of `decode_schedules`;
@@ -226,9 +226,7 @@ def matched_precoders(
                     text = "channel submatrix for {} is ill-conditioned"
                     raise SingularChannelError(failure(i, text)) from error
             raise
-        columns = np.zeros((len(rows), channel.shape[1], size), dtype=complex)
-        columns[np.arange(len(rows))[:, None], helpers] = inverses
-        stacks.append((rows, served, columns))
+        stacks.append((rows, subs, inverses))
     return stacks
 
 
@@ -256,14 +254,15 @@ def decode_schedules(
     h_u x_G and cancels the terms of the other profiles' users, whose
     symbols it caches.  What is left is the sum over the users i of u's own
     slot, which all carry the index G minus p: so u's residuals are row u
-    of |(H Q - I) S| on its slot, H the slot users' full channel rows, Q
-    their full precoder columns as sent, every helper's entry read, and S
-    their symbols.  Each residual is at most |e_u|_1 max |S|, e_u that row
-    of H Q - I, so for symbols of modulus at most 1 the row's 1-norm bounds
-    every residual, and no symbol need be drawn.  The m slots of one size
-    make one stacked (m, s, E) @ (m, E, s) product on the channel rows and
-    columns `matched_precoders` gives for them, each slot at its own shape,
-    so the errors do not depend on which schedules share the call.
+    of |(H Q - I) S| on its slot, H the slot users' channel rows, Q their
+    precoder columns and S their symbols.  Each residual is at most
+    |e_u|_1 max |S|, e_u that row of H Q - I, so for symbols of modulus at
+    most 1 the row's 1-norm bounds every residual, and no symbol need be
+    drawn.  Q is zero off the slot's helpers, so H Q is the whole of
+    A A^-1, A the slot's matched submatrix: the m slots of one size make
+    one stacked (m, s, s) product of what `matched_precoders` gives for
+    them, each slot at its own shape, so the errors do not depend on which
+    schedules share the call.
 
     This is the one criterion of a decodable slot: every served user's
     |e_u|_1 within `DECODE_TOLERANCE`, however ill-conditioned its slot.
@@ -292,8 +291,8 @@ def decode_schedules(
         )
 
     errors = np.empty(len(pairs))
-    for at, served, columns in stacks:
-        identity = channel[served] @ columns
+    for at, subs, inverses in stacks:
+        identity = subs @ inverses
         diagonal = np.arange(identity.shape[-1])
         identity[:, diagonal, diagonal] -= 1.0
         errors[at] = np.abs(identity).sum(axis=2)

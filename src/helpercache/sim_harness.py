@@ -66,10 +66,10 @@ ALL_METHODS = METHODS + ("fc",)
 
 # A chunk of trials is drawn and evaluated together.  Its helper-user
 # distances hold about CHUNK_LINK_ENTRIES in expectation, and verified, its
-# channel and each method's sent precoder columns, E entries per user each,
-# hold a small multiple of that; with bb, its Hall table of L * 2^E entries
-# per trial at most CHUNK_TABLE_ENTRIES.  A chunk holds one trial if that
-# is larger.
+# channel, E entries per user, and each method's slot submatrices and their
+# inverses, at most E entries per user each, hold a small multiple of that;
+# with bb, its Hall table of L * 2^E entries per trial at most
+# CHUNK_TABLE_ENTRIES.  A chunk holds one trial if that is larger.
 CHUNK_TABLE_ENTRIES = 2**20
 CHUNK_LINK_ENTRIES = 2**18
 
@@ -351,7 +351,10 @@ def _trial_generators(trial_seeds: Sequence[int]) -> list[np.random.Generator]:
 
 
 def _chunk_profiles(
-    rngs: Sequence[np.random.Generator], num_users: np.ndarray, num_profiles: int
+    rngs: Sequence[np.random.Generator],
+    num_users: np.ndarray,
+    first_users: np.ndarray,
+    num_profiles: int,
 ) -> np.ndarray:
     """Every trial's profiles, concatenated: those `assign_profiles` draws from its generator.
 
@@ -378,19 +381,18 @@ def _chunk_profiles(
     halves = words.astype("<u8", copy=False).view("<u4")  # low half first
     # Trial i's halves start at 2 * (its first word), its users at its first user.
     first_half = 2 * (np.cumsum(pairs) - pairs)
-    first_user = np.cumsum(num_users) - num_users
-    taken = np.arange(sum(counts)) + np.repeat(first_half - first_user, counts)
+    taken = np.arange(sum(counts)) + np.repeat(first_half - first_users, counts)
     products = halves[taken].astype(np.uint64) * np.uint64(num_profiles)
     profiles = (products >> 32).astype(np.int64) + 1
     threshold = (2**32 - num_profiles) % num_profiles
     rejected = np.flatnonzero((products & 0xFFFFFFFF) < threshold)
     # The trial of a user is the last whose first user is at or before it.
-    trials = np.searchsorted(first_user, rejected, side="right") - 1
+    trials = np.searchsorted(first_users, rejected, side="right") - 1
     for i in dict.fromkeys(trials.tolist()):
         # PCG64 takes its step modulo 2^128, so this one goes back pairs[i] words.
         rngs[i].bit_generator.advance(2**128 - int(pairs[i]))
         drawn = assign_profiles(counts[i], num_profiles, rngs[i])
-        profiles[first_user[i] : first_user[i] + counts[i]] = drawn.profile_of
+        profiles[first_users[i] : first_users[i] + counts[i]] = drawn.profile_of
     return profiles
 
 
@@ -414,8 +416,8 @@ def _check_methods(methods: Sequence[str], verify: bool) -> None:
 
 def _draw_chunk(
     point: PointConfig, trial_seeds: Sequence[int], verify: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The networks of a chunk of trials: adjacency, labels, user counts and channel.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The networks of a chunk of trials: adjacency, labels, user counts, first users, channel.
 
     Each trial's generator makes the calls of `sample_users`,
     `draw_channels` and `assign_profiles`, in that order.  Links are
@@ -423,13 +425,13 @@ def _draw_chunk(
     `disk_links`, and profiles once by `_chunk_profiles` from the raw words
     each trial draws after its `channel_normals`.  The result is the
     chunk's concatenated (E, sum K) adjacency, the label i * L + p of each
-    of its users (trial i, profile p), and each trial's K.  Verified, the (sum K, E) channel is
-    one `channel_gains` call on the trials' stacked normals, a row per user
-    in the adjacency's column order; it is None otherwise, and the normals
-    are dropped as soon as they are drawn.  No symbols are drawn: the
-    decode checks each slot's identity H Q = I.  A trial drawn alone draws
-    its symbols, if any, after its profiles, so no other number depends on
-    them.
+    of its users (trial i, profile p), each trial's K and its first user's
+    column.  Verified, the (sum K, E) channel is one `channel_gains` call
+    on the trials' stacked normals, a row per user in the adjacency's
+    column order; it is None otherwise, and the normals are dropped as
+    soon as they are drawn.  No symbols are drawn: the decode checks each
+    slot's identity H Q = I.  A trial drawn alone draws its symbols, if
+    any, after its profiles, so no other number depends on them.
     """
     rngs = _trial_generators(trial_seeds)
     uniforms = [disk_uniforms(point.mean_users, rng) for rng in rngs]
@@ -439,17 +441,18 @@ def _draw_chunk(
     )
     # Users are concatenated in trial order, so each trial's kept users are
     # one run of columns.
-    num_users = np.diff(np.searchsorted(conn.reachable_users, user_offsets))
+    bounds = np.searchsorted(conn.reachable_users, user_offsets)
+    num_users, first_users = np.diff(bounds), bounds[:-1]
     sizes = num_users.tolist()
     normals = []
     for rng, size in zip(rngs, sizes):
         drawn = channel_normals(size, point.helpers, rng)  # unverified too, for the stream
         if verify:
             normals.append(drawn)
-    profiles = _chunk_profiles(rngs, num_users, point.profiles)
+    profiles = _chunk_profiles(rngs, num_users, first_users, point.profiles)
     labels = profiles + np.repeat(np.arange(len(trial_seeds)) * point.profiles, num_users)
     channel = channel_gains(conn.adjacency, np.concatenate(normals, axis=1)) if verify else None
-    return conn.adjacency, labels, num_users, channel
+    return conn.adjacency, labels, num_users, first_users, channel
 
 
 def evaluate_counts(
@@ -532,16 +535,18 @@ def _checked_pairs(
     adjacency: np.ndarray,
     labels: np.ndarray,
     num_users: np.ndarray,
-    seeds: Sequence[int],
+    first_users: np.ndarray,
+    names: Sequence[str],
     counts: dict[str, np.ndarray],
     greedy: tuple[np.ndarray, np.ndarray] | None,
 ) -> ServedPairs:
     """A chunk's distinct verified schedules as one table, its counts and coverage checked.
 
-    Each method's placement gives every user of the chunk its partition
-    and helper, every label at once.  Bb's is one `optimal_placement`
-    call, whose partitions are the fewest there are, so the check proves
-    Hall's count the minimum.  Greedy's is `greedy` (None without greedy),
+    Trial i's users start at column `first_users[i]`.  Each method's
+    placement gives every user of the chunk its partition and helper, every
+    label at once.  Bb's is one `optimal_placement` call, whose partitions
+    are the fewest there are, so the check proves Hall's count the
+    minimum.  Greedy's is `greedy` (None without greedy),
     the (partition, helper) of the `greedy_placement` run whose pass counts
     are greedy's `counts`, so its check compares the scan's counts with
     the partitions it recorded: it checks the bookkeeping from recorded
@@ -557,13 +562,14 @@ def _checked_pairs(
     repeat, and the schedule ids of the rest are left as they are.  It
     must pass `audit_pairs`, a repeat counted with no users: every user of
     a trial served once by each method, no user from outside it, no helper
-    twice in a slot.  A failure raises RuntimeError ending `(seed S,
-    method m)`, for the first failing trial in seed order: a count before
-    the audit, methods in order.  A repeat's audit problems would be its
-    twin's, and its twin comes first, so leaving it out changes no error.
+    twice in a slot.  A failure raises RuntimeError ending with the name
+    of trial i's schedule under method m, `(names[i * M + m])`, for the
+    first failing trial in seed order: a count before the audit, methods in
+    order.  A repeat's audit problems would be its twin's, and its twin
+    comes first, so leaving it out changes no error.
     """
     methods = list(counts)
-    trials = len(seeds)
+    trials = len(num_users)
     placements = [
         optimal_placement(helper_candidates(adjacency), labels, point.helpers) if m == "bb"
         else greedy
@@ -580,7 +586,7 @@ def _checked_pairs(
     moved = (partition != partition[0]) | (helper != helper[0])
     repeated = np.bincount(owner[moved], minlength=trials * len(methods)) == 0
     repeated[:: len(methods)] = False  # a trial's first schedule is the twin
-    user = np.arange(labels.size) - (np.cumsum(num_users) - num_users)[trial]
+    user = np.arange(labels.size) - first_users[trial]
     pairs = _pair_table(point, partition, helper, owner, profile, user, repeated)
     problems = audit_pairs(pairs, np.where(repeated, 0, np.repeat(num_users, len(methods))))
     audited = np.zeros((trials, len(methods)), dtype=bool)
@@ -593,11 +599,11 @@ def _checked_pairs(
             raise RuntimeError(
                 f"partition counts {tuple(built[i, m].tolist())} differ from "
                 f"{_COUNTED_BY[methods[m]]} {tuple(counts[methods[m]][i].tolist())} "
-                f"(seed {seeds[i]}, method {methods[m]})"
+                f"({names[i * len(methods) + m]})"
             )
         m = int(np.argmax(audited[i]))
         raise RuntimeError(
-            f"coverage audit failed (seed {seeds[i]}, method {methods[m]}): "
+            f"coverage audit failed ({names[i * len(methods) + m]}): "
             + "; ".join(problems[i * len(methods) + m][:5])
         )
     return pairs
@@ -611,17 +617,18 @@ def _run_chunk(
     Everything else the chunk makes, its links, placements, table and
     channel, is released on return, before the next chunk is drawn.
     """
-    adjacency, labels, num_users, channel = _draw_chunk(point, seeds, verify)
+    adjacency, labels, num_users, first_users, channel = _draw_chunk(point, seeds, verify)
     scanned, greedy = None, None
     if verify and "greedy" in methods:
         placed = greedy_placement(adjacency, labels, len(seeds) * point.profiles)
         scanned, greedy = placed[0], placed[1:]
     counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, scanned)
     if verify:
-        pairs = _checked_pairs(point, adjacency, labels, num_users, seeds, counts, greedy)
-        first_rows = np.repeat(np.cumsum(num_users) - num_users, len(methods))
         names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
-        decode_schedules(channel, pairs, first_rows, names)
+        pairs = _checked_pairs(
+            point, adjacency, labels, num_users, first_users, names, counts, greedy
+        )
+        decode_schedules(channel, pairs, np.repeat(first_users, len(methods)), names)
     return num_users, counts
 
 

@@ -18,8 +18,9 @@ can be compared on the same schedules:
   blocks cancelled in floating point, and the group count of each round
   checked; every replayed residual must be at most the library's error
   times the largest symbol modulus, plus rounding.  The replay takes the
-  precoders as one (E, rows) matrix, a column per table row
-  (`precoder_matrix`), where the library keeps them stacked per slot size;
+  precoders as one (E, rows) matrix, a column per table row, built slot by
+  slot from `build_precoder`'s own inverses (`precoder_matrix`), so it
+  shares no code with the decode it checks;
 - transmission by transmission: groups enumerated one by one, one precoder
   inverse per (round, profile), one signal vector per group, each symbol
   found by its index in `needed_subfiles`, and a decode replay per
@@ -37,13 +38,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from helpercache.delivery import (
-    DECODE_TOLERANCE,
-    DecodeFailure,
-    ServedPairs,
-    SingularChannelError,
-    matched_precoders,
-)
+from helpercache.delivery import DECODE_TOLERANCE, DecodeFailure, ServedPairs, SingularChannelError
 from helpercache.partitioner import Partition, PartitionSet
 
 SubfileIndex = tuple[int, ...]
@@ -124,18 +119,21 @@ def served_pairs(schedules: Sequence[RoundSchedule]) -> ServedPairs:
 
 
 def precoder_matrix(
-    channel: np.ndarray,
-    pairs: ServedPairs,
-    first_rows: np.ndarray | None = None,
-    labels: Sequence[str] | None = None,
+    channel: np.ndarray, pairs: ServedPairs, first_rows: np.ndarray | None = None
 ) -> np.ndarray:
-    """The columns `matched_precoders` sends, side by side in one (E, rows) array.
+    """Every slot's zero-forcing columns, side by side in one (E, rows) array.
 
-    Row r of the table takes column r, so a round's slots give its Q.
+    Row r of the table takes column r, so a round's slots give its Q.  A
+    slot's columns are `build_precoder`'s inverse of its submatrix alone on
+    its helpers' rows, zero on every other helper's.  User u of schedule s
+    is row `first_rows[s] + u` of `channel`, or row u without `first_rows`.
     """
     precoders = np.zeros((channel.shape[1], len(pairs)), dtype=complex)
-    for rows, _, columns in matched_precoders(channel, pairs, first_rows, labels):
-        precoders[:, rows] = columns.transpose(1, 0, 2)
+    users = pairs.user if first_rows is None else pairs.user + first_rows[pairs.schedule]
+    bounds = np.append(pairs.slot_starts, len(pairs)).tolist()
+    for start, end in zip(bounds, bounds[1:]):
+        helpers, slot = pairs.helper[start:end].tolist(), users[start:end].tolist()
+        precoders[helpers, start:end] = build_precoder(channel, tuple(helpers), tuple(slot))
     return precoders
 
 
@@ -171,8 +169,8 @@ def round_signals(
     p's users carry the subfiles of index S minus p, from their rows of the
     (K, C(L - 1, t)) `symbols` array, precoded by the inverse of their
     matched channel and zero-padded onto the other helpers.  `precoders`
-    are the columns `matched_precoders` gives for the schedule's table as
-    one (E, rows) array (`precoder_matrix`), computed here unless given.
+    are the columns of the schedule's table as one (E, rows) array,
+    `precoder_matrix`'s unless given.
     """
     if precoders is None:
         precoders = precoder_matrix(channel, served_pairs([schedule]))

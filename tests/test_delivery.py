@@ -287,16 +287,18 @@ def test_diagonal_matching_precoder_closed_form():
 def test_precoder_inverts_matched_submatrix():
     rng = np.random.default_rng(2)
     channel = _example_channel(rng)
-    inverse = precoder_matrix(channel, _slots([((0, 0), (1, 1), (2, 2), (3, 3))]))
+    slot = _slots([((0, 0), (1, 1), (2, 2), (3, 3))])
+    ((_, (sub,), (inverse,)),) = matched_precoders(channel, slot)
+    np.testing.assert_array_equal(sub, channel)
     np.testing.assert_allclose(channel @ inverse, np.eye(4), atol=1e-10)
 
 
 def test_precoder_scalar_case():
     conn = Connectivity(adjacency=np.array([[True]]), reachable_users=np.arange(1))
     channel = draw_channels(conn, np.random.default_rng(3))
-    inverse = precoder_matrix(channel, _slots([((0, 0),)]))
-    assert inverse.shape == (1, 1)
-    assert inverse[0, 0] == pytest.approx(1 / channel[0, 0])
+    ((_, _, inverse),) = matched_precoders(channel, _slots([((0, 0),)]))
+    assert inverse.shape == (1, 1, 1)
+    assert inverse[0, 0, 0] == pytest.approx(1 / channel[0, 0])
 
 
 def test_precoder_identity_over_many_draws():
@@ -305,7 +307,7 @@ def test_precoder_identity_over_many_draws():
     for _ in range(1000):
         conn = Connectivity(adjacency=np.ones((4, 4), dtype=bool), reachable_users=np.arange(4))
         channel = draw_channels(conn, rng)
-        inverse = precoder_matrix(channel, _slots([((0, 0), (1, 1), (2, 2), (3, 3))]))
+        ((_, _, (inverse,)),) = matched_precoders(channel, _slots([tuple((h, h) for h in range(4))]))
         gap = np.abs(channel @ inverse - np.eye(4)).max()
         worst = max(worst, gap)
     assert worst < 1e-9
@@ -313,9 +315,8 @@ def test_precoder_identity_over_many_draws():
 
 def test_batched_precoders_match_single_inverses():
     # The slots are grouped by size once, sizes in the order they first
-    # occur.  Each slot of a size has its table rows, its users' channel
-    # rows and the columns they are sent: its inverse on its helpers' rows,
-    # bit for bit `inv` of it alone, and zero on the other helpers'.
+    # occur.  Each slot of a size has its table rows, its matched channel
+    # submatrix and that submatrix's inverse, bit for bit `inv` of it alone.
     channel = draw_channels(_full_connectivity(8, 4), np.random.default_rng(12))
     slots = [
         ((0, 0), (1, 1)),
@@ -326,20 +327,18 @@ def test_batched_precoders_match_single_inverses():
         ((0, 4), (1, 5), (2, 6), (3, 7)),
     ]
     stacks = matched_precoders(channel, _slots(slots))
-    assert [columns.shape for _, _, columns in stacks] == [(2, 4, 2), (2, 4, 1), (1, 4, 3), (1, 4, 4)]
+    assert [inverses.shape for _, _, inverses in stacks] == [(2, 2, 2), (2, 1, 1), (1, 3, 3), (1, 4, 4)]
     sent = {}
-    for rows, served, columns in stacks:
-        assert rows.shape == served.shape == (len(columns), columns.shape[2])
-        assert columns.flags.c_contiguous
-        sent.update((int(r[0]), (r, u, c)) for r, u, c in zip(rows, served, columns))
+    for rows, subs, inverses in stacks:
+        assert rows.shape == subs.shape[:2] and subs.shape == inverses.shape
+        sent.update((int(r[0]), (r, a, q)) for r, a, q in zip(rows, subs, inverses))
     start = 0
     for helpers, users in (zip(*part) for part in slots):
-        rows, served, columns = sent.pop(start)
+        rows, sub, inverse = sent.pop(start)
         assert rows.tolist() == list(range(start, start + len(users)))
-        assert served.tolist() == list(users)
+        np.testing.assert_array_equal(sub, channel[np.ix_(users, helpers)])
         # bit for bit the inverse of the slot's submatrix taken on its own
-        np.testing.assert_array_equal(columns[list(helpers)], np.linalg.inv(channel[np.ix_(users, helpers)]))
-        assert not np.delete(columns, helpers, axis=0).any()
+        np.testing.assert_array_equal(inverse, np.linalg.inv(channel[np.ix_(users, helpers)]))
         start += len(users)
     assert not sent
 
@@ -352,9 +351,11 @@ def test_precoders_of_stacked_trials_name_the_trial(monkeypatch):
     slots = [((0, 0), (1, 2)), ((2, 3), (0, 1)), ((1, 0),)]
     rows, both = np.array([0, 3, 3]), np.vstack([first, second])
     labels = ["seed 11, method bb", "seed 22, method bb", "seed 22, method greedy"]
-    stacked = precoder_matrix(both, _slots(slots), rows, labels)
-    stacks = matched_precoders(both, _slots(slots), rows, labels)
-    assert [served.tolist() for _, served, _ in stacks] == [[[0, 2], [6, 4]], [[3]]]
+    stacked = precoder_matrix(both, _slots(slots), rows)
+    # the second trial's users 3, 1 and 0 are rows 6, 4 and 3
+    (_, twos, _), (_, ones, _) = matched_precoders(both, _slots(slots), rows, labels)
+    np.testing.assert_array_equal(twos, [both[np.ix_([0, 2], [0, 1])], both[np.ix_([6, 4], [2, 0])]])
+    np.testing.assert_array_equal(ones, [both[np.ix_([3], [1])]])
     np.testing.assert_array_equal(stacked[:, :2], precoder_matrix(first, _slots(slots[:1])))
     np.testing.assert_array_equal(stacked[:, 2:], precoder_matrix(second, _slots(slots[1:])))
     # The decode reads the same rows of the stacked channel.
@@ -467,7 +468,8 @@ def test_an_exact_inverse_decodes_at_any_condition(size):
     channel = np.diag([1.0] * (size - 1) + [1.0 / 3e12]).astype(complex)
     assert np.linalg.cond(channel) > 1e12
     pairs = _slots([tuple((h, h) for h in range(size))])
-    np.testing.assert_array_equal(precoder_matrix(channel, pairs), np.linalg.inv(channel))
+    ((_, _, inverses),) = matched_precoders(channel, pairs)
+    np.testing.assert_array_equal(inverses, [np.linalg.inv(channel)])
     assert not decode_schedules(channel, pairs).any()
 
 
@@ -528,14 +530,14 @@ def _checked_rounds(channel, schedules, symbols, index_size) -> list[RoundSignal
 
 
 def _send_precoders(patch, precoders):
-    """Make the decode send the (E, rows) `precoders`, all E entries of each
-    table row's column, in place of the table's own."""
+    """Make the decode send the (E, rows) `precoders` in place of the table's
+    own: each slot's inverse becomes its columns' entries on its helpers."""
     made = delivery.matched_precoders
 
-    def sent(*args):
+    def sent(channel, pairs, *args):
         return [
-            (rows, served, np.ascontiguousarray(precoders[:, rows].transpose(1, 0, 2)))
-            for rows, served, _ in made(*args)
+            (rows, subs, precoders[pairs.helper[rows][:, :, None], rows[:, None, :]])
+            for rows, subs, _ in made(channel, pairs, *args)
         ]
 
     patch.setattr(delivery, "matched_precoders", sent)
@@ -663,33 +665,6 @@ def test_decode_failure_is_reported(monkeypatch):
     messages[wrong] += 1.0
     with pytest.raises(DecodeFailure, match=r"^user 2 failed to decode in round 0, group \(1, 2\)"):
         decode_round(channel, replace(rs, signal=rs.precoder @ messages))
-
-
-def test_decode_reads_every_helper_of_the_sent_precoders(monkeypatch):
-    # Profile 2's slot pairs helpers 1 and 3 with users 14 and 18, and its
-    # inverse stays right on those rows; but user 14's entry for helper 1
-    # is also sent on helper 0, outside the slot, where its column should
-    # be zero.  A check of the inverses alone would pass; the decode reads
-    # the columns as sent, so user 14 misses, as the replay finds, by the
-    # row sum of |H Q - I| over its slot's sent columns.
-    schedules, channel, demands, symbols = _two_profile_round()
-    schedule, rounds = schedules
-    faulty = precoder_matrix(channel, schedule)
-    column = schedule.user.tolist().index(14)
-    assert faulty[0, column] == 0 and faulty[1, column] != 0
-    faulty[0, column] = faulty[1, column]
-    replayed = _replayed_failure(channel, rounds, symbols, 1, faulty)
-    assert replayed.startswith("user 14 failed to decode in round 0, group (1, 2)")
-    _send_precoders(monkeypatch, faulty)
-    with pytest.raises(DecodeFailure) as failure:
-        verify_schedule(channel, schedule, demands, symbols, 1)
-    assert _user_and_round(str(failure.value)) == _user_and_round(replayed)
-    found = re.fullmatch(
-        r"user 14 failed to decode in round 0, profile 2: worst error (\S+)", str(failure.value)
-    )
-    slot = [column, column + 1]
-    expected = np.abs(channel[[14, 18]] @ faulty[:, slot] - np.eye(2))[0].sum()
-    assert found and float(found.group(1)) == pytest.approx(expected, rel=1e-3)
 
 
 def test_decode_failure_names_the_first_failing_row(monkeypatch):

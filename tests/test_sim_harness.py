@@ -331,7 +331,7 @@ def _reference_table(point, seeds):
     the scan the chunk's greedy placement runs: schedule i * 2 + m is
     trial i's under method m, as in a chunk's table.
     """
-    adjacency, labels, num_users, _ = sim_harness._draw_chunk(point, seeds, True)
+    adjacency, labels, num_users, _, _ = sim_harness._draw_chunk(point, seeds, True)
     bounds = np.concatenate(([0], np.cumsum(num_users))).tolist()
     schedules = []
     for i, (first, last) in enumerate(zip(bounds, bounds[1:])):
@@ -589,11 +589,14 @@ def test_chunk_draw_matches_trials_drawn_alone(point, seeds, verify):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_harness, "_trial_generators", tracked)
-        adjacency, labels, num_users, channel = sim_harness._draw_chunk(point, seeds, verify)
+        adjacency, labels, num_users, first_users, channel = sim_harness._draw_chunk(
+            point, seeds, verify
+        )
     assert len(generators) == len(seeds)
     for seed, state in zip(seeds, initial_states):
         assert state == np.random.default_rng(seed).bit_generator.state
     bounds = np.concatenate(([0], np.cumsum(num_users)))
+    assert np.array_equal(first_users, bounds[:-1])
     assert adjacency.shape == (point.helpers, bounds[-1]) and labels.shape == (bounds[-1],)
     if verify:
         assert channel.shape == (bounds[-1], point.helpers)
@@ -645,7 +648,9 @@ def test_chunk_profiles_are_numpy_bounded_draws(num_profiles):
         seeds = [derive_trial_seed(batch, i) for i in range(len(sizes))]
         order = random.Random(batch).sample(sizes, len(sizes))
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        profiles = sim_harness._chunk_profiles(rngs, np.array(order), num_profiles)
+        sizes_in_order = np.array(order)
+        firsts = np.cumsum(sizes_in_order) - sizes_in_order
+        profiles = sim_harness._chunk_profiles(rngs, sizes_in_order, firsts, num_profiles)
         numpy_rngs = [np.random.default_rng(seed) for seed in seeds]
         expected = [rng.integers(1, num_profiles + 1, size=k) for rng, k in zip(numpy_rngs, order)]
         assert profiles.dtype == np.int64
@@ -662,7 +667,7 @@ def test_chunk_profiles_are_numpy_bounded_draws(num_profiles):
 
 def test_chunk_profiles_of_one_profile_draw_nothing():
     rngs = [np.random.default_rng(seed) for seed in (4, 5)]
-    profiles = sim_harness._chunk_profiles(rngs, np.array([3, 0]), 1)
+    profiles = sim_harness._chunk_profiles(rngs, np.array([3, 0]), np.array([0, 3]), 1)
     assert profiles.tolist() == [1, 1, 1] and profiles.dtype == np.int64
     assert [rng.random() for rng in rngs] == [np.random.default_rng(s).random() for s in (4, 5)]
 
@@ -736,10 +741,13 @@ def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
     # trial and method order, less every greedy schedule equal, row for
     # row, to its trial's bb schedule: the same pairs, in the same
     # transmission order, under the same schedule ids.
-    adjacency, labels, num_users, _ = sim_harness._draw_chunk(point, seeds, True)
+    adjacency, labels, num_users, first_users, _ = sim_harness._draw_chunk(point, seeds, True)
     scanned, *greedy = partitioner.greedy_placement(adjacency, labels, len(seeds) * point.profiles)
     counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, ("bb", "greedy"), scanned)
-    pairs = sim_harness._checked_pairs(point, adjacency, labels, num_users, seeds, counts, greedy)
+    names = [f"seed {seed}, method {method}" for seed in seeds for method in ("bb", "greedy")]
+    pairs = sim_harness._checked_pairs(
+        point, adjacency, labels, num_users, first_users, names, counts, greedy
+    )
     full = _reference_table(point, seeds)
     rows = _schedule_rows(full)
     distinct = [s for s, schedule in rows.items() if s % 2 == 0 or schedule != rows[s - 1]]
@@ -1151,10 +1159,10 @@ def test_hall_table_sizes_chunks_only_with_bb():
 
 
 def test_verified_chunk_memory_is_bounded(monkeypatch):
-    # A verified chunk keeps its trials' channel, schedules and precoders
-    # until they are decoded, about E entries per user each, so the
-    # distances that size every chunk bound it too: no C(L - 1, t) symbol
-    # width enters.  At a quarter of the link entries the step is 269
+    # A verified chunk keeps its trials' channel, E entries per user, and
+    # its schedules, slot submatrices and inverses, at most E entries per
+    # user each, until they are decoded, so the distances that size every
+    # chunk bound it too: no C(L - 1, t) symbol width enters.  At a quarter of the link entries the step is 269
     # trials here, verified or not, so twice the trials must not need more
     # memory.
     monkeypatch.setattr(sim_harness, "CHUNK_LINK_ENTRIES", 2**16)
@@ -1294,6 +1302,28 @@ def test_config_refuses_more_than_2_32_profiles():
         with pytest.raises(ValueError, match=message):
             run_sweep(_tiny_config(sweep="L", values=(2, 2**32 + 2), profiles=None, radius=1.0))
     assert drawn == []
+
+
+def test_config_refuses_a_cache_fraction_that_rounds_to_every_profile(tmp_path, capsys):
+    # gamma * L = 9.9999999999 is within 1e-9 of L = 10, so t would be L:
+    # no group is sent and every trial's delivery time is 0.  The point is
+    # refused, stating gamma * L and L, before any trial is drawn.  A gamma
+    # whose gamma * L rounds to 0 still runs, as t = 0.
+    message = "gamma * L = 9.9999999999 rounds to L = 10: every profile would cache every subfile"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        PointConfig(**{**_POINT, "profiles": 10, "gamma": 0.99999999999})
+    assert PointConfig(**{**_POINT, "profiles": 10, "gamma": 1e-11}).index_size == 0
+    args = [
+        "simulate", "--sweep", "r", "--values", "1.0", "--helpers", "2",
+        "--profiles", "10", "--gamma", "0.99999999999", "--user-radius", "1.5",
+        "--density", "1.0", "--trials", "3", "--out", str(tmp_path / "x.csv"),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        drawn = _count_draws(patch)
+        assert main(args) == 1
+    assert drawn == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_rejects_repeated_values_and_non_integer_seeds(tmp_path):
