@@ -14,15 +14,20 @@ ceil(N_S / |S|), where N_S counts the users whose helpers all lie in S
 (Harvey, Ladner, Lovasz & Tamir, "Semi-matchings for bipartite graphs and
 load balancing", J. Algorithms 2006).  `min_partition_counts` evaluates it
 for every profile of a network at once; the sweep takes its exact counts
-from it.  `optimal_placement` builds the partitions that the decode check
-replays: one augmenting-path pass per label whose per-helper capacity
-starts at 0 and rises only when a search fails, which proves it too small.
-The pass thus ends at the minimum count, certified, with no bisection and
-no second matching.  The greedy baseline the exact methods are measured
-against is one bitset scan of every profile at once: `greedy_counts`
-counts its partitions, and `greedy_placement` also records which user
-each step takes.  Both placements run once over all the labels of a chunk
-of verified trials and give every user its partition and helper;
+from it.  `hall_witnesses` reads the same table for the counts and, per
+profile, a set S that attains its count, a lower bound anyone can
+recount.  `optimal_placement` builds partitions at the minimum: one
+augmenting-path pass per label whose per-helper capacity starts at 0 and
+rises only when a search fails, which proves it too small.  The pass thus
+ends at the minimum count, certified, with no bisection and no second
+matching.  The greedy baseline the exact methods are measured against is
+one bitset scan of every profile at once: `greedy_counts` counts its
+partitions, and `greedy_placement` also records which user each step
+takes.  Pass by pass, the scan places each user, in column order, on its
+least-loaded linked helper (ties to the lowest index), in the partition
+of that helper's load.  Both placements run over the labels of a chunk of
+verified trials and give every user its partition and helper, the
+matching only where greedy's count is not Hall's;
 `optimal_partitions`, `flow_oracle` and `greedy_assign` are their calls
 on one subnetwork, which `partition` prints as (helper, user) pairs
 (`Partition`).  The least-cost branch and bound `bb_assign` is the
@@ -198,6 +203,31 @@ def min_partition_counts(
     the quotients in float64: ceil is monotone, and a quotient of a count
     below 2^31 by |S| <= 20 rounds to an integer only when it is one.
     """
+    ratios = _hall_ratios(adjacency, profile_of, num_profiles)
+    return np.ceil(ratios.max(axis=0, initial=0)).astype(np.int64)
+
+
+def hall_witnesses(
+    adjacency: np.ndarray, labels: np.ndarray, num_labels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hall's count of every label, and a helper set S that attains it.
+
+    Same arguments and errors as `min_partition_counts`, the labels
+    1..`num_labels` in place of the profiles, and at least one helper.
+    The counts are its counts, read from the same table: where it takes
+    the largest N_S / |S| of a label, this takes the row of one, the
+    first in mask order, and its entry.  Entry l - 1 of the witnesses is
+    that row's helper bitmask S (bit h is helper h), so ceil(N_S / |S|)
+    of label l is its count; a label with no user has count 0 and S = {0}.
+    """
+    ratios = _hall_ratios(adjacency, labels, num_labels)
+    best = ratios.argmax(axis=0)
+    counts = np.ceil(ratios[best, np.arange(num_labels)]).astype(np.int64)
+    return counts, best + 1
+
+
+def _hall_ratios(adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int) -> np.ndarray:
+    """N_S / |S| of every nonempty helper set S (row S - 1) and profile (column p - 1)."""
     num_helpers = adjacency.shape[0]
     if num_helpers > MAX_TABLE_HELPERS:
         raise ValueError(
@@ -213,8 +243,7 @@ def min_partition_counts(
         # Subset sums over bit h: every set with h gains the count of the set without it.
         halves = table.reshape(-1, 2, 1 << h, num_profiles)
         halves[:, 1] += halves[:, 0]
-    ratios = table[1:] / _set_sizes(num_helpers)
-    return np.ceil(ratios.max(axis=0, initial=0)).astype(np.int64)
+    return table[1:] / _set_sizes(num_helpers)
 
 
 @functools.cache

@@ -19,7 +19,9 @@ The evaluate stage then takes the chunk's network as one: profile p of
 trial i is label i * L + p, so one call per method yields every (trial,
 profile) partition count, and the delivery time of every trial follows from
 its sorted counts.  A verified chunk takes greedy's counts from the scan
-that also places its users.
+that also places its users, and bb's, with a Hall witness per label, from
+`hall_witnesses`; bb keeps greedy's placement wherever the two counts
+agree.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .delivery import (
 from .partitioner import (
     greedy_counts,
     greedy_placement,
+    hall_witnesses,
     helper_candidates,
     min_partition_counts,
     optimal_placement,
@@ -250,9 +253,10 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 
     The seed depends only on (master seed, trial index), so sweep points
     share random draws: differences between points are then never sampling
-    noise, and saturation effects hold trial by trial.
+    noise, and saturation effects hold trial by trial.  The hash key is
+    the decimal text of both integers, Python's or numpy's alike.
     """
-    key = f"{master_seed}|{trial_index}".encode()
+    key = b"%d|%d" % (master_seed, trial_index)
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
@@ -461,23 +465,27 @@ def evaluate_counts(
     trials: int,
     num_profiles: int,
     methods: Sequence[str],
-    greedy: np.ndarray | None = None,
+    counted: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Per-profile partition counts of a chunk of trials: a (trials, L) array per method.
 
     `adjacency` is the (E, sum K) concatenation of the trials' links, and
     a user of profile p (1..L) in trial i carries label i * L + p, so every
-    count comes from one call per method.  Greedy's are `greedy` where a
-    placing run of its scan has already counted every label, else
-    `greedy_counts`'.
+    count comes from one call per method.  A method's counts are
+    `counted[method]`, one per label, where a verified chunk's builders
+    have already counted every label: greedy's placing scan, and for bb,
+    `hall_witnesses`.  Otherwise bb's are `min_partition_counts`' and
+    greedy's `greedy_counts`'.
     """
     num_labels = trials * num_profiles
     counts = {}
     for method in methods:
-        if method == "bb":
+        if counted and method in counted:
+            flat = counted[method]
+        elif method == "bb":
             flat = min_partition_counts(adjacency, labels, num_labels)
         elif method == "greedy":
-            flat = greedy_counts(adjacency, labels, num_labels) if greedy is None else greedy
+            flat = greedy_counts(adjacency, labels, num_labels)
         else:
             # Hall's term for S = all helpers: ceil(n_p / E).
             users = np.bincount(labels - 1, minlength=num_labels)
@@ -530,6 +538,22 @@ def _pair_table(
     return ServedPairs(point.profiles, *(column[order].astype(np.int32) for column in columns))
 
 
+def _witness_bounds(
+    adjacency: np.ndarray, labels: np.ndarray, witnesses: np.ndarray
+) -> np.ndarray:
+    """Per label, ceil(N_S / |S|) for its Hall witness S, N_S recounted from the users' links.
+
+    A user counts in N_S of its label when it links to no helper outside S.
+    Only the users' helper masks and the sets S are read, not Hall's
+    table, so the bound is an independent lower bound on the label's count.
+    """
+    bits = 1 << np.arange(adjacency.shape[0], dtype=np.int64)
+    masks = bits @ adjacency
+    inside = (masks & ~witnesses[labels - 1]) == 0
+    held = np.bincount(labels[inside] - 1, minlength=witnesses.size)
+    return -(-held // ((witnesses[:, None] & bits) != 0).sum(axis=1))
+
+
 def _checked_pairs(
     point: PointConfig,
     adjacency: np.ndarray,
@@ -538,22 +562,30 @@ def _checked_pairs(
     first_users: np.ndarray,
     names: Sequence[str],
     counts: dict[str, np.ndarray],
-    greedy: tuple[np.ndarray, np.ndarray] | None,
+    scan: tuple[np.ndarray, np.ndarray, np.ndarray],
+    witnesses: np.ndarray | None,
 ) -> ServedPairs:
     """A chunk's distinct verified schedules as one table, its counts and coverage checked.
 
     Trial i's users start at column `first_users[i]`.  Each method's
     placement gives every user of the chunk its partition and helper, every
-    label at once.  Bb's is one `optimal_placement` call, whose partitions
-    are the fewest there are, so the check proves Hall's count the
-    minimum.  Greedy's is `greedy` (None without greedy),
-    the (partition, helper) of the `greedy_placement` run whose pass counts
-    are greedy's `counts`, so its check compares the scan's counts with
-    the partitions it recorded: it checks the bookkeeping from recorded
-    bits to users, not the scan.  Each label's built count, its largest partition plus
-    one, must be the evaluated one.  Each user's helper tuple
-    (`helper_candidates`, from bitmasks of at most 63 helpers) is made
-    only for bb.
+    label at once.  `scan` is the (counts, partition, helper) of the
+    chunk's `greedy_placement` run, and greedy's placement is its
+    (partition, helper); greedy's `counts` are its pass counts, so greedy's
+    check compares the scan's counts with the partitions it recorded: it
+    checks the bookkeeping from recorded bits to users, not the scan.
+
+    Bb's placement is greedy's on every label whose scan count is Hall's:
+    there greedy's partitions are already the fewest.  `optimal_placement`
+    places only the users of the other labels, with `helper_candidates`
+    (bitmasks of at most 63 helpers) made for them alone.  Each label's
+    built count, its largest partition plus one, must be the evaluated
+    one, which bounds bb's minimum from above.  `witnesses` (None without
+    bb) holds the Hall witness S of each label, and `_witness_bounds`
+    recounts ceil(N_S / |S|) from the users' own links, which must also be
+    Hall's count: a lower bound no placement can beat.  Together they
+    certify each bb count, even where Hall's table would overstate one
+    that greedy's count happens to meet.
 
     A later method's schedule of trial i in which each user of trial i has
     the partition and helper it has under the first method repeats its
@@ -565,24 +597,36 @@ def _checked_pairs(
     twice in a slot.  A failure raises RuntimeError ending with the name
     of trial i's schedule under method m, `(names[i * M + m])`, for the
     first failing trial in seed order: a count before the audit, methods in
-    order.  A repeat's audit problems would be its twin's, and its twin
-    comes first, so leaving it out changes no error.
+    order, bb's built count before its witness bound.  A repeat's audit
+    problems would be its twin's, and its twin comes first, so leaving it
+    out changes no error.
     """
     methods = list(counts)
     trials = len(num_users)
-    placements = [
-        optimal_placement(helper_candidates(adjacency), labels, point.helpers) if m == "bb"
-        else greedy
-        for m in methods
-    ]
-    partition, helper = map(np.array, zip(*placements))  # (M, sum K) each
+    scanned, *greedy = scan
+    placements = {"greedy": greedy}
+    if "bb" in counts:
+        hall = counts["bb"].ravel()
+        partition, helper = greedy
+        matched = np.flatnonzero((scanned != hall)[labels - 1])
+        if matched.size:
+            partition, helper = partition.copy(), helper.copy()
+            partition[matched], helper[matched] = optimal_placement(
+                helper_candidates(adjacency[:, matched]), labels[matched], point.helpers
+            )
+        placements["bb"] = partition, helper
+        bounds = _witness_bounds(adjacency, labels, witnesses).reshape(trials, point.profiles)
+    partition, helper = map(np.array, zip(*(placements[m] for m in methods)))  # (M, sum K) each
     trial, profile = np.divmod(labels - 1, point.profiles)
     owner = trial * len(methods) + np.arange(len(methods))[:, None]  # schedule i * M + m
     built = np.zeros((trials, len(methods), point.profiles), dtype=np.int64)
     # flat indices: a 1-d ufunc.at takes numpy's fast path, a tuple of index arrays does not
     flat = (owner * point.profiles + profile).ravel()
     np.maximum.at(built.reshape(-1), flat, partition.ravel() + 1)
-    wrong = (built != np.stack([counts[m] for m in methods], axis=1)).any(axis=2)  # (T, M)
+    miscounted = built != np.stack([counts[m] for m in methods], axis=1)
+    wrong = miscounted.any(axis=2)  # (T, M)
+    if "bb" in counts:
+        wrong[:, methods.index("bb")] |= (bounds != counts["bb"]).any(axis=1)
     moved = (partition != partition[0]) | (helper != helper[0])
     repeated = np.bincount(owner[moved], minlength=trials * len(methods)) == 0
     repeated[:: len(methods)] = False  # a trial's first schedule is the twin
@@ -596,10 +640,15 @@ def _checked_pairs(
         i = failing[0]
         if wrong[i].any():
             m = int(np.argmax(wrong[i]))
+            name = names[i * len(methods) + m]
+            if miscounted[i, m].any():
+                raise RuntimeError(
+                    f"partition counts {tuple(built[i, m].tolist())} differ from "
+                    f"{_COUNTED_BY[methods[m]]} {tuple(counts[methods[m]][i].tolist())} ({name})"
+                )
             raise RuntimeError(
-                f"partition counts {tuple(built[i, m].tolist())} differ from "
-                f"{_COUNTED_BY[methods[m]]} {tuple(counts[methods[m]][i].tolist())} "
-                f"({names[i * len(methods) + m]})"
+                f"Hall's formula {tuple(counts['bb'][i].tolist())} differs from its witnesses' "
+                f"bounds ceil(N_S / |S|) {tuple(bounds[i].tolist())} ({name})"
             )
         m = int(np.argmax(audited[i]))
         raise RuntimeError(
@@ -614,19 +663,26 @@ def _run_chunk(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """A chunk's user counts and per-method partition counts; verified, its schedules checked.
 
-    Everything else the chunk makes, its links, placements, table and
-    channel, is released on return, before the next chunk is drawn.
+    A verified chunk always runs greedy's placing scan, bb or not: its
+    counts are greedy's, and its placement is bb's wherever its count is
+    Hall's.  With bb, Hall's counts and witnesses come from one
+    `hall_witnesses` call.  Everything else the chunk makes, its links,
+    placements, table and channel, is released on return, before the next
+    chunk is drawn.
     """
     adjacency, labels, num_users, first_users, channel = _draw_chunk(point, seeds, verify)
-    scanned, greedy = None, None
-    if verify and "greedy" in methods:
-        placed = greedy_placement(adjacency, labels, len(seeds) * point.profiles)
-        scanned, greedy = placed[0], placed[1:]
-    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, scanned)
+    num_labels = len(seeds) * point.profiles
+    counted, scan, witnesses = {}, None, None
+    if verify:
+        scan = greedy_placement(adjacency, labels, num_labels)
+        counted["greedy"] = scan[0]
+        if "bb" in methods:
+            counted["bb"], witnesses = hall_witnesses(adjacency, labels, num_labels)
+    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, counted)
     if verify:
         names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
         pairs = _checked_pairs(
-            point, adjacency, labels, num_users, first_users, names, counts, greedy
+            point, adjacency, labels, num_users, first_users, names, counts, scan, witnesses
         )
         decode_schedules(channel, pairs, np.repeat(first_users, len(methods)), names)
     return num_users, counts
@@ -646,29 +702,34 @@ def run_point(
     audited as one table (`_checked_pairs`): greedy's partitions by one
     `greedy_placement` call, the bitset scan of `greedy_counts` recording
     each step's user, whose pass counts are also greedy's evaluated
-    counts, so a verified chunk scans once and calls no `greedy_counts`;
-    and bb's by `optimal_placement`, whose one matching pass per label
-    finds the fewest.  Verified greedy thus takes any number of helpers,
-    as unverified greedy does.  One `decode_schedules` call then
-    precodes every schedule of the table and checks each slot's identity
-    H Q = I, one stacked product per slot size, so a verified trial's work
-    does not grow with C(L - 1, t).  Schedule i * M + m is trial i's under
-    method m of M, and its user u is row `first_rows[i * M + m] + u` of the
-    chunk's stacked channel: trial i's first row plus u.  Every error ends
-    with `(seed S, method m)`.
+    counts, so a verified chunk scans once and calls no `greedy_counts`.
+    The scan runs with bb alone too.  Bb's counts and a Hall witness per
+    label come from one `hall_witnesses` call; bb's partitions are
+    greedy's on every label where the scan's count is Hall's, and
+    `optimal_placement`'s, one matching pass per label, on the rest.  Each
+    bb count is then certified from both sides: by its built partitions,
+    and by its witness recounted from the users' links.  Verified greedy
+    thus takes any number of helpers, as unverified greedy does.  One
+    `decode_schedules` call then precodes every schedule of the table and
+    checks each slot's identity H Q = I, one stacked product per slot
+    size, so a verified trial's work does not grow with C(L - 1, t).
+    Schedule i * M + m is trial i's under method m of M, and its user u is
+    row `first_rows[i * M + m] + u` of the chunk's stacked channel: trial
+    i's first row plus u.  Every error ends with `(seed S, method m)`.
 
     The table holds no later method's schedule in which every user has
     the partition and helper of its trial's first method: it would decode
     to its twin's bits, and its twin comes first in the table, so the
-    errors and the first failure are those of every schedule.  Such
-    repeats pay off only at saturated points: over the acceptance radius
-    sweep (200 trials) they were 11.0%, 0%, 2.8% and 50% of the rows at
-    r 1.2, 2.2, 3.2 and 4.2; where every user reaches every helper,
-    greedy's partitions were bb's in every trial measured.  The branch and
-    bound `bb_assign` does not run here: on a 19-helper point its search
-    ran for more than 30 s on a single profile.  Each chunk runs in
-    `_run_chunk`, which keeps only its counts, so at most one chunk's
-    links, table and channel are held at a time.
+    errors and the first failure are those of every schedule.  Since bb
+    takes greedy's partitions wherever they are as few, repeats are
+    common: over the acceptance radius sweep (200 trials) they were
+    20.5%, 3.7%, 28.4% and 50% of the rows at r 1.2, 2.2, 3.2 and 4.2
+    (42.5%, 7.5%, 57% and 100% of the trials), where bb's own matching
+    made them 11.0%, 0%, 2.8% and 50%.  The branch and bound `bb_assign`
+    does not run here: on a 19-helper point its search ran for more than
+    30 s on a single profile.  Each chunk runs in `_run_chunk`, which
+    keeps only its counts, so at most one chunk's links, table and channel
+    are held at a time.
     """
     _check_methods(methods, verify)
     if len(trial_seeds) == 0:

@@ -12,6 +12,10 @@ refuses instances above a guard.
 profile-major int32 table and an integer ceil per helper set; the library's
 subsets-major table with one float ceil per profile must give its counts.
 
+`least_loaded_greedy` is the greedy baseline as a least-loaded
+assignment in column order, an oracle for the bitset scan that shares
+none of its pass-by-pass structure.
+
 `greedy_assign`, `_place` and `optimal_partitions` are the per-profile
 builders that verified trials ran before the library placed every label
 of a chunk in one call, kept as they were: the chunk builders must give
@@ -95,6 +99,34 @@ def hall_counts(adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int
         halves[:, :, 1, :] += halves[:, :, 0, :]
         sizes[1 << h : 2 << h] = sizes[: 1 << h] + 1
     return (-(-table[:, 1:] // sizes[1:])).max(axis=1, initial=0)
+
+
+def least_loaded_greedy(
+    adjacency: np.ndarray, labels: np.ndarray, num_labels: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Greedy's counts per label, and each user's partition and helper, as `greedy_placement`'s.
+
+    Each user, in column order, joins the least-loaded of its linked
+    helpers within its label (1..`num_labels`), ties going to the lowest
+    index, and its partition is that helper's load before it joins.  This
+    is the scan's pass-by-pass result: each helper's taken passes always
+    form a prefix 0, 1, ..., so a user is taken in the pass equal to its
+    helper's load, and the scan's first free user of a helper in pass g
+    is the first user in column order that reaches that helper at load g.
+    A label's count is its largest load.
+    """
+    num_helpers, num_users = adjacency.shape
+    loads = [[0] * num_helpers for _ in range(num_labels)]
+    partition, helper = [], []
+    for user in range(num_users):
+        load = loads[int(labels[user]) - 1]
+        chosen = min(
+            (h for h in range(num_helpers) if adjacency[h, user]), key=lambda h: (load[h], h)
+        )
+        partition.append(load[chosen])
+        helper.append(chosen)
+        load[chosen] += 1
+    return [max(load, default=0) for load in loads], partition, helper
 
 
 def greedy_assign(subnet: ProfileSubnetwork) -> PartitionSet:

@@ -22,6 +22,7 @@ from helpercache.partitioner import (
     greedy_assign,
     greedy_counts,
     greedy_placement,
+    hall_witnesses,
     helper_candidates,
     load_instance,
     min_partition_counts,
@@ -322,6 +323,66 @@ def test_greedy_placement_counts_as_greedy_counts(chunk):
     built = np.zeros(num_labels + 1, dtype=np.int64)
     np.maximum.at(built, labels, partition + 1)
     assert built[1:].tolist() == counts.tolist()
+
+
+@st.composite
+def _greedy_chunks(draw):
+    """Users of up to 8 helpers over a few labels, labels of up to 150 users (3 words)."""
+    num_helpers = draw(st.integers(1, 8))
+    num_labels = draw(st.integers(1, 3))
+    size = draw(st.sampled_from((10, 40, 150)))
+    users = draw(st.lists(
+        st.tuples(st.integers(0, num_labels - 1), st.integers(1, (1 << num_helpers) - 1)),
+        max_size=size,
+    ))
+    return num_helpers, num_labels, [label for label, _ in users], [mask for _, mask in users]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_greedy_chunks())
+@example((3, 1, [0] * 70, [0b111] * 70))  # a label past 64 users, all on every helper
+@example((4, 2, [0, 1] * 45, [0b0001, 0b1111, 0b0110] * 30))
+@example((2, 3, [], []))  # a chunk without users
+def test_greedy_scan_is_a_least_loaded_assignment(chunk):
+    # The bitset scan, pass by pass, places every user as the least-loaded
+    # assignment in column order: each user joins its least-loaded linked
+    # helper, ties to the lowest index, in the partition of that helper's
+    # load.  Counts, partitions and helpers all agree.
+    num_helpers, num_labels, labels, masks = chunk
+    adjacency = _adjacency(num_helpers, masks)
+    labels = np.array(labels, dtype=np.int64) + 1
+    counts, partition, helper = partition_reference.least_loaded_greedy(
+        adjacency, labels, num_labels
+    )
+    placed = greedy_placement(adjacency, labels, num_labels)
+    assert [array.tolist() for array in placed] == [counts, partition, helper]
+    assert greedy_counts(adjacency, labels, num_labels).tolist() == counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_chunks())
+@example(_seeded_chunk(3, [70, 0, 5], seed=1))
+@example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))
+@example((2, 3, [], [], []))
+def test_hall_witnesses_attain_the_counts(chunk):
+    # Hall's counts with one witness set S per label: the counts are
+    # `min_partition_counts`', and ceil(N_S / |S|) of S, N_S counted user
+    # by user, is the count, the largest such bound of any helper set.
+    num_helpers, num_labels, labels, masks, _ = chunk
+    adjacency = _adjacency(num_helpers, masks)
+    profile_of = np.array(labels, dtype=np.int64) + 1
+    counts, witnesses = hall_witnesses(adjacency, profile_of, num_labels)
+    assert counts.dtype == witnesses.dtype == np.int64
+    assert counts.tolist() == min_partition_counts(adjacency, profile_of, num_labels).tolist()
+    for label in range(num_labels):
+        own = [mask for mask, owner in zip(masks, labels) if owner == label]
+
+        def bound(subset):
+            return -(-sum(m & ~subset == 0 for m in own) // bin(subset).count("1"))
+
+        bounds = [bound(subset) for subset in range(1, 1 << num_helpers)]
+        assert bound(int(witnesses[label])) == counts[label] == max(bounds, default=0)
+        assert 1 <= witnesses[label] < 1 << num_helpers
 
 
 @settings(max_examples=300, deadline=None)

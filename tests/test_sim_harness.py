@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import math
@@ -101,6 +102,20 @@ def test_trial_seeds_are_stable_values():
     assert derive_trial_seed(0, 0) != derive_trial_seed(1, 0)
 
 
+@pytest.mark.parametrize(
+    "master", [0, 7, -3, 2**64 + 5, -(2**70), np.int64(-9), np.uint64(2**64 - 1), np.int32(11)]
+)
+def test_trial_seeds_hash_the_decimal_text(master):
+    # The key is the text "master|index", for numpy integers as for Python's.
+    for index in (0, 1, np.int64(3), 10**20):
+        key = f"{int(master)}|{int(index)}".encode()
+        expected = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+        assert derive_trial_seed(master, index) == expected
+    pinned = {(0, 0): 451139424097934950, (20240801, 999): 17713714548675653784}
+    pinned[-5, 2**64] = 3512047972878095211
+    assert {key: derive_trial_seed(*key) for key in pinned} == pinned
+
+
 def test_exact_solver_never_loses_to_greedy():
     outcome = run_point(_point(), [derive_trial_seed(1, index) for index in range(25)])
     assert np.all(outcome.num_users > 0)
@@ -145,44 +160,101 @@ def _shifted(builder, error, first_label=0):
     return shifted
 
 
+def _chunk_counts(point, seeds):
+    """The labels, greedy's counts and Hall's counts of the verified chunk of `seeds`."""
+    adjacency, labels, _, _, _ = sim_harness._draw_chunk(point, seeds, True)
+    num_labels = len(seeds) * point.profiles
+    counts = (f(adjacency, labels, num_labels) for f in (greedy_counts, min_partition_counts))
+    return labels, *counts
+
+
+def _hall_edited(edit):
+    """`hall_witnesses`, its (counts, witnesses) passed through `edit` in place."""
+
+    def edited(adjacency, labels, num_labels, run=sim_harness.hall_witnesses):
+        counts, witnesses = run(adjacency, labels, num_labels)
+        edit(counts, witnesses)
+        return counts, witnesses
+
+    return edited
+
+
 def test_verified_trial_rejects_count_mismatch(monkeypatch):
     # The batched Hall call is off by one on a single label: 2 * L + 2 is
     # profile 3 of the third trial, which must be the trial that fails.
-    # The built partitions are the fewest there are, so a count one too
-    # high differs from theirs as much as one too low.  The same fault in
-    # the chunk's placement, on the third trial's first label with users,
-    # names the same trial.
+    # There greedy's scan takes one partition more than Hall's count.  One
+    # too high, the table meets greedy's count, so bb keeps greedy's
+    # placement, whose built count agrees: only the witness's recount
+    # catches it.  One too low, the label goes to the matching, whose
+    # partitions are the fewest there are and so one more.  The same fault
+    # in the matching's placement, on the third trial's first label that
+    # it places, names the same trial.
     config = ExperimentConfig(
         helpers=4, gamma=0.1, user_radius=2.7, trials=4, seed=2, sweep="r", values=(1.2,),
         profiles=10, density=REFERENCE_DENSITY, verify=True,
     )
+    seeds = [derive_trial_seed(2, index) for index in range(4)]
+    _, scanned, hall = _chunk_counts(_point(), seeds)
+    assert scanned[2 * 10 + 2] == hall[2 * 10 + 2] + 1
+    expected = {
+        1: "^Hall's formula .* differs from its witnesses' bounds ceil",
+        -1: "^partition counts .* differ from Hall's formula",
+    }
     for error in (1, -1):
 
-        def off_by_one(adjacency, labels, num_labels, error=error):
-            counts = min_partition_counts(adjacency, labels, num_labels)
+        def off_by_one(counts, witnesses, error=error):
             counts[2 * 10 + 2] += error
-            return counts
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim_harness, "min_partition_counts", off_by_one)
-            with pytest.raises(RuntimeError, match="Hall's formula") as failure:
+            patch.setattr(sim_harness, "hall_witnesses", _hall_edited(off_by_one))
+            with pytest.raises(RuntimeError, match=expected[error]) as failure:
                 run_sweep(config)
-        assert str(failure.value).endswith(f"(seed {derive_trial_seed(2, 2)}, method bb)")
+        assert str(failure.value).endswith(f"(seed {seeds[2]}, method bb)")
         with pytest.MonkeyPatch.context() as patch:
             shifted = _shifted(sim_harness.optimal_placement, error, first_label=2 * 10)
             patch.setattr(sim_harness, "optimal_placement", shifted)
-            expected = "^partition counts .* differ from Hall's formula"
-            with pytest.raises(RuntimeError, match=expected) as failure:
+            with pytest.raises(RuntimeError, match=expected[-1]) as failure:
                 run_sweep(config)
-        assert str(failure.value).endswith(f"(seed {derive_trial_seed(2, 2)}, method bb)")
+        assert str(failure.value).endswith(f"(seed {seeds[2]}, method bb)")
+
+
+def test_verified_bb_rejects_a_short_witness_and_a_shifted_greedy_label(monkeypatch):
+    # Two more faults on the third trial.  A witness S whose recount of
+    # ceil(N_S / |S|) falls short of Hall's count: S = every helper, on
+    # the trial's first label where that bound is below the count.  And
+    # greedy's partitions shifted on the trial's first label with users,
+    # where greedy's count is Hall's, so bb's placement there is greedy's:
+    # bb's check fails first, as bb comes first.
+    point, seeds = _point(), [derive_trial_seed(2, index) for index in range(4)]
+    labels, scanned, hall = _chunk_counts(point, seeds)
+    users = np.bincount(labels - 1, minlength=hall.size)
+    short = next(i for i in range(20, 30) if -(-users[i] // point.helpers) < hall[i])
+
+    def every_helper(counts, witnesses):
+        witnesses[short] = (1 << point.helpers) - 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_harness, "hall_witnesses", _hall_edited(every_helper))
+        expected = rf"^Hall's formula .* \(seed {seeds[2]}, method bb\)$"
+        with pytest.raises(RuntimeError, match=expected):
+            run_point(point, seeds, verify=True)
+    first = labels[labels > 2 * 10].min() - 1
+    assert scanned[first] == hall[first]
+    place = sim_harness.greedy_placement
+    monkeypatch.setattr(sim_harness, "greedy_placement", _shifted(place, 1, first_label=2 * 10))
+    expected = rf"^partition counts .* from Hall's formula .* \(seed {seeds[2]}, method bb\)$"
+    with pytest.raises(RuntimeError, match=expected):
+        run_point(point, seeds, verify=True)
 
 
 def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
     # Verified greedy's counts are the pass counts of the scan that places
     # it, checked against the partitions that scan recorded.  Either side
     # off, on the third trial's labels, names the third trial: the scan's
-    # counts one too high on a label with users, or the recorded
-    # partitions of its first label with users shifted by one.
+    # counts one too high on its first label with users, which then goes
+    # to bb's matching, or the recorded partitions shifted by one on its
+    # first label where greedy's count exceeds Hall's, which bb's placement
+    # does not share.
     seeds = [derive_trial_seed(2, index) for index in range(4)]
     expected = (
         rf"^partition counts .* differ from greedy_counts .* "
@@ -199,14 +271,18 @@ def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
         patch.setattr(sim_harness, "greedy_placement", off_by_one)
         with pytest.raises(RuntimeError, match=expected):
             run_point(_point(), seeds, verify=True)
-    monkeypatch.setattr(sim_harness, "greedy_placement", _shifted(place, 1, first_label=2 * 10))
+    _, scanned, hall = _chunk_counts(_point(), seeds)
+    (over,) = np.flatnonzero(scanned[20:30] > hall[20:30])  # label 23, as above
+    shifted = _shifted(place, 1, first_label=2 * 10 + over)
+    monkeypatch.setattr(sim_harness, "greedy_placement", shifted)
     with pytest.raises(RuntimeError, match=expected):
         run_point(_point(), seeds, verify=True)
 
 
 def test_verified_chunk_scans_greedy_once(monkeypatch):
     # A verified chunk counts greedy and places it with one scan; only an
-    # unverified chunk calls `greedy_counts`.
+    # unverified chunk calls `greedy_counts`.  A verified chunk scans even
+    # without greedy, for bb's placement; an unverified bb chunk does not.
     scans, counted = [], []
 
     def scan(*args, run=partitioner._greedy_scan, **options):
@@ -225,12 +301,18 @@ def test_verified_chunk_scans_greedy_once(monkeypatch):
     scans.clear()
     _assert_same_outcome(run_point(point, seeds), verified)
     assert scans == counted == [len(seeds) * point.profiles]
+    scans.clear()
+    run_point(point, seeds, ("bb",), verify=True)
+    run_point(point, seeds, ("bb",))
+    assert scans == [len(seeds) * point.profiles]
 
 
-def test_verified_bb_runs_one_matching_pass_per_profile(monkeypatch):
-    # One placement call per chunk places every label of it, each in one
-    # pass that finds and certifies its fewest partitions; no second
-    # matching runs.  Every label's count is checked, empty ones too.
+def test_verified_bb_matches_only_labels_greedy_overcounts(monkeypatch):
+    # Bb's placement is greedy's on every label whose scan count is Hall's.
+    # One matching call per chunk gets the users of the other labels and
+    # no others, and a chunk with none makes no call.  A bb-only verified
+    # run still works and reports only bb.  Every label's witness is
+    # checked, empty ones too.
     calls = []
 
     def counted(candidates, labels, num_helpers, place=sim_harness.optimal_placement):
@@ -238,26 +320,43 @@ def test_verified_bb_runs_one_matching_pass_per_profile(monkeypatch):
         return place(candidates, labels, num_helpers)
 
     monkeypatch.setattr(sim_harness, "optimal_placement", counted)
-    point, seeds = _point(), [derive_trial_seed(4, index) for index in range(3)]
+    point, seeds = _point(), [derive_trial_seed(2, index) for index in range(4)]
+    labels, scanned, hall = _chunk_counts(point, seeds)
+    over = scanned > hall
+    assert over.reshape(4, 10).any(axis=1).tolist() == [True, False, True, True]
     outcome = run_point(point, seeds, ("bb",), verify=True)
-    counts = outcome.counts["bb"].ravel()
-    assert (counts == 0).any() and (counts > 0).any()
-    (labels,) = calls
-    assert np.array_equal(np.unique(labels), np.flatnonzero(counts) + 1)
-    assert labels.size == outcome.num_users.sum()
+    assert list(outcome.counts) == ["bb"]
+    _assert_same_outcome(outcome, run_point(point, seeds, ("bb",)))
+    (matched,) = calls
+    assert np.array_equal(matched, labels[over[labels - 1]])
     calls.clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_harness, "CHUNK_TABLE_ENTRIES", point.profiles << point.helpers)
         run_point(point, seeds, ("bb",), verify=True)  # a chunk per trial
-    assert [labels.size for labels in calls] == outcome.num_users.tolist()
+    trial = (labels - 1) // point.profiles
+    assert [c.size for c in calls] == [np.sum(over[labels - 1] & (trial == i)) for i in (0, 2, 3)]
+    # At r = 4.2 greedy's count is Hall's on every label of the benchmark's
+    # seed-0 verify_decode cycle, so no matching runs.
+    calls.clear()
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import sweeps
+
+        workload = sweeps.WORKLOADS["verify_decode"]
+        for index in range(sweeps.ROUND_CYCLE):
+            run_sweep(replace(workload.round_config(0, index), values=(4.2,)))
+    finally:
+        for name in ("sweeps", "calibration"):
+            sys.modules.pop(name, None)
+    assert calls == []
+    seeds = [derive_trial_seed(4, index) for index in range(3)]
+    counts = run_point(point, seeds, ("bb",)).counts["bb"].ravel()
     empty = int(np.flatnonzero(counts == 0)[0])
 
-    def one_on_an_empty_label(adjacency, labels, num_labels):
-        hall = min_partition_counts(adjacency, labels, num_labels)
-        hall[empty] += 1
-        return hall
+    def one_on_an_empty_label(counts, witnesses):
+        counts[empty] += 1
 
-    monkeypatch.setattr(sim_harness, "min_partition_counts", one_on_an_empty_label)
+    monkeypatch.setattr(sim_harness, "hall_witnesses", _hall_edited(one_on_an_empty_label))
     expected = rf"Hall's formula .* \(seed {seeds[empty // 10]}, method bb\)$"
     with pytest.raises(RuntimeError, match=expected):
         run_point(point, seeds, ("bb",), verify=True)
@@ -327,9 +426,10 @@ def _reference_table(point, seeds):
     """Every schedule of the verified trials of `seeds` as one table, repeats too.
 
     Each trial's schedule under bb, then under greedy, built one profile at
-    a time by `optimal_partitions` and the reference `greedy_assign`, not
+    a time from `optimal_partitions` and the reference `greedy_assign`, not
     the scan the chunk's greedy placement runs: schedule i * 2 + m is
-    trial i's under method m, as in a chunk's table.
+    trial i's under method m, as in a chunk's table.  A profile's bb
+    partitions are greedy's where greedy's are as few, else the matching's.
     """
     adjacency, labels, num_users, _, _ = sim_harness._draw_chunk(point, seeds, True)
     bounds = np.concatenate(([0], np.cumsum(num_users))).tolist()
@@ -338,9 +438,10 @@ def _reference_table(point, seeds):
         conn = Connectivity(adjacency[:, first:last], reachable_users=np.arange(last - first))
         profiles = ProfileAssignment(labels[first:last] - i * point.profiles, point.profiles)
         subnets = subnetworks_from_connectivity(conn, profiles)
-        for builder in (optimal_partitions, partition_reference.greedy_assign):
-            psets = {p: builder(subnet) for p, subnet in subnets.items()}
-            schedules.append(build_rounds(psets, point.profiles))
+        greedy = {p: partition_reference.greedy_assign(subnet) for p, subnet in subnets.items()}
+        fewest = {p: optimal_partitions(subnet) for p, subnet in subnets.items()}
+        bb = {p: greedy[p] if greedy[p].count == fewest[p].count else fewest[p] for p in subnets}
+        schedules += [build_rounds(bb, point.profiles), build_rounds(greedy, point.profiles)]
     return served_pairs(schedules)
 
 
@@ -509,7 +610,8 @@ def test_verify_errors_name_the_trial(monkeypatch):
         with pytest.raises(SingularChannelError, match=singular) as failure:
             run_point(point, seeds, verify=True)
     named = _users_named(str(failure.value))
-    assert max(named) < sizes[1] < sizes[0] + min(named)  # its own indices, not the chunk's rows
+    # its own indices: the trial's chunk rows start at sizes[0], and one named index is below it
+    assert max(named) < sizes[1] and min(named) < sizes[0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(delivery, "DECODE_TOLERANCE", 0.0)  # no residual is below zero
         with pytest.raises(DecodeFailure, match=rf"\(seed {seeds[0]}, method bb\)") as failure:
@@ -742,11 +844,15 @@ def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
     # row, to its trial's bb schedule: the same pairs, in the same
     # transmission order, under the same schedule ids.
     adjacency, labels, num_users, first_users, _ = sim_harness._draw_chunk(point, seeds, True)
-    scanned, *greedy = partitioner.greedy_placement(adjacency, labels, len(seeds) * point.profiles)
-    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, ("bb", "greedy"), scanned)
-    names = [f"seed {seed}, method {method}" for seed in seeds for method in ("bb", "greedy")]
+    num_labels = len(seeds) * point.profiles
+    scan = partitioner.greedy_placement(adjacency, labels, num_labels)
+    hall, witnesses = partitioner.hall_witnesses(adjacency, labels, num_labels)
+    counted = {"bb": hall, "greedy": scan[0]}
+    methods = ("bb", "greedy")
+    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, counted)
+    names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
     pairs = sim_harness._checked_pairs(
-        point, adjacency, labels, num_users, first_users, names, counts, greedy
+        point, adjacency, labels, num_users, first_users, names, counts, scan, witnesses
     )
     full = _reference_table(point, seeds)
     rows = _schedule_rows(full)
@@ -818,36 +924,41 @@ def test_decode_skips_only_greedy_schedules_equal_to_bb(monkeypatch, radius):
         assert 0 < len(differing) < len(seeds)
 
 
-def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers(monkeypatch):
-    # At r 4.2 greedy places every user as bb does.  With two users of one
-    # of the third trial's bb slots trading helpers, its greedy schedule has
-    # bb's partitions but not bb's rows, so it must be decoded as well.
-    point, traded = _point(radius=4.2), []
-
-    def trading(adjacency, labels, num_labels):
-        counts = greedy_counts(adjacency, labels, num_labels)
-        candidates = partitioner.helper_candidates(adjacency)
-        partition, helper = sim_harness.optimal_placement(candidates, labels, point.helpers)
-        slots = {}
-        for user, slot in enumerate(zip(labels.tolist(), partition.tolist())):
-            if slot[0] > 2 * point.profiles and slots.setdefault(slot, user) != user:
-                a, b = slots[slot], user
-                helper[[a, b]] = helper[[b, a]]
-                traded.append(slot[0])
-                return counts, partition, helper
-        raise AssertionError("no slot of two users")
-
-    monkeypatch.setattr(sim_harness, "greedy_placement", trading)
-    calls = {}
-    _record_calls(monkeypatch, calls)
-    seeds = [derive_trial_seed(5, index) for index in range(4)]
-    run_point(point, seeds, verify=True)
-    full = _schedule_rows(_reference_table(point, seeds))
-    ((_, pairs, _, _),) = calls["matched_precoders"]
+def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers():
+    # A greedy schedule with bb's partitions but not bb's rows must be
+    # tabled, and so decoded.  A sweep makes none, since bb takes greedy's
+    # placement wherever greedy's count is Hall's; so `_checked_pairs` is
+    # given one.  At r 4.2 greedy's counts are Hall's; greedy's placement
+    # here is the matching's, with two users of one of the third trial's
+    # slots trading helpers, and that label's scan count is given one above
+    # Hall's, so that bb's placement there is the matching's own.
+    point, seeds = _point(radius=4.2), [derive_trial_seed(5, index) for index in range(4)]
+    adjacency, labels, num_users, first_users, channel = sim_harness._draw_chunk(point, seeds, True)
+    num_labels = len(seeds) * point.profiles
+    hall, witnesses = partitioner.hall_witnesses(adjacency, labels, num_labels)
+    candidates = partitioner.helper_candidates(adjacency)
+    partition, helper = partitioner.optimal_placement(candidates, labels, point.helpers)
+    slots = {}
+    for user, slot in enumerate(zip(labels.tolist(), partition.tolist())):
+        if slot[0] > 2 * point.profiles and slots.setdefault(slot, user) != user:
+            a, b = slots[slot], user
+            helper[[a, b]] = helper[[b, a]]
+            label = slot[0]
+            break
+    scanned = hall.copy()
+    scanned[label - 1] += 1
+    methods, counted = ("bb", "greedy"), {"bb": hall, "greedy": hall}
+    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, counted)
+    names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
+    pairs = sim_harness._checked_pairs(
+        point, adjacency, labels, num_users, first_users, names, counts,
+        (scanned, partition, helper), witnesses,
+    )
+    decode_schedules(channel, pairs, np.repeat(first_users, 2), names)
     kept = _schedule_rows(pairs)
-    trial = (traded[0] - 1) // point.profiles
+    trial = (label - 1) // point.profiles
     bb, greedy = kept[2 * trial], kept[2 * trial + 1]
-    assert trial >= 2 and greedy != bb == full[2 * trial] == full[2 * trial + 1]
+    assert trial >= 2 and greedy != bb
     # (round, profile, user) of every row: the two differ only in helpers
     assert sorted(row[:2] + row[3:] for row in greedy) == sorted(row[:2] + row[3:] for row in bb)
     assert sorted(kept) == sorted([2 * i for i in range(4)] + [2 * trial + 1])

@@ -9,8 +9,10 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "stage_times.py"
 
 def test_stage_times_prints_the_verified_stages():
     # One seed-0 verify_decode cycle: 24 sweep points of 10 trials.  A
-    # verified chunk counts greedy with the scan that places it, so
-    # `greedy_counts` never runs.
+    # verified chunk counts greedy with the scan that places it, and bb
+    # with the Hall call that also gives its witnesses, so neither
+    # `greedy_counts` nor `min_partition_counts` runs.  The matching runs
+    # on the labels where greedy's count is not Hall's, at r = 1.2.
     done = subprocess.run(
         [sys.executable, str(SCRIPT), "--workload", "verify_decode", "--seed", "0", "--cycles", "1"],
         capture_output=True,
@@ -30,10 +32,11 @@ def test_stage_times_prints_the_verified_stages():
         "_draw_chunk",
         "disk_links",
         "evaluate_counts",
-        "min_partition_counts",
         "greedy_placement",
+        "hall_witnesses",
         "_checked_pairs",
         "optimal_placement",
+        "_witness_bounds",
         "_pair_table",
         "audit_pairs",
         "decode_schedules",
