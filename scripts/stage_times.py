@@ -6,11 +6,11 @@ Runs every operation of the workload's cycle, as perfbench/sweeps.py
 defines it (each round's sweep points, one `run_sweep` call each), the
 given number of times with one BLAS thread.  Every call of each stage of a
 sweep point is timed with the wall clock: the chunk draw with its links,
-the evaluate stage with its solvers, and verified, the scan that counts
-and places greedy, Hall's counts with their witnesses, `_checked_pairs`
-with bb's matching on the labels greedy overcounts, the witnesses'
-recount, the pair table and the audit, and `decode_schedules` with its
-precoders.  A stage called inside another is indented under it and
+the evaluate stage with its solvers (Hall's counts with their witnesses,
+and verified, the scan that counts and places greedy), and verified,
+`_checked_pairs` with bb's matching on the labels greedy overcounts, the
+witnesses' recount, the pair table and the audit, and `decode_schedules`
+with its precoders.  A stage called inside another is indented under it and
 counted in both.  Each line is the stage's total over one cycle in its
 fastest cycle, with its share of the fastest whole cycle; as each line
 is its own minimum, the lines need not add up.  Only stages that ran are
@@ -37,10 +37,9 @@ STAGES = (
     ("sim_harness", "_draw_chunk", 1),
     ("sim_harness", "disk_links", 2),
     ("sim_harness", "evaluate_counts", 1),
-    ("sim_harness", "min_partition_counts", 2),
+    ("sim_harness", "greedy_placement", 2),
+    ("sim_harness", "hall_witnesses", 2),
     ("sim_harness", "greedy_counts", 2),
-    ("sim_harness", "greedy_placement", 1),
-    ("sim_harness", "hall_witnesses", 1),
     ("sim_harness", "_checked_pairs", 1),
     ("sim_harness", "optimal_placement", 2),
     ("sim_harness", "_witness_bounds", 2),

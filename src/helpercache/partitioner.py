@@ -12,24 +12,23 @@ partitions.
 By Hall's theorem that minimum is max over helper sets S of
 ceil(N_S / |S|), where N_S counts the users whose helpers all lie in S
 (Harvey, Ladner, Lovasz & Tamir, "Semi-matchings for bipartite graphs and
-load balancing", J. Algorithms 2006).  `min_partition_counts` evaluates it
-for every profile of a network at once; the sweep takes its exact counts
-from it.  `hall_witnesses` reads the same table for the counts and, per
-profile, a set S that attains its count, a lower bound anyone can
-recount.  `optimal_placement` builds partitions at the minimum: one
-augmenting-path pass per label whose per-helper capacity starts at 0 and
-rises only when a search fails, which proves it too small.  The pass thus
-ends at the minimum count, certified, with no bisection and no second
-matching.  The greedy baseline the exact methods are measured against is
-one bitset scan of every profile at once: `greedy_counts` counts its
-partitions, and `greedy_placement` also records which user each step
-takes.  Pass by pass, the scan places each user, in column order, on its
-least-loaded linked helper (ties to the lowest index), in the partition
-of that helper's load.  Both placements run over the labels of a chunk of
-verified trials and give every user its partition and helper, the
-matching only where greedy's count is not Hall's;
-`optimal_partitions`, `flow_oracle` and `greedy_assign` are their calls
-on one subnetwork, which `partition` prints as (helper, user) pairs
+load balancing", J. Algorithms 2006).  `hall_witnesses` evaluates it for
+every profile of a network at once, and gives, per profile, a set S that
+attains its count, a lower bound anyone can recount; the sweep takes its
+exact counts from it.  `optimal_placement` builds partitions at the
+minimum: one augmenting-path pass per label whose per-helper capacity
+starts at 0 and rises only when a search fails, which proves it too
+small.  The pass thus ends at the minimum count, certified, with no
+bisection and no second matching.  The greedy baseline the exact methods
+are measured against is one bitset scan of every profile at once:
+`greedy_counts` counts its partitions, and `greedy_placement` also
+records which user each step takes.  Pass by pass, the scan places each
+user, in column order, on its least-loaded linked helper (ties to the
+lowest index), in the partition of that helper's load.  Both placements
+run over the labels of a chunk of verified trials and give every user
+its partition and helper, the matching only where greedy's count is not
+Hall's; `optimal_partitions`, `flow_oracle` and `greedy_assign` are their
+calls on one subnetwork, which `partition` prints as (helper, user) pairs
 (`Partition`).  The least-cost branch and bound `bb_assign` is the
 paper's algorithm; only the acceptance tests and the benchmark run it,
 since its search is exponential in the worst case.
@@ -50,7 +49,7 @@ from .cache_placement import ProfileAssignment
 from .topology import Connectivity
 
 
-# Helper count above which the 2^E * L table of `min_partition_counts` is
+# Helper count above which the 2^E * L table of `hall_witnesses` is
 # refused: at 20 helpers and 10 profiles it already holds 10M int32 entries,
 # and its quotients by the set sizes as many float64 ones.
 MAX_TABLE_HELPERS = 20
@@ -188,46 +187,26 @@ def _profile_labels(profile_of: np.ndarray, num_profiles: int, linked: np.ndarra
     return labels
 
 
-def min_partition_counts(
-    adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int
-) -> np.ndarray:
-    """Minimum partition count of every profile by Hall's formula.
-
-    `adjacency` is the (E, K) helper-user link matrix and `profile_of` the
-    profile (1..L) of each of its user columns.  Entry p - 1 of the result
-    is max over nonempty helper sets S of ceil(N_S / |S|) for profile p,
-    where N_S counts the profile's users whose helpers all lie in S: the
-    bottleneck load of an optimal assignment, 0 for a profile with no user.
-    Row S of the (2^E, L) table holds N_S of every profile, so each step of
-    the subset sums adds whole rows.  The count is ceil(max_S N_S / |S|),
-    the quotients in float64: ceil is monotone, and a quotient of a count
-    below 2^31 by |S| <= 20 rounds to an integer only when it is one.
-    """
-    ratios = _hall_ratios(adjacency, profile_of, num_profiles)
-    return np.ceil(ratios.max(axis=0, initial=0)).astype(np.int64)
-
-
 def hall_witnesses(
     adjacency: np.ndarray, labels: np.ndarray, num_labels: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hall's count of every label, and a helper set S that attains it.
 
-    Same arguments and errors as `min_partition_counts`, the labels
-    1..`num_labels` in place of the profiles, and at least one helper.
-    The counts are its counts, read from the same table: where it takes
-    the largest N_S / |S| of a label, this takes the row of one, the
-    first in mask order, and its entry.  Entry l - 1 of the witnesses is
-    that row's helper bitmask S (bit h is helper h), so ceil(N_S / |S|)
-    of label l is its count; a label with no user has count 0 and S = {0}.
+    `adjacency` is the (E, K) helper-user link matrix, E >= 1, and `labels`
+    the label (1..`num_labels`) of each of its user columns, such as a
+    profile.  Entry l - 1 of the counts is max over nonempty helper sets S
+    of ceil(N_S / |S|) for label l, where N_S counts the label's users whose
+    helpers all lie in S: the bottleneck load of an optimal assignment, 0
+    for a label with no user.  Row S of the (2^E, L) table holds N_S of
+    every label, so each step of the subset sums adds whole rows.  A
+    label's witness is the first row, in mask order, with its largest
+    N_S / |S|: entry l - 1 of the witnesses is that row's helper bitmask S
+    (bit h is helper h), so ceil(N_S / |S|) of label l is its count; a
+    label with no user has count 0 and S = {0}.  The count is the ceil of
+    that largest quotient, taken in float64: ceil is monotone, and a
+    quotient of a count below 2^31 by |S| <= 20 rounds to an integer only
+    when it is one.
     """
-    ratios = _hall_ratios(adjacency, labels, num_labels)
-    best = ratios.argmax(axis=0)
-    counts = np.ceil(ratios[best, np.arange(num_labels)]).astype(np.int64)
-    return counts, best + 1
-
-
-def _hall_ratios(adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int) -> np.ndarray:
-    """N_S / |S| of every nonempty helper set S (row S - 1) and profile (column p - 1)."""
     num_helpers = adjacency.shape[0]
     if num_helpers > MAX_TABLE_HELPERS:
         raise ValueError(
@@ -235,15 +214,18 @@ def _hall_ratios(adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: in
             "the count table holds L * 2^E entries"
         )
     masks = _helper_masks(adjacency)
-    labels = _profile_labels(profile_of, num_profiles, masks != 0)
-    keys = masks * num_profiles + (labels.astype(np.int64) - 1)
-    table = np.bincount(keys, minlength=num_profiles << num_helpers).astype(np.int32)
-    table = table.reshape(-1, num_profiles)
+    labels = _profile_labels(labels, num_labels, masks != 0)
+    keys = masks * num_labels + (labels.astype(np.int64) - 1)
+    table = np.bincount(keys, minlength=num_labels << num_helpers).astype(np.int32)
+    table = table.reshape(-1, num_labels)
     for h in range(num_helpers):
         # Subset sums over bit h: every set with h gains the count of the set without it.
-        halves = table.reshape(-1, 2, 1 << h, num_profiles)
+        halves = table.reshape(-1, 2, 1 << h, num_labels)
         halves[:, 1] += halves[:, 0]
-    return table[1:] / _set_sizes(num_helpers)
+    ratios = table[1:] / _set_sizes(num_helpers)  # N_S / |S|, row S - 1
+    best = ratios.argmax(axis=0)
+    counts = np.ceil(ratios[best, np.arange(num_labels)]).astype(np.int64)
+    return counts, best + 1
 
 
 @functools.cache
@@ -262,7 +244,7 @@ def greedy_counts(
 ) -> np.ndarray:
     """Partition count of the greedy baseline for every profile at once.
 
-    Same arguments, result layout and errors as `min_partition_counts`.
+    Same arguments, count layout and errors as `hall_witnesses`.
     The users of each profile are bits in column order: its user j is bit
     j % 64 of word j // 64 in a (word, profile) uint64 array of the users
     still free, and in one such array of each helper's links.  A partition

@@ -18,10 +18,10 @@ decode checks each slot's identity H Q = I, so it draws no symbols.
 The evaluate stage then takes the chunk's network as one: profile p of
 trial i is label i * L + p, so one call per method yields every (trial,
 profile) partition count, and the delivery time of every trial follows from
-its sorted counts.  A verified chunk takes greedy's counts from the scan
-that also places its users, and bb's, with a Hall witness per label, from
-`hall_witnesses`; bb keeps greedy's placement wherever the two counts
-agree.
+its sorted counts.  Every chunk takes bb's counts, with a Hall witness
+per label, from `hall_witnesses`; a verified chunk takes greedy's from the
+scan that also places its users, and bb keeps greedy's placement wherever
+the two counts agree.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .partitioner import (
     greedy_placement,
     hall_witnesses,
     helper_candidates,
-    min_partition_counts,
     optimal_placement,
 )
 from .topology import (
@@ -465,33 +464,33 @@ def evaluate_counts(
     trials: int,
     num_profiles: int,
     methods: Sequence[str],
-    counted: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
+    verify: bool = False,
+) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, ...] | None, np.ndarray | None]:
     """Per-profile partition counts of a chunk of trials: a (trials, L) array per method.
 
     `adjacency` is the (E, sum K) concatenation of the trials' links, and
     a user of profile p (1..L) in trial i carries label i * L + p, so every
-    count comes from one call per method.  A method's counts are
-    `counted[method]`, one per label, where a verified chunk's builders
-    have already counted every label: greedy's placing scan, and for bb,
-    `hall_witnesses`.  Otherwise bb's are `min_partition_counts`' and
-    greedy's `greedy_counts`'.
+    count comes from one call per method.  Bb's counts come from
+    `hall_witnesses`, with a Hall witness per label.  With `verify` set,
+    `greedy_placement`'s scan runs, greedy or not, and greedy's counts are
+    its pass counts; otherwise they are `greedy_counts`'.  Returns the
+    counts, the scan's (counts, partition, helper) or None, and the
+    witnesses or None without bb.
     """
     num_labels = trials * num_profiles
-    counts = {}
+    scan = greedy_placement(adjacency, labels, num_labels) if verify else None
+    counts, witnesses = {}, None
     for method in methods:
-        if counted and method in counted:
-            flat = counted[method]
-        elif method == "bb":
-            flat = min_partition_counts(adjacency, labels, num_labels)
+        if method == "bb":
+            flat, witnesses = hall_witnesses(adjacency, labels, num_labels)
         elif method == "greedy":
-            flat = greedy_counts(adjacency, labels, num_labels)
+            flat = scan[0] if verify else greedy_counts(adjacency, labels, num_labels)
         else:
             # Hall's term for S = all helpers: ceil(n_p / E).
             users = np.bincount(labels - 1, minlength=num_labels)
             flat = -(-users // adjacency.shape[0])
         counts[method] = flat.reshape(trials, num_profiles)
-    return counts
+    return counts, scan, witnesses
 
 
 @dataclass(frozen=True)
@@ -505,7 +504,7 @@ class PointOutcome:
 
 
 # Where each method's evaluated counts come from, as a count mismatch names it.
-_COUNTED_BY = {"bb": "Hall's formula", "greedy": "greedy_counts"}
+_COUNTED_BY = {"bb": "Hall's formula", "greedy": "greedy_placement's scan"}
 
 
 def _pair_table(
@@ -663,22 +662,17 @@ def _run_chunk(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """A chunk's user counts and per-method partition counts; verified, its schedules checked.
 
-    A verified chunk always runs greedy's placing scan, bb or not: its
-    counts are greedy's, and its placement is bb's wherever its count is
-    Hall's.  With bb, Hall's counts and witnesses come from one
-    `hall_witnesses` call.  Everything else the chunk makes, its links,
+    One `evaluate_counts` call, verified or not, gives the counts, Hall's
+    witnesses with bb, and verified, greedy's placing scan, which runs bb
+    or not: its counts are greedy's, and its placement is bb's wherever
+    its count is Hall's.  Everything else the chunk makes, its links,
     placements, table and channel, is released on return, before the next
     chunk is drawn.
     """
     adjacency, labels, num_users, first_users, channel = _draw_chunk(point, seeds, verify)
-    num_labels = len(seeds) * point.profiles
-    counted, scan, witnesses = {}, None, None
-    if verify:
-        scan = greedy_placement(adjacency, labels, num_labels)
-        counted["greedy"] = scan[0]
-        if "bb" in methods:
-            counted["bb"], witnesses = hall_witnesses(adjacency, labels, num_labels)
-    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, counted)
+    counts, scan, witnesses = evaluate_counts(
+        adjacency, labels, len(seeds), point.profiles, methods, verify
+    )
     if verify:
         names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
         pairs = _checked_pairs(
@@ -704,15 +698,16 @@ def run_point(
     each step's user, whose pass counts are also greedy's evaluated
     counts, so a verified chunk scans once and calls no `greedy_counts`.
     The scan runs with bb alone too.  Bb's counts and a Hall witness per
-    label come from one `hall_witnesses` call; bb's partitions are
-    greedy's on every label where the scan's count is Hall's, and
-    `optimal_placement`'s, one matching pass per label, on the rest.  Each
-    bb count is then certified from both sides: by its built partitions,
-    and by its witness recounted from the users' links.  Verified greedy
-    thus takes any number of helpers, as unverified greedy does.  One
-    `decode_schedules` call then precodes every schedule of the table and
-    checks each slot's identity H Q = I, one stacked product per slot
-    size, so a verified trial's work does not grow with C(L - 1, t).
+    label come from one `hall_witnesses` call in every chunk, verified or
+    not; verified, bb's partitions are greedy's on every label where the
+    scan's count is Hall's, and `optimal_placement`'s, one matching pass
+    per label, on the rest.  Each bb count is then certified from both
+    sides: by its built partitions, and by its witness recounted from the
+    users' links.  Verified greedy thus takes any number of helpers, as
+    unverified greedy does.  One `decode_schedules` call then precodes
+    every schedule of the table and checks each slot's identity H Q = I,
+    one stacked product per slot size, so a verified trial's work does not
+    grow with C(L - 1, t).
     Schedule i * M + m is trial i's under method m of M, and its user u is
     row `first_rows[i * M + m] + u` of the chunk's stacked channel: trial
     i's first row plus u.  Every error ends with `(seed S, method m)`.
@@ -764,6 +759,8 @@ def run_sweep(config: ExperimentConfig) -> list[AggregateResult]:
 
     Trials with no reachable user carry no metric and are excluded from the
     sum-DoF moments (they still count toward `trials` and the mean user count).
+    A numpy trial count, seed or sweep value is stored as the Python number
+    it holds, which JSON writes as it writes that number.
     """
     seeds = [derive_trial_seed(config.seed, i) for i in range(config.trials)]
     results = []
@@ -776,18 +773,23 @@ def run_sweep(config: ExperimentConfig) -> list[AggregateResult]:
             results.append(
                 AggregateResult(
                     sweep_var=config.sweep,
-                    sweep_value=value,
+                    sweep_value=_python_number(value),
                     method=method,
                     mean_dof=float(values.mean()) if values.size else math.nan,
                     std_dof=float(values.std()) if values.size else math.nan,
                     mean_users=float(np.mean(outcome.num_users)),
-                    trials=config.trials,
+                    trials=_python_number(config.trials),
                     seed=int(config.seed),  # a numpy integer would not serialize to json
                     per_trial_dof=tuple(values.tolist()),
                     per_trial_users=users,
                 )
             )
     return results
+
+
+def _python_number(value: float) -> float:
+    """A numpy scalar as the Python number it holds; a Python number as given."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _sig12(x: float) -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpercache.partitioner import ProfileSubnetwork, min_partition_counts
+from helpercache.partitioner import ProfileSubnetwork, hall_witnesses
 
 # Four helpers, twelve users; greedy needs four sets, the optimum three.
 _REFERENCE_CANDIDATES = {
@@ -83,6 +83,6 @@ def hall_count():
         for column, cand in enumerate(subnet.candidates):
             adjacency[list(cand), column] = True
         profile_of = np.ones(subnet.num_users, dtype=np.int64)
-        return int(min_partition_counts(adjacency, profile_of, 1)[0])
+        return int(hall_witnesses(adjacency, profile_of, 1)[0][0])
 
     return count

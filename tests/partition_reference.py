@@ -1,7 +1,7 @@
 """References for the partitioner, kept out of the library.
 
 The library answers "fewest partitions of a profile" with Hall's formula
-(`min_partition_counts`) and a certified matching (`optimal_placement`);
+(`hall_witnesses`) and a certified matching (`optimal_placement`);
 the paper's branch and bound `bb_assign` is checked against both.
 `brute_force_min_partitions` is the oracle independent of all three: it
 tries every helper choice of the multi-homed users and keeps the smallest
@@ -77,8 +77,8 @@ def brute_force_min_partitions(subnet: ProfileSubnetwork, guard: int = 10**7) ->
 def hall_counts(adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int) -> np.ndarray:
     """Hall's count max over S of ceil(N_S / |S|) per profile, from an (L, 2^E) int32 table.
 
-    Same arguments, result and errors as `min_partition_counts`; the
-    result is int32.
+    Same arguments, counts and errors as `hall_witnesses`; the result is
+    int32.
     """
     num_helpers = adjacency.shape[0]
     if num_helpers > MAX_TABLE_HELPERS:

@@ -25,7 +25,6 @@ from helpercache.partitioner import (
     hall_witnesses,
     helper_candidates,
     load_instance,
-    min_partition_counts,
     optimal_partitions,
     optimal_placement,
     partitions_from_assignment,
@@ -365,15 +364,16 @@ def test_greedy_scan_is_a_least_loaded_assignment(chunk):
 @example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))
 @example((2, 3, [], [], []))
 def test_hall_witnesses_attain_the_counts(chunk):
-    # Hall's counts with one witness set S per label: the counts are
-    # `min_partition_counts`', and ceil(N_S / |S|) of S, N_S counted user
+    # Hall's counts with one witness set S per label: the counts are the
+    # profile-major reference's, and ceil(N_S / |S|) of S, N_S counted user
     # by user, is the count, the largest such bound of any helper set.
     num_helpers, num_labels, labels, masks, _ = chunk
     adjacency = _adjacency(num_helpers, masks)
     profile_of = np.array(labels, dtype=np.int64) + 1
     counts, witnesses = hall_witnesses(adjacency, profile_of, num_labels)
     assert counts.dtype == witnesses.dtype == np.int64
-    assert counts.tolist() == min_partition_counts(adjacency, profile_of, num_labels).tolist()
+    expected = partition_reference.hall_counts(adjacency, profile_of, num_labels)
+    assert counts.tolist() == expected.tolist()
     for label in range(num_labels):
         own = [mask for mask, owner in zip(masks, labels) if owner == label]
 
@@ -398,7 +398,7 @@ def test_hall_table_matches_the_profile_major_reference(chunk):
     num_helpers, num_labels, labels, masks, _ = chunk
     adjacency = _adjacency(num_helpers, masks)
     profile_of = np.array(labels, dtype=np.int64) + 1
-    counts = min_partition_counts(adjacency, profile_of, num_labels)
+    counts = hall_witnesses(adjacency, profile_of, num_labels)[0]
     expected = partition_reference.hall_counts(adjacency, profile_of, num_labels)
     assert counts.dtype == np.int64 and counts.tolist() == expected.tolist()
 
@@ -418,7 +418,7 @@ def test_hall_counts_at_integer_ratios():
     }
     profile_of = np.array([label for label, masks in labels.items() for _ in masks])
     adjacency = _adjacency(5, [mask for masks in labels.values() for mask in masks])
-    counts = min_partition_counts(adjacency, profile_of, len(labels))
+    counts = hall_witnesses(adjacency, profile_of, len(labels))[0]
     assert counts.tolist() == [3, 4, 0, q, q + 1, 4, 4]
     assert counts.tolist() == partition_reference.hall_counts(adjacency, profile_of, 7).tolist()
 
@@ -431,7 +431,7 @@ _BAD_NETWORKS = [
 ]
 
 
-def test_min_partition_counts_per_profile(reference_subnet):
+def test_hall_counts_per_profile(reference_subnet):
     adjacency = np.array(
         [[h in cand for cand in reference_subnet.candidates] for h in range(4)]
     )
@@ -439,7 +439,7 @@ def test_min_partition_counts_per_profile(reference_subnet):
     # the reference users plus one more on helper 0.
     adjacency = np.hstack([adjacency, adjacency, [[True], [False], [False], [False]]])
     profile_of = np.array([1] * 12 + [3] * 13)
-    counts = min_partition_counts(adjacency, profile_of, 3)
+    counts = hall_witnesses(adjacency, profile_of, 3)[0]
     assert counts.tolist() == [3, 0, 4]
 
 
@@ -489,12 +489,12 @@ def test_greedy_counts_across_word_boundaries(num_helpers):
         assert greedy_counts(adjacency[:, alone], np.ones(alone.sum(), dtype=np.int64), 1).tolist() == [count]
 
 
-def test_min_partition_counts_rejects_bad_input():
+def test_hall_counts_reject_bad_input():
     for adjacency, profile_of, num_profiles, message in _BAD_NETWORKS:
         with pytest.raises(ValueError, match=message):
-            min_partition_counts(adjacency, profile_of, num_profiles)
+            hall_witnesses(adjacency, profile_of, num_profiles)
     with pytest.raises(ValueError, match="limit of 20"):
-        min_partition_counts(np.zeros((21, 0), dtype=bool), np.zeros(0, dtype=np.int64), 1)
+        hall_witnesses(np.zeros((21, 0), dtype=bool), np.zeros(0, dtype=np.int64), 1)
 
 
 def test_helper_bitmasks_refuse_more_than_63_helpers():
@@ -507,7 +507,7 @@ def test_helper_bitmasks_refuse_more_than_63_helpers():
     with pytest.raises(ValueError, match="66 helpers exceed the 63"):
         subnetworks_from_connectivity(conn, assignment)
     with pytest.raises(ValueError, match="66 helpers"):
-        min_partition_counts(adjacency, assignment.profile_of, 1)
+        hall_witnesses(adjacency, assignment.profile_of, 1)
     # 63 helpers still fit, the top one included.
     adjacency = np.zeros((63, 2), dtype=bool)
     adjacency[[0, 62], 0] = True

@@ -34,8 +34,8 @@ from helpercache.delivery import (
 )
 from helpercache.partitioner import (
     greedy_counts,
+    hall_witnesses,
     load_instance,
-    min_partition_counts,
     optimal_partitions,
     subnetworks_from_connectivity,
 )
@@ -164,8 +164,8 @@ def _chunk_counts(point, seeds):
     """The labels, greedy's counts and Hall's counts of the verified chunk of `seeds`."""
     adjacency, labels, _, _, _ = sim_harness._draw_chunk(point, seeds, True)
     num_labels = len(seeds) * point.profiles
-    counts = (f(adjacency, labels, num_labels) for f in (greedy_counts, min_partition_counts))
-    return labels, *counts
+    hall = hall_witnesses(adjacency, labels, num_labels)[0]
+    return labels, greedy_counts(adjacency, labels, num_labels), hall
 
 
 def _hall_edited(edit):
@@ -257,7 +257,7 @@ def test_verified_trial_rejects_greedy_count_mismatch(monkeypatch):
     # does not share.
     seeds = [derive_trial_seed(2, index) for index in range(4)]
     expected = (
-        rf"^partition counts .* differ from greedy_counts .* "
+        rf"^partition counts .* differ from greedy_placement's scan .* "
         rf"\(seed {seeds[2]}, method greedy\)$"
     )
     place = sim_harness.greedy_placement
@@ -283,7 +283,9 @@ def test_verified_chunk_scans_greedy_once(monkeypatch):
     # A verified chunk counts greedy and places it with one scan; only an
     # unverified chunk calls `greedy_counts`.  A verified chunk scans even
     # without greedy, for bb's placement; an unverified bb chunk does not.
-    scans, counted = [], []
+    # Every chunk with bb, verified or not, makes one `hall_witnesses` call,
+    # and one without bb none.  The chunks here hold one trial each.
+    scans, counted, halls = [], [], []
 
     def scan(*args, run=partitioner._greedy_scan, **options):
         scans.append(args[2])
@@ -293,18 +295,34 @@ def test_verified_chunk_scans_greedy_once(monkeypatch):
         counted.append(args[2])
         return run(*args)
 
+    def hall(*args, run=hall_witnesses):
+        halls.append(args[2])
+        return run(*args)
+
     monkeypatch.setattr(partitioner, "_greedy_scan", scan)
     monkeypatch.setattr(sim_harness, "greedy_counts", counting)
+    monkeypatch.setattr(sim_harness, "hall_witnesses", hall)
+    monkeypatch.setattr(sim_harness, "CHUNK_LINK_ENTRIES", 1)
     point, seeds = _point(), [derive_trial_seed(4, index) for index in range(3)]
+    chunks = [point.profiles] * len(seeds)
     verified = run_point(point, seeds, verify=True)
-    assert scans == [len(seeds) * point.profiles] and counted == []
+    assert scans == halls == chunks and counted == []
     scans.clear()
+    halls.clear()
     _assert_same_outcome(run_point(point, seeds), verified)
-    assert scans == counted == [len(seeds) * point.profiles]
+    assert scans == counted == halls == chunks
     scans.clear()
+    halls.clear()
     run_point(point, seeds, ("bb",), verify=True)
+    assert scans == halls == chunks
+    scans.clear()
+    halls.clear()
     run_point(point, seeds, ("bb",))
-    assert scans == [len(seeds) * point.profiles]
+    assert scans == [] and halls == chunks
+    halls.clear()
+    run_point(point, seeds, ("greedy",), verify=True)
+    run_point(point, seeds, ("greedy",))
+    assert halls == []
 
 
 def test_verified_bb_matches_only_labels_greedy_overcounts(monkeypatch):
@@ -844,12 +862,10 @@ def test_chunk_table_holds_the_per_trial_schedules(point, seeds):
     # row, to its trial's bb schedule: the same pairs, in the same
     # transmission order, under the same schedule ids.
     adjacency, labels, num_users, first_users, _ = sim_harness._draw_chunk(point, seeds, True)
-    num_labels = len(seeds) * point.profiles
-    scan = partitioner.greedy_placement(adjacency, labels, num_labels)
-    hall, witnesses = partitioner.hall_witnesses(adjacency, labels, num_labels)
-    counted = {"bb": hall, "greedy": scan[0]}
     methods = ("bb", "greedy")
-    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, counted)
+    counts, scan, witnesses = evaluate_counts(
+        adjacency, labels, len(seeds), point.profiles, methods, verify=True
+    )
     names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
     pairs = sim_harness._checked_pairs(
         point, adjacency, labels, num_users, first_users, names, counts, scan, witnesses
@@ -947,8 +963,8 @@ def test_decode_keeps_a_greedy_schedule_that_differs_only_in_helpers():
             break
     scanned = hall.copy()
     scanned[label - 1] += 1
-    methods, counted = ("bb", "greedy"), {"bb": hall, "greedy": hall}
-    counts = evaluate_counts(adjacency, labels, len(seeds), point.profiles, methods, counted)
+    methods = ("bb", "greedy")
+    counts = dict.fromkeys(methods, hall.reshape(len(seeds), point.profiles))
     names = [f"seed {seed}, method {method}" for seed in seeds for method in methods]
     pairs = sim_harness._checked_pairs(
         point, adjacency, labels, num_users, first_users, names, counts,
@@ -1042,9 +1058,17 @@ def _trial_networks(draw):
 def test_batched_counts_match_per_trial_solvers(network):
     adjacencies, profiles, num_profiles = network
     labels = np.concatenate([p + t * num_profiles for t, p in enumerate(profiles)])
-    counts = evaluate_counts(
-        np.concatenate(adjacencies, axis=1), labels, len(profiles), num_profiles, ALL_METHODS
+    adjacency = np.concatenate(adjacencies, axis=1)
+    counts, scan, witnesses = evaluate_counts(
+        adjacency, labels, len(profiles), num_profiles, ALL_METHODS
     )
+    assert scan is None and witnesses.shape == (len(profiles) * num_profiles,)
+    # verified, greedy is counted by its placing scan: the same counts
+    verified, scan, _ = evaluate_counts(
+        adjacency, labels, len(profiles), num_profiles, ALL_METHODS, verify=True
+    )
+    assert scan[0].tolist() == counts["greedy"].ravel().tolist()
+    assert all(np.array_equal(verified[m], counts[m]) for m in ALL_METHODS)
     for t, (adjacency, profile_of) in enumerate(zip(adjacencies, profiles)):
         num_helpers, num_users = adjacency.shape
         conn = Connectivity(adjacency=adjacency, reachable_users=np.arange(num_users))
@@ -1052,7 +1076,7 @@ def test_batched_counts_match_per_trial_solvers(network):
         greedy = [
             partition_reference.greedy_assign(subnets[p]).count for p in range(1, num_profiles + 1)
         ]
-        hall = min_partition_counts(adjacency, profile_of, num_profiles).tolist()
+        hall = hall_witnesses(adjacency, profile_of, num_profiles)[0].tolist()
         full = [-(-subnets[p].num_users // num_helpers) for p in range(1, num_profiles + 1)]
         assert counts["greedy"][t].tolist() == greedy
         assert counts["bb"][t].tolist() == hall
@@ -1446,12 +1470,23 @@ def test_config_rejects_repeated_values_and_non_integer_seeds(tmp_path):
     for seed in (1.0, "1", True, None):
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             _tiny_config(seed=seed)
-    # a numpy integer draws the trials of the equal int, and writes the same bytes
-    for fmt in ("csv", "json"):
-        paths = [tmp_path / f"{name}.{fmt}" for name in ("numpy", "int")]
-        for seed, path in zip((np.int64(3), 3), paths):
-            emit_results(run_sweep(_tiny_config(seed=seed)), fmt, str(path), fmt == "json")
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    # numpy numbers draw the trials of the equal Python numbers, and write
+    # the same bytes: a seed, a trial count, L values and r values
+    profiles = {"sweep": "L", "profiles": None, "radius": 1.0}
+    cases = [
+        ({"seed": np.int64(3)}, {"seed": 3}),
+        ({"trials": np.int64(3)}, {"trials": 3}),
+        ({**profiles, "values": (np.int64(2), np.int64(4))}, {**profiles, "values": (2, 4)}),
+        ({"values": (np.float64(1.2), np.float64(2.5))}, {"values": (1.2, 2.5)}),
+        ({"values": (np.float32(1.0), np.float32(2.5))}, {"values": (1.0, 2.5)}),
+    ]
+    for case, (numpy_numbers, python_numbers) in enumerate(cases):
+        for fmt in ("csv", "json"):
+            paths = [tmp_path / f"{case}-{name}.{fmt}" for name in ("numpy", "python")]
+            for overrides, path in zip((numpy_numbers, python_numbers), paths):
+                results = run_sweep(_tiny_config(**overrides))
+                emit_results(results, fmt, str(path), fmt == "json")
+            assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_infinite_radius_links_every_user():
