@@ -20,9 +20,12 @@ row per pair in transmission order, which the precoders, the decode and the
 coverage audit read as it is.  A chunk of verified trials builds its table
 directly from its placements, and `build_schedule` builds one schedule's
 table from per-profile partitions.  A table holds only its pairs; the rest
-follows from them.  A schedule's transmission count is the sweep's closed
-form over its slots per profile, and its coverage audit passes exactly when
-no user holds two (round, profile) slots.
+follows from them.  Its rows never go back in (schedule, round, profile),
+or the table is refused where it is made, so each round holds each of its
+profiles in one slot.  On that rule rest the closed forms: a round sends
+the groups of its distinct profiles, a schedule's transmission count is
+the sweep's formula over its slots per profile, and its coverage audit
+passes exactly when no user holds two (round, profile) slots.
 """
 
 from __future__ import annotations
@@ -54,10 +57,12 @@ class ServedPairs:
     """Every served (helper, user) pair of some schedules, one row each, in transmission order.
 
     Rows run schedule by schedule, round by round, and within a round slot
-    by slot: a (round, profile) slot is one partition, its pairs in
-    partition order.  `user` is the user's index in its own trial, its row
-    of the channel past the trial's first row where trials are stacked.
-    The columns are int32 arrays of one length.
+    by slot, profiles ascending: a (round, profile) slot is one partition,
+    its pairs in partition order, so no round holds a profile twice.
+    `user` is the user's index in its own trial, its row of the channel
+    past the trial's first row where trials are stacked.  The columns are
+    int32 arrays of one length.  A table whose (schedule, round, profile)
+    goes back from one row to the next raises ValueError naming the row.
     """
 
     num_profiles: int
@@ -66,25 +71,29 @@ class ServedPairs:
     profile: np.ndarray
     helper: np.ndarray
     user: np.ndarray
-    round_starts: np.ndarray = field(init=False)  # first row of each round of each schedule
+    num_rounds: int = field(init=False)  # the rounds of all the table's schedules
     slot_starts: np.ndarray = field(init=False)  # first row of each slot
 
     def __post_init__(self) -> None:
-        schedule, round_, profile = self.schedule, self.round, self.profile
-        new_round = np.ones(len(self), dtype=bool)
-        new_round[1:] = (schedule[1:] != schedule[:-1]) | (round_[1:] != round_[:-1])
-        new_slot = new_round.copy()
-        new_slot[1:] |= profile[1:] != profile[:-1]
-        object.__setattr__(self, "round_starts", np.flatnonzero(new_round))
+        keys = self.schedule, self.round, self.profile
+        moved = [column[1:] != column[:-1] for column in keys]
+        back = [column[1:] < column[:-1] for column in keys]
+        # from one row to the next, the first of the three keys that moves must grow
+        fell = np.where(moved[0], back[0], np.where(moved[1], back[1], back[2]))
+        if fell.any():
+            i = int(np.argmax(fell)) + 1
+            before, after = (tuple(column[j].item() for column in keys) for j in (i - 1, i))
+            raise ValueError(
+                f"row {i} goes back in (schedule, round, profile), from {before} to {after}"
+            )
+        new_round = moved[0] | moved[1]
+        new_slot = np.ones(len(self), dtype=bool)
+        new_slot[1:] = new_round | moved[2]
+        object.__setattr__(self, "num_rounds", int(new_round.sum()) + (len(self) > 0))
         object.__setattr__(self, "slot_starts", np.flatnonzero(new_slot))
 
     def __len__(self) -> int:
         return self.user.size
-
-    @property
-    def num_rounds(self) -> int:
-        """The rounds of all the table's schedules."""
-        return self.round_starts.size
 
 
 def build_schedule(partition_sets: Mapping[int, PartitionSet], num_profiles: int) -> ServedPairs:
@@ -243,9 +252,8 @@ def decode_schedules(
     `first_rows`.  The table's precoders come first, from one
     `matched_precoders` call, so an exactly singular or structurally zero
     slot fails before any product is formed; that call also groups the
-    slots by size, once for both.  Each round's slots must then hold
-    distinct profiles, or RuntimeError names the first round that holds a
-    profile twice.  Given distinct profiles, the round sends the
+    slots by size, once for both.  A table holds each profile of a round in
+    one slot (`ServedPairs`), so each round sends the
     C(L, t + 1) - C(L - a, t + 1) groups of its a active profiles by
     construction.
 
@@ -277,19 +285,6 @@ def decode_schedules(
     `(labels[s])` when given.
     """
     stacks = matched_precoders(channel, pairs, first_rows, labels)
-    slot_starts = pairs.slot_starts
-    slot_rounds = np.searchsorted(pairs.round_starts, slot_starts, side="right") - 1
-    keys = slot_rounds.astype(np.int64) * (pairs.num_profiles + 1) + pairs.profile[slot_starts]
-    keys, repeats = np.unique(keys, return_counts=True)
-    if repeats.max(initial=1) > 1:
-        j = int(np.argmax(repeats > 1))  # keys ascend with the round
-        first = pairs.round_starts[keys[j] // (pairs.num_profiles + 1)]
-        label = "" if labels is None else f" ({labels[pairs.schedule[first]]})"
-        raise RuntimeError(
-            f"round {pairs.round[first]} holds profile {keys[j] % (pairs.num_profiles + 1)} "
-            f"in {repeats[j]} slots{label}"
-        )
-
     errors = np.empty(len(pairs))
     for at, subs, inverses in stacks:
         identity = subs @ inverses

@@ -71,24 +71,33 @@ class ProfileSubnetwork:
             raise ValueError("one candidate set per user is required")
         if len(set(self.users)) != len(self.users):
             raise ValueError("user ids must be distinct")
-        # Users share candidate tuples (one per helper mask when split from
-        # a network), so each distinct tuple is checked once; an error names
-        # the first user holding a bad one.
-        problems = {}
-        for cand in set(self.candidates):
-            if not cand:
-                problems[cand] = "user {} has no eligible helper"
-            elif list(cand) != sorted(set(cand)):
-                problems[cand] = "candidates of user {} must be sorted and distinct"
-            elif cand[0] < 0 or cand[-1] >= self.num_helpers:
-                problems[cand] = "candidates of user {} out of range"
-        if problems:
-            first = min(self.candidates.index(cand) for cand in problems)
-            raise ValueError(problems[self.candidates[first]].format(self.users[first]))
+        _check_candidates(self.candidates, self.num_helpers, self.users)
 
     @property
     def num_users(self) -> int:
         return len(self.users)
+
+
+def _check_candidates(
+    candidates: Sequence[tuple[int, ...]], num_helpers: int, users: Sequence[int]
+) -> None:
+    """Refuse candidates that are empty, unsorted, repeated or outside 0..num_helpers - 1.
+
+    Users share candidate tuples (one per helper mask when split from a
+    network), so each distinct tuple is checked once; the ValueError names
+    the first user holding a bad one, `users[i]` for `candidates[i]`.
+    """
+    problems = {}
+    for cand in set(candidates):
+        if not cand:
+            problems[cand] = "user {} has no eligible helper"
+        elif list(cand) != sorted(set(cand)):
+            problems[cand] = "candidates of user {} must be sorted and distinct"
+        elif cand[0] < 0 or cand[-1] >= num_helpers:
+            problems[cand] = "candidates of user {} out of range"
+    if problems:
+        first = min(candidates.index(cand) for cand in problems)
+        raise ValueError(problems[candidates[first]].format(users[first]))
 
 
 @dataclass(frozen=True)
@@ -490,15 +499,17 @@ def optimal_placement(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each user's partition and helper in a placement with the fewest partitions per label.
 
-    User i may take the helpers `candidates[i]`, nonempty and ascending, and
-    belongs to label `labels[i]`; a label is one profile's subnetwork, its
-    users in index order.  Per label, one pass places the users in order
-    along augmenting paths, no helper taking more than `cap` users; `cap`
-    starts at 0.  If no path from a user reaches a helper with room, `cap`
-    rises by one and the user takes its first candidate, since every helper
-    then has room.  When the label's users placed so far number
-    `cap * num_helpers`, every helper holds `cap` and no path can end at
-    room, so `cap` rises without a search.
+    User i may take the helpers `candidates[i]` and belongs to label
+    `labels[i]`; a label is one profile's subnetwork, its users in index
+    order.  Each tuple must be nonempty, ascending and within
+    0..num_helpers - 1, as `ProfileSubnetwork` requires, or ValueError
+    names the first user i whose tuple is not.  Per label, one pass
+    places the users in order along augmenting paths, no helper taking
+    more than `cap` users; `cap` starts at 0.  If no path from a user
+    reaches a helper with room, `cap` rises by one and the user takes its
+    first candidate, since every helper then has room.  When the label's
+    users placed so far number `cap * num_helpers`, every helper holds
+    `cap` and no path can end at room, so `cap` rises without a search.
 
     The final `cap` is the minimum.  It rises only after a failed search,
     and then every user placed so far is matched, so their matching is
@@ -510,6 +521,7 @@ def optimal_placement(
     of its users in user order, so a label's largest partition index is
     its `cap` less one.
     """
+    _check_candidates(candidates, num_helpers, range(len(candidates)))
     order, bounds = _label_runs(labels)
     held_by = [-1] * len(candidates)  # helper of each placed user
     for first, last in zip(bounds, bounds[1:]):

@@ -437,7 +437,8 @@ def _draw_chunk(
     any, after its profiles, so no other number depends on them.
     """
     rngs = _trial_generators(trial_seeds)
-    uniforms = [disk_uniforms(point.mean_users, rng) for rng in rngs]
+    mean_users = point.mean_users
+    uniforms = [disk_uniforms(mean_users, rng) for rng in rngs]
     user_offsets = np.cumsum([0] + [u.shape[1] for u in uniforms])
     conn = disk_links(
         np.concatenate(uniforms, axis=1), point.user_radius, hex_layout(point.helpers), point.radius
@@ -524,7 +525,8 @@ def _pair_table(
     same under every method.  Round g of a schedule holds partition g of
     every profile.  The rows of each schedule flagged in `repeated` are
     left out, and one stable sort of a key packing (schedule, round,
-    profile, helper) puts the rest in transmission order.
+    profile, helper) puts the rest in transmission order, which never
+    goes back in (schedule, round, profile), as `ServedPairs` requires.
     """
     kept = ~repeated[schedule]
     schedule, rounds, helper = schedule[kept], partition[kept], helper[kept]
@@ -716,15 +718,11 @@ def run_point(
     the partition and helper of its trial's first method: it would decode
     to its twin's bits, and its twin comes first in the table, so the
     errors and the first failure are those of every schedule.  Since bb
-    takes greedy's partitions wherever they are as few, repeats are
-    common: over the acceptance radius sweep (200 trials) they were
-    20.5%, 3.7%, 28.4% and 50% of the rows at r 1.2, 2.2, 3.2 and 4.2
-    (42.5%, 7.5%, 57% and 100% of the trials), where bb's own matching
-    made them 11.0%, 0%, 2.8% and 50%.  The branch and bound `bb_assign`
-    does not run here: on a 19-helper point its search ran for more than
-    30 s on a single profile.  Each chunk runs in `_run_chunk`, which
-    keeps only its counts, so at most one chunk's links, table and channel
-    are held at a time.
+    takes greedy's partitions wherever they are as few, repeats are common
+    (README, "Decode verification").  The branch and bound `bb_assign`
+    does not run here: its search is exponential in the worst case.  Each
+    chunk runs in `_run_chunk`, which keeps only its counts, so at most
+    one chunk's links, table and channel are held at a time.
     """
     _check_methods(methods, verify)
     if len(trial_seeds) == 0:

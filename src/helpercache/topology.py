@@ -14,6 +14,11 @@ SQRT3 = math.sqrt(3.0)
 # The largest Poisson mean numpy draws from: INT64_MAX - 10 sqrt(INT64_MAX).
 MAX_MEAN_USERS = float(2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
 
+# The largest user disk radius R.  A helper-user gap is at most R plus the
+# farthest helper's distance from the origin, so every squared distance and
+# the disk's area, about 2^1000 at most, stay far below float64's 2^1024.
+MAX_DISK_RADIUS = 2.0**500
+
 # `disk_links` screens a chunk's links in float32 when the disk radius plus
 # the farthest helper's distance, the scale s, lies in this range, the
 # transmission radius is at most 2 s and every uniform is in [0, 1].  An
@@ -95,10 +100,18 @@ def disk_positions(uniforms: np.ndarray, disk_radius: float) -> np.ndarray:
 def mean_user_count(density: float, disk_radius: float) -> float:
     """Expected users on the disk, density * pi * disk_radius^2.
 
-    Raises ValueError, naming both inputs, for a mean above
-    `MAX_MEAN_USERS`, which numpy's Poisson draw would refuse.
+    Raises ValueError for a disk radius past `MAX_DISK_RADIUS`, naming it,
+    and, naming both inputs, for a mean above `MAX_MEAN_USERS`, which
+    numpy's Poisson draw would refuse.  A mean too large for float64 is
+    infinite, and refused as such.
     """
-    mean = density * math.pi * disk_radius**2
+    if abs(disk_radius) > MAX_DISK_RADIUS:
+        raise ValueError(
+            f"user disk radius {disk_radius} is past {MAX_DISK_RADIUS:.6g} (2^500), "
+            f"beyond which squared helper-user distances could overflow float64"
+        )
+    # as Python floats, so that a product past float64 is inf with no numpy warning
+    mean = float(density) * math.pi * float(disk_radius**2)
     if not mean <= MAX_MEAN_USERS:
         raise ValueError(
             f"user density {density} on a disk of radius {disk_radius} expects {mean:.6g} "
@@ -176,8 +189,17 @@ def disk_links(
 
 
 def _within(layout: np.ndarray, users: np.ndarray, radius: float) -> np.ndarray:
-    """(E, N) mask of the helper-user pairs within `radius`: the exact link rule."""
-    return _squared_distances(layout, users[:, 0], users[:, 1]) <= radius**2
+    """(E, N) mask of the helper-user pairs within `radius`: the exact link rule.
+
+    A radius whose square overflows float64 links every pair, as an
+    infinite one does: every squared distance on a disk of radius at most
+    `MAX_DISK_RADIUS` is finite.
+    """
+    try:
+        bound = radius**2
+    except OverflowError:
+        bound = math.inf
+    return _squared_distances(layout, users[:, 0], users[:, 1]) <= bound
 
 
 def _squared_distances(layout: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

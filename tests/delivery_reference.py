@@ -103,7 +103,10 @@ def build_rounds(partition_sets: Mapping[int, PartitionSet], num_profiles: int) 
 
 
 def served_pairs(schedules: Sequence[RoundSchedule]) -> ServedPairs:
-    """The pairs of `schedules`, which share one L, as one table; schedule s is number s."""
+    """The pairs of `schedules`, which share one L, as one table; schedule s is number s.
+
+    A round's profiles are taken in ascending order, as a table holds them.
+    """
     num_profiles = {schedule.num_profiles for schedule in schedules}
     if len(num_profiles) > 1:
         raise ValueError("the schedules of one call must share their profile count")
@@ -111,7 +114,7 @@ def served_pairs(schedules: Sequence[RoundSchedule]) -> ServedPairs:
         (s, g, profile, helper, user)
         for s, schedule in enumerate(schedules)
         for g, entries in enumerate(schedule.rounds)
-        for profile, part in entries.items()
+        for profile, part in sorted(entries.items())
         for helper, user in part
     ]
     columns = np.array(rows, dtype=np.int32).reshape(-1, 5).T

@@ -607,24 +607,35 @@ def test_group_without_active_profiles_is_skipped():
     assert [rs.groups for rs in signals] == [((1, 2), (1, 3))] * 2
 
 
-def test_round_with_the_wrong_group_count_is_rejected():
+def test_rows_that_go_back_are_refused():
     # A round holding each active profile in one slot sends, by
     # construction, the C(L, t + 1) - C(L - a, t + 1) groups of its a slots.
-    # Round 0 here holds profile 1 in two slots, around profile 2's: at
-    # L = 4, t = 1 its three slots imply C(4, 2) - C(1, 2) = 6 groups, but
-    # its two profiles send C(4, 2) - C(2, 2) = 5.  The decode refuses the
-    # round, naming the profile; with profile 4 in the second slot, the
-    # same pairs verify.
+    # A table holds one slot per (round, profile) because its rows never go
+    # back in (schedule, round, profile).  Round 0 of profiles [1, 1, 2, 1,
+    # 1, 3] would hold profile 1 in two slots, around profile 2's: at L = 4,
+    # t = 1 its three slots imply C(4, 2) - C(1, 2) = 6 groups, but its two
+    # profiles send C(4, 2) - C(2, 2) = 5.  It is refused where it is built,
+    # as is a round or a schedule that goes back; with profile 4 in the
+    # second slot, the same pairs verify.
     channel = draw_channels(_full_connectivity(6, 4), np.random.default_rng(13))
     assert group_table(4, 1).groups == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
-    def table(profiles):
-        columns = ([0] * 6, [0, 0, 0, 0, 0, 1], profiles, [0, 1, 2, 2, 3, 0], list(range(6)))
+    def table(profiles, rounds=(0, 0, 0, 0, 0, 1), schedules=(0,) * 6):
+        columns = (schedules, rounds, profiles, [0, 1, 2, 2, 3, 0], list(range(6)))
         return ServedPairs(4, *(np.array(column, dtype=np.int32) for column in columns))
 
-    assert decode_schedules(channel, table([1, 1, 2, 4, 4, 3])).max() < 1e-9
-    with pytest.raises(RuntimeError, match=r"^round 0 holds profile 1 in 2 slots$"):
-        decode_schedules(channel, table([1, 1, 2, 1, 1, 3]))
+    pairs = table([1, 1, 2, 4, 4, 3])
+    assert pairs.num_rounds == 2 and pairs.slot_starts.tolist() == [0, 2, 3, 5]
+    assert decode_schedules(channel, pairs).max() < 1e-9
+    # a new round, or a new schedule, may start again from any profile or round
+    assert table([1, 1, 2, 4, 4, 3], schedules=(0, 0, 0, 1, 1, 1)).num_rounds == 3
+    back = r"^row {} goes back in \(schedule, round, profile\), from \({}\) to \({}\)$"
+    with pytest.raises(ValueError, match=back.format(3, "0, 0, 2", "0, 0, 1")):
+        table([1, 1, 2, 1, 1, 3])
+    with pytest.raises(ValueError, match=back.format(5, "0, 1, 4", "0, 0, 3")):
+        table([1, 1, 2, 4, 4, 3], rounds=(0, 0, 1, 1, 1, 0))
+    with pytest.raises(ValueError, match=back.format(5, "1, 0, 4", "0, 1, 3")):
+        table([1, 1, 2, 4, 4, 3], schedules=(0, 0, 0, 1, 1, 0))
 
 
 def test_served_users_cancel_and_decode():

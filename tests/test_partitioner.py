@@ -575,6 +575,24 @@ def test_subnetwork_rejects_malformed_candidates():
             ProfileSubnetwork(1, *args)
 
 
+def test_optimal_placement_refuses_what_its_siblings_refuse():
+    # Hall's formula and greedy's scan refuse a user with no linked helper;
+    # the matching refuses it too, and a helper past num_helpers, by the
+    # subnetwork's own check of each distinct tuple, naming the first bad
+    # user, where it used to fail with IndexError.
+    for solver in (hall_witnesses, greedy_placement):
+        with pytest.raises(ValueError, match="at least one linked helper"):
+            solver(np.zeros((2, 1), dtype=bool), np.array([1]), 1)
+    for candidates, message in (
+        ([()], "user 0 has no eligible helper"),
+        ([(0,), (0, 2), (0, 2)], "candidates of user 1 out of range"),
+        ([(0,), (-1, 1)], "candidates of user 1 out of range"),
+        ([(1,), (1, 0), ()], "candidates of user 1 must be sorted and distinct"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            optimal_placement(candidates, np.ones(len(candidates), dtype=np.int64), 2)
+
+
 def test_load_instance_names_bad_labels_and_lines():
     for text, label in (("1: 0\n", 0), ("helpers: 3\n1: 0,2\n", 0), ("1: 2,-1\n", -1)):
         with pytest.raises(ValueError, match=f"user 1 lists helper {label}; .* start at 1"):

@@ -50,7 +50,15 @@ from helpercache.sim_harness import (
     run_point,
     run_sweep,
 )
-from helpercache.topology import Connectivity, connect, draw_channels, hex_layout, sample_users
+from helpercache.topology import (
+    MAX_DISK_RADIUS,
+    Connectivity,
+    connect,
+    draw_channels,
+    hex_layout,
+    mean_user_count,
+    sample_users,
+)
 import partition_reference
 from partition_reference import brute_force_min_partitions
 
@@ -1008,13 +1016,14 @@ def test_verify_errors_are_those_of_the_full_table(monkeypatch, error):
     assert str(failure.value) == str(direct.value)
 
 
-def test_group_count_error_names_the_trial(monkeypatch):
-    # The fault of test_round_with_the_wrong_group_count_is_rejected in a
-    # sweep: in the second trial's bb schedule, the first user of its first
-    # slot moves to a slot of its own after the round's last, so the round
-    # holds that profile in two slots and sends fewer groups than its slots
-    # imply.  Every user is still served once on its own helper, so only
-    # the decode's round check catches it, naming the trial.
+def test_a_split_slot_is_refused_where_its_table_is_built(monkeypatch):
+    # The fault of test_rows_that_go_back_are_refused in a sweep: in the
+    # second trial's bb schedule, the first user of its first slot moves to
+    # a slot of its own after the round's last, so the round would hold that
+    # profile in two slots and send fewer groups than its slots imply.
+    # Every user is still served once on its own helper, but the moved row
+    # goes back in profile, so the table is refused as it is made, naming
+    # the row and the keys it goes back between.
     seeds = [derive_trial_seed(4, index) for index in range(3)]
     moved = {}
 
@@ -1023,15 +1032,18 @@ def test_group_count_error_names_the_trial(monkeypatch):
         same_round = [s for s in others if columns["round"][s[0]] == columns["round"][first[0]]]
         assert len(first) > 1 and same_round
         values = {name: columns[name].pop(first[0]) for name in _COLUMNS}
-        _insert(columns, same_round[-1][-1], **values)  # its rows moved up one by the pop
-        moved.update(values)
+        at = same_round[-1][-1]  # its rows moved up one by the pop
+        _insert(columns, at, **values)
+        moved.update(values, at=at, last=columns["profile"][at - 1])
 
     _edit_table(monkeypatch, splitting_a_slot)
-    with pytest.raises(RuntimeError) as failure:
+    with pytest.raises(ValueError) as failure:
         run_point(_point(), seeds, ("bb",), verify=True)
+    g = moved["round"]
+    assert moved["last"] > moved["profile"]
     assert str(failure.value) == (
-        f"round {moved['round']} holds profile {moved['profile']} in 2 slots "
-        f"(seed {seeds[1]}, method bb)"
+        f"row {moved['at']} goes back in (schedule, round, profile), "
+        f"from (1, {g}, {moved['last']}) to (1, {g}, {moved['profile']})"
     )
 
 
@@ -1494,6 +1506,72 @@ def test_infinite_radius_links_every_user():
     outcome = run_point(point, [derive_trial_seed(1, index) for index in range(3)], ALL_METHODS)
     assert outcome.num_users.min() > 0
     assert np.array_equal(outcome.counts["bb"], outcome.counts["fc"])
+
+
+def test_a_radius_whose_square_overflows_links_every_pair(tmp_path, capsys):
+    # 1e300 squared overflows float64, where Python's ** raises
+    # OverflowError; such a radius links every pair, as inf does, in
+    # `connect`, in a sweep's per-trial sum-DoF, and through the CLI.
+    layout, users = hex_layout(3), sample_users(1.0, 2.0, np.random.default_rng(3))
+    huge, infinite = connect(layout, users, 1e300), connect(layout, users, math.inf)
+    assert huge.adjacency.all() and np.array_equal(huge.adjacency, infinite.adjacency)
+    seeds = [derive_trial_seed(0, index) for index in range(10)]
+    point = PointConfig(
+        helpers=3, profiles=4, gamma=0.25, radius=math.inf, user_radius=2.0, density=1.0
+    )
+    expected = run_point(point, seeds, verify=True).dof
+    got = run_point(replace(point, radius=1e300), seeds, verify=True).dof
+    assert all(np.array_equal(got[m], expected[m], equal_nan=True) for m in expected)
+    rows = []
+    for value in ("1e300", "inf"):
+        out = tmp_path / f"{value}.csv"
+        assert main([
+            "simulate", "--sweep", "r", "--values", value, "--helpers", "3", "--profiles", "4",
+            "--gamma", "0.25", "--user-radius", "2", "--density", "1", "--trials", "10",
+            "--out", str(out),
+        ]) == 0
+        rows.append([line.split(",")[2:] for line in out.read_text().splitlines()[1:]])
+    assert len(rows[0]) == 2 and rows[0] == rows[1]
+    assert "wrote 2 result rows" in capsys.readouterr().out
+
+
+def test_the_largest_user_disk_draws_and_links_without_overflow(tmp_path, capsys):
+    # Past MAX_DISK_RADIUS a squared helper-user distance could overflow
+    # float64: PointConfig, mean_user_count and sample_users refuse such a
+    # disk by name, and the CLI exits 1 with that error, where 1e160 used
+    # to end in an OverflowError traceback.  At the largest accepted disk
+    # every draw, link and count runs with no overflow warning, which the
+    # suite turns into an error.
+    largest = MAX_DISK_RADIUS
+    past = float(np.nextafter(largest, math.inf))
+    named = r"^user disk radius {} is past 3\.27339e\+150 \(2\^500\), beyond which squared "
+    for radius in (past, 1e160):
+        refusal = named.format(re.escape(str(radius)))
+        for refused in (
+            lambda: mean_user_count(1.0, radius),
+            lambda: sample_users(1.0, radius, np.random.default_rng(0)),
+        ):
+            with pytest.raises(ValueError, match=refusal):
+                refused()
+    with pytest.raises(ValueError, match=named.format(re.escape(str(past)))):
+        PointConfig(**{**_POINT, "user_radius": past})
+    assert main([
+        "simulate", "--sweep", "r", "--values", "1.2", "--helpers", "3", "--profiles", "4",
+        "--gamma", "0.25", "--user-radius", "1e160", "--density", "1", "--trials", "2",
+        "--out", str(tmp_path / "x.csv"),
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: user disk radius 1e+160 is past ")
+    density = 1e-300  # about 34 users on the largest disk
+    layout = hex_layout(4)
+    users = sample_users(density, largest, np.random.default_rng(1))
+    assert users.shape[0] > 0 and np.abs(users).max() > largest / 4
+    seeds = [derive_trial_seed(2, index) for index in range(3)]
+    for radius in (1.2, largest, 1e300, math.inf):
+        conn = connect(layout, users, radius)
+        assert conn.num_users == (0 if radius == 1.2 else users.shape[0])
+        point = replace(PointConfig(**_POINT), radius=radius, user_radius=largest, density=density)
+        outcome = run_point(point, seeds, verify=True)
+        assert (outcome.num_users.max() > 0) == (radius > 1.2)
 
 
 def test_sweep_points_resolve_density_per_profile():

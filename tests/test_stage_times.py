@@ -12,7 +12,8 @@ def test_stage_times_prints_the_verified_stages():
     # evaluate stage of a verified chunk counts greedy with the scan that
     # places it, and bb with the Hall call that also gives its witnesses,
     # so `greedy_counts` does not run.  The matching runs on the labels
-    # where greedy's count is not Hall's, at r = 1.2.
+    # where greedy's count is not Hall's, at r = 1.2.  Only public names
+    # are pinned, so renaming a private stage needs no edit here.
     done = subprocess.run(
         [sys.executable, str(SCRIPT), "--workload", "verify_decode", "--seed", "0", "--cycles", "1"],
         capture_output=True,
@@ -27,22 +28,20 @@ def test_stage_times_prints_the_verified_stages():
     )
     assert columns.split() == ["stage", "ms", "share"]
     stages = [line.split() for line in lines]
-    # each stage indented under the stage that calls it, as it is printed
-    indented = [line[: len(line) - len(line.lstrip())] + line.split()[0] for line in lines]
-    assert indented == [
-        "cycle",
-        "  _draw_chunk",
-        "    disk_links",
-        "  evaluate_counts",
-        "    greedy_placement",
-        "    hall_witnesses",
-        "  _checked_pairs",
-        "    optimal_placement",
-        "    _witness_bounds",
-        "    _pair_table",
-        "    audit_pairs",
-        "  decode_schedules",
-        "    matched_precoders",
-    ]
-    assert stages[0][2] == "100.0%"
+    assert stages[0] == ["cycle", stages[0][1], "100.0%"]
     assert all(0 <= float(ms) <= float(stages[0][1]) for _, ms, _ in stages)
+    # The stages are found, not listed: each is printed once, at its first
+    # call, one level under the stage that called it.
+    names = [name for name, _, _ in stages]
+    assert len(set(names)) == len(names)
+    depths = [(len(line) - len(line.lstrip())) // 2 for line in lines]
+    assert depths[0] == 0 and all(d >= 1 for d in depths[1:])
+    assert all(later <= earlier + 1 for earlier, later in zip(depths, depths[1:]))
+    caller = {}
+    for i, depth in enumerate(depths[1:], 1):
+        caller[names[i]] = next(names[j] for j in range(i - 1, -1, -1) if depths[j] < depth)
+    assert caller["run_sweep"] == "cycle"
+    assert caller["greedy_placement"] == caller["hall_witnesses"] == "evaluate_counts"
+    assert caller["matched_precoders"] == "decode_schedules"
+    assert {"disk_links", "optimal_placement", "audit_pairs"} <= set(names)
+    assert "greedy_counts" not in names
