@@ -27,7 +27,9 @@ user, in column order, on its least-loaded linked helper (ties to the
 lowest index), in the partition of that helper's load.  Both placements
 run over the labels of a chunk of verified trials and give every user
 its partition and helper, the matching only where greedy's count is not
-Hall's; `optimal_partitions`, `flow_oracle` and `greedy_assign` are their
+Hall's.  Where every user links every helper, Hall's counts, witnesses
+and greedy's placement have a closed form, taken with no table and no
+scan.  `optimal_partitions`, `flow_oracle` and `greedy_assign` are their
 calls on one subnetwork, which `partition` prints as (helper, user) pairs
 (`Partition`).  The least-cost branch and bound `bb_assign` is the
 paper's algorithm; only the acceptance tests and the benchmark run it,
@@ -182,16 +184,19 @@ def subnetworks_from_connectivity(
     }
 
 
-def _profile_labels(profile_of: np.ndarray, num_profiles: int, linked: np.ndarray) -> np.ndarray:
+def _profile_labels(
+    profile_of: np.ndarray, num_profiles: int, linked: np.ndarray | bool
+) -> np.ndarray:
     """The profile of each user column, after refusing what neither count accepts.
 
-    `linked` says, per user column, whether the user has a linked helper.
+    `linked` says, per user column or for all of them at once, whether the
+    user has a linked helper.
     """
     labels = np.asarray(profile_of)
     if labels.size and (labels.min() < 1 or labels.max() > num_profiles):
         outside = labels[(labels < 1) | (labels > num_profiles)]
         raise ValueError(f"profile {outside[0]} is outside 1..{num_profiles}")
-    if not linked.all():
+    if not np.all(linked):
         raise ValueError("every user needs at least one linked helper")
     return labels
 
@@ -215,6 +220,15 @@ def hall_witnesses(
     that largest quotient, taken in float64: ceil is monotone, and a
     quotient of a count below 2^31 by |S| <= 20 rounds to an integer only
     when it is one.
+
+    A saturated network, every user linked to every helper, builds no
+    table: there N_S is 0 for every S but the set of all helpers, which
+    holds the label's n users.  So each count is ceil(n / E), and each
+    witness is the mask 2^E - 1, or 1 for a label with no user, the
+    table's own first largest row.  A network without users is
+    saturated, so zero labels give empty counts and witnesses.  More than
+    20 helpers, none, or a label outside 1..`num_labels` are refused
+    before saturation is looked at.
     """
     num_helpers = adjacency.shape[0]
     if num_helpers > MAX_TABLE_HELPERS:
@@ -222,6 +236,13 @@ def hall_witnesses(
             f"{num_helpers} helpers exceed the limit of {MAX_TABLE_HELPERS}: "
             "the count table holds L * 2^E entries"
         )
+    if num_helpers == 0:
+        raise ValueError("Hall's count needs at least one helper, got 0")
+    if adjacency.all():
+        labels = _profile_labels(labels, num_labels, True)
+        users = np.bincount(labels.astype(np.intp, copy=False), minlength=num_labels + 1)[1:]
+        witnesses = np.where(users > 0, (1 << num_helpers) - 1, 1)
+        return -(-users // num_helpers), witnesses
     masks = _helper_masks(adjacency)
     labels = _profile_labels(labels, num_labels, masks != 0)
     keys = masks * num_labels + (labels.astype(np.int64) - 1)
@@ -253,7 +274,9 @@ def greedy_counts(
 ) -> np.ndarray:
     """Partition count of the greedy baseline for every profile at once.
 
-    Same arguments, count layout and errors as `hall_witnesses`.
+    Same arguments, count layout and label errors as `hall_witnesses`, but
+    no helper limit, and a network without users counts 0 for every
+    profile with any number of helpers.
     The users of each profile are bits in column order: its user j is bit
     j % 64 of word j // 64 in a (word, profile) uint64 array of the users
     still free, and in one such array of each helper's links.  A partition
@@ -264,7 +287,9 @@ def greedy_counts(
     order, so each helper takes its first free user, as the baseline does.
     A pass counts for every profile that still has a free bit when it
     starts.  `greedy_placement` runs the same scan, which also says which
-    user each step took.
+    user each step took.  A saturated network, every user linked to every
+    helper, is not scanned: each pass takes E free users of a profile, so
+    a profile of n users counts ceil(n / E), one `bincount` for them all.
     """
     return _greedy_scan(adjacency, profile_of, num_profiles, place=False)[0]
 
@@ -281,7 +306,10 @@ def greedy_placement(
     takes its first free user in column order.  One pass over the recorded
     steps afterwards finds each user: the bit's index within its word is
     the exponent of the bit as a float, exact for a power of two.  So a
-    label's largest partition is its count less one.
+    label's largest partition is its count less one.  A saturated network
+    is placed without the scan: helper h takes, in pass g, the label's
+    free user of rank g * E + h in column order, so the user of rank j
+    has partition j // E and helper j % E.
     """
     counts, partition, helper = _greedy_scan(adjacency, labels, num_labels, place=True)
     return counts, partition, helper
@@ -296,15 +324,26 @@ def _greedy_scan(
     # reductions and gathers along the user axis then run over whole rows,
     # not over many short columns.
     adjacency = np.ascontiguousarray(adjacency)
-    labels = _profile_labels(profile_of, num_profiles, adjacency.any(axis=0))
     num_helpers, num_users = adjacency.shape
-    counts = np.zeros(num_profiles, dtype=np.int64)
+    saturated = num_helpers > 0 and adjacency.all()  # every helper links every user
+    labels = _profile_labels(profile_of, num_profiles, saturated or adjacency.any(axis=0))
     if num_users == 0:
         nobody = np.zeros(0, dtype=np.intp) if place else None
-        return counts, nobody, nobody
+        return np.zeros(num_profiles, dtype=np.int64), nobody, nobody
     labels = labels.astype(np.min_scalar_type(num_profiles))  # narrow keys sort by radix
-    order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=num_profiles + 1)[1:]
+    if saturated:
+        # Pass g takes a label's users of rank g * E .. g * E + E - 1 in
+        # column order, helper h the one of rank g * E + h.
+        counts = -(-sizes // num_helpers)
+        if not place:
+            return counts, None, None
+        order = np.argsort(labels, kind="stable")
+        rank = np.empty(num_users, dtype=np.intp)
+        rank[order] = np.arange(num_users) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        partition, helper = np.divmod(rank, num_helpers)
+        return counts, partition, helper
+    order = np.argsort(labels, kind="stable")
     width = (int(sizes.max()) + 63) >> 6
     # Word w of profile p holds the users at start .. start + length - 1 of
     # the users sorted by profile.
@@ -324,6 +363,7 @@ def _greedy_scan(
     free = np.where(length, ~np.uint64(0) >> (64 - length), 0)  # the low `length` bits
     links = [list(words & free) for words in window]
     free_words = list(free)
+    counts = np.zeros(num_profiles, dtype=np.int64)
     taken = []  # placing: the bits of every step, pass by pass, helper by helper, word by word
     while (left := free.any(axis=0)).any():
         counts += left

@@ -21,7 +21,8 @@ profile) partition count, and the delivery time of every trial follows from
 its sorted counts.  Every chunk takes bb's counts, with a Hall witness
 per label, from `hall_witnesses`; a verified chunk takes greedy's from the
 scan that also places its users, and bb keeps greedy's placement wherever
-the two counts agree.
+the two counts agree.  In a saturated chunk, every user linked to every
+helper, both are ceil(n / E) in closed form, so they agree on every label.
 """
 
 from __future__ import annotations
@@ -201,6 +202,15 @@ class ExperimentConfig:
         converted += [("user density per profile", self.density_per_profile)]
         if problems := _real_problems([(name, v) for name, v in converted if v is not None]):
             raise ValueError("; ".join(problems))
+        # Unequal values can print alike, and their CSV rows could not be told apart.
+        written: dict[str, float] = {}
+        for value in self.values:
+            if (text := _sig12(float(value))) in written:
+                raise ValueError(
+                    f"sweep values {written[text]!r} and {value!r} are both written "
+                    f"{text} in the CSV"
+                )
+            written[text] = value
         if not _is_count(self.trials):
             raise ValueError(
                 f"the trial count must be an integer of at least 1, got {self.trials!r}"
@@ -476,7 +486,10 @@ def evaluate_counts(
     `greedy_placement`'s scan runs, greedy or not, and greedy's counts are
     its pass counts; otherwise they are `greedy_counts`'.  Returns the
     counts, the scan's (counts, partition, helper) or None, and the
-    witnesses or None without bb.
+    witnesses or None without bb.  A saturated chunk, every user linked
+    to every helper, builds no Hall table and runs no scan: each call
+    gives its closed form, ceil(n / E) per label, so every method counts
+    alike there and greedy's count is Hall's on every label.
     """
     num_labels = trials * num_profiles
     scan = greedy_placement(adjacency, labels, num_labels) if verify else None

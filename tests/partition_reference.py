@@ -11,6 +11,10 @@ refuses instances above a guard.
 `hall_counts` is Hall's formula as the library evaluated it with a
 profile-major int32 table and an integer ceil per helper set; the library's
 subsets-major table with one float ceil per profile must give its counts.
+`hall_table_witnesses` is that subsets-major table as the library ran it
+on every network, saturated ones too, before a saturated network took
+its closed form: the library must give its counts and witnesses, bit for
+bit.
 
 `least_loaded_greedy` is the greedy baseline as a least-loaded
 assignment in column order, an oracle for the bitset scan that shares
@@ -99,6 +103,33 @@ def hall_counts(adjacency: np.ndarray, profile_of: np.ndarray, num_profiles: int
         halves[:, :, 1, :] += halves[:, :, 0, :]
         sizes[1 << h : 2 << h] = sizes[: 1 << h] + 1
     return (-(-table[:, 1:] // sizes[1:])).max(axis=1, initial=0)
+
+
+def hall_table_witnesses(
+    adjacency: np.ndarray, labels: np.ndarray, num_labels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hall's counts and witnesses from the (2^E, L) table, with or without saturation.
+
+    Same arguments, results and label errors as `hall_witnesses`, for
+    1..20 helpers and at least one label.  A label's witness is the first
+    row, in mask order, with its largest N_S / |S|.
+    """
+    num_helpers = adjacency.shape[0]
+    assert 1 <= num_helpers <= MAX_TABLE_HELPERS and num_labels >= 1
+    masks = _helper_masks(adjacency)
+    labels = _profile_labels(labels, num_labels, masks != 0)
+    keys = masks * num_labels + (labels.astype(np.int64) - 1)
+    table = np.bincount(keys, minlength=num_labels << num_helpers).astype(np.int32)
+    table = table.reshape(-1, num_labels)
+    sizes = np.zeros(1 << num_helpers)
+    for h in range(num_helpers):
+        halves = table.reshape(-1, 2, 1 << h, num_labels)
+        halves[:, 1] += halves[:, 0]
+        sizes[1 << h : 2 << h] = sizes[: 1 << h] + 1
+    ratios = table[1:] / sizes[1:, None]  # N_S / |S|, row S - 1
+    best = ratios.argmax(axis=0)
+    counts = np.ceil(ratios[best, np.arange(num_labels)]).astype(np.int64)
+    return counts, best + 1
 
 
 def least_loaded_greedy(

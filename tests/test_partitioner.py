@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_INSTANCE
+from helpercache import partitioner
 from helpercache.cache_placement import ProfileAssignment, assign_profiles
 from helpercache.partitioner import (
     Assignment,
@@ -256,13 +257,57 @@ def _seeded_chunk(num_helpers, sizes, seed, degree=None):
 _FULLY_CONNECTED_CHUNK = (4, 2, [0] * 9 + [1] * 13, [0b1111] * 22, list(range(22)))
 
 
+def _saturated_chunk(num_helpers, sizes, seed, cut=False):
+    """`_seeded_chunk` with every user on every helper; with `cut`, user 0,
+    the first of its label, loses helper 0, where saturation would put it."""
+    chunk = _seeded_chunk(num_helpers, sizes, seed)
+    masks = [(1 << num_helpers) - 1] * len(chunk[2])
+    if cut:
+        masks[0] ^= 1
+    return (*chunk[:3], masks, chunk[4])
+
+
+# Saturated chunks of 1..8 helpers, each with a label past 64 users and an
+# empty one, and two chunks one link short of saturation.
+_SATURATED_CHUNKS = [_saturated_chunk(e, [70, 0, 5], seed=e) for e in range(1, 9)] + [
+    _saturated_chunk(2, [3, 66], seed=9, cut=True),
+    _saturated_chunk(5, [0, 130, 9], seed=10, cut=True),
+]
+
+
+def _saturated_examples(fields=5):
+    """Add `_SATURATED_CHUNKS` as examples, each cut to its first `fields` entries."""
+
+    def add(test):
+        for chunk in _SATURATED_CHUNKS:
+            test = example(chunk[:fields])(test)
+        return test
+
+    return add
+
+
+@st.composite
+def _saturated_chunks(draw):
+    """Every user on every helper of up to 8, labels empty, small or past 64
+    users; or one link short of that, on a user and helper drawn."""
+    num_helpers = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.sampled_from((0, 1, 2, 7, 65)), min_size=1, max_size=3))
+    labels = draw(st.permutations([label for label, size in enumerate(sizes) for _ in range(size)]))
+    masks = [(1 << num_helpers) - 1] * len(labels)
+    if num_helpers > 1 and masks and draw(st.booleans()):
+        masks[draw(st.integers(0, len(masks) - 1))] ^= 1 << draw(st.integers(0, num_helpers - 1))
+    ids = draw(st.permutations(range(len(labels))))
+    return num_helpers, len(sizes), labels, masks, ids
+
+
 @settings(max_examples=300, deadline=None)
-@given(_label_chunks())
+@given(_label_chunks() | _saturated_chunks())
 @example(_seeded_chunk(3, [70, 0, 5], seed=1))  # a label past 64 users, and an empty one
 @example(_seeded_chunk(19, [30, 12, 0, 7], seed=2))  # 19 helpers
 @example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))  # single-helper users only
 @example(_FULLY_CONNECTED_CHUNK)
 @example((2, 3, [], [], []))  # a chunk without users
+@_saturated_examples()
 def test_chunk_builders_match_the_per_profile_references(chunk):
     # One call places every label of a chunk; each label's (helper, user)
     # pairs, partition by partition, must be those of the per-profile
@@ -304,12 +349,13 @@ def test_chunk_builders_match_the_per_profile_references(chunk):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_label_chunks())
+@given(_label_chunks() | _saturated_chunks())
 @example(_seeded_chunk(3, [70, 0, 5], seed=1))
 @example(_seeded_chunk(19, [30, 12, 0, 7], seed=2))
 @example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))
 @example(_FULLY_CONNECTED_CHUNK)
 @example((2, 3, [], [], []))
+@_saturated_examples()
 def test_greedy_placement_counts_as_greedy_counts(chunk):
     # The placing run of the scan counts as its counting run does, label by
     # label, and a label's largest recorded partition is its count less one.
@@ -318,7 +364,9 @@ def test_greedy_placement_counts_as_greedy_counts(chunk):
     labels = np.array(labels, dtype=np.int64) + 1
     counts, partition, helper = greedy_placement(adjacency, labels, num_labels)
     assert partition.dtype == helper.dtype == np.intp
-    assert counts.tolist() == greedy_counts(adjacency, labels, num_labels).tolist()
+    counted = greedy_counts(adjacency, labels, num_labels)
+    assert counts.dtype == counted.dtype == np.int64
+    assert counts.tolist() == counted.tolist()
     built = np.zeros(num_labels + 1, dtype=np.int64)
     np.maximum.at(built, labels, partition + 1)
     assert built[1:].tolist() == counts.tolist()
@@ -338,15 +386,17 @@ def _greedy_chunks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_greedy_chunks())
+@given(_greedy_chunks() | _saturated_chunks().map(lambda chunk: chunk[:4]))
 @example((3, 1, [0] * 70, [0b111] * 70))  # a label past 64 users, all on every helper
 @example((4, 2, [0, 1] * 45, [0b0001, 0b1111, 0b0110] * 30))
 @example((2, 3, [], []))  # a chunk without users
+@_saturated_examples(fields=4)
 def test_greedy_scan_is_a_least_loaded_assignment(chunk):
     # The bitset scan, pass by pass, places every user as the least-loaded
     # assignment in column order: each user joins its least-loaded linked
     # helper, ties to the lowest index, in the partition of that helper's
-    # load.  Counts, partitions and helpers all agree.
+    # load.  Counts, partitions and helpers all agree, and so they do where
+    # every user links every helper and no scan runs.
     num_helpers, num_labels, labels, masks = chunk
     adjacency = _adjacency(num_helpers, masks)
     labels = np.array(labels, dtype=np.int64) + 1
@@ -355,14 +405,16 @@ def test_greedy_scan_is_a_least_loaded_assignment(chunk):
     )
     placed = greedy_placement(adjacency, labels, num_labels)
     assert [array.tolist() for array in placed] == [counts, partition, helper]
+    assert [array.dtype for array in placed] == [np.int64, np.intp, np.intp]
     assert greedy_counts(adjacency, labels, num_labels).tolist() == counts
 
 
 @settings(max_examples=300, deadline=None)
-@given(_label_chunks())
+@given(_label_chunks() | _saturated_chunks())
 @example(_seeded_chunk(3, [70, 0, 5], seed=1))
 @example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))
 @example((2, 3, [], [], []))
+@_saturated_examples()
 def test_hall_witnesses_attain_the_counts(chunk):
     # Hall's counts with one witness set S per label: the counts are the
     # profile-major reference's, and ceil(N_S / |S|) of S, N_S counted user
@@ -386,21 +438,27 @@ def test_hall_witnesses_attain_the_counts(chunk):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_label_chunks())
+@given(_label_chunks() | _saturated_chunks())
 @example(_seeded_chunk(3, [70, 0, 5], seed=1))
 @example(_seeded_chunk(19, [30, 12, 0, 7], seed=2))
 @example(_seeded_chunk(19, [150], seed=4))  # one trial's 19-helper label
 @example(_seeded_chunk(4, [9, 0, 6, 0], seed=3, degree=1))
 @example((2, 3, [], [], []))
+@_saturated_examples()
 def test_hall_table_matches_the_profile_major_reference(chunk):
     # The (2^E, L) table with one float ceil per label gives the counts of
-    # the (L, 2^E) int32 table with an integer ceil per helper set.
+    # the (L, 2^E) int32 table with an integer ceil per helper set.  Its
+    # counts and witnesses are those of the table run on every chunk, bit
+    # for bit, where a saturated chunk builds none.
     num_helpers, num_labels, labels, masks, _ = chunk
     adjacency = _adjacency(num_helpers, masks)
     profile_of = np.array(labels, dtype=np.int64) + 1
-    counts = hall_witnesses(adjacency, profile_of, num_labels)[0]
+    counts, witnesses = hall_witnesses(adjacency, profile_of, num_labels)
     expected = partition_reference.hall_counts(adjacency, profile_of, num_labels)
     assert counts.dtype == np.int64 and counts.tolist() == expected.tolist()
+    table = partition_reference.hall_table_witnesses(adjacency, profile_of, num_labels)
+    for got, want in zip((counts, witnesses), table):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_hall_counts_at_integer_ratios():
@@ -490,11 +548,52 @@ def test_greedy_counts_across_word_boundaries(num_helpers):
 
 
 def test_hall_counts_reject_bad_input():
+    # The networks of all ones are saturated: their labels are refused
+    # before the closed form counts them, and so is a 21st helper.
     for adjacency, profile_of, num_profiles, message in _BAD_NETWORKS:
         with pytest.raises(ValueError, match=message):
             hall_witnesses(adjacency, profile_of, num_profiles)
     with pytest.raises(ValueError, match="limit of 20"):
         hall_witnesses(np.zeros((21, 0), dtype=bool), np.zeros(0, dtype=np.int64), 1)
+    with pytest.raises(ValueError, match="21 helpers exceed the limit of 20"):
+        hall_witnesses(np.ones((21, 3), dtype=bool), np.array([1, 2, 1]), 2)
+
+
+def test_hall_witnesses_refuse_no_helpers_and_count_no_labels():
+    # Hall's count needs a helper set S with |S| >= 1, so no helper is
+    # refused by name, with users or without; zero labels give empty
+    # counts and witnesses, as greedy gives empty counts.
+    for adjacency, labels in ((np.zeros((0, 0), dtype=bool), []), (np.ones((0, 2), dtype=bool), [1, 1])):
+        with pytest.raises(ValueError, match="^Hall's count needs at least one helper, got 0$"):
+            hall_witnesses(adjacency, np.array(labels, dtype=np.int64), 3)
+    counts, witnesses = hall_witnesses(np.ones((2, 0), dtype=bool), np.array([], dtype=np.int64), 0)
+    assert counts.dtype == witnesses.dtype == np.int64
+    assert counts.shape == witnesses.shape == (0,)
+    assert greedy_counts(np.ones((2, 0), dtype=bool), np.array([], dtype=np.int64), 0).shape == (0,)
+
+
+def test_saturation_alone_skips_the_table_and_the_scan(monkeypatch):
+    # A saturated chunk makes no helper mask for Hall's table; one link
+    # short of it, the table runs.  There greedy's scan must run too: the
+    # cut user, first of its label, would be on the cut helper 0 if the
+    # closed form ran.
+    masked = []
+
+    def masks(adjacency, run=partitioner._helper_masks):
+        masked.append(adjacency.shape)
+        return run(adjacency)
+
+    monkeypatch.setattr(partitioner, "_helper_masks", masks)
+    for cut in (False, True):
+        num_helpers, num_labels, labels, links, _ = _saturated_chunk(3, [70, 0, 5], seed=1, cut=cut)
+        adjacency = _adjacency(num_helpers, links)
+        profile_of = np.array(labels) + 1
+        counts, witnesses = hall_witnesses(adjacency, profile_of, num_labels)
+        assert masked == ([(3, 75)] if cut else [])
+        assert counts.tolist() == [24, 0, 2]
+        assert witnesses.tolist() == [0b111, 1, 0b111]
+        _, partition, helper = greedy_placement(adjacency, profile_of, num_labels)
+        assert (partition[0], helper[0]) == ((0, 1) if cut else (0, 0))
 
 
 def test_helper_bitmasks_refuse_more_than_63_helpers():

@@ -388,6 +388,70 @@ def test_verified_bb_matches_only_labels_greedy_overcounts(monkeypatch):
         run_point(point, seeds, ("bb",), verify=True)
 
 
+def test_verified_saturated_chunk_keeps_its_checks_and_their_errors(monkeypatch):
+    # At r = 4.2 every kept user links every helper, so Hall's counts and
+    # greedy's placement come in closed form, with no table and no scan.
+    # The chunk still recounts its witnesses and audits its table, once
+    # each, and a fault in a witness, a count or a slot raises the error
+    # it raises anywhere else, text for text.
+    point, seeds = _point(radius=4.2), [derive_trial_seed(2, index) for index in range(4)]
+    adjacency, labels, *_ = sim_harness._draw_chunk(point, seeds, True)
+    assert adjacency.all()
+    calls = []
+    for name in ("_witness_bounds", "audit_pairs"):
+
+        def spied(*args, run=getattr(sim_harness, name), name=name):
+            calls.append(name)
+            return run(*args)
+
+        monkeypatch.setattr(sim_harness, name, spied)
+    run_point(point, seeds, verify=True)
+    assert calls == ["_witness_bounds", "audit_pairs"]
+    hall = -(-np.bincount(labels - 1, minlength=40) // point.helpers)
+    first = int(labels[labels > 2 * 10].min() - 1)  # the third trial's first label with users
+    third = tuple(hall[20:30].tolist())
+
+    def without_helper_3(counts, witnesses):
+        witnesses[first] = 0b0111  # every user links helper 3, so N_S = 0
+
+    bounds = tuple(0 if i == first else c for i, c in enumerate(hall[20:30].tolist(), 20))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_harness, "hall_witnesses", _hall_edited(without_helper_3))
+        with pytest.raises(RuntimeError) as failure:
+            run_point(point, seeds, verify=True)
+    assert str(failure.value) == (
+        f"Hall's formula {third} differs from its witnesses' bounds ceil(N_S / |S|) "
+        f"{bounds} (seed {seeds[2]}, method bb)"
+    )
+
+    def one_too_many(counts, witnesses):
+        counts[first] += 1
+
+    raised = tuple(c + (i == first) for i, c in enumerate(hall[20:30].tolist(), 20))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_harness, "hall_witnesses", _hall_edited(one_too_many))
+        with pytest.raises(RuntimeError) as failure:
+            run_point(point, seeds, verify=True)
+    assert str(failure.value) == (
+        f"partition counts {third} differ from Hall's formula {raised} "
+        f"(seed {seeds[2]}, method bb)"
+    )
+    clash = {}
+
+    def sharing_a_helper(columns):
+        rows = next(rows for rows in _slots(columns, 0) if len(rows) > 1)
+        columns["helper"][rows[1]] = columns["helper"][rows[0]]
+        clash.update({name: columns[name][rows[0]] for name in _COLUMNS})
+
+    _edit_table(monkeypatch, sharing_a_helper)
+    with pytest.raises(RuntimeError) as failure:
+        run_point(point, seeds, verify=True)
+    assert str(failure.value) == (
+        f"coverage audit failed (seed {seeds[0]}, method bb): helper {clash['helper']}: matched "
+        f"to 2 users of slot (round, profile) ({clash['round']}, {clash['profile']})"
+    )
+
+
 def test_verified_large_cluster_finishes():
     # 19 helpers: on these two trials a single profile kept the branch and
     # bound busy for seconds to minutes; one matching pass takes
@@ -1264,6 +1328,12 @@ def test_helper_count_is_capped(tmp_path, capsys):
         with pytest.raises(ValueError, match=re.escape(message)):
             run_point(point, [1, 2, 3], ("greedy", "bb"))
     assert drawn == [1, 1]
+    # A saturated point, every user on every helper, is refused alike,
+    # verified or not: the limit comes before the closed form.
+    saturated = replace(point, radius=math.inf)
+    for verify in (False, True):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_point(saturated, [1, 2, 3], ("bb",), verify=verify)
     results = run_sweep(_tiny_config(helpers=21, methods=("greedy", "fc")))
     assert [r.method for r in results] == ["greedy", "fc"] * 2
     out = tmp_path / "x.csv"
@@ -1471,6 +1541,30 @@ def test_config_refuses_a_cache_fraction_that_rounds_to_every_profile(tmp_path, 
     assert drawn == []
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_refuses_values_the_csv_writes_alike(tmp_path, capsys):
+    # 1.2 and the next float up are two radii, but the CSV writes both as
+    # 1.2, so their rows could not be told apart; so are two profile
+    # counts past 12 digits.  Values 12 digits tell apart still run.
+    message = "sweep values 1.2 and 1.2000000000000002 are both written 1.2 in the CSV"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _tiny_config(values=(1.2, 2.5, 1.2000000000000002))
+    with pytest.raises(ValueError, match=r"^sweep values 10000000000000 and 10000000000001 "):
+        _tiny_config(sweep="L", values=(10**13, 10**13 + 1), profiles=None, radius=1.0)
+    out = tmp_path / "x.csv"
+    args = [
+        "simulate", "--sweep", "r", "--values", "1.2,1.2000000000000002", "--helpers", "2",
+        "--profiles", "2", "--gamma", "0.5", "--user-radius", "1.5", "--density", "1.5",
+        "--trials", "2", "--out", str(out),
+    ]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    args[4] = "1.2,1.20000000001"
+    assert main(args) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1.2", "1.2", "1.20000000001", "1.20000000001"]
 
 
 def test_config_rejects_repeated_values_and_non_integer_seeds(tmp_path):
